@@ -17,6 +17,7 @@ import (
 	"lowdimlp/internal/lp"
 	"lowdimlp/internal/meb"
 	"lowdimlp/internal/mpc"
+	"lowdimlp/internal/sea"
 	"lowdimlp/internal/stream"
 	"lowdimlp/internal/svm"
 	"lowdimlp/internal/tci"
@@ -50,20 +51,48 @@ func BenchmarkF2HardInstance(b *testing.B)  { benchExperiment(b, "F2") }
 
 // --- solver micro-benchmarks --------------------------------------------
 
+// BenchmarkSeidelLP and BenchmarkSEASolve are the basis solves behind
+// lpmark's basis-heavy workload (the d=5 sphere and d=3 ring cells are
+// its net sizes); reproduce their micro-cost with
+//
+//	go test -run '^$' -bench 'Seidel|SEASolve' -cpu 1
 func BenchmarkSeidelLP(b *testing.B) {
+	run := func(d, n int) {
+		p, cons := workload.SphereLP(d, n, 1)
+		b.Run(benchName("d", d, "n", n), func(b *testing.B) {
+			rng := numeric.NewRand(1, 1)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := lp.Seidel(p, cons, rng); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 	for _, d := range []int{2, 4, 6} {
 		for _, n := range []int{1_000, 10_000} {
-			p, cons := workload.SphereLP(d, n, 1)
-			b.Run(benchName("d", d, "n", n), func(b *testing.B) {
-				rng := numeric.NewRand(1, 1)
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := lp.Seidel(p, cons, rng); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+			run(d, n)
 		}
+	}
+	run(5, 3_000)
+	run(5, 6_000)
+}
+
+func BenchmarkSEASolve(b *testing.B) {
+	for _, n := range []int{1_000, 2_000} {
+		pts := make([]sea.Point, n)
+		for i := range pts {
+			pts[i] = sea.RingAt(3, 1, 0.3, i)
+		}
+		b.Run(benchName("d", 3, "n", n), func(b *testing.B) {
+			dom := sea.NewDomain(3, 1)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := dom.Solve(pts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -85,22 +85,6 @@ func (p Problem) box() float64 {
 	return DefaultBox
 }
 
-// objRows builds the lexicographic objective: the first row is the
-// objective vector, followed by the identity rows e_1..e_d that realize
-// "lexicographically smallest optimal point" (Proposition 4.1 performs
-// the same tie-breaking with d successive LPs; we fold it into a single
-// vector-valued objective inside Seidel's recursion).
-func (p Problem) objRows() [][]float64 {
-	rows := make([][]float64, 0, p.Dim+1)
-	rows = append(rows, append([]float64(nil), p.Objective...))
-	for i := 0; i < p.Dim; i++ {
-		e := make([]float64, p.Dim)
-		e[i] = 1
-		rows = append(rows, e)
-	}
-	return rows
-}
-
 // Solution is the result of solving an LP subset.
 type Solution struct {
 	X     []float64 // the lexicographically smallest optimal point

@@ -237,38 +237,45 @@ func liftedProblem(d int) lp.Problem {
 	return lp.NewProblem(obj)
 }
 
-// liftedCons appends the two halfspaces of point p:
+// liftedRow writes one of the two halfspaces of point p into a (all d+2
+// coefficients) and returns its right-hand side:
 //
 //	|p|² − 2⟨p, c⟩ − u ≤ 0   (outer: p inside radius R)
 //	v − |p|² + 2⟨p, c⟩ ≤ 0   (inner: p outside radius r)
-func liftedCons(d int, p Point, dst []lp.Halfspace) []lp.Halfspace {
+func liftedRow(d int, p Point, inner bool, a []float64) float64 {
 	q2 := numeric.Dot(p, p)
-	outer := make([]float64, d+2)
-	inner := make([]float64, d+2)
-	for j, x := range p {
-		outer[j] = -2 * x
-		inner[j] = 2 * x
+	sign := -2.0
+	if inner {
+		sign = 2
 	}
-	outer[d] = -1
-	inner[d+1] = 1
-	return append(dst,
-		lp.Halfspace{A: outer, B: -q2},
-		lp.Halfspace{A: inner, B: q2},
-	)
+	for j, x := range p {
+		a[j] = sign * x
+	}
+	if inner {
+		a[d], a[d+1] = 0, 1
+		return q2
+	}
+	a[d], a[d+1] = -1, 0
+	return -q2
 }
 
 // Solve computes the basis of the point subset (Tb) by solving the
-// lifted LP exactly with Seidel's algorithm.
+// lifted LP exactly with Seidel's algorithm. Constraint 2i is the outer
+// and 2i+1 the inner halfspace of point i, written straight into the
+// solver's workspace.
 func (d *Domain) Solve(pts []Point) (Basis, error) {
 	if len(pts) == 0 {
 		return Basis{}, nil // the null annulus, violated by every point
 	}
-	cons := make([]lp.Halfspace, 0, 2*len(pts))
-	for _, p := range pts {
-		cons = liftedCons(d.Dim, p, cons)
+	for i, p := range pts {
+		if len(p) != d.Dim {
+			return Basis{}, fmt.Errorf("sea: point %d has %d coordinates, want %d", i, len(p), d.Dim)
+		}
 	}
 	rng := numeric.NewRand(d.Seed, d.calls.Add(1))
-	sol, err := lp.Seidel(liftedProblem(d.Dim), cons, rng)
+	sol, err := lp.SeidelRows(liftedProblem(d.Dim), 2*len(pts), func(i int, a []float64) float64 {
+		return liftedRow(d.Dim, pts[i/2], i%2 == 1, a)
+	}, rng)
 	if err != nil {
 		return Basis{}, err
 	}

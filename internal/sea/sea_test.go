@@ -2,9 +2,13 @@ package sea
 
 import (
 	"math"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"lowdimlp/internal/engine"
+	"lowdimlp/internal/lp"
 	"lowdimlp/internal/lptype"
 	"lowdimlp/internal/numeric"
 )
@@ -300,4 +304,147 @@ func TestDegenerateCollinearSnapsCenter(t *testing.T) {
 	if math.Abs(sa.Center[0]-0.5) > 1e-6 || math.Abs(sa.Center[1]-0.5) > 1e-6 {
 		t.Fatalf("square center %v, want (0.5,0.5)", sa.Center)
 	}
+}
+
+// liftedCons is how Solve used to hand the lifted LP to lp.Seidel: two
+// materialized halfspaces per point. Kept as the oracle for the rows
+// Solve now writes in place.
+func liftedCons(d int, p Point, dst []lp.Halfspace) []lp.Halfspace {
+	q2 := numeric.Dot(p, p)
+	outer := make([]float64, d+2)
+	inner := make([]float64, d+2)
+	for j, x := range p {
+		outer[j] = -2 * x
+		inner[j] = 2 * x
+	}
+	outer[d] = -1
+	inner[d+1] = 1
+	return append(dst,
+		lp.Halfspace{A: outer, B: -q2},
+		lp.Halfspace{A: inner, B: q2},
+	)
+}
+
+func ringPoints(dim, n int, seed uint64) []Point {
+	pts := make([]Point, n)
+	for i := range pts {
+		pts[i] = RingAt(dim, seed, 0.3, i)
+	}
+	return pts
+}
+
+// solveViaHalfspaces is Solve on materialized halfspaces, for call
+// number call of a Domain with the given seed.
+func solveViaHalfspaces(dim int, pts []Point, seed, call uint64) (lp.Solution, error) {
+	var cons []lp.Halfspace
+	for _, p := range pts {
+		cons = liftedCons(dim, p, cons)
+	}
+	return lp.Seidel(liftedProblem(dim), cons, numeric.NewRand(seed, call))
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSolveMatchesLiftedHalfspaces: rows written in place into the
+// solver's workspace give bit for bit the basis that materialized
+// halfspaces give, on the same shuffle stream. The same Domain is used
+// throughout, so rows left in a recycled workspace by a larger or
+// higher-dimensional solve would show.
+func TestSolveMatchesLiftedHalfspaces(t *testing.T) {
+	for _, dim := range []int{4, 1, 3, 2} {
+		dom := NewDomain(dim, 5)
+		call := uint64(0)
+		for _, n := range []int{300, 1, 2, dim + 3, 40} {
+			pts := ringPoints(dim, n, uint64(10*dim+n))
+			got, err := dom.Solve(pts)
+			call++
+			want, werr := solveViaHalfspaces(dim, pts, 5, call)
+			if err != nil || werr != nil {
+				t.Fatalf("dim %d n %d: err = %v, oracle err = %v", dim, n, err, werr)
+			}
+			if !sameBits(got.X, want.X) {
+				t.Fatalf("dim %d n %d: X = %v, oracle %v", dim, n, got.X, want.X)
+			}
+		}
+	}
+}
+
+func TestSolveRejectsWrongPointLength(t *testing.T) {
+	dom := NewDomain(2, 1)
+	for _, bad := range []Point{{1}, {1, 2, 3}} {
+		_, err := dom.Solve([]Point{{1, 0}, {0, 1}, bad})
+		if err == nil || !strings.Contains(err.Error(), "point 2") {
+			t.Errorf("point of %d coordinates in R^2: err = %v, want one naming point 2", len(bad), err)
+		}
+	}
+}
+
+// TestSeidelAllocations is the sea half of the pin in internal/lp: the
+// allocations of a basis solve (warm: 8 — rng, lifted problem, X,
+// support set) do not grow with the number of points. See the lp test
+// for why the bound leaves room for one workspace build.
+func TestSeidelAllocations(t *testing.T) {
+	const maxAllocs = 44
+	for _, n := range []int{250, 2500} { // m = 2n lifted rows: 500 and 5000
+		pts := ringPoints(3, n, 1)
+		dom := NewDomain(3, 1)
+		if _, err := dom.Solve(pts); err != nil { // warm the pool
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := dom.Solve(pts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("sea.Domain.Solve d=3 n=%d: %.1f allocs", n, allocs)
+		if allocs > maxAllocs {
+			t.Errorf("sea.Domain.Solve d=3 n=%d: %.1f allocs (want ≤ %d) — lifted halfspaces materialized again?", n, allocs, maxAllocs)
+		}
+	}
+}
+
+// TestConcurrentSolves shares one Domain between goroutines, as
+// coordinator sites do; each result must be the oracle's for one of the
+// shuffle streams the call counter hands out.
+func TestConcurrentSolves(t *testing.T) {
+	const goroutines, rounds = 8, 5
+	pts := ringPoints(3, 200, 9)
+	dom := NewDomain(3, 21)
+	var want [][]float64
+	for call := uint64(1); call <= goroutines*rounds; call++ {
+		sol, err := solveViaHalfspaces(3, pts, 21, call)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, sol.X)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				b, err := dom.Solve(pts)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !slices.ContainsFunc(want, func(x []float64) bool { return sameBits(x, b.X) }) {
+					t.Error("concurrent Solve returned a basis no shuffle stream of the oracle produces")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
