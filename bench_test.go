@@ -11,14 +11,11 @@ import (
 	"io"
 	"testing"
 
-	"lowdimlp/internal/coordinator"
 	"lowdimlp/internal/core"
 	"lowdimlp/internal/experiments"
 	"lowdimlp/internal/lp"
 	"lowdimlp/internal/meb"
-	"lowdimlp/internal/mpc"
 	"lowdimlp/internal/sea"
-	"lowdimlp/internal/stream"
 	"lowdimlp/internal/svm"
 	"lowdimlp/internal/tci"
 	"lowdimlp/internal/workload"
@@ -148,13 +145,9 @@ func BenchmarkClarksonReference(b *testing.B) {
 func BenchmarkStreamingLPPass(b *testing.B) {
 	// Cost of one full streaming solve at n = 100k.
 	p, cons := workload.SphereLP(3, 100_000, 6)
-	dom := lp.NewDomain(p, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		st := stream.NewSliceStream(cons)
-		if _, _, err := stream.Solve[lp.Halfspace, lp.Basis](dom, st, len(cons), stream.Options{
-			Core: core.Options{R: 3, Seed: uint64(i), NetConst: 0.5},
-		}); err != nil {
+		if _, _, err := SolveLPStreaming(p, NewSliceStream(cons), len(cons), Options{R: 3, Seed: uint64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -162,15 +155,10 @@ func BenchmarkStreamingLPPass(b *testing.B) {
 
 func BenchmarkCoordinatorLP(b *testing.B) {
 	p, cons := workload.SphereLP(3, 100_000, 7)
-	dom := lp.NewDomain(p, 1)
 	parts := Partition(cons, 8)
-	hc := lp.HalfspaceCodec{Dim: 3}
-	bc := lp.BasisCodec{Dim: 3}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := coordinator.Solve(dom, parts, hc, bc, coordinator.Options{
-			Core: core.Options{R: 3, Seed: uint64(i), NetConst: 0.5},
-		}); err != nil {
+		if _, _, err := SolveLPCoordinator(p, parts, Options{R: 3, Seed: uint64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -178,14 +166,9 @@ func BenchmarkCoordinatorLP(b *testing.B) {
 
 func BenchmarkMPCLP(b *testing.B) {
 	p, cons := workload.SphereLP(3, 100_000, 8)
-	dom := lp.NewDomain(p, 1)
-	hc := lp.HalfspaceCodec{Dim: 3}
-	bc := lp.BasisCodec{Dim: 3}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := mpc.Solve(dom, cons, hc, bc, mpc.Options{
-			Core: core.Options{Seed: uint64(i), NetConst: 0.5}, Delta: 0.5,
-		}); err != nil {
+		if _, _, err := SolveLPMPC(p, cons, Options{Seed: uint64(i), Delta: 0.5}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -99,27 +99,12 @@ const (
 	coordSeedMix = 0xc002d
 )
 
-// Solve runs the distributed version of Algorithm 1 (Theorem 2) on the
-// partition parts (one slice per site). Codecs meter the communication.
-// It is a thin adapter over the shared protocol implementation: each
-// partition becomes a SliceStore, so results are bit-identical to the
-// historical slice-only implementation.
-func Solve[C, B any](
-	dom lptype.Domain[C, B], parts [][]C,
-	ccodec comm.Codec[C], bcodec comm.Codec[B],
-	opt Options,
-) (B, Stats, error) {
-	stores := make([]lptype.Store[C, B], len(parts))
-	for i, p := range parts {
-		stores[i] = lptype.SliceStore(dom, p)
-	}
-	return solve(dom, stores, ccodec, bcodec, opt)
-}
-
-// SolveDataset runs the same protocol with the instance sharded across
-// sites as zero-copy columnar views (round-robin, matching the
-// engine's historical Partition assignment) — nothing is copied to
-// "distribute" the input, and site-local scans run over the flat arena
+// SolveDataset runs the distributed version of Algorithm 1 (Theorem 2)
+// with one columnar view per site; codecs meter the communication.
+// Round-robin shards of one store (View.Shard — nothing is copied to
+// "distribute" the input) and explicit, possibly uneven partitions
+// (one store per part, as the engine's typed entry point builds them)
+// are the same thing here: site-local scans run over the flat arena
 // with no per-constraint decode.
 func SolveDataset[C, B any](
 	ra lptype.RowAccess[C, B], shards []dataset.View,

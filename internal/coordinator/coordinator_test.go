@@ -6,6 +6,7 @@ import (
 
 	"lowdimlp/internal/comm"
 	"lowdimlp/internal/core"
+	"lowdimlp/internal/dataset"
 	"lowdimlp/internal/lp"
 	"lowdimlp/internal/lptype"
 	"lowdimlp/internal/numeric"
@@ -46,6 +47,45 @@ func lpCodecs(d int) (comm.Codec[lp.Halfspace], comm.Codec[lp.Basis]) {
 	return lp.HalfspaceCodec{Dim: d}, lp.BasisCodec{Dim: d}
 }
 
+// solveTyped is the tests' typed entry point, built the way the
+// engine builds its own: every part is encoded into its own columnar
+// store (explicit, possibly empty or skewed partitions stay explicit)
+// and the protocol runs over the views. The two kinds these tests use
+// share the layout "coordinates, then one scalar".
+func solveTyped[C, B any](dom lptype.Domain[C, B], parts [][]C, cc comm.Codec[C], bc comm.Codec[B], opt Options) (B, Stats, error) {
+	d := dom.CombinatorialDim() - 1 // ν = d+1 for lp and svm
+	encode := func(dst []float64, c C) []float64 {
+		switch v := any(c).(type) {
+		case lp.Halfspace:
+			return append(append(dst, v.A...), v.B)
+		case svm.Example:
+			return append(append(dst, v.X...), v.Y)
+		}
+		panic("solveTyped: unknown constraint type")
+	}
+	decode := func(row []float64) C {
+		var c C
+		switch any(c).(type) {
+		case lp.Halfspace:
+			return any(lp.Halfspace{A: row[:d], B: row[d]}).(C)
+		case svm.Example:
+			return any(svm.Example{X: row[:d], Y: row[d]}).(C)
+		}
+		panic("solveTyped: unknown constraint type")
+	}
+	shards := make([]dataset.View, len(parts))
+	var row []float64
+	for i, part := range parts {
+		st := dataset.NewStore(d + 1)
+		for _, c := range part {
+			row = encode(row[:0], c)
+			st.AppendRow(row)
+		}
+		shards[i] = st.View()
+	}
+	return SolveDataset(lptype.NewRowAccess(dom, decode), shards, cc, bc, opt)
+}
+
 func TestCoordinatorLPMatchesDirect(t *testing.T) {
 	for _, k := range []int{1, 2, 4, 16} {
 		for _, r := range []int{2, 3} {
@@ -53,7 +93,7 @@ func TestCoordinatorLPMatchesDirect(t *testing.T) {
 			p, cons := sphereLP(d, 30000, uint64(100*k+r))
 			dom := lp.NewDomain(p, 7)
 			cc, bc := lpCodecs(d)
-			got, stats, err := Solve(dom, partition(cons, k), cc, bc, Options{
+			got, stats, err := solveTyped(dom, partition(cons, k), cc, bc, Options{
 				Core: core.Options{R: r, Seed: 5, NetConst: 0.5},
 			})
 			if err != nil {
@@ -79,7 +119,7 @@ func TestCoordinatorRoundBound(t *testing.T) {
 	nu := dom.CombinatorialDim()
 	cc, bc := lpCodecs(d)
 	for _, r := range []int{2, 3} {
-		_, stats, err := Solve(dom, partition(cons, 8), cc, bc, Options{
+		_, stats, err := solveTyped(dom, partition(cons, 8), cc, bc, Options{
 			Core: core.Options{R: r, Seed: 1, NetConst: 0.5},
 		})
 		if err != nil {
@@ -101,7 +141,7 @@ func TestCoordinatorCommunicationSublinear(t *testing.T) {
 	p, cons := sphereLP(d, 100000, 29)
 	dom := lp.NewDomain(p, 11)
 	cc, bc := lpCodecs(d)
-	_, stats, err := Solve(dom, partition(cons, 8), cc, bc, Options{
+	_, stats, err := solveTyped(dom, partition(cons, 8), cc, bc, Options{
 		Core: core.Options{R: 3, Seed: 2, NetConst: 0.5},
 	})
 	if err != nil {
@@ -118,13 +158,13 @@ func TestCoordinatorParallelMatchesSequential(t *testing.T) {
 	p, cons := sphereLP(d, 20000, 31)
 	dom := lp.NewDomain(p, 13)
 	cc, bc := lpCodecs(d)
-	seq, sseq, err := Solve(dom, partition(cons, 8), cc, bc, Options{
+	seq, sseq, err := solveTyped(dom, partition(cons, 8), cc, bc, Options{
 		Core: core.Options{R: 2, Seed: 9, NetConst: 0.5},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, spar, err := Solve(dom, partition(cons, 8), cc, bc, Options{
+	par, spar, err := solveTyped(dom, partition(cons, 8), cc, bc, Options{
 		Core: core.Options{R: 2, Seed: 9, NetConst: 0.5}, Parallel: true,
 	})
 	if err != nil {
@@ -145,7 +185,7 @@ func TestCoordinatorSkewedPartition(t *testing.T) {
 	cc, bc := lpCodecs(d)
 	parts := make([][]lp.Halfspace, 6)
 	parts[3] = cons
-	got, stats, err := Solve(dom, parts, cc, bc, Options{
+	got, stats, err := solveTyped(dom, parts, cc, bc, Options{
 		Core: core.Options{R: 2, Seed: 4, NetConst: 0.5},
 	})
 	if err != nil {
@@ -162,7 +202,7 @@ func TestCoordinatorTinyInputShipsAll(t *testing.T) {
 	p, cons := sphereLP(d, 30, 41)
 	dom := lp.NewDomain(p, 17)
 	cc, bc := lpCodecs(d)
-	got, stats, err := Solve(dom, partition(cons, 4), cc, bc, Options{Core: core.Options{R: 2}})
+	got, stats, err := solveTyped(dom, partition(cons, 4), cc, bc, Options{Core: core.Options{R: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,10 +219,10 @@ func TestCoordinatorEmptyAndNoSites(t *testing.T) {
 	d := 1
 	dom := lp.NewDomain(lp.Problem{Dim: d, Objective: []float64{1}, Box: 5}, 1)
 	cc, bc := lpCodecs(d)
-	if _, _, err := Solve(dom, nil, cc, bc, Options{}); !errors.Is(err, ErrNoSites) {
+	if _, _, err := solveTyped(dom, nil, cc, bc, Options{}); !errors.Is(err, ErrNoSites) {
 		t.Fatal("expected ErrNoSites")
 	}
-	b, stats, err := Solve(dom, make([][]lp.Halfspace, 3), cc, bc, Options{})
+	b, stats, err := solveTyped(dom, make([][]lp.Halfspace, 3), cc, bc, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +238,7 @@ func TestCoordinatorInfeasible(t *testing.T) {
 	}
 	dom := lp.NewDomain(lp.NewProblem([]float64{1}), 3)
 	cc, bc := lpCodecs(1)
-	_, _, err := Solve(dom, partition(cons, 4), cc, bc, Options{Core: core.Options{R: 2, Seed: 5, NetConst: 0.5}})
+	_, _, err := solveTyped(dom, partition(cons, 4), cc, bc, Options{Core: core.Options{R: 2, Seed: 5, NetConst: 0.5}})
 	if !errors.Is(err, lptype.ErrInfeasible) {
 		t.Fatalf("expected ErrInfeasible, got %v", err)
 	}
@@ -222,7 +262,7 @@ func TestCoordinatorK2SVM(t *testing.T) {
 		exs = append(exs, svm.Example{X: x, Y: y})
 	}
 	dom := svm.NewDomain(d)
-	got, stats, err := Solve(dom, partition(exs, 2),
+	got, stats, err := solveTyped(dom, partition(exs, 2),
 		svm.ExampleCodec{Dim: d}, svm.BasisCodec{Dim: d},
 		Options{Core: core.Options{R: 2, Seed: 6, NetConst: 0.5}})
 	if err != nil {
@@ -248,7 +288,7 @@ func TestCoordinatorControlTrafficGrowsWithK(t *testing.T) {
 	cc, bc := lpCodecs(d)
 	var perRound []float64
 	for _, k := range []int{2, 32} {
-		_, stats, err := Solve(dom, partition(cons, k), cc, bc, Options{
+		_, stats, err := solveTyped(dom, partition(cons, k), cc, bc, Options{
 			Core: core.Options{R: 3, Seed: 8, NetConst: 0.5},
 		})
 		if err != nil {

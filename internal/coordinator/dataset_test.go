@@ -30,20 +30,29 @@ func mebAccess(d int) lptype.RowAccess[meb.Point, meb.Basis] {
 		func(row []float64) meb.Point { return meb.Point(row) })
 }
 
-// TestSolveDatasetMatchesSlice pins the protocol equivalence: columnar
-// round-robin shards must reproduce the [][]C partition bit for bit —
+// TestSolveDatasetMatchesSlice pins the protocol's layout
+// independence: strided round-robin shards of one store must
+// reproduce an explicit [][]C partition — one contiguous store per
+// part, as the engine's typed entry point encodes it — bit for bit:
 // same answer, same rounds, same metered communication.
 func TestSolveDatasetMatchesSlice(t *testing.T) {
-	const n, d, k = 4000, 3, 5
+	const n, d, k = 12000, 3, 5 // past the m ≥ n ship-all threshold at r = 2
 	st := pointCloud(n, d, 11)
 	parts := make([][]meb.Point, k)
 	for i := 0; i < n; i++ {
 		parts[i%k] = append(parts[i%k], meb.Point(st.Row(i)))
 	}
-	dom := meb.NewDomain(d)
+	perPart := make([]dataset.View, k)
+	for i, part := range parts {
+		ps := dataset.NewStore(d)
+		for _, p := range part {
+			ps.AppendRow(p)
+		}
+		perPart[i] = ps.View()
+	}
 	opt := coordinator.Options{Core: core.Options{R: 2, Seed: 13, NetConst: 0.5}}
-	want, wantStats, err := coordinator.Solve[meb.Point, meb.Basis](
-		dom, parts, meb.PointCodec{Dim: d}, meb.BasisCodec{Dim: d}, opt)
+	want, wantStats, err := coordinator.SolveDataset(
+		mebAccess(d), perPart, meb.PointCodec{Dim: d}, meb.BasisCodec{Dim: d}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,10 +62,13 @@ func TestSolveDatasetMatchesSlice(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want.B.R2 != got.B.R2 {
-		t.Fatalf("radius² %v (slice) vs %v (dataset)", want.B.R2, got.B.R2)
+		t.Fatalf("radius² %v (per-part stores) vs %v (strided shards)", want.B.R2, got.B.R2)
 	}
 	if wantStats != gotStats {
-		t.Fatalf("stats drift:\n slice   %+v\n dataset %+v", wantStats, gotStats)
+		t.Fatalf("stats drift:\n per-part %+v\n strided  %+v", wantStats, gotStats)
+	}
+	if wantStats.DirectSolve {
+		t.Fatalf("ship-all path: the workload is too small to exercise the protocol: %+v", wantStats)
 	}
 }
 

@@ -14,7 +14,7 @@ func TestCoordinatorMonteCarlo(t *testing.T) {
 	p, cons := sphereLP(d, 30000, 71)
 	dom := lp.NewDomain(p, 21)
 	cc, bc := lpCodecs(d)
-	got, stats, err := Solve(dom, partition(cons, 4), cc, bc, Options{
+	got, stats, err := solveTyped(dom, partition(cons, 4), cc, bc, Options{
 		Core: core.Options{R: 2, Seed: 10, NetConst: 0.5, MonteCarlo: true},
 	})
 	if err != nil {
@@ -36,7 +36,7 @@ func TestCoordinatorIterationBudget(t *testing.T) {
 	p, cons := sphereLP(d, 30000, 73)
 	dom := lp.NewDomain(p, 23)
 	cc, bc := lpCodecs(d)
-	_, _, err := Solve(dom, partition(cons, 4), cc, bc, Options{
+	_, _, err := solveTyped(dom, partition(cons, 4), cc, bc, Options{
 		Core: core.Options{R: 2, Seed: 11, NetConst: 0.5, MaxIters: 1},
 	})
 	if !errors.Is(err, core.ErrIterationBudget) {

@@ -1,21 +1,13 @@
 package dataset
 
-// RowSink consumes rows of a shared scan. Implementations must treat
-// the row as a borrowed view valid only for the duration of the call
-// (the batch buffers are reused), copying anything they keep — the
-// same contract cursors impose on their callers.
-type RowSink interface {
-	Row(row Row)
-}
-
-// BlockSink is the block-kernel extension of RowSink: a sink that can
-// consume a whole cursor batch in one call (and run dimension-
-// specialized kernels over it; DESIGN.md §12). RowBlock(rows) must be
-// observably identical to calling Row on each row in order — same
-// results, same RNG consumption — the rows are borrowed views exactly
-// like Row's, and SharedPass prefers it when a sink provides it.
+// BlockSink consumes the batches of a shared scan, one cursor batch
+// per call — the shape the domains' block kernels evaluate (DESIGN.md
+// §12). Implementations must treat the rows as borrowed views valid
+// only for the duration of the call (the batch buffers are reused),
+// copying anything they keep — the same contract cursors impose on
+// their callers — and must not depend on where the batch boundaries
+// fall.
 type BlockSink interface {
-	RowSink
 	RowBlock(rows []Row)
 }
 
@@ -24,12 +16,10 @@ type BlockSink interface {
 // exactly once, in source order — the same sequence a solo scan would
 // deliver — so per-sink computations (reservoir sampling included) are
 // bit-identical to running each consumer over its own private pass;
-// only the number of passes over the storage changes. Sinks that
-// implement BlockSink receive each batch as one RowBlock call instead
-// of per-row dispatches. The caller owns cursor, batch buffer and
-// sink slice, so a pass allocates nothing (the stream package's
-// allocation-regression tests pin 0 allocs for both sink shapes).
-func SharedPass(cur Cursor, batch []Row, sinks ...RowSink) (int64, error) {
+// only the number of passes over the storage changes. The caller owns
+// cursor, batch buffer and sink slice, so a pass allocates nothing
+// (the stream package's allocation-regression tests pin 0 allocs).
+func SharedPass(cur Cursor, batch []Row, sinks ...BlockSink) (int64, error) {
 	var scanned int64
 	if err := cur.Reset(); err != nil {
 		return scanned, err
@@ -48,13 +38,7 @@ func SharedPass(cur Cursor, batch []Row, sinks ...RowSink) (int64, error) {
 		// per row. Every sink still sees every row once, in source
 		// order, so per-sink results are unchanged.
 		for _, s := range sinks {
-			if bs, ok := s.(BlockSink); ok {
-				bs.RowBlock(batch[:nr])
-			} else {
-				for _, row := range batch[:nr] {
-					s.Row(row)
-				}
-			}
+			s.RowBlock(batch[:nr])
 		}
 		scanned += int64(nr)
 	}

@@ -19,6 +19,9 @@ import (
 // (SolveSource trusts its input, so ingestion is where rows are
 // checked).
 func Columnar(m Model, inst Instance) (*dataset.Store, error) {
+	if inst.Dim < 1 {
+		return nil, fmt.Errorf("%s: dim must be ≥ 1, got %d", m.Kind(), inst.Dim)
+	}
 	width := m.RowWidth(inst.Dim)
 	st := dataset.NewStore(width)
 	st.Grow(len(inst.Rows))

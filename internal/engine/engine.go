@@ -15,8 +15,9 @@
 //
 // Adding a problem kind therefore costs one Spec plus one Register
 // call (see internal/sea for a complete example and DESIGN.md §6 for
-// the recipe); the backend dispatch switch in SolveInstance is the
-// only one in the codebase.
+// the recipe); the backend dispatch switch in SolveSourceBasis — which
+// every entry point reaches, typed input through the boundary
+// conversion in dispatch.go — is the only one in the codebase.
 package engine
 
 import (

@@ -56,8 +56,7 @@ func (s *Spec[P, C, B]) SolveTransport(dim int, objective []float64, tr comm.Tra
 		return Solution{}, stats, err
 	}
 	dom := s.NewDomain(p, opt.Seed^s.SeedMix)
-	b, st, err := coordinator.SolveTransport(dom, tr, s.ItemCodec(dim), s.BasisCodec(dim),
-		coordinator.Options{Core: opt.Core(), Parallel: opt.EffectiveParallel(), Trace: opt.Trace})
+	b, st, err := coordinator.SolveTransport(dom, tr, s.ItemCodec(dim), s.BasisCodec(dim), opt.coordinator())
 	stats.Coordinator = &st
 	if err != nil {
 		return Solution{}, stats, err

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"strings"
 
 	"lowdimlp/internal/comm"
 	"lowdimlp/internal/coordinator"
@@ -86,9 +85,11 @@ type Spec[P, C, B any] struct {
 	// Width is the numbers-per-row of a flat instance at dimension d.
 	Width func(dim int) int
 	// Item decodes one flat row (of Width(dim) numbers) into a
-	// constraint; Row is its inverse.
+	// constraint. Row is its inverse: it appends the item's numbers —
+	// all of them, so a malformed item shows as a wrong width — to
+	// dst and returns the extended slice.
 	Item func(dim int, row []float64) C
-	Row  func(dim int, item C) []float64
+	Row  func(dim int, dst []float64, item C) []float64
 	// Check validates kind-specific row invariants (optional).
 	Check func(dim int, row []float64) error
 
@@ -230,71 +231,21 @@ func (s *Spec[P, C, B]) Generate(family string, p GenParams) (Instance, error) {
 	return g.Make(p), nil
 }
 
-// problem validates the flat instance and builds the typed problem
-// plus the decoded constraint slice.
-func (s *Spec[P, C, B]) problem(inst Instance) (P, []C, error) {
-	var zero P
-	if inst.Dim < 1 {
-		return zero, nil, fmt.Errorf("%s: dim must be ≥ 1, got %d", s.Name, inst.Dim)
-	}
-	if len(inst.Rows) == 0 && !s.Empty {
-		return zero, nil, fmt.Errorf("%s: empty instance", s.Name)
-	}
-	want := s.Width(inst.Dim)
-	items := make([]C, len(inst.Rows))
-	for i, row := range inst.Rows {
-		if len(row) != want {
-			return zero, nil, fmt.Errorf("%s: row %d needs %d numbers, got %d", s.Name, i, want, len(row))
-		}
-		if err := s.CheckRow(inst.Dim, row); err != nil {
-			return zero, nil, fmt.Errorf("row %d: %w", i, err)
-		}
-		items[i] = s.Item(inst.Dim, row)
-	}
-	p, err := s.Problem(inst)
-	if err != nil {
-		return zero, nil, err
-	}
-	return p, items, nil
-}
-
-// SolveInstance decodes the flat instance and dispatches it to the
-// named backend — the single backend switch in the codebase.
+// SolveInstance converts the flat instance to a columnar store —
+// Columnar validates the rows on the way in — and solves that: typed
+// and flat input share one road below the engine boundary, whose
+// single backend switch is SolveSourceBasis.
 func (s *Spec[P, C, B]) SolveInstance(backend string, inst Instance, opt Options) (Solution, Stats, error) {
-	var stats Stats
-	p, items, err := s.problem(inst)
+	st, err := Columnar(s, inst)
 	if err != nil {
-		return Solution{}, stats, err
+		return Solution{}, Stats{}, err
 	}
-	var b B
-	switch backend {
-	case BackendRAM:
-		b, err = SolveRAM(s, p, items, opt)
-	case BackendStream:
-		var st StreamingStats
-		b, st, err = SolveStreaming(s, p, NewSliceStream(items), len(items), opt)
-		stats.Stream = &st
-	case BackendCoordinator:
-		var st CoordinatorStats
-		b, st, err = SolveCoordinator(s, p, Partition(items, opt.Sites()), opt)
-		stats.Coordinator = &st
-	case BackendMPC:
-		var st MPCStats
-		b, st, err = SolveMPC(s, p, items, opt)
-		stats.MPC = &st
-	default:
-		return Solution{}, stats, fmt.Errorf("unknown model %q (want %s)", backend, strings.Join(Backends(), ", "))
-	}
-	if err != nil {
-		return Solution{}, stats, err
-	}
-	return s.Render(inst.Dim, b), stats, nil
+	return s.SolveSource(backend, inst.Dim, inst.Objective, st, opt)
 }
 
 // SolveSource decodes nothing up front: the backend scans the source
 // through the domain's flat-row primitives (streaming reads files in
-// blocks; coordinator/mpc shard zero-copy views) — the single
-// columnar backend switch, mirroring SolveInstance. (The switch
+// blocks; coordinator/mpc shard zero-copy views). (The backend switch
 // itself lives in SolveSourceBasis, which additionally returns the
 // raw basis for the warm-start cache.)
 func (s *Spec[P, C, B]) SolveSource(backend string, dim int, objective []float64, src dataset.Source, opt Options) (Solution, Stats, error) {
@@ -304,7 +255,7 @@ func (s *Spec[P, C, B]) SolveSource(backend string, dim int, objective []float64
 
 // RowRoundTrip decodes row into a constraint and re-encodes it.
 func (s *Spec[P, C, B]) RowRoundTrip(dim int, row []float64) []float64 {
-	return s.Row(dim, s.Item(dim, row))
+	return s.Row(dim, nil, s.Item(dim, row))
 }
 
 // CodecRoundTrip encodes the row's constraint through the item codec
@@ -319,22 +270,22 @@ func (s *Spec[P, C, B]) CodecRoundTrip(dim int, row []float64) ([]float64, error
 	if n != len(enc) {
 		return nil, fmt.Errorf("%s: item codec consumed %d of %d bytes", s.Name, n, len(enc))
 	}
-	return s.Row(dim, item), nil
+	return s.Row(dim, nil, item), nil
 }
 
 // BasisRoundTrip solves inst with the ram reference, pushes the basis
 // through the basis codec, and renders both sides.
 func (s *Spec[P, C, B]) BasisRoundTrip(inst Instance, opt Options) (Solution, Solution, error) {
-	p, items, err := s.problem(inst)
+	st, err := Columnar(s, inst)
 	if err != nil {
 		return Solution{}, Solution{}, err
 	}
-	b, err := SolveRAM(s, p, items, opt)
+	orig, _, basis, err := s.SolveSourceBasis(BackendRAM, inst.Dim, inst.Objective, st, opt)
 	if err != nil {
 		return Solution{}, Solution{}, err
 	}
 	c := s.BasisCodec(inst.Dim)
-	enc := c.Append(nil, b)
+	enc := c.Append(nil, basis.(B))
 	dec, n, err := c.Decode(enc)
 	if err != nil {
 		return Solution{}, Solution{}, err
@@ -342,5 +293,5 @@ func (s *Spec[P, C, B]) BasisRoundTrip(inst Instance, opt Options) (Solution, So
 	if n != len(enc) {
 		return Solution{}, Solution{}, fmt.Errorf("%s: basis codec consumed %d of %d bytes", s.Name, n, len(enc))
 	}
-	return s.Render(inst.Dim, b), s.Render(inst.Dim, dec), nil
+	return orig, s.Render(inst.Dim, dec), nil
 }

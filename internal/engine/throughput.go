@@ -13,13 +13,12 @@ import (
 // exposes one pass at a time, so a scheduler can drive many solvers'
 // passes through one shared cursor scan (dataset.SharedPass). The
 // contract mirrors stream.DatasetSolver — BeginPass, then every
-// source row in order through Row, then EndPass; repeat until Done —
+// source row in order through RowBlock, then EndPass; repeat until Done —
 // and the result is bit-identical to SolveSource on the stream
 // backend for the same rows and options (conformance-pinned).
 type StreamSolver interface {
-	// BlockSink: solvers accept whole cursor batches (RowBlock) so
-	// shared scans run the domains' block kernels — and still accept
-	// single rows (Row), with identical results either way.
+	// BlockSink: solvers accept whole cursor batches (RowBlock), so
+	// shared scans run the domains' block kernels.
 	dataset.BlockSink
 	// BeginPass arms the solver for one scan over the source.
 	BeginPass()
@@ -49,13 +48,7 @@ func (s *Spec[P, C, B]) NewStreamSolver(dim int, objective []float64, n int, opt
 	if err != nil {
 		return nil, err
 	}
-	var zc C
-	var zb B
-	ds := stream.NewDatasetSolver(specAccess(s, p, opt.Seed^s.SeedMix), n, s.Width(dim), stream.Options{
-		Core:         opt.Core(),
-		BitsPerItem:  s.ItemCodec(dim).Bits(zc),
-		BitsPerBasis: s.BasisCodec(dim).Bits(zb),
-	})
+	ds := stream.NewDatasetSolver(specAccess(s, p, opt.Seed^s.SeedMix), n, s.Width(dim), s.streamOptions(dim, opt))
 	return &specStreamSolver[P, C, B]{spec: s, dim: dim, ds: ds}, nil
 }
 
@@ -67,7 +60,6 @@ type specStreamSolver[P, C, B any] struct {
 	ds   *stream.DatasetSolver[C, B]
 }
 
-func (w *specStreamSolver[P, C, B]) Row(row dataset.Row)         { w.ds.Row(row) }
 func (w *specStreamSolver[P, C, B]) RowBlock(rows []dataset.Row) { w.ds.RowBlock(rows) }
 func (w *specStreamSolver[P, C, B]) BeginPass()                  { w.ds.BeginPass() }
 func (w *specStreamSolver[P, C, B]) EndPass() error              { return w.ds.EndPass() }

@@ -9,7 +9,6 @@ import (
 	"lowdimlp/internal/core"
 	"lowdimlp/internal/lp"
 	"lowdimlp/internal/meb"
-	"lowdimlp/internal/stream"
 	"lowdimlp/internal/workload"
 )
 
@@ -18,7 +17,7 @@ func init() {
 	// paper-claim experiments; ablations extend the suite.
 	register(Experiment{
 		ID:    "A1",
-		Title: "Ablations: pass fusing, net sizing, reweighting, coresets",
+		Title: "Ablations: net sizing, reweighting, coresets",
 		Claim: "design choices called out in DESIGN.md (not paper claims)",
 		Run:   runA1,
 	})
@@ -41,30 +40,12 @@ func runA1(w io.Writer, cfg Config) error {
 	}
 	d, r := 3, 3
 
-	// (a) fused vs unfused streaming passes.
-	fmt.Fprintln(w, "(a) one pass per iteration (dual reservoirs) vs two:")
-	t := newTable(w, "mode", "passes", "iterations", "items scanned")
 	p, cons := workload.SphereLP(d, n, cfg.Seed+1)
 	dom := lp.NewDomain(p, cfg.Seed)
-	for _, unfused := range []bool{false, true} {
-		st := stream.NewSliceStream(cons)
-		_, stats, err := stream.Solve[lp.Halfspace, lp.Basis](dom, st, n, stream.Options{
-			Core: core.Options{R: r, Seed: cfg.Seed, NetConst: netConst}, Unfused: unfused,
-		})
-		if err != nil {
-			return err
-		}
-		mode := "fused"
-		if unfused {
-			mode = "unfused"
-		}
-		t.row(mode, stats.Passes, stats.Iterations, stats.ItemsScanned)
-	}
-	t.flush()
 
 	// (b) theory-exact (Lemma 2.2) vs practical net size.
-	fmt.Fprintln(w, "\n(b) Lemma 2.2 net size vs the practical constant:")
-	t = newTable(w, "net sizing", "m", "iterations", "failures", "direct?")
+	fmt.Fprintln(w, "(b) Lemma 2.2 net size vs the practical constant:")
+	t := newTable(w, "net sizing", "m", "iterations", "failures", "direct?")
 	for _, theory := range []bool{false, true} {
 		opts := core.Options{R: r, Seed: cfg.Seed, NetConst: netConst, TheoryNet: theory}
 		_, stats, err := core.Solve[lp.Halfspace, lp.Basis](dom, cons, opts)

@@ -7,7 +7,9 @@ import (
 
 	"lowdimlp/internal/coordinator"
 	"lowdimlp/internal/core"
+	"lowdimlp/internal/dataset"
 	"lowdimlp/internal/lp"
+	"lowdimlp/internal/models"
 	"lowdimlp/internal/numeric"
 	"lowdimlp/internal/tci"
 )
@@ -40,11 +42,15 @@ func runE8(w io.Writer, cfg Config) error {
 		// the communication-model split of §5.
 		prob, cons := ins.ToHalfspaces()
 		half := len(cons) / 2
-		parts := [][]lp.Halfspace{cons[:half], cons[half:]}
 		dom := lp.NewDomain(prob, cfg.Seed+5)
+		ra, rows, err := columnar(models.LP, 2, dom, cons)
+		if err != nil {
+			return err
+		}
+		parts := []dataset.View{rows.View().Slice(0, half), rows.View().Slice(half, len(cons))}
 		hc := lp.HalfspaceCodec{Dim: 2}
 		bc := lp.BasisCodec{Dim: 2}
-		cb, cst, err := coordinator.Solve(dom, parts, hc, bc, coordinator.Options{
+		cb, cst, err := coordinator.SolveDataset(ra, parts, hc, bc, coordinator.Options{
 			Core: core.Options{R: c.R, Seed: cfg.Seed, NetConst: netConst},
 		})
 		if err != nil {

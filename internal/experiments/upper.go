@@ -8,8 +8,12 @@ import (
 	"lowdimlp/internal/baseline"
 	"lowdimlp/internal/coordinator"
 	"lowdimlp/internal/core"
+	"lowdimlp/internal/dataset"
+	"lowdimlp/internal/engine"
 	"lowdimlp/internal/lp"
+	"lowdimlp/internal/lptype"
 	"lowdimlp/internal/meb"
+	"lowdimlp/internal/models"
 	"lowdimlp/internal/mpc"
 	"lowdimlp/internal/stream"
 	"lowdimlp/internal/svm"
@@ -36,8 +40,11 @@ func runE1(w io.Writer, cfg Config) error {
 			for _, r := range rs {
 				p, cons := workload.SphereLP(d, n, cfg.Seed+uint64(n+d+r))
 				dom := lp.NewDomain(p, cfg.Seed+1)
-				st := stream.NewSliceStream(cons)
-				_, stats, err := stream.Solve[lp.Halfspace, lp.Basis](dom, st, n, stream.Options{
+				ra, rows, err := columnar(models.LP, d, dom, cons)
+				if err != nil {
+					return err
+				}
+				_, stats, err := stream.SolveDataset(ra, rows, stream.Options{
 					Core:         core.Options{R: r, Seed: cfg.Seed, NetConst: netConst},
 					BitsPerItem:  hc.Bits(lp.Halfspace{}),
 					BitsPerBasis: bc.Bits(lp.Basis{}),
@@ -74,8 +81,11 @@ func runE2(w io.Writer, cfg Config) error {
 			for _, r := range rs {
 				p, cons := workload.SphereLP(d, n, cfg.Seed+uint64(n+k+r))
 				dom := lp.NewDomain(p, cfg.Seed+2)
-				parts := splitParts(cons, k)
-				_, stats, err := coordinator.Solve(dom, parts, hc, bc, coordinator.Options{
+				ra, rows, err := columnar(models.LP, d, dom, cons)
+				if err != nil {
+					return err
+				}
+				_, stats, err := coordinator.SolveDataset(ra, rows.View().Shard(k), hc, bc, coordinator.Options{
 					Core: core.Options{R: r, Seed: cfg.Seed, NetConst: netConst},
 				})
 				if err != nil {
@@ -107,7 +117,11 @@ func runE3(w io.Writer, cfg Config) error {
 		for _, delta := range deltas {
 			p, cons := workload.SphereLP(d, n, cfg.Seed+uint64(n)+uint64(delta*10))
 			dom := lp.NewDomain(p, cfg.Seed+3)
-			_, stats, err := mpc.Solve(dom, cons, hc, bc, mpc.Options{
+			ra, rows, err := columnar(models.LP, d, dom, cons)
+			if err != nil {
+				return err
+			}
+			_, stats, err := mpc.SolveSource(ra, rows, hc, bc, mpc.Options{
 				Core: core.Options{Seed: cfg.Seed, NetConst: netConst}, Delta: delta,
 			})
 			if err != nil {
@@ -142,8 +156,11 @@ func runE4(w io.Writer, cfg Config) error {
 		for _, r := range rs {
 			p, cons := workload.SphereLP(d, n, cfg.Seed+uint64(d*10+r))
 			dom := lp.NewDomain(p, cfg.Seed+4)
-			st := stream.NewSliceStream(cons)
-			b, ourStats, err := stream.Solve[lp.Halfspace, lp.Basis](dom, st, n, stream.Options{
+			ra, rows, err := columnar(models.LP, d, dom, cons)
+			if err != nil {
+				return err
+			}
+			b, ourStats, err := stream.SolveDataset(ra, rows, stream.Options{
 				Core: core.Options{R: r, Seed: cfg.Seed, NetConst: netConst},
 			})
 			if err != nil {
@@ -192,14 +209,17 @@ func runE5(w io.Writer, cfg Config) error {
 			if err != nil {
 				return err
 			}
-			st := stream.NewSliceStream(exs)
-			sb, sst, err := stream.Solve[svm.Example, svm.Basis](dom, st, n, stream.Options{
+			ra, rows, err := columnar(models.SVM, d, dom, exs)
+			if err != nil {
+				return err
+			}
+			sb, sst, err := stream.SolveDataset(ra, rows, stream.Options{
 				Core: core.Options{R: r, Seed: cfg.Seed, NetConst: netConst},
 			})
 			if err != nil {
 				return err
 			}
-			cb, cst, err := coordinator.Solve(dom, splitParts(exs, 8), ec, bc, coordinator.Options{
+			cb, cst, err := coordinator.SolveDataset(ra, rows.View().Shard(8), ec, bc, coordinator.Options{
 				Core: core.Options{R: r, Seed: cfg.Seed, NetConst: netConst},
 			})
 			if err != nil {
@@ -232,20 +252,23 @@ func runE6(w io.Writer, cfg Config) error {
 			if err != nil {
 				return err
 			}
-			st := stream.NewSliceStream(pts)
-			sb, sst, err := stream.Solve[meb.Point, meb.Basis](dom, st, n, stream.Options{
+			ra, rows, err := columnar(models.MEB, d, dom, pts)
+			if err != nil {
+				return err
+			}
+			sb, sst, err := stream.SolveDataset(ra, rows, stream.Options{
 				Core: core.Options{R: r, Seed: cfg.Seed, NetConst: netConst},
 			})
 			if err != nil {
 				return err
 			}
-			cb, cst, err := coordinator.Solve(dom, splitParts(pts, 8), pc, bc, coordinator.Options{
+			cb, cst, err := coordinator.SolveDataset(ra, rows.View().Shard(8), pc, bc, coordinator.Options{
 				Core: core.Options{R: r, Seed: cfg.Seed, NetConst: netConst},
 			})
 			if err != nil {
 				return err
 			}
-			mb, mst, err := mpc.Solve(dom, pts, pc, bc, mpc.Options{
+			mb, mst, err := mpc.SolveSource(ra, rows, pc, bc, mpc.Options{
 				Core: core.Options{Seed: cfg.Seed, NetConst: netConst}, Delta: 0.5,
 			})
 			if err != nil {
@@ -339,11 +362,13 @@ func runE7(w io.Writer, cfg Config) error {
 	return nil
 }
 
-// splitParts partitions round-robin across k sites.
-func splitParts[C any](items []C, k int) [][]C {
-	parts := make([][]C, k)
-	for i, c := range items {
-		parts[i%k] = append(parts[i%k], c)
-	}
-	return parts
+// columnar is the experiments' step across the engine boundary: the
+// kind's Spec encodes the typed workload into a columnar store once,
+// and the row-access layer wraps the experiment's own domain (the
+// E-series pin their domain seeds), so the substrate drivers run
+// exactly as they do below engine.SolveInstance. View.Shard is the
+// round-robin partition across sites.
+func columnar[P, C, B any](s *engine.Spec[P, C, B], dim int, dom lptype.Domain[C, B], items []C) (lptype.RowAccess[C, B], *dataset.Store, error) {
+	rows, err := s.Encode(dim, items)
+	return s.Access(dim, dom), rows, err
 }

@@ -73,8 +73,8 @@ type Domain[C, B any] interface {
 // encoding (internal/dataset row layout) instead of a decoded C.
 //
 // Implementations must compute exactly the arithmetic of
-// Violates(b, Item(row)) — the columnar scan paths are required to be
-// bit-identical to the slice paths — but without materializing the
+// Violates(b, Item(row)) — the scans are required to be bit-identical
+// to the typed per-item reference — but without materializing the
 // constraint, so a batched scan performs zero allocations per row.
 // All four concrete domains (lp, svm, meb, sea) implement it.
 type RowViolator[B any] interface {
@@ -154,12 +154,6 @@ func (ra RowAccess[C, B]) Item(row []float64) C { return ra.decode(row) }
 // ViolatesRow is the flat-row violation test (Tv over the arena).
 func (ra RowAccess[C, B]) ViolatesRow(b B, row []float64) bool { return ra.vrow(b, row) }
 
-// HasBlockKernel reports whether block scans run through the domain's
-// block kernels (rather than the per-row fallback loop) — what the
-// block-capable scan paths check before committing to block-shaped
-// bookkeeping.
-func (ra RowAccess[C, B]) HasBlockKernel() bool { return ra.vblock != nil }
-
 // ViolatesBlock evaluates a whole block: it resets idx to length 0,
 // appends the ascending positions of the rows violating b, and
 // returns the (possibly grown) buffer for reuse. Decisions are
@@ -183,25 +177,13 @@ func (ra RowAccess[C, B]) ViolatesBlock(b B, rows [][]float64, idx []int32) []in
 	return idx
 }
 
-// WeightExp is the on-the-fly weight exponent of §3.2 computed over a
-// flat row: a(row) = #{stored bases the row's constraint violates}.
-func (ra RowAccess[C, B]) WeightExp(bases []B, row []float64) int {
-	a := 0
-	for i := range bases {
-		if ra.vrow(bases[i], row) {
-			a++
-		}
-	}
-	return a
-}
-
 // WeightExpBlock fills exps[i] (i < len(rows), len(exps) must cover
-// the block) with WeightExp(bases, rows[i]) for a whole block — one
-// ViolatesBlock call per stored basis instead of len(rows)·len(bases)
-// per-row dispatches. idx is the reusable violation index buffer,
-// returned (possibly grown) for the next block. Exponents are exactly
-// the per-row path's: each basis contributes +1 to precisely the rows
-// it is violated by.
+// the block) with the on-the-fly weight exponent of §3.2, a(rows[i]) =
+// #{stored bases the row's constraint violates} — one ViolatesBlock
+// call per stored basis instead of len(rows)·len(bases) per-row
+// dispatches. idx is the reusable violation index buffer, returned
+// (possibly grown) for the next block. Each basis contributes +1 to
+// precisely the rows it is violated by.
 func (ra RowAccess[C, B]) WeightExpBlock(bases []B, rows [][]float64, exps, idx []int32) []int32 {
 	for i := range rows {
 		exps[i] = 0

@@ -2,8 +2,6 @@ package lptype
 
 import (
 	"fmt"
-	"io"
-	"math"
 
 	"lowdimlp/internal/dataset"
 	"lowdimlp/internal/numeric"
@@ -11,12 +9,13 @@ import (
 
 // Store is the local-constraint storage abstraction the distributed
 // backends (internal/coordinator, internal/mpc) scan: what a site or
-// machine holds. Two implementations exist — a typed constraint slice
-// (SliceStore, the historical representation) and a zero-copy columnar
-// view (ViewStore, a dataset.View shard) — and both implement the
-// §3.2 weight/violation scan primitives with identical arithmetic in
-// identical order, so swapping one for the other changes no bit of
-// any protocol transcript.
+// machine holds. One implementation exists — a columnar
+// dataset.Source scanned through the domain's row primitives (typed
+// input is converted to rows once, at the engine boundary) — and it
+// implements the §3.2 weight/violation scan primitives with the
+// arithmetic, in the order, of the typed per-item reference the
+// package tests keep, so no storage layout changes a bit of any
+// protocol transcript.
 type Store[C, B any] interface {
 	// Size returns the number of local constraints.
 	Size() int
@@ -33,59 +32,10 @@ type Store[C, B any] interface {
 	Item(i int) C
 }
 
-// SliceStore wraps a typed constraint slice — the adapter that keeps
-// the slice-based entry points bit-identical on top of the shared
-// protocol implementations.
-func SliceStore[C, B any](dom Domain[C, B], items []C) Store[C, B] {
-	return sliceStore[C, B]{dom: dom, items: items}
-}
-
-type sliceStore[C, B any] struct {
-	dom   Domain[C, B]
-	items []C
-}
-
-func (s sliceStore[C, B]) Size() int { return len(s.items) }
-
-func (s sliceStore[C, B]) Scan(bases []B, pending *B, mult float64) (float64, float64, int) {
-	var wTot, wViol numeric.Kahan
-	count := 0
-	for _, c := range s.items {
-		w := math.Pow(mult, float64(weightExp(s.dom, bases, c)))
-		wTot.Add(w)
-		if pending != nil && s.dom.Violates(*pending, c) {
-			wViol.Add(w)
-			count++
-		}
-	}
-	return wTot.Sum(), wViol.Sum(), count
-}
-
-func (s sliceStore[C, B]) Weights(bases []B, mult float64, w []float64) {
-	for j, c := range s.items {
-		w[j] = math.Pow(mult, float64(weightExp(s.dom, bases, c)))
-	}
-}
-
-func (s sliceStore[C, B]) Item(i int) C { return s.items[i] }
-
-// weightExp is the on-the-fly weight exponent a(c) = #{stored bases
-// violated by c} (§3.2) over a typed constraint.
-func weightExp[C, B any](dom Domain[C, B], bases []B, c C) int {
-	a := 0
-	for i := range bases {
-		if dom.Violates(bases[i], c) {
-			a++
-		}
-	}
-	return a
-}
-
-// blockScratch is the reusable per-store buffer set of the
-// block-kernel scan paths: the row-view window, the per-row weight
-// exponents, and the two violation index buffers (stored bases vs the
-// pending basis). One allocation set per store, 0 allocs/block at
-// steady state.
+// blockScratch is the reusable per-store buffer set of the block scan:
+// the per-row weight exponents and the two violation index buffers
+// (stored bases vs the pending basis). One allocation set per store,
+// 0 allocs/block at steady state.
 type blockScratch struct {
 	exps, idx, pidx []int32
 }
@@ -96,11 +46,12 @@ func (b *blockScratch) ensure(n int) {
 	}
 }
 
-// scanBlock runs the §3.2 weight/violation arithmetic for one block
-// through the kernels. Decisions and exponents come from whole-block
-// kernel calls; the Kahan accumulations then walk the rows in source
-// order with PowWeight's documented-exact fast paths — so the sums,
-// the count and every downstream protocol bit match the per-row
+// scanBlock runs the §3.2 weight/violation arithmetic for one block.
+// Decisions and exponents come from whole-block ViolatesBlock calls
+// (the domain's kernels, or RowAccess's counted per-row loop when
+// there are none); the Kahan accumulations then walk the rows in
+// source order with PowWeight's documented-exact fast paths — so the
+// sums, the count and every downstream protocol bit match the per-row
 // reference exactly.
 func scanBlock[C, B any](ra RowAccess[C, B], blk *blockScratch, rows []dataset.Row, bases []B, pending *B, mult float64, wTot, wViol *numeric.Kahan, count *int) {
 	blk.ensure(len(rows))
@@ -123,8 +74,8 @@ func scanBlock[C, B any](ra RowAccess[C, B], blk *blockScratch, rows []dataset.R
 	}
 }
 
-// weightsBlock fills w with the block's current weights mult^a(i)
-// through the kernels — the block form of the Weights contract.
+// weightsBlock fills w with the block's current weights mult^a(i) —
+// the block form of the Weights contract.
 func weightsBlock[C, B any](ra RowAccess[C, B], blk *blockScratch, rows []dataset.Row, bases []B, mult float64, w []float64) {
 	blk.ensure(len(rows))
 	exps := blk.exps[:len(rows)]
@@ -134,174 +85,89 @@ func weightsBlock[C, B any](ra RowAccess[C, B], blk *blockScratch, rows []datase
 	}
 }
 
-// ViewStore wraps a columnar view shard: scans run over the flat
-// arena through the domain's row primitives — no per-constraint
-// decode, no allocation — and Item decodes lazily (only sampled
-// constraints are ever materialized). Domains with block kernels are
-// scanned a block at a time (same arithmetic, one dispatch per block
-// per basis instead of per row).
+// ViewStore wraps a columnar view shard (contiguous or strided) as
+// site/machine-local storage. A View is a Source, so this is
+// SourceStore over it: zero-copy scans of the flat arena, lazy decode
+// of sampled constraints only.
 func ViewStore[C, B any](ra RowAccess[C, B], view dataset.View) Store[C, B] {
-	return &viewStore[C, B]{ra: ra, view: view}
+	return SourceStore(ra, view)
 }
 
-type viewStore[C, B any] struct {
-	ra   RowAccess[C, B]
-	view dataset.View
-	rows []dataset.Row // block window, lazily sized
-	blk  blockScratch
-}
-
-func (s *viewStore[C, B]) Size() int { return s.view.Rows() }
-
-// window fills the reusable row-view window with rows [lo, hi) of the
-// view (a view may be strided, so a block is a window of row views,
-// not one contiguous slice).
-func (s *viewStore[C, B]) window(lo, hi int) []dataset.Row {
-	if cap(s.rows) < hi-lo {
-		s.rows = make([]dataset.Row, hi-lo)
-	}
-	rows := s.rows[:hi-lo]
-	for i := range rows {
-		rows[i] = s.view.Row(lo + i)
-	}
-	return rows
-}
-
-func (s *viewStore[C, B]) Scan(bases []B, pending *B, mult float64) (float64, float64, int) {
-	var wTot, wViol numeric.Kahan
-	count := 0
-	n := s.view.Rows()
-	if s.ra.HasBlockKernel() {
-		for lo := 0; lo < n; lo += dataset.DefaultBatchRows {
-			hi := min(lo+dataset.DefaultBatchRows, n)
-			scanBlock(s.ra, &s.blk, s.window(lo, hi), bases, pending, mult, &wTot, &wViol, &count)
-		}
-		return wTot.Sum(), wViol.Sum(), count
-	}
-	for i := 0; i < n; i++ {
-		row := s.view.Row(i)
-		w := math.Pow(mult, float64(s.ra.WeightExp(bases, row)))
-		wTot.Add(w)
-		if pending != nil && s.ra.ViolatesRow(*pending, row) {
-			wViol.Add(w)
-			count++
-		}
-	}
-	return wTot.Sum(), wViol.Sum(), count
-}
-
-func (s *viewStore[C, B]) Weights(bases []B, mult float64, w []float64) {
-	n := s.view.Rows()
-	if s.ra.HasBlockKernel() {
-		for lo := 0; lo < n; lo += dataset.DefaultBatchRows {
-			hi := min(lo+dataset.DefaultBatchRows, n)
-			weightsBlock(s.ra, &s.blk, s.window(lo, hi), bases, mult, w[lo:hi])
-		}
-		return
-	}
-	for i := 0; i < n; i++ {
-		w[i] = math.Pow(mult, float64(s.ra.WeightExp(bases, s.view.Row(i))))
-	}
-}
-
-func (s *viewStore[C, B]) Item(i int) C { return s.ra.Item(s.view.Row(i)) }
-
-// SourceStore wraps any columnar source as site/machine-local storage:
-// memory-backed sources become zero-copy ViewStores, and file-backed
-// shards are scanned through their cursors — Scan and Weights stream
-// the shard in blocks with the exact arithmetic (and order) of the
-// other stores, and Item reads single rows by offset (pread), so a
-// shard file acts as a site without a single row being materialized.
-// This is what routes an LDSETM shard file straight onto a coordinator
-// site or MPC machine.
+// SourceStore wraps any columnar source as site/machine-local storage.
+// Scan and Weights stream the source through one reusable cursor, a
+// block at a time — memory-backed sources hand out arena views,
+// file-backed shards their block buffers — and Item reads single rows
+// by capability: in place for memory-backed sources, by offset (pread)
+// for shard files. So an LDSETM shard file acts as a coordinator site
+// or MPC machine without a single row being materialized, and a store
+// belongs to one site, which scans sequentially.
 func SourceStore[C, B any](ra RowAccess[C, B], src dataset.Source) Store[C, B] {
+	s := &sourceStore[C, B]{ra: ra, src: src}
 	if m, ok := src.(dataset.RandomAccess); ok {
-		return ViewStore(ra, m.View())
+		s.view, s.mem = m.View(), true
 	}
-	return &cursorStore[C, B]{ra: ra, src: src}
+	return s
 }
 
-type cursorStore[C, B any] struct {
-	ra  RowAccess[C, B]
-	src dataset.Source
-	// cur and batch are lazily created and reused across passes; a
-	// store belongs to one site, which scans sequentially.
+type sourceStore[C, B any] struct {
+	ra   RowAccess[C, B]
+	src  dataset.Source
+	view dataset.View // src's rows in memory, when mem
+	mem  bool
+	// cur and batch are lazily created and reused across passes.
 	cur   dataset.Cursor
 	batch []dataset.Row
 	blk   blockScratch
 }
 
-func (s *cursorStore[C, B]) Size() int { return s.src.Rows() }
+func (s *sourceStore[C, B]) Size() int { return s.src.Rows() }
 
-// pass resets (creating on first use) the scan cursor.
-func (s *cursorStore[C, B]) pass() error {
+// pass runs block over every cursor batch of one scan of the source.
+// A scan failure mid-protocol (the shard file was validated at open,
+// so this means the file changed or I/O died under us) panics: the
+// protocol has no recovery path, and garbage answers are worse than a
+// crash.
+func (s *sourceStore[C, B]) pass(block func(rows []dataset.Row)) {
 	if s.cur == nil {
 		s.cur = s.src.NewCursor()
 		s.batch = make([]dataset.Row, dataset.DefaultBatchRows)
 	}
-	return s.cur.Reset()
+	err := s.cur.Reset()
+	for err == nil {
+		var n int
+		if n, err = s.cur.Next(s.batch); n == 0 {
+			break
+		}
+		block(s.batch[:n])
+	}
+	if err != nil {
+		panic(fmt.Sprintf("lptype: shard scan: %v", err))
+	}
 }
 
-func (s *cursorStore[C, B]) Scan(bases []B, pending *B, mult float64) (float64, float64, int) {
+func (s *sourceStore[C, B]) Scan(bases []B, pending *B, mult float64) (float64, float64, int) {
 	var wTot, wViol numeric.Kahan
 	count := 0
-	if err := s.pass(); err != nil {
-		panic(fmt.Sprintf("lptype: shard scan: %v", err))
-	}
-	for {
-		n, err := s.cur.Next(s.batch)
-		if err != nil {
-			panic(fmt.Sprintf("lptype: shard scan: %v", err))
-		}
-		if n == 0 {
-			return wTot.Sum(), wViol.Sum(), count
-		}
-		if s.ra.HasBlockKernel() {
-			scanBlock(s.ra, &s.blk, s.batch[:n], bases, pending, mult, &wTot, &wViol, &count)
-			continue
-		}
-		for _, row := range s.batch[:n] {
-			w := math.Pow(mult, float64(s.ra.WeightExp(bases, row)))
-			wTot.Add(w)
-			if pending != nil && s.ra.ViolatesRow(*pending, row) {
-				wViol.Add(w)
-				count++
-			}
-		}
-	}
+	s.pass(func(rows []dataset.Row) {
+		scanBlock(s.ra, &s.blk, rows, bases, pending, mult, &wTot, &wViol, &count)
+	})
+	return wTot.Sum(), wViol.Sum(), count
 }
 
-func (s *cursorStore[C, B]) Weights(bases []B, mult float64, w []float64) {
-	if err := s.pass(); err != nil {
-		panic(fmt.Sprintf("lptype: shard scan: %v", err))
-	}
-	i := 0
-	for {
-		n, err := s.cur.Next(s.batch)
-		if err != nil {
-			panic(fmt.Sprintf("lptype: shard scan: %v", err))
-		}
-		if n == 0 {
-			return
-		}
-		if s.ra.HasBlockKernel() {
-			weightsBlock(s.ra, &s.blk, s.batch[:n], bases, mult, w[i:i+n])
-			i += n
-			continue
-		}
-		for _, row := range s.batch[:n] {
-			w[i] = math.Pow(mult, float64(s.ra.WeightExp(bases, row)))
-			i++
-		}
-	}
+func (s *sourceStore[C, B]) Weights(bases []B, mult float64, w []float64) {
+	s.pass(func(rows []dataset.Row) {
+		weightsBlock(s.ra, &s.blk, rows, bases, mult, w[:len(rows)])
+		w = w[len(rows):]
+	})
 }
 
-// Item reads row i by offset. Sampling touches O(net size) rows per
-// iteration, so the per-call read and copy are cold-path costs. A read
-// failure mid-protocol (the shard file was validated at open, so this
-// means the file changed or I/O died under us) panics: the protocol
-// has no recovery path, and garbage answers are worse than a crash.
-func (s *cursorStore[C, B]) Item(i int) C {
+// Item decodes row i. Sampling touches O(net size) rows per iteration,
+// so the per-call read and copy of the file-backed case are cold-path
+// costs; a failed read panics for the reason a failed scan does.
+func (s *sourceStore[C, B]) Item(i int) C {
+	if s.mem {
+		return s.ra.Item(s.view.Row(i))
+	}
 	rr, ok := s.src.(dataset.RowReaderAt)
 	if !ok {
 		panic(fmt.Sprintf("lptype: source %T has no random row access", s.src))
@@ -313,19 +179,11 @@ func (s *cursorStore[C, B]) Item(i int) C {
 	return s.ra.Item(row)
 }
 
-// Close releases the scan cursor's descriptor.
-func (s *cursorStore[C, B]) Close() error {
-	if s.cur != nil {
-		dataset.CloseCursor(s.cur)
-		s.cur = nil
-	}
-	return nil
-}
-
-// CloseStore releases any resources a site store holds (cursor-backed
-// stores keep a descriptor); slice and view stores are no-ops.
+// CloseStore releases the scan cursor a store holds (file-backed
+// cursors keep a descriptor; memory cursors are no-ops).
 func CloseStore[C, B any](s Store[C, B]) {
-	if c, ok := s.(io.Closer); ok {
-		c.Close()
+	if ss, ok := s.(*sourceStore[C, B]); ok && ss.cur != nil {
+		dataset.CloseCursor(ss.cur)
+		ss.cur = nil
 	}
 }

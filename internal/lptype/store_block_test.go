@@ -1,10 +1,13 @@
 package lptype_test
 
 import (
+	"fmt"
 	"math"
+	"path/filepath"
 	"testing"
 
 	"lowdimlp/internal/dataset"
+	"lowdimlp/internal/kernel"
 	"lowdimlp/internal/lptype"
 	"lowdimlp/internal/meb"
 	"lowdimlp/internal/numeric"
@@ -41,49 +44,98 @@ func mebStoreFixture(t *testing.T, n, d int) (lptype.RowAccess[meb.Point, meb.Ba
 	return ra, st, bases, pending
 }
 
-// TestViewStoreBlockScanMatchesSliceStore pins the site-scan layer:
-// the columnar ViewStore running block kernels must reproduce the
-// typed SliceStore reference bit for bit — Kahan-accumulated weight
-// sums, violator weight, count, and every per-row weight.
-func TestViewStoreBlockScanMatchesSliceStore(t *testing.T) {
+// TestStoreMatchesSliceReference pins the site-scan layer: the one
+// Store (a dataset.Source scanned in blocks) must reproduce the typed
+// per-item reference (sliceStoreRef, ref_test.go) bit for bit —
+// Kahan-accumulated weight sums, violator weight, count, every per-row
+// weight and every decoded item — over a full view, a strided shard
+// view and a buffered file whose blocks misalign with the scan
+// batches, through the block kernels and through the counted per-row
+// fallback of kernel.SetEnabled(false).
+func TestStoreMatchesSliceReference(t *testing.T) {
 	const n, d = 1337, 3 // odd size: final partial block
-	ra, st, bases, pending := mebStoreFixture(t, n, d)
-	dom := ra.Domain()
-	pts := make([]meb.Point, n)
-	for i := range pts {
-		pts[i] = meb.Point(st.Row(i))
+	_, st, bases, pending := mebStoreFixture(t, n, d)
+	path := filepath.Join(t.TempDir(), "pts.lds")
+	if err := dataset.WriteFile(path, dataset.Info{Kind: "meb", Dim: d, Width: d, Rows: n}, st); err != nil {
+		t.Fatal(err)
 	}
-	ref := lptype.SliceStore(dom, pts)
-	vs := lptype.ViewStore(ra, st.View())
-	if !ra.HasBlockKernel() {
-		t.Fatal("meb access has no block kernel (kernels disabled?)")
+	file, err := dataset.OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer file.Close()
+	file.BlockBytes = 8 * d * 13 // 13-row blocks against 256-row batches
 
+	shard := st.View().Shard(3)[1]
+	sources := []struct {
+		name string
+		src  dataset.Source
+		view dataset.View // the same rows, for the reference
+	}{
+		{"view", st.View(), st.View()},
+		{"strided-shard", shard, shard},
+		{"buffered-file", file, st.View()},
+	}
 	mult := math.Pow(float64(n), 0.5)
-	wantTot, wantViol, wantCount := ref.Scan(bases, &pending, mult)
-	gotTot, gotViol, gotCount := vs.Scan(bases, &pending, mult)
-	if wantTot != gotTot || wantViol != gotViol || wantCount != gotCount {
-		t.Fatalf("scan drift: slice (%v, %v, %d) vs view (%v, %v, %d)",
-			wantTot, wantViol, wantCount, gotTot, gotViol, gotCount)
-	}
-	if wantCount == 0 || wantCount == n {
-		t.Fatalf("degenerate fixture: %d/%d violators", wantCount, n)
-	}
-
-	wantW := make([]float64, n)
-	gotW := make([]float64, n)
-	ref.Weights(bases, mult, wantW)
-	vs.Weights(bases, mult, gotW)
-	for i := range wantW {
-		if wantW[i] != gotW[i] {
-			t.Fatalf("weight[%d] %v (slice) vs %v (view)", i, wantW[i], gotW[i])
+	for _, kernels := range []bool{true, false} {
+		prev := kernel.SetEnabled(kernels)
+		dom := meb.NewDomain(d)
+		ra := lptype.NewRowAccess[meb.Point, meb.Basis](dom,
+			func(row []float64) meb.Point { return meb.Point(row) })
+		kernel.SetEnabled(prev)
+		for _, s := range sources {
+			rows := s.view.Rows()
+			pts := make([]meb.Point, rows)
+			for i := range pts {
+				pts[i] = meb.Point(s.view.Row(i))
+			}
+			ref := lptype.SliceStoreRef[meb.Point, meb.Basis](dom, pts)
+			got := lptype.SourceStore(ra, s.src)
+			what := fmt.Sprintf("%s kernels=%v", s.name, kernels)
+			if got.Size() != rows {
+				t.Fatalf("%s: size %d, want %d", what, got.Size(), rows)
+			}
+			rowloop := kernel.Blocks(kernel.ClassRowLoop)
+			for _, pend := range []*meb.Basis{&pending, nil} {
+				wantTot, wantViol, wantCount := ref.Scan(bases, pend, mult)
+				gotTot, gotViol, gotCount := got.Scan(bases, pend, mult)
+				if math.Float64bits(wantTot) != math.Float64bits(gotTot) ||
+					math.Float64bits(wantViol) != math.Float64bits(gotViol) || wantCount != gotCount {
+					t.Fatalf("%s: scan drift: reference (%v, %v, %d) vs store (%v, %v, %d)",
+						what, wantTot, wantViol, wantCount, gotTot, gotViol, gotCount)
+				}
+				if pend != nil && (wantCount == 0 || wantCount == rows) {
+					t.Fatalf("%s: degenerate fixture: %d/%d violators", what, wantCount, rows)
+				}
+			}
+			if fellBack := kernel.Blocks(kernel.ClassRowLoop) > rowloop; fellBack == kernels {
+				t.Fatalf("%s: per-row fallback ran = %v", what, fellBack)
+			}
+			wantW := make([]float64, rows)
+			gotW := make([]float64, rows)
+			ref.Weights(bases, mult, wantW)
+			got.Weights(bases, mult, gotW)
+			for i := range wantW {
+				if math.Float64bits(wantW[i]) != math.Float64bits(gotW[i]) {
+					t.Fatalf("%s: weight[%d] %v (reference) vs %v (store)", what, i, wantW[i], gotW[i])
+				}
+			}
+			for _, i := range []int{0, rows / 2, rows - 1} {
+				want, have := ref.Item(i), got.Item(i)
+				for j := range want {
+					if math.Float64bits(want[j]) != math.Float64bits(have[j]) {
+						t.Fatalf("%s: item %d = %v, want %v", what, i, have, want)
+					}
+				}
+			}
+			lptype.CloseStore(got)
 		}
 	}
 }
 
 // TestViewStoreScanAllocations is the 0-allocs/block pin at the store
-// layer: once the reusable window and scratch buffers are sized (one
-// warm-up scan), site scans allocate nothing.
+// layer: once the reusable cursor, batch and scratch buffers exist
+// (one warm-up scan), site scans allocate nothing.
 func TestViewStoreScanAllocations(t *testing.T) {
 	const n, d = 4096, 3
 	ra, st, bases, pending := mebStoreFixture(t, n, d)

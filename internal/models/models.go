@@ -103,22 +103,22 @@ var LP = &engine.Spec[lp.Problem, lp.Halfspace, lp.Basis]{
 	},
 }
 
-// lpRow flattens one halfspace into the wire row a_1…a_d b — the
+// lpRow appends one halfspace's wire row a_1…a_d b to dst — the
 // single definition shared by the Spec codec and the generators.
-func lpRow(d int, h lp.Halfspace) []float64 {
-	return append(append(make([]float64, 0, d+1), h.A...), h.B)
+func lpRow(_ int, dst []float64, h lp.Halfspace) []float64 {
+	return append(append(dst, h.A...), h.B)
 }
 
-// svmRow flattens one example into the wire row x_1…x_d y.
-func svmRow(d int, e svm.Example) []float64 {
-	return append(append(make([]float64, 0, d+1), e.X...), e.Y)
+// svmRow appends one example's wire row x_1…x_d y to dst.
+func svmRow(_ int, dst []float64, e svm.Example) []float64 {
+	return append(append(dst, e.X...), e.Y)
 }
 
 func lpInstance(prob lp.Problem, cons []lp.Halfspace) engine.Instance {
 	inst := engine.Instance{Dim: prob.Dim, Objective: prob.Objective}
 	inst.Rows = make([][]float64, len(cons))
 	for i, c := range cons {
-		inst.Rows[i] = lpRow(prob.Dim, c)
+		inst.Rows[i] = lpRow(prob.Dim, make([]float64, 0, prob.Dim+1), c)
 	}
 	return inst
 }
@@ -174,7 +174,7 @@ var SVM = &engine.Spec[int, svm.Example, svm.Basis]{
 				exs, _ := workload.SeparableSVM(p.D, p.N, margin, p.Seed)
 				inst := engine.Instance{Dim: p.D, Rows: make([][]float64, len(exs))}
 				for i, e := range exs {
-					inst.Rows[i] = svmRow(p.D, e)
+					inst.Rows[i] = svmRow(p.D, make([]float64, 0, p.D+1), e)
 				}
 				return inst
 			},
@@ -198,7 +198,7 @@ var MEB = &engine.Spec[int, meb.Point, meb.Basis]{
 
 	Width: func(d int) int { return d },
 	Item:  func(d int, row []float64) meb.Point { return meb.Point(row) },
-	Row:   func(d int, p meb.Point) []float64 { return append([]float64(nil), p...) },
+	Row:   func(_ int, dst []float64, p meb.Point) []float64 { return append(dst, p...) },
 
 	Render: func(d int, b meb.Basis) engine.Solution {
 		return engine.Solution{Fields: []engine.Field{

@@ -153,83 +153,39 @@ func (m *machine[C, B]) subViol() float64 {
 // subCnt returns the subtree violator count.
 func (m *machine[C, B]) subCnt() int { return m.cnt }
 
-// Solve runs the MPC version of Algorithm 1 (Theorem 3) on items.
-// The input is distributed round-robin across the machines. It is a
-// thin adapter: each machine's share becomes a SliceStore over the
-// shared protocol implementation, bit-identical to the historical
-// slice-only code.
-func Solve[C, B any](
-	dom lptype.Domain[C, B], items []C,
-	ccodec comm.Codec[C], bcodec comm.Codec[B],
-	opt Options,
-) (B, Stats, error) {
-	return solve(dom, len(items), func(k int) ([]lptype.Store[C, B], error) {
-		parts := make([][]C, k)
-		for i, c := range items {
-			parts[i%k] = append(parts[i%k], c)
-		}
-		stores := make([]lptype.Store[C, B], k)
-		for i, p := range parts {
-			stores[i] = lptype.SliceStore(dom, p)
-		}
-		return stores, nil
-	}, ccodec, bcodec, opt)
-}
-
-// SolveDataset runs the same protocol over a columnar view: machines
-// hold zero-copy round-robin shards (the same assignment as Solve's
-// i%k distribution) and scan the flat arena through the domain's row
-// primitives.
-func SolveDataset[C, B any](
-	ra lptype.RowAccess[C, B], view dataset.View,
-	ccodec comm.Codec[C], bcodec comm.Codec[B],
-	opt Options,
-) (B, Stats, error) {
-	return solve(ra.Domain(), view.Rows(), func(k int) ([]lptype.Store[C, B], error) {
-		shards := view.Shard(k)
-		stores := make([]lptype.Store[C, B], k)
-		for i, sh := range shards {
-			stores[i] = lptype.ViewStore(ra, sh)
-		}
-		return stores, nil
-	}, ccodec, bcodec, opt)
-}
-
-// SolveSource runs the protocol over any columnar source. When the
-// source is sharded and its shard count happens to equal the machine
-// count derived from n and δ, each machine scans its shard file
-// directly (no materialization — the out-of-core MPC path); otherwise
-// the source is materialized (zero-copy when memory-backed) and split
-// round-robin. Machine j holds rows j, j+k, j+2k, … in order in every
-// case, so the answer is bit-identical across layouts.
+// SolveSource runs the MPC version of Algorithm 1 (Theorem 3) over any
+// columnar source; codecs meter the communication. When the source is
+// sharded and its shard count happens to equal the machine count
+// derived from n and δ, each machine scans its shard file directly (no
+// materialization — the out-of-core MPC path); otherwise the source is
+// materialized (zero-copy when memory-backed) and split round-robin
+// into zero-copy views. Machine j holds rows j, j+k, j+2k, … in order
+// in every case, so the answer is bit-identical across layouts.
 func SolveSource[C, B any](
 	ra lptype.RowAccess[C, B], src dataset.Source,
 	ccodec comm.Codec[C], bcodec comm.Codec[B],
 	opt Options,
 ) (B, Stats, error) {
-	var opened []lptype.Store[C, B]
+	var stores []lptype.Store[C, B]
 	defer func() {
-		for _, s := range opened {
+		for _, s := range stores {
 			lptype.CloseStore(s)
 		}
 	}()
 	return solve(ra.Domain(), src.Rows(), func(k int) ([]lptype.Store[C, B], error) {
+		stores = make([]lptype.Store[C, B], k)
 		if sh, ok := src.(dataset.Sharded); ok && sh.NumShards() == k {
-			stores := make([]lptype.Store[C, B], k)
 			for i := range stores {
 				stores[i] = lptype.SourceStore(ra, sh.Shard(i))
 			}
-			opened = stores
 			return stores, nil
 		}
 		view, err := dataset.Materialize(src)
 		if err != nil {
 			return nil, err
 		}
-		shards := view.Shard(k)
-		stores := make([]lptype.Store[C, B], k)
-		for i, s := range shards {
-			stores[i] = lptype.ViewStore(ra, s)
+		for i, shard := range view.Shard(k) {
+			stores[i] = lptype.ViewStore(ra, shard)
 		}
 		return stores, nil
 	}, ccodec, bcodec, opt)
@@ -337,7 +293,6 @@ func solve[C, B any](
 		}
 		// ---- (2) local scans + aggregation up the tree. ----
 		for _, mm := range machines {
-			// Typed or columnar — identical arithmetic either way.
 			wTot, wViol, cnt := mm.data.Scan(mm.bases, pending, mult)
 			mm.selfTot, mm.selfViol = wTot, wViol
 			mm.childTot = mm.childTot[:0]

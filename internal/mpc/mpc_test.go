@@ -7,6 +7,7 @@ import (
 
 	"lowdimlp/internal/comm"
 	"lowdimlp/internal/core"
+	"lowdimlp/internal/dataset"
 	"lowdimlp/internal/lp"
 	"lowdimlp/internal/lptype"
 	"lowdimlp/internal/meb"
@@ -36,6 +37,37 @@ func sphereLP(d, n int, seed uint64) (lp.Problem, []lp.Halfspace) {
 
 func lpCodecs(d int) (comm.Codec[lp.Halfspace], comm.Codec[lp.Basis]) {
 	return lp.HalfspaceCodec{Dim: d}, lp.BasisCodec{Dim: d}
+}
+
+// solveTyped is the tests' typed entry point, built the way the
+// engine builds its own: the items are encoded into one columnar
+// store, which SolveSource distributes round-robin.
+func solveTyped[C, B any](dom lptype.Domain[C, B], items []C, cc comm.Codec[C], bc comm.Codec[B], opt Options) (B, Stats, error) {
+	d := dom.CombinatorialDim() - 1 // ν = d+1 for lp and meb
+	var encode func(dst []float64, c C) []float64
+	var decode func(row []float64) C
+	width := d
+	switch any(*new(C)).(type) {
+	case lp.Halfspace:
+		width = d + 1
+		encode = func(dst []float64, c C) []float64 {
+			h := any(c).(lp.Halfspace)
+			return append(append(dst, h.A...), h.B)
+		}
+		decode = func(row []float64) C { return any(lp.Halfspace{A: row[:d], B: row[d]}).(C) }
+	case meb.Point:
+		encode = func(dst []float64, c C) []float64 { return append(dst, any(c).(meb.Point)...) }
+		decode = func(row []float64) C { return any(meb.Point(row)).(C) }
+	default:
+		panic("solveTyped: unknown constraint type")
+	}
+	st := dataset.NewStore(width)
+	var row []float64
+	for _, c := range items {
+		row = encode(row[:0], c)
+		st.AppendRow(row)
+	}
+	return SolveSource(lptype.NewRowAccess(dom, decode), st, cc, bc, opt)
 }
 
 func TestTreeTopology(t *testing.T) {
@@ -76,7 +108,7 @@ func TestMPCLPMatchesDirect(t *testing.T) {
 		p, cons := sphereLP(d, 30000, uint64(1000*delta))
 		dom := lp.NewDomain(p, 7)
 		cc, bc := lpCodecs(d)
-		got, stats, err := Solve(dom, cons, cc, bc, Options{
+		got, stats, err := solveTyped(dom, cons, cc, bc, Options{
 			Core: core.Options{Seed: 5, NetConst: 0.5}, Delta: delta,
 		})
 		if err != nil {
@@ -100,7 +132,7 @@ func TestMPCLoadSublinear(t *testing.T) {
 	p, cons := sphereLP(d, n, 77)
 	dom := lp.NewDomain(p, 3)
 	cc, bc := lpCodecs(d)
-	_, stats, err := Solve(dom, cons, cc, bc, Options{
+	_, stats, err := solveTyped(dom, cons, cc, bc, Options{
 		Core: core.Options{Seed: 1, NetConst: 0.5}, Delta: 0.5,
 	})
 	if err != nil {
@@ -128,7 +160,7 @@ func TestMPCRoundsScaleWithDelta(t *testing.T) {
 	cc, bc := lpCodecs(d)
 	var rounds []int
 	for _, delta := range []float64{0.5, 0.3} {
-		_, stats, err := Solve(dom, cons, cc, bc, Options{
+		_, stats, err := solveTyped(dom, cons, cc, bc, Options{
 			Core: core.Options{Seed: 3, NetConst: 0.5}, Delta: delta,
 		})
 		if err != nil {
@@ -147,7 +179,7 @@ func TestMPCSingleMachine(t *testing.T) {
 	p, cons := sphereLP(d, 5000, 41)
 	dom := lp.NewDomain(p, 11)
 	cc, bc := lpCodecs(d)
-	got, stats, err := Solve(dom, cons, cc, bc, Options{
+	got, stats, err := solveTyped(dom, cons, cc, bc, Options{
 		Core: core.Options{Seed: 4, NetConst: 0.5}, Delta: 0.5, Machines: 1,
 	})
 	if err != nil {
@@ -167,7 +199,7 @@ func TestMPCTinyShipsAll(t *testing.T) {
 	p, cons := sphereLP(d, 40, 43)
 	dom := lp.NewDomain(p, 13)
 	cc, bc := lpCodecs(d)
-	got, stats, err := Solve(dom, cons, cc, bc, Options{Core: core.Options{Seed: 2}, Delta: 0.5})
+	got, stats, err := solveTyped(dom, cons, cc, bc, Options{Core: core.Options{Seed: 2}, Delta: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +216,7 @@ func TestMPCEmpty(t *testing.T) {
 	d := 1
 	dom := lp.NewDomain(lp.Problem{Dim: d, Objective: []float64{1}, Box: 5}, 1)
 	cc, bc := lpCodecs(d)
-	b, stats, err := Solve(dom, nil, cc, bc, Options{})
+	b, stats, err := solveTyped(dom, nil, cc, bc, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +232,7 @@ func TestMPCInfeasible(t *testing.T) {
 	}
 	dom := lp.NewDomain(lp.NewProblem([]float64{1}), 3)
 	cc, bc := lpCodecs(1)
-	_, _, err := Solve(dom, cons, cc, bc, Options{Core: core.Options{Seed: 5, NetConst: 0.5}, Delta: 0.5})
+	_, _, err := solveTyped(dom, cons, cc, bc, Options{Core: core.Options{Seed: 5, NetConst: 0.5}, Delta: 0.5})
 	if !errors.Is(err, lptype.ErrInfeasible) {
 		t.Fatalf("expected ErrInfeasible, got %v", err)
 	}
@@ -217,7 +249,7 @@ func TestMPCMEB(t *testing.T) {
 		pts = append(pts, p)
 	}
 	dom := meb.NewDomain(2)
-	got, stats, err := Solve(dom, pts,
+	got, stats, err := solveTyped(dom, pts,
 		meb.PointCodec{Dim: 2}, meb.BasisCodec{Dim: 2},
 		Options{Core: core.Options{Seed: 6, NetConst: 0.5}, Delta: 0.5})
 	if err != nil {
@@ -240,7 +272,7 @@ func TestMPCLoadScalesWithDelta(t *testing.T) {
 	cc, bc := lpCodecs(d)
 	var loads []int64
 	for _, delta := range []float64{0.3, 0.6} {
-		_, stats, err := Solve(dom, cons, cc, bc, Options{
+		_, stats, err := solveTyped(dom, cons, cc, bc, Options{
 			Core: core.Options{Seed: 8, NetConst: 0.5}, Delta: delta,
 		})
 		if err != nil {
@@ -265,11 +297,11 @@ func TestMPCDeterminism(t *testing.T) {
 	dom := lp.NewDomain(p, 17)
 	cc, bc := lpCodecs(d)
 	opt := Options{Core: core.Options{Seed: 9, NetConst: 0.5}, Delta: 0.5}
-	b1, s1, err := Solve(dom, cons, cc, bc, opt)
+	b1, s1, err := solveTyped(dom, cons, cc, bc, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, s2, err := Solve(dom, cons, cc, bc, opt)
+	b2, s2, err := solveTyped(dom, cons, cc, bc, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ var Spec = &engine.Spec[int, Point, Basis]{
 
 	Width: func(d int) int { return d },
 	Item:  func(d int, row []float64) Point { return Point(row) },
-	Row:   func(d int, p Point) []float64 { return append([]float64(nil), p...) },
+	Row:   func(_ int, dst []float64, p Point) []float64 { return append(dst, p...) },
 
 	Render: func(d int, b Basis) engine.Solution {
 		a := b.Annulus()

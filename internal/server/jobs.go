@@ -756,7 +756,7 @@ func (m *Manager) runBatch(batch []*Job) {
 	if len(active) > 0 {
 		cur := src.NewCursor()
 		rows := make([]dataset.Row, dataset.DefaultBatchRows)
-		sinks := make([]dataset.RowSink, 0, len(active))
+		sinks := make([]dataset.BlockSink, 0, len(active))
 		running := active
 		var scanErr error
 		for len(running) > 0 && scanErr == nil {

@@ -10,14 +10,27 @@ import (
 	"lowdimlp/internal/numeric"
 )
 
-// rowOnly hides a solver's RowBlock so SharedPass drives it through
-// the per-row path — the reference drive for the block conformance
-// tests below.
+// rowOnly feeds a solver one row at a time (single-row blocks) — with
+// a solver built by mkRowLoopSolver, the per-row reference drive for
+// the block conformance tests below.
 type rowOnly struct {
 	s *DatasetSolver[meb.Point, meb.Basis]
 }
 
-func (r rowOnly) Row(row dataset.Row) { r.s.Row(row) }
+func (r rowOnly) RowBlock(rows []dataset.Row) {
+	for i := range rows {
+		r.s.RowBlock(rows[i : i+1])
+	}
+}
+
+// mkRowLoopSolver is mkFusedSolver with the kernel layer disabled
+// while the access layer is built: every violation test of the solver
+// goes through the domain's per-row ViolatesRow.
+func mkRowLoopSolver(st *dataset.Store, pending meb.Basis, seed uint64) *DatasetSolver[meb.Point, meb.Basis] {
+	prev := kernel.SetEnabled(false)
+	defer kernel.SetEnabled(prev)
+	return mkFusedSolver(st, pending, seed)
+}
 
 // mkFusedSolver hand-builds a solver mid-fused-phase — the state
 // BeginPass leaves it in during a real solve — shared by the block
@@ -38,9 +51,10 @@ func mkFusedSolver(st *dataset.Store, pending meb.Basis, seed uint64) *DatasetSo
 
 // TestBlockScanMatchesRowScan is the stream-level conformance pin for
 // the block-kernel path: a fused pass driven a block at a time through
-// RowBlock (arbitrary, irregular block boundaries) must be bit-
-// identical to the same pass driven row by row — same Kahan sums, same
-// RNG consumption, same next basis out of EndPass.
+// the kernels (arbitrary, irregular block boundaries) must be bit-
+// identical to the same pass driven row by row through the per-row
+// violation test — same Kahan sums, same RNG consumption, same next
+// basis out of EndPass.
 func TestBlockScanMatchesRowScan(t *testing.T) {
 	const n, d = 4096, 3
 	st := cloud(n, d, 23)
@@ -54,14 +68,15 @@ func TestBlockScanMatchesRowScan(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rowS := mkFusedSolver(st, pending, 11)
+	rowS := mkRowLoopSolver(st, pending, 11)
 	blkS := mkFusedSolver(st, pending, 11)
-	if !blkS.ra.HasBlockKernel() {
-		t.Fatal("meb access has no block kernel (kernels disabled?)")
-	}
 
+	d3, rowloop := kernel.Blocks(kernel.ClassD3), kernel.Blocks(kernel.ClassRowLoop)
 	for i := 0; i < n; i++ {
-		rowS.Row(st.Row(i))
+		rowS.RowBlock([]dataset.Row{st.Row(i)})
+	}
+	if kernel.Blocks(kernel.ClassD3) != d3 || kernel.Blocks(kernel.ClassRowLoop) == rowloop {
+		t.Fatal("the per-row reference drive ran through a block kernel")
 	}
 	// Irregular block sizes: boundaries must not matter.
 	sizes := []int{1, 7, 2, 256, 31, 3, 97, 300}
@@ -74,6 +89,9 @@ func TestBlockScanMatchesRowScan(t *testing.T) {
 		}
 		blkS.RowBlock(rows)
 		lo += sz
+	}
+	if kernel.Blocks(kernel.ClassD3) == d3 {
+		t.Fatal("meb access has no block kernel (kernels disabled?)")
 	}
 
 	if rowS.wTotal.Sum() != blkS.wTotal.Sum() || rowS.wViol.Sum() != blkS.wViol.Sum() {
@@ -107,8 +125,8 @@ func TestBlockScanMatchesRowScan(t *testing.T) {
 
 // TestSharedBlockScanMatchesRowOnly re-pins the same equivalence at
 // the SharedPass layer: the scheduler handing a solver whole batches
-// (BlockSink) versus single rows (RowSink) must not change one bit of
-// the pass.
+// for its kernels versus single rows for the per-row test must not
+// change one bit of the pass.
 func TestSharedBlockScanMatchesRowOnly(t *testing.T) {
 	const n, d = 3000, 2
 	st := cloud(n, d, 31)
@@ -121,7 +139,7 @@ func TestSharedBlockScanMatchesRowOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowS := mkFusedSolver(st, pending, 19)
+	rowS := mkRowLoopSolver(st, pending, 19)
 	blkS := mkFusedSolver(st, pending, 19)
 	cur := st.NewCursor()
 	defer dataset.CloseCursor(cur)
@@ -155,14 +173,9 @@ func TestBlockPassAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sinks := []dataset.RowSink{
+	sinks := []dataset.BlockSink{
 		mkFusedSolver(st, pending, 5), mkFusedSolver(st, pending, 6),
 		mkFusedSolver(st, pending, 7), mkFusedSolver(st, pending, 8),
-	}
-	for _, s := range sinks {
-		if _, ok := s.(dataset.BlockSink); !ok {
-			t.Fatal("fused solver does not implement dataset.BlockSink")
-		}
 	}
 	cur := st.NewCursor()
 	batch := make([]dataset.Row, batchSize)

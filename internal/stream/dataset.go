@@ -1,34 +1,27 @@
 package stream
 
 import (
-	"math"
-
-	"lowdimlp/internal/core"
 	"lowdimlp/internal/dataset"
 	"lowdimlp/internal/lptype"
-	"lowdimlp/internal/numeric"
-	"lowdimlp/internal/sampling"
 )
 
 // SolveDataset runs the streaming version of Algorithm 1 (Theorem 1)
-// over a columnar dataset source — the zero-copy twin of Solve.
+// over a columnar dataset source — the pull loop of the one streaming
+// driver.
 //
-// The scan loop reads rows in reusable batches straight off the
-// source (an in-memory arena or a block-streamed file), tests
-// violations through the domain's flat-row primitives, and samples
-// with row reservoirs that copy only on accept, so the per-constraint
-// cost is arithmetic plus at most one slot copy: no allocation, no
-// pointer chase, no decode. The RNG consumption matches Solve exactly,
-// making the result bit-identical to the slice path for equal inputs
-// and options (the engine's dataset conformance suite pins this).
+// The scan reads rows in reusable batches straight off the source (an
+// in-memory arena, a block-streamed file, or a typed stream encoded on
+// the fly), tests violations through the domain's block kernels, and
+// samples with row reservoirs that copy only on accept, so the
+// per-constraint cost is arithmetic plus at most one slot copy: no
+// allocation, no pointer chase, no decode.
 //
-// The fused path is DatasetSolver driven over a private cursor — the
-// same state machine the scan-sharing batch scheduler drives over a
-// shared one — so solo and shared execution are one code path.
+// It is DatasetSolver driven over a private cursor — the same state
+// machine the scan-sharing batch scheduler drives over a shared one —
+// so solo and shared execution are one code path, and its results are
+// pinned bit-identical to the typed per-item reference loop the
+// package tests keep (ref_test.go).
 func SolveDataset[C, B any](ra lptype.RowAccess[C, B], src dataset.Source, opt Options) (B, Stats, error) {
-	if opt.Unfused {
-		return solveDatasetUnfusedEntry(ra, src, opt)
-	}
 	s := NewDatasetSolver(ra, src.Rows(), src.Width(), opt)
 	cur := src.NewCursor()
 	defer dataset.CloseCursor(cur)
@@ -46,138 +39,6 @@ func SolveDataset[C, B any](ra lptype.RowAccess[C, B], src dataset.Source, opt O
 	return s.Result()
 }
 
-// solveDatasetUnfusedEntry sets up the two-passes-per-iteration
-// ablation (identical prelude to the fused solver's constructor).
-func solveDatasetUnfusedEntry[C, B any](ra lptype.RowAccess[C, B], src dataset.Source, opt Options) (B, Stats, error) {
-	var zero B
-	dom := ra.Domain()
-	stats := Stats{}
-	n := src.Rows()
-	stats.N = n
-	if n == 0 {
-		b, err := dom.Solve(nil)
-		return b, stats, err
-	}
-
-	nu := dom.CombinatorialDim()
-	lambda := dom.VCDim()
-	r := opt.Core.EffectiveR(n)
-	stats.R = r
-	mult := math.Pow(float64(n), 1/float64(r))
-	eps := 1 / (10 * float64(nu) * mult)
-	m := core.NetSize(eps, lambda, n, nu, opt.Core)
-	stats.NetSize = m
-
-	cur := src.NewCursor()
-	defer dataset.CloseCursor(cur)
-	batch := make([]dataset.Row, batchRows(opt))
-	width := src.Width()
-
-	if m >= n {
-		// Net would contain everything: one pass, solve directly.
-		items, scanned, err := materializeItems(ra, cur, batch, n)
-		stats.Passes++
-		stats.ItemsScanned += scanned
-		if err != nil {
-			return zero, stats, err
-		}
-		stats.DirectSolve = true
-		stats.NetSize = n
-		stats.trackSpace(opt, n, 0)
-		b, err := dom.Solve(items)
-		return b, stats, err
-	}
-
-	rng := numeric.NewRand(opt.Core.Seed, 0x57124)
-	maxIters := opt.Core.MaxIters
-	if maxIters <= 0 {
-		maxIters = 60*nu*r + 60
-	}
-	return solveDatasetUnfused(ra, cur, batch, width, n, m, eps, mult, maxIters, rng, &stats, opt)
-}
-
-// solveDatasetUnfused is the two-passes-per-iteration ablation over a
-// dataset source, mirroring solveUnfused.
-func solveDatasetUnfused[C, B any](
-	ra lptype.RowAccess[C, B], cur dataset.Cursor, batch []dataset.Row,
-	width, n, m int, eps, mult float64, maxIters int, rng *numericRand,
-	stats *Stats, opt Options,
-) (B, Stats, error) {
-	var zero B
-	dom := ra.Domain()
-	var bases []B
-	for iter := 0; iter < maxIters; iter++ {
-		// Pass A: weighted sample.
-		res := sampling.NewRowReservoir(m, width, rng)
-		if err := cur.Reset(); err != nil {
-			return zero, *stats, err
-		}
-		for {
-			nr, err := cur.Next(batch)
-			if err != nil {
-				return zero, *stats, err
-			}
-			if nr == 0 {
-				break
-			}
-			for _, row := range batch[:nr] {
-				stats.ItemsScanned++
-				res.Offer(row, math.Pow(mult, float64(ra.WeightExp(bases, row))))
-			}
-		}
-		stats.Passes++
-		netRows, ok := res.Sample()
-		if !ok {
-			return zero, *stats, ErrEmptyStream
-		}
-		basis, err := dom.Solve(decodeNet(ra, netRows, width))
-		if err != nil {
-			return zero, *stats, err
-		}
-		stats.Iterations++
-		// Pass B: violation test.
-		var wTotal, wViol numeric.Kahan
-		violCount := 0
-		if err := cur.Reset(); err != nil {
-			return zero, *stats, err
-		}
-		for {
-			nr, err := cur.Next(batch)
-			if err != nil {
-				return zero, *stats, err
-			}
-			if nr == 0 {
-				break
-			}
-			for _, row := range batch[:nr] {
-				stats.ItemsScanned++
-				w := math.Pow(mult, float64(ra.WeightExp(bases, row)))
-				wTotal.Add(w)
-				if ra.ViolatesRow(basis, row) {
-					wViol.Add(w)
-					violCount++
-				}
-			}
-		}
-		stats.Passes++
-		stats.trackSpace(opt, m, len(bases))
-		if violCount == 0 {
-			return basis, *stats, nil
-		}
-		if wViol.Sum() <= eps*wTotal.Sum() {
-			stats.Successes++
-			bases = append(bases, basis)
-			stats.StoredBases = len(bases)
-		} else {
-			stats.Failures++
-			if opt.Core.MonteCarlo {
-				return zero, *stats, core.ErrRoundFailed
-			}
-		}
-	}
-	return zero, *stats, core.ErrIterationBudget
-}
-
 // decodeNet turns sampled net rows into constraints for the basis
 // solver. The rows are reservoir slot buffers that the next pass will
 // reuse, and decoded constraints may alias their input (lp does), so
@@ -192,37 +53,6 @@ func decodeNet[C, B any](ra lptype.RowAccess[C, B], rows [][]float64, width int)
 		items[i] = ra.Item(dst)
 	}
 	return items
-}
-
-// materializeItems drains the cursor into a decoded constraint slice
-// (the m ≥ n direct-solve path). Rows are copied into one arena so
-// decoded constraints never alias cursor buffers.
-func materializeItems[C, B any](ra lptype.RowAccess[C, B], cur dataset.Cursor, batch []dataset.Row, n int) ([]C, int64, error) {
-	if err := cur.Reset(); err != nil {
-		return nil, 0, err
-	}
-	items := make([]C, 0, n)
-	var arena []float64
-	var scanned int64
-	for {
-		nr, err := cur.Next(batch)
-		if err != nil {
-			return nil, scanned, err
-		}
-		if nr == 0 {
-			return items, scanned, nil
-		}
-		for _, row := range batch[:nr] {
-			scanned++
-			w := len(row)
-			if cap(arena)-len(arena) < w {
-				arena = make([]float64, 0, max(n*w/4+w, 1024))
-			}
-			lo := len(arena)
-			arena = append(arena, row...)
-			items = append(items, ra.Item(arena[lo:lo+w:lo+w]))
-		}
-	}
 }
 
 // batchRows returns the cursor batch size for dataset scans.

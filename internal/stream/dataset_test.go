@@ -36,9 +36,9 @@ func cloud(n, d int, seed uint64) *dataset.Store {
 	return st
 }
 
-// TestSolveDatasetMatchesSlice pins the tentpole equivalence at the
-// stream level: the columnar scan must reproduce the typed scan bit
-// for bit — same passes, same nets, same basis.
+// TestSolveDatasetMatchesSlice pins the equivalence at the stream
+// level: the columnar scan must reproduce the typed reference loop
+// (solveRef) bit for bit — same passes, same nets, same basis.
 func TestSolveDatasetMatchesSlice(t *testing.T) {
 	const n, d = 3000, 3
 	st := cloud(n, d, 42)
@@ -48,7 +48,7 @@ func TestSolveDatasetMatchesSlice(t *testing.T) {
 	}
 	opt := Options{Core: coreOpt(2, 7)}
 	dom := meb.NewDomain(d)
-	want, wantStats, err := Solve[meb.Point, meb.Basis](dom, NewSliceStream(pts), n, opt)
+	want, wantStats, err := solveRef[meb.Point, meb.Basis](dom, NewSliceStream(pts), n, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,28 +80,6 @@ func TestSolveDatasetMatchesSlice(t *testing.T) {
 	}
 	if got2.B.R2 != want.B.R2 {
 		t.Fatalf("batch=7 radius² %v, want %v", got2.B.R2, want.B.R2)
-	}
-}
-
-// TestSolveDatasetUnfusedMatchesSlice covers the two-pass ablation.
-func TestSolveDatasetUnfusedMatchesSlice(t *testing.T) {
-	const n, d = 2000, 2
-	st := cloud(n, d, 9)
-	pts := make([]meb.Point, n)
-	for i := range pts {
-		pts[i] = meb.Point(st.Row(i))
-	}
-	opt := Options{Core: coreOpt(2, 3), Unfused: true}
-	want, _, err := Solve[meb.Point, meb.Basis](meb.NewDomain(d), NewSliceStream(pts), n, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := SolveDataset(mebAccess(d), st, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.B.R2 != got.B.R2 {
-		t.Fatalf("unfused radius² %v vs %v", want.B.R2, got.B.R2)
 	}
 }
 
@@ -137,7 +115,7 @@ func TestSharedPassAllocations(t *testing.T) {
 		s.BeginPass()
 		return s
 	}
-	sinks := []dataset.RowSink{mkSolver(5), mkSolver(6), mkSolver(7), mkSolver(8)}
+	sinks := []dataset.BlockSink{mkSolver(5), mkSolver(6), mkSolver(7), mkSolver(8)}
 	cur := st.NewCursor()
 	batch := make([]dataset.Row, batchSize)
 
@@ -189,7 +167,7 @@ func TestSharedScanMatchesSolo(t *testing.T) {
 	batch := make([]dataset.Row, dataset.DefaultBatchRows)
 	var sharedPasses int
 	for {
-		var sinks []dataset.RowSink
+		var sinks []dataset.BlockSink
 		for _, s := range solvers {
 			if !s.Done() {
 				s.BeginPass()

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"math"
+	"math/rand/v2"
 
 	"lowdimlp/internal/core"
 	"lowdimlp/internal/dataset"
@@ -11,8 +12,8 @@ import (
 )
 
 // DatasetSolver phases. The solver is a state machine over passes:
-// each pass is BeginPass → Row×scan → EndPass, and EndPass decides
-// the next phase.
+// each pass is BeginPass → RowBlock×scan → EndPass, and EndPass
+// decides the next phase.
 const (
 	solverSample0 = iota // pass 0: uniform-weight net sample
 	solverDirect         // m ≥ n: materialize everything, solve once
@@ -20,23 +21,23 @@ const (
 	solverDone
 )
 
-// DatasetSolver is the fused streaming solver of SolveDataset turned
-// inside out: instead of owning the scan loop, it exposes one pass at
-// a time (BeginPass / Row / EndPass) so a scheduler can drive many
-// solvers' passes through ONE shared cursor scan (dataset.SharedPass)
-// — N queued solves over a hot instance cost ~1 pass per round, not N.
+// DatasetSolver is the streaming algorithm (§3.2, Theorem 1) as a
+// pass-at-a-time state machine: instead of owning the scan loop, it
+// exposes one pass at a time (BeginPass / RowBlock / EndPass), so the
+// same code runs a solo solve (SolveDataset's pull loop) and a
+// scheduler driving many solvers' passes through ONE shared cursor
+// scan (dataset.SharedPass) — N queued solves over a hot instance cost
+// ~1 pass per round, not N.
 //
 // The per-pass computation, RNG consumption order (reservoirs draw
 // only on Offer, and the fail reservoir is always created before the
-// success one) and stats accounting are exactly SolveDataset's, so a
-// solver driven by any scan that delivers the rows in source order
-// returns a bit-identical basis and identical Stats to a solo solve —
-// the conformance suite pins this by running SolveDataset itself on
-// top of this type.
+// success one) and stats accounting do not depend on how the rows are
+// batched, so a solver driven by any scan that delivers the rows in
+// source order returns a bit-identical basis and identical Stats.
 //
-// Row is the hot path: per row it performs the weight and violation
-// arithmetic plus at most an accepted-slot copy, and allocates nothing
-// (TestSharedPassAllocations pins 0 allocs/pass).
+// RowBlock is the hot path: per row it performs the weight and
+// violation arithmetic plus at most an accepted-slot copy, and
+// allocates nothing (TestSharedPassAllocations pins 0 allocs/pass).
 type DatasetSolver[C, B any] struct {
 	ra  lptype.RowAccess[C, B]
 	dom lptype.Domain[C, B]
@@ -45,7 +46,7 @@ type DatasetSolver[C, B any] struct {
 	n, width, m int
 	eps, mult   float64
 	maxIters    int
-	rng         *numericRand
+	rng         *rand.Rand
 
 	phase int
 	iter  int
@@ -61,10 +62,10 @@ type DatasetSolver[C, B any] struct {
 	resFail, resSucc *sampling.RowReservoir
 	wTotal, wViol    numeric.Kahan
 	violCount        int
-	// Block-kernel scratch, reused across RowBlock calls: weight
-	// exponents per row, and the two violation index buffers (stored
-	// bases vs the pending basis). Sized on first use, 0 allocs/block
-	// at steady state (pinned by TestBlockPassAllocations).
+	// Block scratch, reused across RowBlock calls: weight exponents
+	// per row, and the two violation index buffers (stored bases vs
+	// the pending basis). Sized on first use, 0 allocs/block at steady
+	// state (pinned by TestBlockPassAllocations).
 	kexps, kidx, kpend []int32
 
 	stats  Stats
@@ -108,12 +109,9 @@ func NewDatasetSolver[C, B any](ra lptype.RowAccess[C, B], n, width int, opt Opt
 // Done reports whether the solver needs no further passes.
 func (s *DatasetSolver[C, B]) Done() bool { return s.phase == solverDone }
 
-// Passes returns the number of source passes consumed so far.
-func (s *DatasetSolver[C, B]) Passes() int { return s.stats.Passes }
-
-// BeginPass arms the solver for one scan. Reservoir creation order
-// (fail before success) matches SolveDataset so the shared RNG stream
-// is consumed identically.
+// BeginPass arms the solver for one scan. The fail reservoir is
+// created before the success one: both draw from the solve's one RNG
+// stream, so the order is part of the result.
 func (s *DatasetSolver[C, B]) BeginPass() {
 	switch s.phase {
 	case solverSample0:
@@ -130,78 +128,58 @@ func (s *DatasetSolver[C, B]) BeginPass() {
 	}
 }
 
-// Row feeds one scanned row to the armed pass. The row is a borrowed
-// view; anything kept (reservoir slots, direct-solve items) is copied.
-func (s *DatasetSolver[C, B]) Row(row dataset.Row) {
-	switch s.phase {
-	case solverFused:
-		s.stats.ItemsScanned++
-		// PowWeight's exponent fast paths: most rows violate no stored
-		// basis (e=0) or one (e=1), and math.Pow documents Pow(x,0)=1
-		// and Pow(x,1)=x exactly, so skipping it is bit-identical.
-		w := lptype.PowWeight(s.mult, s.ra.WeightExp(s.bases, row))
-		s.wTotal.Add(w)
-		if s.ra.ViolatesRow(s.pending, row) {
-			s.wViol.Add(w)
-			s.violCount++
-			s.resFail.Offer(row, w)
-			s.resSucc.Offer(row, w*s.mult)
-		} else {
-			s.resFail.Offer(row, w)
-			s.resSucc.Offer(row, w)
-		}
-	case solverSample0:
-		s.stats.ItemsScanned++
-		s.res.Offer(row, 1)
-	case solverDirect:
-		s.stats.ItemsScanned++
-		w := len(row)
-		if cap(s.arena)-len(s.arena) < w {
-			s.arena = make([]float64, 0, max(s.n*w/4+w, 1024))
-		}
-		lo := len(s.arena)
-		s.arena = append(s.arena, row...)
-		s.items = append(s.items, s.ra.Item(s.arena[lo:lo+w:lo+w]))
-	}
-}
-
-// RowBlock feeds one scanned batch to the armed pass — the
-// block-kernel hot path (dataset.BlockSink). It is observably
-// identical to calling Row on each row in order: the non-fused phases
-// and kernel-less domains do exactly that, and the fused phase runs
-// the violation arithmetic through the domain's block kernels
-// (lptype.BlockViolator) while still performing the Kahan
-// accumulations and reservoir offers row by row in source order with
-// the same weights — so the RNG stream, the basis, the stats and
-// every downstream bit are unchanged (conformance-pinned by
-// TestBlockScanMatchesRowScan).
+// RowBlock feeds one scanned batch to the armed pass
+// (dataset.BlockSink). The rows are borrowed views; anything kept
+// (reservoir slots, direct-solve items) is copied. The fused phase
+// takes its violation decisions from whole-block ViolatesBlock calls
+// — the domain's kernels, or RowAccess's counted per-row loop for
+// kernel-less domains and kernel.SetEnabled(false) runs — and then
+// performs the Kahan accumulations and reservoir offers row by row in
+// source order, so neither the batch boundaries nor the kernel class
+// can change the RNG stream, the basis or the stats.
 func (s *DatasetSolver[C, B]) RowBlock(rows []dataset.Row) {
-	if s.phase != solverFused || !s.ra.HasBlockKernel() {
+	switch s.phase {
+	case solverSample0:
+		s.stats.ItemsScanned += int64(len(rows))
 		for _, row := range rows {
-			s.Row(row)
+			s.res.Offer(row, 1)
 		}
-		return
-	}
-	if cap(s.kexps) < len(rows) {
-		s.kexps = make([]int32, len(rows))
-	}
-	exps := s.kexps[:len(rows)]
-	s.kidx = s.ra.WeightExpBlock(s.bases, rows, exps, s.kidx)
-	s.kpend = s.ra.ViolatesBlock(s.pending, rows, s.kpend)
-	pi := 0
-	for i, row := range rows {
-		s.stats.ItemsScanned++
-		w := lptype.PowWeight(s.mult, int(exps[i]))
-		s.wTotal.Add(w)
-		if pi < len(s.kpend) && s.kpend[pi] == int32(i) {
-			pi++
-			s.wViol.Add(w)
-			s.violCount++
-			s.resFail.Offer(row, w)
-			s.resSucc.Offer(row, w*s.mult)
-		} else {
-			s.resFail.Offer(row, w)
-			s.resSucc.Offer(row, w)
+	case solverDirect:
+		s.stats.ItemsScanned += int64(len(rows))
+		for _, row := range rows {
+			w := len(row)
+			if cap(s.arena)-len(s.arena) < w {
+				s.arena = make([]float64, 0, max(s.n*w/4+w, 1024))
+			}
+			lo := len(s.arena)
+			s.arena = append(s.arena, row...)
+			s.items = append(s.items, s.ra.Item(s.arena[lo:lo+w:lo+w]))
+		}
+	case solverFused:
+		s.stats.ItemsScanned += int64(len(rows))
+		if cap(s.kexps) < len(rows) {
+			s.kexps = make([]int32, len(rows))
+		}
+		exps := s.kexps[:len(rows)]
+		s.kidx = s.ra.WeightExpBlock(s.bases, rows, exps, s.kidx)
+		s.kpend = s.ra.ViolatesBlock(s.pending, rows, s.kpend)
+		pi := 0
+		for i, row := range rows {
+			// PowWeight's exponent fast paths: most rows violate no
+			// stored basis (e=0) or one (e=1), and math.Pow documents
+			// Pow(x,0)=1 and Pow(x,1)=x exactly.
+			w := lptype.PowWeight(s.mult, int(exps[i]))
+			s.wTotal.Add(w)
+			if pi < len(s.kpend) && s.kpend[pi] == int32(i) {
+				pi++
+				s.wViol.Add(w)
+				s.violCount++
+				s.resFail.Offer(row, w)
+				s.resSucc.Offer(row, w*s.mult)
+			} else {
+				s.resFail.Offer(row, w)
+				s.resSucc.Offer(row, w)
+			}
 		}
 	}
 }

@@ -29,20 +29,26 @@
 // and (b) maintains two reservoirs — one assuming the iteration will
 // succeed (violators' weights pre-multiplied by n^{1/r}) and one
 // assuming it will fail. At the end of the pass the success predicate
-// picks which reservoir becomes the next net. Both modes are provided
-// (Options.Unfused) and benchmarked as an ablation.
+// picks which reservoir becomes the next net, so a non-direct solve
+// spends exactly Iterations+1 passes (pinned by the package tests).
+//
+// # One driver
+//
+// DatasetSolver is the algorithm — a pass-at-a-time state machine over
+// flat wire rows, fed whole cursor batches so the violation tests run
+// through the domains' block kernels — and SolveDataset is its pull
+// loop over any dataset.Source. Typed streams (Stream[C]) are served
+// by the same driver: Solve adapts the stream to a Source whose cursor
+// encodes the items into rows on every pass.
 package stream
 
 import (
 	"errors"
 	"fmt"
-	"math"
-	"math/rand/v2"
 
 	"lowdimlp/internal/core"
+	"lowdimlp/internal/dataset"
 	"lowdimlp/internal/lptype"
-	"lowdimlp/internal/numeric"
-	"lowdimlp/internal/sampling"
 )
 
 // Stream is a re-scannable sequence of constraints — the streaming
@@ -109,9 +115,6 @@ func (s *FuncStream[C]) Next() (C, bool) {
 // Options configure the streaming solver.
 type Options struct {
 	Core core.Options // R, Seed, NetConst, TheoryNet, MonteCarlo
-	// Unfused uses two passes per iteration (sample pass + violation
-	// pass) instead of the fused single pass. Ablation knob.
-	Unfused bool
 	// BitsPerItem and BitsPerBasis drive the space accounting (e.g.
 	// from the lp codecs). Zero disables bit accounting.
 	BitsPerItem  int
@@ -146,13 +149,30 @@ func (s Stats) String() string {
 // domain cannot solve the empty set.
 var ErrEmptyStream = errors.New("stream: empty stream")
 
-// Solve runs the streaming version of Algorithm 1 (Theorem 1) over the
-// stream. n is the number of items; pass n ≤ 0 to have Solve count
-// them with one extra pass.
-func Solve[C, B any](dom lptype.Domain[C, B], st Stream[C], n int, opt Options) (B, Stats, error) {
-	var zero B
-	stats := Stats{}
-	if n <= 0 {
+// ErrStreamLength reports a pass over a typed stream that yielded a
+// different number of items than the solve was sized for — a
+// caller-supplied n that disagrees with the stream, or a stream whose
+// length changes between passes. ε, the net size and the space
+// accounting all derive from n, so a wrong n is an error, not a
+// differently-sized solve.
+var ErrStreamLength = errors.New("stream: pass length differs from n")
+
+// RowEncoder appends item i's flat wire row to dst and returns the
+// extended slice: exactly the row width in numbers, or an error that
+// rejects the item (the engine's encoder validates width and the
+// kind's row invariants here).
+type RowEncoder[C any] func(dst []float64, i int, item C) ([]float64, error)
+
+// Solve runs SolveDataset over a typed stream of n items, encoding
+// each item into a width-number row on every pass — the stream is
+// never materialized, so a generated stream far larger than memory
+// solves in the solver's own O(net) space. Pass n ≤ 0 to have Solve
+// count the items with one extra pass (reported in Stats.Passes and
+// Stats.ItemsScanned); a pass that then yields any other count fails
+// with ErrStreamLength.
+func Solve[C, B any](ra lptype.RowAccess[C, B], st Stream[C], n, width int, encode RowEncoder[C], opt Options) (B, Stats, error) {
+	counted := n <= 0
+	if counted {
 		n = 0
 		st.Reset()
 		for {
@@ -161,212 +181,70 @@ func Solve[C, B any](dom lptype.Domain[C, B], st Stream[C], n int, opt Options) 
 			}
 			n++
 		}
+	}
+	b, stats, err := SolveDataset(ra, &rowSource[C]{st: st, n: n, width: width, encode: encode}, opt)
+	if counted {
 		stats.Passes++
 		stats.ItemsScanned += int64(n)
 	}
-	stats.N = n
-	if n == 0 {
-		b, err := dom.Solve(nil)
-		return b, stats, err
-	}
-
-	nu := dom.CombinatorialDim()
-	lambda := dom.VCDim()
-	r := opt.Core.EffectiveR(n)
-	stats.R = r
-	mult := math.Pow(float64(n), 1/float64(r))
-	eps := 1 / (10 * float64(nu) * mult)
-	m := core.NetSize(eps, lambda, n, nu, opt.Core)
-	stats.NetSize = m
-
-	if m >= n {
-		// Net would contain everything: one pass, solve directly.
-		buf := make([]C, 0, n)
-		st.Reset()
-		for {
-			c, ok := st.Next()
-			if !ok {
-				break
-			}
-			buf = append(buf, c)
-		}
-		stats.Passes++
-		stats.ItemsScanned += int64(len(buf))
-		stats.DirectSolve = true
-		stats.NetSize = n
-		stats.trackSpace(opt, n, 0)
-		b, err := dom.Solve(buf)
-		return b, stats, err
-	}
-
-	rng := numeric.NewRand(opt.Core.Seed, 0x57124)
-	var bases []B // bases of successful iterations — the weight oracle
-
-	// weightExp computes a(c): the number of stored bases c violates.
-	weightExp := func(c C) int {
-		a := 0
-		for i := range bases {
-			if dom.Violates(bases[i], c) {
-				a++
-			}
-		}
-		return a
-	}
-
-	maxIters := opt.Core.MaxIters
-	if maxIters <= 0 {
-		maxIters = 60*nu*r + 60
-	}
-
-	if opt.Unfused {
-		b, err := solveUnfused(dom, st, n, m, eps, mult, maxIters, rng, &bases, weightExp, &stats, opt)
-		return b, stats, err
-	}
-
-	// Fused mode. Pass 0: uniform-weight sample (no bases stored yet).
-	res := sampling.NewReservoir[C](m, rng)
-	st.Reset()
-	for {
-		c, ok := st.Next()
-		if !ok {
-			break
-		}
-		stats.ItemsScanned++
-		res.Offer(c, 1)
-	}
-	stats.Passes++
-	netItems, ok := res.Sample()
-	if !ok {
-		return zero, stats, ErrEmptyStream
-	}
-	pending, err := dom.Solve(netItems)
-	if err != nil {
-		return zero, stats, err
-	}
-	stats.Iterations++
-
-	for iter := 1; iter <= maxIters; iter++ {
-		// One pass: violation test for `pending` + dual reservoirs for
-		// the next net.
-		resFail := sampling.NewReservoir[C](m, rng)
-		resSucc := sampling.NewReservoir[C](m, rng)
-		var wTotal, wViol numeric.Kahan
-		violCount := 0
-		st.Reset()
-		for {
-			c, ok := st.Next()
-			if !ok {
-				break
-			}
-			stats.ItemsScanned++
-			w := math.Pow(mult, float64(weightExp(c)))
-			wTotal.Add(w)
-			if dom.Violates(pending, c) {
-				wViol.Add(w)
-				violCount++
-				resFail.Offer(c, w)
-				resSucc.Offer(c, w*mult)
-			} else {
-				resFail.Offer(c, w)
-				resSucc.Offer(c, w)
-			}
-		}
-		stats.Passes++
-		stats.trackSpace(opt, 2*m, len(bases))
-		if violCount == 0 {
-			return pending, stats, nil
-		}
-		success := wViol.Sum() <= eps*wTotal.Sum()
-		var nextNet []C
-		if success {
-			stats.Successes++
-			bases = append(bases, pending)
-			stats.StoredBases = len(bases)
-			nextNet, _ = resSucc.Sample()
-		} else {
-			stats.Failures++
-			if opt.Core.MonteCarlo {
-				return zero, stats, core.ErrRoundFailed
-			}
-			nextNet, _ = resFail.Sample()
-		}
-		pending, err = dom.Solve(nextNet)
-		if err != nil {
-			return zero, stats, err
-		}
-		stats.Iterations++
-	}
-	return zero, stats, core.ErrIterationBudget
+	return b, stats, err
 }
 
-// solveUnfused is the two-passes-per-iteration variant: a sampling pass
-// under the current weights, then a violation pass for the new basis.
-func solveUnfused[C, B any](
-	dom lptype.Domain[C, B], st Stream[C], n, m int, eps, mult float64,
-	maxIters int, rng *numericRand, bases *[]B, weightExp func(C) int,
-	stats *Stats, opt Options,
-) (B, error) {
-	var zero B
-	for iter := 0; iter < maxIters; iter++ {
-		// Pass A: weighted sample.
-		res := sampling.NewReservoir[C](m, rng)
-		st.Reset()
-		for {
-			c, ok := st.Next()
-			if !ok {
-				break
-			}
-			stats.ItemsScanned++
-			res.Offer(c, math.Pow(mult, float64(weightExp(c))))
-		}
-		stats.Passes++
-		netItems, ok := res.Sample()
-		if !ok {
-			return zero, ErrEmptyStream
-		}
-		basis, err := dom.Solve(netItems)
-		if err != nil {
-			return zero, err
-		}
-		stats.Iterations++
-		// Pass B: violation test.
-		var wTotal, wViol numeric.Kahan
-		violCount := 0
-		st.Reset()
-		for {
-			c, ok := st.Next()
-			if !ok {
-				break
-			}
-			stats.ItemsScanned++
-			w := math.Pow(mult, float64(weightExp(c)))
-			wTotal.Add(w)
-			if dom.Violates(basis, c) {
-				wViol.Add(w)
-				violCount++
-			}
-		}
-		stats.Passes++
-		stats.trackSpace(opt, m, len(*bases))
-		if violCount == 0 {
-			return basis, nil
-		}
-		if wViol.Sum() <= eps*wTotal.Sum() {
-			stats.Successes++
-			*bases = append(*bases, basis)
-			stats.StoredBases = len(*bases)
-		} else {
-			stats.Failures++
-			if opt.Core.MonteCarlo {
-				return zero, core.ErrRoundFailed
-			}
-		}
-	}
-	return zero, core.ErrIterationBudget
+// rowSource serves a typed Stream as a dataset.Source. The stream is
+// one stateful sequence, so (unlike stored sources) its cursors are
+// not independent: one scan at a time, which is all a solve needs.
+type rowSource[C any] struct {
+	st       Stream[C]
+	n, width int
+	encode   RowEncoder[C]
 }
 
-// numericRand aliases the PRNG type so the helper signature stays tidy.
-type numericRand = rand.Rand
+func (s *rowSource[C]) Width() int                { return s.width }
+func (s *rowSource[C]) Rows() int                 { return s.n }
+func (s *rowSource[C]) NewCursor() dataset.Cursor { return &rowCursor[C]{src: s} }
+
+// rowCursor encodes each batch of items into its own arena, reused
+// across batches and passes: 0 allocations per pass at steady state,
+// and (as for every cursor) the row views die at the next Next.
+type rowCursor[C any] struct {
+	src   *rowSource[C]
+	pos   int // items yielded so far this pass
+	arena []float64
+}
+
+func (c *rowCursor[C]) Reset() error {
+	c.src.st.Reset()
+	c.pos = 0
+	return nil
+}
+
+func (c *rowCursor[C]) Next(batch []dataset.Row) (int, error) {
+	s := c.src
+	if need := len(batch) * s.width; cap(c.arena) < need {
+		c.arena = make([]float64, 0, need)
+	}
+	arena := c.arena[:0]
+	for k := range batch {
+		item, ok := s.st.Next()
+		if !ok {
+			if c.pos != s.n {
+				return 0, fmt.Errorf("%w: pass ended after %d items, want %d", ErrStreamLength, c.pos, s.n)
+			}
+			return k, nil
+		}
+		if c.pos == s.n {
+			return 0, fmt.Errorf("%w: pass yields more than %d items", ErrStreamLength, s.n)
+		}
+		lo := len(arena)
+		var err error
+		if arena, err = s.encode(arena, c.pos, item); err != nil {
+			return 0, err
+		}
+		batch[k] = arena[lo:len(arena):len(arena)]
+		c.pos++
+	}
+	return len(batch), nil
+}
 
 func (s *Stats) trackSpace(opt Options, liveItems, storedBases int) {
 	if opt.BitsPerItem == 0 && opt.BitsPerBasis == 0 {

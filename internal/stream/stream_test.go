@@ -32,6 +32,23 @@ func sphereLP(d, n int, seed uint64) (lp.Problem, []lp.Halfspace) {
 	return lp.NewProblem(obj), cons
 }
 
+// solveLP and solveMEB run the typed entry point the way the engine
+// does for the kind: a row-access layer over the domain, plus the
+// kind's row layout as the encoder.
+func solveLP(d int, dom *lp.Domain, st Stream[lp.Halfspace], n int, opt Options) (lp.Basis, Stats, error) {
+	ra := lptype.NewRowAccess[lp.Halfspace, lp.Basis](dom,
+		func(row []float64) lp.Halfspace { return lp.Halfspace{A: row[:d], B: row[d]} })
+	return Solve(ra, st, n, d+1, func(dst []float64, _ int, h lp.Halfspace) ([]float64, error) {
+		return append(append(dst, h.A...), h.B), nil
+	}, opt)
+}
+
+func mebRow(dst []float64, _ int, p meb.Point) ([]float64, error) { return append(dst, p...), nil }
+
+func solveMEB(d int, st Stream[meb.Point], n int, opt Options) (meb.Basis, Stats, error) {
+	return Solve(mebAccess(d), st, n, d, mebRow, opt)
+}
+
 func TestStreamAdapters(t *testing.T) {
 	s := NewSliceStream([]int{1, 2, 3})
 	var got []int
@@ -73,7 +90,7 @@ func TestStreamingLPMatchesDirect(t *testing.T) {
 			p, cons := sphereLP(3, n, uint64(n*10+r))
 			dom := lp.NewDomain(p, 7)
 			st := NewSliceStream(cons)
-			got, stats, err := Solve[lp.Halfspace, lp.Basis](dom, st, n, Options{Core: core.Options{R: r, Seed: 5, NetConst: 0.5}})
+			got, stats, err := solveLP(3, dom, st, n, Options{Core: core.Options{R: r, Seed: 5, NetConst: 0.5}})
 			if err != nil {
 				t.Fatalf("n=%d r=%d: %v (%v)", n, r, err, stats)
 			}
@@ -89,41 +106,25 @@ func TestStreamingLPMatchesDirect(t *testing.T) {
 }
 
 func TestStreamingPassBound(t *testing.T) {
-	// Theorem 1: O(ν·r) passes. Fused mode: passes = iterations + 1.
+	// Theorem 1: O(ν·r) passes, one pass per iteration (the dual
+	// reservoirs fuse sampling with the violation test): passes =
+	// iterations + 1. TestSolverMatchesTypedReference asserts the same
+	// invariant over its whole matrix.
 	p, cons := sphereLP(3, 50000, 77)
 	dom := lp.NewDomain(p, 3)
 	nu := dom.CombinatorialDim()
 	for _, r := range []int{2, 3} {
 		st := NewSliceStream(cons)
-		_, stats, err := Solve[lp.Halfspace, lp.Basis](dom, st, len(cons), Options{Core: core.Options{R: r, Seed: 1, NetConst: 0.5}})
+		_, stats, err := solveLP(3, dom, st, len(cons), Options{Core: core.Options{R: r, Seed: 1, NetConst: 0.5}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if stats.Passes != stats.Iterations+1 {
-			t.Errorf("fused mode: passes %d != iterations+1 %d", stats.Passes, stats.Iterations+1)
+			t.Errorf("passes %d != iterations+1 %d", stats.Passes, stats.Iterations+1)
 		}
 		if stats.Passes > 3*nu*r+1 {
 			t.Errorf("r=%d: %d passes exceed the O(ν·r) shape (bound %d)", r, stats.Passes, 3*nu*r+1)
 		}
-	}
-}
-
-func TestStreamingUnfusedMatches(t *testing.T) {
-	p, cons := sphereLP(2, 50000, 99)
-	dom := lp.NewDomain(p, 11)
-	st := NewSliceStream(cons)
-	got, stats, err := Solve[lp.Halfspace, lp.Basis](dom, st, len(cons), Options{
-		Core: core.Options{R: 2, Seed: 3, NetConst: 0.5}, Unfused: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Passes != 2*stats.Iterations {
-		t.Errorf("unfused mode: passes %d != 2·iterations %d", stats.Passes, 2*stats.Iterations)
-	}
-	want, _ := dom.Solve(cons)
-	if !numeric.ApproxEqualTol(got.Sol.Value, want.Sol.Value, 1e-6) {
-		t.Fatal("unfused result mismatch")
 	}
 }
 
@@ -132,12 +133,16 @@ func TestStreamingCountsN(t *testing.T) {
 	dom := lp.NewDomain(p, 5)
 	st := NewSliceStream(cons)
 	// n ≤ 0: the solver must count with one extra pass.
-	got, stats, err := Solve[lp.Halfspace, lp.Basis](dom, st, 0, Options{Core: core.Options{R: 2, Seed: 8, NetConst: 0.5}})
+	got, stats, err := solveLP(2, dom, st, 0, Options{Core: core.Options{R: 2, Seed: 8, NetConst: 0.5}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.N != 2000 {
 		t.Fatalf("counted n=%d", stats.N)
+	}
+	// The counting pass is a pass: it is in Passes and ItemsScanned.
+	if stats.Passes != stats.Iterations+2 || stats.ItemsScanned != int64(stats.Passes)*2000 {
+		t.Fatalf("counting pass not accounted: %+v", stats)
 	}
 	want, _ := dom.Solve(cons)
 	if !numeric.ApproxEqualTol(got.Sol.Value, want.Sol.Value, 1e-6) {
@@ -148,7 +153,7 @@ func TestStreamingCountsN(t *testing.T) {
 func TestStreamingEmpty(t *testing.T) {
 	dom := lp.NewDomain(lp.Problem{Dim: 1, Objective: []float64{1}, Box: 5}, 1)
 	st := NewSliceStream[lp.Halfspace](nil)
-	b, stats, err := Solve[lp.Halfspace, lp.Basis](dom, st, 0, Options{})
+	b, stats, err := solveLP(1, dom, st, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +166,7 @@ func TestStreamingDirectSmall(t *testing.T) {
 	p, cons := sphereLP(2, 20, 21)
 	dom := lp.NewDomain(p, 9)
 	st := NewSliceStream(cons)
-	_, stats, err := Solve[lp.Halfspace, lp.Basis](dom, st, 20, Options{Core: core.Options{R: 3}})
+	_, stats, err := solveLP(2, dom, st, 20, Options{Core: core.Options{R: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +182,7 @@ func TestStreamingInfeasible(t *testing.T) {
 	}
 	dom := lp.NewDomain(lp.NewProblem([]float64{1}), 3)
 	st := NewSliceStream(cons)
-	_, _, err := Solve[lp.Halfspace, lp.Basis](dom, st, len(cons), Options{Core: core.Options{R: 2, Seed: 5}})
+	_, _, err := solveLP(1, dom, st, len(cons), Options{Core: core.Options{R: 2, Seed: 5}})
 	if !errors.Is(err, lptype.ErrInfeasible) {
 		t.Fatalf("expected ErrInfeasible, got %v", err)
 	}
@@ -189,7 +194,7 @@ func TestStreamingSpaceAccounting(t *testing.T) {
 	hc := lp.HalfspaceCodec{Dim: 3}
 	bc := lp.BasisCodec{Dim: 3}
 	st := NewSliceStream(cons)
-	_, stats, err := Solve[lp.Halfspace, lp.Basis](dom, st, len(cons), Options{
+	_, stats, err := solveLP(3, dom, st, len(cons), Options{
 		Core:         core.Options{R: 3, Seed: 2, NetConst: 0.5},
 		BitsPerItem:  hc.Bits(lp.Halfspace{}),
 		BitsPerBasis: bc.Bits(lp.Basis{}),
@@ -214,7 +219,7 @@ func TestStreamingSpaceScalesWithR(t *testing.T) {
 	var sizes []int
 	for _, r := range []int{2, 3, 4} {
 		st := NewSliceStream(cons)
-		_, stats, err := Solve[lp.Halfspace, lp.Basis](dom, st, len(cons), Options{Core: core.Options{R: r, Seed: 6, NetConst: 0.5}})
+		_, stats, err := solveLP(2, dom, st, len(cons), Options{Core: core.Options{R: r, Seed: 6, NetConst: 0.5}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,8 +245,7 @@ func TestStreamingFuncStreamLargeMEB(t *testing.T) {
 		return p
 	}
 	st := NewFuncStream(n, gen)
-	dom := meb.NewDomain(2)
-	got, stats, err := Solve[meb.Point, meb.Basis](dom, st, n, Options{Core: core.Options{R: 3, Seed: 4, NetConst: 0.5}})
+	got, stats, err := solveMEB(2, st, n, Options{Core: core.Options{R: 3, Seed: 4, NetConst: 0.5}})
 	if err != nil {
 		t.Fatalf("%v (%v)", err, stats)
 	}

@@ -127,9 +127,12 @@ type Options struct {
 	// see core.Options.NetConst).
 	NetConst float64
 	// Parallel runs coordinator site-local computation on one goroutine
-	// per site. The protocol, its randomness and the metered
-	// communication are identical either way; only wall-clock time
-	// changes. Ignored by the other models.
+	// per site, and the stream backend's scans of a sharded dataset
+	// (SolveDatasetFile over an LDSETM manifest) on one decode
+	// goroutine per shard. The protocol, its randomness, the row order
+	// and the metered communication are identical either way; only
+	// wall-clock time changes. Ignored by ram and mpc, and on a
+	// single-CPU host.
 	Parallel bool
 	// K is the number of coordinator sites used by the instance-level
 	// API (SolveInstance; 0 = 4). The typed SolveXCoordinator entry
