@@ -14,10 +14,18 @@
 //
 // # Protocol (two rounds per iteration of Algorithm 1)
 //
-// Like the streaming implementation, sites never store weights: each
-// site keeps the bases of successful iterations and recomputes local
-// weights on the fly (§3.2). One iteration of Algorithm 1 costs two
-// rounds:
+// A site holds its whole partition, so — unlike the streaming
+// implementation, whose O~(n^{1/r}) space is what §3.2's "recompute the
+// weights on the fly from the stored bases" buys — it may keep
+// per-constraint state (Lemma 3.7: a site knows its local weights). Each
+// site keeps one small weight exponent per local constraint
+// (lptype.SiteWeights) instead of the bases of successful iterations:
+// round A tests only the pending basis, a successful round B bumps the
+// exponents of that basis's violators, and samples are drawn from an
+// alias table rebuilt only after such a bump. The values are bit for
+// bit those a recompute from the stored bases yields (DESIGN.md §17),
+// so transcripts and metered bits are those of the recomputing
+// protocol. One iteration of Algorithm 1 costs two rounds:
 //
 //	round A  coord → site: the pending basis B_{t-1}
 //	         site  → coord: local total weight w_i(S), local violator
@@ -111,11 +119,11 @@ func SolveDataset[C, B any](
 	ccodec comm.Codec[C], bcodec comm.Codec[B],
 	opt Options,
 ) (B, Stats, error) {
-	stores := make([]lptype.Store[C, B], len(shards))
+	sites := make([]*lptype.SiteWeights[C, B], len(shards))
 	for i, v := range shards {
-		stores[i] = lptype.ViewStore(ra, v)
+		sites[i] = lptype.NewSiteWeights(ra, v)
 	}
-	return solve(ra.Domain(), stores, ccodec, bcodec, opt)
+	return solve(ra.Domain(), sites, ccodec, bcodec, opt)
 }
 
 // SolveSource runs the protocol over any columnar source with k sites.
@@ -137,16 +145,11 @@ func SolveSource[C, B any](
 		return zero, Stats{}, ErrNoSites
 	}
 	if sh, ok := src.(dataset.Sharded); ok && sh.NumShards() == k {
-		stores := make([]lptype.Store[C, B], k)
-		for i := range stores {
-			stores[i] = lptype.SourceStore(ra, sh.Shard(i))
+		sites := make([]*lptype.SiteWeights[C, B], k)
+		for i := range sites {
+			sites[i] = lptype.NewSiteWeights(ra, sh.Shard(i))
 		}
-		defer func() {
-			for _, s := range stores {
-				lptype.CloseStore(s)
-			}
-		}()
-		return solve(ra.Domain(), stores, ccodec, bcodec, opt)
+		return solve(ra.Domain(), sites, ccodec, bcodec, opt)
 	}
 	view, err := dataset.Materialize(src)
 	if err != nil {
@@ -158,19 +161,26 @@ func SolveSource[C, B any](
 // solve adapts site storage onto the in-process transport and runs
 // the shared protocol driver — the historical simulation, now
 // expressed as "the networked coordinator over a loopback transport".
+// The sites are closed on return (weight state dropped, file-backed
+// scan cursors released).
 func solve[C, B any](
-	dom lptype.Domain[C, B], stores []lptype.Store[C, B],
+	dom lptype.Domain[C, B], local []*lptype.SiteWeights[C, B],
 	ccodec comm.Codec[C], bcodec comm.Codec[B],
 	opt Options,
 ) (B, Stats, error) {
 	var zero B
-	if len(stores) == 0 {
+	if len(local) == 0 {
 		return zero, Stats{}, ErrNoSites
 	}
-	sites := make([]*protoSite[C, B], len(stores))
-	for i, s := range stores {
-		sites[i] = newProtoSite(s, ccodec, bcodec)
+	sites := make([]*protoSite[C, B], len(local))
+	for i, w := range local {
+		sites[i] = newProtoSite(w, ccodec, bcodec)
 	}
+	defer func() {
+		for _, s := range sites {
+			s.Close()
+		}
+	}()
 	return SolveTransport(dom, &localTransport[C, B]{sites: sites}, ccodec, bcodec, opt)
 }
 
@@ -275,16 +285,24 @@ func SolveTransport[C, B any](
 		maxIters = 60*nu*r + 60
 	}
 
+	// Per-round scratch, reused across iterations: the sites' reports
+	// and errors (each round overwrites or returns on them), and the
+	// net — every iteration samples exactly m items, site i's into its
+	// own segment net[netOff[i]:netOff[i+1]].
+	repTotal := make([]float64, k)
+	repViol := make([]float64, k)
+	repCount := make([]int, k)
+	siteErr := make([]error, k)
+	updTotals := make([]float64, k)
+	net := make([]C, m)
+	netOff := make([]int, k+1)
+
 	// Bootstrap: no pending basis; the first round-A degenerates to
 	// weight reports only.
 	var pending *B
 	for iter := 0; iter < maxIters; iter++ {
 		// ---- Round A: pending basis out, weight reports back. ----
 		meter.StartRound()
-		repTotal := make([]float64, k)
-		repViol := make([]float64, k)
-		repCount := make([]int, k)
-		siteErr := make([]error, k)
 		round := meter.Rounds()
 		runSites(opt, k, func(i int) {
 			sp := trace.StartSite("round-a", i, round)
@@ -354,7 +372,6 @@ func SolveTransport[C, B any](
 
 		// Updated local totals (after the success bump) — computable at
 		// the coordinator from the round-A reports.
-		updTotals := make([]float64, k)
 		for i := 0; i < k; i++ {
 			updTotals[i] = repTotal[i]
 			if success {
@@ -362,11 +379,13 @@ func SolveTransport[C, B any](
 			}
 		}
 		alloc := sampling.Multinomial(m, updTotals, coordRng)
+		for i, a := range alloc {
+			netOff[i+1] = netOff[i] + a
+		}
 
 		// ---- Round B: flag + allocation out, sampled items back. ----
 		meter.StartRound()
 		round = meter.Rounds()
-		netParts := make([][]C, k)
 		runSites(opt, k, func(i int) {
 			sp := trace.StartSite("round-b", i, round)
 			req := comm.NewBuffer()
@@ -391,7 +410,7 @@ func SolveTransport[C, B any](
 				return
 			}
 			buf := comm.FromBytes(rep)
-			picked := make([]C, alloc[i])
+			picked := net[netOff[i]:netOff[i+1]]
 			for t := range picked {
 				if picked[t], err = comm.Value(buf, ccodec); err != nil {
 					terr := &comm.TransportError{Site: i, Type: comm.FrameRoundB,
@@ -408,7 +427,6 @@ func SolveTransport[C, B any](
 				sp.EndErr(terr, terr.Class())
 				return
 			}
-			netParts[i] = picked
 			meter.Charge(8 * len(rep))
 			sp.EndBytes(int64(req.Len() + len(rep)))
 		})
@@ -417,10 +435,6 @@ func SolveTransport[C, B any](
 			return zero, stats, err
 		}
 
-		var net []C
-		for _, p := range netParts {
-			net = append(net, p...)
-		}
 		msp := trace.Start("merge")
 		basis, err := dom.Solve(net)
 		if err != nil {

@@ -3,12 +3,12 @@ package coordinator
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
 	"lowdimlp/internal/comm"
 	"lowdimlp/internal/dataset"
 	"lowdimlp/internal/lptype"
 	"lowdimlp/internal/numeric"
-	"lowdimlp/internal/sampling"
 )
 
 // This file is the site side of the two-round protocol, factored out
@@ -24,15 +24,21 @@ import (
 // the bytes the coordinator meters. A Site belongs to one solve and
 // is not safe for concurrent Steps.
 type Site interface {
-	// Step handles one protocol frame.
+	// Step handles one protocol frame. The reply is the site's own
+	// buffer: it is valid until the next Step or Close. A frame that
+	// fails leaves the site's state as it was.
 	Step(typ comm.FrameType, payload []byte) ([]byte, error)
-	// Close releases site-local resources (scan cursors).
+	// StateBytes returns the size of the per-row weight state the
+	// site holds (lptype.SiteWeights.StateBytes).
+	StateBytes() int
+	// Close releases site-local resources: the weight state and the
+	// scan cursor.
 	Close() error
 }
 
 // SiteHost mints protocol sites over data a process owns — the worker
 // side of session creation. Each solve gets its own Site (sites carry
-// per-run state: bases, RNG, the pending basis).
+// per-run state: weights, RNG, the pending basis).
 type SiteHost interface {
 	// Rows returns the number of constraints the host's data holds.
 	Rows() int
@@ -65,28 +71,33 @@ type sourceSiteHost[C, B any] struct {
 func (h *sourceSiteHost[C, B]) Rows() int { return h.src.Rows() }
 
 func (h *sourceSiteHost[C, B]) NewSession(seed uint64, site int, mult float64) Site {
-	s := newProtoSite(lptype.SourceStore(h.access(seed), h.src), h.ccodec, h.bcodec)
+	s := newProtoSite(lptype.NewSiteWeights(h.access(seed), h.src), h.ccodec, h.bcodec)
 	s.begin(seed, site, mult)
 	return s
 }
 
-// protoSite is the site state machine: local constraint storage, the
-// successful-basis list, private randomness, and the pending basis
-// delivered by the last round A. It is exactly the per-site state of
-// the historical in-process simulation, now addressable by frames.
+// protoSite is the site state machine: local constraint storage with
+// its weight state (lptype.SiteWeights — the site keeps one exponent
+// per row, not the list of successful bases), private randomness, and
+// the pending basis delivered by the last round A. It answers in-process
+// loopback frames and frames that arrived at a worker alike.
 type protoSite[C, B any] struct {
-	store   lptype.Store[C, B]
+	w       *lptype.SiteWeights[C, B]
 	ccodec  comm.Codec[C]
 	bcodec  comm.Codec[B]
-	bases   []B
 	rng     *rand.Rand
 	pending *B
-	mult    float64
-	begun   bool
+	// awaitB is set by a round A and consumed by the round B that
+	// follows it: a round B is answered once per round A, so a replayed
+	// or forged success flag cannot bump the weights twice.
+	awaitB bool
+	begun  bool
+	// reply backs every reply payload, reused from Step to Step.
+	reply []byte
 }
 
-func newProtoSite[C, B any](store lptype.Store[C, B], ccodec comm.Codec[C], bcodec comm.Codec[B]) *protoSite[C, B] {
-	return &protoSite[C, B]{store: store, ccodec: ccodec, bcodec: bcodec}
+func newProtoSite[C, B any](w *lptype.SiteWeights[C, B], ccodec comm.Codec[C], bcodec comm.Codec[B]) *protoSite[C, B] {
+	return &protoSite[C, B]{w: w, ccodec: ccodec, bcodec: bcodec}
 }
 
 // begin installs the run parameters. The RNG derivation (seed ^
@@ -94,9 +105,9 @@ func newProtoSite[C, B any](store lptype.Store[C, B], ccodec comm.Codec[C], bcod
 // construction bit for bit.
 func (s *protoSite[C, B]) begin(seed uint64, site int, mult float64) {
 	s.rng = numeric.NewRand(seed^siteSeedMix, uint64(site)+1)
-	s.mult = mult
-	s.bases = nil
+	s.w.Reset(mult)
 	s.pending = nil
+	s.awaitB = false
 	s.begun = true
 }
 
@@ -109,7 +120,7 @@ func (s *protoSite[C, B]) Step(typ comm.FrameType, payload []byte) ([]byte, erro
 		}
 		s.begin(seed, site, mult)
 		b := comm.NewBuffer()
-		b.PutUvarint(uint64(s.store.Size()))
+		b.PutUvarint(uint64(s.w.Size()))
 		return b.Bytes(), nil
 	}
 	if !s.begun {
@@ -128,40 +139,45 @@ func (s *protoSite[C, B]) Step(typ comm.FrameType, payload []byte) ([]byte, erro
 }
 
 // roundA handles "pending basis out, weight report back": decode the
-// (optional) pending basis, scan the local constraints, and reply
-// with the local total weight, the pending basis's local violator
-// weight, and the violator count.
+// (optional) pending basis, test the local constraints against it —
+// one violation pass, none for the bootstrap round without a basis —
+// and reply with the local total weight, the pending basis's local
+// violator weight, and the violator count.
 func (s *protoSite[C, B]) roundA(payload []byte) ([]byte, error) {
 	req := comm.FromBytes(payload)
 	has, err := req.Bool()
 	if err != nil {
 		return nil, fmt.Errorf("%w: round A flag: %v", comm.ErrProtocol, err)
 	}
-	s.pending = nil
+	var pending *B
 	if has {
 		basis, err := comm.Value(req, s.bcodec)
 		if err != nil {
 			return nil, fmt.Errorf("%w: round A basis: %v", comm.ErrProtocol, err)
 		}
-		s.pending = &basis
+		pending = &basis
 	}
 	if req.Remaining() != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes in round A request", comm.ErrProtocol, req.Remaining())
 	}
-	wTot, wViol, count := s.store.Scan(s.bases, s.pending, s.mult)
-	rep := comm.NewBuffer()
+	s.pending, s.awaitB = pending, true
+	wTot, wViol, count := s.w.Test(pending)
+	rep := comm.FromBytes(s.reply[:0])
 	rep.PutFloat(wTot)
 	rep.PutFloat(wViol)
 	rep.PutInt(count)
-	return rep.Bytes(), nil
+	s.reply = rep.Bytes()
+	return s.reply, nil
 }
 
 // roundB handles "flag + allocation out, sampled constraints back":
-// on success the pending basis joins the stored list (bumping future
-// weights), then the site samples its allocation by local weight and
-// ships the sampled constraints. An allocation of zero sends no reply
-// message (the reply payload is empty and the coordinator charges
-// nothing — exactly the in-process accounting).
+// on success the pending basis's violators are bumped (raising their
+// future weights), then the site samples its allocation by local
+// weight and ships the sampled constraints. An allocation of zero
+// sends no reply message (the reply payload is empty and the
+// coordinator charges nothing — exactly the in-process accounting).
+// Rounds alternate A → B: a round B with no round A since the last
+// one, or a success flag with no basis tested, is a protocol error.
 func (s *protoSite[C, B]) roundB(payload []byte) ([]byte, error) {
 	req := comm.FromBytes(payload)
 	success, err := req.Bool()
@@ -178,23 +194,33 @@ func (s *protoSite[C, B]) roundB(payload []byte) ([]byte, error) {
 	if alloc < 0 {
 		return nil, fmt.Errorf("%w: negative round B allocation %d", comm.ErrProtocol, alloc)
 	}
+	if !s.awaitB {
+		return nil, fmt.Errorf("%w: round B without a preceding round A", comm.ErrProtocol)
+	}
+	if success && s.pending == nil {
+		return nil, fmt.Errorf("%w: round B success with no pending basis", comm.ErrProtocol)
+	}
+	if alloc > 0 && s.w.Size() == 0 {
+		return nil, fmt.Errorf("%w: round B allocation %d to an empty site", comm.ErrProtocol, alloc)
+	}
+	s.awaitB = false
 	if success {
-		if s.pending == nil {
-			return nil, fmt.Errorf("%w: round B success with no pending basis", comm.ErrProtocol)
-		}
-		s.bases = append(s.bases, *s.pending)
+		s.w.Commit()
 	}
 	if alloc == 0 {
 		return nil, nil
 	}
-	w := make([]float64, s.store.Size())
-	s.store.Weights(s.bases, s.mult, w)
-	al := sampling.NewAlias(w)
-	rep := comm.NewBuffer()
+	rep := s.reply[:0]
 	for t := 0; t < alloc; t++ {
-		comm.PutValue(rep, s.ccodec, s.store.Item(al.Draw(s.rng)))
+		rep = s.ccodec.Append(rep, s.w.Item(s.w.Draw(s.rng)))
+		if t == 0 {
+			// Items of one kind and dimension encode to one size. The
+			// clamp keeps a forged allocation from sizing the buffer.
+			rep = slices.Grow(rep, min(alloc-1, s.w.Size())*len(rep))
+		}
 	}
-	return rep.Bytes(), nil
+	s.reply = rep
+	return rep, nil
 }
 
 // shipAll replies with every local constraint in storage order — the
@@ -203,16 +229,21 @@ func (s *protoSite[C, B]) shipAll(payload []byte) ([]byte, error) {
 	if len(payload) != 0 {
 		return nil, fmt.Errorf("%w: %d unexpected bytes in ship-all request", comm.ErrProtocol, len(payload))
 	}
-	rep := comm.NewBuffer()
-	for i, n := 0, s.store.Size(); i < n; i++ {
-		comm.PutValue(rep, s.ccodec, s.store.Item(i))
+	rep := s.reply[:0]
+	for i, n := 0, s.w.Size(); i < n; i++ {
+		rep = s.ccodec.Append(rep, s.w.Item(i))
 	}
-	return rep.Bytes(), nil
+	s.reply = rep
+	return rep, nil
 }
 
-// Close releases the site's scan cursor (no-op for in-memory stores).
+func (s *protoSite[C, B]) StateBytes() int { return s.w.StateBytes() }
+
+// Close drops the site's weight state and reply buffer and releases
+// its scan cursor.
 func (s *protoSite[C, B]) Close() error {
-	lptype.CloseStore(s.store)
+	s.w.Close()
+	s.reply = nil
 	return nil
 }
 
@@ -226,7 +257,7 @@ type localTransport[C, B any] struct {
 
 func (t *localTransport[C, B]) Sites() int { return len(t.sites) }
 
-func (t *localTransport[C, B]) SiteRows(i int) int { return t.sites[i].store.Size() }
+func (t *localTransport[C, B]) SiteRows(i int) int { return t.sites[i].w.Size() }
 
 func (t *localTransport[C, B]) Begin(seed uint64, mult float64) error {
 	for i, s := range t.sites {
@@ -245,6 +276,6 @@ func (t *localTransport[C, B]) RoundTrip(site int, typ comm.FrameType, payload [
 	return rep, nil
 }
 
-// Close is a no-op: the stores behind local sites belong to the
-// caller (SolveSource closes cursor-backed ones itself).
+// Close is a no-op: the sites belong to the caller (solve closes
+// them).
 func (t *localTransport[C, B]) Close() error { return nil }

@@ -7,15 +7,23 @@ import (
 	"lowdimlp/internal/numeric"
 )
 
-// Store is the local-constraint storage abstraction the distributed
-// backends (internal/coordinator, internal/mpc) scan: what a site or
-// machine holds. One implementation exists — a columnar
-// dataset.Source scanned through the domain's row primitives (typed
-// input is converted to rows once, at the engine boundary) — and it
-// implements the §3.2 weight/violation scan primitives with the
-// arithmetic, in the order, of the typed per-item reference the
-// package tests keep, so no storage layout changes a bit of any
-// protocol transcript.
+// Store is local-constraint storage with the §3.2 recompute-on-the-fly
+// scan primitives: weights derived, every call, from a list of stored
+// bases. One implementation exists — a columnar dataset.Source scanned
+// through the domain's row primitives (typed input is converted to
+// rows once, at the engine boundary) — with the arithmetic, in the
+// order, of the typed per-item reference the package tests keep, so no
+// storage layout changes a bit of any protocol transcript.
+//
+// The distributed backends no longer scan through it: a coordinator
+// site or MPC machine holds a SiteWeights (built over the same
+// sourceStore), which keeps the exponents Scan and Weights recount.
+// The two methods stay because lpmark's probes
+// (lptype.*_scan_ns_per_row, lptype.weights_ns_per_row) compile against
+// them and because they are the differential oracle of SiteWeights
+// (TestSiteWeightsMatchesRecompute, coordinator's siteRef); CI fails a
+// non-test caller outside this package. Retire them with the benchmark
+// PR that retires those probes.
 type Store[C, B any] interface {
 	// Size returns the number of local constraints.
 	Size() int
@@ -102,6 +110,10 @@ func ViewStore[C, B any](ra RowAccess[C, B], view dataset.View) Store[C, B] {
 // or MPC machine without a single row being materialized, and a store
 // belongs to one site, which scans sequentially.
 func SourceStore[C, B any](ra RowAccess[C, B], src dataset.Source) Store[C, B] {
+	return newSourceStore(ra, src)
+}
+
+func newSourceStore[C, B any](ra RowAccess[C, B], src dataset.Source) *sourceStore[C, B] {
 	s := &sourceStore[C, B]{ra: ra, src: src}
 	if m, ok := src.(dataset.RandomAccess); ok {
 		s.view, s.mem = m.View(), true
@@ -130,7 +142,7 @@ func (s *sourceStore[C, B]) Size() int { return s.src.Rows() }
 func (s *sourceStore[C, B]) pass(block func(rows []dataset.Row)) {
 	if s.cur == nil {
 		s.cur = s.src.NewCursor()
-		s.batch = make([]dataset.Row, dataset.DefaultBatchRows)
+		s.batch = make([]dataset.Row, max(1, min(dataset.DefaultBatchRows, s.Size())))
 	}
 	err := s.cur.Reset()
 	for err == nil {
@@ -182,8 +194,14 @@ func (s *sourceStore[C, B]) Item(i int) C {
 // CloseStore releases the scan cursor a store holds (file-backed
 // cursors keep a descriptor; memory cursors are no-ops).
 func CloseStore[C, B any](s Store[C, B]) {
-	if ss, ok := s.(*sourceStore[C, B]); ok && ss.cur != nil {
-		dataset.CloseCursor(ss.cur)
-		ss.cur = nil
+	if ss, ok := s.(*sourceStore[C, B]); ok {
+		ss.close()
+	}
+}
+
+func (s *sourceStore[C, B]) close() {
+	if s.cur != nil {
+		dataset.CloseCursor(s.cur)
+		s.cur = nil
 	}
 }

@@ -23,8 +23,15 @@
 //     sample allocation flows down the tree, split at each
 //     node by the retained subtree weights                — O(1/δ) rounds
 //  4. machines with a positive allocation sample locally
-//     (weights on the fly from the stored bases, §3.2)
-//     and send the items directly to the root             — 1 round
+//     by current weight and send the items directly to
+//     the root                                            — 1 round
+//
+// A machine holds its O(n^δ) constraints anyway, so it keeps one weight
+// exponent next to each (lptype.SiteWeights) instead of recomputing the
+// weights from a list of successful bases: step 2 tests only the
+// pending basis, a successful step 3 bumps its violators, step 4 draws
+// from a table rebuilt only after such a bump. §3.2's recompute-on-the-
+// fly economy is the stream's, which cannot afford per-constraint state.
 //
 // With r = Θ(1/δ) iterations of O(1/δ) rounds each, the total is the
 // O(ν/δ²) rounds of Theorem 3, at load O~(λ·ν²·n^δ)·bit(S).
@@ -118,10 +125,13 @@ func (nw *net) nextRound() {
 
 // machine is one MPC participant.
 type machine[C, B any] struct {
-	id    int
-	data  lptype.Store[C, B]
-	bases []B
-	rng   *rand.Rand
+	id   int
+	data *lptype.SiteWeights[C, B]
+	rng  *rand.Rand
+	// children are the node's tree children, ws the scratch its
+	// allocation split is drawn over ({self} ∪ children).
+	children []int
+	ws       []float64
 	// childTot/childViol retain the per-child subtree weight reports of
 	// the latest aggregation (used to split the sample allocation).
 	childTot  []float64
@@ -166,17 +176,16 @@ func SolveSource[C, B any](
 	ccodec comm.Codec[C], bcodec comm.Codec[B],
 	opt Options,
 ) (B, Stats, error) {
-	var stores []lptype.Store[C, B]
+	var stores []*lptype.SiteWeights[C, B]
 	defer func() {
 		for _, s := range stores {
-			lptype.CloseStore(s)
+			s.Close()
 		}
 	}()
-	return solve(ra.Domain(), src.Rows(), func(k int) ([]lptype.Store[C, B], error) {
-		stores = make([]lptype.Store[C, B], k)
+	return solve(ra.Domain(), src.Rows(), func(k int) ([]*lptype.SiteWeights[C, B], error) {
 		if sh, ok := src.(dataset.Sharded); ok && sh.NumShards() == k {
-			for i := range stores {
-				stores[i] = lptype.SourceStore(ra, sh.Shard(i))
+			for i := 0; i < k; i++ {
+				stores = append(stores, lptype.NewSiteWeights(ra, sh.Shard(i)))
 			}
 			return stores, nil
 		}
@@ -184,8 +193,8 @@ func SolveSource[C, B any](
 		if err != nil {
 			return nil, err
 		}
-		for i, shard := range view.Shard(k) {
-			stores[i] = lptype.ViewStore(ra, shard)
+		for _, shard := range view.Shard(k) {
+			stores = append(stores, lptype.NewSiteWeights(ra, shard))
 		}
 		return stores, nil
 	}, ccodec, bcodec, opt)
@@ -194,7 +203,7 @@ func SolveSource[C, B any](
 // solve is the protocol body; distribute materializes the per-machine
 // storage once the machine count is known.
 func solve[C, B any](
-	dom lptype.Domain[C, B], n int, distribute func(k int) ([]lptype.Store[C, B], error),
+	dom lptype.Domain[C, B], n int, distribute func(k int) ([]*lptype.SiteWeights[C, B], error),
 	ccodec comm.Codec[C], bcodec comm.Codec[B],
 	opt Options,
 ) (B, Stats, error) {
@@ -244,7 +253,12 @@ func solve[C, B any](
 	}
 	machines := make([]*machine[C, B], k)
 	for i := range machines {
-		machines[i] = &machine[C, B]{id: i, data: stores[i], rng: numeric.NewRand(opt.Core.Seed^0x3bc, uint64(i)+1)}
+		ch := children(i, k, fan)
+		machines[i] = &machine[C, B]{
+			id: i, data: stores[i], rng: numeric.NewRand(opt.Core.Seed^0x3bc, uint64(i)+1),
+			children: ch, ws: make([]float64, 1+len(ch)),
+		}
+		stores[i].Reset(mult)
 	}
 	nw := newNet(k)
 
@@ -276,6 +290,12 @@ func solve[C, B any](
 		maxIters = 60*nu*r + 60
 	}
 
+	// Per-iteration scratch, reused: local and subtree sample counts,
+	// and the net (every iteration samples exactly m items).
+	alloc := make([]int, k)
+	subAlloc := make([]int, k)
+	netItems := make([]C, 0, m)
+
 	var pending *B
 	for iter := 0; iter < maxIters; iter++ {
 		stats.Iterations++
@@ -284,7 +304,7 @@ func solve[C, B any](
 			bits := bcodec.Bits(*pending)
 			for lvl := 0; lvl < depth; lvl++ {
 				forEachAtLevel(k, fan, lvl, func(parent int) {
-					for _, ch := range children(parent, k, fan) {
+					for _, ch := range machines[parent].children {
 						nw.send(parent, ch, bits)
 					}
 				})
@@ -293,7 +313,7 @@ func solve[C, B any](
 		}
 		// ---- (2) local scans + aggregation up the tree. ----
 		for _, mm := range machines {
-			wTot, wViol, cnt := mm.data.Scan(mm.bases, pending, mult)
+			wTot, wViol, cnt := mm.data.Test(pending)
 			mm.selfTot, mm.selfViol = wTot, wViol
 			mm.childTot = mm.childTot[:0]
 			mm.childViol = mm.childViol[:0]
@@ -338,19 +358,18 @@ func solve[C, B any](
 		// ---- (3) allocation down the tree. ----
 		// Each node receives (flag, count); it splits the count among
 		// itself and its child subtrees by updated subtree weights.
-		alloc := make([]int, k)    // local sample counts
-		subAlloc := make([]int, k) // subtree sample counts
+		clear(alloc)
+		clear(subAlloc)
 		subAlloc[0] = m
 		for lvl := 0; lvl <= depth; lvl++ {
 			forEachAtLevel(k, fan, lvl, func(node int) {
 				mm := machines[node]
 				if success {
-					mm.bases = append(mm.bases, *pending)
+					mm.data.Commit()
 				}
 				cnt := subAlloc[node]
-				ch := children(node, k, fan)
+				ch, ws := mm.children, mm.ws
 				// Split cnt over {self} ∪ children by updated weights.
-				ws := make([]float64, 1+len(ch))
 				ws[0] = upd(mm.selfTot, mm.selfViol, success, mult)
 				for j := range ch {
 					ws[1+j] = upd(mm.childTot[j], mm.childViol[j], success, mult)
@@ -370,17 +389,14 @@ func solve[C, B any](
 		}
 
 		// ---- (4) local sampling, items direct to root. ----
-		var netItems []C
+		netItems = netItems[:0]
 		for _, mm := range machines {
 			if alloc[mm.id] == 0 {
 				continue
 			}
-			w := make([]float64, mm.data.Size())
-			mm.data.Weights(mm.bases, mult, w)
-			al := sampling.NewAlias(w)
 			bits := 0
 			for t := 0; t < alloc[mm.id]; t++ {
-				c := mm.data.Item(al.Draw(mm.rng))
+				c := mm.data.Item(mm.data.Draw(mm.rng))
 				netItems = append(netItems, c)
 				bits += ccodec.Bits(c)
 			}

@@ -169,58 +169,93 @@ func (r *RowReservoir) Sample() (rows [][]float64, ok bool) {
 }
 
 // Alias is a Walker/Vose alias table: O(n) construction, O(1) per draw
-// from a fixed discrete distribution.
+// from a fixed discrete distribution. The zero value is an empty table
+// ready for Rebuild.
 type Alias struct {
 	prob  []float64
-	alias []int
+	alias []int32
 }
 
 // NewAlias builds an alias table for the (unnormalized, nonnegative)
-// weights. At least one weight must be positive.
+// weights. At least one weight must be positive. The weights are left
+// untouched.
 func NewAlias(weights []float64) *Alias {
-	n := len(weights)
+	a := new(Alias)
+	a.Rebuild(append([]float64(nil), weights...))
+	return a
+}
+
+// Rebuild makes a the alias table of the (unnormalized, nonnegative)
+// weights w, reusing the table's arrays when they are large enough —
+// a holder of a long-lived table (lptype.SiteWeights) rebuilds in
+// place when its weights change. w is consumed: it is the scratch the
+// scaled probabilities are computed in and holds garbage afterwards.
+// At least one weight must be positive.
+//
+// The table is a pure function of w, and callers' transcripts are
+// pinned to its bits: the plain left-to-right total, w/total·n, and
+// the order in which the small and large stacks pair entries must not
+// change — which is why this is the only body that builds a table, with
+// no shortcut for special weight vectors to keep in step with it. The
+// two stacks share one transient n-entry array (small grows from the
+// front, large from the back; together they never hold more than n
+// entries), the only allocation of a rebuild that fits.
+func (a *Alias) Rebuild(w []float64) {
+	n := len(w)
+	if n > math.MaxInt32 {
+		panic("sampling: more than 2^31-1 weights")
+	}
 	var total float64
-	for _, w := range weights {
-		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+	for _, x := range w {
+		if x < 0 || math.IsNaN(x) || math.IsInf(x, 0) {
 			panic("sampling: weight must be finite and nonnegative")
 		}
-		total += w
+		total += x
 	}
 	if total <= 0 {
 		panic("sampling: all weights are zero")
 	}
-	a := &Alias{prob: make([]float64, n), alias: make([]int, n)}
-	scaled := make([]float64, n)
-	small := make([]int, 0, n)
-	large := make([]int, 0, n)
-	for i, w := range weights {
-		scaled[i] = w / total * float64(n)
-		if scaled[i] < 1 {
-			small = append(small, i)
+	if cap(a.prob) < n {
+		a.prob, a.alias = make([]float64, n), make([]int32, n)
+	}
+	a.prob, a.alias = a.prob[:n], a.alias[:n]
+	stack := make([]int32, n)
+	ns, nl := 0, 0 // small is stack[:ns], large is stack[n-nl:] reversed
+	for i, x := range w {
+		w[i] = x / total * float64(n)
+		if w[i] < 1 {
+			stack[ns] = int32(i)
+			ns++
 		} else {
-			large = append(large, i)
+			nl++
+			stack[n-nl] = int32(i)
 		}
 	}
-	for len(small) > 0 && len(large) > 0 {
-		s := small[len(small)-1]
-		small = small[:len(small)-1]
-		l := large[len(large)-1]
-		a.prob[s] = scaled[s]
+	for ns > 0 && nl > 0 {
+		ns--
+		s, l := stack[ns], stack[n-nl]
+		a.prob[s] = w[s]
 		a.alias[s] = l
-		scaled[l] -= 1 - scaled[s]
-		if scaled[l] < 1 {
-			large = large[:len(large)-1]
-			small = append(small, l)
+		w[l] -= 1 - w[s]
+		if w[l] < 1 {
+			nl--
+			stack[ns] = l
+			ns++
 		}
 	}
-	for _, i := range large {
-		a.prob[i] = 1
+	// Leftovers on either stack are drawn with probability 1; their
+	// alias entry is never read and is zeroed so that a rebuilt table
+	// equals a fresh one.
+	for _, i := range stack[:ns] {
+		a.prob[i], a.alias[i] = 1, 0
 	}
-	for _, i := range small {
-		a.prob[i] = 1
+	for _, i := range stack[n-nl:] {
+		a.prob[i], a.alias[i] = 1, 0
 	}
-	return a
 }
+
+// Bytes returns the size of the table's arrays.
+func (a *Alias) Bytes() int { return 8*cap(a.prob) + 4*cap(a.alias) }
 
 // Draw returns an index sampled proportionally to the weights.
 func (a *Alias) Draw(rng *rand.Rand) int {
@@ -228,7 +263,7 @@ func (a *Alias) Draw(rng *rand.Rand) int {
 	if rng.Float64() < a.prob[i] {
 		return i
 	}
-	return a.alias[i]
+	return int(a.alias[i])
 }
 
 // Multinomial splits m i.i.d. weighted draws across k buckets: the

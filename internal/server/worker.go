@@ -35,7 +35,9 @@ import (
 //	GET  /metrics          Prometheus-style text metrics
 //	GET  /healthz          liveness
 //
-// Protocol sessions are per-solve state (bases, RNG, pending basis):
+// Protocol sessions are per-solve state (per-row weights, RNG, pending
+// basis; under 24 B per shard row, reported by /v1/worker/info and
+// lpserved_worker_session_state_bytes):
 // FrameBegin opens one, FrameEnd closes it, and sessions idle past
 // the TTL are reclaimed so a crashed coordinator cannot leak them.
 type Worker struct {
@@ -101,6 +103,9 @@ type workerSession struct {
 	mu      sync.Mutex
 	closed  bool
 	touched atomic.Int64 // unix nanos of the last step
+	// state is site.StateBytes() as of the last step, kept beside the
+	// site so the info and metrics endpoints never wait for a step.
+	state atomic.Int64
 }
 
 // close releases the session's site exactly once. Caller must not
@@ -111,6 +116,7 @@ func (s *workerSession) close() {
 	if !s.closed {
 		s.closed = true
 		s.site.Close()
+		s.state.Store(0)
 	}
 }
 
@@ -202,6 +208,17 @@ func (w *Worker) OpenSessions() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return len(w.sessions)
+}
+
+// gauges returns the live values the info and metrics endpoints show:
+// open sessions, the bytes of weight state they hold, and draining.
+func (w *Worker) gauges() (open int, stateBytes int64, draining bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for _, s := range w.sessions {
+		stateBytes += s.state.Load()
+	}
+	return len(w.sessions), stateBytes, w.draining
 }
 
 // DrainAndWait starts draining and blocks until every in-flight
@@ -311,12 +328,15 @@ func (w *Worker) handleStep(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.metrics.Steps.Add(1)
-	reply := func(session uint64, payload []byte) {
-		enc := comm.EncodeFrame(comm.Frame{Type: comm.FrameReply, Session: session, Seq: f.Seq, Payload: payload})
+	encode := func(session uint64, payload []byte) []byte {
+		return comm.EncodeFrame(comm.Frame{Type: comm.FrameReply, Session: session, Seq: f.Seq, Payload: payload})
+	}
+	send := func(enc []byte) {
 		w.metrics.BytesOut.Add(int64(len(enc)))
 		rw.Header().Set("Content-Type", "application/octet-stream")
 		rw.Write(enc)
 	}
+	reply := func(session uint64, payload []byte) { send(encode(session, payload)) }
 	switch f.Type {
 	case comm.FrameInfo:
 		reply(0, comm.AppendSiteInfo(nil, w.siteInfo()))
@@ -396,39 +416,43 @@ func (w *Worker) handleStep(rw http.ResponseWriter, r *http.Request) {
 		}
 		s.touched.Store(time.Now().UnixNano())
 		payload, err := s.site.Step(f.Type, f.Payload)
+		// The payload is the site's reply buffer, valid until its next
+		// step: copy it into the frame before letting one in.
+		var enc []byte
+		if err == nil {
+			enc = encode(f.Session, payload)
+		}
+		s.state.Store(int64(s.site.StateBytes()))
 		s.mu.Unlock()
 		if err != nil {
 			w.metrics.StepErrors.Add(1)
 			writeError(rw, http.StatusUnprocessableEntity, err)
 			return
 		}
-		reply(f.Session, payload)
+		send(enc)
 	}
 }
 
 // handleInfo is the operator view of the shard.
 func (w *Worker) handleInfo(rw http.ResponseWriter, _ *http.Request) {
-	w.mu.Lock()
-	open, draining := len(w.sessions), w.draining
-	w.mu.Unlock()
+	open, stateBytes, draining := w.gauges()
 	writeJSON(rw, http.StatusOK, map[string]any{
-		"kind":      w.info.Kind,
-		"dim":       w.info.Dim,
-		"width":     w.info.Width,
-		"rows":      w.info.Rows,
-		"objective": w.info.Objective,
-		"sessions":  open,
-		"steps":     w.metrics.Steps.Load(),
-		"draining":  draining,
+		"kind":                w.info.Kind,
+		"dim":                 w.info.Dim,
+		"width":               w.info.Width,
+		"rows":                w.info.Rows,
+		"objective":           w.info.Objective,
+		"sessions":            open,
+		"session_state_bytes": stateBytes,
+		"steps":               w.metrics.Steps.Load(),
+		"draining":            draining,
 	})
 }
 
 // handleMetrics is the worker's Prometheus endpoint — the per-shard
 // counterpart of the frontend's /metrics, scraped by lpstat.
 func (w *Worker) handleMetrics(rw http.ResponseWriter, _ *http.Request) {
-	w.mu.Lock()
-	open, draining := len(w.sessions), w.draining
-	w.mu.Unlock()
+	open, stateBytes, draining := w.gauges()
 	rw.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	w.metrics.Render(rw, open, draining, w.info.Kind, w.info.Dim, w.info.Rows)
+	w.metrics.Render(rw, open, stateBytes, draining, w.info.Kind, w.info.Dim, w.info.Rows)
 }

@@ -35,9 +35,9 @@ type WorkerMetrics struct {
 }
 
 // Render writes the worker families in Prometheus text exposition
-// format. The caller supplies the live gauges (open sessions, shard
-// shape) that are not counters.
-func (m *WorkerMetrics) Render(w io.Writer, sessionsOpen int, draining bool, kind string, dim, rows int) {
+// format. The caller supplies the live gauges (open sessions and the
+// weight state they hold, shard shape) that are not counters.
+func (m *WorkerMetrics) Render(w io.Writer, sessionsOpen int, sessionStateBytes int64, draining bool, kind string, dim, rows int) {
 	g := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
 	}
@@ -45,6 +45,7 @@ func (m *WorkerMetrics) Render(w io.Writer, sessionsOpen int, draining bool, kin
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
 	g("lpserved_worker_sessions_open", "Protocol sessions currently open.", int64(sessionsOpen))
+	g("lpserved_worker_session_state_bytes", "Per-row weight state held by the open sessions (21 B per shard row each once a session samples, plus its violator list).", sessionStateBytes)
 	var d int64
 	if draining {
 		d = 1
