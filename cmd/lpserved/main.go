@@ -8,12 +8,12 @@
 // Usage:
 //
 //	lpserved [-addr :8080] [-pool N] [-queue N] [-cache N]
-//	         [-batch-max N] [-basis-cache N] [-admission-rows N]
+//	         [-basis-cache N] [-admission-rows N]
 //	         [-max-body BYTES] [-instance-ttl D]
 //	         [-spill-rows N] [-spill-dir DIR]
 //	         [-workers host1,host2,...] [-fleet-ttl D]
 //	         [-tenants FILE] [-cache-tier SPEC]
-//	         [-pprof] [-generic-kernels]
+//	         [-pprof]
 //	lpserved -worker shard.lds [-addr :8081] [-session-ttl D]
 //	         [-register FRONTEND] [-advertise URL] [-pprof]
 //
@@ -43,16 +43,15 @@
 // Chunk uploads idle longer than -instance-ttl are reclaimed
 // automatically, so abandoned uploads cannot wedge the slot limit.
 //
-// # Throughput engine
+// # Warm starts, coalescing, admission
 //
-// Queued stream-model jobs over the same instance are scan-shared:
-// the scheduler scoops up to -batch-max of them into one batch that
-// materializes the instance once and drives every member solver
-// through a single shared cursor pass per iteration — bit-identical
-// to solo runs, k× cheaper in scans. Solved bases are kept in a
-// -basis-cache LRU keyed by instance and seed; a repeat solve (or a
-// tuning-knob overlay of one) re-verifies the cached basis in one
-// scan and warm-starts instead of re-solving. With -admission-rows N
+// Every job walks one road: result-cache lookup, then in-flight
+// coalescing (an identical request already running is waited for and
+// its outcome copied, not re-solved), then a warm start, then the
+// solve. Solved bases are kept in a -basis-cache LRU keyed by instance
+// and seed; a repeat solve (or a tuning-knob overlay of one)
+// re-verifies the cached basis in one scan and warm-starts instead of
+// re-solving. With -admission-rows N
 // the service sheds submissions that would push the pending row
 // backlog past N, answering 429 with a Retry-After estimate before
 // latency collapses (the queue-full 503 remains the hard limit).
@@ -135,14 +134,6 @@
 // goroutine profiles of the live process; leave the flag off on
 // deployments reachable by untrusted clients.
 //
-// -generic-kernels routes d ≤ 4 block violation scans through the
-// width-generic kernel instead of their dimension-specialized
-// unrolled loops (internal/kernel's force-generic knob). Results are
-// bit-identical — the knob exists to A/B the unrolled kernels under a
-// profiler — and `lpstat doctor` flags a frontend left running this
-// way, since it gives up the kernel layer's speedup on exactly the
-// workloads it targets.
-//
 // Example:
 //
 //	curl -s localhost:8080/v1/solve -d '{
@@ -174,7 +165,6 @@ import (
 	"lowdimlp/internal/comm/httptransport"
 	"lowdimlp/internal/comm/registry"
 	"lowdimlp/internal/gateway"
-	"lowdimlp/internal/kernel"
 	"lowdimlp/internal/server"
 )
 
@@ -209,7 +199,6 @@ func main() {
 		pool       = flag.Int("pool", 0, "solver pool size (0 = GOMAXPROCS)")
 		queue      = flag.Int("queue", 0, "job queue depth (0 = 4×pool)")
 		cache      = flag.Int("cache", 256, "result-cache capacity (-1 disables)")
-		batchMax   = flag.Int("batch-max", 32, "max same-instance jobs fused into one scan-shared batch (1 disables)")
 		basisCache = flag.Int("basis-cache", 256, "warm-start basis cache capacity (-1 disables)")
 		admitRows  = flag.Int64("admission-rows", 0, "shed submissions past this many pending rows with 429 + Retry-After (0 disables)")
 		maxBody    = flag.Int64("max-body", 64<<20, "max request body bytes")
@@ -227,14 +216,8 @@ func main() {
 		tenants    = flag.String("tenants", "", "tenants JSON file; enables bearer-key auth, per-tenant limits and namespaces")
 		cacheTier  = flag.String("cache-tier", "", "shared result-cache tier: memory[:N] or disk:DIR (empty disables)")
 		pprofOn    = flag.Bool("pprof", false, "expose net/http/pprof endpoints under /debug/pprof/")
-		genericK   = flag.Bool("generic-kernels", false, "bypass the d≤4 unrolled violation kernels (A/B profiling; bit-identical, slower)")
 	)
 	flag.Parse()
-
-	if *genericK {
-		kernel.SetForceGeneric(true)
-		log.Printf("lpserved: -generic-kernels: d≤4 block scans run the width-generic kernel")
-	}
 
 	if *workerData != "" {
 		runWorker(*workerData, *addr, *register, *advertise, *sessTTL, *grace, *pprofOn)
@@ -264,7 +247,6 @@ func main() {
 		Workers:        *pool,
 		QueueDepth:     *queue,
 		CacheSize:      *cache,
-		BatchMax:       *batchMax,
 		BasisCacheSize: *basisCache,
 		AdmissionRows:  *admitRows,
 		MaxBodyBytes:   *maxBody,

@@ -126,15 +126,13 @@ func SolveDataset[C, B any](
 	return solve(ra.Domain(), sites, ccodec, bcodec, opt)
 }
 
-// SolveSource runs the protocol over any columnar source with k sites.
-// A sharded source whose shard count equals k maps one shard onto one
-// site directly — shard files are streamed by their site's scans and
-// sampled by offset, so the instance is "distributed" without
-// materializing a row (the disk-backed analogue of handing each
-// coordinator site its partition). Any other source is materialized
-// (zero-copy when memory-backed) and sharded round-robin; either way
-// site j sees rows j, j+k, j+2k, … in order, so the protocol
-// transcript — and the answer — is bit-identical across layouts.
+// SolveSource runs the protocol over any columnar source split across
+// k sites round-robin (lptype.ShardSiteWeights: one shard file per site
+// when the counts line up — the disk-backed analogue of handing each
+// coordinator site its partition — views of the materialized source
+// otherwise). Site j sees rows j, j+k, j+2k, … in order either way, so
+// the protocol transcript — and the answer — is bit-identical across
+// layouts.
 func SolveSource[C, B any](
 	ra lptype.RowAccess[C, B], src dataset.Source, k int,
 	ccodec comm.Codec[C], bcodec comm.Codec[B],
@@ -144,18 +142,11 @@ func SolveSource[C, B any](
 	if k < 1 {
 		return zero, Stats{}, ErrNoSites
 	}
-	if sh, ok := src.(dataset.Sharded); ok && sh.NumShards() == k {
-		sites := make([]*lptype.SiteWeights[C, B], k)
-		for i := range sites {
-			sites[i] = lptype.NewSiteWeights(ra, sh.Shard(i))
-		}
-		return solve(ra.Domain(), sites, ccodec, bcodec, opt)
-	}
-	view, err := dataset.Materialize(src)
+	sites, err := lptype.ShardSiteWeights(ra, src, k)
 	if err != nil {
 		return zero, Stats{}, err
 	}
-	return SolveDataset(ra, view.Shard(k), ccodec, bcodec, opt)
+	return solve(ra.Domain(), sites, ccodec, bcodec, opt)
 }
 
 // solve adapts site storage onto the in-process transport and runs

@@ -37,11 +37,11 @@ func Partition[C any](items []C, k int) [][]C {
 //
 // Typed input ([]C, [][]C, Stream[C]) is validated and converted to
 // flat rows here, once; below this boundary every backend speaks
-// dataset.Source + lptype.RowAccess (the SolveSource* dispatchers
-// further down). Seeds, RNG consumption and arithmetic do not depend
-// on which side of the boundary the input arrived, so typed and flat
-// entry points return bit-identical results for equal inputs (the
-// dataset conformance suite pins this for every registered kind).
+// dataset.Source + lptype.RowAccess (SolveSourceBasis, source.go).
+// Seeds, RNG consumption and arithmetic do not depend on which side of
+// the boundary the input arrived, so typed and flat entry points
+// return bit-identical results for equal inputs (the dataset
+// conformance suite pins this for every registered kind).
 
 // encodeItem appends item i's flat row to dst after checking it the
 // way Columnar checks a flat row: exactly Width(dim) numbers, and the
@@ -162,66 +162,5 @@ func SolveMPC[P, C, B any](s *Spec[P, C, B], p P, items []C, opt Options) (B, MP
 		var zero B
 		return zero, MPCStats{}, err
 	}
-	return SolveSourceMPC(s, p, st, opt)
-}
-
-// --- columnar (dataset) dispatchers ------------------------------------
-//
-// These consume a dataset.Source — an in-memory columnar store or a
-// file-backed binary dataset — through the domain's flat-row
-// primitives.
-
-// SolveSourceRAM materializes the source (zero-copy for memory-backed
-// sources) and runs the in-memory reference solver.
-func SolveSourceRAM[P, C, B any](s *Spec[P, C, B], p P, src dataset.Source, opt Options) (B, error) {
-	var zero B
-	view, err := dataset.Materialize(src)
-	if err != nil {
-		return zero, err
-	}
-	dim := s.Dim(p)
-	items := make([]C, view.Rows())
-	for i := range items {
-		items[i] = s.Item(dim, view.Row(i))
-	}
-	return s.NewDomain(p, opt.Seed).Solve(items)
-}
-
-// SolveSourceStreaming scans the source with the fused-pass streaming
-// solver — the out-of-core path: a file-backed source is read in
-// blocks and never materialized. With Options.Parallel a sharded
-// source is scanned by one decode goroutine per shard; the merged row
-// order is the original one, so (as everywhere Parallel appears) the
-// answer is bit-identical and only wall-clock changes.
-func SolveSourceStreaming[P, C, B any](s *Spec[P, C, B], p P, src dataset.Source, opt Options) (B, StreamingStats, error) {
-	if opt.EffectiveParallel() {
-		src = dataset.Parallel(src)
-	}
-	return stream.SolveDataset(specAccess(s, p, opt.Seed^s.SeedMix), src, s.streamOptions(s.Dim(p), opt))
-}
-
-// SolveSourceCoordinator runs the coordinator protocol with the source
-// split across opt.Sites() sites round-robin. A sharded source whose
-// shard count equals the site count puts one shard file on each site
-// with no materialization (the coordinator package streams the shard
-// scans); anything else is materialized into zero-copy views, with the
-// identical site contents either way.
-func SolveSourceCoordinator[P, C, B any](s *Spec[P, C, B], p P, src dataset.Source, opt Options) (B, CoordinatorStats, error) {
-	dim := s.Dim(p)
-	return coordinator.SolveSource(specAccess(s, p, opt.Seed^s.SeedMix), src, opt.Sites(),
-		s.ItemCodec(dim), s.BasisCodec(dim), opt.coordinator())
-}
-
-// SolveSourceMPC distributes the source round-robin across the MPC
-// machines (shard files map directly onto machines when the counts
-// line up; zero-copy columnar views otherwise).
-func SolveSourceMPC[P, C, B any](s *Spec[P, C, B], p P, src dataset.Source, opt Options) (B, MPCStats, error) {
-	dim := s.Dim(p)
-	co := opt.Core()
-	if opt.R == 0 {
-		co.R = 0 // let the MPC solver derive r = ⌈1/δ⌉
-	}
-	return mpc.SolveSource(specAccess(s, p, opt.Seed^s.SeedMix), src,
-		s.ItemCodec(dim), s.BasisCodec(dim),
-		mpc.Options{Core: co, Delta: opt.Delta})
+	return solveSourceMPC(s, p, st, opt)
 }

@@ -4,86 +4,18 @@ import (
 	"fmt"
 	"strings"
 
+	"lowdimlp/internal/coordinator"
 	"lowdimlp/internal/dataset"
+	"lowdimlp/internal/mpc"
 	"lowdimlp/internal/stream"
 )
 
-// StreamSolver is one streaming solve turned inside out for the
-// scan-sharing batch scheduler: instead of owning its scan loop it
-// exposes one pass at a time, so a scheduler can drive many solvers'
-// passes through one shared cursor scan (dataset.SharedPass). The
-// contract mirrors stream.DatasetSolver — BeginPass, then every
-// source row in order through RowBlock, then EndPass; repeat until Done —
-// and the result is bit-identical to SolveSource on the stream
-// backend for the same rows and options (conformance-pinned).
-type StreamSolver interface {
-	// BlockSink: solvers accept whole cursor batches (RowBlock), so
-	// shared scans run the domains' block kernels.
-	dataset.BlockSink
-	// BeginPass arms the solver for one scan over the source.
-	BeginPass()
-	// EndPass closes the pass; a non-nil error is terminal.
-	EndPass() error
-	// Done reports whether no further passes are needed.
-	Done() bool
-	// Result renders the solution once Done; Basis exposes the raw
-	// final basis (for the server's warm-start cache).
-	Result() (Solution, Stats, error)
-	Basis() any
-}
-
-// NewStreamSolver builds a pass-at-a-time streaming solver for an
-// instance of n rows at the given dimension. Seed mixing, net sizing
-// and RNG consumption match SolveSource's stream backend exactly, so
-// driving the returned solver over the instance's rows (solo or
-// through a shared scan) returns a bit-identical solution.
-func (s *Spec[P, C, B]) NewStreamSolver(dim int, objective []float64, n int, opt Options) (StreamSolver, error) {
-	if dim < 1 {
-		return nil, fmt.Errorf("%s: dim must be ≥ 1, got %d", s.Name, dim)
-	}
-	if n == 0 && !s.Empty {
-		return nil, fmt.Errorf("%s: empty instance", s.Name)
-	}
-	p, err := s.Problem(Instance{Dim: dim, Objective: objective})
-	if err != nil {
-		return nil, err
-	}
-	ds := stream.NewDatasetSolver(specAccess(s, p, opt.Seed^s.SeedMix), n, s.Width(dim), s.streamOptions(dim, opt))
-	return &specStreamSolver[P, C, B]{spec: s, dim: dim, ds: ds}, nil
-}
-
-// specStreamSolver adapts the generic stream.DatasetSolver to the
-// registry's non-generic StreamSolver view.
-type specStreamSolver[P, C, B any] struct {
-	spec *Spec[P, C, B]
-	dim  int
-	ds   *stream.DatasetSolver[C, B]
-}
-
-func (w *specStreamSolver[P, C, B]) RowBlock(rows []dataset.Row) { w.ds.RowBlock(rows) }
-func (w *specStreamSolver[P, C, B]) BeginPass()                  { w.ds.BeginPass() }
-func (w *specStreamSolver[P, C, B]) EndPass() error              { return w.ds.EndPass() }
-func (w *specStreamSolver[P, C, B]) Done() bool                  { return w.ds.Done() }
-
-func (w *specStreamSolver[P, C, B]) Result() (Solution, Stats, error) {
-	b, st, err := w.ds.Result()
-	stats := Stats{Stream: &st}
-	if err != nil {
-		return Solution{}, stats, err
-	}
-	return w.spec.Render(w.dim, b), stats, nil
-}
-
-func (w *specStreamSolver[P, C, B]) Basis() any {
-	if !w.ds.Done() {
-		return nil
-	}
-	b, _, err := w.ds.Result()
-	if err != nil {
-		return nil
-	}
-	return b
-}
+// --- columnar (dataset) dispatch ----------------------------------------
+//
+// Below the typed boundary (dispatch.go) every backend consumes a
+// dataset.Source — an in-memory columnar store or a file-backed binary
+// dataset — through the domain's flat-row primitives. SolveSourceBasis
+// is the one backend switch.
 
 // SolveSourceBasis is SolveSource returning the raw final basis
 // alongside the rendered solution — the warm-start cache stores the
@@ -108,18 +40,43 @@ func (s *Spec[P, C, B]) SolveSourceBasis(backend string, dim int, objective []fl
 	var b B
 	switch backend {
 	case BackendRAM:
-		b, err = SolveSourceRAM(s, p, src, opt)
+		// The in-memory reference solver over the materialized source
+		// (zero-copy for memory-backed sources). The raw seed goes to
+		// the domain, as in SolveRAM.
+		view, merr := dataset.Materialize(src)
+		if merr != nil {
+			return Solution{}, stats, nil, merr
+		}
+		items := make([]C, view.Rows())
+		for i := range items {
+			items[i] = s.Item(dim, view.Row(i))
+		}
+		b, err = s.NewDomain(p, opt.Seed).Solve(items)
 	case BackendStream:
+		// The fused-pass streaming solver — the out-of-core path: a
+		// file-backed source is read in blocks and never materialized.
+		// With Options.Parallel a sharded source is scanned by one
+		// decode goroutine per shard; the merged row order is the
+		// original one, so (as everywhere Parallel appears) the answer
+		// is bit-identical and only wall-clock changes.
+		if opt.EffectiveParallel() {
+			src = dataset.Parallel(src)
+		}
 		var st StreamingStats
-		b, st, err = SolveSourceStreaming(s, p, src, opt)
+		b, st, err = stream.SolveDataset(specAccess(s, p, opt.Seed^s.SeedMix), src, s.streamOptions(dim, opt))
 		stats.Stream = &st
 	case BackendCoordinator:
+		// The source split across opt.Sites() sites round-robin: one
+		// shard file per site when the counts line up, zero-copy views
+		// of the materialized source otherwise — identical site
+		// contents either way.
 		var st CoordinatorStats
-		b, st, err = SolveSourceCoordinator(s, p, src, opt)
+		b, st, err = coordinator.SolveSource(specAccess(s, p, opt.Seed^s.SeedMix), src, opt.Sites(),
+			s.ItemCodec(dim), s.BasisCodec(dim), opt.coordinator())
 		stats.Coordinator = &st
 	case BackendMPC:
 		var st MPCStats
-		b, st, err = SolveSourceMPC(s, p, src, opt)
+		b, st, err = solveSourceMPC(s, p, src, opt)
 		stats.MPC = &st
 	default:
 		return Solution{}, stats, nil, fmt.Errorf("unknown model %q (want %s)", backend, strings.Join(Backends(), ", "))
@@ -128,6 +85,21 @@ func (s *Spec[P, C, B]) SolveSourceBasis(backend string, dim int, objective []fl
 		return Solution{}, stats, nil, err
 	}
 	return s.Render(dim, b), stats, b, nil
+}
+
+// solveSourceMPC distributes the source round-robin across the MPC
+// machines (shard files map directly onto machines when the counts
+// line up; zero-copy columnar views otherwise). SolveMPC, the typed
+// entry point, encodes and lands here too.
+func solveSourceMPC[P, C, B any](s *Spec[P, C, B], p P, src dataset.Source, opt Options) (B, MPCStats, error) {
+	dim := s.Dim(p)
+	co := opt.Core()
+	if opt.R == 0 {
+		co.R = 0 // let the MPC solver derive r = ⌈1/δ⌉
+	}
+	return mpc.SolveSource(specAccess(s, p, opt.Seed^s.SeedMix), src,
+		s.ItemCodec(dim), s.BasisCodec(dim),
+		mpc.Options{Core: co, Delta: opt.Delta})
 }
 
 // VerifyBasisSource attempts a warm start from a previously computed

@@ -3,67 +3,9 @@ package engine_test
 import (
 	"testing"
 
-	"lowdimlp/internal/dataset"
 	"lowdimlp/internal/engine"
 	_ "lowdimlp/internal/models" // populate the registry
 )
-
-// driveSolver runs a StreamSolver to completion over the source with
-// its own cursor — what the batch scheduler does, minus the sharing.
-func driveSolver(t *testing.T, s engine.StreamSolver, src dataset.Source) (engine.Solution, engine.Stats) {
-	t.Helper()
-	cur := src.NewCursor()
-	defer dataset.CloseCursor(cur)
-	batch := make([]dataset.Row, dataset.DefaultBatchRows)
-	for !s.Done() {
-		s.BeginPass()
-		if _, err := dataset.SharedPass(cur, batch, s); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.EndPass(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sol, stats, err := s.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sol, stats
-}
-
-// TestStreamSolverMatchesSolveSource pins the pass-at-a-time solver to
-// the one-shot stream backend for every registered kind: same rows,
-// same options ⇒ bit-identical solution and identical stream stats.
-func TestStreamSolverMatchesSolveSource(t *testing.T) {
-	for _, m := range engine.Models() {
-		m := m
-		t.Run(m.Kind(), func(t *testing.T) {
-			t.Parallel()
-			inst := conformanceInstance(t, m, 700, 41)
-			st, err := engine.Columnar(m, inst)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opt := engine.Options{R: 2, Seed: 9}
-			want, wantStats, err := m.SolveSource(engine.BackendStream, inst.Dim, inst.Objective, st, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			solver, err := m.NewStreamSolver(inst.Dim, inst.Objective, st.Rows(), opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, gotStats := driveSolver(t, solver, st)
-			assertSolutionsIdentical(t, m.Kind()+" stream-solver", want, got)
-			if *wantStats.Stream != *gotStats.Stream {
-				t.Fatalf("stats drift: %+v vs %+v", *wantStats.Stream, *gotStats.Stream)
-			}
-			if solver.Basis() == nil {
-				t.Fatal("finished solver should expose its basis")
-			}
-		})
-	}
-}
 
 // TestVerifyBasisSource pins the warm-start verification pass: a basis
 // re-verified against the instance it came from renders the identical

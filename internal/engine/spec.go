@@ -142,9 +142,6 @@ type Model interface {
 	// solution is the instance's optimum (warm start); ok=false means
 	// the caller must solve cold.
 	VerifyBasisSource(dim int, objective []float64, src dataset.Source, basis any) (Solution, bool, error)
-	// NewStreamSolver returns a pass-at-a-time streaming solver the
-	// scan-sharing batch scheduler drives through shared cursor scans.
-	NewStreamSolver(dim int, objective []float64, n int, opt Options) (StreamSolver, error)
 	// SolveTransport runs the coordinator backend over an explicit
 	// comm.Transport — how a fleet of worker processes jointly solves
 	// one instance. Bit-identical to SolveSource on the coordinator

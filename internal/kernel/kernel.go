@@ -13,10 +13,9 @@
 // per-row reference path — the ablation arm of experiment M5), and
 // SetForceGeneric(true) keeps the block layer but routes d ≤ 4
 // workloads through the width-generic loop instead of their unrolled
-// kernels (the A/B arm of the microbenchmarks, and what `lpserved
-// -generic-kernels` sets so a kernel-blind frontend can be profiled —
-// and flagged by `lpstat doctor`). Both paths are bit-identical to
-// the kernels by construction; only wall-clock changes.
+// kernels (the A/B arm of the microbenchmarks and the differential
+// tests). Both paths are bit-identical to the kernels by
+// construction; only wall-clock changes.
 package kernel
 
 import "sync/atomic"

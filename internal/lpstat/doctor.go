@@ -102,15 +102,6 @@ func Diagnose(f *Fleet) []Finding {
 				rule, diag, fix := fleetErrorRule(class, n)
 				add(SevWarn, rule, "frontend", diag, fix)
 			}
-			// A d≤4 workload running the width-generic kernel: every
-			// generic_lowdim block is an unrolled kernel the frontend
-			// declined to use — -generic-kernels was left on outside an
-			// A/B profile.
-			if n := fe.KernelBlocks["generic_lowdim"]; n > 0 {
-				add(SevWarn, "frontend-generic-kernels", "frontend",
-					fmt.Sprintf("%d block scans on d≤4 workloads ran the width-generic kernel instead of the unrolled d2/d3/d4 loops — the frontend is running with -generic-kernels", n),
-					"restart lpserved without -generic-kernels unless an A/B profile is deliberately in progress; results are identical but low-dimension scans give up the kernel speedup")
-			}
 			// Per-tenant throttling: the gateway returned 429s against a
 			// tenant's own rate/quota limits — distinct from global
 			// admission shedding (frontend-load-shedding above). One

@@ -91,13 +91,10 @@ type FrontendStatus struct {
 	Spilled        int64
 	FleetSolves    int64
 	TracesCaptured int64
-	// Throughput-engine counters (batch scheduler, warm starts,
-	// admission control; DESIGN.md §11).
+	// Serving-tier counters (coalescing, warm starts, admission
+	// control; DESIGN.md §11).
 	JobsShed     int64
 	Coalesced    int64
-	Batches      int64
-	BatchedJobs  int64
-	SharedPasses int64
 	WarmHits     int64
 	WarmMisses   int64
 	BasisEntries int64
@@ -105,9 +102,7 @@ type FrontendStatus struct {
 	FleetErrors map[string]int64
 	// KernelBlocks are block violation-kernel invocations by kernel
 	// class (only classes with nonzero counts appear); KernelRows is
-	// the total rows evaluated through block scans. A nonzero
-	// "generic_lowdim" class means the frontend is bypassing its d≤4
-	// unrolled kernels (-generic-kernels), which the doctor flags.
+	// the total rows evaluated through block scans.
 	KernelBlocks map[string]int64
 	KernelRows   int64
 	// Multi-tenant gateway counters (DESIGN.md §13). HasTenants is the
@@ -308,9 +303,6 @@ func collectFrontend(client *http.Client, url string) *FrontendStatus {
 			f.TracesCaptured = int64(m.Sum("lpserved_traces_captured_total"))
 			f.JobsShed = int64(m.Sum("lpserved_jobs_shed_total"))
 			f.Coalesced = int64(m.Sum("lpserved_solve_coalesced_total"))
-			f.Batches = int64(m.Sum("lpserved_batches_total"))
-			f.BatchedJobs = int64(m.Sum("lpserved_batched_jobs_total"))
-			f.SharedPasses = int64(m.Sum("lpserved_shared_passes_total"))
 			f.WarmHits = int64(m.Sum("lpserved_warm_hits_total"))
 			f.WarmMisses = int64(m.Sum("lpserved_warm_misses_total"))
 			f.BasisEntries = int64(m.Sum("lpserved_basis_entries"))

@@ -342,16 +342,10 @@ func TestDoctorBasisCacheCold(t *testing.T) {
 }
 
 // TestFrontendThroughputScrape pins collectFrontend's mapping of the
-// throughput-engine metric families.
+// coalescing and warm-start metric families.
 func TestFrontendThroughputScrape(t *testing.T) {
 	metrics := `# TYPE lpserved_solve_coalesced_total counter
 lpserved_solve_coalesced_total 3
-# TYPE lpserved_batches_total counter
-lpserved_batches_total 2
-# TYPE lpserved_batched_jobs_total counter
-lpserved_batched_jobs_total 9
-# TYPE lpserved_shared_passes_total counter
-lpserved_shared_passes_total 14
 # TYPE lpserved_warm_hits_total counter
 lpserved_warm_hits_total 5
 # TYPE lpserved_warm_misses_total counter
@@ -360,8 +354,8 @@ lpserved_warm_misses_total 1
 lpserved_basis_entries 4
 `
 	fe := Collect(Options{Frontend: fakeFrontend(t, metrics).URL}).Frontend
-	if fe.Coalesced != 3 || fe.Batches != 2 || fe.BatchedJobs != 9 || fe.SharedPasses != 14 {
-		t.Errorf("batch counters = %d/%d/%d/%d, want 3/2/9/14", fe.Coalesced, fe.Batches, fe.BatchedJobs, fe.SharedPasses)
+	if fe.Coalesced != 3 {
+		t.Errorf("coalesced = %d, want 3", fe.Coalesced)
 	}
 	if fe.WarmHits != 5 || fe.WarmMisses != 1 || fe.BasisEntries != 4 {
 		t.Errorf("warm counters = %d/%d/%d, want 5/1/4", fe.WarmHits, fe.WarmMisses, fe.BasisEntries)
@@ -369,8 +363,7 @@ lpserved_basis_entries 4
 }
 
 // TestFrontendKernelScrape pins collectFrontend's mapping of the
-// block-kernel metric families, the board cell, and the doctor rule
-// that fires when a d≤4 workload runs the width-generic kernel.
+// block-kernel metric families and the board cell.
 func TestFrontendKernelScrape(t *testing.T) {
 	metrics := `# TYPE lpserved_kernel_blocks_total counter
 lpserved_kernel_blocks_total{kernel="d2"} 0
@@ -395,24 +388,6 @@ lpserved_kernel_rows_total 31744
 	RenderBoard(&board, &Fleet{Frontend: fe}, false)
 	if !strings.Contains(board.String(), "kernels: 124 blocks (d3 120, generic 4), 31744 rows") {
 		t.Errorf("board kernel line missing:\n%s", board.String())
-	}
-	if fd := findRule(Diagnose(&Fleet{Frontend: fe}), "frontend-generic-kernels"); fd != nil {
-		t.Fatalf("healthy kernel profile produced a generic-kernels finding: %+v", fd)
-	}
-}
-
-func TestDoctorGenericKernels(t *testing.T) {
-	forced := &Fleet{Frontend: &FrontendStatus{
-		URL: "x", Reachable: true, HasMetrics: true,
-		KernelBlocks: map[string]int64{"generic_lowdim": 57},
-		KernelRows:   14592,
-	}}
-	fd := findRule(Diagnose(forced), "frontend-generic-kernels")
-	if fd == nil || fd.Severity != SevWarn {
-		t.Fatalf("no generic-kernels warning: %+v", Diagnose(forced))
-	}
-	if !strings.Contains(fd.Fix, "-generic-kernels") {
-		t.Errorf("fix does not name the flag: %q", fd.Fix)
 	}
 }
 

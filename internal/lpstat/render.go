@@ -53,7 +53,7 @@ func RenderBoard(w io.Writer, f *Fleet, color bool) {
 			if cell := membershipCell(p, fe); cell != "" {
 				fmt.Fprintf(w, "  membership: %s\n", cell)
 			}
-			fmt.Fprintf(w, "  kernels: %s\n", kernelCell(p, fe))
+			fmt.Fprintf(w, "  kernels: %s\n", kernelCell(fe))
 			if fe.TierHits+fe.TierMisses > 0 {
 				fmt.Fprintf(w, "  cache tier: %d hits, %d misses\n", fe.TierHits, fe.TierMisses)
 			}
@@ -130,10 +130,8 @@ func cacheCell(fe *FrontendStatus) string {
 }
 
 // kernelCell renders the block-kernel counters: total blocks with the
-// per-class breakdown, then rows. The generic_lowdim class paints
-// yellow — it means the frontend is bypassing its unrolled d≤4
-// kernels (the doctor's frontend-generic-kernels rule).
-func kernelCell(p painter, fe *FrontendStatus) string {
+// per-class breakdown, then rows.
+func kernelCell(fe *FrontendStatus) string {
 	var total int64
 	for _, n := range fe.KernelBlocks {
 		total += n
@@ -148,11 +146,7 @@ func kernelCell(p painter, fe *FrontendStatus) string {
 	sort.Strings(classes)
 	parts := make([]string, 0, len(classes))
 	for _, c := range classes {
-		cell := fmt.Sprintf("%s %d", c, fe.KernelBlocks[c])
-		if c == "generic_lowdim" {
-			cell = p.paint(ansiYellow, cell)
-		}
-		parts = append(parts, cell)
+		parts = append(parts, fmt.Sprintf("%s %d", c, fe.KernelBlocks[c]))
 	}
 	return fmt.Sprintf("%d blocks (%s), %d rows", total, strings.Join(parts, ", "), fe.KernelRows)
 }

@@ -201,7 +201,7 @@ func (ra RowAccess[C, B]) WeightExpBlock(bases []B, rows [][]float64, exps, idx 
 // math.Pow(x, 0) = 1 and math.Pow(x, 1) = x. Most rows violate zero
 // or one stored bases, and skipping Pow for those exponents is
 // bit-identical by the function's documentation — the fused stream
-// pass has relied on exactly this since scan-sharing landed.
+// pass and the sites' weight state both rely on exactly this.
 func PowWeight(mult float64, e int) float64 {
 	switch e {
 	case 0:

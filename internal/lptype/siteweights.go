@@ -89,6 +89,32 @@ func NewSiteWeights[C, B any](ra RowAccess[C, B], src dataset.Source) *SiteWeigh
 	return &SiteWeights[C, B]{st: newSourceStore(ra, src)}
 }
 
+// ShardSiteWeights returns the weight states of k sites holding src
+// round-robin: site j sees rows j, j+k, j+2k, … in order. A sharded
+// source whose shard count equals k puts one shard on each site — shard
+// files are streamed by their site's scans and sampled by offset, so
+// nothing is materialized; any other source is materialized (zero-copy
+// when memory-backed) and split into views. The site contents are the
+// same either way, so a protocol run over them is bit-identical across
+// layouts. The caller closes the sites; on error none is open.
+func ShardSiteWeights[C, B any](ra RowAccess[C, B], src dataset.Source, k int) ([]*SiteWeights[C, B], error) {
+	sites := make([]*SiteWeights[C, B], k)
+	if sh, ok := src.(dataset.Sharded); ok && sh.NumShards() == k {
+		for i := range sites {
+			sites[i] = NewSiteWeights(ra, sh.Shard(i))
+		}
+		return sites, nil
+	}
+	view, err := dataset.Materialize(src)
+	if err != nil {
+		return nil, err
+	}
+	for i, shard := range view.Shard(k) {
+		sites[i] = NewSiteWeights(ra, shard)
+	}
+	return sites, nil
+}
+
 // Size returns the number of local constraints.
 func (s *SiteWeights[C, B]) Size() int { return s.st.Size() }
 

@@ -164,13 +164,13 @@ func (m *machine[C, B]) subViol() float64 {
 func (m *machine[C, B]) subCnt() int { return m.cnt }
 
 // SolveSource runs the MPC version of Algorithm 1 (Theorem 3) over any
-// columnar source; codecs meter the communication. When the source is
-// sharded and its shard count happens to equal the machine count
-// derived from n and δ, each machine scans its shard file directly (no
-// materialization — the out-of-core MPC path); otherwise the source is
-// materialized (zero-copy when memory-backed) and split round-robin
-// into zero-copy views. Machine j holds rows j, j+k, j+2k, … in order
-// in every case, so the answer is bit-identical across layouts.
+// columnar source; codecs meter the communication. Once the machine
+// count k is derived from n and δ the source is dealt round-robin
+// (lptype.ShardSiteWeights: each machine scans its shard file directly
+// when the source has exactly k shards — the out-of-core MPC path —
+// and a view of the materialized source otherwise). Machine j holds
+// rows j, j+k, j+2k, … in order in every case, so the answer is
+// bit-identical across layouts.
 func SolveSource[C, B any](
 	ra lptype.RowAccess[C, B], src dataset.Source,
 	ccodec comm.Codec[C], bcodec comm.Codec[B],
@@ -183,20 +183,9 @@ func SolveSource[C, B any](
 		}
 	}()
 	return solve(ra.Domain(), src.Rows(), func(k int) ([]*lptype.SiteWeights[C, B], error) {
-		if sh, ok := src.(dataset.Sharded); ok && sh.NumShards() == k {
-			for i := 0; i < k; i++ {
-				stores = append(stores, lptype.NewSiteWeights(ra, sh.Shard(i)))
-			}
-			return stores, nil
-		}
-		view, err := dataset.Materialize(src)
-		if err != nil {
-			return nil, err
-		}
-		for _, shard := range view.Shard(k) {
-			stores = append(stores, lptype.NewSiteWeights(ra, shard))
-		}
-		return stores, nil
+		var err error
+		stores, err = lptype.ShardSiteWeights(ra, src, k)
+		return stores, err
 	}, ccodec, bcodec, opt)
 }
 

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,7 +13,6 @@ import (
 	"lowdimlp/internal/comm"
 	"lowdimlp/internal/comm/httptransport"
 	"lowdimlp/internal/comm/registry"
-	"lowdimlp/internal/dataset"
 	"lowdimlp/internal/engine"
 	"lowdimlp/internal/gateway"
 	"lowdimlp/internal/obs"
@@ -58,12 +56,11 @@ type Job struct {
 	// Done is closed when the job reaches done/failed.
 	Done chan struct{}
 
-	// Scheduler-private fields, written once at Submit (shareKey,
-	// cost) or while the job runs on exactly one worker (leadKey) —
-	// never read concurrently with those writes.
-	shareKey string // batch-scheduler grouping key ("" = never batch)
-	cost     int64  // row count, the admission controller's unit
-	leadKey  string // in-flight coalescing key this job leads ("" = none)
+	// Scheduler-private fields, written once at Submit (cost) or while
+	// the job runs on exactly one worker (leadKey) — never read
+	// concurrently with those writes.
+	cost    int64  // row count, the admission controller's unit
+	leadKey string // in-flight coalescing key this job leads ("" = none)
 
 	mu        sync.Mutex
 	req       *SolveRequest // nil once terminal
@@ -104,10 +101,9 @@ func (j *Job) Status() JobStatus {
 	return st
 }
 
-// Manager owns the job table, the queue and the worker pool. The
-// queue is a slice under mu (not a channel) so a dequeuing worker can
-// scoop every queued job that shares the head's instance into one
-// scan-shared batch.
+// Manager owns the job table, the queue and the worker pool. Every
+// job walks one road: admit (Submit) → key → (hit | join | warm | solve
+// | fleet) → finish.
 type Manager struct {
 	cache *Cache
 	// basis is the warm-start basis cache; nil disables warm starts.
@@ -124,10 +120,6 @@ type Manager struct {
 	// /v1/traces); nil disables retention (inline traces still work).
 	// Set before the first job is accepted.
 	traces *obs.Ring
-	// batchMax caps how many same-instance jobs fuse into one
-	// scan-shared batch; ≤ 1 disables batching. Set before the first
-	// job is accepted.
-	batchMax int
 	// admitRows (> 0) is the admission budget: total rows queued or
 	// running beyond which new submissions are shed. Set before the
 	// first job is accepted.
@@ -147,13 +139,14 @@ type Manager struct {
 	rateMu     sync.Mutex
 	rowsPerSec float64
 
-	wg sync.WaitGroup
+	// queue is the bounded FIFO between Submit and the pool. Sends and
+	// the close both happen under mu, so Submit never sends on a closed
+	// channel.
+	queue chan *Job
+	wg    sync.WaitGroup
 
 	mu       sync.Mutex
-	cond     *sync.Cond // signaled on queue growth and on close
-	queue    []*Job     // FIFO; workers pop the head
-	queueCap int
-	inflight map[string]*Job // digest → running leader (solo coalescing)
+	inflight map[string]*Job // digest → running leader (coalescing)
 	jobs     map[string]*Job
 	finished []string // terminal job IDs, oldest first
 	closed   bool
@@ -181,15 +174,13 @@ func newManagerIdle(queueDepth int, cache *Cache, metrics *Metrics) *Manager {
 	if queueDepth < 1 {
 		queueDepth = 1
 	}
-	m := &Manager{
+	return &Manager{
 		cache:    cache,
 		metrics:  metrics,
-		queueCap: queueDepth,
+		queue:    make(chan *Job, queueDepth),
 		inflight: make(map[string]*Job),
 		jobs:     make(map[string]*Job),
 	}
-	m.cond = sync.NewCond(&m.mu)
-	return m
 }
 
 // start launches the worker pool (counts < 1 are raised to 1).
@@ -231,10 +222,6 @@ func (m *Manager) Submit(req *SolveRequest) (*Job, error) {
 	if req.Generate != nil {
 		n = req.Generate.N
 	}
-	var share string
-	if m.batchMax > 1 {
-		share = req.shareKey()
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -261,30 +248,30 @@ func (m *Manager) Submit(req *SolveRequest) (*Job, error) {
 			return nil, ErrOverloaded
 		}
 	}
-	if len(m.queue) >= m.queueCap {
+	if len(m.queue) == cap(m.queue) {
 		return nil, ErrQueueFull
 	}
 	j := &Job{
-		ID:       newJobID(),
-		Kind:     req.Kind,
-		Model:    req.Model,
-		N:        n,
-		tenant:   req.ns(),
-		req:      req,
-		Done:     make(chan struct{}),
-		state:    StateQueued,
-		shareKey: share,
-		cost:     int64(n),
+		ID:     newJobID(),
+		Kind:   req.Kind,
+		Model:  req.Model,
+		N:      n,
+		tenant: req.ns(),
+		req:    req,
+		Done:   make(chan struct{}),
+		state:  StateQueued,
+		cost:   int64(n),
 	}
 	if j.tenant != "" && m.tenants != nil {
 		m.tenants.JobStarted(j.tenant)
 	}
-	m.queue = append(m.queue, j)
 	m.pendingRows.Add(j.cost)
 	m.metrics.JobsQueued.Add(1)
 	m.jobs[j.ID] = j
 	m.metrics.JobsSubmitted.Add(1)
-	m.cond.Signal()
+	// Cannot block: every send happens under mu and the queue had room
+	// a moment ago (receivers only make more).
+	m.queue <- j
 	return j, nil
 }
 
@@ -340,7 +327,7 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 		return nil
 	}
 	m.closed = true
-	m.cond.Broadcast()
+	close(m.queue)
 	m.mu.Unlock()
 
 	done := make(chan struct{})
@@ -364,57 +351,15 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	}
 }
 
-// worker pulls batches off the queue until close-and-drained.
+// worker drains the queue until it is closed.
 func (m *Manager) worker() {
 	defer m.wg.Done()
-	for {
-		batch := m.nextBatch()
-		if batch == nil {
-			return
-		}
-		m.metrics.JobsRunning.Add(int64(len(batch)))
-		if len(batch) == 1 {
-			m.run(batch[0])
-		} else {
-			m.runBatch(batch)
-		}
-		m.metrics.JobsRunning.Add(int64(-len(batch)))
+	for j := range m.queue {
+		m.metrics.JobsQueued.Add(-1)
+		m.metrics.JobsRunning.Add(1)
+		m.run(j)
+		m.metrics.JobsRunning.Add(-1)
 	}
-}
-
-// nextBatch blocks for the queue head, then scoops every queued job
-// sharing the head's instance (same shareKey) into one scan-shared
-// batch, up to batchMax. Jobs that can't share ride alone. Returns
-// nil when the manager is closed and the queue drained.
-func (m *Manager) nextBatch() []*Job {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for len(m.queue) == 0 {
-		if m.closed {
-			return nil
-		}
-		m.cond.Wait()
-	}
-	head := m.queue[0]
-	m.queue[0] = nil
-	m.queue = m.queue[1:]
-	batch := []*Job{head}
-	if head.shareKey != "" && m.batchMax > 1 {
-		kept := m.queue[:0]
-		for _, j := range m.queue {
-			if len(batch) < m.batchMax && j.shareKey == head.shareKey {
-				batch = append(batch, j)
-			} else {
-				kept = append(kept, j)
-			}
-		}
-		for i := len(kept); i < len(m.queue); i++ {
-			m.queue[i] = nil // no stale *Job pins in the backing array
-		}
-		m.queue = kept
-	}
-	m.metrics.JobsQueued.Add(int64(-len(batch)))
-	return batch
 }
 
 // outcome is what a solve path hands to finishJob.
@@ -427,8 +372,8 @@ type outcome struct {
 	err       error
 }
 
-// run executes one solo job: cache lookup, in-flight coalescing, warm
-// start, solve, cache fill, bookkeeping.
+// run walks one job down the road: key → (hit | join | warm | solve |
+// fleet) → finish.
 func (m *Manager) run(j *Job) {
 	j.mu.Lock()
 	j.state = StateRunning
@@ -461,35 +406,22 @@ func (m *Manager) run(j *Job) {
 	} else {
 		out = m.runLocal(j, req, tr)
 	}
-	m.finishJob(j, req, tr, fleetKind, time.Since(start), out, true)
+	m.finishJob(j, req, tr, fleetKind, time.Since(start), out)
 }
 
-// runLocal is the solo non-fleet solve path.
+// runLocal is the non-fleet road. The key step runs as soon as the key
+// is known: before materialization for generated instances (a hot
+// ?generate= workload hits the cache, or joins the in-flight leader,
+// without paying synthesis), after it for everything else.
 func (m *Manager) runLocal(j *Job, req *SolveRequest, tr *obs.Trace) outcome {
-	// solve wraps runSolve in a trace phase; the coordinator's own
-	// begin/round/merge spans nest inside it via req.trace.
-	solve := func() (*SolveResult, *StatsPayload, any, error) {
-		sp := tr.Start("solve")
-		result, stats, basis, err := runSolve(req)
-		if err != nil {
-			sp.EndErr(err, comm.ErrorClass(err))
-		} else {
-			sp.End()
-		}
-		return result, stats, basis, err
-	}
-
-	digests := m.cache.Enabled() || m.basis.Enabled()
-	key := ""
-	if req.Generate != nil && digests {
-		// Generated instances digest by their spec, before synthesis —
-		// a hot ?generate= workload hits the cache (or coalesces onto
-		// the in-flight leader) without paying materialization.
-		key = req.Digest()
-		if out, ok := m.cacheGet(tr, key); ok {
-			return out
-		}
-		if out, joined := m.joinLeader(j, key, tr); joined {
+	keyed := m.cache.Enabled() || m.basis.Enabled()
+	var (
+		key  string
+		out  outcome
+		done bool
+	)
+	if keyed && req.Generate != nil {
+		if key, out, done = m.lookup(j, req, tr); done {
 			return out
 		}
 	}
@@ -504,60 +436,70 @@ func (m *Manager) runLocal(j *Job, req *SolveRequest, tr *obs.Trace) outcome {
 	}
 	isp.End()
 
-	_, spilled := req.data.(interface{ Cleanup() })
-	if !digests || spilled {
-		// Keying off: hashing a multi-million-row instance for caches
-		// that can never hit is pure waste. A spilled instance skips it
-		// too: digesting would re-stream the whole on-disk dataset just
-		// to key a cache whose hit chance for a one-shot giant upload
-		// is nil.
-		m.metrics.CacheMisses.Add(1)
-		tr.Annotate("cache", "miss")
-		result, stats, _, err := solve()
-		return outcome{result: result, stats: stats, err: err}
+	if _, spilled := req.data.(interface{ Cleanup() }); spilled {
+		// Digesting a spilled instance would re-stream the whole on-disk
+		// dataset just to key caches whose hit chance for a one-shot
+		// giant upload is nil.
+		keyed = false
 	}
-	if key == "" {
-		key = req.Digest()
-		if out, ok := m.cacheGet(tr, key); ok {
-			return out
-		}
-		if out, joined := m.joinLeader(j, key, tr); joined {
+	if keyed && key == "" {
+		if key, out, done = m.lookup(j, req, tr); done {
 			return out
 		}
 	}
 	m.metrics.CacheMisses.Add(1)
 	tr.Annotate("cache", "miss")
-	if m.basis.Enabled() {
+	if keyed && m.basis.Enabled() {
 		if out, ok := m.tryWarm(req, tr); ok {
 			return out
 		}
 	}
-	result, stats, basis, err := solve()
-	if err == nil {
+
+	// The coordinator's own begin/round/merge spans nest inside the
+	// solve phase via req.trace.
+	sp := tr.Start("solve")
+	result, stats, basis, err := runSolve(req)
+	if err != nil {
+		sp.EndErr(err, comm.ErrorClass(err))
+		return outcome{stats: stats, err: err}
+	}
+	sp.End()
+	if keyed {
 		m.cache.Put(key, result, stats)
 		m.putBasis(req, basis)
 	}
-	return outcome{result: result, stats: stats, err: err}
+	return outcome{result: result, stats: stats}
 }
 
-// cacheGet is the counted, annotated result-cache lookup.
-func (m *Manager) cacheGet(tr *obs.Trace, key string) (outcome, bool) {
-	result, stats, ok := m.cache.Get(key)
-	if !ok {
-		return outcome{}, false
+// lookup is the key step: digest the request, then serve it from the
+// result cache (hit) or from an identical in-flight job (join). done
+// reports that out is the job's outcome; otherwise the job now leads
+// the key and must solve.
+func (m *Manager) lookup(j *Job, req *SolveRequest, tr *obs.Trace) (key string, out outcome, done bool) {
+	key = req.Digest()
+	if result, stats, ok := m.cache.Get(key); ok {
+		m.metrics.CacheHits.Add(1)
+		tr.Annotate("cache", "hit")
+		return key, outcome{result: result, stats: stats, hit: true}, true
 	}
-	m.metrics.CacheHits.Add(1)
-	tr.Annotate("cache", "hit")
-	return outcome{result: result, stats: stats, hit: true}, true
+	out, done = m.joinLeader(j, key, tr)
+	return key, out, done
 }
 
 // joinLeader coalesces duplicate in-flight solves: the first job to
 // carry a digest becomes its leader; identical jobs submitted while it
-// runs wait for it and copy its outcome instead of re-solving. This
-// closes the window the result cache can't — between a solve starting
-// and its Put. The copy is bit-identical by construction: equal
-// digests mean equal kind, model, canonical options, geometry and
-// instance, and solves are deterministic in all of those.
+// runs wait for it and copy its outcome — result, stats and the error
+// value itself, so a follower's trace classifies a failure exactly as
+// its leader's does — instead of re-solving. This closes the window
+// the result cache can't — between a solve starting and its Put. The
+// copy is bit-identical by construction: equal digests mean equal
+// kind, model, canonical options, geometry and instance, and solves
+// are deterministic in all of those.
+//
+// The digest carries no tenant (results are content-addressed), so
+// leader and follower may belong to different tenants. A job ID is its
+// owner's unguessable handle: the follower's trace names the leader
+// only inside one tenant.
 func (m *Manager) joinLeader(j *Job, key string, tr *obs.Trace) (outcome, bool) {
 	m.mu.Lock()
 	leader, ok := m.inflight[key]
@@ -569,14 +511,15 @@ func (m *Manager) joinLeader(j *Job, key string, tr *obs.Trace) (outcome, bool) 
 	}
 	m.mu.Unlock()
 	m.metrics.SolveCoalesced.Add(1)
-	tr.Annotate("coalesced", leader.ID)
-	<-leader.Done
-	st := leader.Status()
-	out := outcome{result: st.Result, stats: st.Stats, coalesced: true}
-	if st.Error != "" {
-		out.err = errors.New(st.Error)
+	if leader.tenant == j.tenant {
+		tr.Annotate("coalesced", leader.ID)
+	} else {
+		tr.Annotate("coalesced", "true")
 	}
-	return out, true
+	<-leader.Done
+	leader.mu.Lock()
+	defer leader.mu.Unlock()
+	return outcome{result: leader.result, stats: leader.stats, err: leader.err, coalesced: true}, true
 }
 
 // tryWarm attempts a warm start: a cached basis for this exact
@@ -622,213 +565,10 @@ func (m *Manager) putBasis(req *SolveRequest, basis any) {
 	m.metrics.BasisEntries.Store(int64(m.basis.Len()))
 }
 
-// batchUnit is one job moving through runBatch.
-type batchUnit struct {
-	j      *Job
-	req    *SolveRequest
-	tr     *obs.Trace
-	key    string // result-cache digest ("" when keying is off)
-	solver engine.StreamSolver
-	span   obs.SpanRef
-	dups   []*batchUnit // identical-digest jobs riding this solver
-	start  time.Time
-}
-
-// runBatch executes a scan-shared batch: jobs over the same instance
-// material (equal shareKey) materialize once and stream together —
-// each solver iteration of every job rides one shared cursor scan
-// (dataset.SharedPass), so k concurrent solves of a hot instance cost
-// one materialization and one scan per pass instead of k. Results are
-// bit-identical to solo runs: each solver owns its RNG and reservoirs
-// and sees the rows in exactly the order a private scan would deliver
-// (pinned by TestBatchSharedScanConformance). Jobs whose full digest
-// also matches collapse further: one solver runs, the duplicates copy
-// its outcome.
-func (m *Manager) runBatch(batch []*Job) {
-	m.metrics.Batches.Add(1)
-	m.metrics.BatchedJobs.Add(int64(len(batch)))
-
-	units := make([]*batchUnit, 0, len(batch))
-	for _, j := range batch {
-		j.mu.Lock()
-		j.state = StateRunning
-		req := j.req
-		j.mu.Unlock()
-		u := &batchUnit{j: j, req: req, start: time.Now()}
-		if req.Trace {
-			u.tr = obs.New(j.Kind + "/" + j.Model)
-			u.tr.Annotate("job", j.ID)
-			if j.tenant != "" {
-				u.tr.Annotate("tenant", j.tenant)
-			}
-			u.tr.Annotate("batch", strconv.Itoa(len(batch)))
-			req.trace = u.tr
-		}
-		units = append(units, u)
-	}
-	digests := m.cache.Enabled() || m.basis.Enabled()
-
-	// Generated instances key by spec, pre-materialization — the same
-	// rule the solo path uses, so batch and solo jobs share entries.
-	if digests && units[0].req.Generate != nil {
-		for _, u := range units {
-			u.key = u.req.Digest()
-		}
-	}
-
-	// The batch leader materializes once; everyone else borrows the
-	// columnar store. shareKey equality guarantees the followers'
-	// material (same spec or byte-identical rows) would have
-	// materialized to the same store.
-	lead := units[0]
-	isp := lead.tr.Start("ingest")
-	if err := materialize(lead.req); err != nil {
-		isp.EndErr(err, "")
-		for _, u := range units {
-			m.finishJob(u.j, u.req, u.tr, "", time.Since(u.start), outcome{err: err}, false)
-		}
-		return
-	}
-	isp.End()
-	src := lead.req.data
-	for _, u := range units[1:] {
-		u.tr.Annotate("ingest", "shared")
-		u.req.data = src
-		u.req.rawRows = nil
-		u.req.Rows = nil
-		if u.req.Generate != nil {
-			u.req.Generate = nil
-			u.req.Dim = lead.req.Dim
-			u.req.Objective = lead.req.Objective
-		}
-	}
-	if digests {
-		// One hash of the store covers the whole batch: seed every
-		// follower's instance-digest memo from the leader's.
-		rk := lead.req.instanceDigest()
-		for _, u := range units {
-			u.req.rowsKeyMemo = rk
-			if u.key == "" {
-				u.key = u.req.Digest()
-			}
-		}
-	}
-
-	// Triage: cache hits finish now, duplicate digests attach to the
-	// first job that carries them, the rest get a pass-at-a-time
-	// solver. Warm starts are skipped inside batches — the shared scan
-	// already amortizes the passes a warm start would save.
-	var active []*batchUnit
-	seen := make(map[string]*batchUnit)
-	for _, u := range units {
-		if u.key != "" {
-			if out, ok := m.cacheGet(u.tr, u.key); ok {
-				m.finishJob(u.j, u.req, u.tr, "", time.Since(u.start), out, false)
-				continue
-			}
-			if first, dup := seen[u.key]; dup {
-				m.metrics.SolveCoalesced.Add(1)
-				u.tr.Annotate("coalesced", first.j.ID)
-				first.dups = append(first.dups, u)
-				continue
-			}
-			seen[u.key] = u
-		}
-		m.metrics.CacheMisses.Add(1)
-		u.tr.Annotate("cache", "miss")
-		mdl, err := u.req.model()
-		if err != nil {
-			m.finishJob(u.j, u.req, u.tr, "", time.Since(u.start), outcome{err: err}, false)
-			continue
-		}
-		solver, err := mdl.NewStreamSolver(u.req.Dim, u.req.Objective, src.Rows(), u.req.Options.lib())
-		if err != nil {
-			m.finishJob(u.j, u.req, u.tr, "", time.Since(u.start), outcome{err: err}, false)
-			continue
-		}
-		u.solver = solver
-		u.span = u.tr.Start("batch")
-		active = append(active, u)
-	}
-
-	// The shared scan: every still-running solver arms a pass, one
-	// cursor sweep feeds them all, and solvers retire as they finish.
-	if len(active) > 0 {
-		cur := src.NewCursor()
-		rows := make([]dataset.Row, dataset.DefaultBatchRows)
-		sinks := make([]dataset.BlockSink, 0, len(active))
-		running := active
-		var scanErr error
-		for len(running) > 0 && scanErr == nil {
-			sinks = sinks[:0]
-			for _, u := range running {
-				u.solver.BeginPass()
-				sinks = append(sinks, u.solver)
-			}
-			if _, err := dataset.SharedPass(cur, rows, sinks...); err != nil {
-				scanErr = err
-				break
-			}
-			m.metrics.SharedPasses.Add(1)
-			next := running[:0]
-			for _, u := range running {
-				u.solver.EndPass() // terminal errors surface via Result
-				if !u.solver.Done() {
-					next = append(next, u)
-					continue
-				}
-				m.finishBatchUnit(u)
-			}
-			running = next
-		}
-		dataset.CloseCursor(cur)
-		if scanErr != nil {
-			for _, u := range running {
-				u.span.EndErr(scanErr, "")
-				m.finishJob(u.j, u.req, u.tr, "", time.Since(u.start), outcome{err: scanErr}, false)
-				for _, d := range u.dups {
-					m.finishJob(d.j, d.req, d.tr, "", time.Since(d.start), outcome{err: scanErr, coalesced: true}, false)
-				}
-			}
-		}
-	}
-
-	// The shared store dies with the batch (spilled sources never
-	// batch — uploads are single-use — but stay defensive).
-	if c, ok := src.(interface{ Cleanup() }); ok {
-		c.Cleanup()
-	}
-}
-
-// finishBatchUnit renders one finished batch solver, fills the caches
-// and terminates the job plus any duplicates riding it.
-func (m *Manager) finishBatchUnit(u *batchUnit) {
-	sol, stats, err := u.solver.Result()
-	out := outcome{err: err}
-	if err != nil {
-		u.span.EndErr(err, comm.ErrorClass(err))
-	} else {
-		u.span.End()
-		s := sol
-		st := stats
-		out.result = &s
-		out.stats = &st
-		if u.key != "" {
-			m.cache.Put(u.key, out.result, out.stats)
-			m.putBasis(u.req, u.solver.Basis())
-		}
-	}
-	m.finishJob(u.j, u.req, u.tr, "", time.Since(u.start), out, false)
-	for _, d := range u.dups {
-		dout := outcome{result: out.result, stats: out.stats, err: out.err, coalesced: true}
-		m.finishJob(d.j, d.req, d.tr, "", time.Since(d.start), dout, false)
-	}
-}
-
 // finishJob records a job's terminal state: latency and throughput
 // observation, trace finalization, status fields, instance release
 // and coalescing-leader retirement.
-func (m *Manager) finishJob(j *Job, req *SolveRequest, tr *obs.Trace, fleetKind string, elapsed time.Duration, out outcome, cleanup bool) {
+func (m *Manager) finishJob(j *Job, req *SolveRequest, tr *obs.Trace, fleetKind string, elapsed time.Duration, out outcome) {
 	kindLabel := j.Kind
 	if fleetKind != "" {
 		// A kind-less fleet request learns its kind from the workers;
@@ -882,12 +622,9 @@ func (m *Manager) finishJob(j *Job, req *SolveRequest, tr *obs.Trace, fleetKind 
 		}
 	}
 	// A spilled instance owns on-disk shard files; the job is terminal,
-	// so nothing will read them again. Batched jobs share their store —
-	// runBatch cleans it up once, after every rider finished.
-	if cleanup {
-		if c, ok := req.data.(interface{ Cleanup() }); ok {
-			c.Cleanup()
-		}
+	// so nothing will read them again.
+	if c, ok := req.data.(interface{ Cleanup() }); ok {
+		c.Cleanup()
 	}
 	j.req = nil // release the instance rows
 	if out.err != nil {

@@ -41,21 +41,14 @@ type Metrics struct {
 	// no tier is configured.
 	TierHits   atomic.Int64
 	TierMisses atomic.Int64
-	// SolveCoalesced counts jobs that copied an identical in-flight or
-	// in-batch job's result instead of solving — distinct from cache
-	// hits, which are served from already-completed solves.
+	// SolveCoalesced counts jobs that copied an identical in-flight
+	// job's result instead of solving — distinct from cache hits, which
+	// are served from already-completed solves.
 	SolveCoalesced atomic.Int64
 	// JobsShed counts submissions refused by admission control (HTTP
 	// 429 + Retry-After) — distinct from queue-full rejections, which
 	// count nothing here (the queue gauge tells that story).
 	JobsShed atomic.Int64
-	// Batches and BatchedJobs count scan-shared batches and the jobs
-	// that rode inside them.
-	Batches     atomic.Int64
-	BatchedJobs atomic.Int64
-	// SharedPasses counts shared cursor scans driven by the batch
-	// scheduler — one per solver iteration, however many jobs shared it.
-	SharedPasses atomic.Int64
 	// WarmHits and WarmMisses count warm-start verification outcomes:
 	// a hit re-verified a cached basis in one scan; a miss is a cached
 	// basis that failed re-verification. A simply-absent basis counts
@@ -166,9 +159,6 @@ func (m *Metrics) Render(w io.Writer) {
 	c("lpserved_cache_tier_misses_total", "Shared cache-tier misses.", m.TierMisses.Load())
 	c("lpserved_solve_coalesced_total", "Jobs that copied an identical in-flight job's result instead of solving.", m.SolveCoalesced.Load())
 	c("lpserved_jobs_shed_total", "Submissions refused by admission control (429 + Retry-After).", m.JobsShed.Load())
-	c("lpserved_batches_total", "Scan-shared batches executed.", m.Batches.Load())
-	c("lpserved_batched_jobs_total", "Jobs executed inside scan-shared batches.", m.BatchedJobs.Load())
-	c("lpserved_shared_passes_total", "Shared cursor scans driven by the batch scheduler.", m.SharedPasses.Load())
 	c("lpserved_warm_hits_total", "Warm starts that re-verified a cached basis.", m.WarmHits.Load())
 	c("lpserved_warm_misses_total", "Cached bases that failed warm-start re-verification.", m.WarmMisses.Load())
 	g("lpserved_basis_entries", "Bases currently held by the warm-start cache.", m.BasisEntries.Load())
@@ -221,8 +211,7 @@ func (m *Metrics) Render(w io.Writer) {
 // renderKernel writes the block-kernel layer's process-wide counters
 // (internal/kernel): block evaluations by kernel class, and rows
 // evaluated through block scans. Every class renders from the first
-// scrape, zeros included, so scrapers see stable series and the lpstat
-// doctor can key on generic_lowdim without waiting for traffic.
+// scrape, zeros included, so scrapers see stable series.
 func (m *Metrics) renderKernel(w io.Writer) {
 	fmt.Fprintf(w, "# HELP lpserved_kernel_blocks_total Block violation-kernel invocations by kernel class.\n# TYPE lpserved_kernel_blocks_total counter\n")
 	for _, c := range kernel.Classes() {

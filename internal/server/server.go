@@ -39,10 +39,6 @@ type Config struct {
 	// few floats each, so warm starts stay cheap even when result
 	// caching is off.
 	BasisCacheSize int
-	// BatchMax caps how many queued jobs over the same instance the
-	// scheduler fuses into one scan-shared batch (0 = 32; 1 — or any
-	// value < 0 — disables scan sharing).
-	BatchMax int
 	// AdmissionRows (> 0) turns on estimated-cost load shedding: a
 	// submission is refused with 429 + Retry-After when the rows
 	// already queued or running would exceed this budget. 0 disables
@@ -103,9 +99,6 @@ func (c Config) withDefaults() Config {
 	if c.BasisCacheSize == 0 {
 		c.BasisCacheSize = 256
 	}
-	if c.BatchMax == 0 {
-		c.BatchMax = 32
-	}
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = 64 << 20
 	}
@@ -163,7 +156,6 @@ func New(cfg Config) *Server {
 	s.fleet.SeedStatic(cfg.FleetWorkers)
 	s.manager.fleet = s.fleet
 	metrics.FleetRegistry = s.fleet
-	s.manager.batchMax = cfg.BatchMax
 	s.manager.basis = NewBasisCache(cfg.BasisCacheSize)
 	s.manager.admitRows = cfg.AdmissionRows
 	if cfg.TraceBuffer > 0 {

@@ -383,10 +383,16 @@ func TestQueueFull(t *testing.T) {
 		}
 		return r
 	}
+	// Build the requests first: synthesizing one between submits gives
+	// the running job time to finish, and then the queue never fills.
+	reqs := make([]*SolveRequest, 10)
+	for i := range reqs {
+		reqs[i] = slow()
+	}
 	var jobs []*Job
 	full := false
-	for i := 0; i < 10; i++ {
-		j, err := s.manager.Submit(slow())
+	for _, req := range reqs {
+		j, err := s.manager.Submit(req)
 		if err == ErrQueueFull {
 			full = true
 			break

@@ -1,17 +1,21 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
-	"lowdimlp/internal/dataset"
+	"lowdimlp/internal/comm"
+	"lowdimlp/internal/gateway"
+	"lowdimlp/internal/obs"
 )
 
-// throughputRequest builds a validated stream-model generate request —
-// the shape the batch scheduler groups on.
+// throughputRequest builds a validated stream-model generate request.
 func throughputRequest(t *testing.T, n int, genSeed, optSeed uint64) *SolveRequest {
 	t.Helper()
 	req := &SolveRequest{
@@ -28,8 +32,8 @@ func throughputRequest(t *testing.T, n int, genSeed, optSeed uint64) *SolveReque
 	return req
 }
 
-// soloReference solves an identical request alone — the ground truth a
-// scan-shared run must reproduce bit for bit.
+// soloReference solves an identical request alone, outside any manager
+// — the ground truth a served job must reproduce bit for bit.
 func soloReference(t *testing.T, req *SolveRequest) (*SolveResult, *StatsPayload) {
 	t.Helper()
 	if err := materialize(req); err != nil {
@@ -42,87 +46,26 @@ func soloReference(t *testing.T, req *SolveRequest) (*SolveResult, *StatsPayload
 	return result, stats
 }
 
-// TestBatchSharedScanConformance is the tentpole conformance pin:
-// 16 concurrent solves of the same instance (distinct solver seeds, so
-// nothing coalesces) execute as ONE scan-shared batch — the shared-pass
-// counter equals the pass count of the longest-running member, not the
-// sum over members — and every job's answer is bit-identical to a solo
-// run of the same request, stats included.
-func TestBatchSharedScanConformance(t *testing.T) {
-	const k = 16
-	m := newManagerIdle(64, NewCache(-1), NewMetrics())
-	m.batchMax = 32
-
-	// Stage all 16 while the pool is idle so one worker scoops the
-	// whole queue into a single batch.
-	jobs := make([]*Job, k)
-	for i := 0; i < k; i++ {
-		j, err := m.Submit(throughputRequest(t, 20000, 11, uint64(100+i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs[i] = j
-	}
-	m.start(1)
-	for _, j := range jobs {
-		<-j.Done
-	}
-
-	if got := m.metrics.Batches.Load(); got != 1 {
-		t.Errorf("batches = %d, want 1 (all %d jobs share one scan)", got, k)
-	}
-	if got := m.metrics.BatchedJobs.Load(); got != k {
-		t.Errorf("batched jobs = %d, want %d", got, k)
-	}
-
-	maxPasses := 0
-	for i, j := range jobs {
-		st := j.Status()
-		if st.State != StateDone {
-			t.Fatalf("job %d state %s (err %q)", i, st.State, st.Error)
-		}
-		if st.Coalesced || st.Cached || st.Warm {
-			t.Errorf("job %d flags cached=%v warm=%v coalesced=%v, want a genuine solve", i, st.Cached, st.Warm, st.Coalesced)
-		}
-		wantResult, wantStats := soloReference(t, throughputRequest(t, 20000, 11, uint64(100+i)))
-		if !reflect.DeepEqual(st.Result, wantResult) {
-			t.Errorf("job %d result diverged from solo:\n batch: %+v\n solo:  %+v", i, st.Result, wantResult)
-		}
-		if st.Stats == nil || st.Stats.Stream == nil {
-			t.Fatalf("job %d missing stream stats", i)
-		}
-		if *st.Stats.Stream != *wantStats.Stream {
-			t.Errorf("job %d stats diverged from solo:\n batch: %+v\n solo:  %+v", i, *st.Stats.Stream, *wantStats.Stream)
-		}
-		if p := wantStats.Stream.Passes; p > maxPasses {
-			maxPasses = p
-		}
-	}
-	// The scan-sharing pin itself: k solvers cost max(passes) shared
-	// scans, not sum(passes) private ones.
-	if got := m.metrics.SharedPasses.Load(); got != int64(maxPasses) {
-		t.Errorf("shared passes = %d, want %d (the longest member's pass count)", got, maxPasses)
-	}
-}
-
-// TestBatchCoalescesIdenticalJobs pins in-batch deduplication: when a
-// batch carries jobs with EQUAL digests (same instance, same options),
-// one solver runs and the rest copy its outcome, counted as coalesced —
-// not as cache hits.
+// TestBatchCoalescesIdenticalJobs pins that identical queued jobs solve
+// once: k jobs with EQUAL digests (same instance, same options) staged
+// behind an idle pool and released to k workers at once resolve to one
+// solver run — the first to reach the key leads, the rest join it and
+// copy its outcome, counted as coalesced, not as cache hits.
 func TestBatchCoalescesIdenticalJobs(t *testing.T) {
 	const k = 8
 	m := newManagerIdle(64, NewCache(8), NewMetrics())
-	m.batchMax = 32
 
+	// Large enough that the leader is still mid-solve when the last
+	// worker dequeues (microseconds later) and checks the in-flight map.
 	jobs := make([]*Job, k)
 	for i := 0; i < k; i++ {
-		j, err := m.Submit(throughputRequest(t, 3000, 5, 77)) // identical digests
+		j, err := m.Submit(throughputRequest(t, 200000, 5, 77)) // identical digests
 		if err != nil {
 			t.Fatal(err)
 		}
 		jobs[i] = j
 	}
-	m.start(1)
+	m.start(k)
 	for _, j := range jobs {
 		<-j.Done
 	}
@@ -155,22 +98,29 @@ func TestBatchCoalescesIdenticalJobs(t *testing.T) {
 	}
 }
 
-// TestSoloInflightCoalescing pins the non-batched coalescing window:
-// two identical requests running concurrently on separate workers
-// resolve to one solve — the follower waits for the in-flight leader
-// and copies its result instead of re-synthesizing and re-solving.
+// TestSoloInflightCoalescing pins the coalescing window: two identical
+// requests running concurrently on separate workers resolve to one
+// solve — the follower waits for the in-flight leader and copies its
+// result instead of re-synthesizing and re-solving. The digest carries
+// no tenant, so the two may come from different tenants: the follower
+// still coalesces, but its trace must not leak the leader's job handle.
+// A failing leader hands its followers the error value itself.
 func TestSoloInflightCoalescing(t *testing.T) {
 	m := newManagerIdle(64, NewCache(8), NewMetrics())
-	// batchMax stays 0: batching off, so coalescing alone must close
-	// the duplicate-work window.
-
-	// Large enough that the leader is still mid-solve when the second
-	// worker dequeues (microseconds later) and checks the in-flight map.
-	j1, err := m.Submit(throughputRequest(t, 200000, 3, 9))
+	tenantReq := func(tenant string) *SolveRequest {
+		// Large enough that the leader is still mid-solve when the
+		// second worker dequeues (microseconds later) and checks the
+		// in-flight map.
+		req := throughputRequest(t, 200000, 3, 9)
+		req.tenant = &gateway.Tenant{ID: tenant}
+		req.Trace = true
+		return req
+	}
+	j1, err := m.Submit(tenantReq("acme"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := m.Submit(throughputRequest(t, 200000, 3, 9))
+	j2, err := m.Submit(tenantReq("globex"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,10 +136,56 @@ func TestSoloInflightCoalescing(t *testing.T) {
 		t.Fatalf("states %s/%s (errs %q/%q)", st1.State, st2.State, st1.Error, st2.Error)
 	}
 	if st1.Coalesced == st2.Coalesced {
-		t.Errorf("exactly one job should be coalesced; got %v/%v", st1.Coalesced, st2.Coalesced)
+		t.Fatalf("exactly one job should be coalesced; got %v/%v", st1.Coalesced, st2.Coalesced)
 	}
 	if !reflect.DeepEqual(st1.Result, st2.Result) {
 		t.Errorf("coalesced result differs from leader:\n %+v\n %+v", st1.Result, st2.Result)
+	}
+	leader, follower := st1, st2
+	if st1.Coalesced {
+		leader, follower = st2, st1
+	}
+	if got := follower.Trace.Attrs["coalesced"]; got != "true" {
+		t.Errorf("cross-tenant follower trace coalesced = %q, want \"true\"", got)
+	}
+	if raw, _ := json.Marshal(follower.Trace); strings.Contains(string(raw), leader.ID) {
+		t.Errorf("follower's trace leaks the other tenant's job ID %s: %s", leader.ID, raw)
+	}
+
+	// join stages a terminal leader under a fresh key and walks one
+	// traced follower through joinLeader and finishJob.
+	join := func(key, leaderTenant, followerTenant string, leaderErr error) (*Job, JobStatus) {
+		lead := &Job{ID: newJobID(), tenant: leaderTenant, Done: make(chan struct{}), state: StateFailed, err: leaderErr}
+		close(lead.Done)
+		m.inflight[key] = lead
+		fol := &Job{ID: newJobID(), Kind: "meb", Model: ModelStream, tenant: followerTenant, Done: make(chan struct{})}
+		tr := obs.New("meb/stream")
+		out, joined := m.joinLeader(fol, key, tr)
+		if !joined {
+			t.Fatalf("follower did not join the in-flight leader under %q", key)
+		}
+		m.finishJob(fol, &SolveRequest{}, tr, "", time.Millisecond, out)
+		return lead, fol.Status()
+	}
+
+	// Inside one tenant the follower's trace names its leader.
+	lead, st := join("same-tenant", "acme", "acme", nil)
+	if got := st.Trace.Attrs["coalesced"]; got != lead.ID {
+		t.Errorf("same-tenant follower trace coalesced = %q, want the leader's ID %s", got, lead.ID)
+	}
+
+	// A failing leader: the follower gets the error value, type and
+	// all, so its trace reports the leader's error class.
+	leadErr := fmt.Errorf("site 1: %w: round B without a preceding round A", comm.ErrProtocol)
+	lead, st = join("failing-leader", "acme", "globex", leadErr)
+	if st.State != StateFailed || !st.Coalesced || st.Error != leadErr.Error() {
+		t.Errorf("follower of a failed leader: state %s coalesced %v error %q", st.State, st.Coalesced, st.Error)
+	}
+	if st.Trace.ErrClass != comm.ClassProtocol {
+		t.Errorf("follower trace error class = %q, want %q (its leader's)", st.Trace.ErrClass, comm.ClassProtocol)
+	}
+	if got := st.Trace.Attrs["coalesced"]; got != "true" {
+		t.Errorf("cross-tenant follower trace coalesced = %q, want \"true\"", got)
 	}
 }
 
@@ -198,7 +194,7 @@ func TestSoloInflightCoalescing(t *testing.T) {
 // re-verifies the stored basis in one scan and returns the
 // bit-identical solution, flagged warm.
 func TestWarmStartConformance(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, CacheSize: -1, BasisCacheSize: 64, BatchMax: 1})
+	_, ts := newTestServer(t, Config{Workers: 1, CacheSize: -1, BasisCacheSize: 64})
 	req := SolveRequest{
 		Kind: "meb", Model: ModelStream,
 		Generate: &GenerateSpec{Family: "gaussian", N: 5000, D: 3, Seed: 3},
@@ -244,7 +240,7 @@ func TestWarmStartConformance(t *testing.T) {
 // starts from the basis the first solve stored — the optimum depends
 // only on the instance, not on how it was computed.
 func TestWarmStartDeltaOverlay(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, CacheSize: -1, BasisCacheSize: 64, BatchMax: 1})
+	_, ts := newTestServer(t, Config{Workers: 1, CacheSize: -1, BasisCacheSize: 64})
 	base := SolveRequest{
 		Kind: "meb", Model: ModelMPC,
 		Generate: &GenerateSpec{Family: "gaussian", N: 4000, D: 3, Seed: 7},
@@ -360,30 +356,26 @@ func TestAdmissionShedHTTP(t *testing.T) {
 	}
 }
 
-// TestBatchConformanceHTTP drives scan-sharing through the full HTTP
-// path: a burst of async same-instance jobs against a 1-worker pool
-// lands in one or few batches, every answer matches the solo reference,
-// and the batch counters move.
+// TestBatchConformanceHTTP is the burst pin on the one job road, over
+// HTTP: 16 async jobs over the same generated instance with distinct
+// solver seeds queue up behind an idle pool, then run two at a time.
+// Every job's result AND stats come back bit-identical to soloReference
+// and nothing coalesces — concurrent jobs over one instance share
+// nothing mutable.
 func TestBatchConformanceHTTP(t *testing.T) {
-	const k = 8
-	_, ts := newTestServer(t, Config{Workers: 1, CacheSize: -1, QueueDepth: 64, BatchMax: 32})
-
-	// Park the worker on a decoy job so the burst queues up behind it
-	// and gets scooped together.
-	resp, raw := postJSON(t, ts.URL+"/v1/jobs", SolveRequest{
-		Kind: "meb", Model: ModelStream,
-		Generate: &GenerateSpec{Family: "gaussian", N: 300000, D: 3, Seed: 99},
-		Options:  SolveOptions{R: 2, Seed: 99},
-	})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("decoy submit: %d %s", resp.StatusCode, raw)
-	}
+	const k = 16
+	s, ts := newTestServer(t, Config{Workers: 1, CacheSize: -1, QueueDepth: 64})
+	// Swap in a pool that has not started, so the whole burst is queued
+	// before the first job runs.
+	started := s.manager
+	t.Cleanup(func() { started.Shutdown(context.Background()) })
+	s.manager = newManagerIdle(64, NewCache(-1), s.metrics)
 
 	ids := make([]string, k)
 	for i := 0; i < k; i++ {
 		resp, raw := postJSON(t, ts.URL+"/v1/jobs", SolveRequest{
 			Kind: "meb", Model: ModelStream,
-			Generate: &GenerateSpec{Family: "gaussian", N: 3000, D: 3, Seed: 12},
+			Generate: &GenerateSpec{Family: "gaussian", N: 20000, D: 3, Seed: 12},
 			Options:  SolveOptions{R: 2, Seed: uint64(200 + i)},
 		})
 		if resp.StatusCode != http.StatusAccepted {
@@ -391,21 +383,23 @@ func TestBatchConformanceHTTP(t *testing.T) {
 		}
 		ids[i] = decodeStatus(t, raw).ID
 	}
+	s.manager.start(2)
 
+	// Compare wire forms: the HTTP round trip drops the display-only
+	// field labels, not any numbers.
+	wire := func(v any) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
 	deadline := time.Now().Add(120 * time.Second)
 	for i, id := range ids {
+		var st JobStatus
 		for {
-			var st JobStatus
 			getJSON(t, ts.URL+"/v1/jobs/"+id, &st)
 			if st.State == StateDone {
-				want, _ := soloReference(t, throughputRequest(t, 3000, 12, uint64(200+i)))
-				// Compare wire forms: the HTTP round trip drops the
-				// display-only field labels, not any numbers.
-				got, _ := json.Marshal(st.Result)
-				ref, _ := json.Marshal(want)
-				if string(got) != string(ref) {
-					t.Errorf("job %d result diverged from solo:\n http: %s\n solo: %s", i, got, ref)
-				}
 				break
 			}
 			if st.State == StateFailed {
@@ -416,59 +410,23 @@ func TestBatchConformanceHTTP(t *testing.T) {
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
+		if st.Coalesced || st.Cached || st.Warm {
+			t.Errorf("job %d flags cached=%v warm=%v coalesced=%v, want a genuine solve", i, st.Cached, st.Warm, st.Coalesced)
+		}
+		wantResult, wantStats := soloReference(t, throughputRequest(t, 20000, 12, uint64(200+i)))
+		if got, want := wire(st.Result), wire(wantResult); got != want {
+			t.Errorf("job %d result diverged from solo:\n http: %s\n solo: %s", i, got, want)
+		}
+		if got, want := wire(st.Stats), wire(wantStats); got != want {
+			t.Errorf("job %d stats diverged from solo:\n http: %s\n solo: %s", i, got, want)
+		}
 	}
 
 	pm := scrape(t, ts.URL+"/metrics")
-	if v := pm.Sum("lpserved_batched_jobs_total"); v != k {
-		t.Errorf("batched_jobs_total = %g, want %d (the whole burst)", v, k)
+	if v := pm.Sum("lpserved_solve_coalesced_total"); v != 0 {
+		t.Errorf("solve_coalesced_total = %g, want 0 (distinct seeds never coalesce)", v)
 	}
-	if v := pm.Sum("lpserved_batches_total"); v < 1 {
-		t.Errorf("batches_total = %g, want ≥ 1", v)
-	}
-	if v := pm.Sum("lpserved_shared_passes_total"); v < 1 {
-		t.Errorf("shared_passes_total = %g, want ≥ 1", v)
-	}
-}
-
-// TestShareKeyScope pins what must never batch: uploads are single-use,
-// fleet instances are remote, and non-stream backends have no
-// pass-at-a-time solver to drive.
-func TestShareKeyScope(t *testing.T) {
-	mk := func(mut func(*SolveRequest)) *SolveRequest {
-		r := &SolveRequest{
-			Kind: "meb", Model: ModelStream,
-			Generate: &GenerateSpec{Family: "gaussian", N: 100, D: 3, Seed: 1},
-			Options:  SolveOptions{R: 2, Seed: 1},
-		}
-		mut(r)
-		return r
-	}
-	stream := mk(func(r *SolveRequest) {})
-	if stream.shareKey() == "" {
-		t.Error("stream generate request should carry a share key")
-	}
-	if got := mk(func(r *SolveRequest) { r.Model = ModelRAM }).shareKey(); got != "" {
-		t.Errorf("ram request shareKey = %q, want empty", got)
-	}
-	if got := mk(func(r *SolveRequest) { r.Fleet = true; r.Generate = nil }).shareKey(); got != "" {
-		t.Errorf("fleet request shareKey = %q, want empty", got)
-	}
-	upload := mk(func(r *SolveRequest) {
-		r.Generate = nil
-		st := dataset.NewStore(3)
-		st.AppendRow([]float64{1, 2, 3})
-		r.data = st
-	})
-	if got := upload.shareKey(); got != "" {
-		t.Errorf("data-backed request shareKey = %q, want empty (uploads are single-use)", got)
-	}
-	// Same spec, different solver options: SAME share key (a batch
-	// shares the scan, not the randomness) — but different digests.
-	other := mk(func(r *SolveRequest) { r.Options.Seed = 2 })
-	if stream.shareKey() != other.shareKey() {
-		t.Error("option changes must not split the batch group")
-	}
-	if stream.Digest() == other.Digest() {
-		t.Error("option changes must change the digest")
+	if v := pm.Sum("lpserved_jobs_done_total"); v != k {
+		t.Errorf("jobs_done_total = %g, want %d", v, k)
 	}
 }

@@ -158,10 +158,9 @@ type SolveRequest struct {
 	// Manager.run before the solve and read back after. Nil when
 	// tracing is off — every instrumentation call no-ops at zero cost.
 	trace *obs.Trace
-	// rowsKeyMemo memoizes instanceDigest: the result-cache key, the
-	// warm key and the batch scheduler all hash the same instance, and
-	// re-hashing a multi-million-row store for each would multiply the
-	// keying cost. The memo also pins generated instances to their
+	// rowsKeyMemo memoizes instanceDigest: the result-cache key and the
+	// warm key hash the same instance, and re-hashing a multi-million-row
+	// store for each would multiply the keying cost. The memo also pins generated instances to their
 	// pre-materialization (spec-based) digest — see instanceDigest.
 	rowsKeyMemo string
 	// tenant is the authenticated tenant this request arrived under,
@@ -428,8 +427,8 @@ func digestWriters(h io.Writer) (putU func(uint64), putF func(float64)) {
 // spec names the rows without paying materialization. Everything else
 // hashes the rows themselves, row-major; a spilled source streams
 // through its order-preserving cursor and hashes identically to the
-// in-memory arena. Memoized: the scheduler, the cache key and the
-// warm key all reuse one hash of the rows.
+// in-memory arena. Memoized: the cache key and the warm key reuse one
+// hash of the rows.
 func (r *SolveRequest) instanceDigest() string {
 	if r.rowsKeyMemo != "" {
 		return r.rowsKeyMemo
@@ -550,51 +549,5 @@ func (r *SolveRequest) warmKey() string {
 	}
 	putU(r.Options.Seed)
 	h.Write([]byte(r.instanceDigest()))
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// shareKey groups jobs the batch scheduler may scan-share: same
-// instance material, streaming model. Only the instance identity goes
-// in — options, seeds and objectives may differ within a batch,
-// because each solver owns its randomness and the shared scan only has
-// to deliver the same rows in the same order a private cursor would.
-// Fleet jobs (no local rows) and non-stream models (no pass-at-a-time
-// solver) return "", as do chunk-uploaded instances: uploads are
-// single-use, so no second job can ever reference the same rows.
-func (r *SolveRequest) shareKey() string {
-	if r.Fleet || r.Model != ModelStream {
-		return ""
-	}
-	h := sha256.New()
-	putU, putF := digestWriters(h)
-	h.Write([]byte(r.Kind))
-	h.Write([]byte{0})
-	switch {
-	case r.Generate != nil:
-		g := r.Generate
-		h.Write([]byte("gen\x00"))
-		h.Write([]byte(g.Family))
-		h.Write([]byte{0})
-		putU(uint64(g.N))
-		putU(uint64(g.D))
-		putU(g.Seed)
-		putF(g.Margin)
-		putF(g.Noise)
-	case len(r.rawRows) > 0:
-		h.Write([]byte("raw\x00"))
-		putU(uint64(r.Dim))
-		h.Write(r.rawRows)
-	case len(r.Rows) > 0:
-		h.Write([]byte("rows\x00"))
-		putU(uint64(r.Dim))
-		putU(uint64(len(r.Rows)))
-		for _, row := range r.Rows {
-			for _, v := range row {
-				putF(v)
-			}
-		}
-	default:
-		return ""
-	}
 	return hex.EncodeToString(h.Sum(nil))
 }

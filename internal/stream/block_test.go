@@ -10,6 +10,30 @@ import (
 	"lowdimlp/internal/numeric"
 )
 
+// blockSink is what fanPass feeds: a solver, or rowOnly's per-row
+// drive of one.
+type blockSink interface {
+	RowBlock(rows []dataset.Row)
+}
+
+// fanPass reads the cursor once and hands every batch to every sink,
+// in order — a multi-consumer scan kept as a test drive: a solver fed
+// this way must end up exactly where scanning alone would leave it.
+func fanPass(cur dataset.Cursor, batch []dataset.Row, sinks ...blockSink) error {
+	if err := cur.Reset(); err != nil {
+		return err
+	}
+	for {
+		nr, err := cur.Next(batch)
+		if err != nil || nr == 0 {
+			return err
+		}
+		for _, s := range sinks {
+			s.RowBlock(batch[:nr])
+		}
+	}
+}
+
 // rowOnly feeds a solver one row at a time (single-row blocks) — with
 // a solver built by mkRowLoopSolver, the per-row reference drive for
 // the block conformance tests below.
@@ -123,10 +147,10 @@ func TestBlockScanMatchesRowScan(t *testing.T) {
 	}
 }
 
-// TestSharedBlockScanMatchesRowOnly re-pins the same equivalence at
-// the SharedPass layer: the scheduler handing a solver whole batches
-// for its kernels versus single rows for the per-row test must not
-// change one bit of the pass.
+// TestSharedBlockScanMatchesRowOnly re-pins the same equivalence over
+// a cursor: one scan handing a solver whole batches for its kernels
+// and another single rows for the per-row test must not differ in one
+// bit of the pass.
 func TestSharedBlockScanMatchesRowOnly(t *testing.T) {
 	const n, d = 3000, 2
 	st := cloud(n, d, 31)
@@ -144,7 +168,7 @@ func TestSharedBlockScanMatchesRowOnly(t *testing.T) {
 	cur := st.NewCursor()
 	defer dataset.CloseCursor(cur)
 	batch := make([]dataset.Row, 64)
-	if _, err := dataset.SharedPass(cur, batch, rowOnly{rowS}, blkS); err != nil {
+	if err := fanPass(cur, batch, rowOnly{rowS}, blkS); err != nil {
 		t.Fatal(err)
 	}
 	if rowS.wTotal.Sum() != blkS.wTotal.Sum() || rowS.wViol.Sum() != blkS.wViol.Sum() ||
@@ -156,8 +180,8 @@ func TestSharedBlockScanMatchesRowOnly(t *testing.T) {
 }
 
 // TestBlockPassAllocations is the allocation-regression guard for the
-// block-kernel hot path: a shared pass driving block-capable fused
-// solvers must allocate nothing per block at steady state (the scratch
+// block-kernel hot path: a pass driving block-capable fused solvers
+// must allocate nothing per block at steady state (the scratch
 // buffers are sized on first use and reused), and every block must be
 // recorded by the kernel counters under the dimension-specialized
 // class.
@@ -173,7 +197,7 @@ func TestBlockPassAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sinks := []dataset.BlockSink{
+	sinks := []blockSink{
 		mkFusedSolver(st, pending, 5), mkFusedSolver(st, pending, 6),
 		mkFusedSolver(st, pending, 7), mkFusedSolver(st, pending, 8),
 	}
@@ -183,7 +207,7 @@ func TestBlockPassAllocations(t *testing.T) {
 	blocksBefore := kernel.Blocks(kernel.ClassD3)
 	rowsBefore := kernel.Rows()
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := dataset.SharedPass(cur, batch, sinks...); err != nil {
+		if err := fanPass(cur, batch, sinks...); err != nil {
 			t.Fatal(err)
 		}
 	})

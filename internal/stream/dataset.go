@@ -16,19 +16,16 @@ import (
 // per-constraint cost is arithmetic plus at most one slot copy: no
 // allocation, no pointer chase, no decode.
 //
-// It is DatasetSolver driven over a private cursor — the same state
-// machine the scan-sharing batch scheduler drives over a shared one —
-// so solo and shared execution are one code path, and its results are
-// pinned bit-identical to the typed per-item reference loop the
-// package tests keep (ref_test.go).
+// Its results are pinned bit-identical to the typed per-item reference
+// loop the package tests keep (ref_test.go).
 func SolveDataset[C, B any](ra lptype.RowAccess[C, B], src dataset.Source, opt Options) (B, Stats, error) {
 	s := NewDatasetSolver(ra, src.Rows(), src.Width(), opt)
 	cur := src.NewCursor()
 	defer dataset.CloseCursor(cur)
-	batch := make([]dataset.Row, batchRows(opt))
+	batch := make([]dataset.Row, dataset.DefaultBatchRows)
 	for !s.Done() {
 		s.BeginPass()
-		if _, err := dataset.SharedPass(cur, batch, s); err != nil {
+		if err := s.scan(cur, batch); err != nil {
 			var zero B
 			return zero, s.stats, err
 		}
@@ -37,6 +34,22 @@ func SolveDataset[C, B any](ra lptype.RowAccess[C, B], src dataset.Source, opt O
 		}
 	}
 	return s.Result()
+}
+
+// scan is one pass's read: the cursor rewound, then every batch, in
+// source order, through RowBlock. The caller owns cursor and buffer, so
+// a pass allocates nothing (TestFusedPassAllocations pins 0).
+func (s *DatasetSolver[C, B]) scan(cur dataset.Cursor, batch []dataset.Row) error {
+	if err := cur.Reset(); err != nil {
+		return err
+	}
+	for {
+		nr, err := cur.Next(batch)
+		if err != nil || nr == 0 {
+			return err
+		}
+		s.RowBlock(batch[:nr])
+	}
 }
 
 // decodeNet turns sampled net rows into constraints for the basis
@@ -53,12 +66,4 @@ func decodeNet[C, B any](ra lptype.RowAccess[C, B], rows [][]float64, width int)
 		items[i] = ra.Item(dst)
 	}
 	return items
-}
-
-// batchRows returns the cursor batch size for dataset scans.
-func batchRows(opt Options) int {
-	if opt.BatchRows > 0 {
-		return opt.BatchRows
-	}
-	return dataset.DefaultBatchRows
 }

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"math"
 	"testing"
 
 	"lowdimlp/internal/core"
@@ -72,9 +71,20 @@ func TestSolveDatasetMatchesSlice(t *testing.T) {
 		t.Fatalf("stats drift: %+v vs %+v", wantStats, gotStats)
 	}
 	// Batch size must not change anything (it only affects cursor
-	// mechanics, never arithmetic or RNG order).
-	opt.BatchRows = 7
-	got2, _, err := SolveDataset(mebAccess(d), st, opt)
+	// mechanics, never arithmetic or RNG order): SolveDataset's loop
+	// again, over a 7-row buffer.
+	s := NewDatasetSolver(mebAccess(d), st.Rows(), st.Width(), opt)
+	cur := st.NewCursor()
+	defer dataset.CloseCursor(cur)
+	batch := make([]dataset.Row, 7)
+	for !s.Done() {
+		s.BeginPass()
+		if err := s.scan(cur, batch); err != nil {
+			t.Fatal(err)
+		}
+		s.EndPass() // terminal errors surface via Result
+	}
+	got2, _, err := s.Result()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,57 +93,40 @@ func TestSolveDatasetMatchesSlice(t *testing.T) {
 	}
 }
 
-// TestSharedPassAllocations is the allocation-regression guard for
-// the scan-sharing hot path: one shared pass driving several fused
-// solvers over n constraints in batches must allocate nothing — the
-// solo fused pass's 0-allocs/pass guarantee, preserved when the scan
-// is multi-consumer.
-func TestSharedPassAllocations(t *testing.T) {
+// TestFusedPassAllocations is the allocation-regression guard for the
+// streaming hot path: one fused pass over n constraints, read the way
+// SolveDataset reads it (scan: caller-owned cursor and batch buffer),
+// must allocate nothing.
+func TestFusedPassAllocations(t *testing.T) {
 	const n, d, batchSize = 4096, 3, 256
 	st := cloud(n, d, 17)
-	ra := mebAccess(d)
-	dom := meb.NewDomain(d)
 	seedPts := make([]meb.Point, 8)
 	for i := range seedPts {
 		seedPts[i] = meb.Point(st.Row(i))
 	}
-	pending, err := dom.Solve(seedPts)
+	pending, err := meb.NewDomain(d).Solve(seedPts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Hand-build solvers mid-fused-phase — the state BeginPass leaves
-	// them in during a real solve, with reservoirs armed.
-	mult := math.Pow(float64(n), 0.5)
-	mkSolver := func(seed uint64) *DatasetSolver[meb.Point, meb.Basis] {
-		s := &DatasetSolver[meb.Point, meb.Basis]{
-			ra: ra, dom: dom, n: n, width: d, m: 32,
-			mult: mult, eps: 1 / (40 * mult),
-			rng:   numeric.NewRand(seed, 0x57124),
-			phase: solverFused,
-			bases: []meb.Basis{pending}, pending: pending,
-		}
-		s.BeginPass()
-		return s
-	}
-	sinks := []dataset.BlockSink{mkSolver(5), mkSolver(6), mkSolver(7), mkSolver(8)}
+	s := mkFusedSolver(st, pending, 5)
 	cur := st.NewCursor()
 	batch := make([]dataset.Row, batchSize)
 
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := dataset.SharedPass(cur, batch, sinks...); err != nil {
+		if err := s.scan(cur, batch); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 0 {
-		t.Fatalf("shared pass: %.1f allocs for %d rows × %d solvers (want 0)", allocs, n, len(sinks))
+		t.Fatalf("fused pass: %.1f allocs for %d rows (want 0)", allocs, n)
 	}
-	t.Logf("shared pass over %d rows × %d solvers: %.1f allocs", n, len(sinks), allocs)
+	t.Logf("fused pass over %d rows: %.1f allocs", n, allocs)
 }
 
-// TestSharedScanMatchesSolo pins the scan-sharing conformance claim at
-// the stream level: k solvers with distinct seeds driven through
-// shared passes over one cursor return bit-identical bases and
-// identical stats to k solo SolveDataset runs.
+// TestSharedScanMatchesSolo pins that a solver's outcome depends only
+// on the rows it is fed, in order — not on who else reads them: k
+// solvers with distinct seeds fed from one cursor (fanPass) return
+// bit-identical bases and identical stats to k solo SolveDataset runs.
 func TestSharedScanMatchesSolo(t *testing.T) {
 	const n, d, k = 3000, 3, 6
 	st := cloud(n, d, 42)
@@ -167,7 +160,7 @@ func TestSharedScanMatchesSolo(t *testing.T) {
 	batch := make([]dataset.Row, dataset.DefaultBatchRows)
 	var sharedPasses int
 	for {
-		var sinks []dataset.BlockSink
+		var sinks []blockSink
 		for _, s := range solvers {
 			if !s.Done() {
 				s.BeginPass()
@@ -177,7 +170,7 @@ func TestSharedScanMatchesSolo(t *testing.T) {
 		if len(sinks) == 0 {
 			break
 		}
-		if _, err := dataset.SharedPass(cur, batch, sinks...); err != nil {
+		if err := fanPass(cur, batch, sinks...); err != nil {
 			t.Fatal(err)
 		}
 		sharedPasses++
@@ -207,7 +200,7 @@ func TestSharedScanMatchesSolo(t *testing.T) {
 			maxPasses = stats.Passes
 		}
 	}
-	// The whole batch cost max(per-solver passes) scans, not their sum.
+	// Every solver finished within its own solo pass count.
 	if sharedPasses != maxPasses {
 		t.Fatalf("shared scan used %d passes, want max(per-solver)=%d", sharedPasses, maxPasses)
 	}

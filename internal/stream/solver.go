@@ -22,12 +22,9 @@ const (
 )
 
 // DatasetSolver is the streaming algorithm (§3.2, Theorem 1) as a
-// pass-at-a-time state machine: instead of owning the scan loop, it
-// exposes one pass at a time (BeginPass / RowBlock / EndPass), so the
-// same code runs a solo solve (SolveDataset's pull loop) and a
-// scheduler driving many solvers' passes through ONE shared cursor
-// scan (dataset.SharedPass) — N queued solves over a hot instance cost
-// ~1 pass per round, not N.
+// state machine over passes — BeginPass, every source row in order
+// through RowBlock, EndPass; repeat until Done — which SolveDataset's
+// pull loop drives over the source's cursor.
 //
 // The per-pass computation, RNG consumption order (reservoirs draw
 // only on Offer, and the fail reservoir is always created before the
@@ -37,7 +34,7 @@ const (
 //
 // RowBlock is the hot path: per row it performs the weight and
 // violation arithmetic plus at most an accepted-slot copy, and
-// allocates nothing (TestSharedPassAllocations pins 0 allocs/pass).
+// allocates nothing (TestFusedPassAllocations pins 0 allocs/pass).
 type DatasetSolver[C, B any] struct {
 	ra  lptype.RowAccess[C, B]
 	dom lptype.Domain[C, B]
@@ -128,9 +125,9 @@ func (s *DatasetSolver[C, B]) BeginPass() {
 	}
 }
 
-// RowBlock feeds one scanned batch to the armed pass
-// (dataset.BlockSink). The rows are borrowed views; anything kept
-// (reservoir slots, direct-solve items) is copied. The fused phase
+// RowBlock feeds one scanned batch to the armed pass. The rows are
+// borrowed views, valid only for the call; anything kept (reservoir
+// slots, direct-solve items) is copied. The fused phase
 // takes its violation decisions from whole-block ViolatesBlock calls
 // — the domain's kernels, or RowAccess's counted per-row loop for
 // kernel-less domains and kernel.SetEnabled(false) runs — and then

@@ -119,9 +119,6 @@ type Options struct {
 	// from the lp codecs). Zero disables bit accounting.
 	BitsPerItem  int
 	BitsPerBasis int
-	// BatchRows is the cursor batch size for dataset scans
-	// (SolveDataset; 0 = dataset.DefaultBatchRows).
-	BatchRows int
 }
 
 // Stats reports the resources used by a streaming run: the quantities
