@@ -1,9 +1,14 @@
 // Package sampling provides the weighted-sampling substrates used by
 // the model implementations of Algorithm 1:
 //
-//   - Reservoir: single-pass weighted sampling with replacement
-//     (Chao-style independent reservoirs), used by the streaming
-//     implementation where weights are recomputed on the fly;
+//   - Reservoir / RowReservoir: single-pass weighted sampling with
+//     replacement (Chao-style independent reservoirs) for a stream of
+//     unknown total weight — the streaming implementation offers it
+//     the violators of the pending basis only;
+//   - KnownTotal: m i.i.d. weighted draws from a stream whose total
+//     weight is known before the pass — the order statistics of m
+//     uniforms on [0, total), one compare per row — which is every
+//     pass of the streaming implementation;
 //   - Alias: Walker/Vose alias tables for O(1) repeated draws from a
 //     fixed weighted distribution, used when a site samples its local
 //     constraints;
@@ -68,10 +73,13 @@ func (r *Reservoir[T]) Offer(item T, w float64) {
 		if u == 0 {
 			u = 0.5
 		}
-		i += int(math.Log(u) / log1p)
-		if i >= len(r.slots) {
+		// Compared in float64: for p below ≈ 4e-18 the skip exceeds
+		// MaxInt64 and the conversion is implementation-defined.
+		skip := math.Log(u) / log1p
+		if skip >= float64(len(r.slots)-i) {
 			return
 		}
+		i += int(skip)
 		r.slots[i] = item
 		i++
 	}
@@ -114,12 +122,17 @@ type RowReservoir struct {
 // NewRowReservoir returns a reservoir of m slots for rows of the given
 // width, driven by rng.
 func NewRowReservoir(m, width int, rng *rand.Rand) *RowReservoir {
+	return &RowReservoir{slots: rowSlots(m, width), rng: rng}
+}
+
+// rowSlots carves m row buffers of the given width out of one arena.
+func rowSlots(m, width int) [][]float64 {
 	arena := make([]float64, m*width)
 	slots := make([][]float64, m)
 	for i := range slots {
 		slots[i] = arena[i*width : (i+1)*width : (i+1)*width]
 	}
-	return &RowReservoir{slots: slots, rng: rng}
+	return slots
 }
 
 // Offer presents one row with the given weight (≥ 0), copying it into
@@ -146,10 +159,11 @@ func (r *RowReservoir) Offer(row []float64, w float64) {
 		if u == 0 {
 			u = 0.5
 		}
-		i += int(math.Log(u) / log1p)
-		if i >= len(r.slots) {
+		skip := math.Log(u) / log1p
+		if skip >= float64(len(r.slots)-i) {
 			return
 		}
+		i += int(skip)
 		copy(r.slots[i], row)
 		i++
 	}
@@ -166,6 +180,100 @@ func (r *RowReservoir) Sample() (rows [][]float64, ok bool) {
 		return nil, false
 	}
 	return r.slots, true
+}
+
+// Reset empties the reservoir for a new pass, keeping its buffers.
+func (r *RowReservoir) Reset() { r.total = 0 }
+
+// KnownTotal draws m rows i.i.d. proportionally to weight from a
+// stream whose total weight is known before the pass starts. m
+// independent uniform points on [0, total) each select the row whose
+// weight interval [cum−w, cum) holds them; sorted ascending, the
+// points are consumed in stream order, so they are generated one at a
+// time — point j is (1 − Π_{i≤j} V_i^{1/(m−i)})·total for uniform V_i,
+// the order statistics of m uniforms — and a row that holds no point
+// costs its caller one compare. The slots therefore come out in stream
+// order: i.i.d. draws as a multiset, not slot by slot.
+//
+// The caller supplies the running total with each row, so a total it
+// already accumulates is not summed twice. If that running total ends
+// short of the announced one — a misprediction, or the last point
+// rounding up to total itself — Finish gives the leftover points to
+// the row the caller names as the stream's last.
+type KnownTotal struct {
+	slots  [][]float64 // m buffers of exactly width values
+	rng    *rand.Rand
+	total  float64
+	logp   float64 // ln Π V_i^{1/(m−i)} over the points generated so far
+	next   float64 // the pending sample point; +Inf once all m are placed
+	filled int
+}
+
+// NewKnownTotal returns a sampler of m slots for rows of the given
+// width, driven by rng. Reset arms it.
+func NewKnownTotal(m, width int, rng *rand.Rand) *KnownTotal {
+	return &KnownTotal{slots: rowSlots(m, width), rng: rng, next: math.Inf(1)}
+}
+
+// Reset arms the sampler for a pass of the given total weight and
+// draws the first sample point. A total that is not positive (or is
+// NaN) is a misprediction like any other: every point sits at 0, where
+// no zero-weight row can hold it, and the first positive-weight row
+// takes them all.
+func (s *KnownTotal) Reset(total float64) {
+	if !(total > 0) {
+		total = 0
+	}
+	s.total, s.logp, s.filled = total, 0, 0
+	s.advance()
+}
+
+// advance generates the next sample point: with k points still to
+// place, the smallest of k uniforms on what is left of [0, 1) cuts off
+// the fraction 1 − V^{1/k}, and V^{1/k} = exp(−E/k) for E ~ Exp(1).
+func (s *KnownTotal) advance() {
+	k := len(s.slots) - s.filled
+	if k == 0 {
+		s.next = math.Inf(1)
+		return
+	}
+	s.logp -= s.rng.ExpFloat64() / float64(k)
+	s.next = (1 - math.Exp(s.logp)) * s.total
+}
+
+// Offer presents the next row of the stream; cum is the total weight
+// of the rows offered so far this pass, this one included (so a
+// zero-weight row repeats its predecessor's cum and is never taken).
+func (s *KnownTotal) Offer(row []float64, cum float64) {
+	if cum > s.next {
+		s.take(row, cum)
+	}
+}
+
+// take copies row into one slot per sample point below cum.
+func (s *KnownTotal) take(row []float64, cum float64) {
+	for cum > s.next {
+		copy(s.slots[s.filled], row)
+		s.filled++
+		s.advance()
+	}
+}
+
+// Finish closes the pass and returns the m sampled rows — the
+// sampler's own buffers, valid until the next Reset. Sample points at
+// or beyond the weight actually offered go to last, which must be the
+// caller's copy of the final positive-weight row of the pass; ok is
+// false when such points exist and last is empty (nothing was
+// offered).
+func (s *KnownTotal) Finish(last []float64) (rows [][]float64, ok bool) {
+	if s.filled < len(s.slots) && len(last) == 0 {
+		return nil, false
+	}
+	for ; s.filled < len(s.slots); s.filled++ {
+		copy(s.slots[s.filled], last)
+	}
+	s.next = math.Inf(1)
+	return s.slots, true
 }
 
 // Alias is a Walker/Vose alias table: O(n) construction, O(1) per draw

@@ -6,8 +6,10 @@ import (
 
 	"lowdimlp/internal/dataset"
 	"lowdimlp/internal/kernel"
+	"lowdimlp/internal/lptype"
 	"lowdimlp/internal/meb"
 	"lowdimlp/internal/numeric"
+	"lowdimlp/internal/sampling"
 )
 
 // blockSink is what fanPass feeds: a solver, or rowOnly's per-row
@@ -62,13 +64,29 @@ func mkRowLoopSolver(st *dataset.Store, pending meb.Basis, seed uint64) *Dataset
 func mkFusedSolver(st *dataset.Store, pending meb.Basis, seed uint64) *DatasetSolver[meb.Point, meb.Basis] {
 	n, d := st.Rows(), st.Width()
 	mult := math.Pow(float64(n), 0.5)
+	const m = 32
+	rng := numeric.NewRand(seed, 0x57124)
 	s := &DatasetSolver[meb.Point, meb.Basis]{
-		ra: mebAccess(d), dom: meb.NewDomain(d), n: n, width: d, m: 32,
+		ra: mebAccess(d), dom: meb.NewDomain(d), n: n, width: d, m: m,
 		mult: mult, eps: 1 / (40 * mult), maxIters: 100,
-		rng:   numeric.NewRand(seed, 0x57124),
-		phase: solverFused,
-		bases: []meb.Basis{pending}, pending: pending,
+		rng:     rng,
+		net:     sampling.NewKnownTotal(m, d, rng),
+		viol:    sampling.NewRowReservoir(m, d, rng),
+		lastRow: make([]float64, 0, d),
+		phase:   solverFused,
+		bases:   []meb.Basis{pending}, pending: pending,
 	}
+	// The total a real solve would carry over from the previous pass:
+	// the same Kahan sum the armed pass is about to form.
+	var total numeric.Kahan
+	for i := 0; i < n; i++ {
+		e := 0
+		if s.ra.ViolatesRow(pending, st.Row(i)) {
+			e = 1
+		}
+		total.Add(lptype.PowWeight(mult, e))
+	}
+	s.nextTotal = total.Sum()
 	s.BeginPass()
 	return s
 }

@@ -12,9 +12,9 @@ import (
 // The scan reads rows in reusable batches straight off the source (an
 // in-memory arena, a block-streamed file, or a typed stream encoded on
 // the fly), tests violations through the domain's block kernels, and
-// samples with row reservoirs that copy only on accept, so the
-// per-constraint cost is arithmetic plus at most one slot copy: no
-// allocation, no pointer chase, no decode.
+// samples by comparing a running total against the next sample point,
+// so the per-constraint cost is arithmetic plus, for the few rows that
+// are sampled, a slot copy: no allocation, no pointer chase, no decode.
 //
 // Its results are pinned bit-identical to the typed per-item reference
 // loop the package tests keep (ref_test.go).
@@ -50,20 +50,4 @@ func (s *DatasetSolver[C, B]) scan(cur dataset.Cursor, batch []dataset.Row) erro
 		}
 		s.RowBlock(batch[:nr])
 	}
-}
-
-// decodeNet turns sampled net rows into constraints for the basis
-// solver. The rows are reservoir slot buffers that the next pass will
-// reuse, and decoded constraints may alias their input (lp does), so
-// the net is copied into one fresh arena first — one allocation per
-// iteration, on the cold path.
-func decodeNet[C, B any](ra lptype.RowAccess[C, B], rows [][]float64, width int) []C {
-	arena := make([]float64, len(rows)*width)
-	items := make([]C, len(rows))
-	for i, row := range rows {
-		dst := arena[i*width : (i+1)*width : (i+1)*width]
-		copy(dst, row)
-		items[i] = ra.Item(dst)
-	}
-	return items
 }

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"math"
+	"math/rand/v2"
 
 	"lowdimlp/internal/core"
 	"lowdimlp/internal/lptype"
@@ -9,15 +10,16 @@ import (
 	"lowdimlp/internal/sampling"
 )
 
-// solveRef is the typed fused streaming loop that was stream.Solve
-// before typed input was converted to rows at the engine boundary,
-// moved here verbatim (only the name changed, and the branch to the
-// deleted unfused variant dropped) as the differential oracle of the
-// one surviving driver: a typed Stream[C], per-item dom.Violates,
-// math.Pow for every weight, typed reservoirs — no rows, no blocks, no
-// kernels. It shares no code with DatasetSolver, which is what makes
-// TestSolverMatchesTypedReference an independent check. n is the
-// number of items; n ≤ 0 counts them with one extra pass.
+// solveRef is the typed twin of DatasetSolver: the same algorithm and
+// the same draw order — one RNG stream; per item, the violator's
+// reservoir offer and then the sample points its weight interval
+// holds; the mixture coins after a successful pass — written
+// independently over a typed Stream[C]: per-item dom.Violates,
+// math.Pow for every weight, a typed violator reservoir, and its own
+// sorted-point sampler (refSampler). No rows, no blocks, no kernels,
+// and no code shared with DatasetSolver or sampling.KnownTotal, which
+// is what makes TestSolverMatchesTypedReference an independent check.
+// n is the number of items; n ≤ 0 counts them with one extra pass.
 func solveRef[C, B any](dom lptype.Domain[C, B], st Stream[C], n int, opt Options) (B, Stats, error) {
 	var zero B
 	stats := Stats{}
@@ -87,34 +89,32 @@ func solveRef[C, B any](dom lptype.Domain[C, B], st Stream[C], n int, opt Option
 		maxIters = 60*nu*r + 60
 	}
 
-	// Fused mode. Pass 0: uniform-weight sample (no bases stored yet).
-	res := sampling.NewReservoir[C](m, rng)
+	// Pass 0: uniform-weight sample (no bases stored yet), total n.
+	net := newRefSampler[C](m, float64(n), rng)
 	st.Reset()
-	for {
+	for i := 1; ; i++ {
 		c, ok := st.Next()
 		if !ok {
 			break
 		}
 		stats.ItemsScanned++
-		res.Offer(c, 1)
+		net.offer(c, float64(i))
 	}
 	stats.Passes++
-	netItems, ok := res.Sample()
-	if !ok {
-		return zero, stats, ErrEmptyStream
-	}
-	pending, err := dom.Solve(netItems)
+	pending, err := dom.Solve(net.finish())
 	if err != nil {
 		return zero, stats, err
 	}
 	stats.Iterations++
 
+	total := float64(n) // what the coming pass's weights sum to
 	for iter := 1; iter <= maxIters; iter++ {
-		// One pass: violation test for `pending` + dual reservoirs for
-		// the next net.
-		resFail := sampling.NewReservoir[C](m, rng)
-		resSucc := sampling.NewReservoir[C](m, rng)
-		var wTotal, wViol numeric.Kahan
+		// One pass: violation test for `pending`, the next net drawn
+		// from all items by current weight, and the violators sampled
+		// on the side.
+		net := newRefSampler[C](m, total, rng)
+		viol := sampling.NewReservoir[C](m, rng)
+		var wTotal, wViol, wSucc numeric.Kahan
 		violCount := 0
 		st.Reset()
 		for {
@@ -123,36 +123,44 @@ func solveRef[C, B any](dom lptype.Domain[C, B], st Stream[C], n int, opt Option
 				break
 			}
 			stats.ItemsScanned++
-			w := math.Pow(mult, float64(weightExp(c)))
+			a := weightExp(c)
+			w := math.Pow(mult, float64(a))
 			wTotal.Add(w)
 			if dom.Violates(pending, c) {
 				wViol.Add(w)
 				violCount++
-				resFail.Offer(c, w)
-				resSucc.Offer(c, w*mult)
+				viol.Offer(c, w)
+				wSucc.Add(math.Pow(mult, float64(a+1)))
 			} else {
-				resFail.Offer(c, w)
-				resSucc.Offer(c, w)
+				wSucc.Add(w)
 			}
+			net.offer(c, wTotal.Sum())
 		}
 		stats.Passes++
-		stats.trackSpace(opt, 2*m, len(bases))
+		stats.trackSpace(opt, 2*m+1, len(bases))
 		if violCount == 0 {
 			return pending, stats, nil
 		}
-		success := wViol.Sum() <= eps*wTotal.Sum()
-		var nextNet []C
-		if success {
+		nextNet := net.finish()
+		if wViol.Sum() <= eps*wTotal.Sum() {
 			stats.Successes++
 			bases = append(bases, pending)
 			stats.StoredBases = len(bases)
-			nextNet, _ = resSucc.Sample()
+			// New weights = old weights + (mult−1)·old weight on the
+			// violators: each draw stays with probability old/new.
+			total = wSucc.Sum()
+			violItems, _ := viol.Sample()
+			for k := range nextNet {
+				if rng.Float64()*total >= wTotal.Sum() {
+					nextNet[k] = violItems[k]
+				}
+			}
 		} else {
 			stats.Failures++
 			if opt.Core.MonteCarlo {
 				return zero, stats, core.ErrRoundFailed
 			}
-			nextNet, _ = resFail.Sample()
+			total = wTotal.Sum()
 		}
 		pending, err = dom.Solve(nextNet)
 		if err != nil {
@@ -161,6 +169,49 @@ func solveRef[C, B any](dom lptype.Domain[C, B], st Stream[C], n int, opt Option
 		stats.Iterations++
 	}
 	return zero, stats, core.ErrIterationBudget
+}
+
+// refSampler places m sorted uniform points on [0, total) one at a
+// time and hands each to the item whose cumulative-weight interval
+// holds it.
+type refSampler[C any] struct {
+	items []C
+	m     int
+	total float64
+	logp  float64
+	point float64
+	rng   *rand.Rand
+	last  C
+}
+
+func newRefSampler[C any](m int, total float64, rng *rand.Rand) *refSampler[C] {
+	s := &refSampler[C]{items: make([]C, 0, m), m: m, total: total, rng: rng}
+	s.draw()
+	return s
+}
+
+// draw moves to the next order statistic: of k uniforms left, the
+// smallest leaves the fraction V^{1/k} = exp(−E/k) above it.
+func (s *refSampler[C]) draw() {
+	if k := s.m - len(s.items); k > 0 {
+		s.logp -= s.rng.ExpFloat64() / float64(k)
+		s.point = (1 - math.Exp(s.logp)) * s.total
+	}
+}
+
+func (s *refSampler[C]) offer(c C, cum float64) {
+	s.last = c
+	for len(s.items) < s.m && s.point < cum {
+		s.items = append(s.items, c)
+		s.draw()
+	}
+}
+
+func (s *refSampler[C]) finish() []C {
+	for len(s.items) < s.m {
+		s.items = append(s.items, s.last)
+	}
+	return s.items
 }
 
 // SolveRef exposes the oracle to the external test package.

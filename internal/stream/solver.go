@@ -17,7 +17,7 @@ import (
 const (
 	solverSample0 = iota // pass 0: uniform-weight net sample
 	solverDirect         // m ≥ n: materialize everything, solve once
-	solverFused          // fused violation-test + dual-reservoir passes
+	solverFused          // fused violation-test + next-net sampling passes
 	solverDone
 )
 
@@ -26,15 +26,28 @@ const (
 // through RowBlock, EndPass; repeat until Done — which SolveDataset's
 // pull loop drives over the source's cursor.
 //
-// The per-pass computation, RNG consumption order (reservoirs draw
-// only on Offer, and the fail reservoir is always created before the
-// success one) and stats accounting do not depend on how the rows are
-// batched, so a solver driven by any scan that delivers the rows in
-// source order returns a bit-identical basis and identical Stats.
+// Every pass samples the next net with one known-total sampler: the
+// total weight of a pass is known before it starts (see nextTotal), so
+// the net is read off m sorted sample points with one compare per row.
+// A fused pass draws it ∝ w, the weights it scans under, and offers
+// only the violators of the pending basis, at weight w, to a reservoir.
+// If the iteration fails, the weights stand and the net is the draw as
+// is. If it succeeds, the next weights are w·mult^[viol] =
+// w + (mult−1)·w·[viol], a mixture: each slot independently keeps its
+// draw with probability A/(A+B), A = Σw, B = (mult−1)·Σ_viol w, and
+// takes the violator reservoir's slot otherwise — exactly m i.i.d.
+// draws from the new weights.
+//
+// The per-pass computation, RNG consumption order (one stream: the
+// violator offer, then the sample points, of each row in source order;
+// the mixture coins at EndPass) and stats accounting do not depend on
+// how the rows are batched, so a solver driven by any scan that
+// delivers the rows in source order returns a bit-identical basis and
+// identical Stats.
 //
 // RowBlock is the hot path: per row it performs the weight and
-// violation arithmetic plus at most an accepted-slot copy, and
-// allocates nothing (TestFusedPassAllocations pins 0 allocs/pass).
+// violation arithmetic plus a compare against the next sample point,
+// and allocates nothing (TestFusedPassAllocations pins 0 allocs/pass).
 type DatasetSolver[C, B any] struct {
 	ra  lptype.RowAccess[C, B]
 	dom lptype.Domain[C, B]
@@ -48,17 +61,32 @@ type DatasetSolver[C, B any] struct {
 	phase int
 	iter  int
 
-	// Pass-0 state.
-	res *sampling.RowReservoir
+	// Sampling workspace, allocated once per solve (m ≥ n allocates
+	// none of it): the all-rows sampler, the violator reservoir, a copy
+	// of the pass's latest row for sample points the scan ends short
+	// of, and the arena the net is decoded into.
+	net      *sampling.KnownTotal
+	viol     *sampling.RowReservoir
+	lastRow  []float64
+	netArena []float64
+	netItems []C
+	// nextTotal is the total weight the coming pass will sum, known
+	// before it starts: n for passes 0 and 1 (no basis stored, every
+	// weight 1), and afterwards one of the previous pass's own Kahan
+	// sums over the same rows in the same order — wTotal if its
+	// iteration failed (weights unchanged), wSucc if it succeeded.
+	nextTotal float64
+	seen      int // rows of the current pass 0 so far: its running total
 	// Direct-solve state (m ≥ n).
 	items []C
 	arena []float64
-	// Fused-pass state.
-	bases            []B
-	pending          B
-	resFail, resSucc *sampling.RowReservoir
-	wTotal, wViol    numeric.Kahan
-	violCount        int
+	// Fused-pass state. wSucc sums the weights the next pass will see
+	// if this iteration succeeds: the pending basis's violators one
+	// exponent up.
+	bases                []B
+	pending              B
+	wTotal, wViol, wSucc numeric.Kahan
+	violCount            int
 	// Block scratch, reused across RowBlock calls: weight exponents
 	// per row, and the two violation index buffers (stored bases vs
 	// the pending basis). Sized on first use, 0 allocs/block at steady
@@ -99,6 +127,10 @@ func NewDatasetSolver[C, B any](ra lptype.RowAccess[C, B], n, width int, opt Opt
 		return s
 	}
 	s.rng = numeric.NewRand(opt.Core.Seed, 0x57124)
+	s.net = sampling.NewKnownTotal(s.m, width, s.rng)
+	s.viol = sampling.NewRowReservoir(s.m, width, s.rng)
+	s.lastRow = make([]float64, 0, width)
+	s.nextTotal = float64(n)
 	s.phase = solverSample0
 	return s
 }
@@ -106,43 +138,46 @@ func NewDatasetSolver[C, B any](ra lptype.RowAccess[C, B], n, width int, opt Opt
 // Done reports whether the solver needs no further passes.
 func (s *DatasetSolver[C, B]) Done() bool { return s.phase == solverDone }
 
-// BeginPass arms the solver for one scan. The fail reservoir is
-// created before the success one: both draw from the solve's one RNG
-// stream, so the order is part of the result.
+// BeginPass arms the solver for one scan: the sampler with the pass's
+// total (which draws the first sample point), the violator reservoir
+// and the accumulators emptied.
 func (s *DatasetSolver[C, B]) BeginPass() {
 	switch s.phase {
-	case solverSample0:
-		s.res = sampling.NewRowReservoir(s.m, s.width, s.rng)
 	case solverDirect:
 		s.items = make([]C, 0, s.n)
 		s.arena = nil
-	case solverFused:
-		s.resFail = sampling.NewRowReservoir(s.m, s.width, s.rng)
-		s.resSucc = sampling.NewRowReservoir(s.m, s.width, s.rng)
-		s.wTotal = numeric.Kahan{}
-		s.wViol = numeric.Kahan{}
+	case solverSample0, solverFused:
+		s.net.Reset(s.nextTotal)
+		s.viol.Reset()
+		s.lastRow, s.seen = s.lastRow[:0], 0
+		s.wTotal, s.wViol, s.wSucc = numeric.Kahan{}, numeric.Kahan{}, numeric.Kahan{}
 		s.violCount = 0
 	}
 }
 
 // RowBlock feeds one scanned batch to the armed pass. The rows are
-// borrowed views, valid only for the call; anything kept (reservoir
-// slots, direct-solve items) is copied. The fused phase
-// takes its violation decisions from whole-block ViolatesBlock calls
-// — the domain's kernels, or RowAccess's counted per-row loop for
-// kernel-less domains and kernel.SetEnabled(false) runs — and then
-// performs the Kahan accumulations and reservoir offers row by row in
-// source order, so neither the batch boundaries nor the kernel class
-// can change the RNG stream, the basis or the stats.
+// borrowed views, valid only for the call; anything kept (sampled
+// slots, the block's last row, direct-solve items) is copied. The
+// fused phase takes its violation decisions from whole-block
+// ViolatesBlock calls — the domain's kernels, or RowAccess's counted
+// per-row loop for kernel-less domains and kernel.SetEnabled(false)
+// runs — and then performs the Kahan accumulations, the violators'
+// reservoir offers and the sample-point compares row by row in source
+// order, so neither the batch boundaries nor the kernel class can
+// change the RNG stream, the basis or the stats.
 func (s *DatasetSolver[C, B]) RowBlock(rows []dataset.Row) {
+	if len(rows) == 0 {
+		return
+	}
+	s.stats.ItemsScanned += int64(len(rows))
 	switch s.phase {
 	case solverSample0:
-		s.stats.ItemsScanned += int64(len(rows))
 		for _, row := range rows {
-			s.res.Offer(row, 1)
+			s.seen++
+			s.net.Offer(row, float64(s.seen))
 		}
+		s.lastRow = append(s.lastRow[:0], rows[len(rows)-1]...)
 	case solverDirect:
-		s.stats.ItemsScanned += int64(len(rows))
 		for _, row := range rows {
 			w := len(row)
 			if cap(s.arena)-len(s.arena) < w {
@@ -153,7 +188,6 @@ func (s *DatasetSolver[C, B]) RowBlock(rows []dataset.Row) {
 			s.items = append(s.items, s.ra.Item(s.arena[lo:lo+w:lo+w]))
 		}
 	case solverFused:
-		s.stats.ItemsScanned += int64(len(rows))
 		if cap(s.kexps) < len(rows) {
 			s.kexps = make([]int32, len(rows))
 		}
@@ -165,19 +199,23 @@ func (s *DatasetSolver[C, B]) RowBlock(rows []dataset.Row) {
 			// PowWeight's exponent fast paths: most rows violate no
 			// stored basis (e=0) or one (e=1), and math.Pow documents
 			// Pow(x,0)=1 and Pow(x,1)=x exactly.
-			w := lptype.PowWeight(s.mult, int(exps[i]))
+			e := int(exps[i])
+			w := lptype.PowWeight(s.mult, e)
 			s.wTotal.Add(w)
 			if pi < len(s.kpend) && s.kpend[pi] == int32(i) {
 				pi++
 				s.wViol.Add(w)
 				s.violCount++
-				s.resFail.Offer(row, w)
-				s.resSucc.Offer(row, w*s.mult)
+				s.viol.Offer(row, w)
+				s.wSucc.Add(lptype.PowWeight(s.mult, e+1))
 			} else {
-				s.resFail.Offer(row, w)
-				s.resSucc.Offer(row, w)
+				s.wSucc.Add(w)
 			}
+			s.net.Offer(row, s.wTotal.Sum())
 		}
+		// Every weight is ≥ 1, so the block's last row is the pass's
+		// last positive-weight row so far.
+		s.lastRow = append(s.lastRow[:0], rows[len(rows)-1]...)
 	}
 }
 
@@ -188,19 +226,12 @@ func (s *DatasetSolver[C, B]) EndPass() error {
 	switch s.phase {
 	case solverSample0:
 		s.stats.Passes++
-		netRows, ok := s.res.Sample()
+		netRows, ok := s.net.Finish(s.lastRow)
 		if !ok {
 			return s.fail(ErrEmptyStream)
 		}
-		pending, err := s.dom.Solve(decodeNet(s.ra, netRows, s.width))
-		s.res = nil
-		if err != nil {
-			return s.fail(err)
-		}
-		s.pending = pending
-		s.stats.Iterations++
 		s.phase = solverFused
-		return nil
+		return s.solveNet(netRows)
 
 	case solverDirect:
 		s.stats.Passes++
@@ -217,36 +248,74 @@ func (s *DatasetSolver[C, B]) EndPass() error {
 	case solverFused:
 		s.iter++
 		s.stats.Passes++
-		s.stats.trackSpace(s.opt, 2*s.m, len(s.bases))
+		// Live rows: the sampler's m, the violator reservoir's m, and
+		// the one remembered row.
+		s.stats.trackSpace(s.opt, 2*s.m+1, len(s.bases))
 		if s.violCount == 0 {
 			return s.finish(s.pending)
 		}
-		success := s.wViol.Sum() <= s.eps*s.wTotal.Sum()
-		var nextNet [][]float64
-		if success {
+		netRows, ok := s.net.Finish(s.lastRow)
+		if !ok {
+			return s.fail(ErrEmptyStream)
+		}
+		a := s.wTotal.Sum()
+		if s.wViol.Sum() <= s.eps*a {
 			s.stats.Successes++
 			s.bases = append(s.bases, s.pending)
 			s.stats.StoredBases = len(s.bases)
-			nextNet, _ = s.resSucc.Sample()
+			// The stored basis's constraints alias the arena its net
+			// was decoded into: it keeps that arena.
+			s.netArena, s.netItems = nil, nil
+			// The mixture: a slot keeps its draw ∝ w with probability
+			// A/(A+B) and takes the violators' draw otherwise.
+			s.nextTotal = s.wSucc.Sum()
+			violRows, _ := s.viol.Sample()
+			for k, row := range netRows {
+				if s.rng.Float64()*s.nextTotal >= a {
+					copy(row, violRows[k])
+				}
+			}
 		} else {
 			s.stats.Failures++
 			if s.opt.Core.MonteCarlo {
 				return s.fail(core.ErrRoundFailed)
 			}
-			nextNet, _ = s.resFail.Sample()
+			s.nextTotal = a
 		}
-		pending, err := s.dom.Solve(decodeNet(s.ra, nextNet, s.width))
-		if err != nil {
-			return s.fail(err)
+		if err := s.solveNet(netRows); err != nil {
+			return err
 		}
-		s.pending = pending
-		s.stats.Iterations++
 		if s.iter >= s.maxIters {
 			return s.fail(core.ErrIterationBudget)
 		}
 		return nil
 	}
 	return s.err
+}
+
+// solveNet makes the basis of the sampled net the pending one. The
+// rows are sampler slots the next pass overwrites, and decoded
+// constraints — hence the basis — may alias their row, so the net is
+// copied into the solver's arena first. The arena is reused while the
+// basis solved from it is dropped (a failed iteration) and replaced
+// when it is kept (EndPass: stored on success; returned at the end).
+func (s *DatasetSolver[C, B]) solveNet(rows [][]float64) error {
+	if s.netArena == nil {
+		s.netArena = make([]float64, s.m*s.width)
+		s.netItems = make([]C, s.m)
+	}
+	for i, row := range rows {
+		dst := s.netArena[i*s.width : (i+1)*s.width : (i+1)*s.width]
+		copy(dst, row)
+		s.netItems[i] = s.ra.Item(dst)
+	}
+	pending, err := s.dom.Solve(s.netItems)
+	if err != nil {
+		return s.fail(err)
+	}
+	s.pending = pending
+	s.stats.Iterations++
+	return nil
 }
 
 // Result returns the basis, the accumulated stats, and the terminal

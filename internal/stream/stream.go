@@ -16,21 +16,38 @@
 // the paper, it stores the bases of all successful iterations; the
 // weight of constraint c is then (n^{1/r})^{a(c)} with a(c) = number of
 // stored bases that c violates, recomputed on the fly during each scan.
-// Sampling by weight in one pass uses per-slot weighted reservoirs
-// (internal/sampling).
 //
 // # One pass per iteration
 //
 // A naive implementation spends two passes per iteration (one to
 // sample the net, one to test violators of the new basis). Following
-// the paper's "one pass per iteration" accounting, the default mode
-// fuses them: during a single pass the algorithm simultaneously (a)
-// tests violators of the pending basis B_t under the current weights
-// and (b) maintains two reservoirs — one assuming the iteration will
-// succeed (violators' weights pre-multiplied by n^{1/r}) and one
-// assuming it will fail. At the end of the pass the success predicate
-// picks which reservoir becomes the next net, so a non-direct solve
-// spends exactly Iterations+1 passes (pinned by the package tests).
+// the paper's "one pass per iteration" accounting, the two are fused:
+// the pass that tests the pending basis B_t under the current weights w
+// also draws the next net, whichever way the iteration turns out, so a
+// non-direct solve spends exactly Iterations+1 passes (pinned by the
+// package tests).
+//
+// # Sampling with known totals
+//
+// The total weight of a pass is known before it starts — n while no
+// basis is stored, afterwards a sum the previous pass formed over the
+// same rows in the same order — so the m i.i.d. draws ∝ w are read off
+// m sorted uniform points on [0, total), generated one at a time: a
+// row that holds no point costs one compare (sampling.KnownTotal). If
+// the iteration fails, the weights stand and that draw is the next
+// net. If it succeeds, the violators of B_t gain a factor n^{1/r}:
+// the new weights are w + (n^{1/r}−1)·w·[violates B_t], a mixture of
+// "all rows ∝ w" and "violators ∝ w". Only the violators — a few
+// hundred rows of a pass — are offered to a weighted reservoir
+// (sampling.RowReservoir), and each net slot independently keeps its
+// draw with probability Σw ÷ Σ(new weights) and takes the reservoir's
+// slot otherwise.
+//
+// The prediction is exact when every pass yields the same rows in the
+// same order. Over a stream that does not repeat itself the sampler
+// still hands back m rows it was offered (points beyond the real total
+// go to the pass's last row): a worse net, hence more passes, never a
+// wrong answer — a solve ends only on a pass without violators.
 //
 // # One driver
 //
