@@ -82,7 +82,8 @@ type config struct {
 	Delta float64
 	// Seed drives all randomness.
 	Seed uint64
-	// Parallel runs coordinator sites on goroutines.
+	// Parallel is for sharded streaming scans only: one decode
+	// goroutine per shard.
 	Parallel bool
 }
 
@@ -98,7 +99,7 @@ func main() {
 	flag.IntVar(&cfg.K, "k", 4, "coordinator sites")
 	flag.Float64Var(&cfg.Delta, "delta", 0.5, "MPC load exponent δ")
 	flag.Uint64Var(&cfg.Seed, "seed", 1, "random seed")
-	flag.BoolVar(&cfg.Parallel, "parallel", false, "run coordinator sites on goroutines")
+	flag.BoolVar(&cfg.Parallel, "parallel", false, "sharded streaming scans only: one decode goroutine per shard")
 	kinds := flag.Bool("kinds", false, "list the registered problem kinds and exit")
 	convert := flag.String("convert", "", "write the instance as a binary dataset at this path and exit")
 	shards := flag.Int("shards", 1, "with -convert: shard count (≥ 2 writes an LDSETM manifest + shard files)")

@@ -40,17 +40,22 @@
 //
 // after which the coordinator solves the net for the next basis. The
 // run terminates when a round-A reply reports zero violators.
+//
+// The loop itself is core.Run's: this package is its star substrate
+// (round A is Substrate.Test, round B is Substrate.Sample, ship-all is
+// Substrate.All), so the parameters, the success rule, the Monte-Carlo
+// exit and the iteration budget are those of every other backend. A
+// round's exchanges are issued to the sites one after another, on every
+// transport.
 package coordinator
 
 import (
 	"errors"
 	"fmt"
-	"math"
-	"sync"
+	"math/rand/v2"
 
 	"lowdimlp/internal/comm"
 	"lowdimlp/internal/core"
-	"lowdimlp/internal/dataset"
 	"lowdimlp/internal/lptype"
 	"lowdimlp/internal/numeric"
 	"lowdimlp/internal/obs"
@@ -60,9 +65,6 @@ import (
 // Options configure the coordinator solver.
 type Options struct {
 	Core core.Options
-	// Parallel runs site-local computation on goroutines (one per
-	// site). The protocol and its randomness are identical either way.
-	Parallel bool
 	// Trace, when non-nil, records the solve's execution structure:
 	// one span per site exchange (with the exact payload bytes the
 	// Meter charges) plus the begin/merge phases. Tracing observes
@@ -74,11 +76,14 @@ type Options struct {
 // Stats reports the resources of a coordinator-model run — the
 // quantities Theorem 2 bounds.
 type Stats struct {
-	N, K, R     int
-	Rounds      int
-	TotalBits   int64
-	Messages    int64
-	NetSize     int
+	N, K, R   int
+	Rounds    int
+	TotalBits int64
+	Messages  int64
+	NetSize   int
+	// Iterations counts round-A weight reports, the bootstrap report
+	// included: a run that ends on a basis without violators solved
+	// Iterations−1 nets.
 	Iterations  int
 	Successes   int
 	Failures    int
@@ -107,72 +112,29 @@ const (
 	coordSeedMix = 0xc002d
 )
 
-// SolveDataset runs the distributed version of Algorithm 1 (Theorem 2)
-// with one columnar view per site; codecs meter the communication.
-// Round-robin shards of one store (View.Shard — nothing is copied to
-// "distribute" the input) and explicit, possibly uneven partitions
-// (one store per part, as the engine's typed entry point builds them)
-// are the same thing here: site-local scans run over the flat arena
-// with no per-constraint decode.
-func SolveDataset[C, B any](
-	ra lptype.RowAccess[C, B], shards []dataset.View,
+// Solve runs the distributed version of Algorithm 1 (Theorem 2) with
+// the sites in this process, over the loopback transport; codecs meter
+// the communication. The caller builds one weight state per site —
+// lptype.NewSiteWeights over each part of an explicit partition, or
+// lptype.ShardSiteWeights to deal one source round-robin (site j sees
+// rows j, j+k, j+2k, … in order whatever the layout, so the transcript
+// and the answer are too). The sites are closed on return (weight state
+// dropped, file-backed scan cursors released).
+func Solve[C, B any](
+	dom lptype.Domain[C, B], sites []*lptype.SiteWeights[C, B],
 	ccodec comm.Codec[C], bcodec comm.Codec[B],
 	opt Options,
 ) (B, Stats, error) {
-	sites := make([]*lptype.SiteWeights[C, B], len(shards))
-	for i, v := range shards {
-		sites[i] = lptype.NewSiteWeights(ra, v)
-	}
-	return solve(ra.Domain(), sites, ccodec, bcodec, opt)
-}
-
-// SolveSource runs the protocol over any columnar source split across
-// k sites round-robin (lptype.ShardSiteWeights: one shard file per site
-// when the counts line up — the disk-backed analogue of handing each
-// coordinator site its partition — views of the materialized source
-// otherwise). Site j sees rows j, j+k, j+2k, … in order either way, so
-// the protocol transcript — and the answer — is bit-identical across
-// layouts.
-func SolveSource[C, B any](
-	ra lptype.RowAccess[C, B], src dataset.Source, k int,
-	ccodec comm.Codec[C], bcodec comm.Codec[B],
-	opt Options,
-) (B, Stats, error) {
-	var zero B
-	if k < 1 {
-		return zero, Stats{}, ErrNoSites
-	}
-	sites, err := lptype.ShardSiteWeights(ra, src, k)
-	if err != nil {
-		return zero, Stats{}, err
-	}
-	return solve(ra.Domain(), sites, ccodec, bcodec, opt)
-}
-
-// solve adapts site storage onto the in-process transport and runs
-// the shared protocol driver — the historical simulation, now
-// expressed as "the networked coordinator over a loopback transport".
-// The sites are closed on return (weight state dropped, file-backed
-// scan cursors released).
-func solve[C, B any](
-	dom lptype.Domain[C, B], local []*lptype.SiteWeights[C, B],
-	ccodec comm.Codec[C], bcodec comm.Codec[B],
-	opt Options,
-) (B, Stats, error) {
-	var zero B
-	if len(local) == 0 {
-		return zero, Stats{}, ErrNoSites
-	}
-	sites := make([]*protoSite[C, B], len(local))
-	for i, w := range local {
-		sites[i] = newProtoSite(w, ccodec, bcodec)
+	tr := &localTransport[C, B]{sites: make([]*protoSite[C, B], len(sites))}
+	for i, w := range sites {
+		tr.sites[i] = newProtoSite(w, ccodec, bcodec)
 	}
 	defer func() {
-		for _, s := range sites {
+		for _, s := range tr.sites {
 			s.Close()
 		}
 	}()
-	return SolveTransport(dom, &localTransport[C, B]{sites: sites}, ccodec, bcodec, opt)
+	return SolveTransport(dom, tr, ccodec, bcodec, opt)
 }
 
 // SolveTransport runs the coordinator's side of Algorithm 1 over any
@@ -196,279 +158,215 @@ func SolveTransport[C, B any](
 		n += tr.SiteRows(i)
 	}
 	stats := Stats{N: n, K: k}
-	meter := comm.NewMeter()
-	finish := func() {
-		stats.Rounds = meter.Rounds()
-		stats.TotalBits = meter.TotalBits()
-		stats.Messages = meter.Messages()
-	}
 	if n == 0 {
 		b, err := dom.Solve(nil)
 		return b, stats, err
 	}
-
-	nu := dom.CombinatorialDim()
-	lambda := dom.VCDim()
-	r := opt.Core.EffectiveR(n)
-	stats.R = r
-	mult := math.Pow(float64(n), 1/float64(r))
-	eps := 1 / (10 * float64(nu) * mult)
-	m := core.NetSize(eps, lambda, n, nu, opt.Core)
-	stats.NetSize = m
+	p := core.NewParams(n, dom.CombinatorialDim(), dom.VCDim(), opt.Core)
+	stats.R, stats.NetSize = p.R, p.M
 
 	// Session setup (control plane: seeds and the multiplier are
 	// public run parameters, not protocol communication).
 	trace := opt.Trace
 	bsp := trace.Start("begin")
-	if err := tr.Begin(opt.Core.Seed, mult); err != nil {
+	if err := tr.Begin(opt.Core.Seed, p.Mult); err != nil {
 		bsp.EndErr(err, comm.ErrorClass(err))
 		return zero, stats, err
 	}
 	bsp.End()
 
-	if m >= n {
-		// Tiny input: sites ship everything in one round (the protocol
-		// degenerates to the naive algorithm, as it should).
-		meter.StartRound()
-		var all []C
-		for i := 0; i < k; i++ {
-			sp := trace.StartSite("ship-all", i, 1)
-			rep, err := tr.RoundTrip(i, comm.FrameShipAll, nil)
-			if err != nil {
-				sp.EndErr(err, comm.ErrorClass(err))
-				finish()
-				return zero, stats, err
-			}
-			buf := comm.FromBytes(rep)
-			for j, rows := 0, tr.SiteRows(i); j < rows; j++ {
-				c, err := comm.Value(buf, ccodec)
-				if err != nil {
-					terr := &comm.TransportError{Site: i, Type: comm.FrameShipAll,
-						Err: fmt.Errorf("%w: ship-all item %d: %v", comm.ErrProtocol, j, err)}
-					sp.EndErr(terr, terr.Class())
-					finish()
-					return zero, stats, terr
-				}
-				meter.Charge(ccodec.Bits(c))
-				all = append(all, c)
-			}
-			if buf.Remaining() != 0 {
-				terr := &comm.TransportError{Site: i, Type: comm.FrameShipAll,
-					Err: fmt.Errorf("%w: %d trailing bytes in ship-all reply", comm.ErrProtocol, buf.Remaining())}
-				sp.EndErr(terr, terr.Class())
-				finish()
-				return zero, stats, terr
-			}
-			sp.EndBytes(int64(len(rep)))
-		}
-		finish()
-		stats.DirectSolve = true
-		stats.NetSize = n
-		msp := trace.Start("merge")
-		b, err := dom.Solve(all)
-		msp.End()
-		return b, stats, err
+	st := &star[C, B]{
+		tr: tr, ccodec: ccodec, bcodec: bcodec, meter: comm.NewMeter(), trace: trace,
+		rng: numeric.NewRand(opt.Core.Seed^coordSeedMix, 0), mult: p.Mult,
+		total: make([]float64, k), viol: make([]float64, k), count: make([]int, k),
+		upd: make([]float64, k), off: make([]int, k+1),
 	}
-
-	coordRng := numeric.NewRand(opt.Core.Seed^coordSeedMix, 0)
-	maxIters := opt.Core.MaxIters
-	if maxIters <= 0 {
-		maxIters = 60*nu*r + 60
-	}
-
-	// Per-round scratch, reused across iterations: the sites' reports
-	// and errors (each round overwrites or returns on them), and the
-	// net — every iteration samples exactly m items, site i's into its
-	// own segment net[netOff[i]:netOff[i+1]].
-	repTotal := make([]float64, k)
-	repViol := make([]float64, k)
-	repCount := make([]int, k)
-	siteErr := make([]error, k)
-	updTotals := make([]float64, k)
-	net := make([]C, m)
-	netOff := make([]int, k+1)
-
-	// Bootstrap: no pending basis; the first round-A degenerates to
-	// weight reports only.
-	var pending *B
-	for iter := 0; iter < maxIters; iter++ {
-		// ---- Round A: pending basis out, weight reports back. ----
-		meter.StartRound()
-		round := meter.Rounds()
-		runSites(opt, k, func(i int) {
-			sp := trace.StartSite("round-a", i, round)
-			// coord → site i: the pending basis (or none).
-			req := comm.NewBuffer()
-			req.PutBool(pending != nil)
-			if pending != nil {
-				comm.PutValue(req, bcodec, *pending)
-			}
-			meter.Charge(req.Bits())
-			rep, err := tr.RoundTrip(i, comm.FrameRoundA, req.Bytes())
-			if err != nil {
-				siteErr[i] = err
-				sp.EndErr(err, comm.ErrorClass(err))
-				return
-			}
-			// site i → coord: two weights and a count.
-			buf := comm.FromBytes(rep)
-			if repTotal[i], err = buf.Float(); err == nil {
-				if repViol[i], err = buf.Float(); err == nil {
-					repCount[i], err = buf.Int()
-				}
-			}
-			if err != nil || buf.Remaining() != 0 {
-				if err == nil {
-					err = fmt.Errorf("%d trailing bytes", buf.Remaining())
-				}
-				terr := &comm.TransportError{Site: i, Type: comm.FrameRoundA,
-					Err: fmt.Errorf("%w: round A reply: %v", comm.ErrProtocol, err)}
-				siteErr[i] = terr
-				sp.EndErr(terr, terr.Class())
-				return
-			}
-			meter.Charge(8 * len(rep))
-			sp.EndBytes(int64(req.Len() + len(rep)))
-		})
-		stats.Iterations++
-		if err := firstError(siteErr); err != nil {
-			finish()
-			return zero, stats, err
-		}
-
-		var wS, wV float64
-		violators := 0
-		for i := 0; i < k; i++ {
-			wS += repTotal[i]
-			wV += repViol[i]
-			violators += repCount[i]
-		}
-		success := false
-		if pending != nil {
-			if violators == 0 {
-				finish()
-				return *pending, stats, nil
-			}
-			success = wV <= eps*wS
-			if success {
-				stats.Successes++
-			} else {
-				stats.Failures++
-				if opt.Core.MonteCarlo {
-					finish()
-					return zero, stats, core.ErrRoundFailed
-				}
-			}
-		}
-
-		// Updated local totals (after the success bump) — computable at
-		// the coordinator from the round-A reports.
-		for i := 0; i < k; i++ {
-			updTotals[i] = repTotal[i]
-			if success {
-				updTotals[i] += (mult - 1) * repViol[i]
-			}
-		}
-		alloc := sampling.Multinomial(m, updTotals, coordRng)
-		for i, a := range alloc {
-			netOff[i+1] = netOff[i] + a
-		}
-
-		// ---- Round B: flag + allocation out, sampled items back. ----
-		meter.StartRound()
-		round = meter.Rounds()
-		runSites(opt, k, func(i int) {
-			sp := trace.StartSite("round-b", i, round)
-			req := comm.NewBuffer()
-			req.PutBool(success)
-			req.PutInt(alloc[i])
-			meter.Charge(req.Bits())
-			rep, err := tr.RoundTrip(i, comm.FrameRoundB, req.Bytes())
-			if err != nil {
-				siteErr[i] = err
-				sp.EndErr(err, comm.ErrorClass(err))
-				return
-			}
-			if alloc[i] == 0 {
-				if len(rep) != 0 {
-					terr := &comm.TransportError{Site: i, Type: comm.FrameRoundB,
-						Err: fmt.Errorf("%w: unsolicited %d-byte round B reply", comm.ErrProtocol, len(rep))}
-					siteErr[i] = terr
-					sp.EndErr(terr, terr.Class())
-					return
-				}
-				sp.EndBytes(int64(req.Len()))
-				return
-			}
-			buf := comm.FromBytes(rep)
-			picked := net[netOff[i]:netOff[i+1]]
-			for t := range picked {
-				if picked[t], err = comm.Value(buf, ccodec); err != nil {
-					terr := &comm.TransportError{Site: i, Type: comm.FrameRoundB,
-						Err: fmt.Errorf("%w: sampled item %d: %v", comm.ErrProtocol, t, err)}
-					siteErr[i] = terr
-					sp.EndErr(terr, terr.Class())
-					return
-				}
-			}
-			if buf.Remaining() != 0 {
-				terr := &comm.TransportError{Site: i, Type: comm.FrameRoundB,
-					Err: fmt.Errorf("%w: %d trailing bytes in round B reply", comm.ErrProtocol, buf.Remaining())}
-				siteErr[i] = terr
-				sp.EndErr(terr, terr.Class())
-				return
-			}
-			meter.Charge(8 * len(rep))
-			sp.EndBytes(int64(req.Len() + len(rep)))
-		})
-		if err := firstError(siteErr); err != nil {
-			finish()
-			return zero, stats, err
-		}
-
-		msp := trace.Start("merge")
-		basis, err := dom.Solve(net)
+	b, c, err := core.Run(p, st, func(net []C) (B, error) {
+		sp := trace.Start("merge")
+		b, err := dom.Solve(net)
 		if err != nil {
-			msp.EndErr(err, "")
-			finish()
-			return zero, stats, err
+			sp.EndErr(err, "")
+		} else {
+			sp.End()
 		}
-		msp.End()
-		pending = &basis
+		return b, err
+	})
+	stats.Rounds, stats.TotalBits, stats.Messages = st.meter.Rounds(), st.meter.TotalBits(), st.meter.Messages()
+	stats.Iterations, stats.Successes, stats.Failures = c.Tests, c.Successes, c.Failures
+	if p.Direct && c.Solves > 0 {
+		stats.DirectSolve, stats.NetSize = true, n
 	}
-	finish()
-	return zero, stats, core.ErrIterationBudget
+	return b, stats, err
 }
 
-// firstError returns the lowest-site error of a round, so a
-// multi-site failure reports deterministically.
-func firstError(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
+// star is the coordinator-model substrate of Algorithm 1: k sites
+// behind a Transport, one metered round per Test (round A) and per
+// Sample (round B). A round's exchanges are issued to every site in
+// order and the lowest-site error is returned, so a multi-site failure
+// reports deterministically and a failing round is metered the same on
+// every transport.
+type star[C, B any] struct {
+	tr     comm.Transport
+	ccodec comm.Codec[C]
+	bcodec comm.Codec[B]
+	meter  *comm.Meter
+	trace  *obs.Trace
+	rng    *rand.Rand // the coordinator's allocation draws
+	mult   float64
+
+	// Per-round scratch, reused across iterations: the sites' round-A
+	// reports, the updated local totals the allocation is drawn over,
+	// and the net segment of each site — net[off[i]:off[i+1]].
+	total, viol []float64
+	count       []int
+	upd         []float64
+	off         []int
+}
+
+// Test is round A: the pending basis out, weight reports back.
+func (s *star[C, B]) Test(pending *B) (wS, wV float64, violators int, err error) {
+	s.meter.StartRound()
+	round := s.meter.Rounds()
+	for i := range s.total {
+		if e := s.roundA(i, round, pending); e != nil && err == nil {
+			err = e
 		}
 	}
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	for i := range s.total {
+		wS += s.total[i]
+		wV += s.viol[i]
+		violators += s.count[i]
+	}
+	return wS, wV, violators, nil
+}
+
+func (s *star[C, B]) roundA(i, round int, pending *B) error {
+	sp := s.trace.StartSite("round-a", i, round)
+	// coord → site i: the pending basis (or none).
+	req := comm.NewBuffer()
+	req.PutBool(pending != nil)
+	if pending != nil {
+		comm.PutValue(req, s.bcodec, *pending)
+	}
+	s.meter.Charge(req.Bits())
+	rep, err := s.tr.RoundTrip(i, comm.FrameRoundA, req.Bytes())
+	if err != nil {
+		sp.EndErr(err, comm.ErrorClass(err))
+		return err
+	}
+	// site i → coord: two weights and a count.
+	buf := comm.FromBytes(rep)
+	if s.total[i], err = buf.Float(); err == nil {
+		if s.viol[i], err = buf.Float(); err == nil {
+			s.count[i], err = buf.Int()
+		}
+	}
+	if err != nil || buf.Remaining() != 0 {
+		if err == nil {
+			err = fmt.Errorf("%d trailing bytes", buf.Remaining())
+		}
+		return protocolError(sp, i, comm.FrameRoundA, "round A reply: %v", err)
+	}
+	s.meter.Charge(8 * len(rep))
+	sp.EndBytes(int64(req.Len() + len(rep)))
 	return nil
 }
 
-// runSites executes fn for every site index, in parallel when
-// requested. The per-site work uses only site-local state plus
-// write-disjoint result slots, so both modes are race-free and
-// produce identical results.
-func runSites(opt Options, k int, fn func(i int)) {
-	if !opt.Parallel {
-		for i := 0; i < k; i++ {
-			fn(i)
+// Sample is round B: the success flag and the multinomial allocation
+// out — drawn over the local totals after the success bump, which the
+// coordinator computes from the round-A reports (Lemma 3.7) — and the
+// sampled constraints back.
+func (s *star[C, B]) Sample(success bool, net []C) error {
+	for i := range s.upd {
+		s.upd[i] = s.total[i]
+		if success {
+			s.upd[i] += (s.mult - 1) * s.viol[i]
 		}
-		return
 	}
-	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn(i)
-		}()
+	alloc := sampling.Multinomial(len(net), s.upd, s.rng)
+	for i, a := range alloc {
+		s.off[i+1] = s.off[i] + a
 	}
-	wg.Wait()
+	s.meter.StartRound()
+	round := s.meter.Rounds()
+	var err error
+	for i := range s.upd {
+		if e := s.roundB(i, round, success, net[s.off[i]:s.off[i+1]]); e != nil && err == nil {
+			err = e
+		}
+	}
+	return err
+}
+
+func (s *star[C, B]) roundB(i, round int, success bool, picked []C) error {
+	sp := s.trace.StartSite("round-b", i, round)
+	req := comm.NewBuffer()
+	req.PutBool(success)
+	req.PutInt(len(picked))
+	s.meter.Charge(req.Bits())
+	rep, err := s.tr.RoundTrip(i, comm.FrameRoundB, req.Bytes())
+	if err != nil {
+		sp.EndErr(err, comm.ErrorClass(err))
+		return err
+	}
+	if len(picked) == 0 {
+		if len(rep) != 0 {
+			return protocolError(sp, i, comm.FrameRoundB, "unsolicited %d-byte round B reply", len(rep))
+		}
+		sp.EndBytes(int64(req.Len()))
+		return nil
+	}
+	buf := comm.FromBytes(rep)
+	for t := range picked {
+		if picked[t], err = comm.Value(buf, s.ccodec); err != nil {
+			return protocolError(sp, i, comm.FrameRoundB, "sampled item %d: %v", t, err)
+		}
+	}
+	if buf.Remaining() != 0 {
+		return protocolError(sp, i, comm.FrameRoundB, "%d trailing bytes in round B reply", buf.Remaining())
+	}
+	s.meter.Charge(8 * len(rep))
+	sp.EndBytes(int64(req.Len() + len(rep)))
+	return nil
+}
+
+// All is the tiny-input protocol: the sites ship everything in one
+// round (the protocol degenerates to the naive algorithm, as it
+// should).
+func (s *star[C, B]) All() ([]C, error) {
+	s.meter.StartRound()
+	var all []C
+	for i := range s.tr.Sites() {
+		sp := s.trace.StartSite("ship-all", i, 1)
+		rep, err := s.tr.RoundTrip(i, comm.FrameShipAll, nil)
+		if err != nil {
+			sp.EndErr(err, comm.ErrorClass(err))
+			return nil, err
+		}
+		buf := comm.FromBytes(rep)
+		for j, rows := 0, s.tr.SiteRows(i); j < rows; j++ {
+			c, err := comm.Value(buf, s.ccodec)
+			if err != nil {
+				return nil, protocolError(sp, i, comm.FrameShipAll, "ship-all item %d: %v", j, err)
+			}
+			s.meter.Charge(s.ccodec.Bits(c))
+			all = append(all, c)
+		}
+		if buf.Remaining() != 0 {
+			return nil, protocolError(sp, i, comm.FrameShipAll, "%d trailing bytes in ship-all reply", buf.Remaining())
+		}
+		sp.EndBytes(int64(len(rep)))
+	}
+	return all, nil
+}
+
+// protocolError ends an exchange's span with a malformed reply of site
+// i: a comm.ErrProtocol TransportError.
+func protocolError(sp obs.SpanRef, i int, typ comm.FrameType, format string, args ...any) error {
+	terr := &comm.TransportError{Site: i, Type: typ, Err: fmt.Errorf("%w: "+format, append([]any{comm.ErrProtocol}, args...)...)}
+	sp.EndErr(terr, terr.Class())
+	return terr
 }

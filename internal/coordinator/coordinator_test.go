@@ -73,7 +73,8 @@ func solveTyped[C, B any](dom lptype.Domain[C, B], parts [][]C, cc comm.Codec[C]
 		}
 		panic("solveTyped: unknown constraint type")
 	}
-	shards := make([]dataset.View, len(parts))
+	ra := lptype.NewRowAccess(dom, decode)
+	sites := make([]*lptype.SiteWeights[C, B], len(parts))
 	var row []float64
 	for i, part := range parts {
 		st := dataset.NewStore(d + 1)
@@ -81,9 +82,9 @@ func solveTyped[C, B any](dom lptype.Domain[C, B], parts [][]C, cc comm.Codec[C]
 			row = encode(row[:0], c)
 			st.AppendRow(row)
 		}
-		shards[i] = st.View()
+		sites[i] = lptype.NewSiteWeights(ra, st)
 	}
-	return SolveDataset(lptype.NewRowAccess(dom, decode), shards, cc, bc, opt)
+	return Solve(dom, sites, cc, bc, opt)
 }
 
 func TestCoordinatorLPMatchesDirect(t *testing.T) {
@@ -150,30 +151,6 @@ func TestCoordinatorCommunicationSublinear(t *testing.T) {
 	shipAll := int64(stats.N) * int64(cc.Bits(lp.Halfspace{}))
 	if stats.TotalBits >= shipAll/4 {
 		t.Errorf("communication %d bits not clearly sublinear (ship-all %d)", stats.TotalBits, shipAll)
-	}
-}
-
-func TestCoordinatorParallelMatchesSequential(t *testing.T) {
-	d := 2
-	p, cons := sphereLP(d, 20000, 31)
-	dom := lp.NewDomain(p, 13)
-	cc, bc := lpCodecs(d)
-	seq, sseq, err := solveTyped(dom, partition(cons, 8), cc, bc, Options{
-		Core: core.Options{R: 2, Seed: 9, NetConst: 0.5},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, spar, err := solveTyped(dom, partition(cons, 8), cc, bc, Options{
-		Core: core.Options{R: 2, Seed: 9, NetConst: 0.5}, Parallel: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The protocol (and hence the transcript sizes) must be identical:
-	// parallelism only changes scheduling.
-	if seq.Sol.Value != par.Sol.Value || sseq.TotalBits != spar.TotalBits || sseq.Rounds != spar.Rounds {
-		t.Errorf("parallel run diverged: %v/%v vs %v/%v", seq.Sol.Value, sseq, par.Sol.Value, spar)
 	}
 }
 

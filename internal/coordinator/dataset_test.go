@@ -42,22 +42,27 @@ func TestSolveDatasetMatchesSlice(t *testing.T) {
 	for i := 0; i < n; i++ {
 		parts[i%k] = append(parts[i%k], meb.Point(st.Row(i)))
 	}
-	perPart := make([]dataset.View, k)
+	ra := mebAccess(d)
+	perPart := make([]*lptype.SiteWeights[meb.Point, meb.Basis], k)
 	for i, part := range parts {
 		ps := dataset.NewStore(d)
 		for _, p := range part {
 			ps.AppendRow(p)
 		}
-		perPart[i] = ps.View()
+		perPart[i] = lptype.NewSiteWeights(ra, ps)
 	}
 	opt := coordinator.Options{Core: core.Options{R: 2, Seed: 13, NetConst: 0.5}}
-	want, wantStats, err := coordinator.SolveDataset(
-		mebAccess(d), perPart, meb.PointCodec{Dim: d}, meb.BasisCodec{Dim: d}, opt)
+	want, wantStats, err := coordinator.Solve(
+		ra.Domain(), perPart, meb.PointCodec{Dim: d}, meb.BasisCodec{Dim: d}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, gotStats, err := coordinator.SolveDataset(
-		mebAccess(d), st.View().Shard(k), meb.PointCodec{Dim: d}, meb.BasisCodec{Dim: d}, opt)
+	strided, err := lptype.ShardSiteWeights(ra, st, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, gotStats, err := coordinator.Solve(
+		ra.Domain(), strided, meb.PointCodec{Dim: d}, meb.BasisCodec{Dim: d}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,8 +128,7 @@ type exchange struct {
 
 // recordingTransport copies every frame a solve exchanges with its
 // sites, Begin included (sent as a frame, which the loopback accepts),
-// into one transcript per site — each written only by the goroutine
-// serving that site, so it records Parallel solves too.
+// into one transcript per site.
 type recordingTransport struct {
 	comm.Transport
 	log [][]exchange
@@ -203,7 +202,7 @@ func transcriptN(r int, netConst float64) int {
 // TestSiteTranscriptMatchesReference: every reply payload of every
 // site, over full solves, is byte-equal to what the recompute-per-round
 // site (siteRef) answers to the same requests — lp and meb × r ∈
-// {1,2,3} × 5 seeds × NetConst {default, 0.2} × Parallel on and off.
+// {1,2,3} × 5 seeds × NetConst {default, 0.2}.
 // NetConst 0.2 makes iterations fail and sites accumulate ≥ 3
 // successful bases. The r = 2 default-constant rows (n = 600 000) are
 // skipped under -short.
@@ -244,14 +243,12 @@ func TestSiteTranscriptMatchesReference(t *testing.T) {
 					}
 				}
 				for seed := uint64(1); seed <= 5; seed++ {
-					for _, parallel := range []bool{false, true} {
-						what := fmt.Sprintf("%s r=%d nc=%v seed=%d parallel=%v", kind, r, netConst, seed, parallel)
-						stats := run(what, Options{Core: core.Options{R: r, Seed: seed, NetConst: netConst}, Parallel: parallel})
-						maxSuccesses = max(maxSuccesses, stats.Successes)
-						failures += stats.Failures
-						if stats.DirectSolve {
-							direct++
-						}
+					what := fmt.Sprintf("%s r=%d nc=%v seed=%d", kind, r, netConst, seed)
+					stats := run(what, Options{Core: core.Options{R: r, Seed: seed, NetConst: netConst}})
+					maxSuccesses = max(maxSuccesses, stats.Successes)
+					failures += stats.Failures
+					if stats.DirectSolve {
+						direct++
 					}
 				}
 			}

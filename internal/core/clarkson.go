@@ -21,30 +21,46 @@
 // suffice, and each iteration succeeds with probability ≥ 2/3
 // (Claim 3.2).
 //
-// This package is the in-memory reference implementation with explicit
-// weights. The model implementations replace step 1 with
-// model-appropriate sampling (weighted reservoirs over a stream, the
-// two-round distributed protocol of Lemma 3.7, or the MPC weight tree)
-// and recompute weights from the stored basis history instead of
-// storing them (§3.2) — but they all follow this skeleton and are
-// differential-tested against it.
+// # One loop, three substrates
+//
+// This package holds the algorithm once. NewParams computes a run's
+// parameters — r, the multiplier n^{1/r}, ε, the net size m, the
+// iteration budget — and Params.Success is the success rule. Run is the
+// loop, over a Substrate that tests a basis and samples a net where the
+// constraints live:
+//
+//   - in memory, with explicit weights: Solve, the reference;
+//   - on the k sites of the coordinator model (internal/coordinator):
+//     one metered round per Test and per Sample over a comm.Transport;
+//   - on the machines of the MPC model (internal/mpc): the same steps
+//     routed through an n^δ-ary tree.
+//
+// Sites and machines hold their constraints, so they keep one weight
+// exponent per constraint (lptype.SiteWeights). The streaming model
+// (internal/stream) cannot: it recomputes every weight from the stored
+// bases of successful iterations on each pass (§3.2), and it draws the
+// next net in the same pass that tests the pending basis, before the
+// iteration's success is known. So it keeps its own pass-driven loop,
+// but reads the same Params and Params.Success.
 package core
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand/v2"
 
-	"lowdimlp/internal/epsnet"
 	"lowdimlp/internal/lptype"
 	"lowdimlp/internal/numeric"
 	"lowdimlp/internal/sampling"
 )
 
 // ErrIterationBudget reports that the meta-algorithm did not terminate
-// within its iteration cap. The cap defaults to many multiples of the
-// high-probability bound of Lemma 3.3, so hitting it indicates a
-// mis-specified domain (violation tests inconsistent with Solve).
+// within its iteration cap: Options.MaxIters nets were solved and
+// tested, and none was a basis of the input. The cap defaults to many
+// multiples of the high-probability bound of Lemma 3.3, so hitting it
+// indicates a mis-specified domain (violation tests inconsistent with
+// Solve).
 var ErrIterationBudget = errors.New("core: iteration budget exhausted")
 
 // ErrRoundFailed is returned by the Monte-Carlo variant (Remark 3.6)
@@ -71,9 +87,11 @@ type Options struct {
 	// success probability per iteration changes.
 	TheoryNet bool
 	// NetConst is the practical net-size constant c in m = c·λ/ε
-	// (default 8 when zero).
+	// (default 8 when zero; the engine always passes its own default,
+	// 0.5 — see engine.Options.Core).
 	NetConst float64
-	// MaxIters caps the number of iterations (default 60·ν·r + 60).
+	// MaxIters caps the number of nets solved (default 60·ν·r + 60). Each
+	// solved net is tested before ErrIterationBudget ends the run.
 	MaxIters int
 	// CollectLog records per-iteration statistics in Stats.Log.
 	CollectLog bool
@@ -111,7 +129,7 @@ type Stats struct {
 	R           int     // effective r
 	Eps         float64 // ε = 1/(10·ν·n^{1/r})
 	NetSize     int     // m
-	Iterations  int
+	Iterations  int     // nets sampled and solved (0 on the direct path)
 	Successes   int
 	Failures    int
 	DirectSolve bool // m ≥ n: solved in one shot without sampling
@@ -124,139 +142,97 @@ func (s Stats) String() string {
 		s.N, s.R, s.Eps, s.NetSize, s.Iterations, s.Successes, s.Failures, s.DirectSolve)
 }
 
-// Solve runs Algorithm 1 on the constraint set s over the given domain.
+// Solve runs Algorithm 1 on the constraint set s over the given domain,
+// in memory with explicit weights.
 func Solve[C, B any](dom lptype.Domain[C, B], s []C, opt Options) (B, Stats, error) {
-	var zero B
 	n := len(s)
 	stats := Stats{N: n}
 	if n == 0 {
 		b, err := dom.Solve(nil)
 		return b, stats, err
 	}
-	nu := dom.CombinatorialDim()
-	lambda := dom.VCDim()
-	r := opt.EffectiveR(n)
-	stats.R = r
-
-	mult := math.Pow(float64(n), 1/float64(r)) // the weight multiplier n^{1/r}
-	eps := 1 / (10 * float64(nu) * mult)
-	stats.Eps = eps
-
-	m := netSize(eps, lambda, n, nu, opt)
-	stats.NetSize = m
-	if m >= n {
-		// The sample would contain (essentially) everything: solve
-		// directly. This happens for small n or r close to 1 with the
-		// theory-exact net size.
-		stats.DirectSolve = true
+	p := NewParams(n, dom.CombinatorialDim(), dom.VCDim(), opt)
+	stats.R, stats.Eps, stats.NetSize, stats.DirectSolve = p.R, p.Eps, p.M, p.Direct
+	if p.Direct {
+		// The sample would contain (essentially) everything. This happens
+		// for small n or r close to 1 with the theory-exact net size.
 		stats.NetSize = n
-		b, err := dom.Solve(s)
-		return b, stats, err
 	}
-
-	rng := numeric.NewRand(opt.Seed, 0xc1a2c50)
-	exps := make([]int, n) // weight exponents a_i
-	weights := make([]float64, n)
-	for i := range weights {
-		weights[i] = 1
+	mem := &memory[C, B]{dom: dom, s: s, p: p, opt: opt, stats: &stats}
+	b, c, err := Run(p, mem, dom.Solve)
+	if !p.Direct {
+		stats.Iterations = c.Solves
 	}
-	logMult := math.Log(mult)
-
-	maxIters := opt.MaxIters
-	if maxIters <= 0 {
-		maxIters = 60*nu*r + 60
-	}
-	net := make([]C, m)
-	for iter := 0; iter < maxIters; iter++ {
-		stats.Iterations++
-		// Step 1: weighted sample with replacement.
-		alias := sampling.NewAlias(weights)
-		for j := range net {
-			net[j] = s[alias.Draw(rng)]
-		}
-		// Step 2: basis of the net.
-		basis, err := dom.Solve(net)
-		if err != nil {
-			return zero, stats, err
-		}
-		// Step 3: violators and their weight.
-		var wTotal, wViol numeric.Kahan
-		violCount := 0
-		for i, c := range s {
-			wTotal.Add(weights[i])
-			if dom.Violates(basis, c) {
-				wViol.Add(weights[i])
-				violCount++
-			}
-		}
-		if violCount == 0 {
-			if opt.CollectLog {
-				stats.Log = append(stats.Log, IterRecord{Success: true, TotalWeight: wTotal.Sum()})
-			}
-			return basis, stats, nil
-		}
-		success := wViol.Sum() <= eps*wTotal.Sum()
-		if opt.CollectLog {
-			stats.Log = append(stats.Log, IterRecord{
-				Success:     success,
-				Violators:   violCount,
-				ViolFrac:    wViol.Sum() / wTotal.Sum(),
-				TotalWeight: wTotal.Sum(),
-			})
-		}
-		if !success {
-			stats.Failures++
-			if opt.MonteCarlo {
-				return zero, stats, ErrRoundFailed
-			}
-			continue
-		}
-		// Step 4: bump violator weights by n^{1/r}.
-		stats.Successes++
-		for i, c := range s {
-			if dom.Violates(basis, c) {
-				exps[i]++
-				if exps[i] > stats.MaxExponent {
-					stats.MaxExponent = exps[i]
-				}
-				// Guard the float64 range; Claim 3.5 bounds the total
-				// weight by e^{t/10ν}·n, so this cannot fire on a
-				// correct domain.
-				if float64(exps[i])*logMult > 600 {
-					return zero, stats, fmt.Errorf("core: weight exponent overflow (a=%d, mult=%g)", exps[i], mult)
-				}
-				weights[i] *= mult
-			}
-		}
-	}
-	return zero, stats, ErrIterationBudget
+	stats.Successes, stats.Failures = c.Successes, c.Failures
+	return b, stats, err
 }
 
-// NetSize picks the ε-net sample size for the given ε, VC dimension λ,
-// input size n and combinatorial dimension ν per the options. Exported
-// for the model implementations (stream/coordinator/mpc), which size
-// their nets identically to the reference algorithm.
-func NetSize(eps float64, lambda, n, nu int, opt Options) int {
-	return netSize(eps, lambda, n, nu, opt)
+// memory is the in-memory substrate: the constraint slice with one
+// explicit weight and exponent per constraint, the violators of the
+// last tested basis, and a fresh alias table for every net.
+type memory[C, B any] struct {
+	dom   lptype.Domain[C, B]
+	s     []C
+	p     Params
+	opt   Options
+	stats *Stats
+
+	rng     *rand.Rand
+	exps    []int // weight exponents a_i
+	weights []float64
+	viol    []int
 }
 
-// netSize picks the ε-net sample size per the options.
-func netSize(eps float64, lambda, n, nu int, opt Options) int {
-	if opt.TheoryNet {
-		delta := 1. / 3
-		if opt.MonteCarlo {
-			delta = 1 / (float64(n) * float64(nu))
+func (m *memory[C, B]) Test(pending *B) (wS, wV float64, violators int, err error) {
+	if pending == nil {
+		m.rng = numeric.NewRand(m.opt.Seed, 0xc1a2c50)
+		m.exps = make([]int, len(m.s))
+		m.weights = make([]float64, len(m.s))
+		for i := range m.weights {
+			m.weights[i] = 1
 		}
-		return epsnet.SampleSize(eps, lambda, delta)
+		return float64(len(m.s)), 0, 0, nil
 	}
-	c := opt.NetConst
-	if c <= 0 {
-		c = 8
+	var wTotal, wViol numeric.Kahan
+	m.viol = m.viol[:0]
+	for i, c := range m.s {
+		wTotal.Add(m.weights[i])
+		if m.dom.Violates(*pending, c) {
+			wViol.Add(m.weights[i])
+			m.viol = append(m.viol, i)
+		}
 	}
-	if opt.MonteCarlo {
-		// Scale the net up by the log factor the Monte-Carlo variant
-		// needs for its 1/(nν) failure probability.
-		c *= math.Log(float64(n)*float64(nu)) / math.Log(6)
+	wS, wV = wTotal.Sum(), wViol.Sum()
+	if m.opt.CollectLog {
+		rec := IterRecord{Success: true, TotalWeight: wS}
+		if len(m.viol) > 0 {
+			rec = IterRecord{Success: m.p.Success(wS, wV), Violators: len(m.viol), ViolFrac: wV / wS, TotalWeight: wS}
+		}
+		m.stats.Log = append(m.stats.Log, rec)
 	}
-	return epsnet.PracticalSampleSize(eps, lambda, c)
+	return wS, wV, len(m.viol), nil
 }
+
+func (m *memory[C, B]) Sample(success bool, net []C) error {
+	if success {
+		// Bump the violators' weights by n^{1/r}.
+		logMult := math.Log(m.p.Mult)
+		for _, i := range m.viol {
+			m.exps[i]++
+			m.stats.MaxExponent = max(m.stats.MaxExponent, m.exps[i])
+			// Guard the float64 range; Claim 3.5 bounds the total weight
+			// by e^{t/10ν}·n, so this cannot fire on a correct domain.
+			if float64(m.exps[i])*logMult > 600 {
+				return fmt.Errorf("core: weight exponent overflow (a=%d, mult=%g)", m.exps[i], m.p.Mult)
+			}
+			m.weights[i] *= m.p.Mult
+		}
+	}
+	alias := sampling.NewAlias(m.weights)
+	for j := range net {
+		net[j] = m.s[alias.Draw(m.rng)]
+	}
+	return nil
+}
+
+func (m *memory[C, B]) All() ([]C, error) { return m.s, nil }

@@ -102,7 +102,7 @@ func (s *Spec[P, C, B]) streamOptions(dim int, opt Options) stream.Options {
 }
 
 func (o Options) coordinator() coordinator.Options {
-	return coordinator.Options{Core: o.Core(), Parallel: o.EffectiveParallel(), Trace: o.Trace}
+	return coordinator.Options{Core: o.Core(), Trace: o.Trace}
 }
 
 // SolveRAM solves with the in-memory reference solver (the oracle the
@@ -150,8 +150,12 @@ func SolveCoordinator[P, C, B any](s *Spec[P, C, B], p P, parts [][]C, opt Optio
 		}
 		shards[i] = st.View()
 	}
-	return coordinator.SolveDataset(specAccess(s, p, opt.Seed^s.SeedMix), shards,
-		s.ItemCodec(dim), s.BasisCodec(dim), opt.coordinator())
+	ra := specAccess(s, p, opt.Seed^s.SeedMix)
+	sites := make([]*lptype.SiteWeights[C, B], len(shards))
+	for i, v := range shards {
+		sites[i] = lptype.NewSiteWeights(ra, v)
+	}
+	return coordinator.Solve(ra.Domain(), sites, s.ItemCodec(dim), s.BasisCodec(dim), opt.coordinator())
 }
 
 // SolveMPC solves in the MPC model with per-machine load O~(n^Delta)

@@ -65,20 +65,21 @@ type Options struct {
 	// MonteCarlo selects the Remark 3.6 variant (fails fast instead of
 	// retrying failed iterations).
 	MonteCarlo bool
-	// NetConst scales the ε-net sample size (0 = the library default;
-	// see core.Options.NetConst).
+	// NetConst is the ε-net constant c in m = c·λ/ε (0 = 0.5, the
+	// default Core applies; core.Options.NetConst's own default, 8, is
+	// only for direct callers of internal/core).
 	NetConst float64
 	// K is the number of coordinator sites used when the engine
 	// partitions a flat instance itself (0 = 4). The typed coordinator
 	// entry points take explicit partitions and ignore it.
 	K int
-	// Parallel runs coordinator site-local computation on one
-	// goroutine per site (and sharded streaming scans on one decode
-	// goroutine per shard). The protocol, its randomness and the
-	// metered communication are identical either way; only wall-clock
-	// time changes. On a single-CPU host the fan-out is pure overhead
-	// (BENCH_M3: parallel *loses* at GOMAXPROCS=1), so the engine
-	// auto-disables it there — see EffectiveParallel.
+	// Parallel is for sharded streaming scans only: the stream backend
+	// reads a sharded source on one decode goroutine per shard. The row
+	// order, and so the answer, is identical either way; only wall-clock
+	// time changes. Other backends ignore it. On a single-CPU host the
+	// fan-out is pure overhead (BENCH_M3: parallel *loses* at
+	// GOMAXPROCS=1), so the engine auto-disables it there — see
+	// EffectiveParallel.
 	Parallel bool
 	// Trace, when non-nil, records the solve's execution structure
 	// (phases, per-round site exchanges with their protocol bytes,
@@ -89,7 +90,7 @@ type Options struct {
 
 // EffectiveParallel reports whether Parallel will actually fan out:
 // requested, and more than one CPU to fan out onto. With GOMAXPROCS=1
-// goroutine-per-site/shard is pure scheduling overhead on top of the
+// goroutine-per-shard is pure scheduling overhead on top of the
 // same serial execution, so the engine silently falls back to the
 // serial path (identical answers — Parallel never affects results).
 func (o Options) EffectiveParallel() bool {

@@ -6,6 +6,7 @@ import (
 
 	"lowdimlp/internal/coordinator"
 	"lowdimlp/internal/dataset"
+	"lowdimlp/internal/lptype"
 	"lowdimlp/internal/mpc"
 	"lowdimlp/internal/stream"
 )
@@ -71,8 +72,11 @@ func (s *Spec[P, C, B]) SolveSourceBasis(backend string, dim int, objective []fl
 		// of the materialized source otherwise — identical site
 		// contents either way.
 		var st CoordinatorStats
-		b, st, err = coordinator.SolveSource(specAccess(s, p, opt.Seed^s.SeedMix), src, opt.Sites(),
-			s.ItemCodec(dim), s.BasisCodec(dim), opt.coordinator())
+		ra := specAccess(s, p, opt.Seed^s.SeedMix)
+		var sites []*lptype.SiteWeights[C, B]
+		if sites, err = lptype.ShardSiteWeights(ra, src, opt.Sites()); err == nil {
+			b, st, err = coordinator.Solve(ra.Domain(), sites, s.ItemCodec(dim), s.BasisCodec(dim), opt.coordinator())
+		}
 		stats.Coordinator = &st
 	case BackendMPC:
 		var st MPCStats

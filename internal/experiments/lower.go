@@ -7,8 +7,8 @@ import (
 
 	"lowdimlp/internal/coordinator"
 	"lowdimlp/internal/core"
-	"lowdimlp/internal/dataset"
 	"lowdimlp/internal/lp"
+	"lowdimlp/internal/lptype"
 	"lowdimlp/internal/models"
 	"lowdimlp/internal/numeric"
 	"lowdimlp/internal/tci"
@@ -47,10 +47,13 @@ func runE8(w io.Writer, cfg Config) error {
 		if err != nil {
 			return err
 		}
-		parts := []dataset.View{rows.View().Slice(0, half), rows.View().Slice(half, len(cons))}
+		sites := []*lptype.SiteWeights[lp.Halfspace, lp.Basis]{
+			lptype.NewSiteWeights(ra, rows.View().Slice(0, half)),
+			lptype.NewSiteWeights(ra, rows.View().Slice(half, len(cons))),
+		}
 		hc := lp.HalfspaceCodec{Dim: 2}
 		bc := lp.BasisCodec{Dim: 2}
-		cb, cst, err := coordinator.SolveDataset(ra, parts, hc, bc, coordinator.Options{
+		cb, cst, err := coordinator.Solve(ra.Domain(), sites, hc, bc, coordinator.Options{
 			Core: core.Options{R: c.R, Seed: cfg.Seed, NetConst: netConst},
 		})
 		if err != nil {

@@ -85,7 +85,11 @@ func runE2(w io.Writer, cfg Config) error {
 				if err != nil {
 					return err
 				}
-				_, stats, err := coordinator.SolveDataset(ra, rows.View().Shard(k), hc, bc, coordinator.Options{
+				sites, err := lptype.ShardSiteWeights(ra, rows, k)
+				if err != nil {
+					return err
+				}
+				_, stats, err := coordinator.Solve(ra.Domain(), sites, hc, bc, coordinator.Options{
 					Core: core.Options{R: r, Seed: cfg.Seed, NetConst: netConst},
 				})
 				if err != nil {
@@ -219,7 +223,11 @@ func runE5(w io.Writer, cfg Config) error {
 			if err != nil {
 				return err
 			}
-			cb, cst, err := coordinator.SolveDataset(ra, rows.View().Shard(8), ec, bc, coordinator.Options{
+			sites, err := lptype.ShardSiteWeights(ra, rows, 8)
+			if err != nil {
+				return err
+			}
+			cb, cst, err := coordinator.Solve(ra.Domain(), sites, ec, bc, coordinator.Options{
 				Core: core.Options{R: r, Seed: cfg.Seed, NetConst: netConst},
 			})
 			if err != nil {
@@ -262,7 +270,11 @@ func runE6(w io.Writer, cfg Config) error {
 			if err != nil {
 				return err
 			}
-			cb, cst, err := coordinator.SolveDataset(ra, rows.View().Shard(8), pc, bc, coordinator.Options{
+			sites, err := lptype.ShardSiteWeights(ra, rows, 8)
+			if err != nil {
+				return err
+			}
+			cb, cst, err := coordinator.Solve(ra.Domain(), sites, pc, bc, coordinator.Options{
 				Core: core.Options{R: r, Seed: cfg.Seed, NetConst: netConst},
 			})
 			if err != nil {

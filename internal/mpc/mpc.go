@@ -35,10 +35,15 @@
 //
 // With r = Θ(1/δ) iterations of O(1/δ) rounds each, the total is the
 // O(ν/δ²) rounds of Theorem 3, at load O~(λ·ν²·n^δ)·bit(S).
+//
+// This is the coordinator protocol with its control traffic routed
+// through the tree, and the loop is core.Run's: steps 1–2 are the tree
+// substrate's Test, steps 3–4 its Sample, so the parameters, the success
+// rule, the Monte-Carlo exit and the iteration budget are those of every
+// other backend.
 package mpc
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -73,19 +78,18 @@ type Stats struct {
 	MaxLoadBits int64 // max bits sent or received by any machine in any round
 	TotalBits   int64
 	NetSize     int
-	Iterations  int
-	Successes   int
-	Failures    int
+	// Iterations counts weight aggregations at the root, the bootstrap
+	// one included: a run that ends on a basis without violators solved
+	// Iterations−1 nets.
+	Iterations int
+	Successes  int
+	Failures   int
 }
 
 func (s Stats) String() string {
 	return fmt.Sprintf("n=%d machines=%d δ=%.2f rounds=%d load=%dbits iters=%d",
 		s.N, s.Machines, s.Delta, s.Rounds, s.MaxLoadBits, s.Iterations)
 }
-
-// ErrNoInput is returned for an empty input when the domain cannot
-// solve the empty set.
-var ErrNoInput = errors.New("mpc: empty input")
 
 // net simulates the synchronous all-to-all network with per-round
 // per-machine load accounting.
@@ -176,27 +180,9 @@ func SolveSource[C, B any](
 	ccodec comm.Codec[C], bcodec comm.Codec[B],
 	opt Options,
 ) (B, Stats, error) {
-	var stores []*lptype.SiteWeights[C, B]
-	defer func() {
-		for _, s := range stores {
-			s.Close()
-		}
-	}()
-	return solve(ra.Domain(), src.Rows(), func(k int) ([]*lptype.SiteWeights[C, B], error) {
-		var err error
-		stores, err = lptype.ShardSiteWeights(ra, src, k)
-		return stores, err
-	}, ccodec, bcodec, opt)
-}
-
-// solve is the protocol body; distribute materializes the per-machine
-// storage once the machine count is known.
-func solve[C, B any](
-	dom lptype.Domain[C, B], n int, distribute func(k int) ([]*lptype.SiteWeights[C, B], error),
-	ccodec comm.Codec[C], bcodec comm.Codec[B],
-	opt Options,
-) (B, Stats, error) {
 	var zero B
+	dom := ra.Domain()
+	n := src.Rows()
 	delta := opt.Delta
 	if delta <= 0 || delta >= 1 {
 		delta = 0.5
@@ -222,194 +208,176 @@ func solve[C, B any](
 	stats.Machines = k
 	stats.FanOut = fan
 
-	nu := dom.CombinatorialDim()
-	lambda := dom.VCDim()
-	// The paper sets r = Θ(1/δ); allow Core.R to override.
-	r := opt.Core.R
-	if r <= 0 {
-		r = int(math.Ceil(1 / delta))
+	// The paper sets r = Θ(1/δ); Core.R overrides it.
+	co := opt.Core
+	if co.R <= 0 {
+		co.R = int(math.Ceil(1 / delta))
 	}
-	r = core.Options{R: r}.EffectiveR(n)
-	stats.R = r
-	mult := math.Pow(float64(n), 1/float64(r))
-	eps := 1 / (10 * float64(nu) * mult)
-	m := core.NetSize(eps, lambda, n, nu, opt.Core)
-	stats.NetSize = m
+	p := core.NewParams(n, dom.CombinatorialDim(), dom.VCDim(), co)
+	stats.R, stats.NetSize = p.R, p.M
 
-	stores, err := distribute(k)
+	stores, err := lptype.ShardSiteWeights(ra, src, k)
 	if err != nil {
 		return zero, stats, err
 	}
-	machines := make([]*machine[C, B], k)
-	for i := range machines {
+	defer func() {
+		for _, s := range stores {
+			s.Close()
+		}
+	}()
+	t := &tree[C, B]{
+		machines: make([]*machine[C, B], k), nw: newNet(k), fan: fan, depth: treeDepth(k, fan),
+		ccodec: ccodec, bcodec: bcodec, mult: p.Mult,
+		alloc: make([]int, k), subAlloc: make([]int, k),
+	}
+	for i := range t.machines {
 		ch := children(i, k, fan)
-		machines[i] = &machine[C, B]{
+		t.machines[i] = &machine[C, B]{
 			id: i, data: stores[i], rng: numeric.NewRand(opt.Core.Seed^0x3bc, uint64(i)+1),
 			children: ch, ws: make([]float64, 1+len(ch)),
 		}
-		stores[i].Reset(mult)
+		stores[i].Reset(p.Mult)
 	}
-	nw := newNet(k)
-
-	if m >= n {
-		// Tiny input: everyone ships to the root directly (the load cap
-		// is ≥ n^δ ≥ m ≥ n/k·k... fine for tiny n).
-		var all []C
-		for _, mm := range machines {
-			bits := 0
-			for i, sz := 0, mm.data.Size(); i < sz; i++ {
-				c := mm.data.Item(i)
-				bits += ccodec.Bits(c)
-				all = append(all, c)
-			}
-			if mm.id != 0 && bits > 0 {
-				nw.send(mm.id, 0, bits)
-			}
-		}
-		nw.nextRound()
-		stats.fill(nw)
+	b, c, err := core.Run(p, t, dom.Solve)
+	stats.Rounds, stats.MaxLoadBits, stats.TotalBits = t.nw.rounds, t.nw.maxLoad, t.nw.totalBits
+	stats.Iterations, stats.Successes, stats.Failures = c.Tests, c.Successes, c.Failures
+	if p.Direct {
 		stats.NetSize = n
-		b, err := dom.Solve(all)
-		return b, stats, err
 	}
-
-	depth := treeDepth(k, fan)
-	maxIters := opt.Core.MaxIters
-	if maxIters <= 0 {
-		maxIters = 60*nu*r + 60
-	}
-
-	// Per-iteration scratch, reused: local and subtree sample counts,
-	// and the net (every iteration samples exactly m items).
-	alloc := make([]int, k)
-	subAlloc := make([]int, k)
-	netItems := make([]C, 0, m)
-
-	var pending *B
-	for iter := 0; iter < maxIters; iter++ {
-		stats.Iterations++
-		// ---- (1) broadcast pending basis down the tree. ----
-		if pending != nil {
-			bits := bcodec.Bits(*pending)
-			for lvl := 0; lvl < depth; lvl++ {
-				forEachAtLevel(k, fan, lvl, func(parent int) {
-					for _, ch := range machines[parent].children {
-						nw.send(parent, ch, bits)
-					}
-				})
-				nw.nextRound()
-			}
-		}
-		// ---- (2) local scans + aggregation up the tree. ----
-		for _, mm := range machines {
-			wTot, wViol, cnt := mm.data.Test(pending)
-			mm.selfTot, mm.selfViol = wTot, wViol
-			mm.childTot = mm.childTot[:0]
-			mm.childViol = mm.childViol[:0]
-			// Violator counts ride along with the weights; fold the
-			// count into selfViol's message (3 numbers total).
-			mm.cnt = cnt
-		}
-		// subtree accumulation, deepest level first.
-		for lvl := depth; lvl >= 1; lvl-- {
-			forEachAtLevel(k, fan, lvl, func(node int) {
-				mm := machines[node]
-				p := parent(node, fan)
-				pm := machines[p]
-				pm.childTot = append(pm.childTot, mm.subTot())
-				pm.childViol = append(pm.childViol, mm.subViol())
-				pm.cnt += mm.subCnt()
-				nw.send(node, p, 3*64)
-			})
-			nw.nextRound()
-		}
-		root := machines[0]
-		wS, wV, violators := root.subTot(), root.subViol(), root.subCnt()
-
-		success := false
-		if pending != nil {
-			if violators == 0 {
-				stats.fill(nw)
-				return *pending, stats, nil
-			}
-			success = wV <= eps*wS
-			if success {
-				stats.Successes++
-			} else {
-				stats.Failures++
-				if opt.Core.MonteCarlo {
-					stats.fill(nw)
-					return zero, stats, core.ErrRoundFailed
-				}
-			}
-		}
-
-		// ---- (3) allocation down the tree. ----
-		// Each node receives (flag, count); it splits the count among
-		// itself and its child subtrees by updated subtree weights.
-		clear(alloc)
-		clear(subAlloc)
-		subAlloc[0] = m
-		for lvl := 0; lvl <= depth; lvl++ {
-			forEachAtLevel(k, fan, lvl, func(node int) {
-				mm := machines[node]
-				if success {
-					mm.data.Commit()
-				}
-				cnt := subAlloc[node]
-				ch, ws := mm.children, mm.ws
-				// Split cnt over {self} ∪ children by updated weights.
-				ws[0] = upd(mm.selfTot, mm.selfViol, success, mult)
-				for j := range ch {
-					ws[1+j] = upd(mm.childTot[j], mm.childViol[j], success, mult)
-				}
-				if cnt > 0 && sumPos(ws) {
-					split := sampling.Multinomial(cnt, ws, mm.rng)
-					alloc[node] = split[0]
-					for j, c := range ch {
-						subAlloc[c] = split[1+j]
-					}
-				}
-				for _, c := range ch {
-					nw.send(node, c, 64+1) // count + flag
-				}
-			})
-			nw.nextRound()
-		}
-
-		// ---- (4) local sampling, items direct to root. ----
-		netItems = netItems[:0]
-		for _, mm := range machines {
-			if alloc[mm.id] == 0 {
-				continue
-			}
-			bits := 0
-			for t := 0; t < alloc[mm.id]; t++ {
-				c := mm.data.Item(mm.data.Draw(mm.rng))
-				netItems = append(netItems, c)
-				bits += ccodec.Bits(c)
-			}
-			if mm.id != 0 {
-				nw.send(mm.id, 0, bits)
-			}
-		}
-		nw.nextRound()
-
-		basis, err := dom.Solve(netItems)
-		if err != nil {
-			stats.fill(nw)
-			return zero, stats, err
-		}
-		pending = &basis
-	}
-	stats.fill(nw)
-	return zero, stats, core.ErrIterationBudget
+	return b, stats, err
 }
 
-func (s *Stats) fill(nw *net) {
-	s.Rounds = nw.rounds
-	s.MaxLoadBits = nw.maxLoad
-	s.TotalBits = nw.totalBits
+// tree is the MPC substrate of Algorithm 1: the machines, the f-ary
+// tree the control traffic flows through, and the load meter.
+type tree[C, B any] struct {
+	machines   []*machine[C, B]
+	nw         *net
+	fan, depth int
+	ccodec     comm.Codec[C]
+	bcodec     comm.Codec[B]
+	mult       float64
+	alloc      []int // per-iteration scratch: local sample counts
+	subAlloc   []int // and subtree sample counts
+}
+
+// Test broadcasts the pending basis down the tree, tests it on every
+// machine, and aggregates the weight reports up the tree.
+func (t *tree[C, B]) Test(pending *B) (wS, wV float64, violators int, err error) {
+	k, fan, nw := len(t.machines), t.fan, t.nw
+	// ---- (1) broadcast pending basis down the tree. ----
+	if pending != nil {
+		bits := t.bcodec.Bits(*pending)
+		for lvl := 0; lvl < t.depth; lvl++ {
+			forEachAtLevel(k, fan, lvl, func(parent int) {
+				for _, ch := range t.machines[parent].children {
+					nw.send(parent, ch, bits)
+				}
+			})
+			nw.nextRound()
+		}
+	}
+	// ---- (2) local scans + aggregation up the tree. ----
+	for _, mm := range t.machines {
+		wTot, wViol, cnt := mm.data.Test(pending)
+		mm.selfTot, mm.selfViol = wTot, wViol
+		mm.childTot = mm.childTot[:0]
+		mm.childViol = mm.childViol[:0]
+		// Violator counts ride along with the weights; fold the
+		// count into selfViol's message (3 numbers total).
+		mm.cnt = cnt
+	}
+	// subtree accumulation, deepest level first.
+	for lvl := t.depth; lvl >= 1; lvl-- {
+		forEachAtLevel(k, fan, lvl, func(node int) {
+			mm := t.machines[node]
+			p := parent(node, fan)
+			pm := t.machines[p]
+			pm.childTot = append(pm.childTot, mm.subTot())
+			pm.childViol = append(pm.childViol, mm.subViol())
+			pm.cnt += mm.subCnt()
+			nw.send(node, p, 3*64)
+		})
+		nw.nextRound()
+	}
+	root := t.machines[0]
+	return root.subTot(), root.subViol(), root.subCnt(), nil
+}
+
+// Sample sends the success flag and the sample allocation down the
+// tree, and the machines ship their local draws to the root.
+func (t *tree[C, B]) Sample(success bool, sample []C) error {
+	k, fan, nw := len(t.machines), t.fan, t.nw
+	// ---- (3) allocation down the tree. ----
+	// Each node receives (flag, count); it splits the count among
+	// itself and its child subtrees by updated subtree weights.
+	clear(t.alloc)
+	clear(t.subAlloc)
+	t.subAlloc[0] = len(sample)
+	for lvl := 0; lvl <= t.depth; lvl++ {
+		forEachAtLevel(k, fan, lvl, func(node int) {
+			mm := t.machines[node]
+			if success {
+				mm.data.Commit()
+			}
+			cnt := t.subAlloc[node]
+			ch, ws := mm.children, mm.ws
+			// Split cnt over {self} ∪ children by updated weights.
+			ws[0] = upd(mm.selfTot, mm.selfViol, success, t.mult)
+			for j := range ch {
+				ws[1+j] = upd(mm.childTot[j], mm.childViol[j], success, t.mult)
+			}
+			if cnt > 0 && sumPos(ws) {
+				split := sampling.Multinomial(cnt, ws, mm.rng)
+				t.alloc[node] = split[0]
+				for j, c := range ch {
+					t.subAlloc[c] = split[1+j]
+				}
+			}
+			for _, c := range ch {
+				nw.send(node, c, 64+1) // count + flag
+			}
+		})
+		nw.nextRound()
+	}
+
+	// ---- (4) local sampling, items direct to root. ----
+	j := 0
+	for _, mm := range t.machines {
+		if t.alloc[mm.id] == 0 {
+			continue
+		}
+		bits := 0
+		for range t.alloc[mm.id] {
+			c := mm.data.Item(mm.data.Draw(mm.rng))
+			sample[j] = c
+			j++
+			bits += t.ccodec.Bits(c)
+		}
+		if mm.id != 0 {
+			nw.send(mm.id, 0, bits)
+		}
+	}
+	nw.nextRound()
+	return nil
+}
+
+// All ships every machine's constraints to the root in one round (the
+// tiny-input path).
+func (t *tree[C, B]) All() ([]C, error) {
+	var all []C
+	for _, mm := range t.machines {
+		bits := 0
+		for i, sz := 0, mm.data.Size(); i < sz; i++ {
+			c := mm.data.Item(i)
+			bits += t.ccodec.Bits(c)
+			all = append(all, c)
+		}
+		if mm.id != 0 && bits > 0 {
+			t.nw.send(mm.id, 0, bits)
+		}
+	}
+	t.nw.nextRound()
+	return all, nil
 }
 
 // upd is the post-success-bump subtree weight.

@@ -64,11 +64,13 @@ type SolveOptions struct {
 	Seed uint64 `json:"seed,omitempty"`
 	// MonteCarlo selects the fail-fast Remark 3.6 variant.
 	MonteCarlo bool `json:"monte_carlo,omitempty"`
-	// NetConst scales the ε-net sample size (0 = library default).
+	// NetConst is the ε-net constant c in m = c·λ/ε (0 = 0.5, the
+	// library default).
 	NetConst float64 `json:"net_const,omitempty"`
 	// K is the number of coordinator sites (0 = default 4).
 	K int `json:"k,omitempty"`
-	// Parallel runs coordinator sites on goroutines.
+	// Parallel is for sharded streaming scans only: one decode
+	// goroutine per shard. It never changes the answer.
 	Parallel bool `json:"parallel,omitempty"`
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"lowdimlp/internal/core"
 	"lowdimlp/internal/dataset"
 	"lowdimlp/internal/kernel"
 	"lowdimlp/internal/lptype"
@@ -67,8 +68,8 @@ func mkFusedSolver(st *dataset.Store, pending meb.Basis, seed uint64) *DatasetSo
 	const m = 32
 	rng := numeric.NewRand(seed, 0x57124)
 	s := &DatasetSolver[meb.Point, meb.Basis]{
-		ra: mebAccess(d), dom: meb.NewDomain(d), n: n, width: d, m: m,
-		mult: mult, eps: 1 / (40 * mult), maxIters: 100,
+		ra: mebAccess(d), dom: meb.NewDomain(d), n: n, width: d,
+		p:       core.Params{R: 2, Mult: mult, Eps: 1 / (40 * mult), M: m, MaxIters: 100},
 		rng:     rng,
 		net:     sampling.NewKnownTotal(m, d, rng),
 		viol:    sampling.NewRowReservoir(m, d, rng),

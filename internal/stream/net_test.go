@@ -68,7 +68,7 @@ func TestSuccessNetDistribution(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		s := mkFusedSolver(st, pending, uint64(trial))
 		s.bases = []meb.Basis{stored}
-		s.eps = 1 // every iteration succeeds
+		s.p.Eps = 1 // every iteration succeeds
 		s.nextTotal = scanned.Sum()
 		s.BeginPass()
 		s.RowBlock(rows)
@@ -78,7 +78,7 @@ func TestSuccessNetDistribution(t *testing.T) {
 		if s.stats.Successes != 1 || s.nextTotal != wantTotal.Sum() {
 			t.Fatalf("successes %d, next total %v (want 1, %v)", s.stats.Successes, s.nextTotal, wantTotal.Sum())
 		}
-		m = s.m
+		m = s.p.M
 		for k := 0; k < m; k++ {
 			i, ok := rowOf[s.netArena[k*d]]
 			if !ok {

@@ -47,7 +47,7 @@ func solveRef[C, B any](dom lptype.Domain[C, B], st Stream[C], n int, opt Option
 	stats.R = r
 	mult := math.Pow(float64(n), 1/float64(r))
 	eps := 1 / (10 * float64(nu) * mult)
-	m := core.NetSize(eps, lambda, n, nu, opt.Core)
+	m := core.NewParams(n, nu, lambda, opt.Core).M
 	stats.NetSize = m
 
 	if m >= n {
@@ -108,7 +108,7 @@ func solveRef[C, B any](dom lptype.Domain[C, B], st Stream[C], n int, opt Option
 	stats.Iterations++
 
 	total := float64(n) // what the coming pass's weights sum to
-	for iter := 1; iter <= maxIters; iter++ {
+	for {
 		// One pass: violation test for `pending`, the next net drawn
 		// from all items by current weight, and the violators sampled
 		// on the side.
@@ -142,8 +142,20 @@ func solveRef[C, B any](dom lptype.Domain[C, B], st Stream[C], n int, opt Option
 			return pending, stats, nil
 		}
 		nextNet := net.finish()
-		if wViol.Sum() <= eps*wTotal.Sum() {
+		success := wViol.Sum() <= eps*wTotal.Sum()
+		if success {
 			stats.Successes++
+		} else {
+			stats.Failures++
+			if opt.Core.MonteCarlo {
+				return zero, stats, core.ErrRoundFailed
+			}
+		}
+		// maxIters nets solved, and each of them tested.
+		if stats.Iterations >= maxIters {
+			return zero, stats, core.ErrIterationBudget
+		}
+		if success {
 			bases = append(bases, pending)
 			stats.StoredBases = len(bases)
 			// New weights = old weights + (mult−1)·old weight on the
@@ -156,10 +168,6 @@ func solveRef[C, B any](dom lptype.Domain[C, B], st Stream[C], n int, opt Option
 				}
 			}
 		} else {
-			stats.Failures++
-			if opt.Core.MonteCarlo {
-				return zero, stats, core.ErrRoundFailed
-			}
 			total = wTotal.Sum()
 		}
 		pending, err = dom.Solve(nextNet)
@@ -168,7 +176,6 @@ func solveRef[C, B any](dom lptype.Domain[C, B], st Stream[C], n int, opt Option
 		}
 		stats.Iterations++
 	}
-	return zero, stats, core.ErrIterationBudget
 }
 
 // refSampler places m sorted uniform points on [0, total) one at a

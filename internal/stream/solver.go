@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"math"
 	"math/rand/v2"
 
 	"lowdimlp/internal/core"
@@ -53,13 +52,11 @@ type DatasetSolver[C, B any] struct {
 	dom lptype.Domain[C, B]
 	opt Options
 
-	n, width, m int
-	eps, mult   float64
-	maxIters    int
-	rng         *rand.Rand
+	n, width int
+	p        core.Params
+	rng      *rand.Rand
 
 	phase int
-	iter  int
 
 	// Sampling workspace, allocated once per solve (m ≥ n allocates
 	// none of it): the all-rows sampler, the violator reservoir, a copy
@@ -109,26 +106,16 @@ func NewDatasetSolver[C, B any](ra lptype.RowAccess[C, B], n, width int, opt Opt
 		s.phase = solverDone
 		return s
 	}
-	nu := s.dom.CombinatorialDim()
-	lambda := s.dom.VCDim()
-	r := opt.Core.EffectiveR(n)
-	s.stats.R = r
-	s.mult = math.Pow(float64(n), 1/float64(r))
-	s.eps = 1 / (10 * float64(nu) * s.mult)
-	s.m = core.NetSize(s.eps, lambda, n, nu, opt.Core)
-	s.stats.NetSize = s.m
-	s.maxIters = opt.Core.MaxIters
-	if s.maxIters <= 0 {
-		s.maxIters = 60*nu*r + 60
-	}
-	if s.m >= n {
+	s.p = core.NewParams(n, s.dom.CombinatorialDim(), s.dom.VCDim(), opt.Core)
+	s.stats.R, s.stats.NetSize = s.p.R, s.p.M
+	if s.p.Direct {
 		// Net would contain everything: one pass, solve directly.
 		s.phase = solverDirect
 		return s
 	}
 	s.rng = numeric.NewRand(opt.Core.Seed, 0x57124)
-	s.net = sampling.NewKnownTotal(s.m, width, s.rng)
-	s.viol = sampling.NewRowReservoir(s.m, width, s.rng)
+	s.net = sampling.NewKnownTotal(s.p.M, width, s.rng)
+	s.viol = sampling.NewRowReservoir(s.p.M, width, s.rng)
 	s.lastRow = make([]float64, 0, width)
 	s.nextTotal = float64(n)
 	s.phase = solverSample0
@@ -200,14 +187,14 @@ func (s *DatasetSolver[C, B]) RowBlock(rows []dataset.Row) {
 			// stored basis (e=0) or one (e=1), and math.Pow documents
 			// Pow(x,0)=1 and Pow(x,1)=x exactly.
 			e := int(exps[i])
-			w := lptype.PowWeight(s.mult, e)
+			w := lptype.PowWeight(s.p.Mult, e)
 			s.wTotal.Add(w)
 			if pi < len(s.kpend) && s.kpend[pi] == int32(i) {
 				pi++
 				s.wViol.Add(w)
 				s.violCount++
 				s.viol.Offer(row, w)
-				s.wSucc.Add(lptype.PowWeight(s.mult, e+1))
+				s.wSucc.Add(lptype.PowWeight(s.p.Mult, e+1))
 			} else {
 				s.wSucc.Add(w)
 			}
@@ -246,11 +233,10 @@ func (s *DatasetSolver[C, B]) EndPass() error {
 		return s.finish(b)
 
 	case solverFused:
-		s.iter++
 		s.stats.Passes++
 		// Live rows: the sampler's m, the violator reservoir's m, and
 		// the one remembered row.
-		s.stats.trackSpace(s.opt, 2*s.m+1, len(s.bases))
+		s.stats.trackSpace(s.opt, 2*s.p.M+1, len(s.bases))
 		if s.violCount == 0 {
 			return s.finish(s.pending)
 		}
@@ -259,8 +245,21 @@ func (s *DatasetSolver[C, B]) EndPass() error {
 			return s.fail(ErrEmptyStream)
 		}
 		a := s.wTotal.Sum()
-		if s.wViol.Sum() <= s.eps*a {
+		success := s.p.Success(a, s.wViol.Sum())
+		if success {
 			s.stats.Successes++
+		} else {
+			s.stats.Failures++
+			if s.p.MonteCarlo {
+				return s.fail(core.ErrRoundFailed)
+			}
+		}
+		// Every solved net is tested before the budget ends the run: the
+		// net this pass drew is not solved.
+		if s.stats.Iterations >= s.p.MaxIters {
+			return s.fail(core.ErrIterationBudget)
+		}
+		if success {
 			s.bases = append(s.bases, s.pending)
 			s.stats.StoredBases = len(s.bases)
 			// The stored basis's constraints alias the arena its net
@@ -276,19 +275,9 @@ func (s *DatasetSolver[C, B]) EndPass() error {
 				}
 			}
 		} else {
-			s.stats.Failures++
-			if s.opt.Core.MonteCarlo {
-				return s.fail(core.ErrRoundFailed)
-			}
 			s.nextTotal = a
 		}
-		if err := s.solveNet(netRows); err != nil {
-			return err
-		}
-		if s.iter >= s.maxIters {
-			return s.fail(core.ErrIterationBudget)
-		}
-		return nil
+		return s.solveNet(netRows)
 	}
 	return s.err
 }
@@ -301,8 +290,8 @@ func (s *DatasetSolver[C, B]) EndPass() error {
 // when it is kept (EndPass: stored on success; returned at the end).
 func (s *DatasetSolver[C, B]) solveNet(rows [][]float64) error {
 	if s.netArena == nil {
-		s.netArena = make([]float64, s.m*s.width)
-		s.netItems = make([]C, s.m)
+		s.netArena = make([]float64, s.p.M*s.width)
+		s.netItems = make([]C, s.p.M)
 	}
 	for i, row := range rows {
 		dst := s.netArena[i*s.width : (i+1)*s.width : (i+1)*s.width]

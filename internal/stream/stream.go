@@ -57,6 +57,12 @@
 // loop over any dataset.Source. Typed streams (Stream[C]) are served
 // by the same driver: Solve adapts the stream to a Source whose cursor
 // encodes the items into rows on every pass.
+//
+// The pass that tests a basis also draws the next net, before the
+// iteration's success is known, so this driver cannot be one of
+// core.Run's substrates. It reads the same parameters (core.NewParams)
+// and the same success rule (core.Params.Success), and keeps the same
+// iteration budget: at most MaxIters nets are solved, each tested.
 package stream
 
 import (
@@ -148,7 +154,7 @@ type Stats struct {
 	NetSize       int
 	StoredBases   int
 	PeakSpaceBits int64 // 0 unless bit accounting enabled
-	Iterations    int
+	Iterations    int   // nets solved
 	Successes     int
 	Failures      int
 	DirectSolve   bool

@@ -123,16 +123,14 @@ type Options struct {
 	// MonteCarlo selects the Remark 3.6 variant (fails fast instead of
 	// retrying failed iterations).
 	MonteCarlo bool
-	// NetConst scales the ε-net sample size (0 = the library default;
-	// see core.Options.NetConst).
+	// NetConst is the ε-net constant c in m = c·λ/ε (0 = 0.5, the
+	// library default).
 	NetConst float64
-	// Parallel runs coordinator site-local computation on one goroutine
-	// per site, and the stream backend's scans of a sharded dataset
-	// (SolveDatasetFile over an LDSETM manifest) on one decode
-	// goroutine per shard. The protocol, its randomness, the row order
-	// and the metered communication are identical either way; only
-	// wall-clock time changes. Ignored by ram and mpc, and on a
-	// single-CPU host.
+	// Parallel is for sharded streaming scans only: the stream backend
+	// reads a sharded dataset (SolveDatasetFile over an LDSETM manifest)
+	// on one decode goroutine per shard. The row order, and so the
+	// answer, is identical either way; only wall-clock time changes.
+	// Ignored by the other backends, and on a single-CPU host.
 	Parallel bool
 	// K is the number of coordinator sites used by the instance-level
 	// API (SolveInstance; 0 = 4). The typed SolveXCoordinator entry
@@ -310,8 +308,8 @@ func WriteDatasetFile(path, kind string, inst Instance) error {
 // next to it, rows assigned round-robin (row i → shard i%shards, the
 // same assignment as Partition). A sharded dataset solves exactly like
 // a single-file one, but its shards map one-to-one onto coordinator
-// sites (no materialization) and its scans can run one goroutine per
-// shard (Options.Parallel).
+// sites (no materialization) and its streaming scans can run one
+// goroutine per shard (Options.Parallel).
 func WriteShardedDatasetFile(path, kind string, inst Instance, shards int) error {
 	return engine.WriteShardedDatasetFile(path, kind, inst, shards)
 }
@@ -326,7 +324,7 @@ func ConvertDatasetLayout(inPath, outPath string, shards int) error {
 
 // SolveDatasetFile solves a binary dataset path on the named backend —
 // a single LDSET1 file (memory-mapped when the host allows, streamed
-// in blocks otherwise) or an LDSETM sharded manifest (scanned in
+// in blocks otherwise) or an LDSETM sharded manifest (streamed in
 // parallel under Options.Parallel; shard files map onto coordinator
 // sites directly). The dataset names its own kind, dimension and
 // objective; instances larger than memory are fine. Results are
