@@ -45,7 +45,7 @@ const (
 	// sampled constraints back.
 	FrameRoundB FrameType = 4
 	// FrameShipAll asks the site for every constraint it holds (the
-	// degenerate one-round protocol for tiny inputs, m ≥ n).
+	// degenerate one-round protocol for small inputs, n ≤ 2m+1).
 	FrameShipAll FrameType = 5
 	// FrameEnd closes a protocol session.
 	FrameEnd FrameType = 6

@@ -87,7 +87,7 @@ type Stats struct {
 	Iterations  int
 	Successes   int
 	Failures    int
-	DirectSolve bool // ship-all path for tiny inputs (m ≥ n)
+	DirectSolve bool // ship-all path for inputs of at most 2m+1 rows
 	// Retries counts full protocol restarts after a mid-solve site
 	// failure (the elastic-fleet driver). Rounds/TotalBits/Messages
 	// include the failed attempts' traffic — retries are metered
@@ -193,9 +193,7 @@ func SolveTransport[C, B any](
 	})
 	stats.Rounds, stats.TotalBits, stats.Messages = st.meter.Rounds(), st.meter.TotalBits(), st.meter.Messages()
 	stats.Iterations, stats.Successes, stats.Failures = c.Tests, c.Successes, c.Failures
-	if p.Direct && c.Solves > 0 {
-		stats.DirectSolve, stats.NetSize = true, n
-	}
+	stats.DirectSolve = p.Direct && c.Solves > 0
 	return b, stats, err
 }
 
@@ -333,12 +331,16 @@ func (s *star[C, B]) roundB(i, round int, success bool, picked []C) error {
 	return nil
 }
 
-// All is the tiny-input protocol: the sites ship everything in one
-// round (the protocol degenerates to the naive algorithm, as it
+// All is the small-input protocol (n ≤ 2m+1): the sites ship everything
+// in one round (the protocol degenerates to the naive algorithm, as it
 // should).
 func (s *star[C, B]) All() ([]C, error) {
 	s.meter.StartRound()
-	var all []C
+	n := 0
+	for i := range s.tr.Sites() {
+		n += s.tr.SiteRows(i)
+	}
+	all := make([]C, 0, n)
 	for i := range s.tr.Sites() {
 		sp := s.trace.StartSite("ship-all", i, 1)
 		rep, err := s.tr.RoundTrip(i, comm.FrameShipAll, nil)

@@ -36,7 +36,7 @@ func mebAccess(d int) lptype.RowAccess[meb.Point, meb.Basis] {
 // part, as the engine's typed entry point encodes it — bit for bit:
 // same answer, same rounds, same metered communication.
 func TestSolveDatasetMatchesSlice(t *testing.T) {
-	const n, d, k = 12000, 3, 5 // past the m ≥ n ship-all threshold at r = 2
+	const n, d, k = 12000, 3, 5 // past the n ≤ 2m+1 ship-all threshold at r = 2 (m = 3 505)
 	st := pointCloud(n, d, 11)
 	parts := make([][]meb.Point, k)
 	for i := 0; i < n; i++ {
@@ -51,7 +51,7 @@ func TestSolveDatasetMatchesSlice(t *testing.T) {
 		}
 		perPart[i] = lptype.NewSiteWeights(ra, ps)
 	}
-	opt := coordinator.Options{Core: core.Options{R: 2, Seed: 13, NetConst: 0.5}}
+	opt := coordinator.Options{Core: core.Options{R: 2, Seed: 13, NetConst: 0.2}}
 	want, wantStats, err := coordinator.Solve(
 		ra.Domain(), perPart, meb.PointCodec{Dim: d}, meb.BasisCodec{Dim: d}, opt)
 	if err != nil {

@@ -213,7 +213,11 @@ func TestCoordinatorGolden(t *testing.T) {
 }
 
 // Recorded at 67f9aee, before the coordinator became a substrate of
-// the shared driver.
+// the shared driver. Re-recorded when the direct rule became n ≤ 2m+1:
+// lp and meb r=2 nc=0.2 mc=true (m = 15 631), sea r=2 nc=0.5 mc=false
+// (m = 14 143) and sea r=3 nc=0.5 mc=true (m = 17 442) now ship the
+// input in one round; every other row, the two fault rows included, is
+// unchanged.
 var coordGolden = map[string]coordGoldenRow{
 	"lp/r=2/nc=0.5/mc=false/seed=1":  {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 7, TotalBits: 3670560, Messages: 56, NetSize: 6364, Iterations: 4, Successes: 0, Failures: 2, DirectSolve: false, Retries: 0}, 0x201baa31e34c5738, ""},
 	"lp/r=2/nc=0.5/mc=false/seed=2":  {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 5, TotalBits: 2447232, Messages: 40, NetSize: 6364, Iterations: 3, Successes: 1, Failures: 0, DirectSolve: false, Retries: 0}, 0x918d020fd516f8da, ""},
@@ -230,11 +234,11 @@ var coordGolden = map[string]coordGoldenRow{
 	"lp/r=2/nc=0.2/mc=false/seed=3":  {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 13, TotalBits: 2942208, Messages: 104, NetSize: 2546, Iterations: 7, Successes: 2, Failures: 3, DirectSolve: false, Retries: 0}, 0x152f5326721112e9, ""},
 	"lp/r=2/nc=0.2/mc=false/seed=4":  {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 5, TotalBits: 981120, Messages: 40, NetSize: 2546, Iterations: 3, Successes: 0, Failures: 1, DirectSolve: false, Retries: 0}, 0xef3492b9b53473a5, ""},
 	"lp/r=2/nc=0.2/mc=false/seed=5":  {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 5, TotalBits: 981120, Messages: 40, NetSize: 2546, Iterations: 3, Successes: 1, Failures: 0, DirectSolve: false, Retries: 0}, 0x40d9f6697f2312e8, ""},
-	"lp/r=2/nc=0.2/mc=true/seed=1":   {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 3, TotalBits: 3003168, Messages: 24, NetSize: 15631, Iterations: 2, Successes: 0, Failures: 0, DirectSolve: false, Retries: 0}, 0x64e78a076b5fd0eb, ""},
-	"lp/r=2/nc=0.2/mc=true/seed=2":   {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 7, TotalBits: 9008352, Messages: 56, NetSize: 15631, Iterations: 4, Successes: 2, Failures: 0, DirectSolve: false, Retries: 0}, 0xc46cbaa78beaa188, ""},
-	"lp/r=2/nc=0.2/mc=true/seed=3":   {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 7, TotalBits: 9008352, Messages: 56, NetSize: 15631, Iterations: 4, Successes: 2, Failures: 0, DirectSolve: false, Retries: 0}, 0x5e33d1dd0cd86b74, ""},
-	"lp/r=2/nc=0.2/mc=true/seed=4":   {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 3, TotalBits: 3003168, Messages: 24, NetSize: 15631, Iterations: 2, Successes: 0, Failures: 0, DirectSolve: false, Retries: 0}, 0xa4fb89dcb82d0321, ""},
-	"lp/r=2/nc=0.2/mc=true/seed=5":   {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 3, TotalBits: 3003168, Messages: 24, NetSize: 15631, Iterations: 2, Successes: 0, Failures: 0, DirectSolve: false, Retries: 0}, 0xd5ddafa85192227b, ""},
+	"lp/r=2/nc=0.2/mc=true/seed=1":   {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 1, TotalBits: 3840000, Messages: 20000, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, Retries: 0}, 0xe91b594a4bbcd2f4, ""},
+	"lp/r=2/nc=0.2/mc=true/seed=2":   {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 1, TotalBits: 3840000, Messages: 20000, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, Retries: 0}, 0xe91b594a4bbcd2f4, ""},
+	"lp/r=2/nc=0.2/mc=true/seed=3":   {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 1, TotalBits: 3840000, Messages: 20000, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, Retries: 0}, 0xe91b594a4bbcd2f4, ""},
+	"lp/r=2/nc=0.2/mc=true/seed=4":   {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 1, TotalBits: 3840000, Messages: 20000, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, Retries: 0}, 0xe91b594a4bbcd2f4, ""},
+	"lp/r=2/nc=0.2/mc=true/seed=5":   {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 1, TotalBits: 3840000, Messages: 20000, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, Retries: 0}, 0xe91b594a4bbcd2f4, ""},
 	"lp/r=3/nc=0.5/mc=false/seed=1":  {coordinator.Stats{N: 20000, K: 4, R: 3, Rounds: 11, TotalBits: 1180896, Messages: 88, NetSize: 1222, Iterations: 6, Successes: 2, Failures: 2, DirectSolve: false, Retries: 0}, 0x33a5f2612f5ee31b, ""},
 	"lp/r=3/nc=0.5/mc=false/seed=2":  {coordinator.Stats{N: 20000, K: 4, R: 3, Rounds: 17, TotalBits: 1889088, Messages: 136, NetSize: 1222, Iterations: 9, Successes: 2, Failures: 5, DirectSolve: false, Retries: 0}, 0xe4f1f0d195ea5976, ""},
 	"lp/r=3/nc=0.5/mc=false/seed=3":  {coordinator.Stats{N: 20000, K: 4, R: 3, Rounds: 7, TotalBits: 708768, Messages: 56, NetSize: 1222, Iterations: 4, Successes: 2, Failures: 0, DirectSolve: false, Retries: 0}, 0x7b597e5202142457, ""},
@@ -270,11 +274,11 @@ var coordGolden = map[string]coordGoldenRow{
 	"meb/r=2/nc=0.2/mc=false/seed=3": {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 31, TotalBits: 4910496, Messages: 248, NetSize: 2546, Iterations: 16, Successes: 1, Failures: 13, DirectSolve: false, Retries: 0}, 0xa2b4ae58b468cd13, ""},
 	"meb/r=2/nc=0.2/mc=false/seed=4": {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 31, TotalBits: 4910496, Messages: 248, NetSize: 2546, Iterations: 16, Successes: 2, Failures: 12, DirectSolve: false, Retries: 0}, 0x3d472ea61ae35dfb, ""},
 	"meb/r=2/nc=0.2/mc=false/seed=5": {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 7, TotalBits: 982560, Messages: 56, NetSize: 2546, Iterations: 4, Successes: 1, Failures: 1, DirectSolve: false, Retries: 0}, 0x7674e9d5ef7d4b5b, ""},
-	"meb/r=2/nc=0.2/mc=true/seed=1":  {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 3, TotalBits: 2002784, Messages: 24, NetSize: 15631, Iterations: 2, Successes: 0, Failures: 1, DirectSolve: false, Retries: 0}, 0x0, "core: monte-carlo round failed (w(V) > ε·w(S))"},
-	"meb/r=2/nc=0.2/mc=true/seed=2":  {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 5, TotalBits: 4004992, Messages: 40, NetSize: 15631, Iterations: 3, Successes: 1, Failures: 0, DirectSolve: false, Retries: 0}, 0xa2b4ae58b468cd13, ""},
-	"meb/r=2/nc=0.2/mc=true/seed=3":  {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 7, TotalBits: 6007200, Messages: 56, NetSize: 15631, Iterations: 4, Successes: 2, Failures: 0, DirectSolve: false, Retries: 0}, 0x9e57402e23dc59b9, ""},
-	"meb/r=2/nc=0.2/mc=true/seed=4":  {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 7, TotalBits: 6007200, Messages: 56, NetSize: 15631, Iterations: 4, Successes: 2, Failures: 0, DirectSolve: false, Retries: 0}, 0x5f690842cb4dbe01, ""},
-	"meb/r=2/nc=0.2/mc=true/seed=5":  {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 7, TotalBits: 6007200, Messages: 56, NetSize: 15631, Iterations: 4, Successes: 2, Failures: 0, DirectSolve: false, Retries: 0}, 0x3d472ea61ae35dfb, ""},
+	"meb/r=2/nc=0.2/mc=true/seed=1":  {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 1, TotalBits: 2560000, Messages: 20000, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, Retries: 0}, 0xb8d4b9c223b0d3d1, ""},
+	"meb/r=2/nc=0.2/mc=true/seed=2":  {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 1, TotalBits: 2560000, Messages: 20000, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, Retries: 0}, 0xb8d4b9c223b0d3d1, ""},
+	"meb/r=2/nc=0.2/mc=true/seed=3":  {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 1, TotalBits: 2560000, Messages: 20000, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, Retries: 0}, 0xb8d4b9c223b0d3d1, ""},
+	"meb/r=2/nc=0.2/mc=true/seed=4":  {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 1, TotalBits: 2560000, Messages: 20000, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, Retries: 0}, 0xb8d4b9c223b0d3d1, ""},
+	"meb/r=2/nc=0.2/mc=true/seed=5":  {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 1, TotalBits: 2560000, Messages: 20000, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, Retries: 0}, 0xb8d4b9c223b0d3d1, ""},
 	"meb/r=3/nc=0.5/mc=false/seed=1": {coordinator.Stats{N: 20000, K: 4, R: 3, Rounds: 9, TotalBits: 632000, Messages: 72, NetSize: 1222, Iterations: 5, Successes: 2, Failures: 1, DirectSolve: false, Retries: 0}, 0xc27bf5d61af54a82, ""},
 	"meb/r=3/nc=0.5/mc=false/seed=2": {coordinator.Stats{N: 20000, K: 4, R: 3, Rounds: 15, TotalBits: 1105568, Messages: 120, NetSize: 1222, Iterations: 8, Successes: 1, Failures: 5, DirectSolve: false, Retries: 0}, 0x1a476cd752a75e5c, ""},
 	"meb/r=3/nc=0.5/mc=false/seed=3": {coordinator.Stats{N: 20000, K: 4, R: 3, Rounds: 21, TotalBits: 1579136, Messages: 168, NetSize: 1222, Iterations: 11, Successes: 2, Failures: 7, DirectSolve: false, Retries: 0}, 0x247708bea277dde0, ""},
@@ -295,11 +299,11 @@ var coordGolden = map[string]coordGoldenRow{
 	"meb/r=3/nc=0.2/mc=true/seed=3":  {coordinator.Stats{N: 20000, K: 4, R: 3, Rounds: 3, TotalBits: 386144, Messages: 24, NetSize: 3001, Iterations: 2, Successes: 0, Failures: 1, DirectSolve: false, Retries: 0}, 0x0, "core: monte-carlo round failed (w(V) > ε·w(S))"},
 	"meb/r=3/nc=0.2/mc=true/seed=4":  {coordinator.Stats{N: 20000, K: 4, R: 3, Rounds: 5, TotalBits: 771712, Messages: 40, NetSize: 3001, Iterations: 3, Successes: 1, Failures: 0, DirectSolve: false, Retries: 0}, 0x11b27373462fcdc6, ""},
 	"meb/r=3/nc=0.2/mc=true/seed=5":  {coordinator.Stats{N: 20000, K: 4, R: 3, Rounds: 5, TotalBits: 771712, Messages: 40, NetSize: 3001, Iterations: 3, Successes: 1, Failures: 0, DirectSolve: false, Retries: 0}, 0x1a476cd752a75e5c, ""},
-	"sea/r=2/nc=0.5/mc=false/seed=1": {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 25, TotalBits: 21744576, Messages: 200, NetSize: 14143, Iterations: 13, Successes: 3, Failures: 8, DirectSolve: false, Retries: 0}, 0xccd18024e0466fae, ""},
-	"sea/r=2/nc=0.5/mc=false/seed=2": {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 7, TotalBits: 5436576, Messages: 56, NetSize: 14143, Iterations: 4, Successes: 0, Failures: 2, DirectSolve: false, Retries: 0}, 0x3812dce4f43a2e15, ""},
-	"sea/r=2/nc=0.5/mc=false/seed=3": {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 9, TotalBits: 7248576, Messages: 72, NetSize: 14143, Iterations: 5, Successes: 0, Failures: 3, DirectSolve: false, Retries: 0}, 0x37821c1b1845a6a2, ""},
-	"sea/r=2/nc=0.5/mc=false/seed=4": {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 25, TotalBits: 21744576, Messages: 200, NetSize: 14143, Iterations: 13, Successes: 4, Failures: 7, DirectSolve: false, Retries: 0}, 0xc64ac78400f10c51, ""},
-	"sea/r=2/nc=0.5/mc=false/seed=5": {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 5, TotalBits: 3624576, Messages: 40, NetSize: 14143, Iterations: 3, Successes: 1, Failures: 0, DirectSolve: false, Retries: 0}, 0x6d8ca623cf4f1122, ""},
+	"sea/r=2/nc=0.5/mc=false/seed=1": {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 1, TotalBits: 2560000, Messages: 20000, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, Retries: 0}, 0x1e36df693681eb55, ""},
+	"sea/r=2/nc=0.5/mc=false/seed=2": {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 1, TotalBits: 2560000, Messages: 20000, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, Retries: 0}, 0x1e36df693681eb55, ""},
+	"sea/r=2/nc=0.5/mc=false/seed=3": {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 1, TotalBits: 2560000, Messages: 20000, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, Retries: 0}, 0x1e36df693681eb55, ""},
+	"sea/r=2/nc=0.5/mc=false/seed=4": {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 1, TotalBits: 2560000, Messages: 20000, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, Retries: 0}, 0x1e36df693681eb55, ""},
+	"sea/r=2/nc=0.5/mc=false/seed=5": {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 1, TotalBits: 2560000, Messages: 20000, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, Retries: 0}, 0x1e36df693681eb55, ""},
 	"sea/r=2/nc=0.5/mc=true/seed=1":  {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 1, TotalBits: 2560000, Messages: 20000, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, Retries: 0}, 0x1e36df693681eb55, ""},
 	"sea/r=2/nc=0.5/mc=true/seed=2":  {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 1, TotalBits: 2560000, Messages: 20000, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, Retries: 0}, 0x1e36df693681eb55, ""},
 	"sea/r=2/nc=0.5/mc=true/seed=3":  {coordinator.Stats{N: 20000, K: 4, R: 2, Rounds: 1, TotalBits: 2560000, Messages: 20000, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, Retries: 0}, 0x1e36df693681eb55, ""},
@@ -320,11 +324,11 @@ var coordGolden = map[string]coordGoldenRow{
 	"sea/r=3/nc=0.5/mc=false/seed=3": {coordinator.Stats{N: 20000, K: 4, R: 3, Rounds: 31, TotalBits: 5238816, Messages: 248, NetSize: 2715, Iterations: 16, Successes: 3, Failures: 11, DirectSolve: false, Retries: 0}, 0x4fe6683db76ade87, ""},
 	"sea/r=3/nc=0.5/mc=false/seed=4": {coordinator.Stats{N: 20000, K: 4, R: 3, Rounds: 15, TotalBits: 2445088, Messages: 120, NetSize: 2715, Iterations: 8, Successes: 2, Failures: 4, DirectSolve: false, Retries: 0}, 0xe1a031dd341dbc78, ""},
 	"sea/r=3/nc=0.5/mc=false/seed=5": {coordinator.Stats{N: 20000, K: 4, R: 3, Rounds: 17, TotalBits: 2794304, Messages: 136, NetSize: 2715, Iterations: 9, Successes: 2, Failures: 5, DirectSolve: false, Retries: 0}, 0x3ab2e74e7d1cf302, ""},
-	"sea/r=3/nc=0.5/mc=true/seed=1":  {coordinator.Stats{N: 20000, K: 4, R: 3, Rounds: 9, TotalBits: 8937664, Messages: 72, NetSize: 17442, Iterations: 5, Successes: 3, Failures: 0, DirectSolve: false, Retries: 0}, 0x4f70ed1932d8897f, ""},
-	"sea/r=3/nc=0.5/mc=true/seed=2":  {coordinator.Stats{N: 20000, K: 4, R: 3, Rounds: 5, TotalBits: 4469120, Messages: 40, NetSize: 17442, Iterations: 3, Successes: 1, Failures: 0, DirectSolve: false, Retries: 0}, 0x82a727c0b741e06f, ""},
-	"sea/r=3/nc=0.5/mc=true/seed=3":  {coordinator.Stats{N: 20000, K: 4, R: 3, Rounds: 5, TotalBits: 4469120, Messages: 40, NetSize: 17442, Iterations: 3, Successes: 1, Failures: 0, DirectSolve: false, Retries: 0}, 0x2e96f0a9a1714efb, ""},
-	"sea/r=3/nc=0.5/mc=true/seed=4":  {coordinator.Stats{N: 20000, K: 4, R: 3, Rounds: 11, TotalBits: 11171936, Messages: 88, NetSize: 17442, Iterations: 6, Successes: 4, Failures: 0, DirectSolve: false, Retries: 0}, 0x5178d9284cd70c28, ""},
-	"sea/r=3/nc=0.5/mc=true/seed=5":  {coordinator.Stats{N: 20000, K: 4, R: 3, Rounds: 9, TotalBits: 8937664, Messages: 72, NetSize: 17442, Iterations: 5, Successes: 3, Failures: 0, DirectSolve: false, Retries: 0}, 0x323f72ae0b77822b, ""},
+	"sea/r=3/nc=0.5/mc=true/seed=1":  {coordinator.Stats{N: 20000, K: 4, R: 3, Rounds: 1, TotalBits: 2560000, Messages: 20000, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, Retries: 0}, 0x6db1aeb5a9aa313f, ""},
+	"sea/r=3/nc=0.5/mc=true/seed=2":  {coordinator.Stats{N: 20000, K: 4, R: 3, Rounds: 1, TotalBits: 2560000, Messages: 20000, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, Retries: 0}, 0x6db1aeb5a9aa313f, ""},
+	"sea/r=3/nc=0.5/mc=true/seed=3":  {coordinator.Stats{N: 20000, K: 4, R: 3, Rounds: 1, TotalBits: 2560000, Messages: 20000, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, Retries: 0}, 0x6db1aeb5a9aa313f, ""},
+	"sea/r=3/nc=0.5/mc=true/seed=4":  {coordinator.Stats{N: 20000, K: 4, R: 3, Rounds: 1, TotalBits: 2560000, Messages: 20000, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, Retries: 0}, 0x6db1aeb5a9aa313f, ""},
+	"sea/r=3/nc=0.5/mc=true/seed=5":  {coordinator.Stats{N: 20000, K: 4, R: 3, Rounds: 1, TotalBits: 2560000, Messages: 20000, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, Retries: 0}, 0x6db1aeb5a9aa313f, ""},
 	"sea/r=3/nc=0.2/mc=false/seed=1": {coordinator.Stats{N: 20000, K: 4, R: 3, Rounds: 61, TotalBits: 4221696, Messages: 488, NetSize: 1086, Iterations: 31, Successes: 3, Failures: 26, DirectSolve: false, Retries: 0}, 0x8c1ac4da9286ecdb, ""},
 	"sea/r=3/nc=0.2/mc=false/seed=2": {coordinator.Stats{N: 20000, K: 4, R: 3, Rounds: 137, TotalBits: 9568448, Messages: 1096, NetSize: 1086, Iterations: 69, Successes: 4, Failures: 63, DirectSolve: false, Retries: 0}, 0x4fe6683db76ade87, ""},
 	"sea/r=3/nc=0.2/mc=false/seed=3": {coordinator.Stats{N: 20000, K: 4, R: 3, Rounds: 147, TotalBits: 10271976, Messages: 1176, NetSize: 1086, Iterations: 74, Successes: 3, Failures: 69, DirectSolve: false, Retries: 0}, 0xc7e6737b7d499f80, ""},

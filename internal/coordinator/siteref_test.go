@@ -185,10 +185,9 @@ func transcriptCase[C, B any](
 	return stats
 }
 
-// transcriptN is an input size just past the ship-all threshold for
-// r ≥ 2 (r = 1 always ships all, which is a transcript too): at the
-// default net constant r = 2 iterates only with n in the hundreds of
-// thousands.
+// transcriptN is an input size past the ship-all threshold (n > 2m+1)
+// for r ≥ 2 (r = 1 always ships all, which is a transcript too): at the
+// default net constant r = 2 iterates only past n ≈ 50 000.
 func transcriptN(r int, netConst float64) int {
 	switch {
 	case netConst > 0 || r == 1:

@@ -24,8 +24,9 @@
 // # One loop, three substrates
 //
 // This package holds the algorithm once. NewParams computes a run's
-// parameters — r, the multiplier n^{1/r}, ε, the net size m, the
-// iteration budget — and Params.Success is the success rule. Run is the
+// parameters — r, the multiplier n^{1/r}, ε, the net size m, whether
+// the input is small enough to ship whole (n ≤ 2m+1), the iteration
+// budget — and Params.Success is the success rule. Run is the
 // loop, over a Substrate that tests a basis and samples a net where the
 // constraints live:
 //
@@ -68,6 +69,13 @@ var ErrIterationBudget = errors.New("core: iteration budget exhausted")
 // variant simply retries instead.
 var ErrRoundFailed = errors.New("core: monte-carlo round failed (w(V) > ε·w(S))")
 
+// DefaultNetConst is the net-size constant c in m = c·λ/ε of every solve
+// that does not set Options.NetConst: the smallest c of lpbench A1(e)'s
+// grid (n = 100 000, 8 seeds) at which every sampled cell — lp, meb and
+// sea × stream, coordinator and MPC × r ∈ {2, 3} — succeeds in at least
+// 2/3 of its iterations, the rate Claim 3.2 assumes (DESIGN.md §5).
+const DefaultNetConst = 1.25
+
 // Options configure the meta-algorithm.
 type Options struct {
 	// R is the paper's pass/round trade-off parameter r ≥ 1: the weight
@@ -86,9 +94,9 @@ type Options struct {
 	// correctness is unaffected (the algorithm is Las Vegas); only the
 	// success probability per iteration changes.
 	TheoryNet bool
-	// NetConst is the practical net-size constant c in m = c·λ/ε
-	// (default 8 when zero; the engine always passes its own default,
-	// 0.5 — see engine.Options.Core).
+	// NetConst is the practical net-size constant c in m = c·λ/ε. Zero
+	// means DefaultNetConst; any other value must be positive (NewParams
+	// panics otherwise — the engine rejects such options first).
 	NetConst float64
 	// MaxIters caps the number of nets solved (default 60·ν·r + 60). Each
 	// solved net is tested before ErrIterationBudget ends the run.
@@ -132,7 +140,7 @@ type Stats struct {
 	Iterations  int     // nets sampled and solved (0 on the direct path)
 	Successes   int
 	Failures    int
-	DirectSolve bool // m ≥ n: solved in one shot without sampling
+	DirectSolve bool // n ≤ 2m+1: solved in one shot without sampling
 	MaxExponent int  // largest weight exponent reached
 	Log         []IterRecord
 }
@@ -153,11 +161,6 @@ func Solve[C, B any](dom lptype.Domain[C, B], s []C, opt Options) (B, Stats, err
 	}
 	p := NewParams(n, dom.CombinatorialDim(), dom.VCDim(), opt)
 	stats.R, stats.Eps, stats.NetSize, stats.DirectSolve = p.R, p.Eps, p.M, p.Direct
-	if p.Direct {
-		// The sample would contain (essentially) everything. This happens
-		// for small n or r close to 1 with the theory-exact net size.
-		stats.NetSize = n
-	}
 	mem := &memory[C, B]{dom: dom, s: s, p: p, opt: opt, stats: &stats}
 	b, c, err := Run(p, mem, dom.Solve)
 	if !p.Direct {

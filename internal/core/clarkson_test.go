@@ -65,7 +65,7 @@ func TestSolveEmptyAndTiny(t *testing.T) {
 	if stats.N != 0 || !numeric.ApproxEqual(b.Sol.X[0], -10) {
 		t.Fatalf("empty solve: %+v", b.Sol)
 	}
-	// Tiny inputs take the direct path (m ≥ n).
+	// Tiny inputs take the direct path (n ≤ 2m+1).
 	_, cons := sphereLP(2, 5, 3)
 	b2, stats, err := Solve[lp.Halfspace, lp.Basis](lp.NewDomain(lp.NewProblem([]float64{1, 1}), 2), cons, Options{R: 3})
 	if err != nil {
@@ -168,7 +168,7 @@ func TestMonteCarloVariant(t *testing.T) {
 }
 
 func TestTheoryNetDirectFallback(t *testing.T) {
-	// With theory-exact net sizes and small n, m ≥ n forces the direct
+	// With theory-exact net sizes and small n, n ≤ 2m+1 forces the direct
 	// path — the result must still be correct.
 	p, cons := sphereLP(2, 2000, 31)
 	dom := lp.NewDomain(p, 19)
@@ -290,7 +290,7 @@ func TestNetSizeScaling(t *testing.T) {
 	nu, lambda := 4, 4
 	m1 := netSize(1/(10*float64(nu)*math.Sqrt(10000)), lambda, 10000, nu, opt)
 	m2 := netSize(1/(10*float64(nu)*math.Sqrt(40000)), lambda, 40000, nu, opt)
-	ratio := float64(m2) / float64(m1)
+	ratio := m2 / m1
 	if math.Abs(ratio-2) > 0.1 {
 		t.Errorf("net size ratio %v, want ≈ 2", ratio)
 	}

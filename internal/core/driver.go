@@ -13,14 +13,23 @@ type Params struct {
 	R          int     // the effective trade-off parameter r
 	Mult       float64 // the weight multiplier n^{1/r}
 	Eps        float64 // ε = 1/(10·ν·n^{1/r})
-	M          int     // the net size m
+	M          int     // the net size m; n on the direct path
 	MaxIters   int     // at most this many nets are solved
-	Direct     bool    // m ≥ n: solve all n constraints at once
+	Direct     bool    // n ≤ 2m+1: solve all n constraints at once
 	MonteCarlo bool    // a failed iteration ends the run (Remark 3.6)
 }
 
 // NewParams returns the parameters for n ≥ 1 constraints of a domain
 // with combinatorial dimension nu and VC dimension lambda.
+//
+// The run ships all n constraints to one solve whenever n ≤ 2m+1. A
+// sampled streaming pass holds 2m+1 rows (the net and violator buffers
+// plus the last row), and every sampled coordinator or MPC run moves at
+// least m rows; so an input that small costs the stream no more space,
+// and the star or tree at most about twice the rows of the luckiest
+// sampled run, in one pass or round instead of several. The test runs
+// on the float64 net size, before any conversion, so a huge NetConst
+// means ship-all, never an overflowed m.
 func NewParams(n, nu, lambda int, opt Options) Params {
 	r := opt.EffectiveR(n)
 	mult := math.Pow(float64(n), 1/float64(r))
@@ -30,25 +39,30 @@ func NewParams(n, nu, lambda int, opt Options) Params {
 	if maxIters <= 0 {
 		maxIters = 60*nu*r + 60
 	}
-	return Params{R: r, Mult: mult, Eps: eps, M: m, MaxIters: maxIters, Direct: m >= n, MonteCarlo: opt.MonteCarlo}
+	p := Params{R: r, Mult: mult, Eps: eps, M: n, MaxIters: maxIters, Direct: float64(n) <= 2*m+1, MonteCarlo: opt.MonteCarlo}
+	if !p.Direct {
+		p.M = int(m)
+	}
+	return p
 }
 
 // Success is the rule that makes an iteration successful: the violators
 // of its basis carry w(V) ≤ ε·w(S) of the total weight.
 func (p Params) Success(wS, wV float64) bool { return wV <= p.Eps*wS }
 
-// netSize picks the ε-net sample size per the options.
-func netSize(eps float64, lambda, n, nu int, opt Options) int {
+// netSize picks the ε-net sample size per the options, as a whole
+// number in float64.
+func netSize(eps float64, lambda, n, nu int, opt Options) float64 {
 	if opt.TheoryNet {
 		delta := 1. / 3
 		if opt.MonteCarlo {
 			delta = 1 / (float64(n) * float64(nu))
 		}
-		return epsnet.SampleSize(eps, lambda, delta)
+		return float64(epsnet.SampleSize(eps, lambda, delta))
 	}
 	c := opt.NetConst
-	if c <= 0 {
-		c = 8
+	if c == 0 {
+		c = DefaultNetConst
 	}
 	if opt.MonteCarlo {
 		// Scale the net up by the log factor the Monte-Carlo variant
@@ -72,7 +86,7 @@ type Substrate[C, B any] interface {
 	// of the last tested basis's violators by Params.Mult when success
 	// is set.
 	Sample(success bool, net []C) error
-	// All returns every constraint, for the direct path (m ≥ n).
+	// All returns every constraint, for the direct path (n ≤ 2m+1).
 	All() ([]C, error)
 }
 

@@ -134,3 +134,39 @@ func TestRunContract(t *testing.T) {
 		}
 	}
 }
+
+// TestNewParams pins the net size and the ship-all rule: m = ⌈c·λ/ε⌉
+// (Monte-Carlo scales c by ln(nν)/ln 6; TheoryNet takes Lemma 2.2's
+// size), and the run is direct — M = n — exactly when n ≤ 2m+1, decided
+// before m is converted, so a huge c cannot overflow it.
+func TestNewParams(t *testing.T) {
+	for _, tc := range []struct {
+		n, nu, lambda, r int
+		c                float64
+		monteCarlo       bool
+		theory           bool
+		m                int
+		direct           bool
+	}{
+		{n: 20000, nu: 3, lambda: 3, r: 2, c: 0.5, m: 6364},
+		{n: 20000, nu: 3, lambda: 3, r: 3, c: 0.2, m: 489},
+		{n: 20000, nu: 3, lambda: 3, r: 3, c: 0.5, monteCarlo: true, m: 7501},
+		// m = 15 631 < n ≤ 2m+1: sampled under the old m ≥ n rule.
+		{n: 20000, nu: 3, lambda: 3, r: 2, c: 0.2, monteCarlo: true, m: 20000, direct: true},
+		// The zero constant is DefaultNetConst.
+		{n: 20000, nu: 3, lambda: 3, r: 3, c: 0, m: int(math.Ceil(DefaultNetConst * 3 * 10 * 3 * math.Cbrt(20000)))},
+		{n: 20000, nu: 3, lambda: 3, r: 2, theory: true, m: 20000, direct: true},
+		// m = ⌈10·4.949·√n⌉ = 4 900 on both sides of the boundary.
+		{n: 9801, nu: 1, lambda: 1, r: 2, c: 4.949, m: 9801, direct: true},
+		{n: 9802, nu: 1, lambda: 1, r: 2, c: 4.949, m: 4900},
+		{n: 20000, nu: 3, lambda: 3, r: 2, c: 1e308, m: 20000, direct: true},
+		{n: 20000, nu: 3, lambda: 3, r: 3, c: math.Inf(1), m: 20000, direct: true},
+	} {
+		opt := Options{R: tc.r, NetConst: tc.c, MonteCarlo: tc.monteCarlo, TheoryNet: tc.theory}
+		p := NewParams(tc.n, tc.nu, tc.lambda, opt)
+		if p.M != tc.m || p.Direct != tc.direct {
+			t.Errorf("NewParams(n=%d, ν=%d, λ=%d, %+v) = m %d, direct %v; want m %d, direct %v",
+				tc.n, tc.nu, tc.lambda, opt, p.M, p.Direct, tc.m, tc.direct)
+		}
+	}
+}

@@ -136,10 +136,10 @@ func coreGoldenRun(kind string, r int, opt core.Options) coreGoldenRow {
 // × 5 seeds × NetConst {0.5, 0.2} × Monte-Carlo off/on, plus one
 // theory-net run that takes the direct path. NetConst 0.2 makes
 // iterations fail; the Monte-Carlo rows either iterate with the
-// enlarged net, abort with ErrRoundFailed, or solve directly (r = 2,
-// where the enlarged net covers the input). A row that moves on
-// purpose is re-recorded from the failure message, which prints the
-// run as a table line.
+// enlarged net, abort with ErrRoundFailed, or solve directly (where the
+// input fits in the 2m+1 rows of the enlarged net's sampled path). A
+// row that moves on purpose is re-recorded from the failure message,
+// which prints the run as a table line.
 func TestCoreGolden(t *testing.T) {
 	type run struct {
 		key  string
@@ -192,7 +192,10 @@ func TestCoreGolden(t *testing.T) {
 }
 
 // Recorded at 67f9aee, before core.Solve became a substrate of the
-// shared driver.
+// shared driver. Re-recorded when the direct rule became n ≤ 2m+1:
+// lp and meb r=2 nc=0.2 mc=true (m = 15 631), sea r=2 nc=0.5 mc=false
+// (m = 14 143) and sea r=3 nc=0.5 mc=true (m = 17 442) now ship the
+// input; every other row is unchanged.
 var coreGolden = map[string]coreGoldenRow{
 	"lp/r=2/nc=0.5/mc=false/seed=1":  {core.Stats{N: 20000, R: 2, Eps: 0.00023570226039551585, NetSize: 6364, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false, MaxExponent: 1}, 0x31d6cfa9d0b5e69e, 0x76b13825db4260b6, ""},
 	"lp/r=2/nc=0.5/mc=false/seed=2":  {core.Stats{N: 20000, R: 2, Eps: 0.00023570226039551585, NetSize: 6364, Iterations: 4, Successes: 2, Failures: 1, DirectSolve: false, MaxExponent: 1}, 0x57ca676f7d18c338, 0x2d757c4db3c8590, ""},
@@ -209,11 +212,11 @@ var coreGolden = map[string]coreGoldenRow{
 	"lp/r=2/nc=0.2/mc=false/seed=3":  {core.Stats{N: 20000, R: 2, Eps: 0.00023570226039551585, NetSize: 2546, Iterations: 5, Successes: 1, Failures: 3, DirectSolve: false, MaxExponent: 1}, 0xfdeb4df61658bebc, 0x428cb432cbe90f6d, ""},
 	"lp/r=2/nc=0.2/mc=false/seed=4":  {core.Stats{N: 20000, R: 2, Eps: 0.00023570226039551585, NetSize: 2546, Iterations: 12, Successes: 0, Failures: 11, DirectSolve: false, MaxExponent: 0}, 0xe38c60aab0d1883f, 0x925a5fa46804b97a, ""},
 	"lp/r=2/nc=0.2/mc=false/seed=5":  {core.Stats{N: 20000, R: 2, Eps: 0.00023570226039551585, NetSize: 2546, Iterations: 7, Successes: 0, Failures: 6, DirectSolve: false, MaxExponent: 0}, 0x4f7127109632eefc, 0x6c42e216c9a01856, ""},
-	"lp/r=2/nc=0.2/mc=true/seed=1":   {core.Stats{N: 20000, R: 2, Eps: 0.00023570226039551585, NetSize: 15631, Iterations: 1, Successes: 0, Failures: 0, DirectSolve: false, MaxExponent: 0}, 0x5353b7d524819a0f, 0xf411d09e10b95c2e, ""},
-	"lp/r=2/nc=0.2/mc=true/seed=2":   {core.Stats{N: 20000, R: 2, Eps: 0.00023570226039551585, NetSize: 15631, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false, MaxExponent: 1}, 0x5ecdf701c4fd6e2, 0x7971ea1fb8d3a5c8, ""},
-	"lp/r=2/nc=0.2/mc=true/seed=3":   {core.Stats{N: 20000, R: 2, Eps: 0.00023570226039551585, NetSize: 15631, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false, MaxExponent: 1}, 0xd24c831eeb7b9f3f, 0x350bb7dd560f0f5b, ""},
-	"lp/r=2/nc=0.2/mc=true/seed=4":   {core.Stats{N: 20000, R: 2, Eps: 0.00023570226039551585, NetSize: 15631, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false, MaxExponent: 1}, 0xce1f1b4d197c33de, 0x31986bc226a5ae6a, ""},
-	"lp/r=2/nc=0.2/mc=true/seed=5":   {core.Stats{N: 20000, R: 2, Eps: 0.00023570226039551585, NetSize: 15631, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false, MaxExponent: 1}, 0x5ecdf701c4fd6e2, 0x547fba99e0f33812, ""},
+	"lp/r=2/nc=0.2/mc=true/seed=1":   {core.Stats{N: 20000, R: 2, Eps: 0.00023570226039551585, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, MaxExponent: 0}, 0xcbf29ce484222325, 0xdc63238956110e7a, ""},
+	"lp/r=2/nc=0.2/mc=true/seed=2":   {core.Stats{N: 20000, R: 2, Eps: 0.00023570226039551585, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, MaxExponent: 0}, 0xcbf29ce484222325, 0xdc63238956110e7a, ""},
+	"lp/r=2/nc=0.2/mc=true/seed=3":   {core.Stats{N: 20000, R: 2, Eps: 0.00023570226039551585, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, MaxExponent: 0}, 0xcbf29ce484222325, 0xdc63238956110e7a, ""},
+	"lp/r=2/nc=0.2/mc=true/seed=4":   {core.Stats{N: 20000, R: 2, Eps: 0.00023570226039551585, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, MaxExponent: 0}, 0xcbf29ce484222325, 0xdc63238956110e7a, ""},
+	"lp/r=2/nc=0.2/mc=true/seed=5":   {core.Stats{N: 20000, R: 2, Eps: 0.00023570226039551585, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, MaxExponent: 0}, 0xcbf29ce484222325, 0xdc63238956110e7a, ""},
 	"lp/r=3/nc=0.5/mc=false/seed=1":  {core.Stats{N: 20000, R: 3, Eps: 0.001228010499546796, NetSize: 1222, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false, MaxExponent: 1}, 0xb7f349575bc194a2, 0xb8ff6870ea44e62f, ""},
 	"lp/r=3/nc=0.5/mc=false/seed=2":  {core.Stats{N: 20000, R: 3, Eps: 0.001228010499546796, NetSize: 1222, Iterations: 4, Successes: 1, Failures: 2, DirectSolve: false, MaxExponent: 1}, 0xc2cdcb44bbc71ac1, 0xb3472470d9e35995, ""},
 	"lp/r=3/nc=0.5/mc=false/seed=3":  {core.Stats{N: 20000, R: 3, Eps: 0.001228010499546796, NetSize: 1222, Iterations: 7, Successes: 1, Failures: 5, DirectSolve: false, MaxExponent: 1}, 0x7929fec8fd85bc58, 0x803e0b0b8df8f857, ""},
@@ -249,11 +252,11 @@ var coreGolden = map[string]coreGoldenRow{
 	"meb/r=2/nc=0.2/mc=false/seed=3": {core.Stats{N: 20000, R: 2, Eps: 0.00023570226039551585, NetSize: 2546, Iterations: 30, Successes: 0, Failures: 29, DirectSolve: false, MaxExponent: 0}, 0x36be8dbbb9a546d0, 0xc21c52285f67fda5, ""},
 	"meb/r=2/nc=0.2/mc=false/seed=4": {core.Stats{N: 20000, R: 2, Eps: 0.00023570226039551585, NetSize: 2546, Iterations: 28, Successes: 2, Failures: 25, DirectSolve: false, MaxExponent: 1}, 0xb8298424fc06574, 0x1f01975c7289276, ""},
 	"meb/r=2/nc=0.2/mc=false/seed=5": {core.Stats{N: 20000, R: 2, Eps: 0.00023570226039551585, NetSize: 2546, Iterations: 36, Successes: 2, Failures: 33, DirectSolve: false, MaxExponent: 1}, 0x83f605a72046058e, 0x4e6bf26bc76c0cfc, ""},
-	"meb/r=2/nc=0.2/mc=true/seed=1":  {core.Stats{N: 20000, R: 2, Eps: 0.00023570226039551585, NetSize: 15631, Iterations: 1, Successes: 0, Failures: 0, DirectSolve: false, MaxExponent: 0}, 0x5353b7d524819a0f, 0xcf4aa3541cdc13e6, ""},
-	"meb/r=2/nc=0.2/mc=true/seed=2":  {core.Stats{N: 20000, R: 2, Eps: 0.00023570226039551585, NetSize: 15631, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false, MaxExponent: 1}, 0xd24c831eeb7b9f3f, 0xc49882d4647dc68b, ""},
-	"meb/r=2/nc=0.2/mc=true/seed=3":  {core.Stats{N: 20000, R: 2, Eps: 0.00023570226039551585, NetSize: 15631, Iterations: 1, Successes: 0, Failures: 1, DirectSolve: false, MaxExponent: 0}, 0xdfa52892d2e92a2f, 0x0, "core: monte-carlo round failed (w(V) > ε·w(S))"},
-	"meb/r=2/nc=0.2/mc=true/seed=4":  {core.Stats{N: 20000, R: 2, Eps: 0.00023570226039551585, NetSize: 15631, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false, MaxExponent: 1}, 0xa74099fd629b7d33, 0xf53e9809a711a208, ""},
-	"meb/r=2/nc=0.2/mc=true/seed=5":  {core.Stats{N: 20000, R: 2, Eps: 0.00023570226039551585, NetSize: 15631, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false, MaxExponent: 1}, 0x2bf1e54e702385d1, 0xc21c52285f67fda5, ""},
+	"meb/r=2/nc=0.2/mc=true/seed=1":  {core.Stats{N: 20000, R: 2, Eps: 0.00023570226039551585, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, MaxExponent: 0}, 0xcbf29ce484222325, 0x793c85f0f376dfd9, ""},
+	"meb/r=2/nc=0.2/mc=true/seed=2":  {core.Stats{N: 20000, R: 2, Eps: 0.00023570226039551585, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, MaxExponent: 0}, 0xcbf29ce484222325, 0x793c85f0f376dfd9, ""},
+	"meb/r=2/nc=0.2/mc=true/seed=3":  {core.Stats{N: 20000, R: 2, Eps: 0.00023570226039551585, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, MaxExponent: 0}, 0xcbf29ce484222325, 0x793c85f0f376dfd9, ""},
+	"meb/r=2/nc=0.2/mc=true/seed=4":  {core.Stats{N: 20000, R: 2, Eps: 0.00023570226039551585, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, MaxExponent: 0}, 0xcbf29ce484222325, 0x793c85f0f376dfd9, ""},
+	"meb/r=2/nc=0.2/mc=true/seed=5":  {core.Stats{N: 20000, R: 2, Eps: 0.00023570226039551585, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, MaxExponent: 0}, 0xcbf29ce484222325, 0x793c85f0f376dfd9, ""},
 	"meb/r=3/nc=0.5/mc=false/seed=1": {core.Stats{N: 20000, R: 3, Eps: 0.001228010499546796, NetSize: 1222, Iterations: 21, Successes: 1, Failures: 19, DirectSolve: false, MaxExponent: 1}, 0xb06b45bd5b7c18ff, 0xbb589a4ddefcb547, ""},
 	"meb/r=3/nc=0.5/mc=false/seed=2": {core.Stats{N: 20000, R: 3, Eps: 0.001228010499546796, NetSize: 1222, Iterations: 7, Successes: 1, Failures: 5, DirectSolve: false, MaxExponent: 1}, 0xe14510ed044d6a81, 0x247708bea277dde0, ""},
 	"meb/r=3/nc=0.5/mc=false/seed=3": {core.Stats{N: 20000, R: 3, Eps: 0.001228010499546796, NetSize: 1222, Iterations: 5, Successes: 2, Failures: 2, DirectSolve: false, MaxExponent: 1}, 0x7f18e57308947e8a, 0x9602d09bb80e64b4, ""},
@@ -274,11 +277,11 @@ var coreGolden = map[string]coreGoldenRow{
 	"meb/r=3/nc=0.2/mc=true/seed=3":  {core.Stats{N: 20000, R: 3, Eps: 0.001228010499546796, NetSize: 3001, Iterations: 4, Successes: 3, Failures: 0, DirectSolve: false, MaxExponent: 1}, 0xbce4637f6a52b9f3, 0x2f7645a1744049f8, ""},
 	"meb/r=3/nc=0.2/mc=true/seed=4":  {core.Stats{N: 20000, R: 3, Eps: 0.001228010499546796, NetSize: 3001, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false, MaxExponent: 1}, 0x67731ae707144bd, 0xc08c613eac636da4, ""},
 	"meb/r=3/nc=0.2/mc=true/seed=5":  {core.Stats{N: 20000, R: 3, Eps: 0.001228010499546796, NetSize: 3001, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false, MaxExponent: 1}, 0xb70f27d99bea3147, 0xf0f752f0d1b69deb, ""},
-	"sea/r=2/nc=0.5/mc=false/seed=1": {core.Stats{N: 20000, R: 2, Eps: 0.00014142135623730948, NetSize: 14143, Iterations: 9, Successes: 3, Failures: 5, DirectSolve: false, MaxExponent: 1}, 0xcc1880b3a1804177, 0x70c470d3e2ecd144, ""},
-	"sea/r=2/nc=0.5/mc=false/seed=2": {core.Stats{N: 20000, R: 2, Eps: 0.00014142135623730948, NetSize: 14143, Iterations: 4, Successes: 2, Failures: 1, DirectSolve: false, MaxExponent: 1}, 0xdcd1b2b60a1cb298, 0xe02df242e85cdb90, ""},
-	"sea/r=2/nc=0.5/mc=false/seed=3": {core.Stats{N: 20000, R: 2, Eps: 0.00014142135623730948, NetSize: 14143, Iterations: 5, Successes: 1, Failures: 3, DirectSolve: false, MaxExponent: 1}, 0x7d40c1086190a9c4, 0x1da68cd302fd852, ""},
-	"sea/r=2/nc=0.5/mc=false/seed=4": {core.Stats{N: 20000, R: 2, Eps: 0.00014142135623730948, NetSize: 14143, Iterations: 6, Successes: 3, Failures: 2, DirectSolve: false, MaxExponent: 1}, 0x172183a446e7fbda, 0x40f1c1d0f4778ca1, ""},
-	"sea/r=2/nc=0.5/mc=false/seed=5": {core.Stats{N: 20000, R: 2, Eps: 0.00014142135623730948, NetSize: 14143, Iterations: 8, Successes: 4, Failures: 3, DirectSolve: false, MaxExponent: 1}, 0x83a5c6739099349f, 0x6ecc0c9b888a44a9, ""},
+	"sea/r=2/nc=0.5/mc=false/seed=1": {core.Stats{N: 20000, R: 2, Eps: 0.00014142135623730948, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, MaxExponent: 0}, 0xcbf29ce484222325, 0xc21ba84ae4ecea09, ""},
+	"sea/r=2/nc=0.5/mc=false/seed=2": {core.Stats{N: 20000, R: 2, Eps: 0.00014142135623730948, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, MaxExponent: 0}, 0xcbf29ce484222325, 0xc21ba84ae4ecea09, ""},
+	"sea/r=2/nc=0.5/mc=false/seed=3": {core.Stats{N: 20000, R: 2, Eps: 0.00014142135623730948, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, MaxExponent: 0}, 0xcbf29ce484222325, 0xc21ba84ae4ecea09, ""},
+	"sea/r=2/nc=0.5/mc=false/seed=4": {core.Stats{N: 20000, R: 2, Eps: 0.00014142135623730948, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, MaxExponent: 0}, 0xcbf29ce484222325, 0xc21ba84ae4ecea09, ""},
+	"sea/r=2/nc=0.5/mc=false/seed=5": {core.Stats{N: 20000, R: 2, Eps: 0.00014142135623730948, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, MaxExponent: 0}, 0xcbf29ce484222325, 0xc21ba84ae4ecea09, ""},
 	"sea/r=2/nc=0.5/mc=true/seed=1":  {core.Stats{N: 20000, R: 2, Eps: 0.00014142135623730948, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, MaxExponent: 0}, 0xcbf29ce484222325, 0xc21ba84ae4ecea09, ""},
 	"sea/r=2/nc=0.5/mc=true/seed=2":  {core.Stats{N: 20000, R: 2, Eps: 0.00014142135623730948, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, MaxExponent: 0}, 0xcbf29ce484222325, 0xc21ba84ae4ecea09, ""},
 	"sea/r=2/nc=0.5/mc=true/seed=3":  {core.Stats{N: 20000, R: 2, Eps: 0.00014142135623730948, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, MaxExponent: 0}, 0xcbf29ce484222325, 0xc21ba84ae4ecea09, ""},
@@ -299,11 +302,11 @@ var coreGolden = map[string]coreGoldenRow{
 	"sea/r=3/nc=0.5/mc=false/seed=3": {core.Stats{N: 20000, R: 3, Eps: 0.0007368062997280775, NetSize: 2715, Iterations: 9, Successes: 3, Failures: 5, DirectSolve: false, MaxExponent: 1}, 0x2108240291ddb12e, 0xe652efc775391b34, ""},
 	"sea/r=3/nc=0.5/mc=false/seed=4": {core.Stats{N: 20000, R: 3, Eps: 0.0007368062997280775, NetSize: 2715, Iterations: 19, Successes: 3, Failures: 15, DirectSolve: false, MaxExponent: 1}, 0xcdb8cb58917140c5, 0x9388bb5db92fc5e, ""},
 	"sea/r=3/nc=0.5/mc=false/seed=5": {core.Stats{N: 20000, R: 3, Eps: 0.0007368062997280775, NetSize: 2715, Iterations: 11, Successes: 2, Failures: 8, DirectSolve: false, MaxExponent: 1}, 0x22a6dcf92803ff10, 0x7a65848d7e5a2f5f, ""},
-	"sea/r=3/nc=0.5/mc=true/seed=1":  {core.Stats{N: 20000, R: 3, Eps: 0.0007368062997280775, NetSize: 17442, Iterations: 1, Successes: 0, Failures: 0, DirectSolve: false, MaxExponent: 0}, 0x5353b7d524819a0f, 0x331d00b2b2ef150d, ""},
-	"sea/r=3/nc=0.5/mc=true/seed=2":  {core.Stats{N: 20000, R: 3, Eps: 0.0007368062997280775, NetSize: 17442, Iterations: 4, Successes: 3, Failures: 0, DirectSolve: false, MaxExponent: 1}, 0x5f66d08602e5419a, 0x70b22fe035d99b98, ""},
-	"sea/r=3/nc=0.5/mc=true/seed=3":  {core.Stats{N: 20000, R: 3, Eps: 0.0007368062997280775, NetSize: 17442, Iterations: 5, Successes: 4, Failures: 0, DirectSolve: false, MaxExponent: 1}, 0xba79ce7b9125c9e3, 0x3adc61e8666abf3e, ""},
-	"sea/r=3/nc=0.5/mc=true/seed=4":  {core.Stats{N: 20000, R: 3, Eps: 0.0007368062997280775, NetSize: 17442, Iterations: 5, Successes: 4, Failures: 0, DirectSolve: false, MaxExponent: 1}, 0x182af79498dd696, 0x93e9a7d0a972bdc3, ""},
-	"sea/r=3/nc=0.5/mc=true/seed=5":  {core.Stats{N: 20000, R: 3, Eps: 0.0007368062997280775, NetSize: 17442, Iterations: 5, Successes: 4, Failures: 0, DirectSolve: false, MaxExponent: 1}, 0x7cf9d3f5873f527b, 0x82f56ac25c487a2e, ""},
+	"sea/r=3/nc=0.5/mc=true/seed=1":  {core.Stats{N: 20000, R: 3, Eps: 0.0007368062997280775, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, MaxExponent: 0}, 0xcbf29ce484222325, 0xb8f1fde71955671e, ""},
+	"sea/r=3/nc=0.5/mc=true/seed=2":  {core.Stats{N: 20000, R: 3, Eps: 0.0007368062997280775, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, MaxExponent: 0}, 0xcbf29ce484222325, 0xb8f1fde71955671e, ""},
+	"sea/r=3/nc=0.5/mc=true/seed=3":  {core.Stats{N: 20000, R: 3, Eps: 0.0007368062997280775, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, MaxExponent: 0}, 0xcbf29ce484222325, 0xb8f1fde71955671e, ""},
+	"sea/r=3/nc=0.5/mc=true/seed=4":  {core.Stats{N: 20000, R: 3, Eps: 0.0007368062997280775, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, MaxExponent: 0}, 0xcbf29ce484222325, 0xb8f1fde71955671e, ""},
+	"sea/r=3/nc=0.5/mc=true/seed=5":  {core.Stats{N: 20000, R: 3, Eps: 0.0007368062997280775, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true, MaxExponent: 0}, 0xcbf29ce484222325, 0xb8f1fde71955671e, ""},
 	"sea/r=3/nc=0.2/mc=false/seed=1": {core.Stats{N: 20000, R: 3, Eps: 0.0007368062997280775, NetSize: 1086, Iterations: 12, Successes: 3, Failures: 8, DirectSolve: false, MaxExponent: 1}, 0x55c1bbea6d0d96a8, 0x7ca5e5cfc165955e, ""},
 	"sea/r=3/nc=0.2/mc=false/seed=2": {core.Stats{N: 20000, R: 3, Eps: 0.0007368062997280775, NetSize: 1086, Iterations: 162, Successes: 2, Failures: 159, DirectSolve: false, MaxExponent: 1}, 0x554b93070c4ba42f, 0xe3700cff2654888b, ""},
 	"sea/r=3/nc=0.2/mc=false/seed=3": {core.Stats{N: 20000, R: 3, Eps: 0.0007368062997280775, NetSize: 1086, Iterations: 29, Successes: 4, Failures: 24, DirectSolve: false, MaxExponent: 1}, 0xf820c152774a4f64, 0x7b82e85378ad982b, ""},

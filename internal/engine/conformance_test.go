@@ -5,12 +5,14 @@
 package engine_test
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
 
 	"lowdimlp/internal/engine"
-	_ "lowdimlp/internal/models" // populate the registry
+	"lowdimlp/internal/lp"
+	"lowdimlp/internal/models" // also populates the registry
 )
 
 // conformanceInstance generates a small default-family instance of m.
@@ -195,6 +197,62 @@ func TestSolveInstanceValidation(t *testing.T) {
 	if _, _, err := lp.SolveInstance(engine.BackendRAM,
 		engine.Instance{Dim: 2, Objective: []float64{1}, Rows: nil}, engine.Options{}); err == nil {
 		t.Error("short lp objective accepted")
+	}
+}
+
+// TestNetConstAtEveryEntryPoint: a negative, NaN or infinite NetConst
+// fails every solve entry point — each backend, the transport driver and
+// the typed dispatchers — with the one ErrNetConst message, before any
+// work. A huge finite constant is valid: its net covers the input, so
+// every sampled backend ships it and answers as the RAM reference does.
+func TestNetConstAtEveryEntryPoint(t *testing.T) {
+	m, _ := engine.Lookup("lp")
+	inst := conformanceInstance(t, m, 2000, 5)
+	p, err := models.LP.Problem(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := make([]lp.Halfspace, len(inst.Rows))
+	for i, row := range inst.Rows {
+		items[i] = models.LP.Item(inst.Dim, row)
+	}
+	for _, c := range []float64{-1, math.NaN(), math.Inf(1)} {
+		opt := engine.Options{R: 2, NetConst: c}
+		want := opt.Check()
+		if !errors.Is(want, engine.ErrNetConst) {
+			t.Fatalf("NetConst %v: Check() = %v", c, want)
+		}
+		errs := map[string]error{}
+		for _, b := range engine.Backends() {
+			_, _, errs[b] = m.SolveInstance(b, inst, opt)
+		}
+		_, _, errs["transport"] = m.SolveTransport(inst.Dim, inst.Objective, nil, opt)
+		_, errs["typed ram"] = engine.SolveRAM(models.LP, p, items, opt)
+		_, _, errs["typed stream"] = engine.SolveStreaming(models.LP, p, engine.NewSliceStream(items), len(items), opt)
+		_, _, errs["typed coordinator"] = engine.SolveCoordinator(models.LP, p, engine.Partition(items, 4), opt)
+		_, _, errs["typed mpc"] = engine.SolveMPC(models.LP, p, items, opt)
+		for entry, err := range errs {
+			if err == nil || err.Error() != want.Error() {
+				t.Errorf("NetConst %v, %s: error %v, want %v", c, entry, err, want)
+			}
+		}
+	}
+	ref, _, err := m.SolveInstance(engine.BackendRAM, inst, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range engine.Backends()[1:] {
+		sol, st, err := m.SolveInstance(b, inst, engine.Options{R: 2, NetConst: 1e308})
+		if err != nil {
+			t.Fatalf("%s, NetConst 1e308: %v", b, err)
+		}
+		direct := (st.Stream != nil && st.Stream.DirectSolve) ||
+			(st.Coordinator != nil && st.Coordinator.DirectSolve) ||
+			(st.MPC != nil && st.MPC.NetSize == st.MPC.N && st.MPC.Rounds == 1)
+		if !direct {
+			t.Errorf("%s, NetConst 1e308: sampled (%s), want ship-all", b, st)
+		}
+		assertSolutionsClose(t, b+" NetConst 1e308", ref, sol, 1e-9)
 	}
 }
 

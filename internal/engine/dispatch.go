@@ -111,12 +111,15 @@ func (o Options) coordinator() coordinator.Options {
 // solves the typed slice itself. The raw seed goes to the domain,
 // matching the historical per-kind entry points bit for bit.
 func SolveRAM[P, C, B any](s *Spec[P, C, B], p P, items []C, opt Options) (B, error) {
+	var zero B
+	if err := opt.Check(); err != nil {
+		return zero, err
+	}
 	dim := s.Dim(p)
 	var row []float64
 	for i, item := range items {
 		var err error
 		if row, err = s.encodeItem(dim, row[:0], i, item); err != nil {
-			var zero B
 			return zero, err
 		}
 	}
@@ -128,9 +131,12 @@ func SolveRAM[P, C, B any](s *Spec[P, C, B], p P, items []C, opt Options) (B, er
 // stream is never materialized: every pass encodes (and validates)
 // the items into the scan's batch buffer.
 func SolveStreaming[P, C, B any](s *Spec[P, C, B], p P, st Stream[C], n int, opt Options) (B, StreamingStats, error) {
+	var zero B
+	if err := opt.Check(); err != nil {
+		return zero, StreamingStats{}, err
+	}
 	dim := s.Dim(p)
 	if dim < 1 {
-		var zero B
 		return zero, StreamingStats{}, fmt.Errorf("%s: dim must be ≥ 1, got %d", s.Name, dim)
 	}
 	encode := func(dst []float64, i int, item C) ([]float64, error) { return s.encodeItem(dim, dst, i, item) }
@@ -140,12 +146,15 @@ func SolveStreaming[P, C, B any](s *Spec[P, C, B], p P, st Stream[C], n int, opt
 // SolveCoordinator solves over a k-site partition (Theorem 2). The
 // partition stays explicit — one store per part, however uneven.
 func SolveCoordinator[P, C, B any](s *Spec[P, C, B], p P, parts [][]C, opt Options) (B, CoordinatorStats, error) {
+	var zero B
+	if err := opt.Check(); err != nil {
+		return zero, CoordinatorStats{}, err
+	}
 	dim := s.Dim(p)
 	shards := make([]dataset.View, len(parts))
 	for i, part := range parts {
 		st, err := s.Encode(dim, part)
 		if err != nil {
-			var zero B
 			return zero, CoordinatorStats{}, fmt.Errorf("part %d: %w", i, err)
 		}
 		shards[i] = st.View()
@@ -161,9 +170,12 @@ func SolveCoordinator[P, C, B any](s *Spec[P, C, B], p P, parts [][]C, opt Optio
 // SolveMPC solves in the MPC model with per-machine load O~(n^Delta)
 // (Theorem 3).
 func SolveMPC[P, C, B any](s *Spec[P, C, B], p P, items []C, opt Options) (B, MPCStats, error) {
+	var zero B
+	if err := opt.Check(); err != nil {
+		return zero, MPCStats{}, err
+	}
 	st, err := s.Encode(s.Dim(p), items)
 	if err != nil {
-		var zero B
 		return zero, MPCStats{}, err
 	}
 	return solveSourceMPC(s, p, st, opt)

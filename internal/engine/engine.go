@@ -21,6 +21,9 @@
 package engine
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"runtime"
 
 	"lowdimlp/internal/core"
@@ -65,9 +68,10 @@ type Options struct {
 	// MonteCarlo selects the Remark 3.6 variant (fails fast instead of
 	// retrying failed iterations).
 	MonteCarlo bool
-	// NetConst is the ε-net constant c in m = c·λ/ε (0 = 0.5, the
-	// default Core applies; core.Options.NetConst's own default, 8, is
-	// only for direct callers of internal/core).
+	// NetConst is the ε-net constant c in m = c·λ/ε: 0 means
+	// core.DefaultNetConst, and a negative, NaN or infinite value is
+	// rejected with ErrNetConst. A c so large that n ≤ 2m+1 ships the
+	// whole input instead of sampling.
 	NetConst float64
 	// K is the number of coordinator sites used when the engine
 	// partitions a flat instance itself (0 = 4). The typed coordinator
@@ -97,18 +101,28 @@ func (o Options) EffectiveParallel() bool {
 	return o.Parallel && runtime.GOMAXPROCS(0) > 1
 }
 
+// ErrNetConst is the one error every solve entry point returns for a
+// NetConst that is negative, NaN or ±Inf (Options.Check).
+var ErrNetConst = errors.New("net_const must be a finite number ≥ 0 (0 means the default)")
+
+// Check rejects options no backend can run. Every solve entry point
+// calls it before anything else, whatever the backend.
+func (o Options) Check() error {
+	if o.NetConst < 0 || math.IsNaN(o.NetConst) || math.IsInf(o.NetConst, 0) {
+		return fmt.Errorf("%w, got %v", ErrNetConst, o.NetConst)
+	}
+	return nil
+}
+
 // Core converts to the core-algorithm options, applying the library
-// defaults (R = 2, NetConst = 0.5).
+// default R = 2. A zero NetConst passes through: core applies
+// core.DefaultNetConst.
 func (o Options) Core() core.Options {
 	r := o.R
 	if r == 0 {
 		r = 2
 	}
-	nc := o.NetConst
-	if nc == 0 {
-		nc = 0.5
-	}
-	return core.Options{R: r, Seed: o.Seed, MonteCarlo: o.MonteCarlo, NetConst: nc}
+	return core.Options{R: r, Seed: o.Seed, MonteCarlo: o.MonteCarlo, NetConst: o.NetConst}
 }
 
 // Sites returns the coordinator site count (default 4).
@@ -141,7 +155,7 @@ func Canonical(backend string, o Options) Options {
 	}
 	normNet := func() float64 {
 		if o.NetConst == 0 {
-			return 0.5
+			return core.DefaultNetConst
 		}
 		return o.NetConst
 	}

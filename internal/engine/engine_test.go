@@ -2,8 +2,12 @@ package engine
 
 import (
 	"encoding/json"
+	"errors"
+	"math"
 	"strings"
 	"testing"
+
+	"lowdimlp/internal/core"
 )
 
 func TestCanonicalOptions(t *testing.T) {
@@ -22,10 +26,10 @@ func TestCanonicalOptions(t *testing.T) {
 			t.Errorf("%s: canonical %+v, want %+v", c.backend, got, c.want)
 		}
 	}
-	// Defaults normalize: R 0→2 (except mpc), NetConst 0→0.5, K 0→4,
-	// Delta 0→0.5.
+	// Defaults normalize: R 0→2 (except mpc), NetConst 0→the core
+	// default, K 0→4, Delta 0→0.5.
 	zero := Options{Seed: 1}
-	if got := Canonical(BackendStream, zero); got.R != 2 || got.NetConst != 0.5 {
+	if got := Canonical(BackendStream, zero); got.R != 2 || got.NetConst != core.DefaultNetConst {
 		t.Errorf("stream defaults: %+v", got)
 	}
 	if got := Canonical(BackendCoordinator, zero); got.K != 4 {
@@ -40,12 +44,32 @@ func TestCanonicalOptions(t *testing.T) {
 }
 
 func TestOptionsCoreDefaults(t *testing.T) {
+	// A zero NetConst passes through: core applies its one default.
 	co := Options{}.Core()
-	if co.R != 2 || co.NetConst != 0.5 {
+	if co.R != 2 || co.NetConst != 0 {
 		t.Fatalf("defaults: %+v", co)
 	}
 	if s := (Options{}).Sites(); s != 4 {
 		t.Fatalf("sites default %d", s)
+	}
+}
+
+// TestOptionsCheck is the engine boundary's table: a NetConst that is
+// negative, NaN or ±Inf is ErrNetConst; zero (the default) and any
+// positive finite value pass, however large — a huge c ships the input.
+func TestOptionsCheck(t *testing.T) {
+	for _, tc := range []struct {
+		c   float64
+		bad bool
+	}{
+		{0, false}, {0.5, false}, {core.DefaultNetConst, false}, {1e308, false},
+		{-1, true}, {math.Copysign(0, -1), false}, {-1e-300, true},
+		{math.NaN(), true}, {math.Inf(1), true}, {math.Inf(-1), true},
+	} {
+		err := Options{NetConst: tc.c}.Check()
+		if tc.bad != (err != nil) || (err != nil && !errors.Is(err, ErrNetConst)) {
+			t.Errorf("NetConst %v: Check() = %v, want rejected %v", tc.c, err, tc.bad)
+		}
 	}
 }
 

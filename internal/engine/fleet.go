@@ -48,6 +48,9 @@ func (s *Spec[P, C, B]) NewSiteHost(dim int, objective []float64, src dataset.So
 // seed and options (the conformance suite pins this).
 func (s *Spec[P, C, B]) SolveTransport(dim int, objective []float64, tr comm.Transport, opt Options) (Solution, Stats, error) {
 	var stats Stats
+	if err := opt.Check(); err != nil {
+		return Solution{}, stats, err
+	}
 	if dim < 1 {
 		return Solution{}, stats, fmt.Errorf("%s: dim must be ≥ 1, got %d", s.Name, dim)
 	}

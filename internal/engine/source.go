@@ -25,6 +25,9 @@ import (
 // and for backends that do not surface one.
 func (s *Spec[P, C, B]) SolveSourceBasis(backend string, dim int, objective []float64, src dataset.Source, opt Options) (Solution, Stats, any, error) {
 	var stats Stats
+	if err := opt.Check(); err != nil {
+		return Solution{}, stats, nil, err
+	}
 	if dim < 1 {
 		return Solution{}, stats, nil, fmt.Errorf("%s: dim must be ≥ 1, got %d", s.Name, dim)
 	}

@@ -27,20 +27,22 @@ func SampleSize(eps float64, vcDim int, delta float64) int {
 	return int(math.Ceil(math.Max(a, b)))
 }
 
-// PracticalSampleSize returns c·λ/ε — the same Θ(λ/ε) scaling as
+// PracticalSampleSize returns ⌈c·λ/ε⌉ — the same Θ(λ/ε) scaling as
 // Lemma 2.2 with the theory constants (8·log(8λ/ε) ≈ 80+) replaced by a
-// small practical constant c, as every implementation of Clarkson-style
-// algorithms does. The meta-algorithm remains correct for any sample
-// size (it is Las Vegas — a failed net only costs an extra iteration);
-// the constant trades per-iteration space against iteration count.
-func PracticalSampleSize(eps float64, vcDim int, c float64) int {
+// small practical constant c > 0, as every implementation of
+// Clarkson-style algorithms does. The meta-algorithm remains correct for
+// any sample size (it is Las Vegas — a failed net only costs an extra
+// iteration); the constant trades per-iteration space against iteration
+// count. The size is a float64 so that a caller can compare it with n
+// before converting: a huge c gives +Inf, never an overflowed int.
+func PracticalSampleSize(eps float64, vcDim int, c float64) float64 {
 	if eps <= 0 || eps >= 1 {
 		panic("epsnet: ε must be in (0,1)")
 	}
-	if c <= 0 {
-		c = 8
+	if !(c > 0) {
+		panic("epsnet: the net constant c must be positive")
 	}
-	return int(math.Ceil(c * float64(vcDim) / eps))
+	return math.Ceil(c * float64(vcDim) / eps)
 }
 
 // IsNet verifies the ε-net property for a finite set system given by

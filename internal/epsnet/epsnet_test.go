@@ -1,6 +1,7 @@
 package epsnet
 
 import (
+	"math"
 	"testing"
 
 	"lowdimlp/internal/numeric"
@@ -36,6 +37,9 @@ func TestSampleSizePanics(t *testing.T) {
 		func() { SampleSize(0.5, 1, 0) },
 		func() { SampleSize(0.5, 1, 1) },
 		func() { PracticalSampleSize(0, 1, 1) },
+		func() { PracticalSampleSize(0.5, 1, 0) },
+		func() { PracticalSampleSize(0.5, 1, -1) },
+		func() { PracticalSampleSize(0.5, 1, math.NaN()) },
 	} {
 		func() {
 			defer func() {
@@ -50,11 +54,14 @@ func TestSampleSizePanics(t *testing.T) {
 
 func TestPracticalSampleSize(t *testing.T) {
 	if got := PracticalSampleSize(0.01, 3, 10); got != 3000 {
-		t.Errorf("PracticalSampleSize = %d, want 3000", got)
+		t.Errorf("PracticalSampleSize = %v, want 3000", got)
 	}
-	// Default constant when c ≤ 0.
-	if got := PracticalSampleSize(0.5, 1, 0); got != 16 {
-		t.Errorf("PracticalSampleSize default = %d, want 16", got)
+	if got := PracticalSampleSize(0.3, 1, 1); got != 4 {
+		t.Errorf("PracticalSampleSize = %v, want ⌈1/0.3⌉ = 4", got)
+	}
+	// A constant past the int range stays a float: +Inf, not an overflow.
+	if got := PracticalSampleSize(1e-6, 4, 1e308); !math.IsInf(got, 1) {
+		t.Errorf("PracticalSampleSize(c = 1e308) = %v, want +Inf", got)
 	}
 }
 

@@ -54,7 +54,7 @@ func runE8(w io.Writer, cfg Config) error {
 		hc := lp.HalfspaceCodec{Dim: 2}
 		bc := lp.BasisCodec{Dim: 2}
 		cb, cst, err := coordinator.Solve(ra.Domain(), sites, hc, bc, coordinator.Options{
-			Core: core.Options{R: c.R, Seed: cfg.Seed, NetConst: netConst},
+			Core: core.Options{R: c.R, Seed: cfg.Seed},
 		})
 		if err != nil {
 			return err

@@ -241,9 +241,6 @@ func SolveSource[C, B any](
 	b, c, err := core.Run(p, t, dom.Solve)
 	stats.Rounds, stats.MaxLoadBits, stats.TotalBits = t.nw.rounds, t.nw.maxLoad, t.nw.totalBits
 	stats.Iterations, stats.Successes, stats.Failures = c.Tests, c.Successes, c.Failures
-	if p.Direct {
-		stats.NetSize = n
-	}
 	return b, stats, err
 }
 
@@ -362,9 +359,13 @@ func (t *tree[C, B]) Sample(success bool, sample []C) error {
 }
 
 // All ships every machine's constraints to the root in one round (the
-// tiny-input path).
+// small-input path, n ≤ 2m+1).
 func (t *tree[C, B]) All() ([]C, error) {
-	var all []C
+	n := 0
+	for _, mm := range t.machines {
+		n += mm.data.Size()
+	}
+	all := make([]C, 0, n)
 	for _, mm := range t.machines {
 		bits := 0
 		for i, sz := 0, mm.data.Size(); i < sz; i++ {

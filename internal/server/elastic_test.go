@@ -74,11 +74,12 @@ func TestElasticRetryMatrix(t *testing.T) {
 		rows       int
 		afterSteps int64
 	}{
-		// 8000 rows runs the iterative two-round protocol; the step
+		// 8000 rows runs the iterative two-round protocol at NetConst
+		// 0.2 (n > 2m+1; the default net would ship them); the step
 		// count selects which exchange the crash lands on.
 		{"dies-during-round-A", "svm", 8000, 2},
 		{"dies-during-round-B", "svm", 8000, 3},
-		// 50 rows takes the direct ship-all path (m ≥ n).
+		// 50 rows takes the direct ship-all path (n ≤ 2m+1).
 		{"dies-during-ship-all", "meb", 50, 2},
 	}
 	for _, tc := range cases {
@@ -89,7 +90,7 @@ func TestElasticRetryMatrix(t *testing.T) {
 			urls := startKillableFleet(t, manifest, k, victim, tc.afterSteps)
 			reg := registry.New(0)
 			reg.SeedStatic(urls)
-			opt := engine.Options{Seed: 1, K: k, R: 2}
+			opt := engine.Options{Seed: 1, K: k, R: 2, NetConst: 0.2}
 			topt := httptransport.Options{Timeout: 5 * time.Second}
 
 			kind, got, stats, err := engine.SolveFleetElastic(reg, opt, topt, "")
@@ -156,7 +157,7 @@ func TestElasticRetryOnCorruptFrames(t *testing.T) {
 	})
 	reg := registry.New(0)
 	reg.SeedStatic(urls)
-	opt := engine.Options{Seed: 3, K: k, R: 2}
+	opt := engine.Options{Seed: 3, K: k, R: 2, NetConst: 0.2} // iterative: n > 2m+1
 	_, got, stats, err := engine.SolveFleetElastic(reg, opt, httptransport.Options{Timeout: 5 * time.Second}, "")
 	if err != nil {
 		t.Fatalf("elastic solve failed: %v", err)
@@ -282,7 +283,7 @@ func TestElasticDrainKeepsInFlightSolves(t *testing.T) {
 
 	reg := registry.New(0)
 	reg.SeedStatic(urls)
-	opt := engine.Options{Seed: 1, K: k, R: 2}
+	opt := engine.Options{Seed: 1, K: k, R: 2, NetConst: 0.2} // iterative: n > 2m+1
 	_, got, stats, err := engine.SolveFleetElastic(reg, opt, httptransport.Options{Timeout: 5 * time.Second}, "")
 	if err != nil {
 		t.Fatalf("solve across a draining worker failed: %v", err)

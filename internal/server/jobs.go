@@ -396,14 +396,19 @@ func (m *Manager) run(j *Job) {
 	start := time.Now()
 	var out outcome
 	var fleetKind string
-	if req.Fleet {
+	switch err := req.Options.lib().Check(); {
+	case err != nil:
+		// Rejected before keying, so a cached answer under the canonical
+		// options (ram ignores NetConst) cannot mask a bad request.
+		out.err = err
+	case req.Fleet:
 		// Fleet solves: the instance lives on the worker processes, so
 		// there is nothing to materialize and nothing to digest — the
 		// cache is skipped (the service cannot see the rows it would
 		// key on).
 		tr.Annotate("fleet", "true")
 		fleetKind, out.result, out.stats, out.err = m.runFleet(req)
-	} else {
+	default:
 		out = m.runLocal(j, req, tr)
 	}
 	m.finishJob(j, req, tr, fleetKind, time.Since(start), out)

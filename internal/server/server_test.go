@@ -111,6 +111,57 @@ func TestSolveSyncLP(t *testing.T) {
 	}
 }
 
+// TestNetConstBoundary: a huge finite net_const is a valid request — its
+// net covers the input, so every sampled model ships the rows and
+// answers (it used to overflow the net size and kill the process); a
+// negative one fails the job with the library's ErrNetConst message as
+// a 422, even where a ram result for the same rows is cached, and the
+// server stays healthy throughout.
+func TestNetConstBoundary(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	gen := &GenerateSpec{Family: "sphere", N: 20000, D: 3, Seed: 5}
+	ref, raw := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Kind: "lp", Model: "ram", Generate: gen})
+	if ref.StatusCode != http.StatusOK {
+		t.Fatalf("ram: status %d: %s", ref.StatusCode, raw)
+	}
+	want, _ := decodeStatus(t, raw).Result.Scalar("value")
+	// A seed per model: a cached basis of the same seed would answer warm.
+	for i, model := range []string{"stream", "coordinator", "mpc"} {
+		resp, raw := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Kind: "lp", Model: model, Generate: gen,
+			Options: SolveOptions{R: 2, Seed: uint64(i + 1), NetConst: 1e308}})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s, net_const 1e308: status %d: %s", model, resp.StatusCode, raw)
+		}
+		st := decodeStatus(t, raw)
+		direct := (st.Stats.Stream != nil && st.Stats.Stream.DirectSolve) ||
+			(st.Stats.Coordinator != nil && st.Stats.Coordinator.DirectSolve) ||
+			(st.Stats.MPC != nil && st.Stats.MPC.NetSize == st.Stats.MPC.N)
+		if v, _ := st.Result.Scalar("value"); !direct || math.Abs(v-want) > 1e-9*(1+math.Abs(want)) {
+			t.Fatalf("%s, net_const 1e308: value %v (ram %v), stats %s: want the shipped input's exact answer", model, v, want, st.Stats)
+		}
+	}
+	lpModel, _ := lowdimlp.LookupKind("lp")
+	inst, err := lpModel.Generate("sphere", lowdimlp.GenParams{N: 20000, D: 3, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, libErr := lowdimlp.SolveInstance("lp", "stream", inst, lowdimlp.Options{NetConst: -1})
+	if libErr == nil {
+		t.Fatal("library accepted net_const -1")
+	}
+	for _, model := range []string{"ram", "stream"} {
+		resp, raw := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Kind: "lp", Model: model, Generate: gen,
+			Options: SolveOptions{NetConst: -1}})
+		if st := decodeStatus(t, raw); resp.StatusCode != http.StatusUnprocessableEntity || st.Error != libErr.Error() || st.Cached {
+			t.Fatalf("%s, net_const -1: status %d, %+v; want 422 with %q", model, resp.StatusCode, st, libErr)
+		}
+	}
+	var body map[string]bool
+	if resp := getJSON(t, ts.URL+"/healthz", &body); resp.StatusCode != http.StatusOK || !body["ok"] {
+		t.Fatalf("healthz after the net_const requests: status %d body %v", resp.StatusCode, body)
+	}
+}
+
 func TestSolveValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	cases := []SolveRequest{

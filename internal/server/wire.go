@@ -64,8 +64,9 @@ type SolveOptions struct {
 	Seed uint64 `json:"seed,omitempty"`
 	// MonteCarlo selects the fail-fast Remark 3.6 variant.
 	MonteCarlo bool `json:"monte_carlo,omitempty"`
-	// NetConst is the ε-net constant c in m = c·λ/ε (0 = 0.5, the
-	// library default).
+	// NetConst is the ε-net constant c in m = c·λ/ε (0 = the library
+	// default, DESIGN.md §5). A negative value fails the job with
+	// engine.ErrNetConst (HTTP 422).
 	NetConst float64 `json:"net_const,omitempty"`
 	// K is the number of coordinator sites (0 = default 4).
 	K int `json:"k,omitempty"`

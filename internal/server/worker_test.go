@@ -17,8 +17,11 @@ import (
 
 	"lowdimlp/internal/comm"
 	"lowdimlp/internal/comm/httptransport"
+	"lowdimlp/internal/core"
 	"lowdimlp/internal/dataset"
 	"lowdimlp/internal/engine"
+	"lowdimlp/internal/epsnet"
+	"lowdimlp/internal/meb"
 )
 
 // writeShardedInstance generates one instance of the given kind and
@@ -69,9 +72,10 @@ func TestFleetConformance(t *testing.T) {
 	const k = 3
 	for _, m := range engine.Models() {
 		t.Run(m.Kind(), func(t *testing.T) {
-			// 8000 rows runs the iterative two-round protocol for
-			// lp/svm/meb and the direct ship-all path for sea (whose
-			// net sizes exceed n here) — both paths stay pinned.
+			// 8000 rows at NetConst 0.2 run the iterative two-round
+			// protocol for lp/svm/meb and the direct ship-all path for
+			// sea (n ≤ 2m+1 for its larger nets) — both paths stay
+			// pinned.
 			manifest := writeShardedInstance(t, m, 8000, k, 11)
 			_, info, src, err := engine.OpenDatasetSource(manifest)
 			if err != nil {
@@ -81,10 +85,13 @@ func TestFleetConformance(t *testing.T) {
 			urls := startWorkerFleet(t, manifest, k, nil)
 
 			for _, seed := range []uint64{1, 42} {
-				opt := engine.Options{Seed: seed, K: k, R: 2}
+				opt := engine.Options{Seed: seed, K: k, R: 2, NetConst: 0.2}
 				want, wantStats, err := m.SolveSource(engine.BackendCoordinator, info.Dim, info.Objective, src, opt)
 				if err != nil {
 					t.Fatalf("seed %d: in-process: %v", seed, err)
+				}
+				if wantStats.Coordinator.DirectSolve != (m.Kind() == "sea") {
+					t.Fatalf("seed %d: DirectSolve %v: the matrix lost one of its two paths", seed, wantStats.Coordinator.DirectSolve)
 				}
 				// Alternating the fleet's round fan-out mode across
 				// seeds also pins parallel == sequential over HTTP.
@@ -112,32 +119,44 @@ func TestFleetConformance(t *testing.T) {
 }
 
 // TestFleetDirectSolveConformance covers the degenerate ship-all path
-// (m ≥ n): tiny instances must also agree bit for bit, including the
-// per-constraint message accounting.
+// (n ≤ 2m+1): a tiny instance, and one just past the net (m < n, which
+// sampled before the rule was n ≤ 2m+1), must agree bit for bit,
+// including the per-constraint message accounting.
 func TestFleetDirectSolveConformance(t *testing.T) {
 	m, _ := engine.Lookup("meb")
 	const k = 3
-	manifest := writeShardedInstance(t, m, 50, k, 3)
-	_, info, src, err := engine.OpenDatasetSource(manifest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dataset.CloseSource(src)
-	urls := startWorkerFleet(t, manifest, k, nil)
-	opt := engine.Options{Seed: 9, K: k}
-	want, wantStats, err := m.SolveSource(engine.BackendCoordinator, info.Dim, info.Objective, src, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !wantStats.Coordinator.DirectSolve {
-		t.Fatalf("expected the direct-solve path for 50 rows")
-	}
-	_, got, gotStats, err := engine.SolveFleet(urls, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) || *gotStats.Coordinator != *wantStats.Coordinator {
-		t.Fatalf("direct-solve drift:\n fleet: %+v %+v\n local: %+v %+v", got, *gotStats.Coordinator, want, *wantStats.Coordinator)
+	for _, tc := range []struct {
+		n, r int
+	}{{50, 0}, {3000, 3}} {
+		manifest := writeShardedInstance(t, m, tc.n, k, 3)
+		_, info, src, err := engine.OpenDatasetSource(manifest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer dataset.CloseSource(src)
+		urls := startWorkerFleet(t, manifest, k, nil)
+		opt := engine.Options{Seed: 9, K: k, R: tc.r}
+		want, wantStats, err := m.SolveSource(engine.BackendCoordinator, info.Dim, info.Objective, src, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !wantStats.Coordinator.DirectSolve || wantStats.Coordinator.Rounds != 1 {
+			t.Fatalf("n=%d: expected the one-round direct-solve path: %+v", tc.n, *wantStats.Coordinator)
+		}
+		if tc.n > 50 {
+			co := opt.Core()
+			p := core.NewParams(tc.n, meb.NewDomain(3).CombinatorialDim(), meb.NewDomain(3).VCDim(), co)
+			if net := epsnet.PracticalSampleSize(p.Eps, meb.NewDomain(3).VCDim(), core.DefaultNetConst); net >= float64(tc.n) {
+				t.Fatalf("n=%d is covered by the net m=%v: not in (m, 2m+1]", tc.n, net)
+			}
+		}
+		_, got, gotStats, err := engine.SolveFleet(urls, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) || *gotStats.Coordinator != *wantStats.Coordinator {
+			t.Fatalf("n=%d: direct-solve drift:\n fleet: %+v %+v\n local: %+v %+v", tc.n, got, *gotStats.Coordinator, want, *wantStats.Coordinator)
+		}
 	}
 }
 
@@ -327,7 +346,8 @@ func TestFleetWorkerDiesMidRound(t *testing.T) {
 	model, _ := engine.Lookup(fleet.Info().Kind)
 	tr := fleet.Run()
 	defer tr.Close()
-	sol, _, err := model.SolveTransport(fleet.Info().Dim, fleet.Info().Objective, tr, engine.Options{Seed: 1})
+	// NetConst 0.2 keeps 8000 rows on the iterative protocol (n > 2m+1).
+	sol, _, err := model.SolveTransport(fleet.Info().Dim, fleet.Info().Objective, tr, engine.Options{Seed: 1, NetConst: 0.2})
 	var te *comm.TransportError
 	if !errors.As(err, &te) {
 		t.Fatalf("want *comm.TransportError, got %v", err)

@@ -146,7 +146,7 @@ func TestSharedScanMatchesSolo(t *testing.T) {
 			t.Fatal(err)
 		}
 		if stats.DirectSolve {
-			t.Fatalf("solo %d direct-solved (m ≥ n) — workload too small to exercise the fused path", i)
+			t.Fatalf("solo %d direct-solved (n ≤ 2m+1) — workload too small to exercise the fused path", i)
 		}
 		want[i] = solo{b, stats}
 	}

@@ -8,6 +8,7 @@ import (
 
 	"lowdimlp/internal/core"
 	"lowdimlp/internal/engine"
+	"lowdimlp/internal/epsnet"
 	"lowdimlp/internal/models"
 	"lowdimlp/internal/sea"
 	"lowdimlp/internal/stream"
@@ -22,8 +23,9 @@ import (
 // must spend exactly Iterations+1 passes (one pass per iteration: what
 // the deleted unfused ablation used to be contrasted with).
 //
-// The net constant is below the library default so that small
-// instances stay iterative, iterations fail as well as succeed, up to
+// The net constant is well below the library default so that small
+// instances stay iterative at r = 2 as well as 3 (n > 2m+1), iterations
+// fail as well as succeed, up to
 // four bases are stored (weights beyond PowWeight's fast paths) and
 // the Monte-Carlo variant sometimes gives up; sea runs at d = 2
 // because its basis solve is the slow one.
@@ -78,7 +80,7 @@ func referenceMatrix[P, C, B any](t *testing.T, s *engine.Spec[P, C, B], d, n in
 		inst       engine.Instance
 		fn, count  bool // FuncStream instead of SliceStream; pass n ≤ 0
 		monteCarlo bool
-		direct     bool // must take the m ≥ n path
+		direct     bool // must take the n ≤ 2m+1 path
 		mustFail   bool
 	}
 	shapes := []shape{
@@ -121,7 +123,7 @@ func referenceMatrix[P, C, B any](t *testing.T, s *engine.Spec[P, C, B], d, n in
 			for seed := uint64(1); seed <= 5; seed++ {
 				what := fmt.Sprintf("%s r=%d seed=%d", sh.name, r, seed)
 				opt := stream.Options{
-					Core:         core.Options{R: r, Seed: seed, NetConst: 0.2, MonteCarlo: sh.monteCarlo},
+					Core:         core.Options{R: r, Seed: seed, NetConst: 0.1, MonteCarlo: sh.monteCarlo},
 					BitsPerItem:  s.ItemCodec(dim).Bits(zc),
 					BitsPerBasis: s.BasisCodec(dim).Bits(zb),
 				}
@@ -143,7 +145,7 @@ func referenceMatrix[P, C, B any](t *testing.T, s *engine.Spec[P, C, B], d, n in
 					t.Fatalf("%s: solved an infeasible instance", what)
 				}
 				if sh.direct && !gotStats.DirectSolve {
-					t.Fatalf("%s: expected the direct (m ≥ n) path: %+v", what, gotStats)
+					t.Fatalf("%s: expected the direct (n ≤ 2m+1) path: %+v", what, gotStats)
 				}
 				if gotErr == nil && gotStats.N > 0 && !gotStats.DirectSolve {
 					iterative++
@@ -186,5 +188,71 @@ func assertBitIdentical(t *testing.T, what string, want, got engine.Solution) {
 				t.Fatalf("%s: %s differs from the reference: %v vs %v", what, fw.Key, vg, vw)
 			}
 		}
+	}
+}
+
+// TestDirectNeverHoldsMoreRows pins the ship-all rule from the stream's
+// side. At the smallest n the sampled net no longer covers (m < n, so
+// n ≤ 2m+1), the solve ships the input: one pass holding the n rows —
+// never more than the 2m+1 a sampled pass would hold — and one basis
+// solve over them, bit for bit the solve of the whole input.
+func TestDirectNeverHoldsMoreRows(t *testing.T) {
+	t.Run("lp", func(t *testing.T) { directNeverHoldsMoreRows(t, models.LP) })
+	t.Run("meb", func(t *testing.T) { directNeverHoldsMoreRows(t, models.MEB) })
+	t.Run("sea", func(t *testing.T) { directNeverHoldsMoreRows(t, sea.Spec) })
+}
+
+func directNeverHoldsMoreRows[P, C, B any](t *testing.T, s *engine.Spec[P, C, B]) {
+	const d, seed = 2, 3
+	probe := generate(t, s, d, 10)
+	pp, err := s.Problem(probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nu, lambda := s.NewDomain(pp, 0).CombinatorialDim(), s.NewDomain(pp, 0).VCDim()
+	var zc C
+	var zb B
+	for _, r := range []int{2, 3} {
+		opt := stream.Options{
+			Core:         core.Options{R: r, Seed: seed},
+			BitsPerItem:  s.ItemCodec(d).Bits(zc),
+			BitsPerBasis: s.BasisCodec(d).Bits(zb),
+		}
+		n, m := 2, 0.0
+		for ; ; n++ {
+			m = epsnet.PracticalSampleSize(core.NewParams(n, nu, lambda, opt.Core).Eps, lambda, core.DefaultNetConst)
+			if m < float64(n) {
+				break
+			}
+		}
+		if !core.NewParams(n, nu, lambda, opt.Core).Direct || float64(n) > 2*m+1 {
+			t.Fatalf("r=%d: n=%d, m=%v is not in (m, 2m+1] on the direct path", r, n, m)
+		}
+		inst, err := s.Generate(s.Families()[0], engine.GenParams{N: n, D: d, Seed: 41})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := s.Problem(inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		items := make([]C, n)
+		for i, row := range inst.Rows {
+			items[i] = s.Item(d, row)
+		}
+		encode := func(dst []float64, _ int, item C) ([]float64, error) { return s.Row(d, dst, item), nil }
+		got, stats, err := stream.Solve(s.Access(d, s.NewDomain(p, seed)), stream.NewSliceStream(items), n, s.Width(d), encode, opt)
+		if err != nil {
+			t.Fatalf("r=%d n=%d: %v", r, n, err)
+		}
+		if limit := int64(2*m+1) * int64(opt.BitsPerItem); !stats.DirectSolve || stats.Passes != 1 || stats.PeakSpaceBits > limit {
+			t.Fatalf("r=%d n=%d m=%v: %+v, want one direct pass within %d bits", r, n, m, stats, limit)
+		}
+		want, err := s.NewDomain(p, seed).Solve(items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, fmt.Sprintf("r=%d n=%d", r, n), s.Render(d, want), s.Render(d, got))
+		t.Logf("r=%d: n=%d, m=%v, %d of %d bits", r, n, m, stats.PeakSpaceBits, int64(2*m+1)*int64(opt.BitsPerItem))
 	}
 }

@@ -47,11 +47,13 @@ func solveRef[C, B any](dom lptype.Domain[C, B], st Stream[C], n int, opt Option
 	stats.R = r
 	mult := math.Pow(float64(n), 1/float64(r))
 	eps := 1 / (10 * float64(nu) * mult)
-	m := core.NewParams(n, nu, lambda, opt.Core).M
+	p := core.NewParams(n, nu, lambda, opt.Core)
+	m := p.M
 	stats.NetSize = m
 
-	if m >= n {
-		// Net would contain everything: one pass, solve directly.
+	if p.Direct {
+		// The n rows fit in the 2m+1 a sampled pass holds: one pass,
+		// solve directly.
 		buf := make([]C, 0, n)
 		st.Reset()
 		for {
@@ -64,7 +66,6 @@ func solveRef[C, B any](dom lptype.Domain[C, B], st Stream[C], n int, opt Option
 		stats.Passes++
 		stats.ItemsScanned += int64(len(buf))
 		stats.DirectSolve = true
-		stats.NetSize = n
 		stats.trackSpace(opt, n, 0)
 		b, err := dom.Solve(buf)
 		return b, stats, err

@@ -15,7 +15,7 @@ import (
 // decides the next phase.
 const (
 	solverSample0 = iota // pass 0: uniform-weight net sample
-	solverDirect         // m ≥ n: materialize everything, solve once
+	solverDirect         // n ≤ 2m+1: materialize everything, solve once
 	solverFused          // fused violation-test + next-net sampling passes
 	solverDone
 )
@@ -58,8 +58,8 @@ type DatasetSolver[C, B any] struct {
 
 	phase int
 
-	// Sampling workspace, allocated once per solve (m ≥ n allocates
-	// none of it): the all-rows sampler, the violator reservoir, a copy
+	// Sampling workspace, allocated once per solve (the direct path
+	// allocates none of it): the all-rows sampler, the violator reservoir, a copy
 	// of the pass's latest row for sample points the scan ends short
 	// of, and the arena the net is decoded into.
 	net      *sampling.KnownTotal
@@ -74,7 +74,7 @@ type DatasetSolver[C, B any] struct {
 	// iteration failed (weights unchanged), wSucc if it succeeded.
 	nextTotal float64
 	seen      int // rows of the current pass 0 so far: its running total
-	// Direct-solve state (m ≥ n).
+	// Direct-solve state (n ≤ 2m+1).
 	items []C
 	arena []float64
 	// Fused-pass state. wSucc sums the weights the next pass will see
@@ -109,7 +109,8 @@ func NewDatasetSolver[C, B any](ra lptype.RowAccess[C, B], n, width int, opt Opt
 	s.p = core.NewParams(n, s.dom.CombinatorialDim(), s.dom.VCDim(), opt.Core)
 	s.stats.R, s.stats.NetSize = s.p.R, s.p.M
 	if s.p.Direct {
-		// Net would contain everything: one pass, solve directly.
+		// The n rows fit in the 2m+1 a sampled pass would hold: one
+		// pass, solve directly.
 		s.phase = solverDirect
 		return s
 	}
@@ -223,7 +224,6 @@ func (s *DatasetSolver[C, B]) EndPass() error {
 	case solverDirect:
 		s.stats.Passes++
 		s.stats.DirectSolve = true
-		s.stats.NetSize = s.n
 		s.stats.trackSpace(s.opt, s.n, 0)
 		b, err := s.dom.Solve(s.items)
 		s.items, s.arena = nil, nil

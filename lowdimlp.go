@@ -123,8 +123,9 @@ type Options struct {
 	// MonteCarlo selects the Remark 3.6 variant (fails fast instead of
 	// retrying failed iterations).
 	MonteCarlo bool
-	// NetConst is the ε-net constant c in m = c·λ/ε (0 = 0.5, the
-	// library default).
+	// NetConst is the ε-net constant c in m = c·λ/ε (0 = the library
+	// default, DESIGN.md §5). A negative, NaN or infinite value is
+	// rejected; a c so large that n ≤ 2m+1 ships the whole input.
 	NetConst float64
 	// Parallel is for sharded streaming scans only: the stream backend
 	// reads a sharded dataset (SolveDatasetFile over an LDSETM manifest)

@@ -15,7 +15,9 @@ func TestPublicLPAllModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{R: 2, Seed: 7}
+	// r = 3: at r = 2 the default net covers 30 000 rows (n ≤ 2m+1) and
+	// the input ships whole, in one pass.
+	opt := Options{R: 3, Seed: 7}
 
 	ssol, sstats, err := SolveLPStreaming(p, NewSliceStream(cons), len(cons), opt)
 	if err != nil {
@@ -149,7 +151,7 @@ func TestPartition(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	co := Options{}.core()
-	if co.R != 2 || co.NetConst != 0.5 {
+	if co.R != 2 || co.NetConst != 0 {
 		t.Fatalf("defaults: %+v", co)
 	}
 	co = Options{R: 5, NetConst: 2}.core()
