@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	lpbench [-experiment all|E1|E2|...|F2] [-quick] [-seed N]
+//	lpbench [-experiment all|E1|E2|...|F2|A1] [-quick] [-seed N]
 package main
 
 import (
@@ -18,14 +18,13 @@ import (
 
 func main() {
 	var (
-		exp   = flag.String("experiment", "all", "experiment id (E1..E8, F1, F2, M1..M5) or 'all'")
+		exp   = flag.String("experiment", "all", "experiment id (E1..E8, F1, F2, A1) or 'all'")
 		quick = flag.Bool("quick", false, "shrink parameter sweeps (CI-sized run)")
 		seed  = flag.Uint64("seed", 20190313, "random seed (default: the paper's arXiv date)")
-		jsonP = flag.String("json", "", "write machine-readable results here (experiments that support it, e.g. M2 → BENCH_M2.json)")
 	)
 	flag.Parse()
 
-	cfg := experiments.Config{Quick: *quick, Seed: *seed, JSONPath: *jsonP}
+	cfg := experiments.Config{Quick: *quick, Seed: *seed}
 	if strings.EqualFold(*exp, "all") {
 		if err := experiments.RunAll(os.Stdout, cfg); err != nil {
 			fmt.Fprintln(os.Stderr, "lpbench:", err)

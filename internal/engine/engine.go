@@ -81,9 +81,10 @@ type Options struct {
 	// reads a sharded source on one decode goroutine per shard. The row
 	// order, and so the answer, is identical either way; only wall-clock
 	// time changes. Other backends ignore it. On a single-CPU host the
-	// fan-out is pure overhead (BENCH_M3: parallel *loses* at
-	// GOMAXPROCS=1), so the engine auto-disables it there — see
-	// EffectiveParallel.
+	// fan-out is pure overhead, so the engine auto-disables it there —
+	// see EffectiveParallel. It does not pay on two CPUs either: lpmark's
+	// dataset.cursor_ns_per_row.sharded_par reads 8.1 ns/row against
+	// 6.0 for the sequential .sharded (2-CPU linux/amd64 host).
 	Parallel bool
 	// Trace, when non-nil, records the solve's execution structure
 	// (phases, per-round site exchanges with their protocol bytes,

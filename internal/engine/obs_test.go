@@ -97,8 +97,9 @@ func TestTraceConformanceParallel(t *testing.T) {
 
 // TestParallelAutoDisableSingleCPU pins the ROADMAP-carryover
 // fallback: with GOMAXPROCS=1 the parallel fan-out is pure overhead
-// (BENCH_M3 measured it losing), so Parallel is silently ineffective
-// there and engages only with ≥ 2 CPUs.
+// (lpmark's dataset.cursor_ns_per_row.sharded_par loses to .sharded
+// even on two CPUs), so Parallel is silently ineffective there and
+// engages only with ≥ 2 CPUs.
 func TestParallelAutoDisableSingleCPU(t *testing.T) {
 	old := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(old)

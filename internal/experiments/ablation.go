@@ -12,17 +12,6 @@ import (
 	"lowdimlp/internal/workload"
 )
 
-func init() {
-	// A1 is registered here so experiments.go stays the single list of
-	// paper-claim experiments; ablations extend the suite.
-	register(Experiment{
-		ID:    "A1",
-		Title: "Ablations: net sizing, reweighting, coresets, the net constant",
-		Claim: "design choices called out in DESIGN.md (not paper claims)",
-		Run:   runA1,
-	})
-}
-
 // yesNo renders an informational boolean (expected-negative ablation
 // cells use it so they do not read as failures).
 func yesNo(b bool) string {

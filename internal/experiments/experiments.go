@@ -19,9 +19,6 @@ type Config struct {
 	Quick bool
 	// Seed makes runs reproducible.
 	Seed uint64
-	// JSONPath, when set, makes experiments that support it (M2)
-	// write a machine-readable result file alongside the table.
-	JSONPath string
 }
 
 // Experiment is one reproducible claim.
@@ -32,19 +29,9 @@ type Experiment struct {
 	Run   func(w io.Writer, cfg Config) error
 }
 
-// extra holds experiments registered by init (ablations).
-var extra []Experiment
-
-// register appends an experiment to the suite.
-func register(e Experiment) { extra = append(extra, e) }
-
-// All returns the experiment suite in DESIGN.md order, followed by the
-// registered ablations.
+// All returns the experiment suite in DESIGN.md order: the paper's
+// tables, then the ablations.
 func All() []Experiment {
-	return append(paperExperiments(), extra...)
-}
-
-func paperExperiments() []Experiment {
 	return []Experiment{
 		{"E1", "Streaming LP: passes and space vs n, d, r",
 			"Theorem 1/4: O(d·r) passes, O~(d³·n^{1/r}) space", runE1},
@@ -66,6 +53,8 @@ func paperExperiments() []Experiment {
 			"Figure 1b: the LP optimum recovers the TCI answer", runF1},
 		{"F2", "Hard-instance structure",
 			"Figure 2 / Props 5.7–5.10: validity and answer preservation of D_r", runF2},
+		{"A1", "Ablations: net sizing, reweighting, coresets, the net constant",
+			"design choices called out in DESIGN.md (not paper claims)", runA1},
 	}
 }
 

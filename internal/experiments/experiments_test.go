@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -23,32 +24,53 @@ func TestLookup(t *testing.T) {
 			t.Fatalf("experiment %s incompletely defined", e.ID)
 		}
 	}
-	for _, want := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "F1", "F2"} {
+	for _, want := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "F1", "F2", "A1"} {
 		if !ids[want] {
 			t.Fatalf("missing experiment %s", want)
 		}
 	}
 }
 
-// TestQuickSuite runs every experiment in quick mode end-to-end: the
-// integration test of the entire repository.
+// TestQuickSuite runs every experiment in quick mode end to end — the
+// integration test of the entire repository — and requires the output
+// to match testdata/quick.golden byte for byte. Every cell is a metered
+// count (passes, rounds, bits, load) or an exact check, so the tables
+// are host-independent; a wall-clock column cannot pass. After a change
+// that moves a cell on purpose, regenerate the golden with
+//
+//	go run ./cmd/lpbench -quick > internal/experiments/testdata/quick.golden
 func TestQuickSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite run")
 	}
+	want, err := os.ReadFile("testdata/quick.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := RunAll(&buf, Config{Quick: true, Seed: 12345}); err != nil {
+	if err := RunAll(&buf, Config{Quick: true, Seed: 20190313}); err != nil {
 		t.Fatalf("suite failed: %v\noutput so far:\n%s", err, buf.String())
 	}
 	out := buf.String()
-	for _, e := range All() {
-		if !strings.Contains(out, "=== "+e.ID+" —") {
-			t.Errorf("output missing section %s", e.ID)
-		}
-	}
 	// Correctness assertions render as yes/FAIL (see the pass helper).
 	if strings.Contains(out, "FAIL") {
 		t.Errorf("an experiment reported a correctness failure:\n%s", out)
+	}
+	if out == string(want) {
+		return
+	}
+	got, exp := strings.Split(out, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < max(len(got), len(exp)); i++ {
+		var g, e string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(exp) {
+			e = exp[i]
+		}
+		if g != e {
+			t.Fatalf("output differs from testdata/quick.golden at line %d:\n got: %q\nwant: %q", i+1, g, e)
+		}
 	}
 }
 

@@ -1,21 +1,13 @@
-// Package kernel holds the process-wide knobs and counters of the
-// block violation kernels (DESIGN.md §12): the dimension-specialized
-// inner loops every backend's scans dispatch to through
+// Package kernel holds the process-wide counters of the block
+// violation kernels (DESIGN.md §12): the dimension-specialized inner
+// loops every backend's scans dispatch to through
 // lptype.BlockViolator.
 //
 // It is a leaf package — the four domain packages (lp, svm, meb, sea)
 // and internal/lptype all import it, so it imports nothing — and all
 // state is atomic: kernels run concurrently on the server's solver
-// pool and on parallel shard scans.
-//
-// The knobs exist for measurement, not tuning. SetEnabled(false)
-// removes the block layer entirely (every scan falls back to the
-// per-row reference path — the ablation arm of experiment M5), and
-// SetForceGeneric(true) keeps the block layer but routes d ≤ 4
-// workloads through the width-generic loop instead of their unrolled
-// kernels (the A/B arm of the microbenchmarks and the differential
-// tests). Both paths are bit-identical to the kernels by
-// construction; only wall-clock changes.
+// pool and on parallel shard scans. Which loop runs is fixed by the
+// domain and its dimension (ClassFor); there is no switch.
 package kernel
 
 import "sync/atomic"
@@ -32,14 +24,9 @@ const (
 	// ClassGeneric is the width-generic block loop, the intended path
 	// for dimensions with no unrolled kernel (d = 1 or d > 4).
 	ClassGeneric
-	// ClassGenericLowDim is the width-generic loop running where an
-	// unrolled kernel exists (d ∈ {2,3,4} with ForceGeneric set) —
-	// always a measurement artifact, which is why the lpstat doctor
-	// flags a frontend accumulating these.
-	ClassGenericLowDim
-	// ClassRowLoop is the per-row fallback: the domain has no block
-	// kernel, or kernels were disabled when the scan was built. The
-	// arithmetic is the reference oracle's, dispatched row by row.
+	// ClassRowLoop is the per-row fallback for a domain with no block
+	// kernel. The arithmetic is the reference oracle's, dispatched row
+	// by row.
 	ClassRowLoop
 
 	numClasses
@@ -56,8 +43,6 @@ func (c Class) String() string {
 		return "d4"
 	case ClassGeneric:
 		return "generic"
-	case ClassGenericLowDim:
-		return "generic_lowdim"
 	case ClassRowLoop:
 		return "rowloop"
 	}
@@ -67,48 +52,24 @@ func (c Class) String() string {
 // Classes lists every class in rendering order, so metric expositions
 // emit stable zero-valued series from the first scrape.
 func Classes() []Class {
-	return []Class{ClassD2, ClassD3, ClassD4, ClassGeneric, ClassGenericLowDim, ClassRowLoop}
+	return []Class{ClassD2, ClassD3, ClassD4, ClassGeneric, ClassRowLoop}
 }
 
 // ClassFor maps an inner-loop dimension to the class its block
-// evaluation will run under the current knobs: the unrolled kernel
-// for d ∈ {2,3,4} unless ForceGeneric is set, the generic loop
-// otherwise. d = 1 has no unrolled kernel by design (one multiply per
-// row leaves nothing to unroll), so it is plain generic, never
-// generic_lowdim.
+// evaluation runs: the unrolled kernel for d ∈ {2,3,4}, the generic
+// loop otherwise. d = 1 has no unrolled kernel by design (one multiply
+// per row leaves nothing to unroll).
 func ClassFor(d int) Class {
 	if d >= 2 && d <= 4 {
-		if ForceGeneric() {
-			return ClassGenericLowDim
-		}
 		return ClassD2 + Class(d-2)
 	}
 	return ClassGeneric
 }
 
 var (
-	disabled     atomic.Bool // zero value = enabled, the default
-	forceGeneric atomic.Bool
-
 	blocks [numClasses]atomic.Int64
 	rows   atomic.Int64
 )
-
-// Enabled reports whether scans should install block kernels. It is
-// consulted when a scan is constructed (lptype.NewRowAccess), not per
-// block, so toggling it mid-solve affects only later solves.
-func Enabled() bool { return !disabled.Load() }
-
-// SetEnabled toggles the block layer and returns the previous value
-// (callers restore it — the knob is process-wide).
-func SetEnabled(on bool) bool { return !disabled.Swap(!on) }
-
-// ForceGeneric reports whether unrolled kernels are bypassed.
-func ForceGeneric() bool { return forceGeneric.Load() }
-
-// SetForceGeneric toggles the generic-loop override and returns the
-// previous value.
-func SetForceGeneric(on bool) bool { return forceGeneric.Swap(on) }
 
 // Count records one block evaluation of n rows under class c. One
 // block scan calls this once per (stored basis, block) pair — a block
@@ -141,8 +102,7 @@ func BlocksTotal() int64 {
 // Rows returns the total rows evaluated through block calls.
 func Rows() int64 { return rows.Load() }
 
-// Reset zeroes the counters (tests and benchmark harnesses only; the
-// knobs are left alone).
+// Reset zeroes the counters (tests and benchmark harnesses only).
 func Reset() {
 	for i := range blocks {
 		blocks[i].Store(0)

@@ -2,34 +2,19 @@ package kernel
 
 import "testing"
 
+// TestClassFor pins the dimension → class mapping: with no switch left,
+// the class a scan records is a function of its dimension alone.
 func TestClassFor(t *testing.T) {
-	defer SetForceGeneric(SetForceGeneric(false))
 	cases := []struct {
 		d    int
 		want Class
 	}{
 		{1, ClassGeneric}, {2, ClassD2}, {3, ClassD3}, {4, ClassD4},
-		{5, ClassGeneric}, {64, ClassGeneric},
+		{5, ClassGeneric}, {6, ClassGeneric}, {64, ClassGeneric},
 	}
 	for _, c := range cases {
 		if got := ClassFor(c.d); got != c.want {
 			t.Errorf("ClassFor(%d) = %v, want %v", c.d, got, c.want)
-		}
-	}
-	SetForceGeneric(true)
-	// Forcing generic on a specializable dimension is the observable
-	// the doctor rule keys on: it must land in the dedicated
-	// generic_lowdim class, not plain generic.
-	for _, d := range []int{2, 3, 4} {
-		if got := ClassFor(d); got != ClassGenericLowDim {
-			t.Errorf("forced ClassFor(%d) = %v, want generic_lowdim", d, got)
-		}
-	}
-	// d=1 and d>4 have no specialized kernel to lose, so the force
-	// knob must not mislabel them.
-	for _, d := range []int{1, 5} {
-		if got := ClassFor(d); got != ClassGeneric {
-			t.Errorf("forced ClassFor(%d) = %v, want generic", d, got)
 		}
 	}
 }
@@ -37,8 +22,7 @@ func TestClassFor(t *testing.T) {
 func TestClassStrings(t *testing.T) {
 	want := map[Class]string{
 		ClassD2: "d2", ClassD3: "d3", ClassD4: "d4",
-		ClassGeneric: "generic", ClassGenericLowDim: "generic_lowdim",
-		ClassRowLoop: "rowloop",
+		ClassGeneric: "generic", ClassRowLoop: "rowloop",
 	}
 	seen := map[string]bool{}
 	for _, c := range Classes() {
@@ -70,18 +54,5 @@ func TestCounters(t *testing.T) {
 	}
 	if got := BlocksTotal() - t0; got != 3 {
 		t.Errorf("total blocks advanced by %d, want 3", got)
-	}
-}
-
-func TestKnobsReturnPrevious(t *testing.T) {
-	prev := SetEnabled(false)
-	if Enabled() {
-		t.Error("SetEnabled(false) left kernels enabled")
-	}
-	if got := SetEnabled(prev); got != false {
-		t.Error("SetEnabled did not report the previous value")
-	}
-	if Enabled() != prev {
-		t.Error("SetEnabled failed to restore")
 	}
 }

@@ -369,7 +369,6 @@ func TestFrontendKernelScrape(t *testing.T) {
 lpserved_kernel_blocks_total{kernel="d2"} 0
 lpserved_kernel_blocks_total{kernel="d3"} 120
 lpserved_kernel_blocks_total{kernel="generic"} 4
-lpserved_kernel_blocks_total{kernel="generic_lowdim"} 0
 lpserved_kernel_blocks_total{kernel="rowloop"} 0
 # TYPE lpserved_kernel_rows_total counter
 lpserved_kernel_rows_total 31744

@@ -3,8 +3,8 @@ package lptype_test
 import (
 	"testing"
 
-	"lowdimlp/internal/kernel"
 	"lowdimlp/internal/lp"
+	"lowdimlp/internal/lptype"
 	"lowdimlp/internal/meb"
 	"lowdimlp/internal/numeric"
 	"lowdimlp/internal/sea"
@@ -17,7 +17,8 @@ import (
 // reference (ViolatesRow, the oracle) next to the block kernel
 // (ViolatesBlock, the device under test). The contract being pinned is
 // DESIGN.md §12's: the block decision for rows[i] is bit-for-bit the
-// per-row decision, for every dimension and knob state.
+// per-row decision, for every dimension. d = 1…6 covers both the
+// unrolled loops (d = 2–4) and the width-generic one (d = 1, 5, 6).
 
 type blockFns struct {
 	rowv   func(row []float64) bool
@@ -31,6 +32,16 @@ type blockHarness struct {
 	// subset was unsolvable (e.g. inseparable SVM examples) and the
 	// case is skipped.
 	build func(d int, rows [][]float64, k int) (blockFns, bool)
+}
+
+// rowLoopDomain hides a domain's block kernels: the embedded interface
+// promotes Domain's methods only and ViolatesRow is forwarded, so
+// lptype.NewRowAccess over it scans through the counted per-row loop
+// (kernel.ClassRowLoop). The wrapped domain must be a RowViolator.
+type rowLoopDomain[C, B any] struct{ lptype.Domain[C, B] }
+
+func (d rowLoopDomain[C, B]) ViolatesRow(b B, row []float64) bool {
+	return d.Domain.(lptype.RowViolator[B]).ViolatesRow(b, row)
 }
 
 func copyRow(row []float64) []float64 { return append([]float64(nil), row...) }
@@ -151,8 +162,8 @@ func checkBlock(t *testing.T, name string, fns blockFns, rows [][]float64) {
 	}
 	got := fns.blockv(rows, make([]int32, 0, len(rows)))
 	if len(got) != len(want) {
-		t.Fatalf("%s: block found %d violators, per-row oracle found %d (force-generic=%v)",
-			name, len(got), len(want), kernel.ForceGeneric())
+		t.Fatalf("%s: block found %d violators, per-row oracle found %d",
+			name, len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
@@ -162,11 +173,10 @@ func checkBlock(t *testing.T, name string, fns blockFns, rows [][]float64) {
 }
 
 // TestBlockViolatorMatchesRowViolator sweeps kinds × dimensions ×
-// basis sizes × both kernel dispatch states and requires the block
-// violator sets to match the per-row oracle exactly. Odd row count —
-// the kernels must not assume any block shape.
+// basis sizes and requires the block violator sets to match the
+// per-row oracle exactly. Odd row count — the kernels must not assume
+// any block shape.
 func TestBlockViolatorMatchesRowViolator(t *testing.T) {
-	defer kernel.SetForceGeneric(kernel.SetForceGeneric(false))
 	for _, h := range blockHarnesses {
 		for d := 1; d <= 6; d++ {
 			for _, k := range []int{0, 2, 8} {
@@ -175,11 +185,7 @@ func TestBlockViolatorMatchesRowViolator(t *testing.T) {
 				if !ok {
 					continue
 				}
-				for _, force := range []bool{false, true} {
-					kernel.SetForceGeneric(force)
-					checkBlock(t, h.name, fns, rows)
-				}
-				kernel.SetForceGeneric(false)
+				checkBlock(t, h.name, fns, rows)
 			}
 		}
 	}
@@ -187,16 +193,16 @@ func TestBlockViolatorMatchesRowViolator(t *testing.T) {
 
 // FuzzBlockViolatorMatchesRowViolator is the differential fuzz target
 // of the kernel layer: random kind, dimension, basis prefix, block
-// length, RNG seed and dispatch knob — the block kernel must agree
-// with the per-row reference on every generated instance. Wired into
-// the CI fuzz smoke alongside the codec targets.
+// length and RNG seed — the block kernel must agree with the per-row
+// reference on every generated instance. Wired into the CI fuzz smoke
+// alongside the codec targets.
 func FuzzBlockViolatorMatchesRowViolator(f *testing.F) {
-	f.Add(uint8(0), uint8(2), uint8(6), uint16(300), uint64(1), false)
-	f.Add(uint8(1), uint8(3), uint8(0), uint16(513), uint64(2), false)
-	f.Add(uint8(2), uint8(4), uint8(9), uint16(64), uint64(3), true)
-	f.Add(uint8(3), uint8(1), uint8(4), uint16(7), uint64(4), true)
-	f.Add(uint8(1), uint8(5), uint8(3), uint16(1), uint64(5), false)
-	f.Fuzz(func(t *testing.T, kind, dim, k uint8, n uint16, seed uint64, force bool) {
+	f.Add(uint8(0), uint8(2), uint8(6), uint16(300), uint64(1))
+	f.Add(uint8(1), uint8(3), uint8(0), uint16(513), uint64(2))
+	f.Add(uint8(2), uint8(4), uint8(9), uint16(64), uint64(3))
+	f.Add(uint8(3), uint8(1), uint8(4), uint16(7), uint64(4))
+	f.Add(uint8(1), uint8(5), uint8(3), uint16(1), uint64(5))
+	f.Fuzz(func(t *testing.T, kind, dim, k uint8, n uint16, seed uint64) {
 		h := blockHarnesses[int(kind)%len(blockHarnesses)]
 		d := 1 + int(dim)%6
 		nn := 1 + int(n)%1024
@@ -209,8 +215,6 @@ func FuzzBlockViolatorMatchesRowViolator(f *testing.F) {
 		if !ok {
 			t.Skip("basis prefix unsolvable")
 		}
-		prev := kernel.SetForceGeneric(force)
-		defer kernel.SetForceGeneric(prev)
 		checkBlock(t, h.name, fns, rows)
 	})
 }

@@ -105,8 +105,9 @@ type BlockViolator[B any] interface {
 	// reuse the returned capacity across blocks.
 	ViolatesBlock(b B, rows [][]float64, idx []int32) []int32
 	// BlockKernel reports the kernel class ViolatesBlock dispatches
-	// to under the current kernel knobs — the label the runtime
-	// counters (internal/kernel) record block evaluations under.
+	// to (kernel.ClassFor of the inner-loop dimension) — the label the
+	// runtime counters (internal/kernel) record block evaluations
+	// under.
 	BlockKernel() kernel.Class
 }
 
@@ -114,8 +115,8 @@ type BlockViolator[B any] interface {
 // abstraction the columnar backends scan through. It prefers the
 // domain's native RowViolator (zero-decode, zero-alloc) and falls back
 // to decode-then-Violates, which is always available and always
-// agrees; when the domain also provides block kernels (BlockViolator)
-// and the kernel layer is enabled, block scans run through them.
+// agrees; when the domain also provides block kernels (BlockViolator),
+// block scans run through them.
 type RowAccess[C, B any] struct {
 	dom    Domain[C, B]
 	decode func(row []float64) C
@@ -125,10 +126,9 @@ type RowAccess[C, B any] struct {
 }
 
 // NewRowAccess builds the access layer for dom, with decode mapping a
-// flat wire row to a constraint (the engine Spec's Item). The
-// kernel.Enabled knob is consulted here, once per access layer: a
-// scan built while kernels are disabled keeps the per-row reference
-// path for its whole life.
+// flat wire row to a constraint (the engine Spec's Item). Block scans
+// run through dom's kernels whenever dom implements BlockViolator, and
+// through the counted per-row loop (kernel.ClassRowLoop) otherwise.
 func NewRowAccess[C, B any](dom Domain[C, B], decode func(row []float64) C) RowAccess[C, B] {
 	ra := RowAccess[C, B]{dom: dom, decode: decode}
 	if rv, ok := dom.(RowViolator[B]); ok {
@@ -136,7 +136,7 @@ func NewRowAccess[C, B any](dom Domain[C, B], decode func(row []float64) C) RowA
 	} else {
 		ra.vrow = func(b B, row []float64) bool { return dom.Violates(b, decode(row)) }
 	}
-	if bv, ok := dom.(BlockViolator[B]); ok && kernel.Enabled() {
+	if bv, ok := dom.(BlockViolator[B]); ok {
 		ra.vblock = bv.ViolatesBlock
 		ra.kclass = bv.BlockKernel
 	}

@@ -147,10 +147,11 @@ func siteSchedule[C, B any](
 }
 
 // runKind runs one schedule for a kind: bases are solved from a few
-// decoded rows of st, the site scans one layout of it.
+// decoded rows of st, the site scans one layout of it, through dom's
+// block kernels or (kernels=false) the per-row loop.
 func runKind[C, B any](
 	t testing.TB, name string, dom lptype.Domain[C, B], decode func(row []float64) C,
-	st *dataset.Store, d int, layout string, steps int, seed uint64,
+	st *dataset.Store, d int, layout string, steps int, seed uint64, kernels bool,
 ) {
 	t.Helper()
 	solve := func(idx []int) (B, bool) {
@@ -161,7 +162,11 @@ func runKind[C, B any](
 		b, err := dom.Solve(items)
 		return b, err == nil
 	}
-	siteSchedule(t, name+"/"+layout, lptype.NewRowAccess(dom, decode),
+	access := dom
+	if !kernels {
+		access = rowLoopDomain[C, B]{dom}
+	}
+	siteSchedule(t, name+"/"+layout, lptype.NewRowAccess(access, decode),
 		siteSource(t, layout, st, name, d), st, solve, math.Sqrt(float64(st.Rows())), steps, seed, false)
 }
 
@@ -169,18 +174,18 @@ func runKind[C, B any](
 // schedule over one layout of it.
 var siteKinds = []struct {
 	name string
-	run  func(t testing.TB, d, n int, layout string, steps int, seed uint64)
+	run  func(t testing.TB, d, n int, layout string, steps int, seed uint64, kernels bool)
 }{
-	{"lp", func(t testing.TB, d, n int, layout string, steps int, seed uint64) {
+	{"lp", func(t testing.TB, d, n int, layout string, steps int, seed uint64, kernels bool) {
 		obj := make([]float64, d)
 		for i := range obj {
 			obj[i] = 1
 		}
 		runKind[lp.Halfspace, lp.Basis](t, "lp", lp.NewDomain(lp.NewProblem(obj), 7),
 			func(row []float64) lp.Halfspace { return lp.Halfspace{A: row[:d], B: row[d]} },
-			randomRows(n, d+1, seed, nil), d, layout, steps, seed)
+			randomRows(n, d+1, seed, nil), d, layout, steps, seed, kernels)
 	}},
-	{"svm", func(t testing.TB, d, n int, layout string, steps int, seed uint64) {
+	{"svm", func(t testing.TB, d, n int, layout string, steps int, seed uint64, kernels bool) {
 		// Separable by construction: the label is the sign of the first
 		// coordinate, pushed half a unit off the boundary.
 		st := randomRows(n, d+1, seed, func(row []float64) {
@@ -192,17 +197,17 @@ var siteKinds = []struct {
 		})
 		runKind[svm.Example, svm.Basis](t, "svm", svm.NewDomain(d),
 			func(row []float64) svm.Example { return svm.Example{X: row[:d], Y: row[d]} },
-			st, d, layout, steps, seed)
+			st, d, layout, steps, seed, kernels)
 	}},
-	{"meb", func(t testing.TB, d, n int, layout string, steps int, seed uint64) {
+	{"meb", func(t testing.TB, d, n int, layout string, steps int, seed uint64, kernels bool) {
 		runKind[meb.Point, meb.Basis](t, "meb", meb.NewDomain(d),
 			func(row []float64) meb.Point { return meb.Point(row) },
-			randomRows(n, d, seed, nil), d, layout, steps, seed)
+			randomRows(n, d, seed, nil), d, layout, steps, seed, kernels)
 	}},
-	{"sea", func(t testing.TB, d, n int, layout string, steps int, seed uint64) {
+	{"sea", func(t testing.TB, d, n int, layout string, steps int, seed uint64, kernels bool) {
 		runKind[sea.Point, sea.Basis](t, "sea", sea.NewDomain(d, 3),
 			func(row []float64) sea.Point { return sea.Point(row) },
-			randomRows(n, d, seed, nil), d, layout, steps, seed)
+			randomRows(n, d, seed, nil), d, layout, steps, seed, kernels)
 	}},
 }
 
@@ -224,21 +229,19 @@ func randomRows(n, width int, seed uint64, fix func(row []float64)) *dataset.Sto
 }
 
 // TestSiteWeightsMatchesRecompute runs the schedule for lp/svm/meb/sea
-// × the four layouts × block kernels on and off.
+// × the four layouts × through the block kernels and through the
+// per-row loop.
 func TestSiteWeightsMatchesRecompute(t *testing.T) {
 	const n, d, steps = 1337, 3, 60 // odd size: final partial block
 	for _, kernels := range []bool{true, false} {
-		// NewRowAccess reads the knob once, at construction.
-		prev := kernel.SetEnabled(kernels)
 		rowloop := kernel.Blocks(kernel.ClassRowLoop)
 		for _, k := range siteKinds {
 			for _, layout := range siteLayouts {
 				for seed := uint64(1); seed <= 3; seed++ {
-					k.run(t, d, n, layout, steps, seed)
+					k.run(t, d, n, layout, steps, seed, kernels)
 				}
 			}
 		}
-		kernel.SetEnabled(prev)
 		if fellBack := kernel.Blocks(kernel.ClassRowLoop) > rowloop; fellBack == kernels {
 			t.Fatalf("kernels=%v: per-row fallback ran = %v", kernels, fellBack)
 		}
@@ -246,7 +249,8 @@ func TestSiteWeightsMatchesRecompute(t *testing.T) {
 }
 
 // FuzzSiteWeightsMatchesRecompute is the same differential check over
-// fuzzed kind, dimension, size, layout, schedule seed and kernel knob.
+// fuzzed kind, dimension, size, layout, schedule seed and kernels vs
+// the per-row loop.
 func FuzzSiteWeightsMatchesRecompute(f *testing.F) {
 	f.Add(uint8(0), uint8(2), uint16(300), uint8(0), uint64(1), true)
 	f.Add(uint8(1), uint8(3), uint16(513), uint8(1), uint64(2), true)
@@ -254,10 +258,8 @@ func FuzzSiteWeightsMatchesRecompute(f *testing.F) {
 	f.Add(uint8(3), uint8(1), uint16(7), uint8(3), uint64(4), true)
 	f.Add(uint8(2), uint8(5), uint16(1), uint8(0), uint64(5), false)
 	f.Fuzz(func(t *testing.T, kind, dim uint8, n uint16, layout uint8, seed uint64, kernels bool) {
-		prev := kernel.SetEnabled(kernels)
-		defer kernel.SetEnabled(prev)
 		k := siteKinds[int(kind)%len(siteKinds)]
-		k.run(t, 1+int(dim)%5, 1+int(n)%1024, siteLayouts[int(layout)%len(siteLayouts)], 40, seed)
+		k.run(t, 1+int(dim)%5, 1+int(n)%1024, siteLayouts[int(layout)%len(siteLayouts)], 40, seed, kernels)
 	})
 }
 

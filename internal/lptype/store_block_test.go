@@ -51,7 +51,7 @@ func mebStoreFixture(t *testing.T, n, d int) (lptype.RowAccess[meb.Point, meb.Ba
 // weight and every decoded item — over a full view, a strided shard
 // view and a buffered file whose blocks misalign with the scan
 // batches, through the block kernels and through the counted per-row
-// fallback of kernel.SetEnabled(false).
+// loop of a domain without them.
 func TestStoreMatchesSliceReference(t *testing.T) {
 	const n, d = 1337, 3 // odd size: final partial block
 	_, st, bases, pending := mebStoreFixture(t, n, d)
@@ -78,11 +78,11 @@ func TestStoreMatchesSliceReference(t *testing.T) {
 	}
 	mult := math.Pow(float64(n), 0.5)
 	for _, kernels := range []bool{true, false} {
-		prev := kernel.SetEnabled(kernels)
-		dom := meb.NewDomain(d)
-		ra := lptype.NewRowAccess[meb.Point, meb.Basis](dom,
-			func(row []float64) meb.Point { return meb.Point(row) })
-		kernel.SetEnabled(prev)
+		dom := lptype.Domain[meb.Point, meb.Basis](meb.NewDomain(d))
+		if !kernels {
+			dom = rowLoopDomain[meb.Point, meb.Basis]{dom}
+		}
+		ra := lptype.NewRowAccess(dom, func(row []float64) meb.Point { return meb.Point(row) })
 		for _, s := range sources {
 			rows := s.view.Rows()
 			pts := make([]meb.Point, rows)

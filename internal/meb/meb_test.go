@@ -257,7 +257,7 @@ func TestDomainContract(t *testing.T) {
 	}
 }
 
-func TestBruteForceGenericMatchesSolve(t *testing.T) {
+func TestGenericBruteForceMatchesSolve(t *testing.T) {
 	dom := NewDomain(2)
 	pts := gaussCloud(2, 7, 31)
 	bf, err := lptype.BruteForce[Point, Basis](dom, pts)

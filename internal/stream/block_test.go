@@ -50,25 +50,41 @@ func (r rowOnly) RowBlock(rows []dataset.Row) {
 	}
 }
 
-// mkRowLoopSolver is mkFusedSolver with the kernel layer disabled
-// while the access layer is built: every violation test of the solver
-// goes through the domain's per-row ViolatesRow.
-func mkRowLoopSolver(st *dataset.Store, pending meb.Basis, seed uint64) *DatasetSolver[meb.Point, meb.Basis] {
-	prev := kernel.SetEnabled(false)
-	defer kernel.SetEnabled(prev)
-	return mkFusedSolver(st, pending, seed)
+// mebRowLoop is meb's domain without its block kernels: the embedded
+// interface promotes Domain's methods only and ViolatesRow is
+// forwarded, so a RowAccess over it scans through the counted per-row
+// loop (kernel.ClassRowLoop).
+type mebRowLoop struct {
+	lptype.Domain[meb.Point, meb.Basis]
 }
 
-// mkFusedSolver hand-builds a solver mid-fused-phase — the state
-// BeginPass leaves it in during a real solve — shared by the block
-// conformance and allocation tests.
+func (d mebRowLoop) ViolatesRow(b meb.Basis, row []float64) bool {
+	return d.Domain.(*meb.Domain).ViolatesRow(b, row)
+}
+
+// mkRowLoopSolver is mkFusedSolver over mebRowLoop: every violation
+// test of the solver goes through the domain's per-row ViolatesRow.
+func mkRowLoopSolver(st *dataset.Store, pending meb.Basis, seed uint64) *DatasetSolver[meb.Point, meb.Basis] {
+	ra := lptype.NewRowAccess[meb.Point, meb.Basis](mebRowLoop{meb.NewDomain(st.Width())},
+		func(row []float64) meb.Point { return meb.Point(row) })
+	return newFusedSolver(ra, st, pending, seed)
+}
+
+// mkFusedSolver is newFusedSolver over meb's block kernels.
 func mkFusedSolver(st *dataset.Store, pending meb.Basis, seed uint64) *DatasetSolver[meb.Point, meb.Basis] {
+	return newFusedSolver(mebAccess(st.Width()), st, pending, seed)
+}
+
+// newFusedSolver hand-builds a solver over ra mid-fused-phase — the
+// state BeginPass leaves it in during a real solve — shared by the
+// block conformance and allocation tests.
+func newFusedSolver(ra lptype.RowAccess[meb.Point, meb.Basis], st *dataset.Store, pending meb.Basis, seed uint64) *DatasetSolver[meb.Point, meb.Basis] {
 	n, d := st.Rows(), st.Width()
 	mult := math.Pow(float64(n), 0.5)
 	const m = 32
 	rng := numeric.NewRand(seed, 0x57124)
 	s := &DatasetSolver[meb.Point, meb.Basis]{
-		ra: mebAccess(d), dom: meb.NewDomain(d), n: n, width: d,
+		ra: ra, dom: meb.NewDomain(d), n: n, width: d,
 		p:       core.Params{R: 2, Mult: mult, Eps: 1 / (40 * mult), M: m, MaxIters: 100},
 		rng:     rng,
 		net:     sampling.NewKnownTotal(m, d, rng),
@@ -134,7 +150,7 @@ func TestBlockScanMatchesRowScan(t *testing.T) {
 		lo += sz
 	}
 	if kernel.Blocks(kernel.ClassD3) == d3 {
-		t.Fatal("meb access has no block kernel (kernels disabled?)")
+		t.Fatal("meb access has no block kernel")
 	}
 
 	if rowS.wTotal.Sum() != blkS.wTotal.Sum() || rowS.wViol.Sum() != blkS.wViol.Sum() {

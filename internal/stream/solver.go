@@ -148,11 +148,11 @@ func (s *DatasetSolver[C, B]) BeginPass() {
 // slots, the block's last row, direct-solve items) is copied. The
 // fused phase takes its violation decisions from whole-block
 // ViolatesBlock calls — the domain's kernels, or RowAccess's counted
-// per-row loop for kernel-less domains and kernel.SetEnabled(false)
-// runs — and then performs the Kahan accumulations, the violators'
-// reservoir offers and the sample-point compares row by row in source
-// order, so neither the batch boundaries nor the kernel class can
-// change the RNG stream, the basis or the stats.
+// per-row loop for kernel-less domains — and then performs the Kahan
+// accumulations, the violators' reservoir offers and the sample-point
+// compares row by row in source order, so neither the batch boundaries
+// nor the kernel class can change the RNG stream, the basis or the
+// stats.
 func (s *DatasetSolver[C, B]) RowBlock(rows []dataset.Row) {
 	if len(rows) == 0 {
 		return
