@@ -10,10 +10,8 @@
 //	lpserved [-addr :8080] [-pool N] [-queue N] [-cache N]
 //	         [-basis-cache N] [-admission-rows N]
 //	         [-max-body BYTES] [-instance-ttl D]
-//	         [-spill-rows N] [-spill-dir DIR]
 //	         [-workers host1,host2,...] [-fleet-ttl D]
-//	         [-tenants FILE] [-cache-tier SPEC]
-//	         [-pprof]
+//	         [-tenants FILE] [-trace-buffer N] [-grace D] [-pprof]
 //	lpserved -worker shard.lds [-addr :8081] [-session-ttl D]
 //	         [-register FRONTEND] [-advertise URL] [-pprof]
 //
@@ -59,9 +57,10 @@
 //
 // Chunk appends may be binary: POST the LDSET1 form of a batch (what
 // `lpsolve -convert` writes) with Content-Type application/octet-stream
-// and the rows are ingested with no JSON float parsing. With
-// -spill-rows N, uploads that reach N rows spill to sharded dataset
-// files under -spill-dir and are solved out-of-core.
+// and the rows are ingested with no JSON float parsing. Uploads live
+// in memory until their solve; inputs too large for that are solved
+// out-of-core from dataset files (`lpsolve`, multi-pass streaming) or
+// by a worker fleet holding one shard per process (below).
 //
 // # Cluster mode
 //
@@ -120,12 +119,6 @@
 // families appear on /metrics (and the lpstat board). Without
 // -tenants the service is open, exactly as before.
 //
-// -cache-tier SPEC attaches a shared result-cache layer behind the
-// in-process LRU: "memory[:N]" (bounded in-process tier, mostly for
-// testing) or "disk:DIR" (one file per cached result under DIR).
-// Point several frontends' -cache-tier at the same directory on
-// shared storage and they serve each other's solve results.
-//
 // # Profiling
 //
 // -pprof (off by default) mounts the standard net/http/pprof
@@ -157,7 +150,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -167,31 +159,6 @@ import (
 	"lowdimlp/internal/gateway"
 	"lowdimlp/internal/server"
 )
-
-// parseCacheTier builds the shared cache tier named by -cache-tier:
-// "" (none), "memory[:N]" or "disk:DIR".
-func parseCacheTier(spec string) (gateway.CacheTier, error) {
-	switch {
-	case spec == "":
-		return nil, nil
-	case spec == "memory":
-		return gateway.NewMemoryTier(0), nil
-	case strings.HasPrefix(spec, "memory:"):
-		n, err := strconv.Atoi(spec[len("memory:"):])
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("lpserved: bad -cache-tier %q (want memory:N with N ≥ 1)", spec)
-		}
-		return gateway.NewMemoryTier(n), nil
-	case strings.HasPrefix(spec, "disk:"):
-		dir := spec[len("disk:"):]
-		if dir == "" {
-			return nil, fmt.Errorf("lpserved: bad -cache-tier %q (want disk:DIR)", spec)
-		}
-		return gateway.NewDiskTier(dir)
-	default:
-		return nil, fmt.Errorf("lpserved: unknown -cache-tier %q (want memory[:N] or disk:DIR)", spec)
-	}
-}
 
 func main() {
 	var (
@@ -203,8 +170,6 @@ func main() {
 		admitRows  = flag.Int64("admission-rows", 0, "shed submissions past this many pending rows with 429 + Retry-After (0 disables)")
 		maxBody    = flag.Int64("max-body", 64<<20, "max request body bytes")
 		instTTL    = flag.Duration("instance-ttl", server.DefaultInstanceTTL, "idle chunk-upload eviction horizon (negative disables)")
-		spillRows  = flag.Int("spill-rows", 0, "spill chunk uploads to sharded files past this many rows (0 disables)")
-		spillDir   = flag.String("spill-dir", "", "directory for spilled instances (empty = OS temp dir)")
 		grace      = flag.Duration("grace", 30*time.Second, "shutdown drain timeout")
 		workerData = flag.String("worker", "", "run in worker mode, owning this LDSET1 dataset shard")
 		sessTTL    = flag.Duration("session-ttl", server.DefaultSessionTTL, "worker mode: idle protocol-session eviction horizon (negative disables)")
@@ -214,7 +179,6 @@ func main() {
 		fleetTTL   = flag.Duration("fleet-ttl", 0, "fleet registry heartbeat horizon: registered workers silent this long are marked down (0 = 15s, negative disables)")
 		traceBuf   = flag.Int("trace-buffer", 0, "solve-trace ring capacity for GET /v1/traces (0 = 128, negative disables)")
 		tenants    = flag.String("tenants", "", "tenants JSON file; enables bearer-key auth, per-tenant limits and namespaces")
-		cacheTier  = flag.String("cache-tier", "", "shared result-cache tier: memory[:N] or disk:DIR (empty disables)")
 		pprofOn    = flag.Bool("pprof", false, "expose net/http/pprof endpoints under /debug/pprof/")
 	)
 	flag.Parse()
@@ -234,14 +198,6 @@ func main() {
 		gw = gateway.New(v)
 		log.Printf("lpserved: gateway on: %d tenant(s) from %s", len(v.IDs()), *tenants)
 	}
-	tier, err := parseCacheTier(*cacheTier)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lpserved:", err)
-		os.Exit(1)
-	}
-	if tier != nil {
-		log.Printf("lpserved: shared result-cache tier: %s", tier.Name())
-	}
 
 	srv := server.New(server.Config{
 		Workers:        *pool,
@@ -251,13 +207,10 @@ func main() {
 		AdmissionRows:  *admitRows,
 		MaxBodyBytes:   *maxBody,
 		InstanceTTL:    *instTTL,
-		SpillRows:      *spillRows,
-		SpillDir:       *spillDir,
 		FleetWorkers:   httptransport.SplitList(*fleet),
 		FleetTTL:       *fleetTTL,
 		TraceBuffer:    *traceBuf,
 		Gateway:        gw,
-		CacheTier:      tier,
 	})
 	httpSrv := &http.Server{
 		Addr:              *addr,

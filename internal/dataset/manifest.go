@@ -476,8 +476,8 @@ func (c *shardedCursor) Close() error {
 // row count up front: k shard files are created immediately (row
 // counts patched at Finish), rows are distributed round-robin, and
 // Finish writes the manifest last — a crashed writer leaves no valid
-// manifest behind. This is lpserved's spill path for instances too
-// large to keep in memory.
+// manifest behind. It is how `lpsolve -convert -shards k` writes a
+// sharded layout.
 type ShardWriter struct {
 	manifestPath string
 	info         Info
@@ -535,89 +535,8 @@ func NewShardWriter(manifestPath string, info Info, shards int) (*ShardWriter, e
 	return w, nil
 }
 
-// ReopenShardWriter reopens a finalized sharded layout for further
-// appends — what lets a spilled lpserved instance accept rows again
-// after a failed submit restored it. The shard files are opened in
-// place (no data is copied) and appending resumes at the round-robin
-// position the row count implies, so the global row order is exactly
-// what one uninterrupted writer would have produced. The manifest is
-// removed immediately: while appends are in flight the layout is
-// intentionally unreadable (manifest-last crash safety, same as a
-// fresh writer), until Finish writes it anew.
-func ReopenShardWriter(manifestPath string) (*ShardWriter, error) {
-	f, err := os.Open(manifestPath)
-	if err != nil {
-		return nil, err
-	}
-	info, refs, err := DecodeManifestFrom(f)
-	f.Close()
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", manifestPath, err)
-	}
-	dir := filepath.Dir(manifestPath)
-	w := &ShardWriter{manifestPath: manifestPath, info: info, rowBuf: make([]byte, 8*info.Width)}
-	fail := func(err error) (*ShardWriter, error) {
-		for _, fd := range w.files {
-			fd.Close()
-		}
-		w.files = nil
-		return nil, err
-	}
-	for j, ref := range refs {
-		// Finish regenerates shard names via ShardName, so only
-		// layouts following the writer's own naming convention can be
-		// reopened (every layout this package writes does).
-		if ref.Name != ShardName(manifestPath, j) {
-			return fail(fmt.Errorf("%s: shard %d is named %q, want %q — not a ShardWriter layout",
-				manifestPath, j, ref.Name, ShardName(manifestPath, j)))
-		}
-		fd, err := os.OpenFile(filepath.Join(dir, ref.Name), os.O_RDWR, 0)
-		if err != nil {
-			return fail(err)
-		}
-		w.files = append(w.files, fd)
-		shInfo, _, err := decodeHeader(fd)
-		if err != nil {
-			return fail(fmt.Errorf("%s: shard %d: %w", manifestPath, j, err))
-		}
-		if shInfo.Kind != info.Kind || shInfo.Dim != info.Dim || shInfo.Width != info.Width ||
-			shInfo.Rows != ref.Rows || !sameObjective(shInfo.Objective, info.Objective) {
-			return fail(fmt.Errorf("%s: %w: shard %d header disagrees with manifest", manifestPath, ErrBadFile, j))
-		}
-		st, err := fd.Stat()
-		if err != nil {
-			return fail(err)
-		}
-		if want := FileSize(shInfo); st.Size() != want {
-			return fail(fmt.Errorf("%s: %w: shard %d is %d bytes, header implies %d",
-				manifestPath, ErrBadFile, j, st.Size(), want))
-		}
-		if _, err := fd.Seek(0, io.SeekEnd); err != nil {
-			return fail(err)
-		}
-		w.bufs = append(w.bufs, bufio.NewWriter(fd))
-		// The rows field sits at the end of the unpadded header —
-		// writeHeader's rowsOff, reconstructed from the metadata.
-		w.rowsOffs = append(w.rowsOffs, headerLen(len(info.Kind), len(info.Objective))-8)
-		w.counts = append(w.counts, ref.Rows)
-	}
-	w.total = info.Rows
-	w.nextShard = w.total % len(w.files)
-	if err := os.Remove(manifestPath); err != nil {
-		return fail(err)
-	}
-	return w, nil
-}
-
 // Rows returns the number of rows appended so far.
 func (w *ShardWriter) Rows() int { return w.total }
-
-// Info returns the writer's metadata (Rows reflects appends so far).
-func (w *ShardWriter) Info() Info {
-	info := w.info
-	info.Rows = w.total
-	return info
-}
 
 // AppendRow appends one row to the next round-robin shard.
 func (w *ShardWriter) AppendRow(row []float64) error {
@@ -628,8 +547,8 @@ func (w *ShardWriter) AppendRow(row []float64) error {
 		return fmt.Errorf("%w: row has %d numbers, want %d", ErrWidth, len(row), w.info.Width)
 	}
 	j := w.nextShard
-	// One encode + one write per row: this is the spill ingest hot
-	// path, so rows are not fed to the writer a float at a time.
+	// One encode + one write per row: this is the conversion hot path,
+	// so rows are not fed to the writer a float at a time.
 	for i, v := range row {
 		binary.LittleEndian.PutUint64(w.rowBuf[8*i:], math.Float64bits(v))
 	}
@@ -639,20 +558,6 @@ func (w *ShardWriter) AppendRow(row []float64) error {
 	w.counts[j]++
 	w.total++
 	w.nextShard = (j + 1) % len(w.files)
-	return nil
-}
-
-// AppendValues appends whole rows given as a flat value run
-// (len(vals) must be a multiple of the width).
-func (w *ShardWriter) AppendValues(vals []float64) error {
-	if len(vals)%w.info.Width != 0 {
-		return fmt.Errorf("%w: %d values is not a multiple of width %d", ErrWidth, len(vals), w.info.Width)
-	}
-	for lo := 0; lo < len(vals); lo += w.info.Width {
-		if err := w.AppendRow(vals[lo : lo+w.info.Width]); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

@@ -211,7 +211,7 @@ func TestParallelScanAllocations(t *testing.T) {
 
 func TestShardWriterIncremental(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "spill.ldm")
+	path := filepath.Join(dir, "incremental.ldm")
 	info := Info{Kind: "svm", Dim: 2, Width: 3}
 	w, err := NewShardWriter(path, info, 3)
 	if err != nil {
@@ -221,8 +221,10 @@ func TestShardWriterIncremental(t *testing.T) {
 	if err := w.AppendSource(st); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendValues([]float64{100, 101, 102, 103, 104, 105}); err != nil {
-		t.Fatal(err)
+	for _, row := range [][]float64{{100, 101, 102}, {103, 104, 105}} {
+		if err := w.AppendRow(row); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if w.Rows() != 12 {
 		t.Fatalf("writer rows %d", w.Rows())
@@ -240,7 +242,7 @@ func TestShardWriterIncremental(t *testing.T) {
 	defer sh.Close()
 	want := seqStore(10, 3)
 	want.AppendValues([]float64{100, 101, 102, 103, 104, 105})
-	assertRowsEqual(t, "spilled", want, drainSource(t, sh))
+	assertRowsEqual(t, "incremental", want, drainSource(t, sh))
 	// Random row reads through the buffered shard files.
 	shb, err := OpenShardedBuffered(path)
 	if err != nil {

@@ -254,69 +254,3 @@ func TestMetricsRenderZeroFilled(t *testing.T) {
 		}
 	}
 }
-
-func TestMemoryTierLRU(t *testing.T) {
-	tier := NewMemoryTier(2)
-	tier.Put("aa", []byte("1"))
-	tier.Put("bb", []byte("2"))
-	if _, ok := tier.Get("aa"); !ok { // bump aa to most-recent
-		t.Fatal("aa missing")
-	}
-	tier.Put("cc", []byte("3")) // evicts bb
-	if _, ok := tier.Get("bb"); ok {
-		t.Fatal("bb survived eviction")
-	}
-	if v, ok := tier.Get("aa"); !ok || string(v) != "1" {
-		t.Fatalf("aa = %q, %v", v, ok)
-	}
-	if tier.Len() != 2 {
-		t.Fatalf("len = %d", tier.Len())
-	}
-}
-
-func TestDiskTier(t *testing.T) {
-	dir := t.TempDir()
-	tier, err := NewDiskTier(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := "0123456789abcdef"
-	tier.Put(key, []byte(`{"v":1}`))
-	if v, ok := tier.Get(key); !ok || string(v) != `{"v":1}` {
-		t.Fatalf("get = %q, %v", v, ok)
-	}
-	// A second tier over the same directory shares the entries — the
-	// whole point of the disk tier.
-	tier2, err := NewDiskTier(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := tier2.Get(key); !ok {
-		t.Fatal("second tier over the same dir missed")
-	}
-	if _, ok := tier.Get("ffff000011112222"); ok {
-		t.Fatal("absent key hit")
-	}
-}
-
-func TestDiskTierRejectsUnsafeKeys(t *testing.T) {
-	dir := t.TempDir()
-	tier, err := NewDiskTier(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"", "../escape", "ABCDEF", "abc/def", strings.Repeat("a", 129)} {
-		tier.Put(key, []byte("x"))
-		if _, ok := tier.Get(key); ok {
-			t.Errorf("unsafe key %q served", key)
-		}
-	}
-	// Nothing but the directory itself may exist afterwards.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Fatalf("unsafe keys left files behind: %v", entries)
-	}
-}

@@ -1,7 +1,6 @@
 // Package gateway is lpserved's multi-tenant front door: bearer/API-
-// key authentication, per-tenant rate limits and queue quotas, and a
-// pluggable shared result-cache tier behind the service's in-process
-// LRU. It is deliberately server-agnostic — a handler-chain middleware
+// key authentication and per-tenant rate limits and queue quotas. It
+// is deliberately server-agnostic — a handler-chain middleware
 // plus a typed context value — so internal/server stays the only place
 // that knows what the requests mean, and the gateway stays the only
 // place that knows who is making them.

@@ -88,7 +88,6 @@ type FrontendStatus struct {
 	JobsFailed     int64
 	CacheHits      int64
 	CacheMisses    int64
-	Spilled        int64
 	FleetSolves    int64
 	TracesCaptured int64
 	// Serving-tier counters (coalescing, warm starts, admission
@@ -114,9 +113,6 @@ type FrontendStatus struct {
 	TenantThrottled map[string]int64
 	TenantActive    map[string]int64
 	Unauthorized    int64
-	// Shared result-cache tier counters (0/0 when no tier is attached).
-	TierHits   int64
-	TierMisses int64
 	// Elastic-fleet membership (lpserved_fleet_* families plus the
 	// GET /v1/fleet snapshot). HasFleet is the endpoint answering at
 	// all — pre-registry frontends don't serve it.
@@ -298,7 +294,6 @@ func collectFrontend(client *http.Client, url string) *FrontendStatus {
 			f.JobsFailed = int64(m.Sum("lpserved_jobs_failed_total"))
 			f.CacheHits = int64(m.Sum("lpserved_cache_hits_total"))
 			f.CacheMisses = int64(m.Sum("lpserved_cache_misses_total"))
-			f.Spilled = int64(m.Sum("lpserved_instances_spilled_total"))
 			f.FleetSolves = int64(m.Sum("lpserved_fleet_solves_total"))
 			f.TracesCaptured = int64(m.Sum("lpserved_traces_captured_total"))
 			f.JobsShed = int64(m.Sum("lpserved_jobs_shed_total"))
@@ -340,8 +335,6 @@ func collectFrontend(client *http.Client, url string) *FrontendStatus {
 				}
 			}
 			f.Unauthorized = int64(m.Sum("lpserved_tenant_unauthorized_total"))
-			f.TierHits = int64(m.Sum("lpserved_cache_tier_hits_total"))
-			f.TierMisses = int64(m.Sum("lpserved_cache_tier_misses_total"))
 			f.FleetRetries = int64(m.Sum("lpserved_fleet_solve_retries_total"))
 			f.FleetEpoch = int64(m.Sum("lpserved_fleet_epoch"))
 			f.FleetChanges = int64(m.Sum("lpserved_fleet_membership_changes_total"))

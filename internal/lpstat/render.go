@@ -38,9 +38,9 @@ func RenderBoard(w io.Writer, f *Fleet, color bool) {
 		}
 		fmt.Fprintf(w, "%s %s  %s\n", p.paint(ansiBold, "FRONTEND"), fe.URL, state)
 		if fe.Reachable && fe.HasMetrics {
-			fmt.Fprintf(w, "  jobs: %d queued  %d running  %d done  %s failed   cache: %s   uploads: %d open, %d spilled\n",
+			fmt.Fprintf(w, "  jobs: %d queued  %d running  %d done  %s failed   cache: %s   uploads: %d open\n",
 				fe.JobsQueued, fe.JobsRunning, fe.JobsDone, paintFailed(p, fe.JobsFailed),
-				cacheCell(fe), fe.InstancesOpen, fe.Spilled)
+				cacheCell(fe), fe.InstancesOpen)
 			fleetCell := fmt.Sprintf("%d solves", fe.FleetSolves)
 			if len(fe.FleetErrors) > 0 {
 				parts := make([]string, 0, len(fe.FleetErrors))
@@ -54,9 +54,6 @@ func RenderBoard(w io.Writer, f *Fleet, color bool) {
 				fmt.Fprintf(w, "  membership: %s\n", cell)
 			}
 			fmt.Fprintf(w, "  kernels: %s\n", kernelCell(fe))
-			if fe.TierHits+fe.TierMisses > 0 {
-				fmt.Fprintf(w, "  cache tier: %d hits, %d misses\n", fe.TierHits, fe.TierMisses)
-			}
 			if fe.HasTenants {
 				fmt.Fprintf(w, "  tenants: %s\n", tenantCell(p, fe))
 			}

@@ -1,7 +1,6 @@
-// Tests for the binary (octet-stream) chunk-append path and the
-// sharded spill path: both must be observationally identical to the
-// JSON in-memory flow — same validation, same solutions, same cache
-// digests — with only ingest cost and memory footprint changing.
+// Tests for the binary (octet-stream) chunk-append path: it must be
+// observationally identical to the JSON flow — same validation, same
+// solutions, same cache digests — with only ingest cost changing.
 package server
 
 import (
@@ -10,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"os"
 	"sync"
 	"testing"
 
@@ -118,6 +116,80 @@ func TestBinaryAppendMatchesJSON(t *testing.T) {
 	}
 }
 
+// TestSpillToShardedFiles: uploads never spill to sharded files; out-of-core
+// inputs go through dataset files or a worker fleet instead. A large binary
+// upload stays one in-memory store that lists its true row count, solves to
+// the answer of the same rows sent inline (sharing its cache entry), and is
+// released by a DELETE.
+func TestSpillToShardedFiles(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2})
+	rows := mebRows(1000, 13)
+
+	id := createInstance(t, ts.URL, "meb", 2)
+	dropID := createInstance(t, ts.URL, "meb", 2)
+	for i := 0; i < len(rows); i += 250 {
+		chunk := binaryChunk(t, "meb", 2, 2, rows[i:i+250])
+		for _, to := range []string{id, dropID} {
+			if resp, raw := postBinary(t, ts.URL+"/v1/instances/"+to+"/rows", chunk); resp.StatusCode != http.StatusOK {
+				t.Fatalf("append: %d %s", resp.StatusCode, raw)
+			}
+		}
+	}
+	// Both uploads list with their true row count.
+	infos := s.instances.List("")
+	if len(infos) != 2 {
+		t.Fatalf("instance listing: %+v", infos)
+	}
+	for _, info := range infos {
+		if info.Rows != len(rows) {
+			t.Fatalf("instance %s lists %d rows, want %d", info.ID, info.Rows, len(rows))
+		}
+	}
+
+	// A coordinator solve of the upload matches the same rows sent
+	// inline, and shares its cache entry.
+	st := solveInstance(t, ts.URL, "meb", "coordinator", id, 2, 99)
+	got, _ := st.Result.Scalar("radius")
+	resp, raw := postJSON(t, ts.URL+"/v1/solve", SolveRequest{
+		Kind: "meb", Model: "coordinator", Dim: 2, Rows: rows,
+		Options: SolveOptions{R: 2, Seed: 99},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("inline solve: %d %s", resp.StatusCode, raw)
+	}
+	inline := decodeStatus(t, raw)
+	if want, _ := inline.Result.Scalar("radius"); got != want {
+		t.Fatalf("uploaded radius %v, inline %v", got, want)
+	}
+	if !inline.Cached {
+		t.Fatal("inline rows missed the cache entry of their uploaded twin")
+	}
+
+	// DELETE releases an upload: it leaves the store and its ID no
+	// longer solves.
+	dreq, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/instances/"+dropID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dresp, err := http.DefaultClient.Do(dreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dresp.Body.Close()
+	if dresp.StatusCode != http.StatusNoContent {
+		t.Fatalf("drop status %d", dresp.StatusCode)
+	}
+	if n := s.instances.Len(); n != 0 {
+		t.Fatalf("store still holds %d instances after solve and drop", n)
+	}
+	resp, raw = postJSON(t, ts.URL+"/v1/solve", SolveRequest{
+		Kind: "meb", Model: "ram", Dim: 2, InstanceID: dropID,
+	})
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("solve of a dropped instance: %d %s, want 404", resp.StatusCode, raw)
+	}
+}
+
 // TestBinaryAppendValidation: the binary path applies the same checks
 // as JSON ingestion — header/instance agreement, finiteness, kind
 // invariants, and garbage rejection.
@@ -148,80 +220,12 @@ func TestBinaryAppendValidation(t *testing.T) {
 	}
 }
 
-// TestSpillToShardedFiles: an upload that crosses the spill threshold
-// moves to sharded on-disk storage mid-upload, solves out-of-core with
-// the exact in-memory answer, and leaves no files behind.
-func TestSpillToShardedFiles(t *testing.T) {
-	spillBase := t.TempDir()
-	s, ts := newTestServer(t, Config{Workers: 2, SpillRows: 300, SpillDir: spillBase})
-	rows := mebRows(1000, 13)
-
-	id := createInstance(t, ts.URL, "meb", 2)
-	for i := 0; i < len(rows); i += 250 {
-		chunk := binaryChunk(t, "meb", 2, 2, rows[i:i+250])
-		if resp, raw := postBinary(t, ts.URL+"/v1/instances/"+id+"/rows", chunk); resp.StatusCode != http.StatusOK {
-			t.Fatalf("append: %d %s", resp.StatusCode, raw)
-		}
-	}
-	if got := s.metrics.InstancesSpilled.Load(); got != 1 {
-		t.Fatalf("spill counter %d, want 1", got)
-	}
-	// The spilled instance lists with its true row count.
-	if infos := s.instances.List(""); len(infos) != 1 || infos[0].Rows != 1000 {
-		t.Fatalf("instance listing: %+v", infos)
-	}
-	st := solveInstance(t, ts.URL, "meb", "coordinator", id, 2, 99)
-	got, _ := st.Result.Scalar("radius")
-
-	// Reference: the same rows inline (in-memory store path).
-	resp, raw := postJSON(t, ts.URL+"/v1/solve", SolveRequest{
-		Kind: "meb", Model: "coordinator", Dim: 2, Rows: rows,
-		Options: SolveOptions{R: 2, Seed: 99},
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("reference solve: %d %s", resp.StatusCode, raw)
-	}
-	want, _ := decodeStatus(t, raw).Result.Scalar("radius")
-	if got != want {
-		t.Fatalf("spilled radius %v, in-memory %v", got, want)
-	}
-	// The job owned the spill files and cleaned them up.
-	left, err := os.ReadDir(spillBase)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(left) != 0 {
-		t.Fatalf("spill dir still holds %d entries after solve", len(left))
-	}
-	// A dropped spilled instance cleans up too.
-	id2 := createInstance(t, ts.URL, "meb", 2)
-	chunk := binaryChunk(t, "meb", 2, 2, rows[:500])
-	if resp, raw := postBinary(t, ts.URL+"/v1/instances/"+id2+"/rows", chunk); resp.StatusCode != http.StatusOK {
-		t.Fatalf("append: %d %s", resp.StatusCode, raw)
-	}
-	dreq, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/instances/"+id2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dresp, err := http.DefaultClient.Do(dreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dresp.Body.Close()
-	if dresp.StatusCode != http.StatusNoContent {
-		t.Fatalf("drop status %d", dresp.StatusCode)
-	}
-	if left, _ := os.ReadDir(spillBase); len(left) != 0 {
-		t.Fatalf("spill dir still holds %d entries after drop", len(left))
-	}
-}
-
 // TestConcurrentBinaryAppendsAndSolves hammers the service with ≥16
 // goroutines doing octet-stream appends and solves at once (run under
 // -race in CI): per-goroutine instances pin answer correctness, and a
 // shared instance takes concurrent appends whose total must add up.
 func TestConcurrentBinaryAppendsAndSolves(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 4, QueueDepth: 64, SpillRows: 200, SpillDir: t.TempDir(), MaxInstances: 64})
+	_, ts := newTestServer(t, Config{Workers: 4, QueueDepth: 64, MaxInstances: 64})
 	const G = 16
 	sharedID := createInstance(t, ts.URL, "meb", 2)
 	var wg sync.WaitGroup

@@ -2,10 +2,7 @@ package server
 
 import (
 	"container/list"
-	"encoding/json"
 	"sync"
-
-	"lowdimlp/internal/gateway"
 )
 
 // cacheEntry is one cached solve outcome.
@@ -17,109 +14,40 @@ type cacheEntry struct {
 
 // Cache is a thread-safe LRU of solve results keyed by request digest
 // (instance + model + options), so repeated solves of hot instances
-// skip recomputation. An optional shared tier (gateway.CacheTier)
-// sits behind the LRU: lookups fall through to it on an LRU miss and
-// promote what they find, stores write through — so a fleet of
-// frontends pointing at the same tier serve each other's results.
+// skip recomputation.
 type Cache struct {
 	mu      sync.Mutex
 	cap     int
 	order   *list.List // front = most recent
 	entries map[string]*list.Element
-
-	// tier is the shared layer behind the LRU; nil = LRU only.
-	// onTierHit/onTierMiss observe tier consultations (metrics hooks;
-	// only fire when the tier was actually asked).
-	tier       gateway.CacheTier
-	onTierHit  func()
-	onTierMiss func()
 }
 
 // NewCache returns an LRU cache holding up to cap results; cap ≤ 0
-// disables the LRU (every in-process lookup misses, entries are not
-// retained) — a shared tier attached with EnableTier still serves and
-// stores results.
+// disables it (every lookup misses, entries are not retained).
 func NewCache(cap int) *Cache {
 	return &Cache{cap: cap, order: list.New(), entries: make(map[string]*list.Element)}
 }
 
-// EnableTier attaches the shared tier and its observation hooks. Call
-// before the cache is shared.
-func (c *Cache) EnableTier(tier gateway.CacheTier, onHit, onMiss func()) {
-	c.tier, c.onTierHit, c.onTierMiss = tier, onHit, onMiss
-}
-
 // Enabled reports whether the cache can ever store a result — false
 // lets callers skip computing cache keys entirely.
-func (c *Cache) Enabled() bool { return c.cap > 0 || c.tier != nil }
+func (c *Cache) Enabled() bool { return c.cap > 0 }
 
-// tierEntry is the serialized form a result takes in a shared tier —
-// plain JSON, so a disk tier's files are inspectable and a future
-// remote tier needs no new codec. Solution and Stats both round-trip
-// wire-identically (Solution has custom marshalling).
-type tierEntry struct {
-	Result *SolveResult  `json:"result"`
-	Stats  *StatsPayload `json:"stats,omitempty"`
-}
-
-// Get returns the cached result for key, bumping its recency. On an
-// LRU miss it consults the shared tier; a tier hit is decoded and
-// promoted into the LRU so the next lookup is local.
+// Get returns the cached result for key, bumping its recency.
 func (c *Cache) Get(key string) (*SolveResult, *StatsPayload, bool) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	el, ok := c.entries[key]
-	if ok {
-		c.order.MoveToFront(el)
-		e := el.Value.(*cacheEntry)
-		c.mu.Unlock()
-		return e.result, e.stats, true
-	}
-	c.mu.Unlock()
-	if c.tier == nil {
-		return nil, nil, false
-	}
-	raw, ok := c.tier.Get(key)
 	if !ok {
-		if c.onTierMiss != nil {
-			c.onTierMiss()
-		}
 		return nil, nil, false
 	}
-	var e tierEntry
-	if err := json.Unmarshal(raw, &e); err != nil || e.Result == nil {
-		// A torn or foreign-format entry is a plain miss — never an
-		// error on the solve path. Evict it so the tier stops serving
-		// the same garbage on every lookup; the next write-through
-		// recreates the entry from a fresh solve.
-		if d, ok := c.tier.(gateway.Dropper); ok {
-			d.Drop(key)
-		}
-		if c.onTierMiss != nil {
-			c.onTierMiss()
-		}
-		return nil, nil, false
-	}
-	if c.onTierHit != nil {
-		c.onTierHit()
-	}
-	c.putLocal(key, e.Result, e.Stats)
-	return e.Result, e.Stats, true
+	c.order.MoveToFront(el)
+	e := el.Value.(*cacheEntry)
+	return e.result, e.stats, true
 }
 
-// Put stores a result in the LRU and writes through to the shared
-// tier.
+// Put stores a result, evicting the least-recently-used entry when
+// over capacity.
 func (c *Cache) Put(key string, result *SolveResult, stats *StatsPayload) {
-	c.putLocal(key, result, stats)
-	if c.tier != nil {
-		if raw, err := json.Marshal(tierEntry{Result: result, Stats: stats}); err == nil {
-			c.tier.Put(key, raw)
-		}
-	}
-}
-
-// putLocal stores into the in-process LRU only (used by Put and by
-// tier-hit promotion, which must not echo the entry back to the tier).
-func (c *Cache) putLocal(key string, result *SolveResult, stats *StatsPayload) {
 	if c.cap <= 0 {
 		return
 	}

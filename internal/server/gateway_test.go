@@ -359,54 +359,6 @@ func TestInstanceSlotExhaustion(t *testing.T) {
 	}
 }
 
-// TestSharedCacheTier runs the same request on two separate Servers
-// sharing one disk tier: the second serves the first's result without
-// re-solving.
-func TestSharedCacheTier(t *testing.T) {
-	dir := t.TempDir()
-	tier1, err := gateway.NewDiskTier(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tier2, err := gateway.NewDiskTier(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ts1 := newTestServer(t, Config{Workers: 1, CacheTier: tier1})
-	_, ts2 := newTestServer(t, Config{Workers: 1, CacheTier: tier2})
-
-	req := tinySolve(42)
-	resp, raw1 := postJSON(t, ts1.URL+"/v1/solve", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("first solve: %d %s", resp.StatusCode, raw1)
-	}
-	resp, raw2 := postJSON(t, ts2.URL+"/v1/solve", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("second solve: %d %s", resp.StatusCode, raw2)
-	}
-	st1, st2 := decodeStatus(t, raw1), decodeStatus(t, raw2)
-	b1, _ := json.Marshal(st1.Result)
-	b2, _ := json.Marshal(st2.Result)
-	if !bytes.Equal(b1, b2) {
-		t.Fatalf("results differ across the tier:\n%s\n%s", b1, b2)
-	}
-
-	m1 := scrape(t, ts1.URL+"/metrics")
-	m2 := scrape(t, ts2.URL+"/metrics")
-	// Server 1 missed the tier (cold) and wrote through; server 2 hit.
-	if got := m1.Sum("lpserved_cache_tier_misses_total"); got != 1 {
-		t.Errorf("server1 tier misses = %v, want 1", got)
-	}
-	if got := m2.Sum("lpserved_cache_tier_hits_total"); got != 1 {
-		t.Errorf("server2 tier hits = %v, want 1", got)
-	}
-	// A tier hit is also a cache hit as far as the solve path goes: the
-	// second server never re-solved.
-	if got := m2.Sum("lpserved_cache_hits_total") + m2.Sum("lpserved_cache_tier_hits_total"); got < 1 {
-		t.Errorf("server2 served from scratch")
-	}
-}
-
 // TestGatewayConcurrentTenants hammers the gateway from many tenants
 // at once — the -race companion to the matrix above.
 func TestGatewayConcurrentTenants(t *testing.T) {

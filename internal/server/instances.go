@@ -3,8 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -22,11 +20,9 @@ var ErrUnknownInstance = errors.New("unknown instance")
 
 // instance is a chunk-uploaded row set awaiting a solve request. Rows
 // land directly in a columnar store: appends are arena copies, and the
-// eventual solve scans the arena with no per-row decode. Instances
-// whose row count crosses the store's spill threshold move to a
-// sharded on-disk layout (dataset.ShardWriter): appends stream to the
-// shard files, and Take hands the job a ShardedFile source, so a huge
-// upload never holds its rows in memory.
+// eventual solve scans the arena with no per-row decode. Inputs too
+// large to upload into memory go through dataset files (lpsolve) or a
+// worker fleet instead.
 type instance struct {
 	mu   sync.Mutex
 	kind string
@@ -35,12 +31,8 @@ type instance struct {
 	// namespace when the gateway is off). Lookups from any other
 	// namespace behave exactly as if the ID never existed.
 	ns     string
-	data   *dataset.Store       // in-memory rows; nil once spilled
-	spill  *dataset.ShardWriter // non-nil while spilling to disk
-	spillP string               // spill manifest path
-	spillD string               // owned spill directory (removed on release)
-	taken  *spilledSource       // a spilled source returned by a failed submit (Restore)
-	sealed bool                 // claimed by a job; further appends are rejected
+	data   *dataset.Store // the uploaded rows
+	sealed bool           // claimed by a job; further appends are rejected
 
 	created time.Time
 	// touched is the unix-nano time of the last Create/Append/Restore,
@@ -51,36 +43,6 @@ type instance struct {
 }
 
 func (ins *instance) touch(now time.Time) { ins.touched.Store(now.UnixNano()) }
-
-// release frees any on-disk state the instance still owns (spill files
-// not yet handed to a job, or a restored spilled source). Caller holds
-// ins.mu.
-func (ins *instance) release() {
-	if ins.spill != nil {
-		ins.spill.Abort()
-		ins.spill = nil
-		os.RemoveAll(ins.spillD)
-	}
-	if ins.taken != nil {
-		ins.taken.Cleanup()
-		ins.taken = nil
-	}
-}
-
-// spilledSource is the solve-side view of a spilled instance: a
-// sharded dataset plus ownership of its directory. The job that
-// consumes it calls Cleanup once the solve is terminal; Restore hands
-// it back intact after a failed submit.
-type spilledSource struct {
-	*dataset.ShardedFile
-	dir string
-}
-
-// Cleanup closes the shard files and removes the spill directory.
-func (s *spilledSource) Cleanup() {
-	s.Close()
-	os.RemoveAll(s.dir)
-}
 
 // InstanceInfo is one open upload as reported by List — the operator
 // view behind GET /v1/instances.
@@ -122,23 +84,11 @@ type InstanceStore struct {
 	max    int
 	ttl    time.Duration
 	tombs  map[string]time.Time // dropped IDs → drop time
-
-	// spillRows (> 0) spills uploads that reach this many rows to a
-	// sharded layout under spillDir; 0 keeps everything in memory.
-	spillRows int
-	spillDir  string
-	// onSpill, when set, observes each spill (metrics hook).
-	onSpill func()
 }
 
 // DefaultInstanceTTL is the idle eviction horizon when the Server
 // config leaves it zero.
 const DefaultInstanceTTL = 10 * time.Minute
-
-// DefaultSpillShards is the shard count of spilled instances: enough
-// shards that a spilled solve can fan one goroutine (or one
-// coordinator site) per shard, few enough that shard files stay large.
-const DefaultSpillShards = 8
 
 // NewInstanceStore returns a store admitting up to max in-flight
 // uploads (≤ 0 means 64) with the given idle TTL (0 means
@@ -156,19 +106,6 @@ func NewInstanceStore(max int, ttl time.Duration) *InstanceStore {
 		ttl:   ttl,
 		tombs: make(map[string]time.Time),
 	}
-}
-
-// EnableSpill makes uploads that reach rows rows spill to sharded
-// dataset files under dir ("" = the OS temp directory). Call before
-// the store is shared.
-func (s *InstanceStore) EnableSpill(dir string, rows int, onSpill func()) {
-	if rows <= 0 {
-		return
-	}
-	if dir == "" {
-		dir = os.TempDir()
-	}
-	s.spillDir, s.spillRows, s.onSpill = dir, rows, onSpill
 }
 
 // tombKey scopes a tombstone to its namespace: a cross-tenant DELETE
@@ -238,8 +175,7 @@ func (s *InstanceStore) Append(ns, id string, rows [][]float64) (total int, err 
 }
 
 // AppendChunk appends an already-validated columnar chunk to an open
-// upload: one arena copy (or, once the upload has spilled, a streamed
-// write to the round-robin shard files), no per-row decode.
+// upload: one arena copy, no per-row decode.
 func (s *InstanceStore) AppendChunk(ns, id string, chunk *dataset.Store) (total int, err error) {
 	s.mu.Lock()
 	ins, ok := s.byID[id]
@@ -252,125 +188,24 @@ func (s *InstanceStore) AppendChunk(ns, id string, chunk *dataset.Store) (total 
 	if ins.sealed {
 		return 0, fmt.Errorf("instance %q already submitted", id)
 	}
-	if ins.taken != nil {
-		// A restored spill: the failed submit left a finalized sharded
-		// layout. Reopen it for appending — the shard files stay in
-		// place, the manifest comes back at the next Take's Finish.
-		if err := ins.reopenSpill(); err != nil {
-			// The on-disk layout is gone (reopenSpill released it), so
-			// the instance has no storage left: retire it — leaving a
-			// live ID with nil storage would panic a later append or
-			// Take. ins.mu → s.mu is safe: no path acquires them in
-			// the opposite order while holding one.
-			ins.sealed = true
-			s.mu.Lock()
-			if s.byID[id] == ins {
-				delete(s.byID, id)
-			}
-			s.mu.Unlock()
-			return 0, fmt.Errorf("instance %q: reopening restored spill: %w", id, err)
-		}
-	}
-	width := ins.width()
-	if chunk.Width() != width {
+	if width := ins.data.Width(); chunk.Width() != width {
 		return 0, fmt.Errorf("instance %q chunk width %d, want %d", id, chunk.Width(), width)
 	}
-	if ins.rows()+chunk.Rows() > MaxInstanceRows {
+	if ins.data.Rows()+chunk.Rows() > MaxInstanceRows {
 		return 0, fmt.Errorf("instance %q would exceed %d rows", id, MaxInstanceRows)
 	}
-	if ins.spill == nil && s.spillRows > 0 && ins.data.Rows()+chunk.Rows() >= s.spillRows {
-		if err := s.startSpill(id, ins); err != nil {
-			return 0, fmt.Errorf("instance %q spill: %w", id, err)
-		}
-	}
-	if ins.spill != nil {
-		if err := ins.spill.AppendValues(chunk.Values()); err != nil {
-			return 0, fmt.Errorf("instance %q spill append: %w", id, err)
-		}
-	} else {
-		ins.data.AppendValues(chunk.Values())
-	}
-	ins.nrows.Store(int64(ins.rows()))
+	ins.data.AppendValues(chunk.Values())
+	ins.nrows.Store(int64(ins.data.Rows()))
 	ins.touch(time.Now())
-	return ins.rows(), nil
+	return ins.data.Rows(), nil
 }
 
-// reopenSpill turns a restored, finalized spilled source back into an
-// appendable ShardWriter over the same files. On failure the taken
-// source is already closed, so the instance's on-disk state is
-// released rather than leaked. Caller holds ins.mu.
-func (ins *instance) reopenSpill() error {
-	sp := ins.taken
-	manifest := sp.Paths()[0]
-	dir := sp.dir
-	// Close the read-side handles (possibly mmaps) before reopening
-	// the files for writing.
-	sp.Close()
-	w, err := dataset.ReopenShardWriter(manifest)
-	if err != nil {
-		os.RemoveAll(dir)
-		ins.taken = nil
-		return err
-	}
-	ins.spill, ins.spillP, ins.spillD = w, manifest, dir
-	ins.taken = nil
-	return nil
-}
-
-// width returns the instance's row width regardless of storage.
-func (ins *instance) width() int {
-	if ins.spill != nil {
-		return ins.spill.Info().Width
-	}
-	return ins.data.Width()
-}
-
-// rows returns the instance's row count regardless of storage. Caller
-// holds ins.mu.
-func (ins *instance) rows() int {
-	if ins.spill != nil {
-		return ins.spill.Rows()
-	}
-	return ins.data.Rows()
-}
-
-// startSpill moves an in-memory upload to a sharded on-disk layout:
-// the rows accumulated so far stream into DefaultSpillShards shard
-// files and later appends go straight to disk. Caller holds ins.mu.
-func (s *InstanceStore) startSpill(id string, ins *instance) error {
-	dir, err := os.MkdirTemp(s.spillDir, "lpserved-"+id+"-")
-	if err != nil {
-		return err
-	}
-	manifest := filepath.Join(dir, id+".ldm")
-	w, err := dataset.NewShardWriter(manifest, dataset.Info{
-		Kind: ins.kind, Dim: ins.dim, Width: ins.data.Width(),
-	}, DefaultSpillShards)
-	if err != nil {
-		os.RemoveAll(dir)
-		return err
-	}
-	if err := w.AppendSource(ins.data); err != nil {
-		w.Abort()
-		os.RemoveAll(dir)
-		return err
-	}
-	ins.spill, ins.spillP, ins.spillD = w, manifest, dir
-	ins.data = nil
-	if s.onSpill != nil {
-		s.onSpill()
-	}
-	return nil
-}
-
-// Take seals and removes the instance, returning its columnar source
-// for the job that referenced it (zero-copy: an in-memory arena moves,
-// a spilled upload is finalized into a sharded dataset whose files the
-// job now owns — Cleanup on the returned source removes them). The
+// Take seals and removes the instance, returning its columnar store
+// for the job that referenced it (zero-copy: the arena moves). The
 // kind and dimension must match the claiming request; on mismatch the
 // upload stays in the store so a corrected resubmission can still find
 // it.
-func (s *InstanceStore) Take(ns, id, kind string, dim int) (dataset.Source, error) {
+func (s *InstanceStore) Take(ns, id, kind string, dim int) (*dataset.Store, error) {
 	s.mu.Lock()
 	ins, ok := s.byID[id]
 	if !ok || ins.ns != ns {
@@ -392,60 +227,23 @@ func (s *InstanceStore) Take(ns, id, kind string, dim int) (dataset.Source, erro
 	ins.mu.Lock()
 	defer ins.mu.Unlock()
 	ins.sealed = true
-	if ins.taken != nil {
-		// A previously finalized spill, restored after a failed submit.
-		src := ins.taken
-		ins.taken = nil
-		return src, nil
-	}
-	if ins.spill != nil {
-		w := ins.spill
-		ins.spill = nil
-		if err := w.Finish(); err != nil {
-			os.RemoveAll(ins.spillD)
-			return nil, fmt.Errorf("instance %q: finalizing spill: %w", id, err)
-		}
-		sh, err := dataset.OpenSharded(ins.spillP)
-		if err != nil {
-			os.RemoveAll(ins.spillD)
-			return nil, fmt.Errorf("instance %q: reopening spill: %w", id, err)
-		}
-		return &spilledSource{ShardedFile: sh, dir: ins.spillD}, nil
-	}
 	return ins.data, nil
 }
 
-// Restore re-registers a taken source under its original ID after a
+// Restore re-registers a taken store under its original ID after a
 // Take whose job submission failed, so a retryable 503 does not
 // destroy a chunk-uploaded instance. It bypasses the in-flight limit
 // (the rows were already admitted once). A tombstoned ID — the client
-// DELETEd the instance during the Take window — is not resurrected
-// (a spilled source's files are removed instead). A restored spilled
-// instance accepts both further solves and further appends: the first
-// append reopens the finalized shard files for writing
-// (dataset.ReopenShardWriter) and the next Take finalizes them again.
-func (s *InstanceStore) Restore(ns, id, kind string, dim int, data dataset.Source) {
+// DELETEd the instance during the Take window — is not resurrected.
+// A restored instance accepts both further solves and further appends.
+func (s *InstanceStore) Restore(ns, id, kind string, dim int, data *dataset.Store) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dropped := s.tombs[tombKey(ns, id)]; dropped {
-		if sp, ok := data.(*spilledSource); ok {
-			sp.Cleanup()
-		}
 		return
 	}
 	now := time.Now()
-	ins := &instance{ns: ns, kind: kind, dim: dim, created: now}
-	switch d := data.(type) {
-	case *spilledSource:
-		ins.taken = d
-	case *dataset.Store:
-		ins.data = d
-	default:
-		// Take only ever hands out the two types above; anything else
-		// is a programming error, and quietly improvising storage for
-		// it would hide the bug.
-		panic(fmt.Sprintf("server: Restore with unexpected source type %T", data))
-	}
+	ins := &instance{ns: ns, kind: kind, dim: dim, data: data, created: now}
 	ins.nrows.Store(int64(data.Rows()))
 	ins.touch(now)
 	s.byID[id] = ins
@@ -477,7 +275,6 @@ func (s *InstanceStore) Drop(ns, id string) bool {
 	if ok {
 		ins.mu.Lock()
 		ins.sealed = true
-		ins.release()
 		ins.mu.Unlock()
 	}
 	return ok
@@ -584,7 +381,6 @@ func (s *InstanceStore) Sweep() int {
 		c.ins.mu.Lock()
 		if c.ins.touched.Load() < cutoff && !c.ins.sealed {
 			c.ins.sealed = true
-			c.ins.release()
 			victims = append(victims, c)
 		}
 		c.ins.mu.Unlock()

@@ -441,12 +441,6 @@ func (m *Manager) runLocal(j *Job, req *SolveRequest, tr *obs.Trace) outcome {
 	}
 	isp.End()
 
-	if _, spilled := req.data.(interface{ Cleanup() }); spilled {
-		// Digesting a spilled instance would re-stream the whole on-disk
-		// dataset just to key caches whose hit chance for a one-shot
-		// giant upload is nil.
-		keyed = false
-	}
 	if keyed && key == "" {
 		if key, out, done = m.lookup(j, req, tr); done {
 			return out
@@ -625,11 +619,6 @@ func (m *Manager) finishJob(j *Job, req *SolveRequest, tr *obs.Trace, fleetKind 
 		} else if out.stats != nil && out.stats.Coordinator != nil {
 			j.N = out.stats.Coordinator.N
 		}
-	}
-	// A spilled instance owns on-disk shard files; the job is terminal,
-	// so nothing will read them again.
-	if c, ok := req.data.(interface{ Cleanup() }); ok {
-		c.Cleanup()
 	}
 	j.req = nil // release the instance rows
 	if out.err != nil {

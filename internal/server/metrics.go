@@ -36,11 +36,6 @@ type Metrics struct {
 	JobsFailed    atomic.Int64
 	CacheHits     atomic.Int64
 	CacheMisses   atomic.Int64
-	// TierHits and TierMisses count shared cache-tier consultations —
-	// lookups that already fell through the in-process LRU. Zero when
-	// no tier is configured.
-	TierHits   atomic.Int64
-	TierMisses atomic.Int64
 	// SolveCoalesced counts jobs that copied an identical in-flight
 	// job's result instead of solving — distinct from cache hits, which
 	// are served from already-completed solves.
@@ -65,9 +60,6 @@ type Metrics struct {
 	// not folded into JobsShed: slot exhaustion is upload-path
 	// backpressure, not solve admission control.
 	InstancesRejected atomic.Int64
-	// InstancesSpilled counts chunk uploads that crossed the spill
-	// threshold and moved to sharded on-disk storage.
-	InstancesSpilled atomic.Int64
 	// BinaryAppends counts application/octet-stream chunk appends.
 	BinaryAppends atomic.Int64
 	// FleetSolves counts solves driven over the worker fleet.
@@ -99,7 +91,6 @@ type Metrics struct {
 	mu           sync.Mutex
 	solveCount   map[string]int64   // kind/model → solves
 	solveSeconds map[string]float64 // kind/model → total latency
-	solveMax     map[string]float64 // kind/model → max latency
 	solveHist    map[string][]int64 // kind/model → per-bucket counts (non-cumulative)
 }
 
@@ -109,7 +100,6 @@ func NewMetrics() *Metrics {
 		Fleet:        httptransport.NewMetrics(),
 		solveCount:   make(map[string]int64),
 		solveSeconds: make(map[string]float64),
-		solveMax:     make(map[string]float64),
 		solveHist:    make(map[string][]int64),
 	}
 }
@@ -123,9 +113,6 @@ func (m *Metrics) ObserveSolve(kind, model string, d time.Duration) {
 	defer m.mu.Unlock()
 	m.solveCount[key]++
 	m.solveSeconds[key] += s
-	if s > m.solveMax[key] {
-		m.solveMax[key] = s
-	}
 	h := m.solveHist[key]
 	if h == nil {
 		// One extra slot for the +Inf overflow bucket.
@@ -155,8 +142,6 @@ func (m *Metrics) Render(w io.Writer) {
 	c("lpserved_jobs_failed_total", "Jobs that ended in an error.", m.JobsFailed.Load())
 	c("lpserved_cache_hits_total", "Result-cache hits.", m.CacheHits.Load())
 	c("lpserved_cache_misses_total", "Result-cache misses.", m.CacheMisses.Load())
-	c("lpserved_cache_tier_hits_total", "Shared cache-tier hits (after an LRU miss).", m.TierHits.Load())
-	c("lpserved_cache_tier_misses_total", "Shared cache-tier misses.", m.TierMisses.Load())
 	c("lpserved_solve_coalesced_total", "Jobs that copied an identical in-flight job's result instead of solving.", m.SolveCoalesced.Load())
 	c("lpserved_jobs_shed_total", "Submissions refused by admission control (429 + Retry-After).", m.JobsShed.Load())
 	c("lpserved_warm_hits_total", "Warm starts that re-verified a cached basis.", m.WarmHits.Load())
@@ -164,7 +149,6 @@ func (m *Metrics) Render(w io.Writer) {
 	g("lpserved_basis_entries", "Bases currently held by the warm-start cache.", m.BasisEntries.Load())
 	c("lpserved_instances_expired_total", "Chunk uploads reclaimed by the idle sweeper.", m.InstancesExpired.Load())
 	c("lpserved_instances_rejected_total", "Instance creations refused at the in-flight upload limit (429 + Retry-After).", m.InstancesRejected.Load())
-	c("lpserved_instances_spilled_total", "Chunk uploads spilled to sharded on-disk storage.", m.InstancesSpilled.Load())
 	c("lpserved_binary_appends_total", "Binary (octet-stream) chunk appends.", m.BinaryAppends.Load())
 	c("lpserved_fleet_solves_total", "Solves driven over the worker fleet.", m.FleetSolves.Load())
 	c("lpserved_traces_captured_total", "Solves that recorded an execution trace.", m.TracesCaptured.Load())
@@ -183,10 +167,10 @@ func (m *Metrics) Render(w io.Writer) {
 	}
 	sort.Strings(keys)
 	// Histogram: cumulative fixed buckets so p99 is scrapeable straight
-	// off the text format. A histogram family may only carry
-	// _bucket/_sum/_count samples; _max therefore lives in its own
-	// gauge family (strict OpenMetrics parsers reject anything else
-	// under the TYPE line).
+	// off the text format. It is the one latency family: a histogram may
+	// only carry _bucket/_sum/_count samples (strict OpenMetrics parsers
+	// reject anything else under the TYPE line), and the buckets already
+	// bound the slowest solve.
 	fmt.Fprintf(w, "# HELP lpserved_solve_seconds Solve wall-clock latency by kind/model.\n# TYPE lpserved_solve_seconds histogram\n")
 	for _, k := range keys {
 		kind, model, _ := strings.Cut(k, "/")
@@ -200,11 +184,6 @@ func (m *Metrics) Render(w io.Writer) {
 			kind, model, m.solveCount[k])
 		fmt.Fprintf(w, "lpserved_solve_seconds_sum{kind=%q,model=%q} %s\n", kind, model, fmtF(m.solveSeconds[k]))
 		fmt.Fprintf(w, "lpserved_solve_seconds_count{kind=%q,model=%q} %d\n", kind, model, m.solveCount[k])
-	}
-	fmt.Fprintf(w, "# HELP lpserved_solve_seconds_max Max solve latency by kind/model.\n# TYPE lpserved_solve_seconds_max gauge\n")
-	for _, k := range keys {
-		kind, model, _ := strings.Cut(k, "/")
-		fmt.Fprintf(w, "lpserved_solve_seconds_max{kind=%q,model=%q} %s\n", kind, model, fmtF(m.solveMax[k]))
 	}
 }
 

@@ -51,15 +51,6 @@ type Config struct {
 	// InstanceTTL evicts chunk uploads idle past this horizon
 	// (0 = DefaultInstanceTTL; < 0 disables eviction).
 	InstanceTTL time.Duration
-	// SpillRows (> 0) spills chunk uploads that reach this many rows
-	// to sharded dataset files instead of holding them in memory; the
-	// solve then runs out-of-core over the shard files. 0 disables
-	// spilling.
-	SpillRows int
-	// SpillDir is where spilled instances live ("" = the OS temp
-	// directory). Each instance gets its own subdirectory, removed when
-	// the instance is solved, dropped or swept.
-	SpillDir string
 	// FleetWorkers is the lpserved worker-process fleet (base URLs,
 	// one per shard; worker i = coordinator site i) that serves
 	// requests with "fleet": true. The list seeds the worker registry
@@ -80,10 +71,6 @@ type Config struct {
 	// limits and queue quotas, and tenant-scoped instance/job/trace
 	// namespaces. Nil serves unauthenticated exactly as before.
 	Gateway *gateway.Gateway
-	// CacheTier, when set, is the shared result-cache layer behind the
-	// in-process LRU (memory or disk; see gateway.CacheTier) so a
-	// fleet of frontends shares solve results. Nil = LRU only.
-	CacheTier gateway.CacheTier
 }
 
 func (c Config) withDefaults() Config {
@@ -131,16 +118,10 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	metrics := NewMetrics()
-	cache := NewCache(cfg.CacheSize)
-	if cfg.CacheTier != nil {
-		cache.EnableTier(cfg.CacheTier,
-			func() { metrics.TierHits.Add(1) },
-			func() { metrics.TierMisses.Add(1) })
-	}
 	s := &Server{
 		cfg:       cfg,
 		metrics:   metrics,
-		manager:   NewManager(cfg.Workers, cfg.QueueDepth, cache, metrics),
+		manager:   NewManager(cfg.Workers, cfg.QueueDepth, NewCache(cfg.CacheSize), metrics),
 		instances: NewInstanceStore(cfg.MaxInstances, cfg.InstanceTTL),
 		fleet:     registry.New(cfg.FleetTTL),
 		mux:       http.NewServeMux(),
@@ -162,7 +143,6 @@ func New(cfg Config) *Server {
 		s.traces = obs.NewRing(cfg.TraceBuffer)
 		s.manager.traces = s.traces
 	}
-	s.instances.EnableSpill(cfg.SpillDir, cfg.SpillRows, func() { metrics.InstancesSpilled.Add(1) })
 	s.mux.HandleFunc("POST /v1/solve", s.handleSolve)
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobStatus)
@@ -190,14 +170,7 @@ func (s *Server) sweepLoop() {
 	if ttl < 0 {
 		return
 	}
-	interval := ttl / 4
-	if interval < time.Second {
-		interval = time.Second
-	}
-	if interval > time.Minute {
-		interval = time.Minute
-	}
-	t := time.NewTicker(interval)
+	t := time.NewTicker(sweepInterval(ttl))
 	defer t.Stop()
 	for {
 		select {

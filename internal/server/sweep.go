@@ -7,8 +7,9 @@ import "time"
 // keeps a small TTL (sub-second TTLs are legitimate in tests and
 // aggressive deployments) from spinning the sweeper hot; the ceiling
 // keeps a very large TTL from letting reclaimable state linger for
-// hours past its deadline. Both the frontend's upload sweeper and the
-// worker's session sweeper derive their tick from here.
+// hours past its deadline. Every sweeper in the package derives its
+// tick from here: the frontend's upload and fleet-registry sweepers
+// and the worker's session sweeper.
 func sweepInterval(ttl time.Duration) time.Duration {
 	interval := ttl / 4
 	if interval < time.Second {

@@ -152,11 +152,10 @@ type SolveRequest struct {
 	rawRows json.RawMessage
 	// data is the materialized columnar instance: set by the worker
 	// (from rawRows, Rows or Generate) or at decode time for
-	// chunk-uploaded instances (InstanceStore.Take). Small instances
-	// are in-memory stores; instances that spilled during upload are
-	// sharded on-disk sources (solved out-of-core, digested by
-	// streaming).
-	data dataset.Source
+	// chunk-uploaded instances (InstanceStore.Take). It is always an
+	// in-memory store; inputs too large for memory are solved from
+	// dataset files or by a worker fleet, not through this request.
+	data *dataset.Store
 	// trace is the live recorder for Trace requests, attached by
 	// Manager.run before the solve and read back after. Nil when
 	// tracing is off — every instrumentation call no-ops at zero cost.
@@ -428,10 +427,9 @@ func digestWriters(h io.Writer) (putU func(uint64), putF func(float64)) {
 // options, no objective. Generated instances hash their spec (family,
 // n, d, seed, margin, noise): the generator is deterministic, so the
 // spec names the rows without paying materialization. Everything else
-// hashes the rows themselves, row-major; a spilled source streams
-// through its order-preserving cursor and hashes identically to the
-// in-memory arena. Memoized: the cache key and the warm key reuse one
-// hash of the rows.
+// hashes the rows themselves, row-major, straight off the columnar
+// arena. Memoized: the cache key and the warm key reuse one hash of
+// the rows.
 func (r *SolveRequest) instanceDigest() string {
 	if r.rowsKeyMemo != "" {
 		return r.rowsKeyMemo
@@ -451,35 +449,8 @@ func (r *SolveRequest) instanceDigest() string {
 		putF(g.Noise)
 	case r.data != nil:
 		putU(uint64(r.data.Rows()))
-		if st, ok := r.data.(*dataset.Store); ok {
-			for _, v := range st.Values() {
-				putF(v)
-			}
-		} else {
-			cur := r.data.NewCursor()
-			batch := make([]dataset.Row, dataset.DefaultBatchRows)
-			for {
-				n, err := cur.Next(batch)
-				if err != nil {
-					// Hash the error sentinel: an unreadable instance
-					// must never collide with a readable one. The
-					// solve that follows reports the real error.
-					dataset.CloseCursor(cur)
-					h.Write([]byte("digest-error:"))
-					h.Write([]byte(err.Error()))
-					r.rowsKeyMemo = hex.EncodeToString(h.Sum(nil))
-					return r.rowsKeyMemo
-				}
-				if n == 0 {
-					break
-				}
-				for _, row := range batch[:n] {
-					for _, v := range row {
-						putF(v)
-					}
-				}
-			}
-			dataset.CloseCursor(cur)
+		for _, v := range r.data.Values() {
+			putF(v)
 		}
 	default:
 		putU(uint64(len(r.Rows)))
