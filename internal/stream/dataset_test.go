@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"errors"
 	"testing"
 
 	"lowdimlp/internal/core"
@@ -90,6 +91,31 @@ func TestSolveDatasetMatchesSlice(t *testing.T) {
 	}
 	if got2.B.R2 != want.B.R2 {
 		t.Fatalf("batch=7 radius² %v, want %v", got2.B.R2, want.B.R2)
+	}
+}
+
+// hollowSource reports rows it never yields: its cursor ends every pass
+// at once.
+type hollowSource struct{ rows, width int }
+
+func (s hollowSource) Width() int                { return s.width }
+func (s hollowSource) Rows() int                 { return s.rows }
+func (s hollowSource) NewCursor() dataset.Cursor { return hollowCursor{} }
+
+type hollowCursor struct{}
+
+func (hollowCursor) Reset() error                    { return nil }
+func (hollowCursor) Next([]dataset.Row) (int, error) { return 0, nil }
+
+// TestEmptyPassIsErrEmptyStream: a source that reports n > 0 rows but
+// whose pass yields none leaves the sampled path no row to draw the
+// first net from — ErrEmptyStream after that one pass.
+func TestEmptyPassIsErrEmptyStream(t *testing.T) {
+	const d = 2
+	_, stats, err := SolveDataset(mebAccess(d), hollowSource{rows: 50000, width: d},
+		Options{Core: core.Options{R: 3, NetConst: 0.5}})
+	if !errors.Is(err, ErrEmptyStream) || stats.Passes != 1 || stats.DirectSolve {
+		t.Fatalf("error %v, %+v; want ErrEmptyStream after one sampled pass", err, stats)
 	}
 }
 
