@@ -60,9 +60,9 @@ func validFrameType(t FrameType) bool { return t >= FrameInfo && t <= FrameReply
 // coordinator-model solve. A Transport instance belongs to a single
 // run: Begin opens the per-site protocol sessions, RoundTrip carries
 // one request/reply exchange, Close releases the sessions. RoundTrip
-// may be called concurrently for distinct sites (the driver fans
-// rounds out under Options.Parallel), never concurrently for the same
-// site.
+// is never called concurrently for the same site; the coordinator
+// addresses a round's sites one after another (DESIGN.md §4), so it
+// never calls RoundTrip concurrently at all.
 type Transport interface {
 	// Sites returns the number of sites (the paper's k).
 	Sites() int

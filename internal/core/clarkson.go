@@ -21,7 +21,7 @@
 // suffice, and each iteration succeeds with probability ≥ 2/3
 // (Claim 3.2).
 //
-// # One loop, three substrates
+// # One loop, four substrates
 //
 // This package holds the algorithm once. NewParams computes a run's
 // parameters — r, the multiplier n^{1/r}, ε, the net size m, whether
@@ -34,15 +34,17 @@
 //   - on the k sites of the coordinator model (internal/coordinator):
 //     one metered round per Test and per Sample over a comm.Transport;
 //   - on the machines of the MPC model (internal/mpc): the same steps
-//     routed through an n^δ-ary tree.
+//     routed through an n^δ-ary tree;
+//   - in the multi-pass streaming model (internal/stream): one pass
+//     per Test.
 //
 // Sites and machines hold their constraints, so they keep one weight
-// exponent per constraint (lptype.SiteWeights). The streaming model
-// (internal/stream) cannot: it recomputes every weight from the stored
-// bases of successful iterations on each pass (§3.2), and it draws the
-// next net in the same pass that tests the pending basis, before the
-// iteration's success is known. So it keeps its own pass-driven loop,
-// but reads the same Params and Params.Success.
+// exponent per constraint (lptype.SiteWeights). The stream cannot: it
+// recomputes every weight from the stored bases of successful
+// iterations on each pass (§3.2), and it draws the next net in the pass
+// that tests the pending basis, before the iteration's success is
+// known; its Sample only settles that draw. The success rule, the
+// Monte-Carlo abort and the iteration budget are Run's alone.
 package core
 
 import (

@@ -7,8 +7,8 @@ import (
 )
 
 // Params are one run's parameters of Algorithm 1. NewParams is the one
-// place they are computed: the substrates Run drives and the streaming
-// driver all read them from here.
+// place they are computed: every substrate Run drives reads them from
+// here.
 type Params struct {
 	R          int     // the effective trade-off parameter r
 	Mult       float64 // the weight multiplier n^{1/r}
@@ -73,8 +73,11 @@ func netSize(eps float64, lambda, n, nu int, opt Options) float64 {
 }
 
 // Substrate is where one run's constraints and weights live: one
-// in-memory slice (Solve), the sites of the coordinator model, or the
-// machines of the MPC model. Each substrate keeps its own meter.
+// in-memory slice (Solve), the sites of the coordinator model, the
+// machines of the MPC model, or a re-scannable stream. Each substrate
+// keeps its own meter. A substrate may draw during Test: the stream
+// draws the next net in the pass that tests the pending basis, and
+// Sample settles that draw.
 type Substrate[C, B any] interface {
 	// Test reports the total weight w(S) and, for a non-nil pending
 	// basis, the weight w(V) and number of its violators, remembering

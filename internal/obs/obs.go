@@ -20,10 +20,12 @@
 // exist (the conformance suite pins bit-identical solutions and
 // metered bytes with tracing on).
 //
-// Traces are recorded concurrently (coordinator rounds may fan out
-// per-site work under Options.Parallel); all mutation is
-// mutex-guarded. Rendering (Data) produces a plain JSON-marshalable
-// snapshot.
+// A Trace is safe for concurrent use: every mutation and Data's
+// snapshot take its mutex, so spans may be recorded from several
+// goroutines, or a trace rendered while another goroutine still writes
+// it, without the caller coordinating. Each solve records from one
+// goroutine today, so the lock is uncontended. Rendering (Data)
+// produces a plain JSON-marshalable snapshot.
 package obs
 
 import (

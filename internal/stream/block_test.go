@@ -13,15 +13,15 @@ import (
 	"lowdimlp/internal/sampling"
 )
 
-// blockSink is what fanPass feeds: a solver, or rowOnly's per-row
+// blockSink is what fanPass feeds: a scanner, or rowOnly's per-row
 // drive of one.
 type blockSink interface {
-	RowBlock(rows []dataset.Row)
+	rowBlock(rows []dataset.Row)
 }
 
 // fanPass reads the cursor once and hands every batch to every sink,
-// in order — a multi-consumer scan kept as a test drive: a solver fed
-// this way must end up exactly where scanning alone would leave it.
+// in order — a test drive of the per-block hot path, which a scanner
+// fed this way must run exactly as its own scan would.
 func fanPass(cur dataset.Cursor, batch []dataset.Row, sinks ...blockSink) error {
 	if err := cur.Reset(); err != nil {
 		return err
@@ -32,21 +32,21 @@ func fanPass(cur dataset.Cursor, batch []dataset.Row, sinks ...blockSink) error 
 			return err
 		}
 		for _, s := range sinks {
-			s.RowBlock(batch[:nr])
+			s.rowBlock(batch[:nr])
 		}
 	}
 }
 
-// rowOnly feeds a solver one row at a time (single-row blocks) — with
-// a solver built by mkRowLoopSolver, the per-row reference drive for
+// rowOnly feeds a scanner one row at a time (single-row blocks) — with
+// a scanner built by mkRowLoopSolver, the per-row reference drive for
 // the block conformance tests below.
 type rowOnly struct {
-	s *DatasetSolver[meb.Point, meb.Basis]
+	s *scanner[meb.Point, meb.Basis]
 }
 
-func (r rowOnly) RowBlock(rows []dataset.Row) {
+func (r rowOnly) rowBlock(rows []dataset.Row) {
 	for i := range rows {
-		r.s.RowBlock(rows[i : i+1])
+		r.s.rowBlock(rows[i : i+1])
 	}
 }
 
@@ -63,35 +63,37 @@ func (d mebRowLoop) ViolatesRow(b meb.Basis, row []float64) bool {
 }
 
 // mkRowLoopSolver is mkFusedSolver over mebRowLoop: every violation
-// test of the solver goes through the domain's per-row ViolatesRow.
-func mkRowLoopSolver(st *dataset.Store, pending meb.Basis, seed uint64) *DatasetSolver[meb.Point, meb.Basis] {
+// test of the scanner goes through the domain's per-row ViolatesRow.
+func mkRowLoopSolver(st *dataset.Store, pending meb.Basis, seed uint64) *scanner[meb.Point, meb.Basis] {
 	ra := lptype.NewRowAccess[meb.Point, meb.Basis](mebRowLoop{meb.NewDomain(st.Width())},
 		func(row []float64) meb.Point { return meb.Point(row) })
 	return newFusedSolver(ra, st, pending, seed)
 }
 
 // mkFusedSolver is newFusedSolver over meb's block kernels.
-func mkFusedSolver(st *dataset.Store, pending meb.Basis, seed uint64) *DatasetSolver[meb.Point, meb.Basis] {
+func mkFusedSolver(st *dataset.Store, pending meb.Basis, seed uint64) *scanner[meb.Point, meb.Basis] {
 	return newFusedSolver(mebAccess(st.Width()), st, pending, seed)
 }
 
-// newFusedSolver hand-builds a solver over ra mid-fused-phase — the
-// state BeginPass leaves it in during a real solve — shared by the
-// block conformance and allocation tests.
-func newFusedSolver(ra lptype.RowAccess[meb.Point, meb.Basis], st *dataset.Store, pending meb.Basis, seed uint64) *DatasetSolver[meb.Point, meb.Basis] {
+// newFusedSolver hand-builds a scanner over ra mid-run, with pending
+// stored as its one basis and a fused pass testing it armed — the state
+// begin leaves it in during a real solve — shared by the block
+// conformance and allocation tests.
+func newFusedSolver(ra lptype.RowAccess[meb.Point, meb.Basis], st *dataset.Store, pending meb.Basis, seed uint64) *scanner[meb.Point, meb.Basis] {
 	n, d := st.Rows(), st.Width()
 	mult := math.Pow(float64(n), 0.5)
 	const m = 32
 	rng := numeric.NewRand(seed, 0x57124)
-	s := &DatasetSolver[meb.Point, meb.Basis]{
-		ra: ra, dom: meb.NewDomain(d), n: n, width: d,
+	s := &scanner[meb.Point, meb.Basis]{
+		ra: ra, n: n, width: d,
 		p:       core.Params{R: 2, Mult: mult, Eps: 1 / (40 * mult), M: m, MaxIters: 100},
 		rng:     rng,
+		cur:     st.NewCursor(),
+		batch:   make([]dataset.Row, dataset.DefaultBatchRows),
 		net:     sampling.NewKnownTotal(m, d, rng),
 		viol:    sampling.NewRowReservoir(m, d, rng),
 		lastRow: make([]float64, 0, d),
-		phase:   solverFused,
-		bases:   []meb.Basis{pending}, pending: pending,
+		bases:   []meb.Basis{pending},
 	}
 	// The total a real solve would carry over from the previous pass:
 	// the same Kahan sum the armed pass is about to form.
@@ -104,8 +106,24 @@ func newFusedSolver(ra lptype.RowAccess[meb.Point, meb.Basis], st *dataset.Store
 		total.Add(lptype.PowWeight(mult, e))
 	}
 	s.nextTotal = total.Sum()
-	s.BeginPass()
+	s.begin(&pending)
 	return s
+}
+
+// nextBasis settles a scanned pass the way core.Run would after it —
+// Sample with the iteration's success, then the net's solve — and
+// returns the next pending basis.
+func nextBasis(t *testing.T, s *scanner[meb.Point, meb.Basis]) meb.Basis {
+	t.Helper()
+	net := make([]meb.Point, s.p.M)
+	if err := s.Sample(s.p.Success(s.wTotal.Sum(), s.wViol.Sum()), net); err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.ra.Domain().Solve(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestBlockScanMatchesRowScan is the stream-level conformance pin for
@@ -113,7 +131,7 @@ func newFusedSolver(ra lptype.RowAccess[meb.Point, meb.Basis], st *dataset.Store
 // the kernels (arbitrary, irregular block boundaries) must be bit-
 // identical to the same pass driven row by row through the per-row
 // violation test — same Kahan sums, same RNG consumption, same next
-// basis out of EndPass.
+// basis out of Sample and the net's solve.
 func TestBlockScanMatchesRowScan(t *testing.T) {
 	const n, d = 4096, 3
 	st := cloud(n, d, 23)
@@ -132,7 +150,7 @@ func TestBlockScanMatchesRowScan(t *testing.T) {
 
 	d3, rowloop := kernel.Blocks(kernel.ClassD3), kernel.Blocks(kernel.ClassRowLoop)
 	for i := 0; i < n; i++ {
-		rowS.RowBlock([]dataset.Row{st.Row(i)})
+		rowS.rowBlock([]dataset.Row{st.Row(i)})
 	}
 	if kernel.Blocks(kernel.ClassD3) != d3 || kernel.Blocks(kernel.ClassRowLoop) == rowloop {
 		t.Fatal("the per-row reference drive ran through a block kernel")
@@ -146,7 +164,7 @@ func TestBlockScanMatchesRowScan(t *testing.T) {
 		for i := lo; i < lo+sz; i++ {
 			rows = append(rows, st.Row(i))
 		}
-		blkS.RowBlock(rows)
+		blkS.rowBlock(rows)
 		lo += sz
 	}
 	if kernel.Blocks(kernel.ClassD3) == d3 {
@@ -163,21 +181,16 @@ func TestBlockScanMatchesRowScan(t *testing.T) {
 	if rowS.stats.ItemsScanned != blkS.stats.ItemsScanned {
 		t.Fatalf("items scanned %d vs %d", rowS.stats.ItemsScanned, blkS.stats.ItemsScanned)
 	}
-	if err := rowS.EndPass(); err != nil {
-		t.Fatal(err)
-	}
-	if err := blkS.EndPass(); err != nil {
-		t.Fatal(err)
-	}
 	// The next pending basis is solved from the reservoir samples, so
 	// equality here certifies identical RNG consumption and identical
 	// accepted slots — the strongest downstream observable of a pass.
-	if rowS.pending.B.R2 != blkS.pending.B.R2 {
-		t.Fatalf("next basis radius² %v (row) vs %v (block)", rowS.pending.B.R2, blkS.pending.B.R2)
+	rowB, blkB := nextBasis(t, rowS), nextBasis(t, blkS)
+	if rowB.B.R2 != blkB.B.R2 {
+		t.Fatalf("next basis radius² %v (row) vs %v (block)", rowB.B.R2, blkB.B.R2)
 	}
-	for i := range rowS.pending.B.Center {
-		if rowS.pending.B.Center[i] != blkS.pending.B.Center[i] {
-			t.Fatalf("next basis center[%d] %v vs %v", i, rowS.pending.B.Center[i], blkS.pending.B.Center[i])
+	for i := range rowB.B.Center {
+		if rowB.B.Center[i] != blkB.B.Center[i] {
+			t.Fatalf("next basis center[%d] %v vs %v", i, rowB.B.Center[i], blkB.B.Center[i])
 		}
 	}
 }
@@ -215,11 +228,10 @@ func TestSharedBlockScanMatchesRowOnly(t *testing.T) {
 }
 
 // TestBlockPassAllocations is the allocation-regression guard for the
-// block-kernel hot path: a pass driving block-capable fused solvers
-// must allocate nothing per block at steady state (the scratch
-// buffers are sized on first use and reused), and every block must be
-// recorded by the kernel counters under the dimension-specialized
-// class.
+// block-kernel hot path: blocks fed to a block-capable fused scanner
+// must allocate nothing per block at steady state (the scratch buffers
+// are sized on first use and reused), and every block must be recorded
+// by the kernel counters under the dimension-specialized class.
 func TestBlockPassAllocations(t *testing.T) {
 	const n, d, batchSize = 4096, 3, 256
 	st := cloud(n, d, 17)
@@ -232,22 +244,19 @@ func TestBlockPassAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sinks := []blockSink{
-		mkFusedSolver(st, pending, 5), mkFusedSolver(st, pending, 6),
-		mkFusedSolver(st, pending, 7), mkFusedSolver(st, pending, 8),
-	}
+	s := mkFusedSolver(st, pending, 5)
 	cur := st.NewCursor()
 	batch := make([]dataset.Row, batchSize)
 
 	blocksBefore := kernel.Blocks(kernel.ClassD3)
 	rowsBefore := kernel.Rows()
 	allocs := testing.AllocsPerRun(10, func() {
-		if err := fanPass(cur, batch, sinks...); err != nil {
+		if err := fanPass(cur, batch, s); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 0 {
-		t.Fatalf("block pass: %.1f allocs for %d rows × %d solvers (want 0)", allocs, n, len(sinks))
+		t.Fatalf("block pass: %.1f allocs for %d rows in %d-row blocks (want 0)", allocs, n, batchSize)
 	}
 	if kernel.Blocks(kernel.ClassD3) <= blocksBefore {
 		t.Fatal("d3 kernel block counter did not advance")
@@ -255,5 +264,5 @@ func TestBlockPassAllocations(t *testing.T) {
 	if kernel.Rows() <= rowsBefore {
 		t.Fatal("kernel row counter did not advance")
 	}
-	t.Logf("block pass over %d rows × %d solvers: %.1f allocs", n, len(sinks), allocs)
+	t.Logf("block pass over %d rows in %d-row blocks: %.1f allocs", n, batchSize, allocs)
 }

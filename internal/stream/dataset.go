@@ -1,13 +1,13 @@
 package stream
 
 import (
+	"lowdimlp/internal/core"
 	"lowdimlp/internal/dataset"
 	"lowdimlp/internal/lptype"
 )
 
 // SolveDataset runs the streaming version of Algorithm 1 (Theorem 1)
-// over a columnar dataset source — the pull loop of the one streaming
-// driver.
+// over a columnar dataset source: core.Run over the scanner substrate.
 //
 // The scan reads rows in reusable batches straight off the source (an
 // in-memory arena, a block-streamed file, or a typed stream encoded on
@@ -19,35 +19,25 @@ import (
 // Its results are pinned bit-identical to the typed per-item reference
 // loop the package tests keep (ref_test.go).
 func SolveDataset[C, B any](ra lptype.RowAccess[C, B], src dataset.Source, opt Options) (B, Stats, error) {
-	s := NewDatasetSolver(ra, src.Rows(), src.Width(), opt)
-	cur := src.NewCursor()
-	defer dataset.CloseCursor(cur)
-	batch := make([]dataset.Row, dataset.DefaultBatchRows)
-	for !s.Done() {
-		s.BeginPass()
-		if err := s.scan(cur, batch); err != nil {
-			var zero B
-			return zero, s.stats, err
-		}
-		if s.EndPass() != nil {
-			break
-		}
+	dom := ra.Domain()
+	n := src.Rows()
+	if n == 0 {
+		b, err := dom.Solve(nil)
+		return b, Stats{}, err
 	}
-	return s.Result()
-}
-
-// scan is one pass's read: the cursor rewound, then every batch, in
-// source order, through RowBlock. The caller owns cursor and buffer, so
-// a pass allocates nothing (TestFusedPassAllocations pins 0).
-func (s *DatasetSolver[C, B]) scan(cur dataset.Cursor, batch []dataset.Row) error {
-	if err := cur.Reset(); err != nil {
-		return err
+	p := core.NewParams(n, dom.CombinatorialDim(), dom.VCDim(), opt.Core)
+	s := newScanner(ra, src, p, opt)
+	defer dataset.CloseCursor(s.cur)
+	b, c, err := core.Run(p, s, dom.Solve)
+	stats := s.stats
+	stats.N, stats.R, stats.NetSize = n, p.R, p.M
+	stats.DirectSolve = p.Direct && c.Solves > 0
+	if !p.Direct {
+		// A net that solves is always tested next, so the nets solved
+		// are the Tests after pass 0 (c.Solves also counts a solve
+		// that failed).
+		stats.Iterations = c.Tests - 1
 	}
-	for {
-		nr, err := cur.Next(batch)
-		if err != nil || nr == 0 {
-			return err
-		}
-		s.RowBlock(batch[:nr])
-	}
+	stats.Successes, stats.Failures = c.Successes, c.Failures
+	return b, stats, err
 }

@@ -72,20 +72,12 @@ func TestSolveDatasetMatchesSlice(t *testing.T) {
 		t.Fatalf("stats drift: %+v vs %+v", wantStats, gotStats)
 	}
 	// Batch size must not change anything (it only affects cursor
-	// mechanics, never arithmetic or RNG order): SolveDataset's loop
+	// mechanics, never arithmetic or RNG order): SolveDataset's run
 	// again, over a 7-row buffer.
-	s := NewDatasetSolver(mebAccess(d), st.Rows(), st.Width(), opt)
-	cur := st.NewCursor()
-	defer dataset.CloseCursor(cur)
-	batch := make([]dataset.Row, 7)
-	for !s.Done() {
-		s.BeginPass()
-		if err := s.scan(cur, batch); err != nil {
-			t.Fatal(err)
-		}
-		s.EndPass() // terminal errors surface via Result
-	}
-	got2, _, err := s.Result()
+	p := core.NewParams(n, dom.CombinatorialDim(), dom.VCDim(), opt.Core)
+	s := newScanner(mebAccess(d), st, p, opt)
+	s.batch = s.batch[:7]
+	got2, _, err := core.Run(p, s, dom.Solve)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,9 +112,9 @@ func TestEmptyPassIsErrEmptyStream(t *testing.T) {
 }
 
 // TestFusedPassAllocations is the allocation-regression guard for the
-// streaming hot path: one fused pass over n constraints, read the way
-// SolveDataset reads it (scan: caller-owned cursor and batch buffer),
-// must allocate nothing.
+// streaming hot path: one fused pass over n constraints, a Test the way
+// core.Run calls it (the scanner's own cursor and batch buffer), must
+// allocate nothing.
 func TestFusedPassAllocations(t *testing.T) {
 	const n, d, batchSize = 4096, 3, 256
 	st := cloud(n, d, 17)
@@ -135,11 +127,10 @@ func TestFusedPassAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := mkFusedSolver(st, pending, 5)
-	cur := st.NewCursor()
-	batch := make([]dataset.Row, batchSize)
+	s.batch = make([]dataset.Row, batchSize)
 
 	allocs := testing.AllocsPerRun(10, func() {
-		if err := s.scan(cur, batch); err != nil {
+		if _, _, _, err := s.Test(&pending); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -147,87 +138,4 @@ func TestFusedPassAllocations(t *testing.T) {
 		t.Fatalf("fused pass: %.1f allocs for %d rows (want 0)", allocs, n)
 	}
 	t.Logf("fused pass over %d rows: %.1f allocs", n, allocs)
-}
-
-// TestSharedScanMatchesSolo pins that a solver's outcome depends only
-// on the rows it is fed, in order — not on who else reads them: k
-// solvers with distinct seeds fed from one cursor (fanPass) return
-// bit-identical bases and identical stats to k solo SolveDataset runs.
-func TestSharedScanMatchesSolo(t *testing.T) {
-	const n, d, k = 3000, 3, 6
-	st := cloud(n, d, 42)
-	opts := make([]Options, k)
-	for i := range opts {
-		opts[i] = Options{Core: coreOpt(4, uint64(100+i))} // r=4 → genuinely fused, multi-pass
-	}
-
-	type solo struct {
-		b  meb.Basis
-		st Stats
-	}
-	want := make([]solo, k)
-	for i, opt := range opts {
-		b, stats, err := SolveDataset(mebAccess(d), st, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.DirectSolve {
-			t.Fatalf("solo %d direct-solved (n ≤ 2m+1) — workload too small to exercise the fused path", i)
-		}
-		want[i] = solo{b, stats}
-	}
-
-	solvers := make([]*DatasetSolver[meb.Point, meb.Basis], k)
-	for i, opt := range opts {
-		solvers[i] = NewDatasetSolver(mebAccess(d), st.Rows(), st.Width(), opt)
-	}
-	cur := st.NewCursor()
-	defer dataset.CloseCursor(cur)
-	batch := make([]dataset.Row, dataset.DefaultBatchRows)
-	var sharedPasses int
-	for {
-		var sinks []blockSink
-		for _, s := range solvers {
-			if !s.Done() {
-				s.BeginPass()
-				sinks = append(sinks, s)
-			}
-		}
-		if len(sinks) == 0 {
-			break
-		}
-		if err := fanPass(cur, batch, sinks...); err != nil {
-			t.Fatal(err)
-		}
-		sharedPasses++
-		for _, s := range sinks {
-			s.(*DatasetSolver[meb.Point, meb.Basis]).EndPass()
-		}
-	}
-
-	maxPasses := 0
-	for i, s := range solvers {
-		b, stats, err := s.Result()
-		if err != nil {
-			t.Fatalf("solver %d: %v", i, err)
-		}
-		if b.B.R2 != want[i].b.B.R2 {
-			t.Fatalf("solver %d radius² %v (shared) vs %v (solo)", i, b.B.R2, want[i].b.B.R2)
-		}
-		for j := range want[i].b.B.Center {
-			if b.B.Center[j] != want[i].b.B.Center[j] {
-				t.Fatalf("solver %d center[%d] %v vs %v", i, j, b.B.Center[j], want[i].b.B.Center[j])
-			}
-		}
-		if stats != want[i].st {
-			t.Fatalf("solver %d stats drift: %+v vs %+v", i, stats, want[i].st)
-		}
-		if stats.Passes > maxPasses {
-			maxPasses = stats.Passes
-		}
-	}
-	// Every solver finished within its own solo pass count.
-	if sharedPasses != maxPasses {
-		t.Fatalf("shared scan used %d passes, want max(per-solver)=%d", sharedPasses, maxPasses)
-	}
 }

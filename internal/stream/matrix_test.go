@@ -17,11 +17,12 @@ import (
 // TestSolverMatchesTypedReference is the differential pin of the one
 // streaming driver: for every kind × r × solver seed × input shape, a
 // typed stream solved through stream.Solve (row adapter → SolveDataset
-// → DatasetSolver, block kernels) must equal the typed per-item
-// reference loop (solveRef, ref_test.go) — the rendered basis bit for
-// bit, Stats by ==, errors by errors.Is — and every non-direct solve
-// must spend exactly Iterations+1 passes (one pass per iteration: what
-// the deleted unfused ablation used to be contrasted with).
+// → core.Run over the stream substrate, block kernels) must equal the
+// typed per-item reference loop (solveRef, ref_test.go) — the rendered
+// basis bit for bit, Stats by ==, errors by errors.Is — and every
+// non-direct solve must spend exactly Iterations+1 passes (one pass per
+// iteration: what the deleted unfused ablation used to be contrasted
+// with).
 //
 // The net constant is well below the library default so that small
 // instances stay iterative at r = 2 as well as 3 (n > 2m+1), iterations

@@ -17,8 +17,8 @@ import (
 
 // TestSuccessNetDistribution checks the mixture on a hand-built pass:
 // with one stored basis (so the scanned weights w are not all 1) and a
-// pending basis that some rows violate, the net a successful EndPass
-// solves from must be drawn ∝ w·mult^[violates pending] — χ² over all
+// pending basis that some rows violate, the net a successful Sample
+// settles must be drawn ∝ w·mult^[violates pending] — χ² over all
 // rows, many solver seeds.
 func TestSuccessNetDistribution(t *testing.T) {
 	const n, d, trials = 200, 2, 2000
@@ -70,13 +70,14 @@ func TestSuccessNetDistribution(t *testing.T) {
 		s.bases = []meb.Basis{stored}
 		s.p.Eps = 1 // every iteration succeeds
 		s.nextTotal = scanned.Sum()
-		s.BeginPass()
-		s.RowBlock(rows)
-		if err := s.EndPass(); err != nil {
+		s.begin(&pending)
+		s.rowBlock(rows)
+		success := s.p.Success(s.wTotal.Sum(), s.wViol.Sum())
+		if err := s.Sample(success, make([]meb.Point, s.p.M)); err != nil {
 			t.Fatal(err)
 		}
-		if s.stats.Successes != 1 || s.nextTotal != wantTotal.Sum() {
-			t.Fatalf("successes %d, next total %v (want 1, %v)", s.stats.Successes, s.nextTotal, wantTotal.Sum())
+		if !success || s.nextTotal != wantTotal.Sum() {
+			t.Fatalf("success %v, next total %v (want true, %v)", success, s.nextTotal, wantTotal.Sum())
 		}
 		m = s.p.M
 		for k := 0; k < m; k++ {
@@ -129,32 +130,32 @@ func TestNetArenaReuse(t *testing.T) {
 	}
 	reused, kept := false, 0
 	for seed := uint64(1); seed <= 8; seed++ {
-		s := NewDatasetSolver(ra, n, d+1, Options{Core: core.Options{R: 3, Seed: seed, NetConst: 0.5}})
-		cur := store.NewCursor()
-		batch := make([]dataset.Row, dataset.DefaultBatchRows)
-		for !s.Done() {
-			s.BeginPass()
-			if err := s.scan(cur, batch); err != nil {
-				t.Fatal(err)
-			}
-			arena := s.netArena
-			if err := s.EndPass(); err != nil {
-				t.Fatal(err)
-			}
-			if !s.Done() && arena != nil && s.netArena != nil && &arena[0] == &s.netArena[0] {
+		opt := Options{Core: core.Options{R: 3, Seed: seed, NetConst: 0.5}}
+		dom := ra.Domain()
+		p := core.NewParams(n, dom.CombinatorialDim(), dom.VCDim(), opt.Core)
+		s := newScanner(ra, store, p, opt)
+		var arena *float64
+		// Sample has just decoded the net into the arena when Run solves it.
+		solve := func(net []lp.Halfspace) (lp.Basis, error) {
+			if arena != nil && &s.netArena[0] == arena {
 				reused = true
 			}
-			genuine("pending", s.pending)
+			arena = &s.netArena[0]
 			for i, b := range s.bases {
 				genuine(fmt.Sprintf("stored basis %d", i), b)
 			}
+			b, err := dom.Solve(net)
+			if err == nil {
+				genuine("pending", b)
+			}
+			return b, err
 		}
-		b, stats, err := s.Result()
+		b, c, err := core.Run(p, s, solve)
 		if err != nil {
 			t.Fatal(err)
 		}
 		genuine("result", b)
-		kept += stats.Successes
+		kept += c.Successes
 	}
 	if !reused || kept == 0 {
 		t.Fatalf("arena reused: %v, bases stored: %d — the workload exercises nothing", reused, kept)

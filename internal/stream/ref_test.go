@@ -10,14 +10,14 @@ import (
 	"lowdimlp/internal/sampling"
 )
 
-// solveRef is the typed twin of DatasetSolver: the same algorithm and
+// solveRef is the typed twin of SolveDataset: the same algorithm and
 // the same draw order — one RNG stream; per item, the violator's
 // reservoir offer and then the sample points its weight interval
 // holds; the mixture coins after a successful pass — written
 // independently over a typed Stream[C]: per-item dom.Violates,
 // math.Pow for every weight, a typed violator reservoir, and its own
 // sorted-point sampler (refSampler). No rows, no blocks, no kernels,
-// and no code shared with DatasetSolver or sampling.KnownTotal, which
+// and no code shared with the driver or sampling.KnownTotal, which
 // is what makes TestSolverMatchesTypedReference an independent check.
 // n is the number of items; n ≤ 0 counts them with one extra pass.
 func solveRef[C, B any](dom lptype.Domain[C, B], st Stream[C], n int, opt Options) (B, Stats, error) {

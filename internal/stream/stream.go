@@ -51,18 +51,14 @@
 //
 // # One driver
 //
-// DatasetSolver is the algorithm — a pass-at-a-time state machine over
-// flat wire rows, fed whole cursor batches so the violation tests run
-// through the domains' block kernels — and SolveDataset is its pull
-// loop over any dataset.Source. Typed streams (Stream[C]) are served
-// by the same driver: Solve adapts the stream to a Source whose cursor
-// encodes the items into rows on every pass.
-//
-// The pass that tests a basis also draws the next net, before the
-// iteration's success is known, so this driver cannot be one of
-// core.Run's substrates. It reads the same parameters (core.NewParams)
-// and the same success rule (core.Params.Success), and keeps the same
-// iteration budget: at most MaxIters nets are solved, each tested.
+// SolveDataset runs core.Run, Algorithm 1's one loop, over this
+// package's substrate: Test is one pass over flat wire rows, fed whole
+// cursor batches so the violation tests run through the domains' block
+// kernels, and Sample settles the net that pass drew. The success rule,
+// the Monte-Carlo abort and the iteration budget (at most MaxIters nets
+// solved, each tested) are core.Run's. Typed streams (Stream[C]) are
+// served by the same driver: Solve adapts the stream to a Source whose
+// cursor encodes the items into rows on every pass.
 package stream
 
 import (
@@ -165,8 +161,9 @@ func (s Stats) String() string {
 		s.N, s.R, s.Passes, s.NetSize, s.StoredBases, s.PeakSpaceBits, s.Iterations)
 }
 
-// ErrEmptyStream is returned when the stream has no items and the
-// domain cannot solve the empty set.
+// ErrEmptyStream reports a pass that yielded no row although the source
+// reported n > 0 rows, so no net could be drawn from it. (A source of
+// n = 0 rows returns the domain's own solve of the empty set.)
 var ErrEmptyStream = errors.New("stream: empty stream")
 
 // ErrStreamLength reports a pass over a typed stream that yielded a
