@@ -73,21 +73,14 @@ type Options struct {
 	Trace *obs.Trace
 }
 
-// Stats reports the resources of a coordinator-model run — the
-// quantities Theorem 2 bounds.
+// Stats reports a coordinator-model run: Algorithm 1's counts and the
+// resources Theorem 2 bounds, rounds and communication.
 type Stats struct {
-	N, K, R   int
+	core.RunStats
+	K         int
 	Rounds    int
 	TotalBits int64
 	Messages  int64
-	NetSize   int
-	// Iterations counts round-A weight reports, the bootstrap report
-	// included: a run that ends on a basis without violators solved
-	// Iterations−1 nets.
-	Iterations  int
-	Successes   int
-	Failures    int
-	DirectSolve bool // ship-all path for inputs of at most 2m+1 rows
 	// Retries counts full protocol restarts after a mid-solve site
 	// failure (the elastic-fleet driver). Rounds/TotalBits/Messages
 	// include the failed attempts' traffic — retries are metered
@@ -157,13 +150,12 @@ func SolveTransport[C, B any](
 	for i := 0; i < k; i++ {
 		n += tr.SiteRows(i)
 	}
-	stats := Stats{N: n, K: k}
+	stats := Stats{K: k}
 	if n == 0 {
 		b, err := dom.Solve(nil)
 		return b, stats, err
 	}
 	p := core.NewParams(n, dom.CombinatorialDim(), dom.VCDim(), opt.Core)
-	stats.R, stats.NetSize = p.R, p.M
 
 	// Session setup (control plane: seeds and the multiplier are
 	// public run parameters, not protocol communication).
@@ -181,7 +173,7 @@ func SolveTransport[C, B any](
 		total: make([]float64, k), viol: make([]float64, k), count: make([]int, k),
 		upd: make([]float64, k), off: make([]int, k+1),
 	}
-	b, c, err := core.Run(p, st, func(net []C) (B, error) {
+	b, rs, err := core.Run(p, st, func(net []C) (B, error) {
 		sp := trace.Start("merge")
 		b, err := dom.Solve(net)
 		if err != nil {
@@ -191,9 +183,8 @@ func SolveTransport[C, B any](
 		}
 		return b, err
 	})
+	stats.RunStats = rs
 	stats.Rounds, stats.TotalBits, stats.Messages = st.meter.Rounds(), st.meter.TotalBits(), st.meter.Messages()
-	stats.Iterations, stats.Successes, stats.Failures = c.Tests, c.Successes, c.Failures
-	stats.DirectSolve = p.Direct && c.Solves > 0
 	return b, stats, err
 }
 

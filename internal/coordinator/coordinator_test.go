@@ -113,7 +113,7 @@ func TestCoordinatorLPMatchesDirect(t *testing.T) {
 
 func TestCoordinatorRoundBound(t *testing.T) {
 	// Theorem 2: O(ν·r) rounds; our protocol spends exactly two rounds
-	// per iteration.
+	// per net solved, plus the round that tests the last one.
 	d := 3
 	p, cons := sphereLP(d, 50000, 17)
 	dom := lp.NewDomain(p, 3)
@@ -126,8 +126,8 @@ func TestCoordinatorRoundBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.Rounds > 2*stats.Iterations {
-			t.Errorf("r=%d: rounds %d > 2·iterations %d", r, stats.Rounds, stats.Iterations)
+		if stats.Rounds != 2*stats.Iterations+1 {
+			t.Errorf("r=%d: rounds %d, want 2·iterations+1 = %d", r, stats.Rounds, 2*stats.Iterations+1)
 		}
 		if stats.Rounds > 6*nu*r+2 {
 			t.Errorf("r=%d: %d rounds exceed the O(ν·r) shape", r, stats.Rounds)

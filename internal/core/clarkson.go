@@ -44,7 +44,8 @@
 // iterations on each pass (§3.2), and it draws the next net in the pass
 // that tests the pending basis, before the iteration's success is
 // known; its Sample only settles that draw. The success rule, the
-// Monte-Carlo abort and the iteration budget are Run's alone.
+// Monte-Carlo abort and the iteration budget are Run's alone, and so is
+// RunStats, the counts of a run that every backend's Stats embeds.
 package core
 
 import (
@@ -131,19 +132,14 @@ type IterRecord struct {
 	TotalWeight float64
 }
 
-// Stats reports how a run of the meta-algorithm went. The experiment
-// harness uses it to reproduce the iteration-count and success-rate
-// claims (Claims 3.2–3.5, Lemma 3.3).
+// Stats reports how a run of the meta-algorithm went: Algorithm 1's
+// counts, plus what only the in-memory run with explicit weights can
+// see. The experiment harness uses it to reproduce the iteration-count
+// and success-rate claims (Claims 3.2–3.5, Lemma 3.3).
 type Stats struct {
-	N           int     // number of constraints
-	R           int     // effective r
+	RunStats
 	Eps         float64 // ε = 1/(10·ν·n^{1/r})
-	NetSize     int     // m
-	Iterations  int     // nets sampled and solved (0 on the direct path)
-	Successes   int
-	Failures    int
-	DirectSolve bool // n ≤ 2m+1: solved in one shot without sampling
-	MaxExponent int  // largest weight exponent reached
+	MaxExponent int     // largest weight exponent reached
 	Log         []IterRecord
 }
 
@@ -155,20 +151,16 @@ func (s Stats) String() string {
 // Solve runs Algorithm 1 on the constraint set s over the given domain,
 // in memory with explicit weights.
 func Solve[C, B any](dom lptype.Domain[C, B], s []C, opt Options) (B, Stats, error) {
-	n := len(s)
-	stats := Stats{N: n}
-	if n == 0 {
+	var stats Stats
+	if len(s) == 0 {
 		b, err := dom.Solve(nil)
 		return b, stats, err
 	}
-	p := NewParams(n, dom.CombinatorialDim(), dom.VCDim(), opt)
-	stats.R, stats.Eps, stats.NetSize, stats.DirectSolve = p.R, p.Eps, p.M, p.Direct
+	p := NewParams(len(s), dom.CombinatorialDim(), dom.VCDim(), opt)
+	stats.Eps = p.Eps
 	mem := &memory[C, B]{dom: dom, s: s, p: p, opt: opt, stats: &stats}
-	b, c, err := Run(p, mem, dom.Solve)
-	if !p.Direct {
-		stats.Iterations = c.Solves
-	}
-	stats.Successes, stats.Failures = c.Successes, c.Failures
+	b, rs, err := Run(p, mem, dom.Solve)
+	stats.RunStats = rs
 	return b, stats, err
 }
 

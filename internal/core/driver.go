@@ -10,6 +10,7 @@ import (
 // place they are computed: every substrate Run drives reads them from
 // here.
 type Params struct {
+	N          int     // the number of constraints
 	R          int     // the effective trade-off parameter r
 	Mult       float64 // the weight multiplier n^{1/r}
 	Eps        float64 // ε = 1/(10·ν·n^{1/r})
@@ -39,7 +40,7 @@ func NewParams(n, nu, lambda int, opt Options) Params {
 	if maxIters <= 0 {
 		maxIters = 60*nu*r + 60
 	}
-	p := Params{R: r, Mult: mult, Eps: eps, M: n, MaxIters: maxIters, Direct: float64(n) <= 2*m+1, MonteCarlo: opt.MonteCarlo}
+	p := Params{N: n, R: r, Mult: mult, Eps: eps, M: n, MaxIters: maxIters, Direct: float64(n) <= 2*m+1, MonteCarlo: opt.MonteCarlo}
 	if !p.Direct {
 		p.M = int(m)
 	}
@@ -93,13 +94,22 @@ type Substrate[C, B any] interface {
 	All() ([]C, error)
 }
 
-// Counts report what Run did. Each front end maps them onto its own
-// Stats.
-type Counts struct {
-	Tests     int // Test calls, the bootstrap included
-	Solves    int // solve calls, the direct one included
-	Successes int
-	Failures  int
+// RunStats are Algorithm 1's counts for one run. Run fills every field,
+// with one meaning on every backend, and each backend's Stats embeds
+// the block beside its model's own resources: passes and space, rounds
+// and bits, rounds and load.
+type RunStats struct {
+	N       int // number of constraints
+	R       int // effective r
+	NetSize int // m; n on the direct path
+	// Iterations counts the sampled nets whose solve returned a basis
+	// (0 on the direct path). Run tests each one next, so a run that
+	// returns a basis has Successes + Failures = Iterations − 1: the
+	// last basis tested had no violators.
+	Iterations  int
+	Successes   int
+	Failures    int
+	DirectSolve bool // n ≤ 2m+1: the whole input went to one solve
 }
 
 // Run is Algorithm 1's loop, written once for every substrate. On the
@@ -112,15 +122,15 @@ type Counts struct {
 // after p.MaxIters solved — and tested — nets it ends with
 // ErrIterationBudget. Errors from the substrate or solve are returned
 // as they are, with the counts so far.
-func Run[C, B any](p Params, sub Substrate[C, B], solve func([]C) (B, error)) (B, Counts, error) {
+func Run[C, B any](p Params, sub Substrate[C, B], solve func([]C) (B, error)) (B, RunStats, error) {
 	var zero B
-	var c Counts
+	c := RunStats{N: p.N, R: p.R, NetSize: p.M}
 	if p.Direct {
 		all, err := sub.All()
 		if err != nil {
 			return zero, c, err
 		}
-		c.Solves++
+		c.DirectSolve = true
 		b, err := solve(all)
 		return b, c, err
 	}
@@ -128,7 +138,6 @@ func Run[C, B any](p Params, sub Substrate[C, B], solve func([]C) (B, error)) (B
 	var pending *B
 	for {
 		wS, wV, violators, err := sub.Test(pending)
-		c.Tests++
 		if err != nil {
 			return zero, c, err
 		}
@@ -145,18 +154,18 @@ func Run[C, B any](p Params, sub Substrate[C, B], solve func([]C) (B, error)) (B
 					return zero, c, ErrRoundFailed
 				}
 			}
-			if c.Solves >= p.MaxIters {
+			if c.Iterations >= p.MaxIters {
 				return zero, c, ErrIterationBudget
 			}
 		}
 		if err := sub.Sample(success, net); err != nil {
 			return zero, c, err
 		}
-		c.Solves++
 		b, err := solve(net)
 		if err != nil {
 			return zero, c, err
 		}
+		c.Iterations++
 		pending = &b
 	}
 }

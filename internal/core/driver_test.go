@@ -70,6 +70,8 @@ func (f *fakeSubstrate) solve(net []int) (int, error) {
 // ε·w(S) boundary, failure, Monte-Carlo exit) and the budget — at most
 // MaxIters nets solved, each tested — plus errors returned unwrapped
 // with the counts so far, and the direct path's one All and no Sample.
+// Iterations counts the nets whose solve returned a basis; DirectSolve
+// is set once the direct solve is called.
 func TestRunContract(t *testing.T) {
 	const eps = 0.5
 	succeed := fakeReport{10, 5, 3} // w(V) = ε·w(S) exactly
@@ -82,55 +84,57 @@ func TestRunContract(t *testing.T) {
 		failAt  string
 		log     []string
 		basis   int
-		counts  Counts
+		counts  RunStats
 		err     error
 	}{
 		{name: "success at the boundary, then terminate", reports: []fakeReport{succeed, done},
 			log:   []string{"Test(nil)", "Sample(false)", "solve→b1", "Test(b1)", "Sample(true)", "solve→b2", "Test(b2)"},
-			basis: 2, counts: Counts{Tests: 3, Solves: 2, Successes: 1}},
+			basis: 2, counts: RunStats{Iterations: 2, Successes: 1}},
 		{name: "failure just above the boundary", reports: []fakeReport{fail, done},
 			log:   []string{"Test(nil)", "Sample(false)", "solve→b1", "Test(b1)", "Sample(false)", "solve→b2", "Test(b2)"},
-			basis: 2, counts: Counts{Tests: 3, Solves: 2, Failures: 1}},
+			basis: 2, counts: RunStats{Iterations: 2, Failures: 1}},
 		{name: "monte-carlo failure exits", p: Params{MonteCarlo: true}, reports: []fakeReport{fail},
 			log:    []string{"Test(nil)", "Sample(false)", "solve→b1", "Test(b1)"},
-			counts: Counts{Tests: 2, Solves: 1, Failures: 1}, err: ErrRoundFailed},
+			counts: RunStats{Iterations: 1, Failures: 1}, err: ErrRoundFailed},
 		{name: "monte-carlo success goes on", p: Params{MonteCarlo: true}, reports: []fakeReport{succeed, done},
 			log:   []string{"Test(nil)", "Sample(false)", "solve→b1", "Test(b1)", "Sample(true)", "solve→b2", "Test(b2)"},
-			basis: 2, counts: Counts{Tests: 3, Solves: 2, Successes: 1}},
+			basis: 2, counts: RunStats{Iterations: 2, Successes: 1}},
 		{name: "budget: the last net is solved and tested", p: Params{MaxIters: 2}, reports: []fakeReport{fail, done},
 			log:   []string{"Test(nil)", "Sample(false)", "solve→b1", "Test(b1)", "Sample(false)", "solve→b2", "Test(b2)"},
-			basis: 2, counts: Counts{Tests: 3, Solves: 2, Failures: 1}},
+			basis: 2, counts: RunStats{Iterations: 2, Failures: 1}},
 		{name: "budget exhausted", p: Params{MaxIters: 2}, reports: []fakeReport{fail, succeed},
 			log:    []string{"Test(nil)", "Sample(false)", "solve→b1", "Test(b1)", "Sample(false)", "solve→b2", "Test(b2)"},
-			counts: Counts{Tests: 3, Solves: 2, Successes: 1, Failures: 1}, err: ErrIterationBudget},
+			counts: RunStats{Iterations: 2, Successes: 1, Failures: 1}, err: ErrIterationBudget},
 		{name: "bootstrap Test error", failAt: "Test(nil)",
-			log: []string{"Test(nil)"}, counts: Counts{Tests: 1}, err: errFake},
+			log: []string{"Test(nil)"}, err: errFake},
 		{name: "Sample error", failAt: "Sample(false)",
-			log: []string{"Test(nil)", "Sample(false)"}, counts: Counts{Tests: 1}, err: errFake},
+			log: []string{"Test(nil)", "Sample(false)"}, err: errFake},
 		{name: "solve error", failAt: "solve→b1",
-			log: []string{"Test(nil)", "Sample(false)", "solve→b1"}, counts: Counts{Tests: 1, Solves: 1}, err: errFake},
+			log: []string{"Test(nil)", "Sample(false)", "solve→b1"}, err: errFake},
 		{name: "Test error", failAt: "Test(b1)", reports: []fakeReport{succeed},
-			log: []string{"Test(nil)", "Sample(false)", "solve→b1", "Test(b1)"}, counts: Counts{Tests: 2, Solves: 1}, err: errFake},
+			log: []string{"Test(nil)", "Sample(false)", "solve→b1", "Test(b1)"}, counts: RunStats{Iterations: 1}, err: errFake},
 		{name: "Sample error after a success", failAt: "Sample(true)", reports: []fakeReport{succeed},
 			log:    []string{"Test(nil)", "Sample(false)", "solve→b1", "Test(b1)", "Sample(true)"},
-			counts: Counts{Tests: 2, Solves: 1, Successes: 1}, err: errFake},
+			counts: RunStats{Iterations: 1, Successes: 1}, err: errFake},
 		{name: "direct", p: Params{Direct: true},
-			log: []string{"All", "solve→b1"}, basis: 1, counts: Counts{Solves: 1}},
+			log: []string{"All", "solve→b1"}, basis: 1, counts: RunStats{DirectSolve: true}},
 		{name: "direct All error", p: Params{Direct: true}, failAt: "All",
 			log: []string{"All"}, err: errFake},
 		{name: "direct solve error", p: Params{Direct: true}, failAt: "solve→b1",
-			log: []string{"All", "solve→b1"}, counts: Counts{Solves: 1}, err: errFake},
+			log: []string{"All", "solve→b1"}, counts: RunStats{DirectSolve: true}, err: errFake},
 	} {
 		p := tc.p
-		p.Eps, p.M = eps, 4
+		p.N, p.R, p.Eps, p.M = 20, 2, eps, 4
 		if p.MaxIters == 0 {
 			p.MaxIters = 10
 		}
+		want := tc.counts
+		want.N, want.R, want.NetSize = p.N, p.R, p.M
 		f := &fakeSubstrate{reports: tc.reports, failAt: tc.failAt, m: p.M}
 		b, counts, err := Run[int, int](p, f, f.solve)
-		if err != tc.err || counts != tc.counts || !slices.Equal(f.log, tc.log) || (err == nil && b != tc.basis) {
+		if err != tc.err || counts != want || !slices.Equal(f.log, tc.log) || (err == nil && b != tc.basis) {
 			t.Errorf("%s:\n got basis b%d, %+v, err %v, calls %q\nwant basis b%d, %+v, err %v, calls %q",
-				tc.name, b, counts, err, f.log, tc.basis, tc.counts, tc.err, tc.log)
+				tc.name, b, counts, err, f.log, tc.basis, want, tc.err, tc.log)
 		}
 	}
 }

@@ -18,7 +18,7 @@ func TestStatsJSONKeys(t *testing.T) {
 	want := map[string][]string{
 		engine.BackendStream:      {"DirectSolve", "Failures", "ItemsScanned", "Iterations", "N", "NetSize", "Passes", "PeakSpaceBits", "R", "StoredBases", "Successes"},
 		engine.BackendCoordinator: {"DirectSolve", "Failures", "Iterations", "K", "Messages", "N", "NetSize", "R", "Retries", "Rounds", "Successes", "TotalBits"},
-		engine.BackendMPC:         {"Delta", "Failures", "FanOut", "Iterations", "Machines", "MaxLoadBits", "N", "NetSize", "R", "Rounds", "Successes", "TotalBits"},
+		engine.BackendMPC:         {"Delta", "DirectSolve", "Failures", "FanOut", "Iterations", "Machines", "MaxLoadBits", "N", "NetSize", "R", "Rounds", "Successes", "TotalBits"},
 	}
 	m, _ := engine.Lookup("lp")
 	inst, err := m.Generate(m.Families()[0], engine.GenParams{N: 2000, D: 3, Seed: 1})

@@ -138,20 +138,17 @@ func runNetConsts(w io.Writer, cfg Config, n int) error {
 						if err != nil {
 							return fmt.Errorf("%s/%s r=%d c=%g seed %d: %w", kind, backend, r, c, s, err)
 						}
-						// Every backend's NetSize is n exactly on the direct path.
-						var size int
+						var rs core.RunStats
 						switch {
 						case st.Stream != nil:
-							x := st.Stream
-							succ, fail, steps, space, size = succ+x.Successes, fail+x.Failures, steps+x.Passes, space+x.PeakSpaceBits, x.NetSize
+							rs, steps, space = st.Stream.RunStats, steps+st.Stream.Passes, space+st.Stream.PeakSpaceBits
 						case st.Coordinator != nil:
-							x := st.Coordinator
-							succ, fail, steps, bits, size = succ+x.Successes, fail+x.Failures, steps+x.Rounds, bits+x.TotalBits, x.NetSize
+							rs, steps, bits = st.Coordinator.RunStats, steps+st.Coordinator.Rounds, bits+st.Coordinator.TotalBits
 						case st.MPC != nil:
-							x := st.MPC
-							succ, fail, steps, load, size = succ+x.Successes, fail+x.Failures, steps+x.Rounds, load+x.MaxLoadBits, x.NetSize
+							rs, steps, load = st.MPC.RunStats, steps+st.MPC.Rounds, load+st.MPC.MaxLoadBits
 						}
-						if size == n {
+						succ, fail = succ+rs.Successes, fail+rs.Failures
+						if rs.DirectSolve {
 							direct++
 						}
 					}

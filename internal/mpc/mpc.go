@@ -66,24 +66,16 @@ type Options struct {
 	Machines int
 }
 
-// Stats reports the resources of an MPC run — the quantities Theorem 3
-// bounds.
+// Stats reports an MPC run: Algorithm 1's counts and the resources
+// Theorem 3 bounds, rounds and load.
 type Stats struct {
-	N           int
+	core.RunStats
 	Machines    int
 	Delta       float64
-	R           int
 	FanOut      int
 	Rounds      int
 	MaxLoadBits int64 // max bits sent or received by any machine in any round
 	TotalBits   int64
-	NetSize     int
-	// Iterations counts weight aggregations at the root, the bootstrap
-	// one included: a run that ends on a basis without violators solved
-	// Iterations−1 nets.
-	Iterations int
-	Successes  int
-	Failures   int
 }
 
 func (s Stats) String() string {
@@ -187,7 +179,7 @@ func SolveSource[C, B any](
 	if delta <= 0 || delta >= 1 {
 		delta = 0.5
 	}
-	stats := Stats{N: n, Delta: delta}
+	stats := Stats{Delta: delta}
 	if n == 0 {
 		b, err := dom.Solve(nil)
 		return b, stats, err
@@ -214,7 +206,6 @@ func SolveSource[C, B any](
 		co.R = int(math.Ceil(1 / delta))
 	}
 	p := core.NewParams(n, dom.CombinatorialDim(), dom.VCDim(), co)
-	stats.R, stats.NetSize = p.R, p.M
 
 	stores, err := lptype.ShardSiteWeights(ra, src, k)
 	if err != nil {
@@ -238,9 +229,9 @@ func SolveSource[C, B any](
 		}
 		stores[i].Reset(p.Mult)
 	}
-	b, c, err := core.Run(p, t, dom.Solve)
+	b, rs, err := core.Run(p, t, dom.Solve)
+	stats.RunStats = rs
 	stats.Rounds, stats.MaxLoadBits, stats.TotalBits = t.nw.rounds, t.nw.maxLoad, t.nw.totalBits
-	stats.Iterations, stats.Successes, stats.Failures = c.Tests, c.Successes, c.Failures
 	return b, stats, err
 }
 

@@ -28,16 +28,7 @@ func SolveDataset[C, B any](ra lptype.RowAccess[C, B], src dataset.Source, opt O
 	p := core.NewParams(n, dom.CombinatorialDim(), dom.VCDim(), opt.Core)
 	s := newScanner(ra, src, p, opt)
 	defer dataset.CloseCursor(s.cur)
-	b, c, err := core.Run(p, s, dom.Solve)
-	stats := s.stats
-	stats.N, stats.R, stats.NetSize = n, p.R, p.M
-	stats.DirectSolve = p.Direct && c.Solves > 0
-	if !p.Direct {
-		// A net that solves is always tested next, so the nets solved
-		// are the Tests after pass 0 (c.Solves also counts a solve
-		// that failed).
-		stats.Iterations = c.Tests - 1
-	}
-	stats.Successes, stats.Failures = c.Successes, c.Failures
-	return b, stats, err
+	b, rs, err := core.Run(p, s, dom.Solve)
+	s.stats.RunStats = rs
+	return b, s.stats, err
 }

@@ -140,20 +140,14 @@ type Options struct {
 	BitsPerBasis int
 }
 
-// Stats reports the resources used by a streaming run: the quantities
-// Theorem 1 bounds.
+// Stats reports a streaming run: Algorithm 1's counts and the
+// resources Theorem 1 bounds, passes and space.
 type Stats struct {
-	N             int
-	R             int
+	core.RunStats
 	Passes        int
 	ItemsScanned  int64
-	NetSize       int
 	StoredBases   int
 	PeakSpaceBits int64 // 0 unless bit accounting enabled
-	Iterations    int   // nets solved
-	Successes     int
-	Failures      int
-	DirectSolve   bool
 }
 
 func (s Stats) String() string {

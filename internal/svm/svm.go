@@ -134,7 +134,11 @@ func minNormPoint(zs [][]float64) ([]float64, error) {
 	tol := 1e-12 * dataScale
 
 	// Wolfe's major/minor loops terminate finitely in exact
-	// arithmetic; the budget guards against float cycling.
+	// arithmetic. In floats they can stall in a deterministic
+	// no-progress loop, which the budget caps: the entering vertex is
+	// appended with weight 0, affineMinNorm declares the bordered Gram
+	// system singular, smallestWeight drops that same vertex, x does
+	// not move, and the next major step picks the vertex again.
 	budget := 64*len(zs) + 1024
 	for iter := 0; iter < budget; iter++ {
 		// Major step: most violating vertex.

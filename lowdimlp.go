@@ -101,13 +101,15 @@ func NewFuncStream[C any](n int, gen func(i int) C) Stream[C] {
 	return stream.NewFuncStream(n, gen)
 }
 
-// Stats aliases for the three models.
+// Stats aliases for the three models. Each embeds core.RunStats,
+// Algorithm 1's counts with one meaning on every model: N, R, NetSize,
+// Iterations (sampled nets solved), Successes, Failures and DirectSolve.
 type (
-	// StreamStats reports passes, net size and peak space.
+	// StreamStats adds passes, items scanned and peak space.
 	StreamStats = stream.Stats
-	// CoordinatorStats reports rounds and total communication bits.
+	// CoordinatorStats adds rounds and total communication bits.
 	CoordinatorStats = coordinator.Stats
-	// MPCStats reports rounds and maximum per-machine load bits.
+	// MPCStats adds rounds and maximum per-machine load bits.
 	MPCStats = mpc.Stats
 )
 
