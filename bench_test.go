@@ -144,33 +144,26 @@ func BenchmarkClarksonReference(b *testing.B) {
 
 func BenchmarkStreamingLPPass(b *testing.B) {
 	// Cost of one full streaming solve at n = 100k.
-	p, cons := workload.SphereLP(3, 100_000, 6)
+	inst := generate(b, "lp", "sphere", GenParams{N: 100_000, D: 3, Seed: 6})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := SolveLPStreaming(p, NewSliceStream(cons), len(cons), Options{R: 3, Seed: uint64(i)}); err != nil {
-			b.Fatal(err)
-		}
+		solve(b, "lp", "stream", inst, Options{R: 3, Seed: uint64(i)})
 	}
 }
 
 func BenchmarkCoordinatorLP(b *testing.B) {
-	p, cons := workload.SphereLP(3, 100_000, 7)
-	parts := Partition(cons, 8)
+	inst := generate(b, "lp", "sphere", GenParams{N: 100_000, D: 3, Seed: 7})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := SolveLPCoordinator(p, parts, Options{R: 3, Seed: uint64(i)}); err != nil {
-			b.Fatal(err)
-		}
+		solve(b, "lp", "coordinator", inst, Options{R: 3, Seed: uint64(i), K: 8})
 	}
 }
 
 func BenchmarkMPCLP(b *testing.B) {
-	p, cons := workload.SphereLP(3, 100_000, 8)
+	inst := generate(b, "lp", "sphere", GenParams{N: 100_000, D: 3, Seed: 8})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := SolveLPMPC(p, cons, Options{Seed: uint64(i), Delta: 0.5}); err != nil {
-			b.Fatal(err)
-		}
+		solve(b, "lp", "mpc", inst, Options{Seed: uint64(i), Delta: 0.5})
 	}
 }
 

@@ -14,30 +14,20 @@ import (
 // API only.
 
 func TestIntegrationChebyshevRegressionAcrossModels(t *testing.T) {
-	prob, cons, _ := workload.ChebyshevRegression(2, 10_000, 0.1, 55)
-	ref, err := SolveLP(prob, cons, 1)
-	if err != nil {
-		t.Fatal(err)
+	// Degree 2 (d = 4: three coefficients and the error bound t) over
+	// 10 000 samples, two constraints each.
+	inst := generate(t, "lp", "chebyshev", GenParams{N: 20_000, D: 4, Seed: 55, Noise: 0.1})
+	ref, _ := solve(t, "lp", "ram", inst, Options{Seed: 1})
+	if x, _ := ref.Vector("x"); x[len(x)-1] > 0.1+1e-9 {
+		t.Fatalf("reference fit error %v above the noise bound", x[len(x)-1])
 	}
-	if ref.X[len(ref.X)-1] > 0.1+1e-9 {
-		t.Fatalf("reference fit error %v above the noise bound", ref.X[len(ref.X)-1])
-	}
-	opt := Options{R: 3, Seed: 21}
-	s, _, err := SolveLPStreaming(prob, NewSliceStream(cons), len(cons), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, _, err := SolveLPCoordinator(prob, Partition(cons, 4), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, _, err := SolveLPMPC(prob, cons, Options{Seed: 21, Delta: 0.4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, got := range map[string]LPSolution{"stream": s, "coordinator": c, "mpc": m} {
-		if !numeric.ApproxEqualTol(got.Value, ref.Value, 1e-6) {
-			t.Errorf("%s objective %v vs reference %v", name, got.Value, ref.Value)
+	opt := Options{R: 3, Seed: 21, K: 4}
+	s, _ := solve(t, "lp", "stream", inst, opt)
+	c, _ := solve(t, "lp", "coordinator", inst, opt)
+	m, _ := solve(t, "lp", "mpc", inst, Options{Seed: 21, Delta: 0.4})
+	for name, got := range map[string]Solution{"stream": s, "coordinator": c, "mpc": m} {
+		if !numeric.ApproxEqualTol(scalar(got, "value"), scalar(ref, "value"), 1e-6) {
+			t.Errorf("%s objective %v vs reference %v", name, scalar(got, "value"), scalar(ref, "value"))
 		}
 	}
 }
@@ -46,32 +36,23 @@ func TestIntegrationBoxLPRedundancy(t *testing.T) {
 	// Mostly-redundant constraint sets: the optimum is a rotated box
 	// corner, and the models must find it while sampling almost only
 	// redundant constraints.
-	prob, cons := workload.BoxLP(3, 50_000, 57)
-	ref, err := SolveLP(prob, cons, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, stats, err := SolveLPStreaming(prob, NewSliceStream(cons), len(cons), Options{R: 2, Seed: 23})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !numeric.ApproxEqualTol(got.Value, ref.Value, 1e-6) {
-		t.Fatalf("stream %v vs ref %v (%v)", got.Value, ref.Value, stats)
+	inst := generate(t, "lp", "box", GenParams{N: 50_000, D: 3, Seed: 57})
+	ref, _ := solve(t, "lp", "ram", inst, Options{Seed: 1})
+	got, stats := solve(t, "lp", "stream", inst, Options{R: 2, Seed: 23})
+	if !numeric.ApproxEqualTol(scalar(got, "value"), scalar(ref, "value"), 1e-6) {
+		t.Fatalf("stream %v vs ref %v (%v)", scalar(got, "value"), scalar(ref, "value"), stats)
 	}
 }
 
 func TestIntegrationMonteCarloThroughPublicAPI(t *testing.T) {
-	p, cons := workload.SphereLP(2, 20_000, 59)
-	ref, err := SolveLP(p, cons, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := SolveLPStreaming(p, NewSliceStream(cons), len(cons), Options{R: 2, Seed: 25, MonteCarlo: true})
+	inst := generate(t, "lp", "sphere", GenParams{N: 20_000, D: 2, Seed: 59})
+	ref, _ := solve(t, "lp", "ram", inst, Options{Seed: 1})
+	got, _, err := SolveInstance("lp", "stream", inst, Options{R: 2, Seed: 25, MonteCarlo: true})
 	if err != nil {
 		t.Skipf("monte-carlo round failed (allowed w.p. ≤ 1/(nν)): %v", err)
 	}
-	if !numeric.ApproxEqualTol(got.Value, ref.Value, 1e-6) {
-		t.Fatalf("mc %v vs ref %v", got.Value, ref.Value)
+	if !numeric.ApproxEqualTol(scalar(got, "value"), scalar(ref, "value"), 1e-6) {
+		t.Fatalf("mc %v vs ref %v", scalar(got, "value"), scalar(ref, "value"))
 	}
 }
 
@@ -83,18 +64,15 @@ func TestIntegrationTCIAdversarialLP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{R: 2, Seed: 27}
-	s, _, err := SolveLPStreaming(prob, NewSliceStream(cons), len(cons), opt)
-	if err != nil {
-		t.Fatal(err)
+	inst := Instance{Dim: prob.Dim, Objective: prob.Objective}
+	for _, h := range cons {
+		inst.Rows = append(inst.Rows, append(append([]float64(nil), h.A...), h.B))
 	}
-	c, _, err := SolveLPCoordinator(prob, Partition(cons, 2), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, got := range map[string]LPSolution{"stream": s, "coordinator": c} {
-		if idx := int(math.Floor(got.X[0])); idx != ans {
-			t.Errorf("%s recovered index %d, want %d", name, idx, ans)
+	opt := Options{R: 2, Seed: 27, K: 2}
+	for _, backend := range []string{"stream", "coordinator"} {
+		got, _ := solve(t, "lp", backend, inst, opt)
+		if x, _ := got.Vector("x"); int(math.Floor(x[0])) != ans {
+			t.Errorf("%s recovered index %d, want %d", backend, int(math.Floor(x[0])), ans)
 		}
 	}
 }

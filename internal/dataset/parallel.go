@@ -4,10 +4,10 @@
 // is order-dependent (Kahan sums, reservoir RNG draws), so parallelism
 // lives entirely below the row sequence: the merged order is identical
 // to ShardedFile.NewCursor's, hence the result is bit-identical to the
-// sequential scan — only wall-clock changes (exactly like the
-// coordinator's Parallel option). What overlaps is the expensive part
-// of a file scan: disk reads and float64 decoding happen on the shard
-// workers while the solver consumes already-decoded rows.
+// sequential scan — only wall-clock changes. What overlaps is the
+// expensive part of a file scan: disk reads and float64 decoding
+// happen on the shard workers while the solver consumes
+// already-decoded rows.
 //
 // Buffering protocol (per shard): 3 blocks rotate between the worker
 // and the merger through two channels. The merger recycles consumed

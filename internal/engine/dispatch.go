@@ -18,30 +18,13 @@ type (
 	MPCStats         = mpc.Stats
 )
 
-// Stream re-exports the multi-pass input abstraction.
-type Stream[C any] = stream.Stream[C]
-
-// NewSliceStream adapts a slice to a Stream.
-func NewSliceStream[C any](items []C) Stream[C] { return stream.NewSliceStream(items) }
-
-// Partition splits items across k sites round-robin.
-func Partition[C any](items []C, k int) [][]C {
-	parts := make([][]C, k)
-	for i, c := range items {
-		parts[i%k] = append(parts[i%k], c)
-	}
-	return parts
-}
-
-// --- typed dispatchers: the engine boundary ----------------------------
+// --- typed items: the engine boundary ---------------------------------
 //
-// Typed input ([]C, [][]C, Stream[C]) is validated and converted to
-// flat rows here, once; below this boundary every backend speaks
-// dataset.Source + lptype.RowAccess (SolveSourceBasis, source.go).
-// Seeds, RNG consumption and arithmetic do not depend on which side of
-// the boundary the input arrived, so typed and flat entry points
-// return bit-identical results for equal inputs (the dataset
-// conformance suite pins this for every registered kind).
+// Every backend speaks dataset.Source + lptype.RowAccess
+// (SolveSourceBasis, source.go). Typed items cross into it here, once:
+// Encode validates them and converts them to flat rows, and Access
+// rebuilds the typed view over a flat row for the domain. The
+// experiment harness is the one caller that starts from typed items.
 
 // encodeItem appends item i's flat row to dst after checking it the
 // way Columnar checks a flat row: exactly Width(dim) numbers, and the
@@ -59,8 +42,7 @@ func (s *Spec[P, C, B]) encodeItem(dim int, dst []float64, i int, item C) ([]flo
 }
 
 // Encode validates typed items and converts them to a columnar store —
-// the typed twin of Columnar, and the one conversion every typed
-// entry point (and the experiment harness) goes through.
+// the typed twin of Columnar.
 func (s *Spec[P, C, B]) Encode(dim int, items []C) (*dataset.Store, error) {
 	if dim < 1 {
 		return nil, fmt.Errorf("%s: dim must be ≥ 1, got %d", s.Name, dim)
@@ -103,80 +85,4 @@ func (s *Spec[P, C, B]) streamOptions(dim int, opt Options) stream.Options {
 
 func (o Options) coordinator() coordinator.Options {
 	return coordinator.Options{Core: o.Core(), Trace: o.Trace}
-}
-
-// SolveRAM solves with the in-memory reference solver (the oracle the
-// distributed backends are tested against). The items are validated
-// like every other typed input but not converted: the reference
-// solves the typed slice itself. The raw seed goes to the domain,
-// matching the historical per-kind entry points bit for bit.
-func SolveRAM[P, C, B any](s *Spec[P, C, B], p P, items []C, opt Options) (B, error) {
-	var zero B
-	if err := opt.Check(); err != nil {
-		return zero, err
-	}
-	dim := s.Dim(p)
-	var row []float64
-	for i, item := range items {
-		var err error
-		if row, err = s.encodeItem(dim, row[:0], i, item); err != nil {
-			return zero, err
-		}
-	}
-	return s.NewDomain(p, opt.Seed).Solve(items)
-}
-
-// SolveStreaming solves over a multi-pass stream of n items
-// (Theorems 1/5/6; pass n ≤ 0 to count with one extra pass). The
-// stream is never materialized: every pass encodes (and validates)
-// the items into the scan's batch buffer.
-func SolveStreaming[P, C, B any](s *Spec[P, C, B], p P, st Stream[C], n int, opt Options) (B, StreamingStats, error) {
-	var zero B
-	if err := opt.Check(); err != nil {
-		return zero, StreamingStats{}, err
-	}
-	dim := s.Dim(p)
-	if dim < 1 {
-		return zero, StreamingStats{}, fmt.Errorf("%s: dim must be ≥ 1, got %d", s.Name, dim)
-	}
-	encode := func(dst []float64, i int, item C) ([]float64, error) { return s.encodeItem(dim, dst, i, item) }
-	return stream.Solve(specAccess(s, p, opt.Seed^s.SeedMix), st, n, s.Width(dim), encode, s.streamOptions(dim, opt))
-}
-
-// SolveCoordinator solves over a k-site partition (Theorem 2). The
-// partition stays explicit — one store per part, however uneven.
-func SolveCoordinator[P, C, B any](s *Spec[P, C, B], p P, parts [][]C, opt Options) (B, CoordinatorStats, error) {
-	var zero B
-	if err := opt.Check(); err != nil {
-		return zero, CoordinatorStats{}, err
-	}
-	dim := s.Dim(p)
-	shards := make([]dataset.View, len(parts))
-	for i, part := range parts {
-		st, err := s.Encode(dim, part)
-		if err != nil {
-			return zero, CoordinatorStats{}, fmt.Errorf("part %d: %w", i, err)
-		}
-		shards[i] = st.View()
-	}
-	ra := specAccess(s, p, opt.Seed^s.SeedMix)
-	sites := make([]*lptype.SiteWeights[C, B], len(shards))
-	for i, v := range shards {
-		sites[i] = lptype.NewSiteWeights(ra, v)
-	}
-	return coordinator.Solve(ra.Domain(), sites, s.ItemCodec(dim), s.BasisCodec(dim), opt.coordinator())
-}
-
-// SolveMPC solves in the MPC model with per-machine load O~(n^Delta)
-// (Theorem 3).
-func SolveMPC[P, C, B any](s *Spec[P, C, B], p P, items []C, opt Options) (B, MPCStats, error) {
-	var zero B
-	if err := opt.Check(); err != nil {
-		return zero, MPCStats{}, err
-	}
-	st, err := s.Encode(s.Dim(p), items)
-	if err != nil {
-		return zero, MPCStats{}, err
-	}
-	return solveSourceMPC(s, p, st, opt)
 }

@@ -46,7 +46,7 @@ func (s *Spec[P, C, B]) SolveSourceBasis(backend string, dim int, objective []fl
 	case BackendRAM:
 		// The in-memory reference solver over the materialized source
 		// (zero-copy for memory-backed sources). The raw seed goes to
-		// the domain, as in SolveRAM.
+		// the domain.
 		view, merr := dataset.Materialize(src)
 		if merr != nil {
 			return Solution{}, stats, nil, merr
@@ -82,8 +82,16 @@ func (s *Spec[P, C, B]) SolveSourceBasis(backend string, dim int, objective []fl
 		}
 		stats.Coordinator = &st
 	case BackendMPC:
+		// The source distributed round-robin across the machines (shard
+		// files map directly onto machines when the counts line up;
+		// zero-copy columnar views otherwise).
 		var st MPCStats
-		b, st, err = solveSourceMPC(s, p, src, opt)
+		co := opt.Core()
+		if opt.R == 0 {
+			co.R = 0 // let the MPC solver derive r = ⌈1/δ⌉
+		}
+		b, st, err = mpc.SolveSource(specAccess(s, p, opt.Seed^s.SeedMix), src,
+			s.ItemCodec(dim), s.BasisCodec(dim), mpc.Options{Core: co, Delta: opt.Delta})
 		stats.MPC = &st
 	default:
 		return Solution{}, stats, nil, fmt.Errorf("unknown model %q (want %s)", backend, strings.Join(Backends(), ", "))
@@ -92,21 +100,6 @@ func (s *Spec[P, C, B]) SolveSourceBasis(backend string, dim int, objective []fl
 		return Solution{}, stats, nil, err
 	}
 	return s.Render(dim, b), stats, b, nil
-}
-
-// solveSourceMPC distributes the source round-robin across the MPC
-// machines (shard files map directly onto machines when the counts
-// line up; zero-copy columnar views otherwise). SolveMPC, the typed
-// entry point, encodes and lands here too.
-func solveSourceMPC[P, C, B any](s *Spec[P, C, B], p P, src dataset.Source, opt Options) (B, MPCStats, error) {
-	dim := s.Dim(p)
-	co := opt.Core()
-	if opt.R == 0 {
-		co.R = 0 // let the MPC solver derive r = ⌈1/δ⌉
-	}
-	return mpc.SolveSource(specAccess(s, p, opt.Seed^s.SeedMix), src,
-		s.ItemCodec(dim), s.BasisCodec(dim),
-		mpc.Options{Core: co, Delta: opt.Delta})
 }
 
 // VerifyBasisSource attempts a warm start from a previously computed

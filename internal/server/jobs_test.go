@@ -48,6 +48,22 @@ func buildConcurrentCases(t *testing.T) []concurrentCase {
 	return cases
 }
 
+// ramScalar solves inst on the in-memory reference backend and returns
+// one scalar field of the answer: the oracle the served solves are
+// checked against.
+func ramScalar(t *testing.T, kind string, inst lowdimlp.Instance, seed uint64, key string) float64 {
+	t.Helper()
+	sol, _, err := lowdimlp.SolveInstance(kind, "ram", inst, lowdimlp.Options{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, ok := sol.Scalar(key)
+	if !ok {
+		t.Fatalf("%s reference has no %q field", kind, key)
+	}
+	return v
+}
+
 // buildKindCases returns one case per problem kind for the given
 // model and seed.
 func buildKindCases(t *testing.T, model string, seed uint64) []concurrentCase {
@@ -56,14 +72,11 @@ func buildKindCases(t *testing.T, model string, seed uint64) []concurrentCase {
 	{
 		// LP: sphere family.
 		prob, cons := workload.SphereLP(3, 1500, seed)
-		ref, err := lowdimlp.SolveLP(prob, cons, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
 		rows := make([][]float64, len(cons))
 		for j, c := range cons {
 			rows[j] = append(append([]float64(nil), c.A...), c.B)
 		}
+		ref := ramScalar(t, "lp", lowdimlp.Instance{Dim: 3, Objective: prob.Objective, Rows: rows}, seed, "value")
 		cases = append(cases, concurrentCase{
 			name: "lp/" + model,
 			req: SolveRequest{
@@ -71,45 +84,39 @@ func buildKindCases(t *testing.T, model string, seed uint64) []concurrentCase {
 				Objective: prob.Objective, Rows: rows,
 				Options: SolveOptions{R: 2, Seed: seed, K: 4, Parallel: model == ModelCoordinator},
 			},
-			want: ref.Value,
+			want: ref,
 			got:  scalarField("value"),
 		})
 		// SVM: separable family.
 		exs, _ := workload.SeparableSVM(3, 1000, 0.5, seed)
-		sref, err := lowdimlp.SolveSVM(3, exs)
-		if err != nil {
-			t.Fatal(err)
-		}
 		srows := make([][]float64, len(exs))
 		for j, e := range exs {
 			srows[j] = append(append([]float64(nil), e.X...), e.Y)
 		}
+		sref := ramScalar(t, "svm", lowdimlp.Instance{Dim: 3, Rows: srows}, 0, "norm2")
 		cases = append(cases, concurrentCase{
 			name: "svm/" + model,
 			req: SolveRequest{
 				Kind: KindSVM, Model: model, Dim: 3, Rows: srows,
 				Options: SolveOptions{R: 2, Seed: seed, K: 4},
 			},
-			want: sref.Norm2,
+			want: sref,
 			got:  scalarField("norm2"),
 		})
 		// MEB: gaussian cloud.
 		pts := workload.MEBCloud(workload.MEBGaussian, 3, 1200, seed)
-		mref, err := lowdimlp.SolveMEB(pts)
-		if err != nil {
-			t.Fatal(err)
-		}
 		mrows := make([][]float64, len(pts))
 		for j, p := range pts {
 			mrows[j] = p
 		}
+		mref := ramScalar(t, "meb", lowdimlp.Instance{Dim: 3, Rows: mrows}, 0, "radius")
 		cases = append(cases, concurrentCase{
 			name: "meb/" + model,
 			req: SolveRequest{
 				Kind: KindMEB, Model: model, Dim: 3, Rows: mrows,
 				Options: SolveOptions{R: 2, Seed: seed, K: 4},
 			},
-			want: mref.Radius(),
+			want: mref,
 			got:  scalarField("radius"),
 		})
 	}

@@ -135,7 +135,7 @@ func TestNetConstBoundary(t *testing.T) {
 		st := decodeStatus(t, raw)
 		direct := (st.Stats.Stream != nil && st.Stats.Stream.DirectSolve) ||
 			(st.Stats.Coordinator != nil && st.Stats.Coordinator.DirectSolve) ||
-			(st.Stats.MPC != nil && st.Stats.MPC.NetSize == st.Stats.MPC.N)
+			(st.Stats.MPC != nil && st.Stats.MPC.DirectSolve)
 		if v, _ := st.Result.Scalar("value"); !direct || math.Abs(v-want) > 1e-9*(1+math.Abs(want)) {
 			t.Fatalf("%s, net_const 1e308: value %v (ram %v), stats %s: want the shipped input's exact answer", model, v, want, st.Stats)
 		}
@@ -218,13 +218,14 @@ func TestSolveGenerateQuery(t *testing.T) {
 	if st.State != StateDone || st.N != 500 || st.Stats == nil || st.Stats.Coordinator == nil {
 		t.Fatalf("unexpected status: %+v", st)
 	}
-	prob, cons := workload.SphereLP(3, 500, 7)
-	ref, err := lowdimlp.SolveLP(prob, cons, 7)
+	lp, _ := lowdimlp.LookupKind("lp")
+	inst, err := lp.Generate("sphere", lowdimlp.GenParams{N: 500, D: 3, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := st.Result.Scalar("value"); !ok || math.Abs(v-ref.Value) > 1e-6 {
-		t.Fatalf("generated solve %v vs reference %v", v, ref.Value)
+	ref := ramScalar(t, "lp", inst, 7, "value")
+	if v, ok := st.Result.Scalar("value"); !ok || math.Abs(v-ref) > 1e-6 {
+		t.Fatalf("generated solve %v vs reference %v", v, ref)
 	}
 }
 
@@ -258,13 +259,13 @@ func TestAsyncJobLifecycle(t *testing.T) {
 	if st.State != StateDone || !haveRadius || st.Stats.MPC == nil {
 		t.Fatalf("unexpected terminal status: %+v", st)
 	}
-	pts := workload.MEBCloud(workload.MEBGaussian, 3, 2000, 11)
-	ref, err := lowdimlp.SolveMEB(pts)
+	meb, _ := lowdimlp.LookupKind("meb")
+	inst, err := meb.Generate("gaussian", lowdimlp.GenParams{N: 2000, D: 3, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(radius-ref.Radius()) > 1e-6 {
-		t.Fatalf("radius %v vs reference %v", radius, ref.Radius())
+	if ref := ramScalar(t, "meb", inst, 0, "radius"); math.Abs(radius-ref) > 1e-6 {
+		t.Fatalf("radius %v vs reference %v", radius, ref)
 	}
 }
 
@@ -308,12 +309,9 @@ func TestChunkUploadFlow(t *testing.T) {
 		t.Fatalf("solve status %d: %s", resp.StatusCode, raw)
 	}
 	st := decodeStatus(t, raw)
-	want, err := lowdimlp.SolveSVM(3, exs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n2, ok := st.Result.Scalar("norm2"); !ok || math.Abs(n2-want.Norm2) > 1e-6 {
-		t.Fatalf("norm2 %v vs reference %v", n2, want.Norm2)
+	want := ramScalar(t, "svm", lowdimlp.Instance{Dim: 3, Rows: rows}, 0, "norm2")
+	if n2, ok := st.Result.Scalar("norm2"); !ok || math.Abs(n2-want) > 1e-6 {
+		t.Fatalf("norm2 %v vs reference %v", n2, want)
 	}
 	// The instance is single-use: reusing its consumed ID is a 404.
 	resp, _ = postJSON(t, ts.URL+"/v1/solve", SolveRequest{

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"path/filepath"
 	"testing"
 
 	"lowdimlp/internal/core"
+	"lowdimlp/internal/dataset"
 	"lowdimlp/internal/engine"
 	"lowdimlp/internal/epsnet"
 	"lowdimlp/internal/models"
@@ -15,10 +17,11 @@ import (
 )
 
 // TestSolverMatchesTypedReference is the differential pin of the one
-// streaming driver: for every kind × r × solver seed × input shape, a
-// typed stream solved through stream.Solve (row adapter → SolveDataset
-// → core.Run over the stream substrate, block kernels) must equal the
-// typed per-item reference loop (solveRef, ref_test.go) — the rendered
+// streaming driver: for every kind × r × solver seed × input shape, the
+// typed items encoded into a store (Spec.Encode), or read back from a
+// dataset file, and solved through SolveDataset (core.Run over the
+// stream substrate, block kernels) must equal the typed per-item
+// reference loop (solveRef, ref_test.go) — the rendered
 // basis bit for bit, Stats by ==, errors by errors.Is — and every
 // non-direct solve must spend exactly Iterations+1 passes (one pass per
 // iteration: what the deleted unfused ablation used to be contrasted
@@ -79,17 +82,16 @@ func referenceMatrix[P, C, B any](t *testing.T, s *engine.Spec[P, C, B], d, n in
 	type shape struct {
 		name       string
 		inst       engine.Instance
-		fn, count  bool // FuncStream instead of SliceStream; pass n ≤ 0
+		file       bool // read back from a dataset file, in blocks
 		monteCarlo bool
 		direct     bool // must take the n ≤ 2m+1 path
 		mustFail   bool
 	}
 	shapes := []shape{
 		{name: "slice", inst: full},
-		{name: "func", inst: full, fn: true},
-		{name: "count", inst: full, count: true},
+		{name: "file", inst: full, file: true},
 		{name: "direct", inst: small, direct: true},
-		{name: "empty", inst: empty, count: true},
+		{name: "empty", inst: empty},
 		{name: "montecarlo", inst: full, monteCarlo: true},
 	}
 	if infeasible != nil {
@@ -107,17 +109,24 @@ func referenceMatrix[P, C, B any](t *testing.T, s *engine.Spec[P, C, B], d, n in
 		for i, row := range sh.inst.Rows {
 			items[i] = s.Item(dim, row)
 		}
-		mkStream := func() stream.Stream[C] {
-			if sh.fn {
-				return stream.NewFuncStream(len(items), func(i int) C { return items[i] })
+		rows, err := s.Encode(dim, items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var src dataset.Source = rows
+		if sh.file {
+			path := filepath.Join(t.TempDir(), "rows.lds")
+			info := dataset.Info{Kind: s.Name, Dim: dim, Width: s.Width(dim), Objective: sh.inst.Objective, Rows: rows.Rows()}
+			if err := dataset.WriteFile(path, info, rows); err != nil {
+				t.Fatal(err)
 			}
-			return stream.NewSliceStream(items)
+			f, err := dataset.OpenFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			src = f
 		}
-		arg := len(items)
-		if sh.count {
-			arg = 0
-		}
-		encode := func(dst []float64, _ int, item C) ([]float64, error) { return s.Row(dim, dst, item), nil }
 		var zc C
 		var zb B
 		for _, r := range []int{1, 2, 3} {
@@ -129,9 +138,8 @@ func referenceMatrix[P, C, B any](t *testing.T, s *engine.Spec[P, C, B], d, n in
 					BitsPerBasis: s.BasisCodec(dim).Bits(zb),
 				}
 				// A fresh domain per solve: lp's counts its Solve calls.
-				want, wantStats, wantErr := stream.SolveRef(s.NewDomain(p, seed^s.SeedMix), mkStream(), arg, opt)
-				got, gotStats, gotErr := stream.Solve(s.Access(dim, s.NewDomain(p, seed^s.SeedMix)),
-					mkStream(), arg, s.Width(dim), encode, opt)
+				want, wantStats, wantErr := stream.SolveRef(s.NewDomain(p, seed^s.SeedMix), stream.NewSliceStream(items), len(items), opt)
+				got, gotStats, gotErr := stream.SolveDataset(s.Access(dim, s.NewDomain(p, seed^s.SeedMix)), src, opt)
 
 				if !sameError(gotErr, wantErr) {
 					t.Fatalf("%s: error %v, reference %v", what, gotErr, wantErr)
@@ -150,12 +158,8 @@ func referenceMatrix[P, C, B any](t *testing.T, s *engine.Spec[P, C, B], d, n in
 				}
 				if gotErr == nil && gotStats.N > 0 && !gotStats.DirectSolve {
 					iterative++
-					passes := gotStats.Passes
-					if sh.count {
-						passes-- // the counting pass
-					}
-					if passes != gotStats.Iterations+1 {
-						t.Fatalf("%s: %d passes for %d iterations, want iterations+1", what, passes, gotStats.Iterations)
+					if gotStats.Passes != gotStats.Iterations+1 {
+						t.Fatalf("%s: %d passes for %d iterations, want iterations+1", what, gotStats.Passes, gotStats.Iterations)
 					}
 				}
 			}
@@ -241,8 +245,11 @@ func directNeverHoldsMoreRows[P, C, B any](t *testing.T, s *engine.Spec[P, C, B]
 		for i, row := range inst.Rows {
 			items[i] = s.Item(d, row)
 		}
-		encode := func(dst []float64, _ int, item C) ([]float64, error) { return s.Row(d, dst, item), nil }
-		got, stats, err := stream.Solve(s.Access(d, s.NewDomain(p, seed)), stream.NewSliceStream(items), n, s.Width(d), encode, opt)
+		rows, err := s.Encode(d, items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, stats, err := stream.SolveDataset(s.Access(d, s.NewDomain(p, seed)), rows, opt)
 		if err != nil {
 			t.Fatalf("r=%d n=%d: %v", r, n, err)
 		}

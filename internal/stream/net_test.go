@@ -193,14 +193,11 @@ func TestSampledSolveAllocation(t *testing.T) {
 	const n, d, runs = 30000, 3, 5
 	p, cons := sphereLP(d, n, 77)
 	opt := Options{Core: core.Options{R: 2, Seed: 1, NetConst: 0.5}}
+	src := lpStore(d, cons)
 	var inSolve uint64
 	solve := func() Stats {
 		dom := &solveMeter{Domain: lp.NewDomain(p, 3)}
-		ra := lptype.NewRowAccess[lp.Halfspace, lp.Basis](dom,
-			func(row []float64) lp.Halfspace { return lp.Halfspace{A: row[:d], B: row[d]} })
-		_, stats, err := Solve(ra, NewSliceStream(cons), n, d+1, func(dst []float64, _ int, h lp.Halfspace) ([]float64, error) {
-			return append(append(dst, h.A...), h.B), nil
-		}, opt)
+		_, stats, err := SolveDataset(lpAccess(d, dom), src, opt)
 		if err != nil || stats.DirectSolve {
 			t.Fatalf("%v %+v", err, stats)
 		}
@@ -235,19 +232,15 @@ func TestPassCountUnchanged(t *testing.T) {
 	const n, d, seeds = 20000, 3, 50
 	const lpBefore, mebBefore = 4.12, 4.46
 	p, cons := sphereLP(d, n, 77)
-	st := cloud(n, d, 42)
-	pts := make([]meb.Point, n)
-	for i := range pts {
-		pts[i] = meb.Point(st.Row(i))
-	}
+	pts := cloud(n, d, 42)
 	lpPasses, mebPasses := 0, 0
 	for seed := uint64(1); seed <= seeds; seed++ {
 		opt := Options{Core: core.Options{R: 3, Seed: seed, NetConst: 1}}
-		_, s1, err := solveLP(d, lp.NewDomain(p, 3), NewSliceStream(cons), n, opt)
+		_, s1, err := solveLP(d, lp.NewDomain(p, 3), cons, opt)
 		if err != nil || s1.DirectSolve {
 			t.Fatalf("lp seed %d: %v %+v", seed, err, s1)
 		}
-		_, s2, err := solveMEB(d, NewSliceStream(pts), n, opt)
+		_, s2, err := SolveDataset(mebAccess(d), pts, opt)
 		if err != nil || s2.DirectSolve {
 			t.Fatalf("meb seed %d: %v %+v", seed, err, s2)
 		}
@@ -267,27 +260,24 @@ func TestPassCountUnchanged(t *testing.T) {
 
 // TestDriftingStreamIsAnOutcome: the pass totals are predicted from
 // the previous pass, which is exact only if every pass yields the same
-// rows. A stream whose content changes between passes (same length, so
-// ErrStreamLength cannot see it) must still end in a basis or a typed
-// error within the iteration budget — never a panic, a hang or a net
-// with unfilled slots.
+// rows. A source whose content changes between passes (same length)
+// must still end in a basis or a typed error within the iteration
+// budget — never a panic, a hang or a net with unfilled slots.
 func TestDriftingStreamIsAnOutcome(t *testing.T) {
 	const n, d = 6000, 2
 	for _, drift := range []float64{0.999, 0.5, 1.7} {
 		pass := 0
-		buf := make(meb.Point, d)
-		st := &resetCounter[meb.Point]{Stream: NewFuncStream(n, func(i int) meb.Point {
+		src := &genSource{n: n, width: d, fill: func(row []float64, i int) {
 			// The cloud scales by drift every pass: the violators of
 			// any stored basis, hence every weight, change under the
 			// solver.
-			hashPoint(buf, i)
-			for j := range buf {
-				buf[j] *= math.Pow(drift, float64(pass))
+			hashPoint(row, i)
+			for j := range row {
+				row[j] *= math.Pow(drift, float64(pass))
 			}
-			return buf
-		}), onReset: func() { pass++ }}
+		}, onReset: func() { pass++ }}
 		opt := Options{Core: core.Options{R: 3, Seed: 4, NetConst: 0.5, MaxIters: 40}}
-		_, stats, err := solveMEB(d, st, n, opt)
+		_, stats, err := SolveDataset(mebAccess(d), src, opt)
 		if err != nil && !errors.Is(err, core.ErrIterationBudget) {
 			t.Errorf("drift %v: error %v, want a basis or ErrIterationBudget", drift, err)
 		}
@@ -296,15 +286,4 @@ func TestDriftingStreamIsAnOutcome(t *testing.T) {
 		}
 		t.Logf("drift %v: %v after %d passes", drift, err, stats.Passes)
 	}
-}
-
-// resetCounter reports every rewind of the stream it wraps.
-type resetCounter[C any] struct {
-	Stream[C]
-	onReset func()
-}
-
-func (s *resetCounter[C]) Reset() {
-	s.onReset()
-	s.Stream.Reset()
 }

@@ -19,22 +19,10 @@ import (
 // sorted-point sampler (refSampler). No rows, no blocks, no kernels,
 // and no code shared with the driver or sampling.KnownTotal, which
 // is what makes TestSolverMatchesTypedReference an independent check.
-// n is the number of items; n ≤ 0 counts them with one extra pass.
+// n is the number of items the stream yields on every pass.
 func solveRef[C, B any](dom lptype.Domain[C, B], st Stream[C], n int, opt Options) (B, Stats, error) {
 	var zero B
 	stats := Stats{}
-	if n <= 0 {
-		n = 0
-		st.Reset()
-		for {
-			if _, ok := st.Next(); !ok {
-				break
-			}
-			n++
-		}
-		stats.Passes++
-		stats.ItemsScanned += int64(n)
-	}
 	stats.N = n
 	if n == 0 {
 		b, err := dom.Solve(nil)

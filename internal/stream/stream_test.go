@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lowdimlp/internal/core"
+	"lowdimlp/internal/dataset"
 	"lowdimlp/internal/lp"
 	"lowdimlp/internal/lptype"
 	"lowdimlp/internal/meb"
@@ -32,21 +33,24 @@ func sphereLP(d, n int, seed uint64) (lp.Problem, []lp.Halfspace) {
 	return lp.NewProblem(obj), cons
 }
 
-// solveLP and solveMEB run the typed entry point the way the engine
-// does for the kind: a row-access layer over the domain, plus the
-// kind's row layout as the encoder.
-func solveLP(d int, dom *lp.Domain, st Stream[lp.Halfspace], n int, opt Options) (lp.Basis, Stats, error) {
-	ra := lptype.NewRowAccess[lp.Halfspace, lp.Basis](dom,
-		func(row []float64) lp.Halfspace { return lp.Halfspace{A: row[:d], B: row[d]} })
-	return Solve(ra, st, n, d+1, func(dst []float64, _ int, h lp.Halfspace) ([]float64, error) {
-		return append(append(dst, h.A...), h.B), nil
-	}, opt)
+// solveLP runs SolveDataset over cons stored as flat rows a₁ … a_d b,
+// the way the engine serves the lp kind.
+func solveLP(d int, dom lptype.Domain[lp.Halfspace, lp.Basis], cons []lp.Halfspace, opt Options) (lp.Basis, Stats, error) {
+	return SolveDataset(lpAccess(d, dom), lpStore(d, cons), opt)
 }
 
-func mebRow(dst []float64, _ int, p meb.Point) ([]float64, error) { return append(dst, p...), nil }
+func lpAccess(d int, dom lptype.Domain[lp.Halfspace, lp.Basis]) lptype.RowAccess[lp.Halfspace, lp.Basis] {
+	return lptype.NewRowAccess(dom, func(row []float64) lp.Halfspace { return lp.Halfspace{A: row[:d], B: row[d]} })
+}
 
-func solveMEB(d int, st Stream[meb.Point], n int, opt Options) (meb.Basis, Stats, error) {
-	return Solve(mebAccess(d), st, n, d, mebRow, opt)
+func lpStore(d int, cons []lp.Halfspace) *dataset.Store {
+	st := dataset.NewStore(d + 1)
+	st.Grow(len(cons))
+	row := make([]float64, 0, d+1)
+	for _, h := range cons {
+		st.AppendRow(append(append(row[:0], h.A...), h.B))
+	}
+	return st
 }
 
 func TestStreamAdapters(t *testing.T) {
@@ -66,22 +70,6 @@ func TestStreamAdapters(t *testing.T) {
 	if v, ok := s.Next(); !ok || v != 1 {
 		t.Fatal("Reset must rewind")
 	}
-	f := NewFuncStream(4, func(i int) int { return i * i })
-	sum := 0
-	for {
-		v, ok := f.Next()
-		if !ok {
-			break
-		}
-		sum += v
-	}
-	if sum != 0+1+4+9 {
-		t.Fatalf("func stream sum %d", sum)
-	}
-	f.Reset()
-	if v, _ := f.Next(); v != 0 {
-		t.Fatal("func stream Reset")
-	}
 }
 
 func TestStreamingLPMatchesDirect(t *testing.T) {
@@ -89,8 +77,7 @@ func TestStreamingLPMatchesDirect(t *testing.T) {
 		for _, r := range []int{2, 3} {
 			p, cons := sphereLP(3, n, uint64(n*10+r))
 			dom := lp.NewDomain(p, 7)
-			st := NewSliceStream(cons)
-			got, stats, err := solveLP(3, dom, st, n, Options{Core: core.Options{R: r, Seed: 5, NetConst: 0.5}})
+			got, stats, err := solveLP(3, dom, cons, Options{Core: core.Options{R: r, Seed: 5, NetConst: 0.5}})
 			if err != nil {
 				t.Fatalf("n=%d r=%d: %v (%v)", n, r, err, stats)
 			}
@@ -114,8 +101,7 @@ func TestStreamingPassBound(t *testing.T) {
 	dom := lp.NewDomain(p, 3)
 	nu := dom.CombinatorialDim()
 	for _, r := range []int{2, 3} {
-		st := NewSliceStream(cons)
-		_, stats, err := solveLP(3, dom, st, len(cons), Options{Core: core.Options{R: r, Seed: 1, NetConst: 0.5}})
+		_, stats, err := solveLP(3, dom, cons, Options{Core: core.Options{R: r, Seed: 1, NetConst: 0.5}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,32 +114,31 @@ func TestStreamingPassBound(t *testing.T) {
 	}
 }
 
+// TestStreamingCountsN: the solver sizes the solve by the source's row
+// count, and every pass it makes over the rows is in Passes and
+// ItemsScanned.
 func TestStreamingCountsN(t *testing.T) {
 	p, cons := sphereLP(2, 2000, 13)
 	dom := lp.NewDomain(p, 5)
-	st := NewSliceStream(cons)
-	// n ≤ 0: the solver must count with one extra pass.
-	got, stats, err := solveLP(2, dom, st, 0, Options{Core: core.Options{R: 2, Seed: 8, NetConst: 0.5}})
+	got, stats, err := solveLP(2, dom, cons, Options{Core: core.Options{R: 2, Seed: 8, NetConst: 0.5}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.N != 2000 {
-		t.Fatalf("counted n=%d", stats.N)
+		t.Fatalf("n=%d, want the source's 2000 rows", stats.N)
 	}
-	// The counting pass is a pass: it is in Passes and ItemsScanned.
-	if stats.Passes != stats.Iterations+2 || stats.ItemsScanned != int64(stats.Passes)*2000 {
-		t.Fatalf("counting pass not accounted: %+v", stats)
+	if stats.Passes != stats.Iterations+1 || stats.ItemsScanned != int64(stats.Passes)*2000 {
+		t.Fatalf("passes not accounted: %+v", stats)
 	}
 	want, _ := dom.Solve(cons)
 	if !numeric.ApproxEqualTol(got.Sol.Value, want.Sol.Value, 1e-6) {
-		t.Fatal("result mismatch after counting pass")
+		t.Fatal("result mismatch")
 	}
 }
 
 func TestStreamingEmpty(t *testing.T) {
 	dom := lp.NewDomain(lp.Problem{Dim: 1, Objective: []float64{1}, Box: 5}, 1)
-	st := NewSliceStream[lp.Halfspace](nil)
-	b, stats, err := solveLP(1, dom, st, 0, Options{})
+	b, stats, err := solveLP(1, dom, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,8 +150,7 @@ func TestStreamingEmpty(t *testing.T) {
 func TestStreamingDirectSmall(t *testing.T) {
 	p, cons := sphereLP(2, 20, 21)
 	dom := lp.NewDomain(p, 9)
-	st := NewSliceStream(cons)
-	_, stats, err := solveLP(2, dom, st, 20, Options{Core: core.Options{R: 3}})
+	_, stats, err := solveLP(2, dom, cons, Options{Core: core.Options{R: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,8 +165,7 @@ func TestStreamingInfeasible(t *testing.T) {
 		cons = append(cons, lp.Halfspace{A: []float64{-1}, B: -5}, lp.Halfspace{A: []float64{1}, B: 3})
 	}
 	dom := lp.NewDomain(lp.NewProblem([]float64{1}), 3)
-	st := NewSliceStream(cons)
-	_, _, err := solveLP(1, dom, st, len(cons), Options{Core: core.Options{R: 2, Seed: 5}})
+	_, _, err := solveLP(1, dom, cons, Options{Core: core.Options{R: 2, Seed: 5}})
 	if !errors.Is(err, lptype.ErrInfeasible) {
 		t.Fatalf("expected ErrInfeasible, got %v", err)
 	}
@@ -193,8 +176,7 @@ func TestStreamingSpaceAccounting(t *testing.T) {
 	dom := lp.NewDomain(p, 13)
 	hc := lp.HalfspaceCodec{Dim: 3}
 	bc := lp.BasisCodec{Dim: 3}
-	st := NewSliceStream(cons)
-	_, stats, err := solveLP(3, dom, st, len(cons), Options{
+	_, stats, err := solveLP(3, dom, cons, Options{
 		Core:         core.Options{R: 3, Seed: 2, NetConst: 0.5},
 		BitsPerItem:  hc.Bits(lp.Halfspace{}),
 		BitsPerBasis: bc.Bits(lp.Basis{}),
@@ -218,8 +200,7 @@ func TestStreamingSpaceScalesWithR(t *testing.T) {
 	dom := lp.NewDomain(p, 17)
 	var sizes []int
 	for _, r := range []int{2, 3, 4} {
-		st := NewSliceStream(cons)
-		_, stats, err := solveLP(2, dom, st, len(cons), Options{Core: core.Options{R: r, Seed: 6, NetConst: 0.5}})
+		_, stats, err := solveLP(2, dom, cons, Options{Core: core.Options{R: r, Seed: 6, NetConst: 0.5}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,28 +212,27 @@ func TestStreamingSpaceScalesWithR(t *testing.T) {
 }
 
 func TestStreamingFuncStreamLargeMEB(t *testing.T) {
-	// A generated (never materialized) stream of 200k points.
+	// A generated (never materialized) source of 200k points.
 	if testing.Short() {
 		t.Skip("large stream")
 	}
 	n := 200000
-	gen := func(i int) meb.Point {
+	fill := func(p []float64, i int) {
 		rng := numeric.NewRand(0xabc, uint64(i))
-		p := make(meb.Point, 2)
 		for j := range p {
 			p[j] = rng.NormFloat64()
 		}
-		return p
 	}
-	st := NewFuncStream(n, gen)
-	got, stats, err := solveMEB(2, st, n, Options{Core: core.Options{R: 3, Seed: 4, NetConst: 0.5}})
+	src := &genSource{n: n, width: 2, fill: fill}
+	got, stats, err := SolveDataset(mebAccess(2), src, Options{Core: core.Options{R: 3, Seed: 4, NetConst: 0.5}})
 	if err != nil {
 		t.Fatalf("%v (%v)", err, stats)
 	}
 	// Verify against a direct solve of the same generated set.
 	pts := make([]meb.Point, n)
 	for i := range pts {
-		pts[i] = gen(i)
+		pts[i] = make(meb.Point, 2)
+		fill(pts[i], i)
 	}
 	want, err := meb.Solve(pts)
 	if err != nil {

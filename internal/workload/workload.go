@@ -35,9 +35,9 @@ func SphereLP(d, n int, seed uint64) (lp.Problem, []lp.Halfspace) {
 	return lp.NewProblem(obj), cons
 }
 
-// SphereLPAt regenerates constraint i of SphereLP(d, ·, seed) without
-// materializing the instance — the generator behind FuncStream inputs
-// far larger than memory.
+// SphereLPAt regenerates constraint i of SphereLP(d, ·, seed) on its
+// own, so an instance far larger than memory can be produced one row at
+// a time (for example, written straight into a dataset file).
 func SphereLPAt(d int, seed uint64, i int) lp.Halfspace {
 	return sphereCon(d, seed, i)
 }

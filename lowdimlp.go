@@ -8,109 +8,46 @@
 //
 // # Quick start
 //
-//	p := lowdimlp.NewLP([]float64{1, 1})        // minimize x+y
-//	cons := []lowdimlp.Halfspace{
-//		{A: []float64{-1, 0}, B: -1},            // x ≥ 1
-//		{A: []float64{0, -1}, B: -2},            // y ≥ 2
+// An instance is flat rows in the lpsolve text layout: for an LP, one
+// row a₁ … a_d b per constraint a·x ≤ b, plus the objective.
+//
+//	inst := lowdimlp.Instance{
+//		Dim:       2,
+//		Objective: []float64{1, 1},                        // minimize x+y
+//		Rows:      [][]float64{{-1, 0, -1}, {0, -1, -2}}, // x ≥ 1, y ≥ 2
 //	}
-//	sol, stats, err := lowdimlp.SolveLPStreaming(p, lowdimlp.NewSliceStream(cons), len(cons), lowdimlp.Options{R: 2})
+//	sol, stats, err := lowdimlp.SolveInstance("lp", "stream", inst, lowdimlp.Options{R: 2})
+//	x, _ := sol.Vector("x") // [1 2]
 //
-// Larger r means more passes/rounds but less space/communication
-// (resources scale as n^{1/r}); see the package examples under
-// examples/ and the experiment harness in cmd/lpbench.
-//
-// The same three entry points exist for hard-margin SVM
-// (SolveSVMStreaming, ...) and minimum enclosing ball
-// (SolveMEBStreaming, ...), and the generic layer (Domain, plus the
-// model solvers re-exported below) accepts any LP-type problem that
-// implements the two primitives of the paper: basis computation and
-// violation testing.
+// SolveInstance takes any registered kind ("lp", "svm", "meb", "sea";
+// see Kinds) on any backend ("ram", "stream", "coordinator", "mpc";
+// see Backends): one call for the paper's one algorithm, built on the
+// two primitives of §2.1, basis computation and violation testing.
+// Larger Options.R means more passes/rounds but less
+// space/communication (resources scale as n^{1/r}). SolveDatasetFile
+// solves an instance stored as a binary dataset file, out of core, and
+// SolveFleet runs the coordinator model over real worker processes.
+// The runnable examples show each kind and backend; cmd/lpbench
+// reproduces the paper's experiments.
 //
 // # The model registry
 //
 // Every problem kind in this repository is described once, as an
 // internal/engine Spec (domain constructor, codecs, row⇄item
 // encoding, generators, rendering), and registered process-wide
-// (internal/models). The registry powers the generic instance API
-// below — Kinds, LookupKind, SolveInstance — as well as the lpserved
-// HTTP service and the lpsolve CLI, so a kind registered once (see
-// internal/sea, the smallest-enclosing-annulus kind) is solvable
-// everywhere with no per-kind code in any consumer:
-//
-//	inst := lowdimlp.Instance{Dim: 2, Rows: [][]float64{{1, 0}, {0, 1}, {-1, 0}, {0, -1}}}
-//	sol, _, err := lowdimlp.SolveInstance("sea", "stream", inst, lowdimlp.Options{R: 2})
-//	width, _ := sol.Scalar("width")
+// (internal/models). The registry powers this package's instance API
+// as well as the lpserved HTTP service and the lpsolve CLI, so a kind
+// registered once (see internal/sea, the smallest-enclosing-annulus
+// kind) is solvable everywhere with no per-kind code in any consumer.
 package lowdimlp
 
 import (
 	"fmt"
 
-	"lowdimlp/internal/coordinator"
-	"lowdimlp/internal/core"
 	"lowdimlp/internal/engine"
-	"lowdimlp/internal/lp"
 	"lowdimlp/internal/lptype"
-	"lowdimlp/internal/meb"
-	"lowdimlp/internal/models"
-	"lowdimlp/internal/mpc"
-	"lowdimlp/internal/stream"
+	_ "lowdimlp/internal/models" // registers lp, svm, meb and sea
 	"lowdimlp/internal/svm"
-)
-
-// Core problem and solution types (aliases into the implementation
-// packages so the whole repository shares one set of types).
-type (
-	// Halfspace is one linear constraint A·x ≤ B.
-	Halfspace = lp.Halfspace
-	// LPProblem is a linear program: minimize Objective·x subject to
-	// halfspaces (plus an implicit bounding box at scale Box).
-	LPProblem = lp.Problem
-	// LPSolution is the lexicographically smallest optimal point.
-	LPSolution = lp.Solution
-	// LPBasis is an LP basis: the solution plus the tight constraints.
-	LPBasis = lp.Basis
-
-	// SVMExample is a labeled training point (Y ∈ {−1, +1}).
-	SVMExample = svm.Example
-	// SVMSolution is the maximum-margin normal vector.
-	SVMSolution = svm.Solution
-	// SVMBasis is an SVM basis (solution + support vectors).
-	SVMBasis = svm.Basis
-
-	// MEBPoint is a point of a minimum-enclosing-ball instance.
-	MEBPoint = meb.Point
-	// MEBBall is a ball (center + squared radius).
-	MEBBall = meb.Ball
-	// MEBBasis is a MEB basis (ball + support points).
-	MEBBasis = meb.Basis
-)
-
-// Domain is the LP-type abstraction (§2.1 of the paper): implement it
-// to run the model solvers on your own LP-type problem.
-type Domain[C, B any] = lptype.Domain[C, B]
-
-// Stream is the multi-pass streaming input abstraction.
-type Stream[C any] = stream.Stream[C]
-
-// NewSliceStream adapts a slice to a Stream.
-func NewSliceStream[C any](items []C) Stream[C] { return stream.NewSliceStream(items) }
-
-// NewFuncStream generates a Stream of n items from an index function
-// without materializing them.
-func NewFuncStream[C any](n int, gen func(i int) C) Stream[C] {
-	return stream.NewFuncStream(n, gen)
-}
-
-// Stats aliases for the three models. Each embeds core.RunStats,
-// Algorithm 1's counts with one meaning on every model: N, R, NetSize,
-// Iterations (sampled nets solved), Successes, Failures and DirectSolve.
-type (
-	// StreamStats adds passes, items scanned and peak space.
-	StreamStats = stream.Stats
-	// CoordinatorStats adds rounds and total communication bits.
-	CoordinatorStats = coordinator.Stats
-	// MPCStats adds rounds and maximum per-machine load bits.
-	MPCStats = mpc.Stats
 )
 
 // Options configure the model solvers.
@@ -135,13 +72,11 @@ type Options struct {
 	// answer, is identical either way; only wall-clock time changes.
 	// Ignored by the other backends, and on a single-CPU host.
 	Parallel bool
-	// K is the number of coordinator sites used by the instance-level
-	// API (SolveInstance; 0 = 4). The typed SolveXCoordinator entry
-	// points take explicit partitions and ignore it.
+	// K is the number of coordinator sites (0 = 4). SolveInstance deals
+	// the rows to the sites round-robin (row i on site i mod K); a
+	// sharded dataset file maps one shard onto each site instead.
 	K int
 }
-
-func (o Options) core() core.Options { return o.engine().Core() }
 
 func (o Options) engine() engine.Options {
 	return engine.Options{
@@ -151,102 +86,14 @@ func (o Options) engine() engine.Options {
 	}
 }
 
-// NewLP returns a linear program minimizing objective·x.
-func NewLP(objective []float64) LPProblem { return lp.NewProblem(objective) }
-
-// SolveLP solves the LP in RAM (Seidel's algorithm with lexicographic
-// tie-breaking) — the reference the model solvers are tested against.
-func SolveLP(p LPProblem, cons []Halfspace, seed uint64) (LPSolution, error) {
-	b, err := engine.SolveRAM(models.LP, p, cons, engine.Options{Seed: seed})
-	if err != nil {
-		return LPSolution{}, err
-	}
-	return b.Sol, nil
-}
-
-// SolveLPStreaming solves the LP over a multi-pass stream of n
-// constraints (Theorem 1; pass n ≤ 0 to count with one extra pass).
-func SolveLPStreaming(p LPProblem, st Stream[Halfspace], n int, opt Options) (LPSolution, StreamStats, error) {
-	b, stats, err := engine.SolveStreaming(models.LP, p, st, n, opt.engine())
-	return b.Sol, stats, err
-}
-
-// SolveLPCoordinator solves the LP over a k-site partition
-// (Theorem 2).
-func SolveLPCoordinator(p LPProblem, parts [][]Halfspace, opt Options) (LPSolution, CoordinatorStats, error) {
-	b, stats, err := engine.SolveCoordinator(models.LP, p, parts, opt.engine())
-	return b.Sol, stats, err
-}
-
-// SolveLPMPC solves the LP in the MPC model with per-machine load
-// O~(n^Delta) (Theorem 3).
-func SolveLPMPC(p LPProblem, cons []Halfspace, opt Options) (LPSolution, MPCStats, error) {
-	b, stats, err := engine.SolveMPC(models.LP, p, cons, opt.engine())
-	return b.Sol, stats, err
-}
-
-// SolveSVM trains a hard-margin SVM in RAM. Returns
-// svm.ErrNotSeparable (exposed as ErrNotSeparable) on non-separable
-// data.
-func SolveSVM(dim int, examples []SVMExample) (SVMSolution, error) {
-	b, err := engine.SolveRAM(models.SVM, dim, examples, engine.Options{})
-	return b.Sol, err
-}
-
-// ErrNotSeparable reports non-separable SVM training data.
-var ErrNotSeparable = svm.ErrNotSeparable
-
-// SolveSVMStreaming trains the SVM over a stream (Theorem 5).
-func SolveSVMStreaming(dim int, st Stream[SVMExample], n int, opt Options) (SVMSolution, StreamStats, error) {
-	b, stats, err := engine.SolveStreaming(models.SVM, dim, st, n, opt.engine())
-	return b.Sol, stats, err
-}
-
-// SolveSVMCoordinator trains the SVM over a k-site partition.
-func SolveSVMCoordinator(dim int, parts [][]SVMExample, opt Options) (SVMSolution, CoordinatorStats, error) {
-	b, stats, err := engine.SolveCoordinator(models.SVM, dim, parts, opt.engine())
-	return b.Sol, stats, err
-}
-
-// SolveSVMMPC trains the SVM in the MPC model.
-func SolveSVMMPC(dim int, examples []SVMExample, opt Options) (SVMSolution, MPCStats, error) {
-	b, stats, err := engine.SolveMPC(models.SVM, dim, examples, opt.engine())
-	return b.Sol, stats, err
-}
-
-// SolveMEB computes the minimum enclosing ball in RAM.
-func SolveMEB(pts []MEBPoint) (MEBBall, error) {
-	dim := 0
-	if len(pts) > 0 {
-		dim = len(pts[0])
-	}
-	b, err := engine.SolveRAM(models.MEB, dim, pts, engine.Options{})
-	return b.B, err
-}
-
-// SolveMEBStreaming computes the MEB over a stream (Theorem 6).
-func SolveMEBStreaming(dim int, st Stream[MEBPoint], n int, opt Options) (MEBBall, StreamStats, error) {
-	b, stats, err := engine.SolveStreaming(models.MEB, dim, st, n, opt.engine())
-	return b.B, stats, err
-}
-
-// SolveMEBCoordinator computes the MEB over a k-site partition.
-func SolveMEBCoordinator(dim int, parts [][]MEBPoint, opt Options) (MEBBall, CoordinatorStats, error) {
-	b, stats, err := engine.SolveCoordinator(models.MEB, dim, parts, opt.engine())
-	return b.B, stats, err
-}
-
-// SolveMEBMPC computes the MEB in the MPC model.
-func SolveMEBMPC(dim int, pts []MEBPoint, opt Options) (MEBBall, MPCStats, error) {
-	b, stats, err := engine.SolveMPC(models.MEB, dim, pts, opt.engine())
-	return b.B, stats, err
-}
-
-// Partition splits items across k sites round-robin — a convenience
-// for the coordinator entry points.
-func Partition[C any](items []C, k int) [][]C { return engine.Partition(items, k) }
-
-// --- The registry-driven instance API ----------------------------------
+// Typed solve errors, the same on every backend: test for them with
+// errors.Is.
+var (
+	// ErrInfeasible reports an LP whose constraints admit no point.
+	ErrInfeasible = lptype.ErrInfeasible
+	// ErrNotSeparable reports non-separable SVM training data.
+	ErrNotSeparable = svm.ErrNotSeparable
+)
 
 // Instance is the flat, kind-independent form of a problem instance:
 // one row of RowWidth numbers per constraint/example/point (the
@@ -309,7 +156,7 @@ func WriteDatasetFile(path, kind string, inst Instance) error {
 // WriteShardedDatasetFile writes an instance as a sharded multi-file
 // dataset: an LDSETM manifest at path plus `shards` LDSET1 shard files
 // next to it, rows assigned round-robin (row i → shard i%shards, the
-// same assignment as Partition). A sharded dataset solves exactly like
+// same assignment as SolveInstance's coordinator sites). A sharded dataset solves exactly like
 // a single-file one, but its shards map one-to-one onto coordinator
 // sites (no materialization) and its streaming scans can run one
 // goroutine per shard (Options.Parallel).
