@@ -12,11 +12,14 @@
 //     same pass count with a more frugal space bound; we trade space
 //     for implementation clarity and measure passes, the quantity the
 //     paper compares).
-//   - ShipAll: the naive coordinator protocol (everything to the
-//     coordinator in one round) — the communication baseline.
 //   - OneShot: a single unweighted ε-net sample without Clarkson
 //     reweighting — the ablation showing why the iterate-and-reweight
 //     loop is needed for exactness.
+//
+// Both read the constraint sequence as a dataset.Source, the input
+// every solver of the repository reads: ChanChen the lp wire rows
+// (a_1…a_d, b) through one cursor it rewinds for every pass, OneShot
+// any kind's rows through its lptype.RowAccess.
 //
 // ChanChen converges geometrically rather than exactly (coordinates
 // are committed to grid points): with per-level refinement factor
@@ -30,11 +33,11 @@ import (
 	"fmt"
 	"math"
 
+	"lowdimlp/internal/dataset"
 	"lowdimlp/internal/lp"
 	"lowdimlp/internal/lptype"
 	"lowdimlp/internal/numeric"
 	"lowdimlp/internal/sampling"
-	"lowdimlp/internal/stream"
 )
 
 // ChanChenStats reports the resources of a ChanChen run.
@@ -57,11 +60,16 @@ func (s ChanChenStats) String() string {
 // ErrChanChenInfeasible reports that every grid task became infeasible.
 var ErrChanChenInfeasible = errors.New("baseline: chan-chen found no feasible grid point")
 
-// ChanChen approximately solves min c·x over the streamed constraints
-// by nested grid prune-and-search with O(r^{d-1}) passes. box bounds
-// the search region (|x_i| ≤ box), which must contain the optimum.
-func ChanChen(p lp.Problem, st stream.Stream[lp.Halfspace], n, r int, box float64) ([]float64, float64, ChanChenStats, error) {
+// ChanChen approximately solves min c·x over the lp rows (a_1…a_d, b)
+// of src by nested grid prune-and-search with O(r^{d-1}) passes. box
+// bounds the search region (|x_i| ≤ box), which must contain the
+// optimum. A cursor error ends the solve and is returned.
+func ChanChen(p lp.Problem, src dataset.Source, r int, box float64) ([]float64, float64, ChanChenStats, error) {
 	d := p.Dim
+	if w := src.Width(); w != d+1 {
+		return nil, 0, ChanChenStats{}, fmt.Errorf("%w: %d-wide rows for a %d-variable lp", dataset.ErrWidth, w, d)
+	}
+	n := src.Rows()
 	if r < 1 {
 		r = 1
 	}
@@ -76,6 +84,9 @@ func ChanChen(p lp.Problem, st stream.Stream[lp.Halfspace], n, r int, box float6
 		s = 64
 	}
 	stats := ChanChenStats{N: n, D: d, R: r, S: s}
+	cc := &chanChen{p: p, s: s, r: r, cur: src.NewCursor(),
+		batch: make([]dataset.Row, dataset.DefaultBatchRows), fixed: make([]float64, d)}
+	defer dataset.CloseCursor(cc.cur)
 
 	// intervals per variable, refined outer-to-inner. Variable d-1 is
 	// the outermost.
@@ -85,23 +96,35 @@ func ChanChen(p lp.Problem, st stream.Stream[lp.Halfspace], n, r int, box float6
 	for i := range lo {
 		lo[i], hi[i] = -box, box
 	}
-	val, err := ccSolve(p, st, d, lo, hi, s, r, &stats, x)
+	val, err := cc.solve(d, lo, hi, &stats, x)
 	if err != nil {
 		return nil, 0, stats, err
 	}
 	return x, val, stats, nil
 }
 
-// ccSolve refines the intervals of variables [0, dim) and writes the
+// chanChen is one ChanChen run: every pass rewinds the one cursor, and
+// fixed[v] holds the grid value the enclosing levels chose for each
+// variable v ≥ 1.
+type chanChen struct {
+	p     lp.Problem
+	s, r  int
+	cur   dataset.Cursor
+	batch []dataset.Row
+	fixed []float64
+}
+
+// solve refines the intervals of variables [0, dim) and writes the
 // located optimum into x[0:dim]. It returns the (approximate) optimal
 // objective restricted to x[dim:] already fixed by outer levels.
-func ccSolve(p lp.Problem, st stream.Stream[lp.Halfspace], dim int, lo, hi []float64, s, r int, stats *ChanChenStats, x []float64) (float64, error) {
+func (cc *chanChen) solve(dim int, lo, hi []float64, stats *ChanChenStats, x []float64) (float64, error) {
 	if dim == 1 {
-		return cc1D(p, st, lo[0], hi[0], stats, x)
+		return cc.solve1D(lo[0], hi[0], stats, x)
 	}
+	s := cc.s
 	v := dim - 1 // the variable this level owns
 	best := math.Inf(1)
-	for round := 0; round < r; round++ {
+	for round := 0; round < cc.r; round++ {
 		// Evaluate the restricted optimum at s+1 grid values of x_v in
 		// lockstep: all grid tasks recurse together, so the passes of
 		// the (dim-1)-level are shared across the grid.
@@ -122,20 +145,23 @@ func ccSolve(p lp.Problem, st stream.Stream[lp.Halfspace], dim int, lo, hi []flo
 		// executed sequentially but the pass accounting is lockstep:
 		// remember the pass counter, run each task with a private
 		// counter, and charge the maximum (all tasks advance within
-		// the same physical scans).
+		// the same physical scans). An infeasible task is skipped.
 		base := stats.Passes
 		maxPasses := 0
 		for t := 0; t <= s; t++ {
 			sub := *stats
 			sub.Passes = 0
-			fixed := restrictStream(st, v, grid[t])
+			cc.fixed[v] = grid[t]
 			cl := make([]float64, dim-1)
 			copy(cl, lo[:dim-1])
 			ch := make([]float64, dim-1)
 			copy(ch, hi[:dim-1])
-			val, err := ccSolve(p, fixed, dim-1, cl, ch, s, r, &sub, xs[t])
-			if err == nil {
-				vals[t] = val + objTerm(p, v, grid[t])
+			val, err := cc.solve(dim-1, cl, ch, &sub, xs[t])
+			switch {
+			case err == nil:
+				vals[t] = val + cc.p.Objective[v]*grid[t]
+			case !errors.Is(err, ErrChanChenInfeasible):
+				return 0, err
 			}
 			if sub.Passes > maxPasses {
 				maxPasses = sub.Passes
@@ -173,31 +199,39 @@ func ccSolve(p lp.Problem, st stream.Stream[lp.Halfspace], dim int, lo, hi []flo
 	return best, nil
 }
 
-// cc1D solves the 1-variable restricted LP exactly in one pass:
-// intersect the induced intervals and minimize the objective term.
-func cc1D(p lp.Problem, st stream.Stream[lp.Halfspace], lo, hi float64, stats *ChanChenStats, x []float64) (float64, error) {
-	st.Reset()
+// solve1D solves the 1-variable restricted LP exactly in one pass:
+// each row, with x_v = fixed[v] substituted for v = d-1 down to 1,
+// bounds x_0 to an interval; intersect them and minimize the
+// objective term.
+func (cc *chanChen) solve1D(lo, hi float64, stats *ChanChenStats, x []float64) (float64, error) {
 	stats.Passes++
-	for {
-		h, ok := st.Next()
-		if !ok {
-			break
+	d := len(cc.fixed)
+	err := pass(cc.cur, cc.batch, func(rows []dataset.Row) error {
+		for _, row := range rows {
+			b := row[d]
+			for v := d - 1; v >= 1; v-- {
+				b -= row[v] * cc.fixed[v]
+			}
+			a := row[0]
+			switch {
+			case math.Abs(a) < 1e-12:
+				if b < -1e-9*(math.Abs(b)+1) {
+					return ErrChanChenInfeasible
+				}
+			case a > 0:
+				if ub := b / a; ub < hi {
+					hi = ub
+				}
+			default:
+				if lb := b / a; lb > lo {
+					lo = lb
+				}
+			}
 		}
-		a := h.A[0]
-		switch {
-		case math.Abs(a) < 1e-12:
-			if h.B < -1e-9*(math.Abs(h.B)+1) {
-				return 0, ErrChanChenInfeasible
-			}
-		case a > 0:
-			if ub := h.B / a; ub < hi {
-				hi = ub
-			}
-		default:
-			if lb := h.B / a; lb > lo {
-				lo = lb
-			}
-		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
 	if lo > hi+1e-9*(math.Abs(hi)+1) {
 		return 0, ErrChanChenInfeasible
@@ -205,7 +239,7 @@ func cc1D(p lp.Problem, st stream.Stream[lp.Halfspace], lo, hi float64, stats *C
 	if lo > hi {
 		hi = lo
 	}
-	c := p.Objective[0]
+	c := cc.p.Objective[0]
 	if c >= 0 {
 		x[0] = lo
 	} else {
@@ -214,59 +248,21 @@ func cc1D(p lp.Problem, st stream.Stream[lp.Halfspace], lo, hi float64, stats *C
 	return c * x[0], nil
 }
 
-// objTerm is the objective contribution of fixing variable v.
-func objTerm(p lp.Problem, v int, val float64) float64 {
-	return p.Objective[v] * val
-}
-
-// restrictStream fixes variable v to val: each d'-dim constraint
-// becomes a (d'-1)-dim constraint over the remaining leading variables.
-type restrictedStream struct {
-	inner stream.Stream[lp.Halfspace]
-	v     int
-	val   float64
-}
-
-func restrictStream(inner stream.Stream[lp.Halfspace], v int, val float64) stream.Stream[lp.Halfspace] {
-	return &restrictedStream{inner: inner, v: v, val: val}
-}
-
-func (r *restrictedStream) Reset() { r.inner.Reset() }
-
-func (r *restrictedStream) Next() (lp.Halfspace, bool) {
-	h, ok := r.inner.Next()
-	if !ok {
-		return lp.Halfspace{}, false
+// pass rewinds cur and hands fn the rows of one full pass, a batch at
+// a time; a cursor error or an error of fn ends the pass.
+func pass(cur dataset.Cursor, batch []dataset.Row, fn func(rows []dataset.Row) error) error {
+	if err := cur.Reset(); err != nil {
+		return err
 	}
-	a := make([]float64, r.v)
-	copy(a, h.A[:r.v])
-	return lp.Halfspace{A: a, B: h.B - h.A[r.v]*r.val}, true
-}
-
-// --- Naive coordinator baseline -----------------------------------------
-
-// ShipAllResult reports the naive protocol's resources.
-type ShipAllResult struct {
-	Rounds    int
-	TotalBits int64
-}
-
-// ShipAll solves the coordinator problem by having every site forward
-// its entire partition in one round — the baseline the paper's
-// communication bounds are measured against.
-func ShipAll[C, B any](
-	dom lptype.Domain[C, B], parts [][]C, bitsPer func(C) int,
-) (B, ShipAllResult, error) {
-	var all []C
-	res := ShipAllResult{Rounds: 1}
-	for _, p := range parts {
-		for _, c := range p {
-			res.TotalBits += int64(bitsPer(c))
-			all = append(all, c)
+	for {
+		k, err := cur.Next(batch)
+		if err != nil || k == 0 {
+			return err
+		}
+		if err := fn(batch[:k]); err != nil {
+			return err
 		}
 	}
-	b, err := dom.Solve(all)
-	return b, res, err
 }
 
 // --- One-shot sampling ablation -----------------------------------------
@@ -277,36 +273,58 @@ type OneShotResult struct {
 	Violators  int // constraints of the full set violating the sample's basis
 }
 
-// OneShot draws a single uniform sample of size m, solves it, and
-// reports how many input constraints its basis violates — the ablation
-// showing that without the reweighting loop a single ε-net yields an
+// OneShot draws a single uniform sample of m rows of src (with
+// replacement, one weighted reservoir at weight 1), solves it, and
+// reports how many rows its basis violates — the ablation showing
+// that without the reweighting loop a single ε-net yields an
 // infeasible "solution" with ≈ ε·n violated constraints rather than
 // the exact optimum.
-func OneShot[C, B any](dom lptype.Domain[C, B], s []C, m int, seed uint64) (B, OneShotResult, error) {
+func OneShot[C, B any](ra lptype.RowAccess[C, B], src dataset.Source, m int, seed uint64) (B, OneShotResult, error) {
 	var zero B
-	if len(s) == 0 {
-		b, err := dom.Solve(nil)
-		return b, OneShotResult{}, err
-	}
-	if m >= len(s) {
+	cur := src.NewCursor()
+	defer dataset.CloseCursor(cur)
+	batch := make([]dataset.Row, dataset.DefaultBatchRows)
+	var net [][]float64
+	if n := src.Rows(); m >= n {
 		// Sampling with replacement at m ≥ n would still miss ≈ n/e
-		// items; at this size just solve everything.
-		b, err := dom.Solve(s)
+		// rows; at this size take them all.
+		view, err := dataset.Materialize(src)
 		if err != nil {
 			return zero, OneShotResult{}, err
 		}
-		return b, OneShotResult{SampleSize: len(s)}, nil
+		for i := 0; i < n; i++ {
+			net = append(net, view.Row(i))
+		}
+	} else {
+		sample := sampling.NewRowReservoir(m, src.Width(), numeric.NewRand(seed, 0x15407))
+		err := pass(cur, batch, func(rows []dataset.Row) error {
+			for _, row := range rows {
+				sample.Offer(row, 1)
+			}
+			return nil
+		})
+		if err != nil {
+			return zero, OneShotResult{}, err
+		}
+		net, _ = sample.Sample()
 	}
-	rng := numeric.NewRand(seed, 0x15407)
-	res := sampling.NewReservoir[C](m, rng)
-	for _, c := range s {
-		res.Offer(c, 1)
+	items := make([]C, len(net))
+	for i, row := range net {
+		items[i] = ra.Item(row)
 	}
-	items, _ := res.Sample()
-	b, err := dom.Solve(items)
+	b, err := ra.Domain().Solve(items)
 	if err != nil {
 		return zero, OneShotResult{}, err
 	}
-	viol := len(lptype.Violators(dom, s, b))
-	return b, OneShotResult{SampleSize: m, Violators: viol}, nil
+	res := OneShotResult{SampleSize: len(net)}
+	var idx []int32
+	err = pass(cur, batch, func(rows []dataset.Row) error {
+		idx = ra.ViolatesBlock(b, rows, idx)
+		res.Violators += len(idx)
+		return nil
+	})
+	if err != nil {
+		return zero, OneShotResult{}, err
+	}
+	return b, res, nil
 }

@@ -333,21 +333,6 @@ func Sniff(b []byte) bool {
 	return len(b) >= len(fileMagic) && [6]byte(b[:6]) == fileMagic
 }
 
-// SniffFile reports whether the file at path begins with the
-// dataset-file magic (false on any read error).
-func SniffFile(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	var b [6]byte
-	if _, err := io.ReadFull(f, b[:]); err != nil {
-		return false
-	}
-	return Sniff(b[:])
-}
-
 // OpenFile parses the header of the dataset file at path and verifies
 // the payload size against it.
 func OpenFile(path string) (*File, error) {

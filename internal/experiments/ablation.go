@@ -9,6 +9,7 @@ import (
 	"lowdimlp/internal/engine"
 	"lowdimlp/internal/lp"
 	"lowdimlp/internal/meb"
+	"lowdimlp/internal/models"
 	"lowdimlp/internal/workload"
 )
 
@@ -56,7 +57,11 @@ func runA1(w io.Writer, cfg Config) error {
 	fmt.Fprintln(w, "\n(c) single ε-net sample vs Algorithm 1's reweighting loop:")
 	t = newTable(w, "method", "sample size", "violators left", "exact?")
 	m := core.NewParams(n, dom.CombinatorialDim(), dom.VCDim(), core.Options{R: r}).M
-	_, osRes, err := baseline.OneShot[lp.Halfspace, lp.Basis](dom, cons, m, cfg.Seed)
+	ra, rows, err := columnar(models.LP, d, dom, cons)
+	if err != nil {
+		return err
+	}
+	_, osRes, err := baseline.OneShot(ra, rows, m, cfg.Seed)
 	if err != nil {
 		return err
 	}

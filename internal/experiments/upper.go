@@ -173,8 +173,7 @@ func runE4(w io.Writer, cfg Config) error {
 			if err != nil {
 				return err
 			}
-			st2 := stream.NewSliceStream(cons)
-			_, ccVal, ccStats, ccErr := baseline.ChanChen(p, st2, n, r, 4)
+			_, ccVal, ccStats, ccErr := baseline.ChanChen(p, rows, r, 4)
 			ccGap := math.NaN()
 			if ccErr == nil {
 				ccGap = math.Abs(ccVal - exact.Sol.Value)

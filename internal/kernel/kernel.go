@@ -90,15 +90,6 @@ func Blocks(c Class) int64 {
 	return blocks[c].Load()
 }
 
-// BlocksTotal returns block evaluations across all classes.
-func BlocksTotal() int64 {
-	var t int64
-	for i := range blocks {
-		t += blocks[i].Load()
-	}
-	return t
-}
-
 // Rows returns the total rows evaluated through block calls.
 func Rows() int64 { return rows.Load() }
 

@@ -88,30 +88,3 @@ func farthestFrom(pts []Point, q Point) int {
 	}
 	return best
 }
-
-// ApproxBC computes a (1+ε)-approximate MEB center without any exact
-// sub-solves, by Bădoiu–Clarkson's even simpler averaging scheme:
-// c_{i+1} = c_i + (p_far − c_i)/(i+2) for ⌈1/ε²⌉ steps. Cheaper per
-// step than Coreset but needs Θ(1/ε²) passes-worth of farthest-point
-// scans; included as the second ablation point.
-func ApproxBC(pts []Point, eps float64) (Ball, error) {
-	if eps <= 0 || eps > 1 {
-		return Ball{}, ErrBadEpsilon
-	}
-	if len(pts) == 0 {
-		return EmptyBall, nil
-	}
-	c := append(Point(nil), pts[0]...)
-	steps := int(1/(eps*eps)) + 1
-	for i := 0; i < steps; i++ {
-		fi := farthestFrom(pts, c)
-		f := 1 / float64(i+2)
-		for j := range c {
-			c[j] += (pts[fi][j] - c[j]) * f
-		}
-	}
-	b := Ball{Center: c}
-	fi := farthestFrom(pts, c)
-	b.R2 = b.Dist2(pts[fi])
-	return b, nil
-}

@@ -94,33 +94,3 @@ func TestCoresetEdgeCases(t *testing.T) {
 		t.Errorf("duplicates: %v %v", res.Ball, err)
 	}
 }
-
-func TestApproxBC(t *testing.T) {
-	pts := coresetCloud(3, 3000, 99)
-	exact, err := Solve(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, eps := range []float64{0.3, 0.1} {
-		b, err := ApproxBC(pts, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// ApproxBC's ball covers everything by construction; its radius
-		// must be within (1+ε) of optimal.
-		if b.Radius() > exact.Radius()*(1+eps)*(1+1e-9) {
-			t.Fatalf("ε=%v: approx radius %v vs exact %v", eps, b.Radius(), exact.Radius())
-		}
-		for i, p := range pts {
-			if b.Dist2(p) > b.R2*(1+1e-9) {
-				t.Fatalf("point %d outside the ApproxBC ball", i)
-			}
-		}
-	}
-	if _, err := ApproxBC(pts, -1); !errors.Is(err, ErrBadEpsilon) {
-		t.Error("negative ε must be rejected")
-	}
-	if b, err := ApproxBC(nil, 0.5); err != nil || !b.IsEmpty() {
-		t.Error("empty input must yield the null ball")
-	}
-}

@@ -41,18 +41,6 @@ func ApproxEqualTol(a, b, tol float64) bool {
 	return diff <= tol*scale || diff <= AbsEps
 }
 
-// Leq reports a <= b up to tolerance: true when a is smaller than b or
-// indistinguishable from it.
-func Leq(a, b float64) bool {
-	return a <= b || ApproxEqual(a, b)
-}
-
-// Less reports a < b robustly: true only when a is smaller than b by
-// more than the tolerance.
-func Less(a, b float64) bool {
-	return a < b && !ApproxEqual(a, b)
-}
-
 // Sign returns -1, 0, or +1 classifying x against the tolerance scale s
 // (use s = 1 for pre-normalized quantities).
 func Sign(x, s float64) int {
@@ -105,24 +93,6 @@ func Sum(xs []float64) float64 {
 // experiments and tests are reproducible.
 func NewRand(seed1, seed2 uint64) *rand.Rand {
 	return rand.New(rand.NewPCG(seed1, seed2))
-}
-
-// SplitRand derives an independent child PRNG from a parent, keyed by
-// an integer stream identifier. Used when a parent algorithm hands
-// private randomness to sub-components (e.g. coordinator sites).
-func SplitRand(parent *rand.Rand, stream uint64) *rand.Rand {
-	return rand.New(rand.NewPCG(parent.Uint64()^0x9e3779b97f4a7c15, stream*0xbf58476d1ce4e5b9+1))
-}
-
-// Clamp returns x restricted to [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }
 
 // Norm2 returns the Euclidean norm of v.

@@ -1,10 +1,10 @@
 // Package sampling provides the weighted-sampling substrates used by
 // the model implementations of Algorithm 1:
 //
-//   - Reservoir / RowReservoir: single-pass weighted sampling with
-//     replacement (Chao-style independent reservoirs) for a stream of
-//     unknown total weight — the streaming implementation offers it
-//     the violators of the pending basis only;
+//   - RowReservoir: single-pass weighted sampling with replacement
+//     (Chao-style independent reservoirs) for a stream of unknown
+//     total weight — the streaming implementation offers it the
+//     violators of the pending basis only;
 //   - KnownTotal: m i.i.d. weighted draws from a stream whose total
 //     weight is known before the pass — the order statistics of m
 //     uniforms on [0, total), one compare per row — which is every
@@ -22,97 +22,20 @@ import (
 	"math/rand/v2"
 )
 
-// Reservoir maintains m independent weighted-reservoir slots over a
-// stream of (item, weight) offers: after the stream ends, each slot
+// RowReservoir maintains m independent weighted-reservoir slots over
+// a stream of (row, weight) offers: after the stream ends, each slot
 // holds an independent sample with probability proportional to weight —
 // exactly the "sample m sets i.i.d. by weight" step of Algorithm 1,
 // realized in one pass (the paper points to Chao's unequal-probability
 // sampling; per-slot replacement is the with-replacement variant the
 // ε-net lemma wants).
 //
-// Each slot i independently replaces its occupant by the incoming item
+// Each slot i independently replaces its occupant by the incoming row
 // with probability w/W_i where W_i is the total weight offered so far.
-type Reservoir[T any] struct {
-	slots []T
-	total float64
-	rng   *rand.Rand
-}
-
-// NewReservoir returns a reservoir with m slots driven by rng.
-func NewReservoir[T any](m int, rng *rand.Rand) *Reservoir[T] {
-	return &Reservoir[T]{slots: make([]T, m), rng: rng}
-}
-
-// Offer presents one item with the given weight (must be ≥ 0).
-//
-// Each slot independently takes the item with probability w/W (W =
-// total weight so far). Rather than flipping m coins per offer —
-// O(n·m) per pass — Offer walks the slots with geometric skips, which
-// costs O(1 + m·w/W) per offer and Θ(m·log n) per pass in total.
-func (r *Reservoir[T]) Offer(item T, w float64) {
-	if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-		panic("sampling: weight must be finite and nonnegative")
-	}
-	if w == 0 {
-		return
-	}
-	r.total += w
-	p := w / r.total
-	if p >= 1 {
-		for i := range r.slots {
-			r.slots[i] = item
-		}
-		return
-	}
-	// Geometric skipping: the index of the next replaced slot advances
-	// by 1 + Geom(p) each step.
-	log1p := math.Log1p(-p)
-	i := 0
-	for {
-		u := r.rng.Float64()
-		if u == 0 {
-			u = 0.5
-		}
-		// Compared in float64: for p below ≈ 4e-18 the skip exceeds
-		// MaxInt64 and the conversion is implementation-defined.
-		skip := math.Log(u) / log1p
-		if skip >= float64(len(r.slots)-i) {
-			return
-		}
-		i += int(skip)
-		r.slots[i] = item
-		i++
-	}
-}
-
-// Total returns the total weight offered so far.
-func (r *Reservoir[T]) Total() float64 { return r.total }
-
-// Sample returns the m sampled items. It must be called only after at
-// least one positive-weight offer; ok is false otherwise.
-func (r *Reservoir[T]) Sample() (items []T, ok bool) {
-	if r.total <= 0 {
-		return nil, false
-	}
-	return r.slots, true
-}
-
-// Reset clears the reservoir for a new pass, keeping the slot count.
-func (r *Reservoir[T]) Reset() {
-	r.total = 0
-	var zero T
-	for i := range r.slots {
-		r.slots[i] = zero
-	}
-}
-
-// RowReservoir is Reservoir specialized to flat dataset rows
-// ([]float64 views whose backing memory the producer reuses between
-// batches): accepted rows are copied into slot buffers allocated once
-// at construction, so a whole streaming pass allocates nothing in the
-// offer loop. The replacement logic and, critically, the RNG
-// consumption are identical to Reservoir's — a row scan and a typed
-// scan fed the same weights select the same items.
+// Rows are flat dataset rows ([]float64 views whose backing memory the
+// producer reuses between batches): accepted rows are copied into slot
+// buffers allocated once at construction, so a whole streaming pass
+// allocates nothing in the offer loop.
 type RowReservoir struct {
 	slots [][]float64 // m buffers of exactly width values
 	total float64
@@ -135,8 +58,13 @@ func rowSlots(m, width int) [][]float64 {
 	return slots
 }
 
-// Offer presents one row with the given weight (≥ 0), copying it into
-// every slot that takes it. Mirrors Reservoir.Offer step for step.
+// Offer presents one row with the given weight (must be finite and
+// ≥ 0), copying it into every slot that takes it.
+//
+// Each slot independently takes the row with probability w/W (W =
+// total weight so far). Rather than flipping m coins per offer —
+// O(n·m) per pass — Offer walks the slots with geometric skips, which
+// costs O(1 + m·w/W) per offer and Θ(m·log n) per pass in total.
 func (r *RowReservoir) Offer(row []float64, w float64) {
 	if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
 		panic("sampling: weight must be finite and nonnegative")
@@ -152,6 +80,8 @@ func (r *RowReservoir) Offer(row []float64, w float64) {
 		}
 		return
 	}
+	// Geometric skipping: the index of the next replaced slot advances
+	// by 1 + Geom(p) each step.
 	log1p := math.Log1p(-p)
 	i := 0
 	for {
@@ -159,6 +89,8 @@ func (r *RowReservoir) Offer(row []float64, w float64) {
 		if u == 0 {
 			u = 0.5
 		}
+		// Compared in float64: for p below ≈ 4e-18 the skip exceeds
+		// MaxInt64 and the conversion is implementation-defined.
 		skip := math.Log(u) / log1p
 		if skip >= float64(len(r.slots)-i) {
 			return
@@ -390,25 +322,4 @@ func Multinomial(m int, weights []float64, rng *rand.Rand) []int {
 		counts[a.Draw(rng)]++
 	}
 	return counts
-}
-
-// WeightedIndex draws one index proportionally to weights, without
-// building an alias table (O(n) per draw). Suitable for one-off draws.
-func WeightedIndex(weights []float64, rng *rand.Rand) int {
-	var total float64
-	for _, w := range weights {
-		total += w
-	}
-	if total <= 0 {
-		panic("sampling: all weights are zero")
-	}
-	t := rng.Float64() * total
-	var acc float64
-	for i, w := range weights {
-		acc += w
-		if t < acc {
-			return i
-		}
-	}
-	return len(weights) - 1
 }

@@ -7,47 +7,54 @@ import (
 	"lowdimlp/internal/numeric"
 )
 
+// offerAll offers the single-number rows 0, 1, …, len(weights)-1 with
+// the given weights.
+func offerAll(r *RowReservoir, weights ...float64) {
+	for i, w := range weights {
+		r.Offer([]float64{float64(i)}, w)
+	}
+}
+
 func TestReservoirUniform(t *testing.T) {
-	// With equal weights each slot must be ≈ uniform over the items.
+	// With equal weights each slot must be ≈ uniform over the rows.
 	const n, m, trials = 10, 1, 20000
 	counts := make([]int, n)
 	rng := numeric.NewRand(1, 1)
 	for trial := 0; trial < trials; trial++ {
-		r := NewReservoir[int](m, rng)
+		r := NewRowReservoir(m, 1, rng)
 		for i := 0; i < n; i++ {
-			r.Offer(i, 1)
+			r.Offer([]float64{float64(i)}, 1)
 		}
 		s, ok := r.Sample()
 		if !ok {
 			t.Fatal("sample must exist")
 		}
-		counts[s[0]]++
+		counts[int(s[0][0])]++
 	}
 	want := float64(trials) / n
 	for i, c := range counts {
 		if math.Abs(float64(c)-want) > 5*math.Sqrt(want) {
-			t.Errorf("item %d drawn %d times, want ≈ %.0f", i, c, want)
+			t.Errorf("row %d drawn %d times, want ≈ %.0f", i, c, want)
 		}
 	}
 }
 
 func TestReservoirWeighted(t *testing.T) {
-	// Item 1 has weight 3; it must be drawn ≈ 3/4 of the time.
+	// Row 1 has weight 3; it must be drawn ≈ 3/4 of the time.
 	const trials = 20000
 	rng := numeric.NewRand(2, 2)
 	hits := 0
 	for trial := 0; trial < trials; trial++ {
-		r := NewReservoir[int](1, rng)
-		r.Offer(0, 1)
-		r.Offer(1, 3)
+		r := NewRowReservoir(1, 1, rng)
+		offerAll(r, 1, 3)
 		s, _ := r.Sample()
-		if s[0] == 1 {
+		if s[0][0] == 1 {
 			hits++
 		}
 	}
 	p := float64(hits) / trials
 	if math.Abs(p-0.75) > 0.02 {
-		t.Errorf("P(item 1) = %v, want ≈ 0.75", p)
+		t.Errorf("P(row 1) = %v, want ≈ 0.75", p)
 	}
 }
 
@@ -57,12 +64,10 @@ func TestReservoirSlotsIndependent(t *testing.T) {
 	agree := 0
 	const trials = 2000
 	for trial := 0; trial < trials; trial++ {
-		r := NewReservoir[int](2, rng)
-		for i := 0; i < 4; i++ {
-			r.Offer(i, 1)
-		}
+		r := NewRowReservoir(2, 1, rng)
+		offerAll(r, 1, 1, 1, 1)
 		s, _ := r.Sample()
-		if s[0] == s[1] {
+		if s[0][0] == s[1][0] {
 			agree++
 		}
 	}
@@ -75,16 +80,16 @@ func TestReservoirSlotsIndependent(t *testing.T) {
 
 func TestReservoirZeroAndReset(t *testing.T) {
 	rng := numeric.NewRand(4, 4)
-	r := NewReservoir[string](2, rng)
+	r := NewRowReservoir(2, 1, rng)
 	if _, ok := r.Sample(); ok {
 		t.Error("empty reservoir must not produce a sample")
 	}
-	r.Offer("skip", 0) // zero weight: ignored
+	r.Offer([]float64{-1}, 0) // zero weight: ignored
 	if _, ok := r.Sample(); ok {
 		t.Error("zero-weight offers must not count")
 	}
-	r.Offer("a", 1)
-	if s, ok := r.Sample(); !ok || s[0] != "a" {
+	r.Offer([]float64{7}, 1)
+	if s, ok := r.Sample(); !ok || s[0][0] != 7 || s[1][0] != 7 {
 		t.Error("single offer must fill every slot")
 	}
 	if r.Total() != 1 {
@@ -97,13 +102,16 @@ func TestReservoirZeroAndReset(t *testing.T) {
 }
 
 func TestReservoirPanicsOnBadWeight(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on negative weight")
-		}
-	}()
-	r := NewReservoir[int](1, numeric.NewRand(5, 5))
-	r.Offer(1, -1)
+	for _, w := range []float64{-1, math.NaN(), math.Inf(1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("expected panic on weight %v", w)
+				}
+			}()
+			NewRowReservoir(1, 1, numeric.NewRand(5, 5)).Offer([]float64{1}, w)
+		}()
+	}
 }
 
 func TestAliasDistribution(t *testing.T) {
@@ -172,40 +180,20 @@ func TestMultinomial(t *testing.T) {
 	}
 }
 
-func TestWeightedIndex(t *testing.T) {
-	rng := numeric.NewRand(9, 9)
-	weights := []float64{0, 3, 1}
-	counts := make([]int, 3)
-	const trials = 40000
-	for i := 0; i < trials; i++ {
-		counts[WeightedIndex(weights, rng)]++
-	}
-	if counts[0] != 0 {
-		t.Error("zero-weight index drawn")
-	}
-	if math.Abs(float64(counts[1])-0.75*trials) > 5*math.Sqrt(0.75*trials) {
-		t.Errorf("index 1 drawn %d times", counts[1])
-	}
-}
-
 // TestReservoirSkipOverflow: once an earlier offer dwarfs the current
 // one (p = w/total below ≈ 4e-18) the geometric skip exceeds MaxInt64;
 // it must end the offer, not wrap into a negative slot index.
 func TestReservoirSkipOverflow(t *testing.T) {
 	const rows = 200_000
-	typed := NewReservoir[int](8, numeric.NewRand(10, 10))
 	flat := NewRowReservoir(8, 1, numeric.NewRand(10, 10))
-	typed.Offer(-1, 1e20)
 	flat.Offer([]float64{-1}, 1e20)
 	for i := 0; i < rows; i++ {
-		typed.Offer(i, 1)
 		flat.Offer([]float64{float64(i)}, 1)
 	}
-	items, _ := typed.Sample()
 	slots, _ := flat.Sample()
-	for k := range items {
-		if items[k] != -1 || slots[k][0] != -1 {
-			t.Fatalf("slot %d holds %d / %v: a 1e-20 offer displaced the 1e20 one", k, items[k], slots[k][0])
+	for k := range slots {
+		if slots[k][0] != -1 {
+			t.Fatalf("slot %d holds %v: a 1e-20 offer displaced the 1e20 one", k, slots[k][0])
 		}
 	}
 }

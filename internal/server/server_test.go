@@ -590,6 +590,33 @@ func TestLRUCacheEviction(t *testing.T) {
 	}
 }
 
+// TestBasisCacheNilSafeAndBounded: a nil or zero-capacity basis cache
+// is a disabled one, a nil basis is never stored, and the LRU it shares
+// with the result cache bounds it.
+func TestBasisCacheNilSafeAndBounded(t *testing.T) {
+	var off *BasisCache
+	off.Put("a", 1)
+	if _, ok := off.Get("a"); ok || off.Enabled() || off.Len() != 0 {
+		t.Fatal("a nil basis cache must be disabled")
+	}
+	if c := NewBasisCache(0); c.Enabled() {
+		t.Fatal("capacity 0 must disable the basis cache")
+	}
+	c := NewBasisCache(1)
+	c.Put("nil", nil)
+	if _, ok := c.Get("nil"); ok || c.Len() != 0 {
+		t.Fatal("a nil basis was stored")
+	}
+	c.Put("a", 1)
+	c.Put("b", 2)
+	if _, ok := c.Get("a"); ok {
+		t.Fatal("a should have been evicted")
+	}
+	if b, ok := c.Get("b"); !ok || b != 2 || c.Len() != 1 {
+		t.Fatalf("b = %v, %v; len %d", b, ok, c.Len())
+	}
+}
+
 func TestGenerateFamilies(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 4})
 	cases := []struct{ kind, family string }{

@@ -10,10 +10,10 @@ import (
 // over a columnar dataset source: core.Run over the scanner substrate.
 //
 // The scan reads rows in reusable batches straight off the source (an
-// in-memory arena, a block-streamed file, or a typed stream encoded on
-// the fly), tests violations through the domain's block kernels, and
-// samples by comparing a running total against the next sample point,
-// so the per-constraint cost is arithmetic plus, for the few rows that
+// in-memory arena, a block-streamed file, or a sharded manifest),
+// tests violations through the domain's block kernels, and samples by
+// comparing a running total against the next sample point, so the
+// per-constraint cost is arithmetic plus, for the few rows that
 // are sampled, a slot copy: no allocation, no pointer chase, no decode.
 //
 // Its results are pinned bit-identical to the typed per-item reference

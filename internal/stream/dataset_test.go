@@ -48,7 +48,7 @@ func TestSolveDatasetMatchesSlice(t *testing.T) {
 	}
 	opt := Options{Core: coreOpt(2, 7)}
 	dom := meb.NewDomain(d)
-	want, wantStats, err := solveRef[meb.Point, meb.Basis](dom, NewSliceStream(pts), n, opt)
+	want, wantStats, err := solveRef[meb.Point, meb.Basis](dom, pts, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

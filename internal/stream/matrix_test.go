@@ -138,7 +138,7 @@ func referenceMatrix[P, C, B any](t *testing.T, s *engine.Spec[P, C, B], d, n in
 					BitsPerBasis: s.BasisCodec(dim).Bits(zb),
 				}
 				// A fresh domain per solve: lp's counts its Solve calls.
-				want, wantStats, wantErr := stream.SolveRef(s.NewDomain(p, seed^s.SeedMix), stream.NewSliceStream(items), len(items), opt)
+				want, wantStats, wantErr := stream.SolveRef(s.NewDomain(p, seed^s.SeedMix), items, opt)
 				got, gotStats, gotErr := stream.SolveDataset(s.Access(dim, s.NewDomain(p, seed^s.SeedMix)), src, opt)
 
 				if !sameError(gotErr, wantErr) {

@@ -7,21 +7,21 @@ import (
 	"lowdimlp/internal/core"
 	"lowdimlp/internal/lptype"
 	"lowdimlp/internal/numeric"
-	"lowdimlp/internal/sampling"
 )
 
 // solveRef is the typed twin of SolveDataset: the same algorithm and
 // the same draw order — one RNG stream; per item, the violator's
 // reservoir offer and then the sample points its weight interval
 // holds; the mixture coins after a successful pass — written
-// independently over a typed Stream[C]: per-item dom.Violates,
-// math.Pow for every weight, a typed violator reservoir, and its own
-// sorted-point sampler (refSampler). No rows, no blocks, no kernels,
-// and no code shared with the driver or sampling.KnownTotal, which
-// is what makes TestSolverMatchesTypedReference an independent check.
-// n is the number of items the stream yields on every pass.
-func solveRef[C, B any](dom lptype.Domain[C, B], st Stream[C], n int, opt Options) (B, Stats, error) {
+// independently over the typed items, one pass a loop over them:
+// per-item dom.Violates, math.Pow for every weight, its own violator
+// reservoir (refReservoir) and its own sorted-point sampler
+// (refSampler). No rows, no blocks, no kernels, and no code shared
+// with the driver or the sampling package, which is what makes
+// TestSolverMatchesTypedReference an independent check.
+func solveRef[C, B any](dom lptype.Domain[C, B], items []C, opt Options) (B, Stats, error) {
 	var zero B
+	n := len(items)
 	stats := Stats{}
 	stats.N = n
 	if n == 0 {
@@ -42,20 +42,11 @@ func solveRef[C, B any](dom lptype.Domain[C, B], st Stream[C], n int, opt Option
 	if p.Direct {
 		// The n rows fit in the 2m+1 a sampled pass holds: one pass,
 		// solve directly.
-		buf := make([]C, 0, n)
-		st.Reset()
-		for {
-			c, ok := st.Next()
-			if !ok {
-				break
-			}
-			buf = append(buf, c)
-		}
 		stats.Passes++
-		stats.ItemsScanned += int64(len(buf))
+		stats.ItemsScanned += int64(n)
 		stats.DirectSolve = true
 		stats.trackSpace(opt, n, 0)
-		b, err := dom.Solve(buf)
+		b, err := dom.Solve(append([]C(nil), items...))
 		return b, stats, err
 	}
 
@@ -80,14 +71,9 @@ func solveRef[C, B any](dom lptype.Domain[C, B], st Stream[C], n int, opt Option
 
 	// Pass 0: uniform-weight sample (no bases stored yet), total n.
 	net := newRefSampler[C](m, float64(n), rng)
-	st.Reset()
-	for i := 1; ; i++ {
-		c, ok := st.Next()
-		if !ok {
-			break
-		}
+	for i, c := range items {
 		stats.ItemsScanned++
-		net.offer(c, float64(i))
+		net.offer(c, float64(i+1))
 	}
 	stats.Passes++
 	pending, err := dom.Solve(net.finish())
@@ -102,15 +88,10 @@ func solveRef[C, B any](dom lptype.Domain[C, B], st Stream[C], n int, opt Option
 		// from all items by current weight, and the violators sampled
 		// on the side.
 		net := newRefSampler[C](m, total, rng)
-		viol := sampling.NewReservoir[C](m, rng)
+		viol := newRefReservoir[C](m, rng)
 		var wTotal, wViol, wSucc numeric.Kahan
 		violCount := 0
-		st.Reset()
-		for {
-			c, ok := st.Next()
-			if !ok {
-				break
-			}
+		for _, c := range items {
 			stats.ItemsScanned++
 			a := weightExp(c)
 			w := math.Pow(mult, float64(a))
@@ -118,7 +99,7 @@ func solveRef[C, B any](dom lptype.Domain[C, B], st Stream[C], n int, opt Option
 			if dom.Violates(pending, c) {
 				wViol.Add(w)
 				violCount++
-				viol.Offer(c, w)
+				viol.offer(c, w)
 				wSucc.Add(math.Pow(mult, float64(a+1)))
 			} else {
 				wSucc.Add(w)
@@ -150,10 +131,9 @@ func solveRef[C, B any](dom lptype.Domain[C, B], st Stream[C], n int, opt Option
 			// New weights = old weights + (mult−1)·old weight on the
 			// violators: each draw stays with probability old/new.
 			total = wSucc.Sum()
-			violItems, _ := viol.Sample()
 			for k := range nextNet {
 				if rng.Float64()*total >= wTotal.Sum() {
-					nextNet[k] = violItems[k]
+					nextNet[k] = viol.slots[k]
 				}
 			}
 		} else {
@@ -210,7 +190,46 @@ func (s *refSampler[C]) finish() []C {
 	return s.items
 }
 
+// refReservoir keeps m independent weighted slots over the offers of
+// one pass: each slot takes an item of weight w with probability w/W,
+// W the weight offered so far. The slots taking it are found by
+// geometric skips, one uniform per skip — the RNG draws the driver's
+// violator reservoir makes.
+type refReservoir[C any] struct {
+	slots []C
+	total float64
+	rng   *rand.Rand
+}
+
+func newRefReservoir[C any](m int, rng *rand.Rand) *refReservoir[C] {
+	return &refReservoir[C]{slots: make([]C, m), rng: rng}
+}
+
+func (r *refReservoir[C]) offer(c C, w float64) {
+	r.total += w
+	p := w / r.total
+	if p >= 1 {
+		for i := range r.slots {
+			r.slots[i] = c
+		}
+		return
+	}
+	log1p := math.Log1p(-p)
+	for i := 0; ; i++ {
+		u := r.rng.Float64()
+		if u == 0 {
+			u = 0.5
+		}
+		skip := math.Log(u) / log1p
+		if skip >= float64(len(r.slots)-i) {
+			return
+		}
+		i += int(skip)
+		r.slots[i] = c
+	}
+}
+
 // SolveRef exposes the oracle to the external test package.
-func SolveRef[C, B any](dom lptype.Domain[C, B], st Stream[C], n int, opt Options) (B, Stats, error) {
-	return solveRef(dom, st, n, opt)
+func SolveRef[C, B any](dom lptype.Domain[C, B], items []C, opt Options) (B, Stats, error) {
+	return solveRef(dom, items, opt)
 }

@@ -57,8 +57,10 @@
 // kernels, and Sample settles the net that pass drew. The success rule,
 // the Monte-Carlo abort and the iteration budget (at most MaxIters nets
 // solved, each tested) are core.Run's. SolveDataset is the package's
-// one entry: any dataset.Source (a columnar store, a dataset file, a
-// sharded manifest) is a stream.
+// one entry and dataset.Source its one input type: any source (a
+// columnar store, a dataset file, a sharded manifest) is a stream. The
+// tests keep a typed per-item twin of the driver, over a []C, as their
+// oracle (ref_test.go).
 package stream
 
 import (
@@ -67,39 +69,6 @@ import (
 
 	"lowdimlp/internal/core"
 )
-
-// Stream is a re-scannable sequence of typed constraints, the input of
-// the Chan–Chen baseline (internal/baseline). The solver itself reads
-// a dataset.Source. Implementations need not materialize the items.
-type Stream[C any] interface {
-	// Reset rewinds to the beginning (starts a new pass).
-	Reset()
-	// Next returns the next item, or ok=false at the end of the pass.
-	Next() (item C, ok bool)
-}
-
-// SliceStream adapts an in-memory slice.
-type SliceStream[C any] struct {
-	Items []C
-	pos   int
-}
-
-// NewSliceStream returns a stream over items.
-func NewSliceStream[C any](items []C) *SliceStream[C] { return &SliceStream[C]{Items: items} }
-
-// Reset rewinds the stream.
-func (s *SliceStream[C]) Reset() { s.pos = 0 }
-
-// Next returns the next item.
-func (s *SliceStream[C]) Next() (C, bool) {
-	var zero C
-	if s.pos >= len(s.Items) {
-		return zero, false
-	}
-	it := s.Items[s.pos]
-	s.pos++
-	return it, true
-}
 
 // Options configure the streaming solver.
 type Options struct {

@@ -53,25 +53,6 @@ func lpStore(d int, cons []lp.Halfspace) *dataset.Store {
 	return st
 }
 
-func TestStreamAdapters(t *testing.T) {
-	s := NewSliceStream([]int{1, 2, 3})
-	var got []int
-	for {
-		v, ok := s.Next()
-		if !ok {
-			break
-		}
-		got = append(got, v)
-	}
-	if len(got) != 3 || got[2] != 3 {
-		t.Fatalf("slice stream read %v", got)
-	}
-	s.Reset()
-	if v, ok := s.Next(); !ok || v != 1 {
-		t.Fatal("Reset must rewind")
-	}
-}
-
 func TestStreamingLPMatchesDirect(t *testing.T) {
 	for _, n := range []int{300, 3000, 30000} {
 		for _, r := range []int{2, 3} {
