@@ -1,13 +1,13 @@
-// Package comm provides message framing and exact communication
-// accounting shared by the coordinator (internal/coordinator) and MPC
-// (internal/mpc) substrates.
+// Package comm provides the Codec interface shared by the coordinator
+// (internal/coordinator) and MPC (internal/mpc) substrates, and the
+// coordinator's message framing and communication Meter.
 //
 // The quantities the paper bounds — total communication in the
 // coordinator model, per-machine load in MPC — are combinatorial
 // properties of a protocol, so the substrates simulate the distributed
-// execution in-process and meter every message through this package:
-// each logical message is actually serialized to bytes and its size
-// charged to the sender, the receiver, and the round in which it flew.
+// execution in-process: each logical message is actually serialized to
+// bytes and its size charged, to a Meter by the coordinator and to the
+// sending and receiving machine by MPC's own network.
 package comm
 
 import (
@@ -30,26 +30,25 @@ type Codec[T any] interface {
 	Bits(v T) int
 }
 
-// Meter accumulates communication totals. It is safe for concurrent
-// use (MPC machines run in parallel).
+// Meter accumulates the coordinator's communication totals: bits,
+// rounds and messages. It is safe for concurrent use. MPC does not use
+// a Meter: it meters with its own net type (internal/mpc), which also
+// tracks each machine's per-round load.
 type Meter struct {
 	mu        sync.Mutex
 	totalBits int64
 	rounds    int
-	perRound  []int64
 	messages  int64
 }
 
 // NewMeter returns an empty meter.
 func NewMeter() *Meter { return &Meter{} }
 
-// StartRound begins a new communication round; subsequent charges are
-// attributed to it.
+// StartRound counts one more communication round.
 func (m *Meter) StartRound() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.rounds++
-	m.perRound = append(m.perRound, 0)
 }
 
 // Charge records one message of the given size in bits.
@@ -58,9 +57,6 @@ func (m *Meter) Charge(bits int) {
 	defer m.mu.Unlock()
 	m.totalBits += int64(bits)
 	m.messages++
-	if len(m.perRound) > 0 {
-		m.perRound[len(m.perRound)-1] += int64(bits)
-	}
 }
 
 // TotalBits returns the total bits charged.
@@ -82,13 +78,6 @@ func (m *Meter) Messages() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.messages
-}
-
-// PerRound returns a copy of the per-round bit totals.
-func (m *Meter) PerRound() []int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]int64(nil), m.perRound...)
 }
 
 func (m *Meter) String() string {
@@ -200,15 +189,4 @@ func Value[T any](b *Buffer, c Codec[T]) (T, error) {
 	}
 	b.pos += n
 	return v, nil
-}
-
-// PutExponentWeight appends a weight represented as an integer
-// exponent a (weight = u^a): this is how the paper's protocols ship
-// weights in O(ℓ/r·log n) bits rather than as raw floats.
-func (b *Buffer) PutExponentWeight(exp int) { b.PutUvarint(uint64(exp)) }
-
-// ExponentWeight reads an integer weight exponent.
-func (b *Buffer) ExponentWeight() (int, error) {
-	v, err := b.Uvarint()
-	return int(v), err
 }

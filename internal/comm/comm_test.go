@@ -17,10 +17,6 @@ func TestMeterBasics(t *testing.T) {
 	if m.TotalBits() != 136 || m.Rounds() != 2 || m.Messages() != 3 {
 		t.Fatalf("meter state: %v", m)
 	}
-	pr := m.PerRound()
-	if len(pr) != 2 || pr[0] != 128 || pr[1] != 8 {
-		t.Fatalf("per-round: %v", pr)
-	}
 	if m.String() == "" {
 		t.Error("String must render")
 	}
@@ -50,7 +46,6 @@ func TestBufferRoundtrip(t *testing.T) {
 	b.PutFloat(2.5)
 	b.PutBool(true)
 	b.PutBool(false)
-	b.PutExponentWeight(12)
 
 	r := FromBytes(b.Bytes())
 	if v, err := r.Uvarint(); err != nil || v != 300 {
@@ -67,9 +62,6 @@ func TestBufferRoundtrip(t *testing.T) {
 	}
 	if v, err := r.Bool(); err != nil || v {
 		t.Fatalf("bool2: %v %v", v, err)
-	}
-	if v, err := r.ExponentWeight(); err != nil || v != 12 {
-		t.Fatalf("exp: %v %v", v, err)
 	}
 	if b.Bits() != 8*b.Len() {
 		t.Error("Bits/Len inconsistent")

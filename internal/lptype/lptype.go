@@ -225,18 +225,6 @@ func Verify[C, B any](dom Domain[C, B], s []C, b B) int {
 	return -1
 }
 
-// Violators returns the indices of all constraints in s that violate b
-// — the set V of Algorithm 1.
-func Violators[C, B any](dom Domain[C, B], s []C, b B) []int {
-	var out []int
-	for i, c := range s {
-		if dom.Violates(b, c) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // BruteForce solves (S, f) by enumerating constraint subsets of size at
 // most ν in increasing cardinality and returning the basis of the first
 // subset that no constraint of S violates. By monotonicity+locality

@@ -45,7 +45,7 @@ func (maxDomain) Violates(b maxBasis, c float64) bool {
 func (maxDomain) CombinatorialDim() int { return 1 }
 func (maxDomain) VCDim() int            { return 1 }
 
-func TestVerifyAndViolators(t *testing.T) {
+func TestVerify(t *testing.T) {
 	dom := maxDomain{}
 	s := []float64{3, 1, 4, 1, 5}
 	b, err := dom.Solve(s)
@@ -58,10 +58,6 @@ func TestVerifyAndViolators(t *testing.T) {
 	bad, _ := dom.Solve(s[:2]) // max = 3
 	if got := Verify[float64, maxBasis](dom, s, bad); got != 2 {
 		t.Errorf("Verify = %d, want 2 (first violator)", got)
-	}
-	v := Violators[float64, maxBasis](dom, s, bad)
-	if len(v) != 2 || v[0] != 2 || v[1] != 4 {
-		t.Errorf("Violators = %v, want [2 4]", v)
 	}
 }
 

@@ -126,23 +126,11 @@ func (s SpanRef) close(bytes int64, err error, class string) {
 	t.mu.Lock()
 	sp := &t.spans[s.idx]
 	sp.DurUS = end - sp.StartUS
-	sp.Bytes += bytes // adds to any AddBytes accumulation
+	sp.Bytes += bytes
 	if err != nil {
 		sp.Err = err.Error()
 		sp.ErrClass = class
 	}
-	t.mu.Unlock()
-}
-
-// AddBytes adds protocol bytes to the open span (for spans that
-// account bytes incrementally).
-func (s SpanRef) AddBytes(bytes int64) {
-	t := s.t
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.spans[s.idx].Bytes += bytes
 	t.mu.Unlock()
 }
 

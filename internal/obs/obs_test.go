@@ -17,7 +17,6 @@ func TestTraceSpans(t *testing.T) {
 	ex := tr.StartSite("round-a", 2, 1)
 	ex.EndBytes(100)
 	ex2 := tr.StartSite("round-b", 0, 2)
-	ex2.AddBytes(7)
 	ex2.EndErr(errors.New("boom"), "timeout")
 	tr.Annotate("kind", "lp")
 	tr.Fail(errors.New("site 2 died"), "unreachable")
@@ -37,9 +36,6 @@ func TestTraceSpans(t *testing.T) {
 	}
 	if d.Spans[2].Err != "boom" || d.Spans[2].ErrClass != "timeout" {
 		t.Errorf("failed span = %+v", d.Spans[2])
-	}
-	if d.Spans[2].Bytes != 7 {
-		t.Errorf("AddBytes accumulation lost: %+v", d.Spans[2])
 	}
 	if d.Err != "site 2 died" || d.ErrClass != "unreachable" {
 		t.Errorf("trace error = %q/%q", d.Err, d.ErrClass)
@@ -73,7 +69,6 @@ func TestNilTraceAllocs(t *testing.T) {
 			t.Fatal("nil trace enabled")
 		}
 		s := tr.Start("phase")
-		s.AddBytes(1)
 		s.End()
 		e := tr.StartSite("round-a", 3, 1)
 		e.EndBytes(10)
