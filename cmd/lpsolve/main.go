@@ -43,8 +43,13 @@
 // splits an existing single-file dataset and merges a sharded one
 // back.
 //
-// Everything else is plain text, '#' comments allowed. The first
-// non-comment line selects the problem kind:
+// Everything else is plain text, '#' comments allowed. lpsolve only
+// parses it; the library checks every row and the objective before it
+// solves or writes anything — the right count of numbers, all finite
+// (strconv spellings such as NaN and Inf parse, and are then refused),
+// and the kind's invariants — so a bad input exits 1 with the row it
+// names, never with an answer. The first non-comment line selects the
+// problem kind:
 //
 //	lp <d>            d-dimensional linear program; next line: the d
 //	                  objective coefficients; then one constraint per
@@ -297,11 +302,10 @@ func run(in io.Reader, out io.Writer, cfg config) error {
 }
 
 // readInstance parses the objective line (for kinds that have one)
-// and the instance rows, validating widths against the registry
-// entry.
+// and the instance rows. It checks neither: SolveInstance and the
+// dataset writers run the library's one check on both.
 func readInstance(sc *bufio.Scanner, m lowdimlp.ProblemModel, dim int) (lowdimlp.Instance, error) {
 	inst := lowdimlp.Instance{Dim: dim}
-	width := m.RowWidth(dim)
 	for sc.Scan() {
 		f := fields(sc.Text())
 		if len(f) == 0 {
@@ -312,17 +316,8 @@ func readInstance(sc *bufio.Scanner, m lowdimlp.ProblemModel, dim int) (lowdimlp
 			return inst, err
 		}
 		if m.HasObjective() && inst.Objective == nil {
-			if len(row) != dim {
-				return inst, fmt.Errorf("objective needs %d coefficients, got %d", dim, len(row))
-			}
 			inst.Objective = row
 			continue
-		}
-		if len(row) != width {
-			return inst, fmt.Errorf("%s needs %d numbers, got %d", m.RowLabel(), width, len(row))
-		}
-		if err := m.CheckRow(dim, row); err != nil {
-			return inst, err
 		}
 		inst.Rows = append(inst.Rows, row)
 	}

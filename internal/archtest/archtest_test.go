@@ -374,6 +374,19 @@ var guards = []guard{
 		},
 	},
 	{
+		step: "ingest", name: "instance data is checked only in internal/engine", design: "§7",
+		in:    []string{"internal/server/...", "cmd/...", "lowdimlp.go"},
+		match: selCall(1, "IsNaN", "IsInf"),
+		seeds: []seed{
+			{path: "internal/server/seed.go", bites: true,
+				src: "package server\nfunc finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }\n"},
+			{path: "internal/server/seed2.go", bites: false,
+				src: "package server\n// func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }\n"},
+			{path: "internal/engine/seed.go", bites: false,
+				src: "package engine\nfunc finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }\n"},
+		},
+	},
+	{
 		step: "parameters", name: "one iteration budget 60·ν·r+60", design: "§1",
 		in: []string{"internal/..."}, out: []string{"internal/tci/...", "internal/baseline/...", "internal/experiments/..."},
 		match: rendered("60 * nu * r"), want: 1, home: "internal/core/...",

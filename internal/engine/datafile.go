@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"math"
 	"path/filepath"
 
 	"lowdimlp/internal/dataset"
@@ -15,20 +14,15 @@ import (
 // reused as the dataset codec, so there is nothing per-kind to write.
 
 // Columnar converts a flat instance's rows into a columnar store,
-// validating widths and kind-specific row invariants on the way in
-// (SolveSource trusts its input, so ingestion is where rows are
-// checked).
+// running CheckRow on each row on the way in (SolveSource trusts its
+// input, so ingestion is where rows are checked).
 func Columnar(m Model, inst Instance) (*dataset.Store, error) {
 	if inst.Dim < 1 {
 		return nil, fmt.Errorf("%s: dim must be ≥ 1, got %d", m.Kind(), inst.Dim)
 	}
-	width := m.RowWidth(inst.Dim)
-	st := dataset.NewStore(width)
+	st := dataset.NewStore(m.RowWidth(inst.Dim))
 	st.Grow(len(inst.Rows))
 	for i, row := range inst.Rows {
-		if len(row) != width {
-			return nil, fmt.Errorf("%s: row %d needs %d numbers, got %d", m.Kind(), i, width, len(row))
-		}
 		if err := m.CheckRow(inst.Dim, row); err != nil {
 			return nil, fmt.Errorf("row %d: %w", i, err)
 		}
@@ -37,31 +31,44 @@ func Columnar(m Model, inst Instance) (*dataset.Store, error) {
 	return st, nil
 }
 
-// WriteDatasetFile writes inst as a self-describing binary dataset
-// file (internal/dataset file format) for the given kind.
-func WriteDatasetFile(path, kind string, inst Instance) error {
+// checkedStore is what both dataset writers write: inst's objective
+// and rows after the ingestion checks, and the header naming them. A
+// writer never writes a file its own reader would refuse.
+func checkedStore(kind string, inst Instance) (dataset.Info, *dataset.Store, error) {
 	m, err := lookup(kind)
 	if err != nil {
-		return err
+		return dataset.Info{}, nil, err
+	}
+	if err := CheckObjective(m, inst.Dim, inst.Objective); err != nil {
+		return dataset.Info{}, nil, err
 	}
 	st, err := Columnar(m, inst)
 	if err != nil {
-		return err
+		return dataset.Info{}, nil, err
 	}
-	return dataset.WriteFile(path, dataset.Info{
+	return dataset.Info{
 		Kind:      m.Kind(),
 		Dim:       inst.Dim,
 		Width:     st.Width(),
 		Objective: inst.Objective,
 		Rows:      st.Rows(),
-	}, st)
+	}, st, nil
+}
+
+// WriteDatasetFile writes inst as a self-describing binary dataset
+// file (internal/dataset file format) for the given kind.
+func WriteDatasetFile(path, kind string, inst Instance) error {
+	info, st, err := checkedStore(kind, inst)
+	if err != nil {
+		return err
+	}
+	return dataset.WriteFile(path, info, st)
 }
 
 // OpenDatasetFile opens a binary dataset file, resolves its kind in
-// the registry, and validates the payload with one streaming pass
-// (finiteness plus the kind's row invariants) — files come from
-// arbitrary paths, so they get the same ingestion checks as JSON
-// uploads, without being materialized.
+// the registry, and checks the objective and every row with one
+// streaming pass — files come from arbitrary paths, so they get the
+// same ingestion checks as JSON uploads, without being materialized.
 func OpenDatasetFile(path string) (Model, *dataset.File, error) {
 	f, err := dataset.OpenFile(path)
 	if err != nil {
@@ -74,24 +81,18 @@ func OpenDatasetFile(path string) (Model, *dataset.File, error) {
 	return m, f, nil
 }
 
-// checkDataset applies the shared ingestion checks to an opened
-// dataset source: registry kind, row width, objective finiteness, and
-// one streaming validation pass over the rows.
+// checkDataset applies the ingestion checks to an opened dataset
+// source: registry kind, CheckObjective, and ValidateSource's pass
+// over the rows.
 func checkDataset(path string, info dataset.Info, src dataset.Source) (Model, error) {
 	m, err := lookup(info.Kind)
+	if err == nil {
+		err = CheckObjective(m, info.Dim, info.Objective)
+	}
+	if err == nil {
+		err = ValidateSource(m, info.Dim, src)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if want := m.RowWidth(info.Dim); src.Width() != want {
-		return nil, fmt.Errorf("%s: width %d, kind %q at dim %d wants %d",
-			path, src.Width(), m.Kind(), info.Dim, want)
-	}
-	for _, v := range info.Objective {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("%s: objective has a non-finite coefficient", path)
-		}
-	}
-	if err := validateSource(m, info.Dim, src); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return m, nil
@@ -135,9 +136,11 @@ func OpenDatasetSource(path string) (Model, dataset.Info, dataset.Source, error)
 	return m, f.Info(), f, nil
 }
 
-// validateSource scans src once, applying the finiteness and
-// kind-specific row checks every other ingestion path enforces.
-func validateSource(m Model, dim int, src dataset.Source) error {
+// ValidateSource runs CheckRow on every row of src in one cursor pass:
+// the row check for input that arrives columnar — dataset files,
+// manifests, worker shards and binary chunk uploads. It rejects at the
+// same row, with the same error, as Columnar over the same rows.
+func ValidateSource(m Model, dim int, src dataset.Source) error {
 	cur := src.NewCursor()
 	defer dataset.CloseCursor(cur)
 	batch := make([]dataset.Row, dataset.DefaultBatchRows)
@@ -151,11 +154,6 @@ func validateSource(m Model, dim int, src dataset.Source) error {
 			return nil
 		}
 		for _, row := range batch[:n] {
-			for _, v := range row {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					return fmt.Errorf("row %d has a non-finite number", i)
-				}
-			}
 			if err := m.CheckRow(dim, row); err != nil {
 				return fmt.Errorf("row %d: %w", i, err)
 			}
@@ -181,21 +179,11 @@ func SolveDatasetFile(path, backend string, opt Options) (Solution, Stats, error
 // WriteShardedDatasetFile writes inst as an LDSETM manifest at path
 // plus round-robin LDSET1 shard files next to it.
 func WriteShardedDatasetFile(path, kind string, inst Instance, shards int) error {
-	m, err := lookup(kind)
+	info, st, err := checkedStore(kind, inst)
 	if err != nil {
 		return err
 	}
-	st, err := Columnar(m, inst)
-	if err != nil {
-		return err
-	}
-	return dataset.WriteShardedFile(path, dataset.Info{
-		Kind:      m.Kind(),
-		Dim:       inst.Dim,
-		Width:     st.Width(),
-		Objective: inst.Objective,
-		Rows:      st.Rows(),
-	}, st, shards)
+	return dataset.WriteShardedFile(path, info, st, shards)
 }
 
 // ConvertDatasetLayout rewrites the dataset at inPath (either layout)

@@ -22,27 +22,12 @@ type (
 //
 // Every backend speaks dataset.Source + lptype.RowAccess
 // (SolveSourceBasis, source.go). Typed items cross into it here, once:
-// Encode validates them and converts them to flat rows, and Access
+// Encode converts them to flat rows and checks each one, and Access
 // rebuilds the typed view over a flat row for the domain. The
 // experiment harness is the one caller that starts from typed items.
 
-// encodeItem appends item i's flat row to dst after checking it the
-// way Columnar checks a flat row: exactly Width(dim) numbers, and the
-// kind's row invariants (Check).
-func (s *Spec[P, C, B]) encodeItem(dim int, dst []float64, i int, item C) ([]float64, error) {
-	lo := len(dst)
-	dst = s.Row(dim, dst, item)
-	if want := s.Width(dim); len(dst)-lo != want {
-		return nil, fmt.Errorf("%s: item %d needs %d numbers, got %d", s.Name, i, want, len(dst)-lo)
-	}
-	if err := s.CheckRow(dim, dst[lo:]); err != nil {
-		return nil, fmt.Errorf("%s: item %d: %w", s.Name, i, err)
-	}
-	return dst, nil
-}
-
-// Encode validates typed items and converts them to a columnar store —
-// the typed twin of Columnar.
+// Encode converts typed items to a columnar store, running CheckRow on
+// each item's flat row — the typed twin of Columnar.
 func (s *Spec[P, C, B]) Encode(dim int, items []C) (*dataset.Store, error) {
 	if dim < 1 {
 		return nil, fmt.Errorf("%s: dim must be ≥ 1, got %d", s.Name, dim)
@@ -51,9 +36,9 @@ func (s *Spec[P, C, B]) Encode(dim int, items []C) (*dataset.Store, error) {
 	st.Grow(len(items))
 	var row []float64
 	for i, item := range items {
-		var err error
-		if row, err = s.encodeItem(dim, row[:0], i, item); err != nil {
-			return nil, err
+		row = s.Row(dim, row[:0], item)
+		if err := s.CheckRow(dim, row); err != nil {
+			return nil, fmt.Errorf("%s: item %d: %w", s.Name, i, err)
 		}
 		st.AppendRow(row)
 	}

@@ -37,6 +37,9 @@ func (s *Spec[P, C, B]) SolveSourceBasis(backend string, dim int, objective []fl
 	if src.Rows() == 0 && !s.Empty {
 		return Solution{}, stats, nil, fmt.Errorf("%s: empty instance", s.Name)
 	}
+	if err := CheckObjective(s, dim, objective); err != nil {
+		return Solution{}, stats, nil, err
+	}
 	p, err := s.Problem(Instance{Dim: dim, Objective: objective})
 	if err != nil {
 		return Solution{}, stats, nil, err

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"lowdimlp/internal/comm"
 	"lowdimlp/internal/coordinator"
@@ -90,7 +91,8 @@ type Spec[P, C, B any] struct {
 	// dst and returns the extended slice.
 	Item func(dim int, row []float64) C
 	Row  func(dim int, dst []float64, item C) []float64
-	// Check validates kind-specific row invariants (optional).
+	// Check validates kind-specific row invariants (optional); CheckRow
+	// runs it after its width and finiteness tests.
 	Check func(dim int, row []float64) error
 
 	// Render converts a basis into the wire/terminal solution.
@@ -116,7 +118,8 @@ type Model interface {
 	AllowsEmpty() bool
 	// RowWidth returns the numbers-per-row at dimension d.
 	RowWidth(dim int) int
-	// CheckRow validates kind-specific row invariants.
+	// CheckRow is the one row check: exactly RowWidth(dim) numbers,
+	// all finite, then the kind's own invariants.
 	CheckRow(dim int, row []float64) error
 	// Families lists the generator families (first = default).
 	Families() []string
@@ -130,9 +133,10 @@ type Model interface {
 	SolveInstance(backend string, inst Instance, opt Options) (Solution, Stats, error)
 	// SolveSource solves a columnar dataset source (in-memory store or
 	// file-backed binary dataset) on the named backend. Rows are not
-	// re-validated here — dataset ingestion (chunk upload, file write,
-	// Columnar) is where row invariants are checked. Results are
-	// bit-identical to SolveInstance over the same rows and options.
+	// re-checked here: every road that builds a source has already run
+	// CheckRow on each row (Columnar, Encode or ValidateSource). The
+	// objective is checked (CheckObjective). Results are bit-identical
+	// to SolveInstance over the same rows and options.
 	SolveSource(backend string, dim int, objective []float64, src dataset.Source, opt Options) (Solution, Stats, error)
 	// SolveSourceBasis is SolveSource returning the raw final basis as
 	// well (nil on error); the server's warm-start cache stores it.
@@ -150,15 +154,6 @@ type Model interface {
 	// NewSiteHost returns the worker-side protocol host over one shard
 	// of an instance of this kind (lpserved -worker).
 	NewSiteHost(dim int, objective []float64, src dataset.Source) (coordinator.SiteHost, error)
-
-	// RowRoundTrip decodes and re-encodes one row (conformance).
-	RowRoundTrip(dim int, row []float64) []float64
-	// CodecRoundTrip runs one row through the item codec (conformance).
-	CodecRoundTrip(dim int, row []float64) ([]float64, error)
-	// BasisRoundTrip solves inst in ram, runs the basis through the
-	// basis codec, and returns both rendered solutions (conformance:
-	// the decoded basis must render identically).
-	BasisRoundTrip(inst Instance, opt Options) (Solution, Solution, error)
 }
 
 func (s *Spec[P, C, B]) Kind() string         { return s.Name }
@@ -168,13 +163,45 @@ func (s *Spec[P, C, B]) HasObjective() bool   { return s.Objective }
 func (s *Spec[P, C, B]) AllowsEmpty() bool    { return s.Empty }
 func (s *Spec[P, C, B]) RowWidth(dim int) int { return s.Width(dim) }
 
-// CheckRow validates one flat row's kind-specific invariants (row
-// width is the caller's concern — see RowWidth).
+// CheckRow is the one row check every road into a solve runs, in this
+// order: exactly Width(dim) numbers, all of them finite, then the
+// kind's Check. Finiteness comes before the kind's invariants because
+// every comparison with NaN is false: a NaN row is never violated
+// (Lemma 3.1's test), so it would leave the problem silently.
 func (s *Spec[P, C, B]) CheckRow(dim int, row []float64) error {
+	if want := s.Width(dim); len(row) != want {
+		return fmt.Errorf("%s needs %d numbers, got %d", s.RowName, want, len(row))
+	}
+	if !finite(row) {
+		return fmt.Errorf("%s has a non-finite number", s.RowName)
+	}
 	if s.Check == nil {
 		return nil
 	}
 	return s.Check(dim, row)
+}
+
+// CheckObjective is the one objective check: a kind with an objective
+// needs exactly dim coefficients, and every coefficient given must be
+// finite.
+func CheckObjective(m Model, dim int, objective []float64) error {
+	if m.HasObjective() && len(objective) != dim {
+		return fmt.Errorf("%s objective needs %d coefficients, got %d", m.Kind(), dim, len(objective))
+	}
+	if !finite(objective) {
+		return fmt.Errorf("%s objective has a non-finite coefficient", m.Kind())
+	}
+	return nil
+}
+
+// finite reports whether every number in v is neither NaN nor ±Inf.
+func finite(v []float64) bool {
+	for _, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // Families lists the generator families in declaration order.
@@ -248,47 +275,4 @@ func (s *Spec[P, C, B]) SolveInstance(backend string, inst Instance, opt Options
 func (s *Spec[P, C, B]) SolveSource(backend string, dim int, objective []float64, src dataset.Source, opt Options) (Solution, Stats, error) {
 	sol, stats, _, err := s.SolveSourceBasis(backend, dim, objective, src, opt)
 	return sol, stats, err
-}
-
-// RowRoundTrip decodes row into a constraint and re-encodes it.
-func (s *Spec[P, C, B]) RowRoundTrip(dim int, row []float64) []float64 {
-	return s.Row(dim, nil, s.Item(dim, row))
-}
-
-// CodecRoundTrip encodes the row's constraint through the item codec
-// and back, returning the re-flattened row.
-func (s *Spec[P, C, B]) CodecRoundTrip(dim int, row []float64) ([]float64, error) {
-	c := s.ItemCodec(dim)
-	enc := c.Append(nil, s.Item(dim, row))
-	item, n, err := c.Decode(enc)
-	if err != nil {
-		return nil, err
-	}
-	if n != len(enc) {
-		return nil, fmt.Errorf("%s: item codec consumed %d of %d bytes", s.Name, n, len(enc))
-	}
-	return s.Row(dim, nil, item), nil
-}
-
-// BasisRoundTrip solves inst with the ram reference, pushes the basis
-// through the basis codec, and renders both sides.
-func (s *Spec[P, C, B]) BasisRoundTrip(inst Instance, opt Options) (Solution, Solution, error) {
-	st, err := Columnar(s, inst)
-	if err != nil {
-		return Solution{}, Solution{}, err
-	}
-	orig, _, basis, err := s.SolveSourceBasis(BackendRAM, inst.Dim, inst.Objective, st, opt)
-	if err != nil {
-		return Solution{}, Solution{}, err
-	}
-	c := s.BasisCodec(inst.Dim)
-	enc := c.Append(nil, basis.(B))
-	dec, n, err := c.Decode(enc)
-	if err != nil {
-		return Solution{}, Solution{}, err
-	}
-	if n != len(enc) {
-		return Solution{}, Solution{}, fmt.Errorf("%s: basis codec consumed %d of %d bytes", s.Name, n, len(enc))
-	}
-	return orig, s.Render(inst.Dim, dec), nil
 }

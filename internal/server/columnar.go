@@ -12,10 +12,10 @@ import (
 
 // decodeBinaryChunk reads one LDSET1 block (self-describing header +
 // raw little-endian rows, the same format lpsolve -convert writes)
-// from r into a validated columnar chunk: the header must agree with
-// the instance's kind and dimension, and every row gets the identical
-// finiteness and kind-invariant checks as the JSON path — just without
-// parsing a single ASCII float.
+// from r into a checked columnar chunk: the header must agree with the
+// instance's kind and dimension, and engine.ValidateSource runs the
+// one row check on every row — the JSON path's check, without parsing
+// a single ASCII float.
 func decodeBinaryChunk(r io.Reader, m engine.Model, kind string, dim int) (*dataset.Store, error) {
 	// Strict: exactly one block per request — trailing bytes would be
 	// rows the client thinks it uploaded, silently dropped. The decode
@@ -30,22 +30,11 @@ func decodeBinaryChunk(r io.Reader, m engine.Model, kind string, dim int) (*data
 	if info.Dim != dim {
 		return nil, fmt.Errorf("binary chunk has dim %d, instance has %d", info.Dim, dim)
 	}
-	if want := m.RowWidth(dim); st.Width() != want {
-		return nil, fmt.Errorf("binary chunk width %d, kind %q at dim %d wants %d", st.Width(), kind, dim, want)
-	}
 	if st.Rows() > MaxInstanceRows {
 		return nil, fmt.Errorf("binary chunk exceeds %d rows", MaxInstanceRows)
 	}
-	for i, n := 0, st.Rows(); i < n; i++ {
-		row := st.Row(i)
-		for _, v := range row {
-			if !finite(v) {
-				return nil, fmt.Errorf("row %d has a non-finite number", i)
-			}
-		}
-		if err := m.CheckRow(dim, row); err != nil {
-			return nil, fmt.Errorf("row %d: %w", i, err)
-		}
+	if err := engine.ValidateSource(m, dim, st); err != nil {
+		return nil, err
 	}
 	return st, nil
 }
@@ -54,14 +43,9 @@ func decodeBinaryChunk(r io.Reader, m engine.Model, kind string, dim int) (*data
 // store: one reusable []float64 is decoded per row (json.Decoder
 // reuses its backing array) and copied into the arena, so ingesting n
 // rows allocates O(1) slice headers instead of n — no [][]float64 is
-// ever materialized. Each row is validated (width, finiteness,
-// kind-specific invariants) before it is committed; maxRows bounds the
-// total.
+// ever materialized. Each row passes CheckRow before it is committed;
+// maxRows bounds the total.
 func decodeRowsJSON(raw []byte, m engine.Model, dim int, st *dataset.Store, maxRows int) error {
-	width := m.RowWidth(dim)
-	if st.Width() != width {
-		return fmt.Errorf("internal: store width %d, kind %q wants %d", st.Width(), m.Kind(), width)
-	}
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	tok, err := dec.Token()
 	if err != nil {
@@ -70,20 +54,12 @@ func decodeRowsJSON(raw []byte, m engine.Model, dim int, st *dataset.Store, maxR
 	if d, ok := tok.(json.Delim); !ok || d != '[' {
 		return fmt.Errorf("rows must be an array, got %v", tok)
 	}
-	row := make([]float64, 0, width)
+	row := make([]float64, 0, st.Width())
 	i := 0
 	for dec.More() {
 		row = row[:0]
 		if err := dec.Decode(&row); err != nil {
 			return fmt.Errorf("row %d: bad JSON: %w", i, err)
-		}
-		if len(row) != width {
-			return fmt.Errorf("row %d needs %d numbers, got %d", i, width, len(row))
-		}
-		for _, v := range row {
-			if !finite(v) {
-				return fmt.Errorf("row %d has a non-finite number", i)
-			}
 		}
 		if err := m.CheckRow(dim, row); err != nil {
 			return fmt.Errorf("row %d: %w", i, err)

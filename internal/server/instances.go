@@ -149,33 +149,9 @@ func (s *InstanceStore) Meta(ns, id string) (kind string, dim int, err error) {
 	return ins.kind, ins.dim, nil
 }
 
-// Append adds a batch of rows to an open upload. Row widths and
-// kind-specific invariants are validated against the instance's
-// registered kind. (The HTTP handler decodes JSON chunks straight into
-// a columnar store and uses AppendChunk; this [][]float64 entry point
-// serves library callers and tests.)
-func (s *InstanceStore) Append(ns, id string, rows [][]float64) (total int, err error) {
-	kind, dim, err := s.Meta(ns, id)
-	if err != nil {
-		return 0, err
-	}
-	m, err := lookupModel(kind)
-	if err != nil {
-		return 0, err
-	}
-	if err := validateRows(m, dim, rows); err != nil {
-		return 0, err
-	}
-	chunk := dataset.NewStore(m.RowWidth(dim))
-	chunk.Grow(len(rows))
-	for _, row := range rows {
-		chunk.AppendRow(row)
-	}
-	return s.AppendChunk(ns, id, chunk)
-}
-
-// AppendChunk appends an already-validated columnar chunk to an open
-// upload: one arena copy, no per-row decode.
+// AppendChunk appends a columnar chunk whose rows have passed the row
+// check (decodeRowsJSON or decodeBinaryChunk) to an open upload: one
+// arena copy, no per-row decode.
 func (s *InstanceStore) AppendChunk(ns, id string, chunk *dataset.Store) (total int, err error) {
 	s.mu.Lock()
 	ins, ok := s.byID[id]

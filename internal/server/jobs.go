@@ -202,8 +202,9 @@ func NewManager(workers, queueDepth int, cache *Cache, metrics *Metrics) *Manage
 	return m
 }
 
-// Submit validates nothing (the handler already did), assigns an ID
-// and enqueues the job. It fails fast — shedding under admission
+// Submit checks nothing (Validate checked the request; materialize
+// checks its rows on the worker): it assigns an ID and enqueues the
+// job. It fails fast — shedding under admission
 // pressure, rejecting when the queue is full — rather than blocking
 // the HTTP handler.
 func (m *Manager) Submit(req *SolveRequest) (*Job, error) {

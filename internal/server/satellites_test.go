@@ -157,6 +157,25 @@ func TestDigestCanonicalization(t *testing.T) {
 
 // TestInstanceTTLEviction: abandoned uploads are reclaimed by the
 // sweep, freeing their slots.
+// appendRows uploads rows to an open instance the way the JSON chunk
+// handler does: engine.Columnar runs the row check, AppendChunk stores
+// the chunk.
+func appendRows(store *InstanceStore, ns, id string, rows [][]float64) (int, error) {
+	kind, dim, err := store.Meta(ns, id)
+	if err != nil {
+		return 0, err
+	}
+	m, err := lookupModel(kind)
+	if err != nil {
+		return 0, err
+	}
+	chunk, err := engine.Columnar(m, engine.Instance{Dim: dim, Rows: rows})
+	if err != nil {
+		return 0, err
+	}
+	return store.AppendChunk(ns, id, chunk)
+}
+
 func TestInstanceTTLEviction(t *testing.T) {
 	store := NewInstanceStore(2, 30*time.Millisecond)
 	if _, err := store.Create("", "meb", 2); err != nil {
@@ -171,7 +190,7 @@ func TestInstanceTTLEviction(t *testing.T) {
 	}
 	time.Sleep(40 * time.Millisecond)
 	// A late append keeps one instance alive through the sweep.
-	if _, err := store.Append("", id, [][]float64{{1, 2}}); err != nil {
+	if _, err := appendRows(store, "", id, [][]float64{{1, 2}}); err != nil {
 		t.Fatal(err)
 	}
 	if n := store.Sweep(); n != 1 {
@@ -180,7 +199,7 @@ func TestInstanceTTLEviction(t *testing.T) {
 	if store.Len() != 1 {
 		t.Fatalf("%d instances left, want the touched one", store.Len())
 	}
-	if _, err := store.Append("", id, [][]float64{{3, 4}}); err != nil {
+	if _, err := appendRows(store, "", id, [][]float64{{3, 4}}); err != nil {
 		t.Fatalf("touched instance unusable after sweep: %v", err)
 	}
 	// The freed slot is reusable.
@@ -197,7 +216,7 @@ func TestInstanceListEndpoint(t *testing.T) {
 	if err := json.Unmarshal(raw, &ref); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.instances.Append("", ref.ID, [][]float64{{1, 2, 1}, {3, 4, -1}}); err != nil {
+	if _, err := appendRows(s.instances, "", ref.ID, [][]float64{{1, 2, 1}, {3, 4, -1}}); err != nil {
 		t.Fatal(err)
 	}
 	var body struct {
@@ -228,7 +247,7 @@ func TestTombstoneBlocksResurrection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.Append("", id, [][]float64{{0, 0}, {1, 1}}); err != nil {
+	if _, err := appendRows(store, "", id, [][]float64{{0, 0}, {1, 1}}); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := store.Take("", id, "meb", 2)
@@ -245,7 +264,7 @@ func TestTombstoneBlocksResurrection(t *testing.T) {
 	if store.Len() != 0 {
 		t.Fatal("deleted instance was resurrected by Restore")
 	}
-	if _, err := store.Append("", id, [][]float64{{2, 2}}); err == nil {
+	if _, err := appendRows(store, "", id, [][]float64{{2, 2}}); err == nil {
 		t.Fatal("appending to a deleted instance succeeded")
 	}
 	// A fresh instance under a different ID is unaffected.
@@ -314,7 +333,7 @@ func TestSweepKeepsRacingAppend(t *testing.T) {
 		time.Sleep(2 * time.Millisecond) // go idle past the TTL
 		done := make(chan int, 1)
 		go func() {
-			n, err := store.Append("", id, [][]float64{{1, 2}})
+			n, err := appendRows(store, "", id, [][]float64{{1, 2}})
 			if err != nil {
 				n = -1
 			}

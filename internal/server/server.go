@@ -557,7 +557,7 @@ func (s *Server) handleInstanceAppend(w http.ResponseWriter, r *http.Request) {
 			writeError(w, decodeErrorStatus(err), err)
 			return
 		}
-		chunk = dataset.NewStore(m.RowWidth(dim))
+		chunk = newKindStore(m, dim)
 		if raw := bytes.TrimSpace(body.Rows); len(raw) > 0 && !bytes.Equal(raw, []byte("null")) {
 			if err := decodeRowsJSON(raw, m, dim, chunk, MaxInstanceRows); err != nil {
 				writeError(w, http.StatusBadRequest, err)

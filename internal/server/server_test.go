@@ -195,15 +195,19 @@ func TestSolveValidation(t *testing.T) {
 			t.Errorf("row case %d: status %+v, want failed with row error", i, st)
 		}
 	}
-	// NaN/Inf never survive JSON encoding, so the finite check is
-	// exercised on Validate directly.
+	// NaN/Inf never survive JSON encoding, so the finite checks are
+	// exercised in process: the objective on Validate, in-process rows
+	// on materialize (where every row road meets engine.Columnar).
 	bad := SolveRequest{Kind: "lp", Model: "ram", Dim: 2, Objective: []float64{1, math.NaN()}}
 	if err := bad.Validate(); err == nil {
 		t.Error("NaN objective passed validation")
 	}
 	bad = SolveRequest{Kind: "meb", Model: "ram", Dim: 1, Rows: [][]float64{{math.Inf(1)}}}
-	if err := bad.Validate(); err == nil {
-		t.Error("Inf row passed validation")
+	if err := bad.Validate(); err != nil {
+		t.Fatalf("Validate checked rows: %v", err)
+	}
+	if err := materialize(&bad); err == nil {
+		t.Error("Inf row passed materialize")
 	}
 }
 
@@ -466,7 +470,7 @@ func TestQueueFullRestoresInstance(t *testing.T) {
 	if err := json.Unmarshal(raw, &ref); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.instances.Append("", ref.ID, [][]float64{{0, 0}, {2, 0}}); err != nil {
+	if _, err := appendRows(s.instances, "", ref.ID, [][]float64{{0, 0}, {2, 0}}); err != nil {
 		t.Fatal(err)
 	}
 	// Saturate the single worker + single queue slot, then submit the
@@ -492,7 +496,7 @@ func TestQueueFullRestoresInstance(t *testing.T) {
 		if s.instances.Len() != 1 {
 			t.Fatalf("instance not restored after queue-full 503")
 		}
-		if _, err := s.instances.Append("", ref.ID, [][]float64{{1, 1}}); err != nil {
+		if _, err := appendRows(s.instances, "", ref.ID, [][]float64{{1, 1}}); err != nil {
 			t.Fatalf("restored instance unusable: %v", err)
 		}
 	}

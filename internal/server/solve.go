@@ -46,15 +46,10 @@ func materialize(r *SolveRequest) error {
 		r.data = st
 		r.rawRows = nil
 	case r.Rows != nil:
-		// Library-style callers that built the request in memory; rows
-		// were validated by Validate.
-		st := newKindStore(m, r.Dim)
-		st.Grow(len(r.Rows))
-		for i, row := range r.Rows {
-			if len(row) != st.Width() {
-				return fmt.Errorf("row %d needs %d numbers, got %d", i, st.Width(), len(row))
-			}
-			st.AppendRow(row)
+		// Library-style callers that built the request in memory.
+		st, err := engine.Columnar(m, engine.Instance{Dim: r.Dim, Rows: r.Rows})
+		if err != nil {
+			return err
 		}
 		r.data = st
 		r.Rows = nil

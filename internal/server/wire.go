@@ -291,8 +291,9 @@ const MaxGenerateN = 5_000_000
 const MaxInstanceRows = 5_000_000
 
 // Validate checks a request for structural errors and normalizes the
-// kind/model spelling. Instance material (rows/generate) is checked
-// too, but InstanceID resolution happens later, at submit time.
+// kind/model spelling. It checks the objective and a generate spec;
+// rows are checked when they are materialized, and InstanceID
+// resolution happens later, at submit time.
 func (r *SolveRequest) Validate() error {
 	r.Kind = strings.ToLower(strings.TrimSpace(r.Kind))
 	r.Model = strings.ToLower(strings.TrimSpace(r.Model))
@@ -351,41 +352,10 @@ func (r *SolveRequest) Validate() error {
 	if r.Dim > MaxDim {
 		return fmt.Errorf("dim %d exceeds the service limit %d", r.Dim, MaxDim)
 	}
-	if m.HasObjective() {
-		if len(r.Objective) != r.Dim {
-			return fmt.Errorf("%s objective needs %d coefficients, got %d", r.Kind, r.Dim, len(r.Objective))
-		}
-		for _, v := range r.Objective {
-			if !finite(v) {
-				return fmt.Errorf("%s objective has a non-finite coefficient", r.Kind)
-			}
-		}
-	}
-	// Undecoded inline rows (rawRows) are validated on the worker when
-	// they are materialized into the columnar store; a pre-decoded
-	// Rows slice (library callers, restored uploads) is checked here.
-	return validateRows(m, r.Dim, r.Rows)
-}
-
-// validateRows checks instance rows for the given kind/dim — shared
-// by inline requests (Validate) and chunk uploads (InstanceStore), so
-// the two ingestion paths can never drift.
-func validateRows(m engine.Model, dim int, rows [][]float64) error {
-	want := m.RowWidth(dim)
-	for i, row := range rows {
-		if len(row) != want {
-			return fmt.Errorf("row %d needs %d numbers, got %d", i, want, len(row))
-		}
-		for _, v := range row {
-			if !finite(v) {
-				return fmt.Errorf("row %d has a non-finite number", i)
-			}
-		}
-		if err := m.CheckRow(dim, row); err != nil {
-			return fmt.Errorf("row %d: %w", i, err)
-		}
-	}
-	return nil
+	// Rows are checked where they become a columnar store: inline and
+	// in-process rows on the worker pool (materialize), uploads at
+	// append time.
+	return engine.CheckObjective(m, r.Dim, r.Objective)
 }
 
 func (r *SolveRequest) validateGenerate(m engine.Model) error {
@@ -408,8 +378,6 @@ func (r *SolveRequest) validateGenerate(m engine.Model) error {
 	}
 	return m.CheckGenerate(g.Family, g.params())
 }
-
-func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // digestWriters returns the little-endian hash helpers shared by the
 // request keys, so every key encodes numbers identically.

@@ -134,7 +134,9 @@ func LookupKind(kind string) (ProblemModel, bool) { return engine.Lookup(kind) }
 // SolveInstance solves a flat instance of any registered kind on any
 // backend: the generic entry point behind lpserved and lpsolve.
 // Options.K selects the coordinator site count; stats are populated
-// for the distributed backends.
+// for the distributed backends. Every row must hold RowWidth finite
+// numbers that meet the kind's invariants, and an objective (lp) dim
+// finite coefficients: anything else is an error, never a solution.
 func SolveInstance(kind, backend string, inst Instance, opt Options) (Solution, SolveStats, error) {
 	m, ok := engine.Lookup(kind)
 	if !ok {
@@ -148,7 +150,8 @@ func SolveInstance(kind, backend string, inst Instance, opt Options) (Solution, 
 // a flat little-endian row arena — see internal/dataset). Dataset
 // files are the out-of-core input format: lpsolve accepts them
 // directly and the streaming backend scans them in fixed-size blocks
-// without ever materializing the instance.
+// without ever materializing the instance. The rows and objective get
+// SolveInstance's checks: an instance it refuses is not written.
 func WriteDatasetFile(path, kind string, inst Instance) error {
 	return engine.WriteDatasetFile(path, kind, inst)
 }
