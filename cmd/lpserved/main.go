@@ -7,13 +7,16 @@
 //
 // Usage:
 //
-//	lpserved [-addr :8080] [-pool N] [-queue N] [-cache N]
-//	         [-basis-cache N] [-admission-rows N]
-//	         [-max-body BYTES] [-instance-ttl D]
-//	         [-workers host1,host2,...] [-fleet-ttl D]
-//	         [-tenants FILE] [-trace-buffer N] [-grace D] [-pprof]
-//	lpserved -worker shard.lds [-addr :8081] [-session-ttl D]
-//	         [-register FRONTEND] [-advertise URL] [-pprof]
+//	lpserved [-addr :8080] [-pool N] [-cache N] [-max-body BYTES]
+//	         [-workers host1,host2,...] [-tenants FILE] [-grace D] [-pprof]
+//	lpserved -worker shard.lds [-addr :8081]
+//	         [-register FRONTEND] [-advertise URL] [-grace D] [-pprof]
+//
+// The job queue holds 4 jobs per pool worker, the warm-start basis
+// cache 256 bases and the /v1/traces ring 128 traces; chunk uploads
+// idle for 10 minutes and worker protocol sessions idle for 5 are
+// reclaimed, and a registered worker silent for 15 s is marked down.
+// These are constants, not flags (DESIGN.md §11).
 //
 // Endpoints (see internal/server for the wire format):
 //
@@ -35,25 +38,22 @@
 // Solve requests carrying "trace": true (or ?trace=1 on the
 // query-string form) return a span-level trace of the solve inline in
 // the job status; every captured trace also lands in the /v1/traces
-// ring (-trace-buffer). Tracing never changes the answer or the
-// metered bits (DESIGN.md §10).
+// ring. Tracing never changes the answer or the metered bits
+// (DESIGN.md §10).
 //
-// Chunk uploads idle longer than -instance-ttl are reclaimed
-// automatically, so abandoned uploads cannot wedge the slot limit.
+// Idle chunk uploads are reclaimed automatically, so abandoned
+// uploads cannot wedge the slot limit.
 //
-// # Warm starts, coalescing, admission
+// # Warm starts and coalescing
 //
 // Every job walks one road: result-cache lookup, then in-flight
 // coalescing (an identical request already running is waited for and
 // its outcome copied, not re-solved), then a warm start, then the
-// solve. Solved bases are kept in a -basis-cache LRU keyed by instance
-// and seed; a repeat solve (or a tuning-knob overlay of one)
-// re-verifies the cached basis in one scan and warm-starts instead of
-// re-solving. With -admission-rows N
-// the service sheds submissions that would push the pending row
-// backlog past N, answering 429 with a Retry-After estimate before
-// latency collapses (the queue-full 503 remains the hard limit).
-// See DESIGN.md §11.
+// solve. Solved bases are kept in an LRU keyed by instance and seed; a
+// repeat solve (or a tuning-knob overlay of one) re-verifies the
+// cached basis in one scan and warm-starts instead of re-solving. A
+// full queue answers 503 with a Retry-After estimate. See DESIGN.md
+// §11.
 //
 // Chunk appends may be binary: POST the LDSET1 form of a batch (what
 // `lpsolve -convert` writes) with Content-Type application/octet-stream
@@ -84,7 +84,7 @@
 // The frontend's -workers list is just the static seed of a worker
 // registry. Workers started with -register FRONTEND announce
 // themselves dynamically (re-registering every third of the
-// registry's -fleet-ttl as a heartbeat; -advertise overrides the
+// registry's heartbeat horizon as a heartbeat; -advertise overrides the
 // dialable URL they announce, which defaults to the host's name plus
 // the -addr port). A fleet solve runs on the live membership at the
 // moment it begins; a worker that dies mid-solve is marked down and
@@ -113,8 +113,7 @@
 // jobs and traces belonging to one tenant are invisible (404) to every
 // other. rate_per_sec/burst token-bucket mutating requests;
 // max_active caps a tenant's queued+running jobs. Both refusals are
-// 429 + Retry-After, distinct from the global admission shed and from
-// the queue-full 503. /healthz and /metrics stay unauthenticated so
+// 429 + Retry-After, distinct from the queue-full 503. /healthz and /metrics stay unauthenticated so
 // probes and scrapes keep working; per-tenant lpserved_tenant_*
 // families appear on /metrics (and the lpstat board). Without
 // -tenants the service is open, exactly as before.
@@ -164,27 +163,20 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
 		pool       = flag.Int("pool", 0, "solver pool size (0 = GOMAXPROCS)")
-		queue      = flag.Int("queue", 0, "job queue depth (0 = 4×pool)")
 		cache      = flag.Int("cache", 256, "result-cache capacity (-1 disables)")
-		basisCache = flag.Int("basis-cache", 256, "warm-start basis cache capacity (-1 disables)")
-		admitRows  = flag.Int64("admission-rows", 0, "shed submissions past this many pending rows with 429 + Retry-After (0 disables)")
 		maxBody    = flag.Int64("max-body", 64<<20, "max request body bytes")
-		instTTL    = flag.Duration("instance-ttl", server.DefaultInstanceTTL, "idle chunk-upload eviction horizon (negative disables)")
 		grace      = flag.Duration("grace", 30*time.Second, "shutdown drain timeout")
 		workerData = flag.String("worker", "", "run in worker mode, owning this LDSET1 dataset shard")
-		sessTTL    = flag.Duration("session-ttl", server.DefaultSessionTTL, "worker mode: idle protocol-session eviction horizon (negative disables)")
 		register   = flag.String("register", "", "worker mode: frontend base URL to register with and heartbeat (elastic fleet)")
 		advertise  = flag.String("advertise", "", "worker mode: base URL the frontend should dial for this worker (default http://<hostname><-addr port>)")
 		fleet      = flag.String("workers", "", "comma-separated worker base URLs serving \"fleet\": true solves (worker i = site i)")
-		fleetTTL   = flag.Duration("fleet-ttl", 0, "fleet registry heartbeat horizon: registered workers silent this long are marked down (0 = 15s, negative disables)")
-		traceBuf   = flag.Int("trace-buffer", 0, "solve-trace ring capacity for GET /v1/traces (0 = 128, negative disables)")
 		tenants    = flag.String("tenants", "", "tenants JSON file; enables bearer-key auth, per-tenant limits and namespaces")
 		pprofOn    = flag.Bool("pprof", false, "expose net/http/pprof endpoints under /debug/pprof/")
 	)
 	flag.Parse()
 
 	if *workerData != "" {
-		runWorker(*workerData, *addr, *register, *advertise, *sessTTL, *grace, *pprofOn)
+		runWorker(*workerData, *addr, *register, *advertise, *grace, *pprofOn)
 		return
 	}
 
@@ -200,17 +192,11 @@ func main() {
 	}
 
 	srv := server.New(server.Config{
-		Workers:        *pool,
-		QueueDepth:     *queue,
-		CacheSize:      *cache,
-		BasisCacheSize: *basisCache,
-		AdmissionRows:  *admitRows,
-		MaxBodyBytes:   *maxBody,
-		InstanceTTL:    *instTTL,
-		FleetWorkers:   httptransport.SplitList(*fleet),
-		FleetTTL:       *fleetTTL,
-		TraceBuffer:    *traceBuf,
-		Gateway:        gw,
+		Workers:      *pool,
+		CacheSize:    *cache,
+		MaxBodyBytes: *maxBody,
+		FleetWorkers: httptransport.SplitList(*fleet),
+		Gateway:      gw,
 	})
 	httpSrv := &http.Server{
 		Addr:              *addr,
@@ -294,8 +280,8 @@ func advertiseURL(advertise, addr string) string {
 // the registry, finish in-flight rounds — before the listener closes,
 // so a coordinator mid-solve sees either a completed exchange or a
 // typed refusal, never a vanished peer.
-func runWorker(dataPath, addr, register, advertise string, sessTTL, grace time.Duration, pprofOn bool) {
-	w, err := server.NewWorker(server.WorkerConfig{DataPath: dataPath, SessionTTL: sessTTL})
+func runWorker(dataPath, addr, register, advertise string, grace time.Duration, pprofOn bool) {
+	w, err := server.NewWorker(server.WorkerConfig{DataPath: dataPath})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lpserved:", err)
 		os.Exit(1)

@@ -28,11 +28,11 @@ import (
 )
 
 // The options every road solves with: lpsolve's flag values, the
-// library's Options and the wire's SolveOptions spell the same solve.
+// library's Options and engine.Options (also the wire's "options")
+// spell the same solve.
 var (
 	roadLib    = lowdimlp.Options{R: 2, K: 2, Delta: 0.5, Seed: 1}
 	roadEngine = engine.Options{R: 2, K: 2, Delta: 0.5, Seed: 1}
-	roadWire   = server.SolveOptions{R: 2, K: 2, Delta: 0.5, Seed: 1}
 )
 
 func roadConfig(backend string) config {
@@ -188,9 +188,12 @@ func post(url, contentType string, body []byte) (*http.Response, []byte, error) 
 
 // serverRoads are the lpserved roads: inline rows, a JSON chunk and a
 // binary chunk over HTTP, and a request built in process, submitted to
-// a job manager.
+// a job manager. Warm starts are on, and their key leaves out the
+// backend: a server that answered one backend would answer the others
+// with that backend's bits (DESIGN.md §11), so callers build these
+// roads once per backend.
 func serverRoads(t *testing.T) []road {
-	srv := server.New(server.Config{Workers: 2, CacheSize: -1, BasisCacheSize: -1})
+	srv := server.New(server.Config{Workers: 2, CacheSize: -1})
 	ts := httptest.NewServer(srv.Handler())
 	mgr := server.NewManager(1, 4, server.NewCache(-1), server.NewMetrics())
 	t.Cleanup(func() {
@@ -201,7 +204,7 @@ func serverRoads(t *testing.T) []road {
 		mgr.Shutdown(ctx)
 	})
 	envelope := func(kind, backend string, inst lowdimlp.Instance, material string) []byte {
-		opt, _ := json.Marshal(roadWire)
+		opt, _ := json.Marshal(roadEngine)
 		body := fmt.Sprintf(`{"kind":%q,"model":%q,"dim":%d,%s,"options":%s`, kind, backend, inst.Dim, material, opt)
 		if inst.Objective != nil {
 			body += `,"objective":` + jsonNums(inst.Objective)
@@ -275,7 +278,7 @@ func serverRoads(t *testing.T) []road {
 		}},
 		{"server in-process rows", func(_, kind, backend string, inst lowdimlp.Instance) (string, error) {
 			req := &server.SolveRequest{Kind: kind, Model: backend, Dim: inst.Dim,
-				Objective: inst.Objective, Rows: inst.Rows, Options: roadWire}
+				Objective: inst.Objective, Rows: inst.Rows, Options: roadEngine}
 			if err := req.Validate(); err != nil {
 				return "", err
 			}
@@ -294,7 +297,7 @@ func serverRoads(t *testing.T) []road {
 }
 
 // everyRoad lists the roads into a solve; each solves on the backend
-// it is given.
+// it is given, and the server roads only ever see one backend.
 func everyRoad(t *testing.T) []road {
 	roads := []road{
 		{"SolveInstance", func(_, kind, backend string, inst lowdimlp.Instance) (string, error) {
@@ -399,14 +402,14 @@ func clone(inst lowdimlp.Instance) lowdimlp.Instance {
 // behind; and one valid instance per kind must pass every road with
 // the same answer, bit for bit, as SolveInstance on that backend.
 func TestEveryRoadChecksTheSameRows(t *testing.T) {
-	roads := everyRoad(t)
-	for _, kind := range lowdimlp.Kinds() {
-		m, _ := lowdimlp.LookupKind(kind)
-		valid, err := m.Generate(m.Families()[0], lowdimlp.GenParams{N: 30, D: 2, Seed: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, backend := range lowdimlp.Backends() {
+	for _, backend := range lowdimlp.Backends() {
+		roads := everyRoad(t)
+		for _, kind := range lowdimlp.Kinds() {
+			m, _ := lowdimlp.LookupKind(kind)
+			valid, err := m.Generate(m.Families()[0], lowdimlp.GenParams{N: 30, D: 2, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
 			want, err := solved(lowdimlp.SolveInstance(kind, backend, valid, roadLib))
 			if err != nil || want == "" {
 				t.Fatalf("%s/%s: valid instance: %v", kind, backend, err)

@@ -579,7 +579,28 @@ var guards = []guard{
 		},
 	},
 	{
-		step: "spill", name: "18 lpserved flags", design: "§11",
+		step: "knobs", name: "no admission shedding or fixed-tuning flags", design: "§11",
+		in: []string{"..."}, out: []string{"benchmark/..."},
+		// Flag names that are also everyday words ("queue", and
+		// "basis-cache" inside the doctor's frontend-basis-cache-cold
+		// rule) are forbidden only as the whole literal.
+		match: named("AdmissionRows", "admitRows", "ErrOverloaded", "JobsShed", "jobs_shed", "admission-rows",
+			"QueueDepth", "BasisCacheSize", "TraceBuffer", "InstanceTTL", "FleetTTL", "MaxInstances",
+			"SessionTTL", "MaxSessions", "MaxFrameBytes",
+			`"queue"`, `"basis-cache"`, "trace-buffer", "instance-ttl", "session-ttl", "fleet-ttl"),
+		seeds: []seed{
+			{path: "cmd/lpserved/seed.go", bites: true, src: "package main\nvar q = flag.Int(\"queue\", 0, \"\")\n"},
+			{path: "cmd/lpserved/seed2.go", bites: true, src: "package main\nvar b = flag.Int(\"basis-cache\", 256, \"\")\n"},
+			{path: "internal/server/seed.go", bites: true, src: "package server\ntype Config struct{ AdmissionRows int64 }\n"},
+			{path: "internal/server/seed2.go", bites: true, src: "package server\nvar ErrOverloaded = errors.New(\"shed\")\n"},
+			{path: "internal/server/seed3.go", bites: true, src: "package server\ntype WorkerConfig struct{ SessionTTL time.Duration }\n"},
+			{path: "internal/lpstat/seed.go", bites: true, src: "package lpstat\nfunc f() { _ = m.Sum(\"lpserved_jobs_shed_total\") }\n"},
+			{path: "internal/lpstat/seed2.go", bites: false, src: "package lpstat\nconst rule = \"frontend-basis-cache-cold\"\n"},
+			{path: "internal/server/seed4.go", bites: false, src: "package server\nconst state = \"queued\"\n"},
+		},
+	},
+	{
+		step: "spill", name: "11 lpserved flags", design: "§11",
 		in: []string{"cmd/lpserved"},
 		match: func(n ast.Node) (string, bool) {
 			c, ok := n.(*ast.CallExpr)
@@ -589,7 +610,7 @@ var guards = []guard{
 			s, ok := c.Fun.(*ast.SelectorExpr)
 			return expr(c.Fun), ok && name(s.X) == "flag" && oneOf(s.Sel.Name, flagFuncs...)
 		},
-		want: 18, home: "cmd/lpserved",
+		want: 11, home: "cmd/lpserved",
 		seeds: []seed{{path: "cmd/lpserved/seed.go", bites: true, src: "package main\nvar spill = flag.Int(\"spill-rows\", 0, \"\")\n"}},
 	},
 }

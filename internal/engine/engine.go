@@ -56,27 +56,29 @@ func ValidBackend(name string) bool {
 
 // Options configure a solve, across all kinds and backends. Each
 // backend reads only a subset of the fields; Canonical reports which.
+// The JSON tags are lpserved's wire form ("options" in a solve
+// request); Trace never crosses the wire.
 type Options struct {
 	// R is the paper's pass/round trade-off parameter r ≥ 1: O(d·r)
 	// passes/rounds at n^{1/r} space/communication. Zero means 2
 	// (except on mpc, where zero means "derive r = ⌈1/δ⌉").
-	R int
+	R int `json:"r,omitempty"`
 	// Delta is the MPC load exponent δ ∈ (0, 1); zero means 0.5.
-	Delta float64
+	Delta float64 `json:"delta,omitempty"`
 	// Seed drives all randomness (equal seeds reproduce runs exactly).
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
 	// MonteCarlo selects the Remark 3.6 variant (fails fast instead of
 	// retrying failed iterations).
-	MonteCarlo bool
+	MonteCarlo bool `json:"monte_carlo,omitempty"`
 	// NetConst is the ε-net constant c in m = c·λ/ε: 0 means
 	// core.DefaultNetConst, and a negative, NaN or infinite value is
 	// rejected with ErrNetConst. A c so large that n ≤ 2m+1 ships the
 	// whole input instead of sampling.
-	NetConst float64
+	NetConst float64 `json:"net_const,omitempty"`
 	// K is the number of coordinator sites used when the engine
 	// partitions a flat instance itself (0 = 4). The typed coordinator
 	// entry points take explicit partitions and ignore it.
-	K int
+	K int `json:"k,omitempty"`
 	// Parallel is for sharded streaming scans only: the stream backend
 	// reads a sharded source on one decode goroutine per shard. The row
 	// order, and so the answer, is identical either way; only wall-clock
@@ -85,12 +87,12 @@ type Options struct {
 	// see EffectiveParallel. It does not pay on two CPUs either: lpmark's
 	// dataset.cursor_ns_per_row.sharded_par reads 8.1 ns/row against
 	// 6.0 for the sequential .sharded (2-CPU linux/amd64 host).
-	Parallel bool
+	Parallel bool `json:"parallel,omitempty"`
 	// Trace, when non-nil, records the solve's execution structure
 	// (phases, per-round site exchanges with their protocol bytes,
 	// typed error annotations — see internal/obs). Tracing never
 	// changes the answer or the metered totals; nil costs nothing.
-	Trace *obs.Trace
+	Trace *obs.Trace `json:"-"`
 }
 
 // EffectiveParallel reports whether Parallel will actually fan out:

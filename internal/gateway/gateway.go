@@ -142,9 +142,10 @@ func retryAfterSeconds(wait time.Duration) int {
 	return RetryAfterSeconds(wait.Seconds())
 }
 
-// RetryAfterSeconds is the single Retry-After producer for every 429
-// path in the serving stack — the gateway's tenant throttle, the
-// frontend's admission shed and its instance-slot exhaustion. It
+// RetryAfterSeconds is the single Retry-After producer for every
+// backpressure answer in the serving stack — the gateway's tenant
+// throttle, the frontend's tenant quota, full queue and instance-slot
+// exhaustion. It
 // rounds an estimated wait (in seconds) up to a whole second and
 // clamps to [1, 60]: RFC 9110 gives `Retry-After: 0` no useful
 // meaning (and a negative value is malformed), so zero, negative and

@@ -50,9 +50,7 @@ func (m *Metrics) Request(id string) {
 }
 
 // Throttled counts one per-tenant 429 — a rate-limit or queue-quota
-// refusal. Deliberately a different family from the server's
-// lpserved_jobs_shed_total: shedding is the service protecting itself
-// from aggregate load, throttling is one tenant hitting its own cap.
+// refusal: one tenant hitting its own cap.
 func (m *Metrics) Throttled(id string) {
 	m.mu.Lock()
 	m.throttled[id]++

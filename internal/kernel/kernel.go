@@ -92,11 +92,3 @@ func Blocks(c Class) int64 {
 
 // Rows returns the total rows evaluated through block calls.
 func Rows() int64 { return rows.Load() }
-
-// Reset zeroes the counters (tests and benchmark harnesses only).
-func Reset() {
-	for i := range blocks {
-		blocks[i].Store(0)
-	}
-	rows.Store(0)
-}

@@ -79,15 +79,12 @@ func Diagnose(f *Fleet) []Finding {
 					fmt.Sprintf("%d jobs are waiting in the queue (%d running)", fe.JobsQueued, fe.JobsRunning),
 					"the pool is saturated: raise -pool, or expect latency")
 			}
-			if fe.JobsShed > 0 {
-				add(SevWarn, "frontend-load-shedding", "frontend",
-					fmt.Sprintf("%d submissions were shed by admission control (429 + Retry-After) — the pending-row backlog keeps crossing -admission-rows", fe.JobsShed),
-					"clients should honor Retry-After and back off; if the shedding is chronic, raise -admission-rows, add pool workers, or spread the load across more frontends")
-			}
-			// Repeated-seed traffic that never warm-starts: either the
-			// basis cache is disabled while a cache-miss-heavy workload
-			// hammers the service, or cached bases keep failing
-			// re-verification (instance churn under one digest).
+			// Repeated-seed traffic that never warm-starts: either cached
+			// bases keep failing re-verification (instance churn under
+			// one digest), or the frontend has no basis cache at all
+			// while a cache-miss-heavy workload hammers it. A current
+			// lpserved always keeps one; older builds could switch it
+			// off with -basis-cache -1.
 			if fe.WarmHits == 0 && fe.WarmMisses >= 8 {
 				add(SevWarn, "frontend-basis-cache-cold", "frontend",
 					fmt.Sprintf("%d warm-start attempts all failed re-verification and 0 succeeded — cached bases never match the instance they are looked up for", fe.WarmMisses),
@@ -96,16 +93,15 @@ func Diagnose(f *Fleet) []Finding {
 				fe.JobsDone >= 16 && fe.CacheHits == 0 && fe.CacheMisses >= 16 {
 				add(SevWarn, "frontend-basis-cache-cold", "frontend",
 					fmt.Sprintf("%d solves ran with no result-cache hits and an empty basis cache — repeat traffic is re-solving from scratch", fe.JobsDone),
-					"start lpserved with -basis-cache (and -cache) enabled so repeated-seed requests warm-start instead of re-solving")
+					"this frontend runs with warm starts off, which only an older lpserved started with -basis-cache -1 can do; restart it without that flag, or on a current build, so repeated-seed requests warm-start instead of re-solving")
 			}
 			for class, n := range fe.FleetErrors {
 				rule, diag, fix := fleetErrorRule(class, n)
 				add(SevWarn, rule, "frontend", diag, fix)
 			}
 			// Per-tenant throttling: the gateway returned 429s against a
-			// tenant's own rate/quota limits — distinct from global
-			// admission shedding (frontend-load-shedding above). One
-			// finding per tenant, sorted, so the noisy tenant is named.
+			// tenant's own rate/quota limits. One finding per tenant,
+			// sorted, so the noisy tenant is named.
 			for _, id := range sortedKeys(fe.TenantThrottled) {
 				n := fe.TenantThrottled[id]
 				if n == 0 {
@@ -191,8 +187,8 @@ func Diagnose(f *Fleet) []Finding {
 		}
 		if w.SessionsExpired > 0 {
 			add(SevWarn, "worker-session-expired", target,
-				fmt.Sprintf("%d protocol sessions idled past the TTL and were reclaimed — a coordinator died mid-solve, or the TTL is shorter than real round gaps; affected solves see session-expired errors", w.SessionsExpired),
-				"if coordinators are healthy, raise -session-ttl; otherwise find out why they vanish mid-protocol")
+				fmt.Sprintf("%d protocol sessions idled past the 5-minute session TTL and were reclaimed — a coordinator died mid-solve, or stalled that long between rounds; affected solves see session-expired errors", w.SessionsExpired),
+				"find out why coordinators vanish or stall mid-protocol (their logs, their host's load)")
 		}
 		if w.FrameDecodeErrors > 0 {
 			add(SevWarn, "worker-garbage-frames", target,
@@ -256,8 +252,8 @@ func fleetErrorRule(class string, n int64) (rule, diagnosis, fix string) {
 			"probe each worker (lpstat doctor -workers …); the corrupt one fails the protocol probe"
 	case comm.ClassSession:
 		return "fleet-session-expired",
-			fmt.Sprintf("%d fleet exchanges hit expired worker sessions — rounds took longer than the workers' session TTL", n),
-			"raise the workers' -session-ttl or investigate what stalled the coordinator between rounds"
+			fmt.Sprintf("%d fleet exchanges hit expired worker sessions — the gap between rounds outlasted the workers' 5-minute session TTL", n),
+			"investigate what stalled the coordinator between rounds"
 	default:
 		return "fleet-exchange-errors",
 			fmt.Sprintf("%d fleet exchanges failed with class %s", n, class),

@@ -90,9 +90,8 @@ type FrontendStatus struct {
 	CacheMisses    int64
 	FleetSolves    int64
 	TracesCaptured int64
-	// Serving-tier counters (coalescing, warm starts, admission
-	// control; DESIGN.md §11).
-	JobsShed     int64
+	// Serving-tier counters (coalescing and warm starts; DESIGN.md
+	// §11).
 	Coalesced    int64
 	WarmHits     int64
 	WarmMisses   int64
@@ -296,7 +295,6 @@ func collectFrontend(client *http.Client, url string) *FrontendStatus {
 			f.CacheMisses = int64(m.Sum("lpserved_cache_misses_total"))
 			f.FleetSolves = int64(m.Sum("lpserved_fleet_solves_total"))
 			f.TracesCaptured = int64(m.Sum("lpserved_traces_captured_total"))
-			f.JobsShed = int64(m.Sum("lpserved_jobs_shed_total"))
 			f.Coalesced = int64(m.Sum("lpserved_solve_coalesced_total"))
 			f.WarmHits = int64(m.Sum("lpserved_warm_hits_total"))
 			f.WarmMisses = int64(m.Sum("lpserved_warm_misses_total"))

@@ -282,28 +282,10 @@ func TestRenderFindings(t *testing.T) {
 	}
 }
 
-func TestDoctorLoadShedding(t *testing.T) {
-	metrics := `# TYPE lpserved_jobs_done_total counter
-lpserved_jobs_done_total 40
-# TYPE lpserved_jobs_shed_total counter
-lpserved_jobs_shed_total 7
-`
-	fleet := Collect(Options{Frontend: fakeFrontend(t, metrics).URL})
-	if fleet.Frontend.JobsShed != 7 {
-		t.Fatalf("JobsShed = %d, want 7", fleet.Frontend.JobsShed)
-	}
-	fd := findRule(Diagnose(fleet), "frontend-load-shedding")
-	if fd == nil || fd.Severity != SevWarn {
-		t.Fatalf("no frontend-load-shedding warning: %+v", Diagnose(fleet))
-	}
-	if !strings.Contains(fd.Fix, "Retry-After") {
-		t.Errorf("shedding fix does not mention Retry-After: %q", fd.Fix)
-	}
-}
-
 // TestDoctorBasisCacheCold pins both branches of the cold-basis rule:
 // a basis cache whose entries never survive re-verification, and a
-// disabled basis cache under repeat-heavy traffic.
+// disabled basis cache (an older lpserved run with -basis-cache -1)
+// under repeat-heavy traffic.
 func TestDoctorBasisCacheCold(t *testing.T) {
 	// Branch 1: warm lookups keep failing re-verification.
 	churn := &Fleet{Frontend: &FrontendStatus{

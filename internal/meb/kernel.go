@@ -6,14 +6,13 @@ import (
 
 // Block violation kernels (lptype.BlockViolator; DESIGN.md §12). A
 // wire row is a point, and the per-row reference is
-// ViolatesRow — !Contains, i.e. !(Dist2(p) ≤ R2 + containsTol·(R2+1))
-// with the squared distance accumulated coordinate by coordinate in
-// index order. The unrolled loops below repeat that exact operation
-// sequence per row; the threshold R2 + containsTol·(R2+1) is
-// row-independent, so hoisting it out of the loop computes the same
-// float the reference computes per row. The null ball contains
-// nothing, so it marks every row a violator, exactly as the per-row
-// path does.
+// ViolatesRow — !Contains, i.e. !(Dist2(p) ≤ bound()) with the squared
+// distance accumulated coordinate by coordinate in index order. The
+// unrolled loops below repeat that exact operation sequence per row;
+// the threshold is row-independent, so hoisting it out of the loop
+// computes the same float the reference computes per row. The null
+// ball contains nothing, so it marks every row a violator, exactly as
+// the per-row path does.
 
 // BlockKernel reports the kernel class ViolatesBlock dispatches to.
 func (d *Domain) BlockKernel() kernel.Class { return kernel.ClassFor(d.Dim) }
@@ -28,8 +27,7 @@ func (d *Domain) ViolatesBlock(b Basis, rows [][]float64, idx []int32) []int32 {
 		return idx
 	}
 	c := b.B.Center
-	scale := b.B.R2 + 1
-	thr := b.B.R2 + containsTol*scale
+	thr := b.B.bound()
 	switch d.BlockKernel() {
 	case kernel.ClassD2:
 		c0, c1 := c[0], c[1]

@@ -64,12 +64,16 @@ func (b Ball) Contains(p Point) bool {
 	if b.IsEmpty() {
 		return false
 	}
-	d2 := b.Dist2(p)
-	scale := b.R2 + 1
-	return d2 <= b.R2+containsTol*scale
+	return b.Dist2(p) <= b.bound()
 }
 
 const containsTol = 1e-9
+
+// bound is the largest squared distance from the center that Contains
+// accepts, R2 + containsTol·(R2+1). Contains, the block kernels and
+// the pivoting loop's stop rule all test against it, so an answer
+// Solve returns passes its own violation test.
+func (b Ball) bound() float64 { return b.R2 + containsTol*(b.R2+1) }
 
 func (b Ball) String() string {
 	return fmt.Sprintf("ball(center=%v, r=%v)", b.Center, b.Radius())
@@ -208,7 +212,7 @@ func pivotSolve(pts []Point) (Ball, bool) {
 	support := supportOf(pts[:init], b)
 	stall := 0
 	for pivots := 0; pivots <= 16*(d+2)*bits(len(pts))+64; pivots++ {
-		far, far2 := -1, b.R2*(1+64*containsTol)+64*containsTol
+		far, far2 := -1, b.bound()
 		for i, p := range pts {
 			if d2 := b.Dist2(p); d2 > far2 {
 				far, far2 = i, d2

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"lowdimlp/internal/dataset"
+	"lowdimlp/internal/engine"
 	"lowdimlp/internal/workload"
 )
 
@@ -72,7 +73,7 @@ func solveInstance(t *testing.T, url, kind, model, id string, dim int, seed uint
 	t.Helper()
 	resp, raw := postJSON(t, url+"/v1/solve", SolveRequest{
 		Kind: kind, Model: model, Dim: dim, InstanceID: id,
-		Options: SolveOptions{R: 2, Seed: seed},
+		Options: engine.Options{R: 2, Seed: seed},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("solve status %d: %s", resp.StatusCode, raw)
@@ -152,7 +153,7 @@ func TestSpillToShardedFiles(t *testing.T) {
 	got, _ := st.Result.Scalar("radius")
 	resp, raw := postJSON(t, ts.URL+"/v1/solve", SolveRequest{
 		Kind: "meb", Model: "coordinator", Dim: 2, Rows: rows,
-		Options: SolveOptions{R: 2, Seed: 99},
+		Options: engine.Options{R: 2, Seed: 99},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("inline solve: %d %s", resp.StatusCode, raw)
@@ -225,7 +226,7 @@ func TestBinaryAppendValidation(t *testing.T) {
 // -race in CI): per-goroutine instances pin answer correctness, and a
 // shared instance takes concurrent appends whose total must add up.
 func TestConcurrentBinaryAppendsAndSolves(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 4, QueueDepth: 64, MaxInstances: 64})
+	_, ts := newTestServer(t, Config{Workers: 4, queueDepth: 64})
 	const G = 16
 	sharedID := createInstance(t, ts.URL, "meb", 2)
 	var wg sync.WaitGroup
@@ -255,7 +256,7 @@ func TestConcurrentBinaryAppendsAndSolves(t *testing.T) {
 			}
 			resp, raw = postJSON(t, ts.URL+"/v1/solve", SolveRequest{
 				Kind: "meb", Model: "stream", Dim: 2, InstanceID: ref.ID,
-				Options: SolveOptions{R: 2, Seed: uint64(g)},
+				Options: engine.Options{R: 2, Seed: uint64(g)},
 			})
 			if resp.StatusCode != http.StatusOK {
 				errs <- fmt.Errorf("g%d solve: %d %s", g, resp.StatusCode, raw)

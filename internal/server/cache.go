@@ -25,8 +25,7 @@ func newLRU[V any](cap int) *lru[V] {
 	return &lru[V]{cap: cap, order: list.New(), entries: make(map[string]*list.Element)}
 }
 
-// Enabled reports whether the cache can ever store an entry — false
-// lets callers skip computing keys entirely.
+// Enabled reports whether the cache can ever store an entry.
 func (c *lru[V]) Enabled() bool { return c != nil && c.cap > 0 }
 
 // Get returns the value cached under key, bumping its recency.

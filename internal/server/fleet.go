@@ -120,11 +120,7 @@ func (s *Server) handleFleetList(w http.ResponseWriter, _ *http.Request) {
 // derived from the heartbeat TTL.
 func (s *Server) fleetSweepLoop() {
 	defer close(s.fleetSweepDone)
-	ttl := s.fleet.TTL()
-	if ttl < 0 {
-		return
-	}
-	t := time.NewTicker(sweepInterval(ttl))
+	t := time.NewTicker(sweepInterval(s.fleet.TTL()))
 	defer t.Stop()
 	for {
 		select {

@@ -40,7 +40,7 @@ func getFleet(t *testing.T, base string) fleetView {
 // register, heartbeat (no epoch bump), shard-mismatch 409, drain,
 // deregister, and the membership listing.
 func TestFleetControlPlane(t *testing.T) {
-	_, ts := newTestServer(t, Config{FleetTTL: 42 * time.Second})
+	_, ts := newTestServer(t, Config{fleetTTL: 42 * time.Second})
 
 	// Bad requests first.
 	resp, body := postJSON(t, ts.URL+"/v1/fleet/register", map[string]any{"kind": "lp"})
@@ -243,7 +243,7 @@ func TestFleetEndpointsBypassGatewayAuth(t *testing.T) {
 // applies the heartbeat TTL end to end — a registered worker that
 // stops heartbeating drops out of the live membership.
 func TestFleetSweepMarksLapsedWorker(t *testing.T) {
-	srv, ts := newTestServer(t, Config{FleetTTL: 50 * time.Millisecond})
+	srv, ts := newTestServer(t, Config{fleetTTL: 50 * time.Millisecond})
 	resp, _ := postJSON(t, ts.URL+"/v1/fleet/register", map[string]any{"url": "w1:9"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("register: HTTP %d", resp.StatusCode)

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"lowdimlp/internal/engine"
 	"lowdimlp/internal/gateway"
 )
 
@@ -72,7 +73,7 @@ func tinySolve(seed uint64) SolveRequest {
 	return SolveRequest{
 		Kind: "meb", Model: ModelRAM,
 		Generate: &GenerateSpec{Family: "ball", N: 64, D: 3, Seed: seed},
-		Options:  SolveOptions{R: 2, Seed: seed},
+		Options:  engine.Options{R: 2, Seed: seed},
 	}
 }
 
@@ -156,7 +157,7 @@ func TestGatewayCrossTenantInstances(t *testing.T) {
 	}{
 		{http.MethodPost, "/v1/instances/" + ref.ID + "/rows", map[string]any{"rows": [][]float64{{9, 9}}}},
 		{http.MethodDelete, "/v1/instances/" + ref.ID, nil},
-		{http.MethodPost, "/v1/solve", SolveRequest{Kind: "meb", Model: ModelRAM, Dim: 2, InstanceID: ref.ID, Options: SolveOptions{R: 2, Seed: 1}}},
+		{http.MethodPost, "/v1/solve", SolveRequest{Kind: "meb", Model: ModelRAM, Dim: 2, InstanceID: ref.ID, Options: engine.Options{R: 2, Seed: 1}}},
 	}
 	for _, c := range cases {
 		if resp, raw := doAuth(t, c.method, ts.URL+c.path, "globex-secret-1", c.body); resp.StatusCode != http.StatusNotFound {
@@ -167,7 +168,7 @@ func TestGatewayCrossTenantInstances(t *testing.T) {
 	// The owner still solves it — the failed cross-tenant attempts
 	// neither consumed nor tombstoned the upload.
 	resp, raw = doAuth(t, http.MethodPost, ts.URL+"/v1/solve", "acme-secret-1",
-		SolveRequest{Kind: "meb", Model: ModelRAM, Dim: 2, InstanceID: ref.ID, Options: SolveOptions{R: 2, Seed: 1}})
+		SolveRequest{Kind: "meb", Model: ModelRAM, Dim: 2, InstanceID: ref.ID, Options: engine.Options{R: 2, Seed: 1}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("owner solve: %d %s", resp.StatusCode, raw)
 	}
@@ -237,14 +238,14 @@ func TestGatewayCrossTenantJobsAndTraces(t *testing.T) {
 // room, and a genuinely full queue stays 503 — different statuses for
 // different problems.
 func TestGatewayQuotaVsQueueFull(t *testing.T) {
-	_, ts := newGatewayServer(t, Config{Workers: 1, QueueDepth: 1},
+	_, ts := newGatewayServer(t, Config{Workers: 1, queueDepth: 1},
 		tenantsAB(gateway.Tenant{ID: "small", Key: "small-secret-1", MaxActive: 1}))
 
 	slow := func(seed uint64) SolveRequest {
 		return SolveRequest{
 			Kind: "meb", Model: ModelStream,
 			Generate: &GenerateSpec{Family: "gaussian", N: 400000, D: 3, Seed: seed},
-			Options:  SolveOptions{R: 2, Seed: seed},
+			Options:  engine.Options{R: 2, Seed: seed},
 		}
 	}
 
@@ -278,8 +279,7 @@ func TestGatewayQuotaVsQueueFull(t *testing.T) {
 		t.Fatalf("queue full: %d %s", resp.StatusCode, raw)
 	}
 
-	// The throttle landed on small's series and nobody was "shed" —
-	// per-tenant quotas are not admission control.
+	// The throttle landed on small's series alone.
 	m := scrape(t, ts.URL+"/metrics")
 	if fam, ok := m.Family("lpserved_tenant_throttled_total"); ok {
 		for _, s := range fam.Samples {
@@ -293,9 +293,6 @@ func TestGatewayQuotaVsQueueFull(t *testing.T) {
 		}
 	} else {
 		t.Error("no throttled family")
-	}
-	if got := m.Sum("lpserved_jobs_shed_total"); got != 0 {
-		t.Errorf("jobs_shed = %v, want 0", got)
 	}
 
 	// Drain: once small's job finishes, its quota frees and a resubmit
@@ -333,10 +330,9 @@ func TestInstanceCreateOversized413(t *testing.T) {
 }
 
 // TestInstanceSlotExhaustion pins the second bugfix: the upload-slot
-// 429 carries Retry-After and counts on its own series, apart from
-// admission-control sheds.
+// 429 carries Retry-After and counts on its own series.
 func TestInstanceSlotExhaustion(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, MaxInstances: 2})
+	_, ts := newTestServer(t, Config{Workers: 1, maxInstances: 2})
 	for i := 0; i < 2; i++ {
 		resp, raw := postJSON(t, ts.URL+"/v1/instances", map[string]any{"kind": "meb", "dim": 2})
 		if resp.StatusCode != http.StatusCreated {
@@ -353,9 +349,6 @@ func TestInstanceSlotExhaustion(t *testing.T) {
 	m := scrape(t, ts.URL+"/metrics")
 	if got := m.Sum("lpserved_instances_rejected_total"); got != 1 {
 		t.Errorf("instances_rejected = %v, want 1", got)
-	}
-	if got := m.Sum("lpserved_jobs_shed_total"); got != 0 {
-		t.Errorf("jobs_shed = %v, want 0 — slot refusals are not sheds", got)
 	}
 }
 

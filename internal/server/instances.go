@@ -86,20 +86,16 @@ type InstanceStore struct {
 	tombs  map[string]time.Time // dropped IDs → drop time
 }
 
-// DefaultInstanceTTL is the idle eviction horizon when the Server
-// config leaves it zero.
-const DefaultInstanceTTL = 10 * time.Minute
+// A Server's store admits maxInstances concurrent uploads and reclaims
+// those idle past instanceTTL.
+const (
+	maxInstances = 64
+	instanceTTL  = 10 * time.Minute
+)
 
 // NewInstanceStore returns a store admitting up to max in-flight
-// uploads (≤ 0 means 64) with the given idle TTL (0 means
-// DefaultInstanceTTL; < 0 disables sweeping).
+// uploads, reclaiming those idle past ttl.
 func NewInstanceStore(max int, ttl time.Duration) *InstanceStore {
-	if max <= 0 {
-		max = 64
-	}
-	if ttl == 0 {
-		ttl = DefaultInstanceTTL
-	}
 	return &InstanceStore{
 		byID:  make(map[string]*instance),
 		max:   max,
@@ -322,7 +318,7 @@ func (s *InstanceStore) List(ns string) []InstanceInfo {
 
 // Sweep reclaims uploads idle past the TTL and expires old
 // tombstones, returning the number of evicted uploads. The Server
-// runs it periodically; it is a no-op for ttl < 0.
+// runs it periodically.
 //
 // Eviction seals before it deletes: each candidate is re-checked and
 // sealed under its own lock first, so an Append that raced in after
@@ -330,9 +326,6 @@ func (s *InstanceStore) List(ns string) []InstanceInfo {
 // Append arriving after sealing fails loudly — a client is never told
 // rows were stored on an upload the sweeper is reclaiming.
 func (s *InstanceStore) Sweep() int {
-	if s.ttl < 0 {
-		return 0
-	}
 	now := time.Now()
 	cutoff := now.Add(-s.ttl).UnixNano()
 	type candidate struct {

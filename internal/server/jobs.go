@@ -24,19 +24,11 @@ var ErrQueueFull = errors.New("server: job queue full")
 // ErrShuttingDown is returned for submissions after Shutdown starts.
 var ErrShuttingDown = errors.New("server: shutting down")
 
-// ErrOverloaded is returned when admission control sheds a submission:
-// the rows already queued or running exceed the configured budget, so
-// accepting more work would only grow latency for everyone. Distinct
-// from ErrQueueFull — shedding happens before the queue saturates,
-// and the HTTP layer answers 429 with a Retry-After estimate.
-var ErrOverloaded = errors.New("server: overloaded, request shed")
-
 // ErrTenantQuota is returned when a submission would push its tenant
-// past its own max_active queue quota. Like ErrOverloaded it maps to
-// 429 + Retry-After, but it is the tenant hitting its own cap, not the
-// service protecting aggregate load — it counts against the tenant's
-// throttle series, never against lpserved_jobs_shed_total, and other
-// tenants' submissions are unaffected.
+// past its own max_active queue quota. It maps to 429 + Retry-After
+// (the queue-full 503 is the service's own limit); it counts against
+// the tenant's throttle series, and other tenants' submissions are
+// unaffected.
 var ErrTenantQuota = errors.New("server: tenant queue quota exceeded")
 
 // Job is one solve request moving through the manager. All mutable
@@ -59,7 +51,7 @@ type Job struct {
 	// Scheduler-private fields, written once at Submit (cost) or while
 	// the job runs on exactly one worker (leadKey) — never read
 	// concurrently with those writes.
-	cost    int64  // row count, the admission controller's unit
+	cost    int64  // row count, the Retry-After estimate's unit
 	leadKey string // in-flight coalescing key this job leads ("" = none)
 
 	mu        sync.Mutex
@@ -101,13 +93,13 @@ func (j *Job) Status() JobStatus {
 	return st
 }
 
-// Manager owns the job table, the queue and the worker pool. Every
-// job walks one road: admit (Submit) → key → (hit | join | warm | solve
-// | fleet) → finish.
+// Manager owns the job table, the queue, the worker pool, the
+// warm-start basis cache and the trace ring. Every job walks one
+// road: admit (Submit) → key → (hit | join | warm | solve | fleet) →
+// finish.
 type Manager struct {
 	cache *Cache
-	// basis is the warm-start basis cache; nil disables warm starts.
-	// Set before the first job is accepted.
+	// basis is the warm-start basis cache (basisCacheSize bases).
 	basis   *BasisCache
 	metrics *Metrics
 	// fleet is the worker registry serving Fleet requests: the static
@@ -117,13 +109,8 @@ type Manager struct {
 	// refused. Set before the first job is accepted.
 	fleet *registry.Registry
 	// traces is the bounded ring of captured execution traces (GET
-	// /v1/traces); nil disables retention (inline traces still work).
-	// Set before the first job is accepted.
+	// /v1/traces, traceRingSize entries).
 	traces *obs.Ring
-	// admitRows (> 0) is the admission budget: total rows queued or
-	// running beyond which new submissions are shed. Set before the
-	// first job is accepted.
-	admitRows int64
 	// tenants is the gateway's per-tenant metrics set; its active-jobs
 	// gauge doubles as the quota counter (reads and moves are
 	// serialized under mu, so quota enforcement is exact). Nil when
@@ -131,11 +118,10 @@ type Manager struct {
 	tenants *gateway.Metrics
 
 	// pendingRows tracks the cost of every admitted-but-not-terminal
-	// job — the admission controller's load estimate.
+	// job; with rowsPerSec, an EWMA of solver throughput over
+	// genuinely executed solves, it feeds the Retry-After estimate.
 	pendingRows atomic.Int64
 
-	// rowsPerSec is an EWMA of solver throughput over genuinely
-	// executed solves, feeding the Retry-After estimate.
 	rateMu     sync.Mutex
 	rowsPerSec float64
 
@@ -176,6 +162,8 @@ func newManagerIdle(queueDepth int, cache *Cache, metrics *Metrics) *Manager {
 	}
 	return &Manager{
 		cache:    cache,
+		basis:    NewBasisCache(basisCacheSize),
+		traces:   obs.NewRing(traceRingSize),
 		metrics:  metrics,
 		queue:    make(chan *Job, queueDepth),
 		inflight: make(map[string]*Job),
@@ -204,13 +192,13 @@ func NewManager(workers, queueDepth int, cache *Cache, metrics *Metrics) *Manage
 
 // Submit checks nothing (Validate checked the request; materialize
 // checks its rows on the worker): it assigns an ID and enqueues the
-// job. It fails fast — shedding under admission
-// pressure, rejecting when the queue is full — rather than blocking
-// the HTTP handler.
+// job. It fails fast — rejecting a tenant over its quota or a full
+// queue — rather than blocking the HTTP handler.
 func (m *Manager) Submit(req *SolveRequest) (*Job, error) {
 	// Size the job before taking the lock: counting undecoded inline
 	// rows is an O(body) byte scan, and m.mu serializes every submit
-	// and status poll. The size doubles as the job's admission cost.
+	// and status poll. The size doubles as the job's cost in the
+	// Retry-After estimate.
 	n := len(req.Rows)
 	if req.rawRows != nil {
 		// Undecoded inline rows: count without decoding, so queued and
@@ -229,24 +217,14 @@ func (m *Manager) Submit(req *SolveRequest) (*Job, error) {
 		return nil, ErrShuttingDown
 	}
 	if t := req.tenant; t != nil && m.tenants != nil && t.MaxActive > 0 {
-		// Per-tenant queue quota, checked before the global admission
-		// budget: a tenant at its own cap is told so (its quota, its
-		// throttle series) instead of tripping — or hiding behind — a
-		// service-wide shed. Gauge reads and moves both happen under
-		// m.mu, so the check is exact, not best-effort.
+		// Per-tenant queue quota, checked before the queue: a tenant at
+		// its own cap is told so (its quota, its throttle series)
+		// instead of filling the queue for everyone. Gauge reads and
+		// moves both happen under m.mu, so the check is exact, not
+		// best-effort.
 		if m.tenants.ActiveJobs(t.ID) >= int64(t.MaxActive) {
 			m.tenants.Throttled(t.ID)
 			return nil, fmt.Errorf("%w: tenant %s at max_active=%d", ErrTenantQuota, t.ID, t.MaxActive)
-		}
-	}
-	if m.admitRows > 0 {
-		// Estimated-cost load shedding: refuse when the backlog plus
-		// this job would exceed the budget — but never shed into an
-		// idle system, however oversized the single request (it would
-		// otherwise be undeliverable at any load).
-		if pending := m.pendingRows.Load(); pending > 0 && pending+int64(n) > m.admitRows {
-			m.metrics.JobsShed.Add(1)
-			return nil, ErrOverloaded
 		}
 	}
 	if len(m.queue) == cap(m.queue) {
@@ -285,7 +263,7 @@ func (m *Manager) Get(id string) (*Job, bool) {
 }
 
 // RetryAfterSeconds estimates how long the current backlog needs to
-// drain — the Retry-After hint on load-shed responses. It divides the
+// drain — the Retry-After hint on the queue-full 503 and on every 429. It divides the
 // pending rows by the observed solve throughput and runs it through
 // the shared gateway.RetryAfterSeconds clamp ([1, 60]s; 1 when no
 // throughput has been observed yet), so this path can never emit a
@@ -301,8 +279,7 @@ func (m *Manager) RetryAfterSeconds() int {
 	return gateway.RetryAfterSeconds(float64(pending) / rate)
 }
 
-// observeRate feeds the admission controller's throughput estimate:
-// an EWMA of rows solved per second over genuinely executed solves —
+// observeRate feeds the Retry-After throughput estimate: an EWMA of rows solved per second over genuinely executed solves —
 // cache hits, warm starts and coalesced copies say nothing about
 // solver speed and are excluded.
 func (m *Manager) observeRate(rows int64, elapsed time.Duration) {
@@ -397,7 +374,7 @@ func (m *Manager) run(j *Job) {
 	start := time.Now()
 	var out outcome
 	var fleetKind string
-	switch err := req.Options.lib().Check(); {
+	switch err := req.Options.Check(); {
 	case err != nil:
 		// Rejected before keying, so a cached answer under the canonical
 		// options (ram ignores NetConst) cannot mask a bad request.
@@ -420,13 +397,12 @@ func (m *Manager) run(j *Job) {
 // ?generate= workload hits the cache, or joins the in-flight leader,
 // without paying synthesis), after it for everything else.
 func (m *Manager) runLocal(j *Job, req *SolveRequest, tr *obs.Trace) outcome {
-	keyed := m.cache.Enabled() || m.basis.Enabled()
 	var (
 		key  string
 		out  outcome
 		done bool
 	)
-	if keyed && req.Generate != nil {
+	if req.Generate != nil {
 		if key, out, done = m.lookup(j, req, tr); done {
 			return out
 		}
@@ -442,17 +418,15 @@ func (m *Manager) runLocal(j *Job, req *SolveRequest, tr *obs.Trace) outcome {
 	}
 	isp.End()
 
-	if keyed && key == "" {
+	if key == "" {
 		if key, out, done = m.lookup(j, req, tr); done {
 			return out
 		}
 	}
 	m.metrics.CacheMisses.Add(1)
 	tr.Annotate("cache", "miss")
-	if keyed && m.basis.Enabled() {
-		if out, ok := m.tryWarm(req, tr); ok {
-			return out
-		}
+	if out, ok := m.tryWarm(req, tr); ok {
+		return out
 	}
 
 	// The coordinator's own begin/round/merge spans nest inside the
@@ -464,10 +438,8 @@ func (m *Manager) runLocal(j *Job, req *SolveRequest, tr *obs.Trace) outcome {
 		return outcome{stats: stats, err: err}
 	}
 	sp.End()
-	if keyed {
-		m.cache.Put(key, result, stats)
-		m.putBasis(req, basis)
-	}
+	m.cache.Put(key, result, stats)
+	m.putBasis(req, basis)
 	return outcome{result: result, stats: stats}
 }
 
@@ -558,7 +530,7 @@ func (m *Manager) tryWarm(req *SolveRequest, tr *obs.Trace) (outcome, bool) {
 // putBasis stores a solve's final basis for future warm starts and
 // refreshes the population gauge.
 func (m *Manager) putBasis(req *SolveRequest, basis any) {
-	if basis == nil || !m.basis.Enabled() {
+	if basis == nil {
 		return
 	}
 	m.basis.Put(req.warmKey(), basis)
@@ -593,9 +565,7 @@ func (m *Manager) finishJob(j *Job, req *SolveRequest, tr *obs.Trace, fleetKind 
 		fsp.End()
 		d := tr.Data()
 		tdata = &d
-		if m.traces != nil {
-			m.traces.Add(d)
-		}
+		m.traces.Add(d)
 		m.metrics.TracesCaptured.Add(1)
 	}
 
@@ -661,7 +631,7 @@ func (m *Manager) runFleet(req *SolveRequest) (string, *SolveResult, *StatsPaylo
 		return "", nil, nil, errors.New("no live workers in the fleet registry (start lpserved with -workers, or start workers with -register)")
 	}
 	m.metrics.FleetSolves.Add(1)
-	opt := req.Options.lib()
+	opt := req.Options
 	opt.Trace = req.trace
 	// Each attempt dials afresh, deliberately: the k FrameInfo
 	// exchanges are cheap next to the protocol rounds, and re-dialing

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"lowdimlp"
+	"lowdimlp/internal/engine"
 	"lowdimlp/internal/workload"
 )
 
@@ -82,7 +83,7 @@ func buildKindCases(t *testing.T, model string, seed uint64) []concurrentCase {
 			req: SolveRequest{
 				Kind: KindLP, Model: model, Dim: 3,
 				Objective: prob.Objective, Rows: rows,
-				Options: SolveOptions{R: 2, Seed: seed, K: 4, Parallel: model == ModelCoordinator},
+				Options: engine.Options{R: 2, Seed: seed, K: 4, Parallel: model == ModelCoordinator},
 			},
 			want: ref,
 			got:  scalarField("value"),
@@ -98,7 +99,7 @@ func buildKindCases(t *testing.T, model string, seed uint64) []concurrentCase {
 			name: "svm/" + model,
 			req: SolveRequest{
 				Kind: KindSVM, Model: model, Dim: 3, Rows: srows,
-				Options: SolveOptions{R: 2, Seed: seed, K: 4},
+				Options: engine.Options{R: 2, Seed: seed, K: 4},
 			},
 			want: sref,
 			got:  scalarField("norm2"),
@@ -114,7 +115,7 @@ func buildKindCases(t *testing.T, model string, seed uint64) []concurrentCase {
 			name: "meb/" + model,
 			req: SolveRequest{
 				Kind: KindMEB, Model: model, Dim: 3, Rows: mrows,
-				Options: SolveOptions{R: 2, Seed: seed, K: 4},
+				Options: engine.Options{R: 2, Seed: seed, K: 4},
 			},
 			want: mref,
 			got:  scalarField("radius"),
@@ -128,7 +129,7 @@ func buildKindCases(t *testing.T, model string, seed uint64) []concurrentCase {
 // solution. Run with -race this doubles as the subsystem's data-race
 // check.
 func TestConcurrentJobs(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 4, QueueDepth: 64})
+	_, ts := newTestServer(t, Config{Workers: 4, queueDepth: 64})
 	cases := buildConcurrentCases(t)
 
 	var wg sync.WaitGroup
@@ -177,7 +178,7 @@ func TestConcurrentJobs(t *testing.T) {
 // submitted asynchronously in one burst, then all polled to
 // completion.
 func TestConcurrentAsyncJobs(t *testing.T) {
-	s, _ := newTestServer(t, Config{Workers: 4, QueueDepth: 64})
+	s, _ := newTestServer(t, Config{Workers: 4, queueDepth: 64})
 	cases := buildConcurrentCases(t)
 
 	jobs := make([]*Job, len(cases))

@@ -40,10 +40,6 @@ type Metrics struct {
 	// job's result instead of solving — distinct from cache hits, which
 	// are served from already-completed solves.
 	SolveCoalesced atomic.Int64
-	// JobsShed counts submissions refused by admission control (HTTP
-	// 429 + Retry-After) — distinct from queue-full rejections, which
-	// count nothing here (the queue gauge tells that story).
-	JobsShed atomic.Int64
 	// WarmHits and WarmMisses count warm-start verification outcomes:
 	// a hit re-verified a cached basis in one scan; a miss is a cached
 	// basis that failed re-verification. A simply-absent basis counts
@@ -56,9 +52,7 @@ type Metrics struct {
 	// sweeper.
 	InstancesExpired atomic.Int64
 	// InstancesRejected counts instance-create refusals at the
-	// in-flight upload limit (HTTP 429 + Retry-After) — deliberately
-	// not folded into JobsShed: slot exhaustion is upload-path
-	// backpressure, not solve admission control.
+	// in-flight upload limit (HTTP 429 + Retry-After).
 	InstancesRejected atomic.Int64
 	// BinaryAppends counts application/octet-stream chunk appends.
 	BinaryAppends atomic.Int64
@@ -143,7 +137,6 @@ func (m *Metrics) Render(w io.Writer) {
 	c("lpserved_cache_hits_total", "Result-cache hits.", m.CacheHits.Load())
 	c("lpserved_cache_misses_total", "Result-cache misses.", m.CacheMisses.Load())
 	c("lpserved_solve_coalesced_total", "Jobs that copied an identical in-flight job's result instead of solving.", m.SolveCoalesced.Load())
-	c("lpserved_jobs_shed_total", "Submissions refused by admission control (429 + Retry-After).", m.JobsShed.Load())
 	c("lpserved_warm_hits_total", "Warm starts that re-verified a cached basis.", m.WarmHits.Load())
 	c("lpserved_warm_misses_total", "Cached bases that failed warm-start re-verification.", m.WarmMisses.Load())
 	g("lpserved_basis_entries", "Bases currently held by the warm-start cache.", m.BasisEntries.Load())

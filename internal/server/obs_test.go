@@ -70,7 +70,7 @@ func TestWorkerMetricsStrictFormat(t *testing.T) {
 	urls := startWorkerFleet(t, manifest, 2, nil)
 	_, ts := newTestServer(t, Config{Workers: 1, FleetWorkers: urls})
 
-	resp, raw := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Fleet: true, Options: SolveOptions{Seed: 3}})
+	resp, raw := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Fleet: true, Options: engine.Options{Seed: 3}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("fleet solve failed: %d %s", resp.StatusCode, raw)
 	}

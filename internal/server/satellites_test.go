@@ -40,7 +40,7 @@ func TestSEAEndToEnd(t *testing.T) {
 	resp, raw = postJSON(t, ts.URL+"/v1/jobs", SolveRequest{
 		Kind: "sea", Model: "stream",
 		Generate: &GenerateSpec{Family: "ring", N: 1500, D: 3, Seed: 7},
-		Options:  SolveOptions{R: 2, Seed: 7},
+		Options:  engine.Options{R: 2, Seed: 7},
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status %d: %s", resp.StatusCode, raw)
@@ -122,7 +122,7 @@ func TestModelsEndpoint(t *testing.T) {
 // the cache key (the ROADMAP ?k=-on-ram case), while options it reads
 // must.
 func TestDigestCanonicalization(t *testing.T) {
-	mk := func(model string, o SolveOptions) *SolveRequest {
+	mk := func(model string, o engine.Options) *SolveRequest {
 		return &SolveRequest{
 			Kind: "lp", Model: model, Dim: 2,
 			Objective: []float64{1, 1},
@@ -131,26 +131,26 @@ func TestDigestCanonicalization(t *testing.T) {
 		}
 	}
 	// ram ignores everything but the seed.
-	a := mk(ModelRAM, SolveOptions{Seed: 7})
-	b := mk(ModelRAM, SolveOptions{Seed: 7, R: 5, K: 9, Delta: 0.3, NetConst: 2, MonteCarlo: true})
+	a := mk(ModelRAM, engine.Options{Seed: 7})
+	b := mk(ModelRAM, engine.Options{Seed: 7, R: 5, K: 9, Delta: 0.3, NetConst: 2, MonteCarlo: true})
 	if a.Digest() != b.Digest() {
 		t.Fatal("ram digest split by ignored options")
 	}
 	// Defaults normalize: explicit R=2/K=4 ≡ zero values.
-	if mk(ModelStream, SolveOptions{Seed: 7}).Digest() != mk(ModelStream, SolveOptions{Seed: 7, R: 2, K: 9}).Digest() {
+	if mk(ModelStream, engine.Options{Seed: 7}).Digest() != mk(ModelStream, engine.Options{Seed: 7, R: 2, K: 9}).Digest() {
 		t.Fatal("stream digest split by default R / ignored K")
 	}
-	if mk(ModelCoordinator, SolveOptions{Seed: 7}).Digest() != mk(ModelCoordinator, SolveOptions{Seed: 7, K: 4}).Digest() {
+	if mk(ModelCoordinator, engine.Options{Seed: 7}).Digest() != mk(ModelCoordinator, engine.Options{Seed: 7, K: 4}).Digest() {
 		t.Fatal("coordinator digest split by default K")
 	}
 	// Options the model reads must still split.
-	if mk(ModelCoordinator, SolveOptions{Seed: 7, K: 2}).Digest() == mk(ModelCoordinator, SolveOptions{Seed: 7, K: 8}).Digest() {
+	if mk(ModelCoordinator, engine.Options{Seed: 7, K: 2}).Digest() == mk(ModelCoordinator, engine.Options{Seed: 7, K: 8}).Digest() {
 		t.Fatal("coordinator K=2 vs K=8 collided")
 	}
-	if mk(ModelMPC, SolveOptions{Seed: 7}).Digest() == mk(ModelMPC, SolveOptions{Seed: 7, R: 2}).Digest() {
+	if mk(ModelMPC, engine.Options{Seed: 7}).Digest() == mk(ModelMPC, engine.Options{Seed: 7, R: 2}).Digest() {
 		t.Fatal("mpc R=0 (derive from δ) vs R=2 collided")
 	}
-	if mk(ModelRAM, SolveOptions{Seed: 7}).Digest() == mk(ModelRAM, SolveOptions{Seed: 8}).Digest() {
+	if mk(ModelRAM, engine.Options{Seed: 7}).Digest() == mk(ModelRAM, engine.Options{Seed: 8}).Digest() {
 		t.Fatal("seed change did not split the ram digest")
 	}
 }

@@ -28,29 +28,12 @@ import (
 type Config struct {
 	// Workers is the solver pool size (0 = GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds the number of queued-but-not-running jobs
-	// (0 = 4×workers).
-	QueueDepth int
 	// CacheSize is the LRU result-cache capacity (0 = 256; < 0
-	// disables caching).
+	// disables caching). Warm starts do not depend on it: the basis
+	// cache is separate and always on.
 	CacheSize int
-	// BasisCacheSize is the warm-start basis LRU capacity (0 = 256;
-	// < 0 disables warm starts). Independent of CacheSize: bases are a
-	// few floats each, so warm starts stay cheap even when result
-	// caching is off.
-	BasisCacheSize int
-	// AdmissionRows (> 0) turns on estimated-cost load shedding: a
-	// submission is refused with 429 + Retry-After when the rows
-	// already queued or running would exceed this budget. 0 disables
-	// shedding (queue-full 503s remain the only backpressure).
-	AdmissionRows int64
 	// MaxBodyBytes bounds request bodies (0 = 64 MiB).
 	MaxBodyBytes int64
-	// MaxInstances bounds concurrent chunk uploads (0 = 64).
-	MaxInstances int
-	// InstanceTTL evicts chunk uploads idle past this horizon
-	// (0 = DefaultInstanceTTL; < 0 disables eviction).
-	InstanceTTL time.Duration
 	// FleetWorkers is the lpserved worker-process fleet (base URLs,
 	// one per shard; worker i = coordinator site i) that serves
 	// requests with "fleet": true. The list seeds the worker registry
@@ -58,39 +41,47 @@ type Config struct {
 	// register dynamically at POST /v1/fleet/register. With neither,
 	// fleet solves are refused.
 	FleetWorkers []string
-	// FleetTTL is the registry's heartbeat horizon: a dynamically
-	// registered worker silent past it is marked down
-	// (0 = registry.DefaultTTL; < 0 disables expiry).
-	FleetTTL time.Duration
-	// TraceBuffer is the capacity of the captured-trace ring served at
-	// GET /v1/traces (0 = 128; < 0 disables retention — traces still
-	// come back inline on the jobs that asked for them).
-	TraceBuffer int
 	// Gateway, when set, puts the multi-tenant front door ahead of the
 	// API: bearer-key auth on every /v1/ request, per-tenant rate
 	// limits and queue quotas, and tenant-scoped instance/job/trace
 	// namespaces. Nil serves unauthenticated exactly as before.
 	Gateway *gateway.Gateway
+
+	// The limits below are constants in every deployment (zero means
+	// the constant); only in-package tests set them.
+	queueDepth   int           // queued-but-not-running jobs (queuePerWorker × Workers)
+	maxInstances int           // concurrent chunk uploads (maxInstances)
+	fleetTTL     time.Duration // registry heartbeat horizon (registry.DefaultTTL)
 }
+
+// Fixed tuning of the frontend. None of these changes an answer or a
+// metered cost, and every deployment ran these values when they were
+// flags (DESIGN.md §11).
+const (
+	// queuePerWorker sizes the job queue: a submission finding
+	// queuePerWorker × Workers jobs already queued is refused with 503.
+	queuePerWorker = 4
+	// basisCacheSize is the warm-start basis LRU's capacity.
+	basisCacheSize = 256
+	// traceRingSize is how many captured traces GET /v1/traces keeps.
+	traceRingSize = 128
+)
 
 func (c Config) withDefaults() Config {
 	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 4 * c.Workers
-	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 256
-	}
-	if c.BasisCacheSize == 0 {
-		c.BasisCacheSize = 256
 	}
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = 64 << 20
 	}
-	if c.TraceBuffer == 0 {
-		c.TraceBuffer = 128
+	if c.queueDepth == 0 {
+		c.queueDepth = queuePerWorker * c.Workers
+	}
+	if c.maxInstances == 0 {
+		c.maxInstances = maxInstances
 	}
 	return c
 }
@@ -103,7 +94,6 @@ type Server struct {
 	instances *InstanceStore
 	metrics   *Metrics
 	fleet     *registry.Registry
-	traces    *obs.Ring // nil when trace retention is disabled
 	mux       *http.ServeMux
 	sweepOnce sync.Once
 	sweepStop chan struct{}
@@ -121,9 +111,9 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:       cfg,
 		metrics:   metrics,
-		manager:   NewManager(cfg.Workers, cfg.QueueDepth, NewCache(cfg.CacheSize), metrics),
-		instances: NewInstanceStore(cfg.MaxInstances, cfg.InstanceTTL),
-		fleet:     registry.New(cfg.FleetTTL),
+		manager:   NewManager(cfg.Workers, cfg.queueDepth, NewCache(cfg.CacheSize), metrics),
+		instances: NewInstanceStore(cfg.maxInstances, instanceTTL),
+		fleet:     registry.New(cfg.fleetTTL),
 		mux:       http.NewServeMux(),
 		sweepStop: make(chan struct{}),
 		sweepDone: make(chan struct{}),
@@ -137,12 +127,6 @@ func New(cfg Config) *Server {
 	s.fleet.SeedStatic(cfg.FleetWorkers)
 	s.manager.fleet = s.fleet
 	metrics.FleetRegistry = s.fleet
-	s.manager.basis = NewBasisCache(cfg.BasisCacheSize)
-	s.manager.admitRows = cfg.AdmissionRows
-	if cfg.TraceBuffer > 0 {
-		s.traces = obs.NewRing(cfg.TraceBuffer)
-		s.manager.traces = s.traces
-	}
 	s.mux.HandleFunc("POST /v1/solve", s.handleSolve)
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobStatus)
@@ -166,11 +150,7 @@ func New(cfg Config) *Server {
 // sweepLoop periodically reclaims idle chunk uploads until Shutdown.
 func (s *Server) sweepLoop() {
 	defer close(s.sweepDone)
-	ttl := s.instances.TTL()
-	if ttl < 0 {
-		return
-	}
-	t := time.NewTicker(sweepInterval(ttl))
+	t := time.NewTicker(sweepInterval(s.instances.TTL()))
 	defer t.Stop()
 	for {
 		select {
@@ -301,13 +281,12 @@ func (s *Server) decodeAndSubmit(w http.ResponseWriter, r *http.Request) (*Job, 
 		if taken != "" {
 			s.instances.Restore(req.ns(), taken, req.Kind, req.Dim, req.data)
 		}
-		// Backpressure carries a drain estimate either way; shedding
-		// (admission control, pre-saturation) and per-tenant quota
-		// breaches are 429s so clients can tell them apart from a
+		// Backpressure carries a drain estimate either way; a tenant's
+		// quota breach is a 429 so clients can tell it apart from a
 		// queue that actually filled (503).
 		w.Header().Set("Retry-After", strconv.Itoa(s.manager.RetryAfterSeconds()))
 		code := http.StatusServiceUnavailable
-		if errors.Is(err, ErrOverloaded) || errors.Is(err, ErrTenantQuota) {
+		if errors.Is(err, ErrTenantQuota) {
 			code = http.StatusTooManyRequests
 		}
 		writeError(w, code, err)
@@ -494,7 +473,7 @@ func (s *Server) handleInstanceCreate(w http.ResponseWriter, r *http.Request) {
 		// Slot exhaustion is backpressure: like every other 429 the
 		// service sends, it tells the client when to retry — slots free
 		// as solves consume uploads, on the same drain the estimate
-		// tracks. Counted apart from admission-control sheds.
+		// tracks.
 		s.metrics.InstancesRejected.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(s.manager.RetryAfterSeconds()))
 		writeError(w, http.StatusTooManyRequests, err)
@@ -588,14 +567,8 @@ func (s *Server) handleInstanceDrop(w http.ResponseWriter, r *http.Request) {
 // come back, and the captured count covers only those — the global
 // count would itself leak other tenants' activity.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if s.traces == nil {
-		writeJSON(w, http.StatusOK, map[string]any{
-			"traces": []obs.TraceData{}, "captured": 0, "limit": 0,
-		})
-		return
-	}
-	traces := s.traces.Snapshot()
-	captured := s.traces.Added()
+	traces := s.manager.traces.Snapshot()
+	captured := s.manager.traces.Added()
 	if ns := gateway.TenantID(r.Context()); ns != "" {
 		kept := make([]obs.TraceData, 0, len(traces))
 		for _, td := range traces {
@@ -609,7 +582,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"traces":   traces,
 		"captured": captured,
-		"limit":    s.cfg.TraceBuffer,
+		"limit":    traceRingSize,
 	})
 }
 

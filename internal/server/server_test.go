@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"lowdimlp"
+	"lowdimlp/internal/engine"
 	"lowdimlp/internal/workload"
 )
 
@@ -92,7 +93,7 @@ func TestSolveSyncLP(t *testing.T) {
 		Kind: "lp", Model: "stream", Dim: 2,
 		Objective: []float64{1, 1},
 		Rows:      [][]float64{{-1, 0, -1}, {0, -1, -2}},
-		Options:   SolveOptions{R: 2, Seed: 7},
+		Options:   engine.Options{R: 2, Seed: 7},
 	}
 	resp, raw := postJSON(t, ts.URL+"/v1/solve", req)
 	if resp.StatusCode != http.StatusOK {
@@ -128,7 +129,7 @@ func TestNetConstBoundary(t *testing.T) {
 	// A seed per model: a cached basis of the same seed would answer warm.
 	for i, model := range []string{"stream", "coordinator", "mpc"} {
 		resp, raw := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Kind: "lp", Model: model, Generate: gen,
-			Options: SolveOptions{R: 2, Seed: uint64(i + 1), NetConst: 1e308}})
+			Options: engine.Options{R: 2, Seed: uint64(i + 1), NetConst: 1e308}})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s, net_const 1e308: status %d: %s", model, resp.StatusCode, raw)
 		}
@@ -151,7 +152,7 @@ func TestNetConstBoundary(t *testing.T) {
 	}
 	for _, model := range []string{"ram", "stream"} {
 		resp, raw := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Kind: "lp", Model: model, Generate: gen,
-			Options: SolveOptions{NetConst: -1}})
+			Options: engine.Options{NetConst: -1}})
 		if st := decodeStatus(t, raw); resp.StatusCode != http.StatusUnprocessableEntity || st.Error != libErr.Error() || st.Cached {
 			t.Fatalf("%s, net_const -1: status %d, %+v; want 422 with %q", model, resp.StatusCode, st, libErr)
 		}
@@ -238,7 +239,7 @@ func TestAsyncJobLifecycle(t *testing.T) {
 	req := SolveRequest{
 		Kind: "meb", Model: "mpc", Dim: 3,
 		Generate: &GenerateSpec{Family: "gaussian", N: 2000, D: 3, Seed: 11},
-		Options:  SolveOptions{Seed: 11, Delta: 0.5},
+		Options:  engine.Options{Seed: 11, Delta: 0.5},
 	}
 	resp, raw := postJSON(t, ts.URL+"/v1/jobs", req)
 	if resp.StatusCode != http.StatusAccepted {
@@ -307,7 +308,7 @@ func TestChunkUploadFlow(t *testing.T) {
 	}
 	resp, raw = postJSON(t, ts.URL+"/v1/solve", SolveRequest{
 		Kind: "svm", Model: "stream", Dim: 3, InstanceID: ref.ID,
-		Options: SolveOptions{R: 2, Seed: 31},
+		Options: engine.Options{R: 2, Seed: 31},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("solve status %d: %s", resp.StatusCode, raw)
@@ -358,7 +359,7 @@ func TestCacheHitAndMetrics(t *testing.T) {
 		Kind: "lp", Model: "ram", Dim: 2,
 		Objective: []float64{1, 0},
 		Rows:      [][]float64{{-1, 0, -5}},
-		Options:   SolveOptions{Seed: 3},
+		Options:   engine.Options{Seed: 3},
 	}
 	_, raw := postJSON(t, ts.URL+"/v1/solve", req)
 	first := decodeStatus(t, raw)
@@ -414,7 +415,7 @@ func TestSolveFailedInstance(t *testing.T) {
 }
 
 func TestQueueFull(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 1})
+	s := New(Config{Workers: 1, queueDepth: 1})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
@@ -426,7 +427,7 @@ func TestQueueFull(t *testing.T) {
 		r := &SolveRequest{
 			Kind: "lp", Model: "stream", Dim: 4,
 			Generate: &GenerateSpec{Family: "sphere", N: 60_000, D: 4, Seed: 5},
-			Options:  SolveOptions{R: 3, Seed: 5},
+			Options:  engine.Options{R: 3, Seed: 5},
 		}
 		if err := r.Validate(); err != nil {
 			panic(err)
@@ -464,7 +465,7 @@ func TestQueueFull(t *testing.T) {
 }
 
 func TestQueueFullRestoresInstance(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	s, ts := newTestServer(t, Config{Workers: 1, queueDepth: 1})
 	_, raw := postJSON(t, ts.URL+"/v1/instances", instanceCreateBody{Kind: "meb", Dim: 2})
 	var ref instanceRef
 	if err := json.Unmarshal(raw, &ref); err != nil {
@@ -506,13 +507,13 @@ func TestQueueFullRestoresInstance(t *testing.T) {
 }
 
 func TestGracefulShutdownDrainsQueue(t *testing.T) {
-	s := New(Config{Workers: 2, QueueDepth: 8})
+	s := New(Config{Workers: 2})
 	var jobs []*Job
 	for i := 0; i < 6; i++ {
 		r := &SolveRequest{
 			Kind: "meb", Model: "stream", Dim: 3,
 			Generate: &GenerateSpec{Family: "ball", N: 3000, D: 3, Seed: uint64(i)},
-			Options:  SolveOptions{R: 2, Seed: uint64(i)},
+			Options:  engine.Options{R: 2, Seed: uint64(i)},
 		}
 		if err := r.Validate(); err != nil {
 			t.Fatal(err)
@@ -548,7 +549,7 @@ func TestDigestStability(t *testing.T) {
 			Kind: "lp", Model: "stream", Dim: 2,
 			Objective: []float64{1, 1},
 			Rows:      [][]float64{{-1, 0, -1}, {0, -1, -2}},
-			Options:   SolveOptions{R: 2, Seed: 7},
+			Options:   engine.Options{R: 2, Seed: 7},
 		}
 	}
 	a, b := mk(), mk()

@@ -139,7 +139,7 @@ func TestWorkerRoundBConsumedOnce(t *testing.T) {
 // all of it back.
 func TestWorkerSessionStateBoundedAndReleased(t *testing.T) {
 	const n, sessions = 100000, 8
-	w, roundA := newMebWorker(t, n, WorkerConfig{MaxSessions: sessions})
+	w, roundA := newMebWorker(t, n, WorkerConfig{maxSessions: sessions})
 	ts := httptest.NewServer(w.Handler())
 	defer ts.Close()
 	heap := func() int64 {

@@ -82,7 +82,7 @@ func runSolve(r *SolveRequest) (*SolveResult, *StatsPayload, any, error) {
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	opt := r.Options.lib()
+	opt := r.Options
 	opt.Trace = r.trace
 	sol, stats, basis, err := m.SolveSourceBasis(r.Model, r.Dim, r.Objective, r.data, opt)
 	if err != nil {

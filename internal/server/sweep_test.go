@@ -73,7 +73,7 @@ func TestSweepIntervalClamp(t *testing.T) {
 // sessions (on the floored tick) without melting: end-to-end guard on
 // the clamp actually being wired into the worker's sweeper.
 func TestWorkerSweeperTinyTTL(t *testing.T) {
-	w := newTestWorker(t, WorkerConfig{SessionTTL: 50 * time.Millisecond})
+	w := newTestWorker(t, WorkerConfig{sessionTTL: 50 * time.Millisecond})
 	if code, _ := openTestSession(t, w); code != 200 {
 		t.Fatalf("begin: HTTP %d", code)
 	}

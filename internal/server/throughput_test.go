@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"lowdimlp/internal/comm"
+	"lowdimlp/internal/engine"
 	"lowdimlp/internal/gateway"
 	"lowdimlp/internal/obs"
 )
@@ -24,7 +25,7 @@ func throughputRequest(t *testing.T, n int, genSeed, optSeed uint64) *SolveReque
 		Generate: &GenerateSpec{
 			Family: "gaussian", N: n, D: 3, Seed: genSeed,
 		},
-		Options: SolveOptions{R: 2, Seed: optSeed},
+		Options: engine.Options{R: 2, Seed: optSeed},
 	}
 	if err := req.Validate(); err != nil {
 		t.Fatal(err)
@@ -194,11 +195,11 @@ func TestSoloInflightCoalescing(t *testing.T) {
 // re-verifies the stored basis in one scan and returns the
 // bit-identical solution, flagged warm.
 func TestWarmStartConformance(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, CacheSize: -1, BasisCacheSize: 64})
+	_, ts := newTestServer(t, Config{Workers: 1, CacheSize: -1})
 	req := SolveRequest{
 		Kind: "meb", Model: ModelStream,
 		Generate: &GenerateSpec{Family: "gaussian", N: 5000, D: 3, Seed: 3},
-		Options:  SolveOptions{R: 2, Seed: 5},
+		Options:  engine.Options{R: 2, Seed: 5},
 	}
 
 	resp, raw := postJSON(t, ts.URL+"/v1/solve", req)
@@ -240,11 +241,11 @@ func TestWarmStartConformance(t *testing.T) {
 // starts from the basis the first solve stored — the optimum depends
 // only on the instance, not on how it was computed.
 func TestWarmStartDeltaOverlay(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, CacheSize: -1, BasisCacheSize: 64})
+	_, ts := newTestServer(t, Config{Workers: 1, CacheSize: -1})
 	base := SolveRequest{
 		Kind: "meb", Model: ModelMPC,
 		Generate: &GenerateSpec{Family: "gaussian", N: 4000, D: 3, Seed: 7},
-		Options:  SolveOptions{Seed: 2, Delta: 0.5},
+		Options:  engine.Options{Seed: 2, Delta: 0.5},
 	}
 
 	resp, raw := postJSON(t, ts.URL+"/v1/solve", base)
@@ -268,94 +269,6 @@ func TestWarmStartDeltaOverlay(t *testing.T) {
 	}
 }
 
-// TestAdmissionShed pins the shed policy at the manager level, with no
-// workers so the backlog is fully deterministic: an idle system admits
-// any single job however large, a loaded one sheds what would push the
-// pending rows over budget, and the Retry-After estimate is sane.
-func TestAdmissionShed(t *testing.T) {
-	m := newManagerIdle(16, NewCache(-1), NewMetrics())
-	m.admitRows = 1000
-
-	// Idle system: admitted even though 1200 > budget — shedding an
-	// undeliverable request forever would be worse than queueing it.
-	if _, err := m.Submit(throughputRequest(t, 1200, 1, 1)); err != nil {
-		t.Fatalf("idle oversized submit: %v", err)
-	}
-	// Loaded system: 1200 pending + 400 > 1000 → shed.
-	if _, err := m.Submit(throughputRequest(t, 400, 1, 2)); err != ErrOverloaded {
-		t.Fatalf("loaded submit err = %v, want ErrOverloaded", err)
-	}
-	if got := m.metrics.JobsShed.Load(); got != 1 {
-		t.Errorf("jobs_shed = %d, want 1", got)
-	}
-	if s := m.RetryAfterSeconds(); s < 1 || s > 60 {
-		t.Errorf("RetryAfterSeconds = %d, want within [1, 60]", s)
-	}
-	// Shed jobs are not jobs: they never enter the table or the queue.
-	if got := m.metrics.JobsSubmitted.Load(); got != 1 {
-		t.Errorf("jobs_submitted = %d, want 1", got)
-	}
-}
-
-// TestAdmissionShedHTTP pins the wire contract: a shed submission is
-// 429 (not the queue-full 503) and carries a Retry-After hint.
-func TestAdmissionShedHTTP(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 16, AdmissionRows: 1000})
-
-	// Fill the budget with one slow async solve...
-	resp, raw := postJSON(t, ts.URL+"/v1/jobs", SolveRequest{
-		Kind: "meb", Model: ModelStream,
-		Generate: &GenerateSpec{Family: "gaussian", N: 400000, D: 3, Seed: 1},
-		Options:  SolveOptions{R: 2, Seed: 1},
-	})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("async submit: %d %s", resp.StatusCode, raw)
-	}
-	asyncID := decodeStatus(t, raw).ID
-	// ...then get shed while it runs.
-	resp, raw = postJSON(t, ts.URL+"/v1/solve", SolveRequest{
-		Kind: "meb", Model: ModelStream,
-		Generate: &GenerateSpec{Family: "gaussian", N: 5000, D: 3, Seed: 2},
-		Options:  SolveOptions{R: 2, Seed: 2},
-	})
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("shed status = %d, want 429: %s", resp.StatusCode, raw)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("shed response missing Retry-After header")
-	}
-
-	// The hot instance eventually finishes and the budget frees up.
-	var st JobStatus
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		getJSON(t, ts.URL+"/v1/jobs/"+asyncID, &st)
-		if st.State == StateDone || st.State == StateFailed {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("async job never finished: %+v", st)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if st.State != StateDone {
-		t.Fatalf("async job failed: %q", st.Error)
-	}
-	resp, raw = postJSON(t, ts.URL+"/v1/solve", SolveRequest{
-		Kind: "meb", Model: ModelStream,
-		Generate: &GenerateSpec{Family: "gaussian", N: 5000, D: 3, Seed: 2},
-		Options:  SolveOptions{R: 2, Seed: 2},
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-drain solve: %d %s", resp.StatusCode, raw)
-	}
-
-	pm := scrape(t, ts.URL+"/metrics")
-	if v := pm.Sum("lpserved_jobs_shed_total"); v != 1 {
-		t.Errorf("jobs_shed_total = %g, want 1", v)
-	}
-}
-
 // TestBatchConformanceHTTP is the burst pin on the one job road, over
 // HTTP: 16 async jobs over the same generated instance with distinct
 // solver seeds queue up behind an idle pool, then run two at a time.
@@ -364,7 +277,7 @@ func TestAdmissionShedHTTP(t *testing.T) {
 // nothing mutable.
 func TestBatchConformanceHTTP(t *testing.T) {
 	const k = 16
-	s, ts := newTestServer(t, Config{Workers: 1, CacheSize: -1, QueueDepth: 64})
+	s, ts := newTestServer(t, Config{Workers: 1, CacheSize: -1, queueDepth: 64})
 	// Swap in a pool that has not started, so the whole burst is queued
 	// before the first job runs.
 	started := s.manager
@@ -376,7 +289,7 @@ func TestBatchConformanceHTTP(t *testing.T) {
 		resp, raw := postJSON(t, ts.URL+"/v1/jobs", SolveRequest{
 			Kind: "meb", Model: ModelStream,
 			Generate: &GenerateSpec{Family: "gaussian", N: 20000, D: 3, Seed: 12},
-			Options:  SolveOptions{R: 2, Seed: uint64(200 + i)},
+			Options:  engine.Options{R: 2, Seed: uint64(200 + i)},
 		})
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("burst submit %d: %d %s", i, resp.StatusCode, raw)

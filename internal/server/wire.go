@@ -54,35 +54,6 @@ const (
 	ModelMPC         = engine.BackendMPC
 )
 
-// SolveOptions is the wire form of engine.Options.
-type SolveOptions struct {
-	// R is the paper's pass/round trade-off parameter (0 = default 2).
-	R int `json:"r,omitempty"`
-	// Delta is the MPC load exponent (0 = default 0.5).
-	Delta float64 `json:"delta,omitempty"`
-	// Seed drives all randomness.
-	Seed uint64 `json:"seed,omitempty"`
-	// MonteCarlo selects the fail-fast Remark 3.6 variant.
-	MonteCarlo bool `json:"monte_carlo,omitempty"`
-	// NetConst is the ε-net constant c in m = c·λ/ε (0 = the library
-	// default, DESIGN.md §5). A negative value fails the job with
-	// engine.ErrNetConst (HTTP 422).
-	NetConst float64 `json:"net_const,omitempty"`
-	// K is the number of coordinator sites (0 = default 4).
-	K int `json:"k,omitempty"`
-	// Parallel is for sharded streaming scans only: one decode
-	// goroutine per shard. It never changes the answer.
-	Parallel bool `json:"parallel,omitempty"`
-}
-
-func (o SolveOptions) lib() engine.Options {
-	return engine.Options{
-		R: o.R, Delta: o.Delta, Seed: o.Seed,
-		MonteCarlo: o.MonteCarlo, NetConst: o.NetConst,
-		K: o.K, Parallel: o.Parallel,
-	}
-}
-
 // GenerateSpec asks the server to synthesize an instance with the
 // kind's registered generator families instead of shipping rows — the
 // load-testing path. See GET /v1/models for the family catalog.
@@ -135,7 +106,7 @@ type SolveRequest struct {
 	// may be omitted.
 	Fleet bool `json:"fleet,omitempty"`
 	// Options tune the solver.
-	Options SolveOptions `json:"options,omitempty"`
+	Options engine.Options `json:"options,omitempty"`
 	// Trace asks the service to record an execution trace of this solve
 	// (phases, per-round site exchanges, error annotations — see
 	// internal/obs). The trace comes back on the job status and lands
@@ -449,7 +420,7 @@ func (r *SolveRequest) Digest() string {
 	h.Write([]byte{0})
 	h.Write([]byte(r.Model))
 	h.Write([]byte{0})
-	o := engine.Canonical(r.Model, r.Options.lib())
+	o := engine.Canonical(r.Model, r.Options)
 	putU(uint64(o.R))
 	putF(o.Delta)
 	putU(o.Seed)

@@ -63,29 +63,29 @@ type WorkerConfig struct {
 	// a sharded dataset, or a whole single-file dataset for a
 	// one-worker fleet).
 	DataPath string
-	// MaxSessions bounds concurrently open protocol sessions
-	// (0 = 64).
-	MaxSessions int
-	// SessionTTL reclaims sessions idle past this horizon
-	// (0 = DefaultSessionTTL; < 0 disables reclamation).
-	SessionTTL time.Duration
-	// MaxFrameBytes bounds one request frame (0 = 4 MiB — coordinator
-	// requests are a basis or two varints, never large).
-	MaxFrameBytes int64
+
+	// Constants in every deployment (zero means the constant below);
+	// only in-package tests set them.
+	maxSessions int
+	sessionTTL  time.Duration
 }
 
-// DefaultSessionTTL is the idle session reclamation horizon.
-const DefaultSessionTTL = 5 * time.Minute
+// A worker holds at most maxSessions open protocol sessions, reclaims
+// those idle past sessionTTL, and reads request frames of at most
+// maxFrameBytes (coordinator requests are a basis or two varints,
+// never large).
+const (
+	maxSessions   = 64
+	sessionTTL    = 5 * time.Minute
+	maxFrameBytes = 4 << 20
+)
 
 func (c WorkerConfig) withDefaults() WorkerConfig {
-	if c.MaxSessions == 0 {
-		c.MaxSessions = 64
+	if c.maxSessions == 0 {
+		c.maxSessions = maxSessions
 	}
-	if c.SessionTTL == 0 {
-		c.SessionTTL = DefaultSessionTTL
-	}
-	if c.MaxFrameBytes == 0 {
-		c.MaxFrameBytes = 4 << 20
+	if c.sessionTTL == 0 {
+		c.sessionTTL = sessionTTL
 	}
 	return c
 }
@@ -254,10 +254,7 @@ func (w *Worker) handleDrain(rw http.ResponseWriter, _ *http.Request) {
 // sweepLoop reclaims idle sessions until Close.
 func (w *Worker) sweepLoop() {
 	defer close(w.sweepDone)
-	ttl := w.cfg.SessionTTL
-	if ttl < 0 {
-		return
-	}
+	ttl := w.cfg.sessionTTL
 	t := time.NewTicker(sweepInterval(ttl))
 	defer t.Stop()
 	for {
@@ -314,7 +311,7 @@ func newSessionID() uint64 {
 // client surfaces them as typed errors); only a genuinely broken
 // shard read would 500.
 func (w *Worker) handleStep(rw http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(rw, r.Body, w.cfg.MaxFrameBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(rw, r.Body, maxFrameBytes))
 	w.metrics.BytesIn.Add(int64(len(body)))
 	if err != nil {
 		w.metrics.StepErrors.Add(1)
@@ -370,12 +367,12 @@ func (w *Worker) handleStep(rw http.ResponseWriter, r *http.Request) {
 				fmt.Errorf("worker draining: not accepting new protocol sessions"))
 			return
 		}
-		if len(w.sessions) >= w.cfg.MaxSessions {
+		if len(w.sessions) >= w.cfg.maxSessions {
 			w.mu.Unlock()
 			s.site.Close()
 			w.metrics.StepErrors.Add(1)
 			writeError(rw, http.StatusServiceUnavailable,
-				fmt.Errorf("too many open protocol sessions (limit %d)", w.cfg.MaxSessions))
+				fmt.Errorf("too many open protocol sessions (limit %d)", w.cfg.maxSessions))
 			return
 		}
 		w.sessions[s.id] = s
