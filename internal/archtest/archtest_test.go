@@ -502,7 +502,7 @@ var guards = []guard{
 		},
 	},
 	{
-		step: "parameters", name: "no coordinator site fan-out", design: "§1",
+		step: "parameters", name: "no opt-in knob for coordinator site fan-out", design: "§1",
 		in: algorithm1Files,
 		match: func(n ast.Node) (string, bool) {
 			switch n := n.(type) {
@@ -523,6 +523,43 @@ var guards = []guard{
 		seeds: []seed{
 			{path: "internal/coordinator/seed.go", bites: true, src: "package coordinator\nfunc runSitesParallel() {}\n"},
 			{path: "internal/engine/seed.go", bites: true, src: "package engine\nvar o = coordinator.Options{K: 3, Parallel: true}\n"},
+		},
+	},
+	{
+		// A round's exchanges are in flight together (comm.EachSite); a
+		// loop that calls one per iteration addresses the sites one after
+		// another. lpmark's timedTransport forwards calls, so benchmark/
+		// is exempt.
+		step: "rounds", name: "no serial round loop", design: "§4",
+		in: []string{"..."}, out: []string{"benchmark/..."},
+		match: func(n ast.Node) (string, bool) {
+			var body *ast.BlockStmt
+			switch n := n.(type) {
+			case *ast.ForStmt:
+				body = n.Body
+			case *ast.RangeStmt:
+				body = n.Body
+			default:
+				return "", false
+			}
+			var call string
+			ast.Inspect(body, func(m ast.Node) bool {
+				if c, ok := m.(*ast.CallExpr); ok && call == "" && oneOf(name(c.Fun), "RoundTrip", "exchange", "exchangeTimeout") {
+					call = expr(c)
+				}
+				return call == ""
+			})
+			return "loop calls " + call, call != ""
+		},
+		seeds: []seed{
+			{path: "internal/coordinator/seed.go", bites: true,
+				src: "package coordinator\nfunc (s *star) All() {\n\tfor i := range s.tr.Sites() {\n\t\ts.tr.RoundTrip(i, comm.FrameShipAll, nil)\n\t}\n}\n"},
+			{path: "internal/comm/httptransport/seed.go", bites: true,
+				src: "package httptransport\nfunc (r *run) Begin() {\n\tfor i := 0; i < k; i++ {\n\t\tgo func() { r.fleet.exchange(i, f) }()\n\t}\n}\n"},
+			{path: "internal/coordinator/seed2.go", bites: false,
+				src: "package coordinator\nfunc (s *star) All() error {\n\treturn comm.EachSite(k, func(i int) error { _, err := s.tr.RoundTrip(i, comm.FrameShipAll, nil); return err })\n}\n"},
+			{path: "benchmark/seed.go", bites: false,
+				src: "package main\nfunc f() {\n\tfor i := range k {\n\t\tt.Transport.RoundTrip(i, typ, nil)\n\t}\n}\n"},
 		},
 	},
 	{

@@ -59,6 +59,15 @@ func (m *Meter) Charge(bits int) {
 	m.messages++
 }
 
+// ChargeN records n messages of the given total size in bits, under
+// one lock — a ship-all reply carries one message per constraint.
+func (m *Meter) ChargeN(n int, bits int64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.totalBits += bits
+	m.messages += int64(n)
+}
+
 // TotalBits returns the total bits charged.
 func (m *Meter) TotalBits() int64 {
 	m.mu.Lock()

@@ -1,8 +1,10 @@
 package comm
 
 import (
+	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"lowdimlp/internal/lp"
 )
@@ -16,6 +18,10 @@ func TestMeterBasics(t *testing.T) {
 	m.Charge(8)
 	if m.TotalBits() != 136 || m.Rounds() != 2 || m.Messages() != 3 {
 		t.Fatalf("meter state: %v", m)
+	}
+	m.ChargeN(3, 96)
+	if m.TotalBits() != 232 || m.Rounds() != 2 || m.Messages() != 6 {
+		t.Fatalf("meter state after ChargeN: %v", m)
 	}
 	if m.String() == "" {
 		t.Error("String must render")
@@ -36,6 +42,32 @@ func TestMeterConcurrent(t *testing.T) {
 	wg.Wait()
 	if m.TotalBits() != 64 || m.Messages() != 64 {
 		t.Fatal("concurrent charges lost")
+	}
+}
+
+// TestEachSite: every site is called, and the lowest failing site's
+// error is returned whatever order the calls finish in.
+func TestEachSite(t *testing.T) {
+	const k = 5
+	var called [k]bool
+	errs := map[int]error{1: errors.New("site 1"), 3: errors.New("site 3")}
+	err := EachSite(k, func(i int) error {
+		called[i] = true
+		if i == 1 {
+			time.Sleep(20 * time.Millisecond) // finishes after site 3
+		}
+		return errs[i]
+	})
+	if err != errs[1] {
+		t.Fatalf("EachSite returned %v, want site 1's error", err)
+	}
+	for i, c := range called {
+		if !c {
+			t.Errorf("site %d was not called", i)
+		}
+	}
+	if err := EachSite(k, func(int) error { return nil }); err != nil {
+		t.Fatalf("EachSite with no failure returned %v", err)
 	}
 }
 

@@ -97,12 +97,13 @@ func SplitList(s string) []string {
 	return out
 }
 
-// Dial contacts every worker, fetches its shard description, and
-// verifies the fleet is coherent: every worker must hold the same
+// Dial contacts every worker at once, fetches its shard description,
+// and verifies the fleet is coherent: every worker must hold the same
 // kind, dimension, width and objective (they are shards of one
-// instance). Worker i becomes site i of every Run — list workers in
-// shard order to match an in-process solve over the same sharded
-// dataset.
+// instance). The error is the lowest-index worker's, whether it failed
+// to answer or answered incoherently. Worker i becomes site i of every
+// Run — list workers in shard order to match an in-process solve over
+// the same sharded dataset.
 func Dial(workers []string, opt Options) (*Fleet, error) {
 	if len(workers) == 0 {
 		return nil, fmt.Errorf("httptransport: no workers")
@@ -118,18 +119,26 @@ func Dial(workers []string, opt Options) (*Fleet, error) {
 		}
 		f.urls = append(f.urls, u)
 	}
-	for i := range f.urls {
+	infos := make([]*comm.SiteInfo, len(f.urls))
+	err := comm.EachSite(len(f.urls), func(i int) error {
 		rep, err := f.exchange(i, comm.Frame{Type: comm.FrameInfo, Seq: uint64(i)})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		info, err := comm.DecodeSiteInfo(rep.Payload)
 		if err != nil {
-			return nil, &comm.TransportError{Site: i, Type: comm.FrameInfo, Err: err}
+			return &comm.TransportError{Site: i, Type: comm.FrameInfo, Err: err}
+		}
+		infos[i] = &info
+		return nil
+	})
+	for i, info := range infos {
+		if info == nil {
+			return nil, err // worker i is the lowest that failed
 		}
 		f.rows[i] = info.Rows
 		if i == 0 {
-			f.info = info
+			f.info = *info
 			continue
 		}
 		if info.Kind != f.info.Kind || info.Dim != f.info.Dim || info.Width != f.info.Width ||
@@ -193,10 +202,8 @@ func (r *run) Sites() int { return len(r.fleet.urls) }
 
 func (r *run) SiteRows(i int) int { return r.fleet.rows[i] }
 
-// Begin opens the protocol session on every worker, delivering the
-// run parameters. Sessions open concurrently: session setup is one
-// HTTP exchange per worker and a large fleet should not pay them
-// serially.
+// Begin opens the protocol session on every worker at once,
+// delivering the run parameters.
 func (r *run) Begin(seed uint64, mult float64) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -206,44 +213,31 @@ func (r *run) Begin(seed uint64, mult float64) error {
 	if r.begun {
 		return fmt.Errorf("httptransport: Begin called twice")
 	}
-	k := len(r.fleet.urls)
-	errs := make([]error, k)
-	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			payload := comm.AppendBeginPayload(nil, seed, i, mult)
-			rep, err := r.fleet.exchange(i, comm.Frame{Type: comm.FrameBegin, Seq: r.seqs[i], Payload: payload})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if rep.Session == 0 {
-				errs[i] = &comm.TransportError{Site: i, Type: comm.FrameBegin,
-					Err: fmt.Errorf("%w: begin reply without a session", comm.ErrProtocol)}
-				return
-			}
-			buf := comm.FromBytes(rep.Payload)
-			rows, err := buf.Uvarint()
-			if err != nil || buf.Remaining() != 0 {
-				errs[i] = &comm.TransportError{Site: i, Type: comm.FrameBegin,
-					Err: fmt.Errorf("%w: bad begin reply payload", comm.ErrProtocol)}
-				return
-			}
-			if int(rows) != r.fleet.rows[i] {
-				errs[i] = &comm.TransportError{Site: i, Type: comm.FrameBegin,
-					Err: fmt.Errorf("%w: worker reports %d rows, dial saw %d — shard changed underneath the fleet", comm.ErrProtocol, rows, r.fleet.rows[i])}
-				return
-			}
-			r.sessions[i] = rep.Session
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
+	err := comm.EachSite(len(r.fleet.urls), func(i int) error {
+		payload := comm.AppendBeginPayload(nil, seed, i, mult)
+		rep, err := r.fleet.exchange(i, comm.Frame{Type: comm.FrameBegin, Seq: r.seqs[i], Payload: payload})
 		if err != nil {
 			return err
 		}
+		if rep.Session == 0 {
+			return &comm.TransportError{Site: i, Type: comm.FrameBegin,
+				Err: fmt.Errorf("%w: begin reply without a session", comm.ErrProtocol)}
+		}
+		buf := comm.FromBytes(rep.Payload)
+		rows, err := buf.Uvarint()
+		if err != nil || buf.Remaining() != 0 {
+			return &comm.TransportError{Site: i, Type: comm.FrameBegin,
+				Err: fmt.Errorf("%w: bad begin reply payload", comm.ErrProtocol)}
+		}
+		if int(rows) != r.fleet.rows[i] {
+			return &comm.TransportError{Site: i, Type: comm.FrameBegin,
+				Err: fmt.Errorf("%w: worker reports %d rows, dial saw %d — shard changed underneath the fleet", comm.ErrProtocol, rows, r.fleet.rows[i])}
+		}
+		r.sessions[i] = rep.Session
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	r.begun = true
 	return nil
@@ -278,8 +272,9 @@ func (r *run) RoundTrip(site int, typ comm.FrameType, payload []byte) ([]byte, e
 	return rep.Payload, nil
 }
 
-// Close releases the workers' sessions, best-effort: a worker that is
-// already gone stays gone, and its session TTL reclaims the state.
+// Close releases the workers' sessions at once, best-effort: a worker
+// that is already gone stays gone, and its session TTL reclaims the
+// state.
 // End frames use a short deadline of their own — Close often runs
 // right after a RoundTrip failed on a hung worker, and waiting the
 // full exchange timeout again per dead worker would double the time
@@ -296,14 +291,15 @@ func (r *run) Close() error {
 	if deadline > 2*time.Second {
 		deadline = 2 * time.Second
 	}
-	for i, sess := range r.sessions {
-		if sess == 0 {
-			continue
+	comm.EachSite(len(r.sessions), func(i int) error {
+		if r.sessions[i] == 0 {
+			return nil
 		}
 		r.seqs[i]++
-		r.fleet.exchangeTimeout(i, comm.Frame{Type: comm.FrameEnd, Session: sess, Seq: r.seqs[i]}, deadline)
+		r.fleet.exchangeTimeout(i, comm.Frame{Type: comm.FrameEnd, Session: r.sessions[i], Seq: r.seqs[i]}, deadline)
 		r.sessions[i] = 0
-	}
+		return nil
+	})
 	return nil
 }
 

@@ -103,10 +103,9 @@ type Registry struct {
 }
 
 // New returns an empty registry with the given heartbeat TTL
-// (0 = DefaultTTL; < 0 disables expiry so even dynamic members only
-// leave by deregistering or failing).
+// (≤ 0 = DefaultTTL).
 func New(ttl time.Duration) *Registry {
-	if ttl == 0 {
+	if ttl <= 0 {
 		ttl = DefaultTTL
 	}
 	return &Registry{ttl: ttl, now: time.Now, members: make(map[string]*Member)}
@@ -254,9 +253,6 @@ func (r *Registry) ReportFailure(url string, err error) {
 func (r *Registry) Sweep() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.ttl < 0 {
-		return 0
-	}
 	cutoff := r.now().Add(-r.ttl)
 	n := 0
 	for _, u := range r.order {

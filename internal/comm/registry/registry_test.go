@@ -133,17 +133,6 @@ func TestSweepExpiresOnlyDynamicMembers(t *testing.T) {
 	}
 }
 
-func TestSweepDisabled(t *testing.T) {
-	r, c := newClocked(-1)
-	if _, err := r.Register("dyn:1", "cube", 2, 5); err != nil {
-		t.Fatal(err)
-	}
-	c.advance(time.Hour)
-	if n := r.Sweep(); n != 0 {
-		t.Fatalf("disabled sweeper expired %d members", n)
-	}
-}
-
 func TestDrainExcludesFromSolvesAndDeregisterRemoves(t *testing.T) {
 	r := New(0)
 	r.SeedStatic([]string{"w1:1", "w2:1"})

@@ -23,6 +23,7 @@ package comm
 import (
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // FrameType tags one protocol frame. The values are wire-stable:
@@ -59,10 +60,10 @@ func validFrameType(t FrameType) bool { return t >= FrameInfo && t <= FrameReply
 // Transport delivers protocol payloads to the k sites of one
 // coordinator-model solve. A Transport instance belongs to a single
 // run: Begin opens the per-site protocol sessions, RoundTrip carries
-// one request/reply exchange, Close releases the sessions. RoundTrip
-// is never called concurrently for the same site; the coordinator
-// addresses a round's sites one after another (DESIGN.md §4), so it
-// never calls RoundTrip concurrently at all.
+// one request/reply exchange, Close releases the sessions. The
+// coordinator addresses a round's sites at once (EachSite, DESIGN.md
+// §4), so RoundTrip must be safe to call concurrently for distinct
+// sites; it is never called concurrently for the same site.
 type Transport interface {
 	// Sites returns the number of sites (the paper's k).
 	Sites() int
@@ -81,6 +82,31 @@ type Transport interface {
 	RoundTrip(site int, typ FrameType, payload []byte) ([]byte, error)
 	// Close releases the sessions. Safe to call repeatedly.
 	Close() error
+}
+
+// EachSite calls f(i) for every site i < k with all k calls in flight
+// together — a round of the coordinator model addresses its sites at
+// once (DESIGN.md §4) — and returns when every call has. The error is
+// the lowest failing site's, so a round in which several sites fail
+// reports the same site however the calls interleave. f must be safe
+// to call concurrently for distinct i.
+func EachSite(k int, f func(i int) error) error {
+	errs := make([]error, k)
+	var wg sync.WaitGroup
+	wg.Add(k)
+	for i := range k {
+		go func() {
+			defer wg.Done()
+			errs[i] = f(i)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // TransportError reports a failed exchange with one site: the solve

@@ -45,8 +45,8 @@
 // (round A is Substrate.Test, round B is Substrate.Sample, ship-all is
 // Substrate.All), so the parameters, the success rule, the Monte-Carlo
 // exit and the iteration budget are those of every other backend. A
-// round's exchanges are issued to the sites one after another, on every
-// transport.
+// round's k exchanges are in flight together (comm.EachSite), on every
+// transport, as the model's synchronous rounds have them.
 package coordinator
 
 import (
@@ -189,11 +189,12 @@ func SolveTransport[C, B any](
 }
 
 // star is the coordinator-model substrate of Algorithm 1: k sites
-// behind a Transport, one metered round per Test (round A) and per
-// Sample (round B). A round's exchanges are issued to every site in
-// order and the lowest-site error is returned, so a multi-site failure
-// reports deterministically and a failing round is metered the same on
-// every transport.
+// behind a Transport, one metered round per Test (round A), per Sample
+// (round B) and per All (ship-all). A round's k exchanges are in flight
+// together (comm.EachSite); each writes only its own site's slots, and
+// every site is addressed even when another fails. The lowest-site
+// error is returned, so a multi-site failure reports deterministically
+// and a failing round is metered the same on every transport.
 type star[C, B any] struct {
 	tr     comm.Transport
 	ccodec comm.Codec[C]
@@ -205,7 +206,8 @@ type star[C, B any] struct {
 
 	// Per-round scratch, reused across iterations: the sites' round-A
 	// reports, the updated local totals the allocation is drawn over,
-	// and the net segment of each site — net[off[i]:off[i+1]].
+	// and each site's segment of the round's items — net[off[i]:off[i+1]]
+	// in round B, of the shipped input in ship-all.
 	total, viol []float64
 	count       []int
 	upd         []float64
@@ -216,12 +218,7 @@ type star[C, B any] struct {
 func (s *star[C, B]) Test(pending *B) (wS, wV float64, violators int, err error) {
 	s.meter.StartRound()
 	round := s.meter.Rounds()
-	for i := range s.total {
-		if e := s.roundA(i, round, pending); e != nil && err == nil {
-			err = e
-		}
-	}
-	if err != nil {
+	if err := comm.EachSite(len(s.total), func(i int) error { return s.roundA(i, round, pending) }); err != nil {
 		return 0, 0, 0, err
 	}
 	for i := range s.total {
@@ -281,13 +278,7 @@ func (s *star[C, B]) Sample(success bool, net []C) error {
 	}
 	s.meter.StartRound()
 	round := s.meter.Rounds()
-	var err error
-	for i := range s.upd {
-		if e := s.roundB(i, round, success, net[s.off[i]:s.off[i+1]]); e != nil && err == nil {
-			err = e
-		}
-	}
-	return err
+	return comm.EachSite(len(s.upd), func(i int) error { return s.roundB(i, round, success, net[s.off[i]:s.off[i+1]]) })
 }
 
 func (s *star[C, B]) roundB(i, round int, success bool, picked []C) error {
@@ -324,36 +315,46 @@ func (s *star[C, B]) roundB(i, round int, success bool, picked []C) error {
 
 // All is the small-input protocol (n ≤ 2m+1): the sites ship everything
 // in one round (the protocol degenerates to the naive algorithm, as it
-// should).
+// should). Site i's constraints land in all[off[i]:off[i+1]], in site
+// order.
 func (s *star[C, B]) All() ([]C, error) {
 	s.meter.StartRound()
-	n := 0
-	for i := range s.tr.Sites() {
-		n += s.tr.SiteRows(i)
+	k := s.tr.Sites()
+	for i := range k {
+		s.off[i+1] = s.off[i] + s.tr.SiteRows(i)
 	}
-	all := make([]C, 0, n)
-	for i := range s.tr.Sites() {
-		sp := s.trace.StartSite("ship-all", i, 1)
-		rep, err := s.tr.RoundTrip(i, comm.FrameShipAll, nil)
-		if err != nil {
-			sp.EndErr(err, comm.ErrorClass(err))
-			return nil, err
-		}
-		buf := comm.FromBytes(rep)
-		for j, rows := 0, s.tr.SiteRows(i); j < rows; j++ {
-			c, err := comm.Value(buf, s.ccodec)
-			if err != nil {
-				return nil, protocolError(sp, i, comm.FrameShipAll, "ship-all item %d: %v", j, err)
-			}
-			s.meter.Charge(s.ccodec.Bits(c))
-			all = append(all, c)
-		}
-		if buf.Remaining() != 0 {
-			return nil, protocolError(sp, i, comm.FrameShipAll, "%d trailing bytes in ship-all reply", buf.Remaining())
-		}
-		sp.EndBytes(int64(len(rep)))
+	all := make([]C, s.off[k])
+	if err := comm.EachSite(k, func(i int) error { return s.shipAll(i, all[s.off[i]:s.off[i+1]]) }); err != nil {
+		return nil, err
 	}
 	return all, nil
+}
+
+// shipAll decodes site i's ship-all reply into items, one message per
+// constraint. The constraints decoded before a malformed one are
+// charged too.
+func (s *star[C, B]) shipAll(i int, items []C) error {
+	sp := s.trace.StartSite("ship-all", i, 1)
+	rep, err := s.tr.RoundTrip(i, comm.FrameShipAll, nil)
+	if err != nil {
+		sp.EndErr(err, comm.ErrorClass(err))
+		return err
+	}
+	buf := comm.FromBytes(rep)
+	var bits int64
+	for j := range items {
+		if items[j], err = comm.Value(buf, s.ccodec); err != nil {
+			s.meter.ChargeN(j, bits)
+			return protocolError(sp, i, comm.FrameShipAll, "ship-all item %d: %v", j, err)
+		}
+		bits += int64(s.ccodec.Bits(items[j]))
+	}
+	s.meter.ChargeN(len(items), bits)
+	if buf.Remaining() != 0 {
+		return protocolError(sp, i, comm.FrameShipAll, "%d trailing bytes in ship-all reply", buf.Remaining())
+	}
+	sp.EndBytes(int64(len(rep)))
+	return nil
 }
 
 // protocolError ends an exchange's span with a malformed reply of site

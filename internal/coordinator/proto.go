@@ -266,12 +266,12 @@ func (t *localTransport[C, B]) Sites() int { return len(t.sites) }
 func (t *localTransport[C, B]) SiteRows(i int) int { return t.sites[i].w.Size() }
 
 func (t *localTransport[C, B]) Begin(seed uint64, mult float64) error {
-	for i, s := range t.sites {
-		if _, err := s.Step(comm.FrameBegin, comm.AppendBeginPayload(nil, seed, i, mult)); err != nil {
+	return comm.EachSite(len(t.sites), func(i int) error {
+		if _, err := t.sites[i].Step(comm.FrameBegin, comm.AppendBeginPayload(nil, seed, i, mult)); err != nil {
 			return &comm.TransportError{Site: i, Type: comm.FrameBegin, Err: err}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 func (t *localTransport[C, B]) RoundTrip(site int, typ comm.FrameType, payload []byte) ([]byte, error) {

@@ -117,7 +117,7 @@ func TestBasisCodecRendersIdentically(t *testing.T) {
 
 // TestBackendsAgree solves the same instance of every kind on all
 // four backends and checks each against the ram reference. With
-// -race (Parallel coordinator sites, parallel subtests) this is also
+// -race (concurrent coordinator rounds, parallel subtests) this is also
 // the engine's race check.
 func TestBackendsAgree(t *testing.T) {
 	for _, m := range engine.Models() {

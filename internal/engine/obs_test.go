@@ -2,11 +2,15 @@ package engine_test
 
 import (
 	"encoding/json"
+	"net/http/httptest"
+	"path/filepath"
 	"runtime"
 	"testing"
 
+	"lowdimlp/internal/dataset"
 	"lowdimlp/internal/engine"
 	"lowdimlp/internal/obs"
+	"lowdimlp/internal/server"
 )
 
 // TestTraceConformance pins the tracing layer's core guarantee: a
@@ -70,29 +74,63 @@ func TestTraceConformance(t *testing.T) {
 	}
 }
 
-// TestTraceConformanceParallel repeats the byte reconciliation with
-// the per-site fan-out on: concurrent span recording must not lose or
-// double-count exchanges.
+// TestTraceConformanceParallel repeats the byte reconciliation with a
+// round's exchanges running in parallel, in process (K = 4) and over a
+// 3-worker fleet: concurrent span recording must not lose or
+// double-count an exchange, in the span list or in the per-site totals.
 func TestTraceConformanceParallel(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("needs >1 CPU for Parallel to engage")
-	}
 	m, _ := engine.Lookup("lp")
+	reconcile := func(what string, tr *obs.Trace, stats engine.Stats) {
+		t.Helper()
+		d := tr.Data()
+		var spanBytes, perSite int64
+		for _, sp := range d.Spans {
+			spanBytes += sp.Bytes
+		}
+		for _, s := range d.PerSite {
+			perSite += s.Bytes
+		}
+		if got, want := 8*spanBytes, stats.Coordinator.TotalBits; got != want {
+			t.Errorf("%s: trace accounts %d bits, meter charged %d", what, got, want)
+		}
+		if perSite != spanBytes {
+			t.Errorf("%s: per-site totals %d != span totals %d", what, perSite, spanBytes)
+		}
+	}
+
 	inst := conformanceInstance(t, m, 3000, 5)
-	opt := engine.Options{Seed: 7, K: 4, Parallel: true}
-	tr := obs.New("lp-parallel")
-	opt.Trace = tr
-	_, stats, err := m.SolveInstance(engine.BackendCoordinator, inst, opt)
+	tr := obs.New("lp-k4")
+	_, stats, err := m.SolveInstance(engine.BackendCoordinator, inst, engine.Options{Seed: 7, K: 4, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var spanBytes int64
-	for _, sp := range tr.Data().Spans {
-		spanBytes += sp.Bytes
+	reconcile("in-process K=4", tr, stats)
+
+	const k = 3
+	manifest := filepath.Join(t.TempDir(), "ds.ldm")
+	if err := engine.WriteShardedDatasetFile(manifest, "lp", conformanceInstance(t, m, 8000, 5), k); err != nil {
+		t.Fatal(err)
 	}
-	if got, want := 8*spanBytes, stats.Coordinator.TotalBits; got != want {
-		t.Errorf("trace accounts %d bits, meter charged %d", got, want)
+	urls := make([]string, k)
+	for i := range urls {
+		w, err := server.NewWorker(server.WorkerConfig{DataPath: filepath.Join(filepath.Dir(manifest), dataset.ShardName(manifest, i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { w.Close() })
+		ts := httptest.NewServer(w.Handler())
+		t.Cleanup(ts.Close)
+		urls[i] = ts.URL
 	}
+	tr = obs.New("lp-fleet")
+	_, _, stats, err = engine.SolveFleet(urls, engine.Options{Seed: 7, K: k, NetConst: 0.2, Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Coordinator.DirectSolve {
+		t.Fatal("the fleet solve shipped its input: no round A or B to reconcile")
+	}
+	reconcile("3-worker fleet", tr, stats)
 }
 
 // TestParallelAutoDisableSingleCPU pins the ROADMAP-carryover

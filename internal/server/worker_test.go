@@ -67,7 +67,7 @@ func startWorkerFleet(t *testing.T, manifest string, k int, wrap func(i int, h h
 // (here: httptest workers, each owning one shard file) produces a
 // bit-identical solution and identical comm.Meter totals to the
 // in-process coordinator over the same sharded dataset, for the same
-// seed and options — with and without parallel round fan-out.
+// seed and options.
 func TestFleetConformance(t *testing.T) {
 	const k = 3
 	for _, m := range engine.Models() {
@@ -93,9 +93,6 @@ func TestFleetConformance(t *testing.T) {
 				if wantStats.Coordinator.DirectSolve != (m.Kind() == "sea") {
 					t.Fatalf("seed %d: DirectSolve %v: the matrix lost one of its two paths", seed, wantStats.Coordinator.DirectSolve)
 				}
-				// Alternating the fleet's round fan-out mode across
-				// seeds also pins parallel == sequential over HTTP.
-				opt.Parallel = seed == 42
 				kind, got, gotStats, err := engine.SolveFleet(urls, opt)
 				if err != nil {
 					t.Fatalf("seed %d: fleet: %v", seed, err)
