@@ -50,7 +50,8 @@ func BenchmarkF2HardInstance(b *testing.B)  { benchExperiment(b, "F2") }
 
 // BenchmarkSeidelLP and BenchmarkSEASolve are the basis solves behind
 // lpmark's basis-heavy workload (the d=5 sphere and d=3 ring cells are
-// its net sizes); reproduce their micro-cost with
+// its net sizes); d=3 n=60000 is the ship-all solve of fleet-net's and
+// serve-open's fleet lp. Reproduce their micro-cost with
 //
 //	go test -run '^$' -bench 'Seidel|SEASolve' -cpu 1
 func BenchmarkSeidelLP(b *testing.B) {
@@ -73,6 +74,7 @@ func BenchmarkSeidelLP(b *testing.B) {
 	}
 	run(5, 3_000)
 	run(5, 6_000)
+	run(3, 60_000)
 }
 
 func BenchmarkSEASolve(b *testing.B) {
@@ -90,16 +92,6 @@ func BenchmarkSEASolve(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-func BenchmarkSimplexLP(b *testing.B) {
-	p, cons := workload.SphereLP(3, 200, 2)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := lp.SimplexValue(p, cons); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

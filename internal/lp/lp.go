@@ -2,10 +2,10 @@
 // Assadi–Karpov–Zhang, PODS 2019): the constraint representation,
 // Seidel's randomized incremental algorithm with lexicographic
 // tie-breaking (the paper's requirement that f map every subset to the
-// lexicographically smallest optimum), a dense two-phase simplex used
-// as a differential-testing oracle, and the lptype.Domain adapter that
-// exposes the basis-computation (Tb) and violation-test (Tv) primitives
-// of Proposition 4.1 to the meta-algorithm.
+// lexicographically smallest optimum), and the lptype.Domain adapter
+// that exposes the basis-computation (Tb) and violation-test (Tv)
+// primitives of Proposition 4.1 to the meta-algorithm. The dense
+// two-phase simplex that Seidel is tested against lives in the tests.
 //
 // # Bounding box
 //

@@ -152,12 +152,13 @@ func (w *workspace) load(p Problem, m int, fill func(i int, a []float64) float64
 // feasible re-checks x against the loaded constraints. Defense in
 // depth: the incremental invariant guarantees feasibility, but floating
 // point can erode it on adversarial input; verify and fail loudly
-// rather than return garbage.
+// rather than return garbage. A settled A·x − B passes without the
+// slack, which is positive.
 func (w *workspace) feasible(x []float64) bool {
 	d, top := w.d, &w.lv[w.d]
 	for i, b := range top.b {
 		h := Halfspace{A: top.a[i*d : (i+1)*d], B: b}
-		if h.Eval(x) > 1e3*violationSlack(h, x) {
+		if e := h.Eval(x); !settled(e) && e > 1e3*violationSlack(h, x) {
 			return false
 		}
 	}
@@ -176,6 +177,79 @@ func slack(a []float64, b float64, x []float64) float64 {
 	return v / scale
 }
 
+// settled reports whether the unscaled residual v = −b + Σ a_i·x_i,
+// summed left to right as slack sums it, already passes the row test
+// slack ≤ seidelTol. A finite v means every product is finite, so the
+// scale lies in [1, +Inf], and v ≤ 0 gives v/scale ≤ 0. Any other v
+// needs violates: v > 0, NaN, and −Inf, whose scale may be +Inf, making
+// slack NaN and the row violated.
+func settled(v float64) bool { return v <= 0 && v >= -math.MaxFloat64 }
+
+// violates is the full row test; NaN counts as violated.
+func violates(a []float64, b float64, x []float64) bool {
+	return !(slack(a, b, x) <= seidelTol)
+}
+
+// firstViolated returns the first of level rows from…n−1 (k wide, in a
+// and b) that x violates, or n. Widths 1…5 run on fixed-size views
+// with x held in registers; each residual is summed in the order slack
+// sums it.
+func firstViolated(a, b, x []float64, k, from, n int) int {
+	switch k {
+	case 1:
+		x0 := x[0]
+		for i := from; i < n; i++ {
+			if v := -b[i] + a[i]*x0; !settled(v) && violates(a[i:i+1], b[i], x) {
+				return i
+			}
+		}
+	case 2:
+		x0, x1 := x[0], x[1]
+		for i := from; i < n; i++ {
+			h := (*[2]float64)(a[2*i:])
+			if v := -b[i] + h[0]*x0 + h[1]*x1; !settled(v) && violates(h[:], b[i], x) {
+				return i
+			}
+		}
+	case 3:
+		x0, x1, x2 := x[0], x[1], x[2]
+		for i := from; i < n; i++ {
+			h := (*[3]float64)(a[3*i:])
+			if v := -b[i] + h[0]*x0 + h[1]*x1 + h[2]*x2; !settled(v) && violates(h[:], b[i], x) {
+				return i
+			}
+		}
+	case 4:
+		x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
+		for i := from; i < n; i++ {
+			h := (*[4]float64)(a[4*i:])
+			if v := -b[i] + h[0]*x0 + h[1]*x1 + h[2]*x2 + h[3]*x3; !settled(v) && violates(h[:], b[i], x) {
+				return i
+			}
+		}
+	case 5:
+		x0, x1, x2, x3, x4 := x[0], x[1], x[2], x[3], x[4]
+		for i := from; i < n; i++ {
+			h := (*[5]float64)(a[5*i:])
+			if v := -b[i] + h[0]*x0 + h[1]*x1 + h[2]*x2 + h[3]*x3 + h[4]*x4; !settled(v) && violates(h[:], b[i], x) {
+				return i
+			}
+		}
+	default:
+		for i := from; i < n; i++ {
+			h := a[i*k : (i+1)*k]
+			v := -b[i]
+			for j, aj := range h {
+				v += aj * x[j]
+			}
+			if !settled(v) && violates(h, b[i], x) {
+				return i
+			}
+		}
+	}
+	return n
+}
+
 // eliminate writes src's row into dst with coordinate p substituted
 // out: dst_j = src_j + src_p·sub_j over j ≠ p. It returns src_p.
 func eliminate(dst, src, sub []float64, p int) float64 {
@@ -189,13 +263,102 @@ func eliminate(dst, src, sub []float64, p int) float64 {
 	return fk
 }
 
+// eliminateRows runs eliminate on rows 0…n−1 of src (k wide) into dst
+// (k−1 wide). With db non-nil it writes each row's right-hand side in
+// the same step, db_g = sb_g − src_p·rhs; the objective rows pass nil.
+// Widths 2…5 run on fixed-size views, with the pivot's substitution
+// coefficients and c, the source column of each destination column,
+// loaded once; the range checks before each loop (p < k always holds)
+// let the compiler drop the per-element bounds checks.
+func eliminateRows(dst, src, sub []float64, k, p, n int, db, sb []float64, rhs float64) {
+	var c [4]int
+	for j := range c {
+		c[j] = j
+		if j >= p {
+			c[j]++
+		}
+	}
+	switch k {
+	case 2:
+		c0 := c[0]
+		if uint(p) >= 2 || uint(c0) >= 2 {
+			panic("lp: pivot out of range")
+		}
+		u0 := sub[c0]
+		for g := 0; g < n; g++ {
+			s := (*[2]float64)(src[2*g:])
+			fk := s[p]
+			dst[g] = s[c0] + fk*u0
+			if db != nil {
+				db[g] = sb[g] - fk*rhs
+			}
+		}
+	case 3:
+		c0, c1 := c[0], c[1]
+		if uint(p) >= 3 || uint(c0) >= 3 || uint(c1) >= 3 {
+			panic("lp: pivot out of range")
+		}
+		u0, u1 := sub[c0], sub[c1]
+		for g := 0; g < n; g++ {
+			s, t := (*[3]float64)(src[3*g:]), (*[2]float64)(dst[2*g:])
+			fk := s[p]
+			t[0] = s[c0] + fk*u0
+			t[1] = s[c1] + fk*u1
+			if db != nil {
+				db[g] = sb[g] - fk*rhs
+			}
+		}
+	case 4:
+		c0, c1, c2 := c[0], c[1], c[2]
+		if uint(p) >= 4 || uint(c0) >= 4 || uint(c1) >= 4 || uint(c2) >= 4 {
+			panic("lp: pivot out of range")
+		}
+		u0, u1, u2 := sub[c0], sub[c1], sub[c2]
+		for g := 0; g < n; g++ {
+			s, t := (*[4]float64)(src[4*g:]), (*[3]float64)(dst[3*g:])
+			fk := s[p]
+			t[0] = s[c0] + fk*u0
+			t[1] = s[c1] + fk*u1
+			t[2] = s[c2] + fk*u2
+			if db != nil {
+				db[g] = sb[g] - fk*rhs
+			}
+		}
+	case 5:
+		c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
+		if uint(p) >= 5 || uint(c0) >= 5 || uint(c1) >= 5 || uint(c2) >= 5 || uint(c3) >= 5 {
+			panic("lp: pivot out of range")
+		}
+		u0, u1, u2, u3 := sub[c0], sub[c1], sub[c2], sub[c3]
+		for g := 0; g < n; g++ {
+			s, t := (*[5]float64)(src[5*g:]), (*[4]float64)(dst[4*g:])
+			fk := s[p]
+			t[0] = s[c0] + fk*u0
+			t[1] = s[c1] + fk*u1
+			t[2] = s[c2] + fk*u2
+			t[3] = s[c3] + fk*u3
+			if db != nil {
+				db[g] = sb[g] - fk*rhs
+			}
+		}
+	default:
+		for g := 0; g < n; g++ {
+			fk := eliminate(dst[g*(k-1):(g+1)*(k-1)], src[g*k:(g+1)*k], sub, p)
+			if db != nil {
+				db[g] = sb[g] - fk*rhs
+			}
+		}
+	}
+}
+
 // solve leaves in lv[k].x the lexicographic optimum of level k's first
 // n constraints over the conceptual box [-box, box]^k. It clobbers the
 // levels below k and nothing else.
 func (w *workspace) solve(k, n int) error {
 	cur := &w.lv[k]
 	if k == 0 {
-		// Zero variables left: constraints are "0 ≤ b".
+		// Zero variables left (a zero-dimensional problem): constraints
+		// are "0 ≤ b". Below the top, k = 1 checks these itself.
 		for _, b := range cur.b[:n] {
 			if b < -zeroTol(b) {
 				return lptype.ErrInfeasible
@@ -205,12 +368,12 @@ func (w *workspace) solve(k, n int) error {
 	}
 	x, sub, below := cur.x, cur.sub, &w.lv[k-1]
 	w.corner(k)
-	for i := 0; i < n; i++ {
-		h, hb := cur.a[i*k:(i+1)*k], cur.b[i]
-		if slack(h, hb, x) <= seidelTol {
-			continue
+	for i := 0; ; i++ {
+		if i = firstViolated(cur.a, cur.b, x, k, i, n); i == n {
+			return nil
 		}
 		// Current optimum violates h; the new optimum lies on ∂h.
+		h, hb := cur.a[i*k:(i+1)*k], cur.b[i]
 		p := pivotCoord(h)
 		if p < 0 {
 			// Numerically zero normal: constraint is 0 ≤ b.
@@ -227,15 +390,22 @@ func (w *workspace) solve(k, n int) error {
 		}
 		sb := hb / h[p]
 
+		if k == 1 {
+			// Level 0 fused in: its rows would be "0 ≤ b_g − a_g·sb",
+			// so check each as it is computed and store nothing. The
+			// one coordinate lifts to sb.
+			for g, b := range cur.b[:i] {
+				if r := b - cur.a[g]*sb; r < -zeroTol(r) {
+					return lptype.ErrInfeasible
+				}
+			}
+			x[0] = sb
+			continue
+		}
 		// Transform the processed prefix and the objective rows into
 		// the (k-1)-dimensional subspace (drop coordinate p).
-		for g := 0; g < i; g++ {
-			fk := eliminate(below.a[g*(k-1):(g+1)*(k-1)], cur.a[g*k:(g+1)*k], sub, p)
-			below.b[g] = cur.b[g] - fk*sb
-		}
-		for r := 0; r <= w.d; r++ {
-			eliminate(below.obj[r*(k-1):(r+1)*(k-1)], cur.obj[r*k:(r+1)*k], sub, p)
-		}
+		eliminateRows(below.a, cur.a, sub, k, p, i, below.b, cur.b, sb)
+		eliminateRows(below.obj, cur.obj, sub, k, p, w.d+1, nil, nil, 0)
 		if err := w.solve(k-1, i); err != nil {
 			return err
 		}
@@ -251,7 +421,6 @@ func (w *workspace) solve(k, n int) error {
 		}
 		x[p] = xp
 	}
-	return nil
 }
 
 // seidelTol is the scaled-violation threshold inside the recursion.

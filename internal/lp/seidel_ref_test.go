@@ -203,14 +203,20 @@ const (
 	famDup               // every other row a repeat: exact ties
 	famZero              // zero normals mixed in: the pivotCoord < 0 branch
 	famInfeasible        // a contradictory pair (or a zero row with b < 0)
+	famHuge              // finite rows whose a_i·x_i overflows at the box: residuals ±Inf and NaN
+	famLifted            // sea's lifted annulus LP: two rows per point in R^{q+2}
 	numFamilies
 )
 
-var familyNames = [numFamilies]string{"sphere", "box", "dup", "zero", "infeasible"}
+var familyNames = [numFamilies]string{"sphere", "box", "dup", "zero", "infeasible", "huge", "lifted"}
 
-// refInstance generates an m-constraint instance of the family in R^d.
+// refInstance generates an m-constraint instance of the family in R^d
+// (famLifted: in R^{q+2} for points in R^q, q = max(d−2, 1)).
 func refInstance(family, d, m int, seed uint64) (Problem, []Halfspace) {
 	rng := numeric.NewRand(seed, 0x5e1de1+uint64(family))
+	if family == famLifted {
+		return liftedInstance(max(d-2, 1), m, rng)
+	}
 	obj := make([]float64, d)
 	for i := range obj {
 		obj[i] = rng.NormFloat64()
@@ -269,8 +275,58 @@ func refInstance(family, d, m int, seed uint64) (Problem, []Halfspace) {
 			default:
 				cons = append(cons, Halfspace{A: unit(), B: 1})
 			}
+		case famHuge:
+			// A sphere row scaled past 1.8e299: finite, but at a box
+			// corner (|x_j| = 1e9) its products overflow, so the
+			// residual is +Inf, −Inf or NaN. Odd rows stay plain, so
+			// some optima sit inside the box and some on it.
+			a, f := unit(), 1.0
+			if i%2 == 0 {
+				f = 1e300 * (1 + rng.Float64())
+				for j := range a {
+					a[j] *= f
+				}
+			}
+			cons = append(cons, Halfspace{A: a, B: f})
 		default:
 			cons = append(cons, Halfspace{A: unit(), B: 1})
+		}
+	}
+	return NewProblem(obj), cons
+}
+
+// liftedInstance is the LP package sea builds for the smallest
+// enclosing annulus of m/2 points near the unit sphere in R^q:
+// minimize u − v over (c, u, v), with rows 2i and 2i+1 written as
+// sea's liftedRow writes them,
+//
+//	|p|² − 2⟨p, c⟩ − u ≤ 0   (outer)
+//	v − |p|² + 2⟨p, c⟩ ≤ 0   (inner)
+//
+// (an odd m ends on an outer row). Each row has an exact zero in u or
+// v.
+func liftedInstance(q, m int, rng *rand.Rand) (Problem, []Halfspace) {
+	obj := make([]float64, q+2)
+	obj[q], obj[q+1] = 1, -1
+	cons := make([]Halfspace, 0, m)
+	for len(cons) < m {
+		p := make([]float64, q)
+		for j := range p {
+			p[j] = rng.NormFloat64()
+		}
+		r := (0.7 + 0.6*rng.Float64()) / numeric.Norm2(p)
+		for j := range p {
+			p[j] *= r
+		}
+		q2 := numeric.Dot(p, p)
+		outer, inner := make([]float64, q+2), make([]float64, q+2)
+		for j, x := range p {
+			outer[j], inner[j] = -2*x, 2*x
+		}
+		outer[q], inner[q+1] = -1, 1
+		cons = append(cons, Halfspace{A: outer, B: -q2})
+		if len(cons) < m {
+			cons = append(cons, Halfspace{A: inner, B: q2})
 		}
 	}
 	return NewProblem(obj), cons
@@ -311,7 +367,8 @@ func sameSolve(t testing.TB, p Problem, cons []Halfspace, seed uint64, shuffle b
 
 // TestSeidelMatchesReference is the bit-identity pin of the workspace
 // solver: every family × d = 1…6 × m ∈ {0, 1, d, 50, 700} × 5 shuffle
-// seeds plus one unshuffled run.
+// seeds plus one unshuffled run. famHuge is the one that fails if the
+// row test's early exit passes a residual of −Inf.
 func TestSeidelMatchesReference(t *testing.T) {
 	for family := 0; family < numFamilies; family++ {
 		t.Run(familyNames[family], func(t *testing.T) {
@@ -330,7 +387,10 @@ func TestSeidelMatchesReference(t *testing.T) {
 					}
 				}
 			}
-			if (family == famInfeasible) != (infeasible > 0) {
+			// famHuge is feasible (the origin satisfies every row), but
+			// its eliminated rows can overflow, and then the solver
+			// reports ErrInfeasible exactly as the reference does.
+			if family != famHuge && (family == famInfeasible) != (infeasible > 0) {
 				t.Errorf("%d infeasible instances in family %s", infeasible, familyNames[family])
 			}
 		})
@@ -363,6 +423,8 @@ func FuzzSeidelMatchesReference(f *testing.F) {
 	f.Add(uint64(3), uint8(2), uint16(9), uint8(famZero), false)
 	f.Add(uint64(4), uint8(6), uint16(64), uint8(famInfeasible), true)
 	f.Add(uint64(5), uint8(1), uint16(0), uint8(famBox), false)
+	f.Add(uint64(6), uint8(4), uint16(200), uint8(famHuge), true)
+	f.Add(uint64(7), uint8(3), uint16(301), uint8(famLifted), true)
 	f.Fuzz(func(t *testing.T, seed uint64, d uint8, m uint16, family uint8, shuffle bool) {
 		p, cons := refInstance(int(family%numFamilies), 1+int(d%6), int(m%1024), seed)
 		sameSolve(t, p, cons, seed, shuffle)
