@@ -8,7 +8,9 @@
 package lowdimlp
 
 import (
+	"cmp"
 	"io"
+	"slices"
 	"testing"
 
 	"lowdimlp/internal/core"
@@ -95,10 +97,27 @@ func BenchmarkSEASolve(b *testing.B) {
 	}
 }
 
+// BenchmarkMEBSolve times meb.Solve (lptype.SolvePivot over the small
+// solve) on gaussian clouds at d = 3, a near co-spherical shell, d = 5
+// and input sorted by first coordinate.
 func BenchmarkMEBSolve(b *testing.B) {
-	for _, n := range []int{1_000, 100_000} {
-		pts := workload.MEBCloud(workload.MEBGaussian, 3, n, 3)
-		b.Run(benchName("n", n), func(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		kind   workload.MEBKind
+		d, n   int
+		sorted bool
+	}{
+		{benchName("n", 1_000), workload.MEBGaussian, 3, 1_000, false},
+		{benchName("n", 100_000), workload.MEBGaussian, 3, 100_000, false},
+		{"shell_" + benchName("n", 40_000), workload.MEBShell, 3, 40_000, false},
+		{benchName("d", 5, "n", 40_000), workload.MEBGaussian, 5, 40_000, false},
+		{"sorted_" + benchName("n", 40_000), workload.MEBGaussian, 3, 40_000, true},
+	} {
+		pts := workload.MEBCloud(c.kind, c.d, c.n, 3)
+		if c.sorted {
+			slices.SortFunc(pts, func(p, q meb.Point) int { return cmp.Compare(p[0], q[0]) })
+		}
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := meb.Solve(pts); err != nil {
@@ -109,13 +128,31 @@ func BenchmarkMEBSolve(b *testing.B) {
 	}
 }
 
+// BenchmarkSVMSolve times svm.Solve at d = 3, on seed 23 at n = 100 000
+// (where Wolfe's loop, the solver before, never returned), at d = 16
+// and on input sorted by first coordinate.
 func BenchmarkSVMSolve(b *testing.B) {
-	for _, n := range []int{1_000, 20_000} {
-		exs, _ := workload.SeparableSVM(3, n, 0.3, 4)
-		b.Run(benchName("n", n), func(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		d, n   int
+		margin float64
+		seed   uint64
+		sorted bool
+	}{
+		{benchName("n", 1_000), 3, 1_000, 0.3, 4, false},
+		{benchName("n", 20_000), 3, 20_000, 0.3, 4, false},
+		{"seed=23_" + benchName("n", 100_000), 3, 100_000, 0.5, 23, false},
+		{benchName("d", 16, "n", 2_000), 16, 2_000, 0.5, 1, false},
+		{"sorted_" + benchName("n", 20_000), 3, 20_000, 0.3, 4, true},
+	} {
+		exs, _ := workload.SeparableSVM(c.d, c.n, c.margin, c.seed)
+		if c.sorted {
+			slices.SortFunc(exs, func(e, f svm.Example) int { return cmp.Compare(e.X[0], f.X[0]) })
+		}
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := svm.Solve(3, exs); err != nil {
+				if _, err := svm.Solve(c.d, exs); err != nil {
 					b.Fatal(err)
 				}
 			}

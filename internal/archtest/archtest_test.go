@@ -214,6 +214,36 @@ func leftmost(e ast.Expr) ast.Expr {
 	}
 }
 
+// callee strips the type arguments off a called function.
+func callee(e ast.Expr) ast.Expr {
+	switch f := e.(type) {
+	case *ast.IndexExpr:
+		return f.X
+	case *ast.IndexListExpr:
+		return f.X
+	}
+	return e
+}
+
+func isIdent(e ast.Expr) bool {
+	_, ok := e.(*ast.Ident)
+	return ok
+}
+
+// pivotCall reports whether body is the one statement
+// return lptype.SolvePivot(…).
+func pivotCall(body *ast.BlockStmt) bool {
+	if len(body.List) != 1 {
+		return false
+	}
+	r, ok := body.List[0].(*ast.ReturnStmt)
+	if !ok || len(r.Results) != 1 {
+		return false
+	}
+	c, ok := r.Results[0].(*ast.CallExpr)
+	return ok && expr(callee(c.Fun)) == "lptype.SolvePivot"
+}
+
 func oneOf(s string, set ...string) bool {
 	for _, x := range set {
 		if s == x {
@@ -634,6 +664,49 @@ var guards = []guard{
 			{path: "internal/lpstat/seed.go", bites: true, src: "package lpstat\nfunc f() { _ = m.Sum(\"lpserved_jobs_shed_total\") }\n"},
 			{path: "internal/lpstat/seed2.go", bites: false, src: "package lpstat\nconst rule = \"frontend-basis-cache-cold\"\n"},
 			{path: "internal/server/seed4.go", bites: false, src: "package server\nconst state = \"queued\"\n"},
+		},
+	},
+	{
+		// svm and meb supply only a small solve; lptype.SolvePivot is
+		// their one large solve. A second iterative basis solver shows
+		// as a Domain.Solve that does more than call it, a recursion
+		// (Welzl's) or a Gram-system solve of its own (Wolfe's corral).
+		step: "basis-solver", name: "one basis loop for svm and meb", design: "§15",
+		in: []string{"internal/svm/...", "internal/meb/..."},
+		match: func(n ast.Node) (string, bool) {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Body == nil {
+					return "", false
+				}
+				if n.Recv != nil && n.Name.Name == "Solve" && strings.Contains(expr(n.Recv.List[0].Type), "Domain") && !pivotCall(n.Body) {
+					return "Domain.Solve is not one lptype.SolvePivot call", true
+				}
+				self := false
+				ast.Inspect(n.Body, func(m ast.Node) bool {
+					if c, ok := m.(*ast.CallExpr); ok && name(callee(c.Fun)) == n.Name.Name &&
+						(n.Recv == nil) == isIdent(callee(c.Fun)) {
+						self = true
+					}
+					return !self
+				})
+				return "func " + n.Name.Name + " calls itself", self
+			case *ast.CallExpr:
+				return expr(n.Fun), expr(n.Fun) == "linalg.Solve"
+			}
+			return "", false
+		},
+		seeds: []seed{
+			{path: "internal/meb/seed.go", bites: true,
+				src: "package meb\nfunc (d *Domain) Solve(pts []Point) (Basis, error) {\n\tb, ok := pivotSolve(pts)\n\tif !ok {\n\t\tb, _ = welzl(pts, nil)\n\t}\n\treturn Basis{B: b}, nil\n}\n"},
+			{path: "internal/meb/seed2.go", bites: true,
+				src: "package meb\nfunc welzl(p, r []Point) (Ball, error) {\n\tb, err := welzl(p[:len(p)-1], r)\n\treturn b, err\n}\n"},
+			{path: "internal/svm/seed.go", bites: true,
+				src: "package svm\nfunc affineMinNorm(zs [][]float64, corral []int) ([]float64, error) {\n\tsol, err := linalg.Solve(m, rhs)\n\treturn sol[1:], err\n}\n"},
+			{path: "internal/svm/seed2.go", bites: false,
+				src: "package svm\nfunc (d *Domain) Solve(examples []Example) (Basis, error) {\n\treturn lptype.SolvePivot[Example, Basis](d, examples)\n}\n"},
+			{path: "internal/meb/seed3.go", bites: false,
+				src: "package meb\nfunc Solve(pts []Point) (Ball, error) {\n\tb, err := NewDomain(len(pts[0])).Solve(pts)\n\treturn b.B, linalg.SolveInPlace(a, x)\n}\n"},
 		},
 	},
 	{

@@ -262,46 +262,46 @@ var coordGolden = map[string]coordGoldenRow{
 	"lp/r=3/nc=0.2/mc=true/seed=3":   {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, K: 4, Rounds: 7, TotalBits: 1733472, Messages: 56, Retries: 0}, 0x740af12fb41f1993, ""},
 	"lp/r=3/nc=0.2/mc=true/seed=4":   {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 1, Successes: 0, Failures: 1, DirectSolve: false}, K: 4, Rounds: 3, TotalBits: 578208, Messages: 24, Retries: 0}, 0x0, "core: monte-carlo round failed (w(V) > ε·w(S))"},
 	"lp/r=3/nc=0.2/mc=true/seed=5":   {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 1, Successes: 0, Failures: 1, DirectSolve: false}, K: 4, Rounds: 3, TotalBits: 578208, Messages: 24, Retries: 0}, 0x0, "core: monte-carlo round failed (w(V) > ε·w(S))"},
-	"meb/r=2/nc=0.5/mc=false/seed=1": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 11, Successes: 3, Failures: 7, DirectSolve: false}, K: 4, Rounds: 23, TotalBits: 8976928, Messages: 184, Retries: 0}, 0x5f690842cb4dbe01, ""},
-	"meb/r=2/nc=0.5/mc=false/seed=2": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 3, Successes: 1, Failures: 1, DirectSolve: false}, K: 4, Rounds: 7, TotalBits: 2448672, Messages: 56, Retries: 0}, 0x9e57402e23dc59b9, ""},
-	"meb/r=2/nc=0.5/mc=false/seed=3": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 6, Successes: 2, Failures: 3, DirectSolve: false}, K: 4, Rounds: 13, TotalBits: 4896768, Messages: 104, Retries: 0}, 0xa2b4ae58b468cd13, ""},
-	"meb/r=2/nc=0.5/mc=false/seed=4": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 4, Successes: 2, Failures: 1, DirectSolve: false}, K: 4, Rounds: 9, TotalBits: 3264704, Messages: 72, Retries: 0}, 0x3d472ea61ae35dfb, ""},
-	"meb/r=2/nc=0.5/mc=false/seed=5": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, K: 4, Rounds: 5, TotalBits: 1632640, Messages: 40, Retries: 0}, 0x8fad34b4ad107e23, ""},
-	"meb/r=2/nc=0.5/mc=true/seed=1":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0xb8d4b9c223b0d3d1, ""},
-	"meb/r=2/nc=0.5/mc=true/seed=2":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0xb8d4b9c223b0d3d1, ""},
-	"meb/r=2/nc=0.5/mc=true/seed=3":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0xb8d4b9c223b0d3d1, ""},
-	"meb/r=2/nc=0.5/mc=true/seed=4":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0xb8d4b9c223b0d3d1, ""},
-	"meb/r=2/nc=0.5/mc=true/seed=5":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0xb8d4b9c223b0d3d1, ""},
-	"meb/r=2/nc=0.2/mc=false/seed=1": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 16, Successes: 1, Failures: 14, DirectSolve: false}, K: 4, Rounds: 33, TotalBits: 5237824, Messages: 264, Retries: 0}, 0x5f690842cb4dbe01, ""},
-	"meb/r=2/nc=0.2/mc=false/seed=2": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 17, Successes: 1, Failures: 15, DirectSolve: false}, K: 4, Rounds: 35, TotalBits: 5565152, Messages: 280, Retries: 0}, 0x9e57402e23dc59b9, ""},
-	"meb/r=2/nc=0.2/mc=false/seed=3": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 15, Successes: 1, Failures: 13, DirectSolve: false}, K: 4, Rounds: 31, TotalBits: 4910496, Messages: 248, Retries: 0}, 0xa2b4ae58b468cd13, ""},
-	"meb/r=2/nc=0.2/mc=false/seed=4": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 15, Successes: 2, Failures: 12, DirectSolve: false}, K: 4, Rounds: 31, TotalBits: 4910496, Messages: 248, Retries: 0}, 0x3d472ea61ae35dfb, ""},
-	"meb/r=2/nc=0.2/mc=false/seed=5": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 3, Successes: 1, Failures: 1, DirectSolve: false}, K: 4, Rounds: 7, TotalBits: 982560, Messages: 56, Retries: 0}, 0x7674e9d5ef7d4b5b, ""},
-	"meb/r=2/nc=0.2/mc=true/seed=1":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0xb8d4b9c223b0d3d1, ""},
-	"meb/r=2/nc=0.2/mc=true/seed=2":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0xb8d4b9c223b0d3d1, ""},
-	"meb/r=2/nc=0.2/mc=true/seed=3":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0xb8d4b9c223b0d3d1, ""},
-	"meb/r=2/nc=0.2/mc=true/seed=4":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0xb8d4b9c223b0d3d1, ""},
-	"meb/r=2/nc=0.2/mc=true/seed=5":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0xb8d4b9c223b0d3d1, ""},
-	"meb/r=3/nc=0.5/mc=false/seed=1": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1222, Iterations: 4, Successes: 2, Failures: 1, DirectSolve: false}, K: 4, Rounds: 9, TotalBits: 632000, Messages: 72, Retries: 0}, 0xc27bf5d61af54a82, ""},
-	"meb/r=3/nc=0.5/mc=false/seed=2": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1222, Iterations: 7, Successes: 1, Failures: 5, DirectSolve: false}, K: 4, Rounds: 15, TotalBits: 1105568, Messages: 120, Retries: 0}, 0x1a476cd752a75e5c, ""},
-	"meb/r=3/nc=0.5/mc=false/seed=3": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1222, Iterations: 10, Successes: 2, Failures: 7, DirectSolve: false}, K: 4, Rounds: 21, TotalBits: 1579136, Messages: 168, Retries: 0}, 0x247708bea277dde0, ""},
-	"meb/r=3/nc=0.5/mc=false/seed=4": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1222, Iterations: 5, Successes: 1, Failures: 3, DirectSolve: false}, K: 4, Rounds: 11, TotalBits: 789856, Messages: 88, Retries: 0}, 0x3d1303c2a3299c0, ""},
-	"meb/r=3/nc=0.5/mc=false/seed=5": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1222, Iterations: 5, Successes: 1, Failures: 3, DirectSolve: false}, K: 4, Rounds: 11, TotalBits: 789856, Messages: 88, Retries: 0}, 0x3d1303c2a3299c0, ""},
-	"meb/r=3/nc=0.5/mc=true/seed=1":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 7501, Iterations: 1, Successes: 0, Failures: 0, DirectSolve: false}, K: 4, Rounds: 3, TotalBits: 962144, Messages: 24, Retries: 0}, 0x77337b5ca0500179, ""},
-	"meb/r=3/nc=0.5/mc=true/seed=2":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 7501, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, K: 4, Rounds: 5, TotalBits: 1923712, Messages: 40, Retries: 0}, 0x11b27373462fcdc6, ""},
-	"meb/r=3/nc=0.5/mc=true/seed=3":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 7501, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, K: 4, Rounds: 7, TotalBits: 2885280, Messages: 56, Retries: 0}, 0xa24a539672539d7a, ""},
-	"meb/r=3/nc=0.5/mc=true/seed=4":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 7501, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, K: 4, Rounds: 5, TotalBits: 1923712, Messages: 40, Retries: 0}, 0x18ac0395b2ca7a46, ""},
-	"meb/r=3/nc=0.5/mc=true/seed=5":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 7501, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, K: 4, Rounds: 5, TotalBits: 1923712, Messages: 40, Retries: 0}, 0xa24a539672539d7a, ""},
-	"meb/r=3/nc=0.2/mc=false/seed=1": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 489, Iterations: 64, Successes: 2, Failures: 61, DirectSolve: false}, K: 4, Rounds: 129, TotalBits: 4098632, Messages: 1032, Retries: 0}, 0x247708bea277dde0, ""},
-	"meb/r=3/nc=0.2/mc=false/seed=2": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 489, Iterations: 27, Successes: 1, Failures: 25, DirectSolve: false}, K: 4, Rounds: 55, TotalBits: 1729464, Messages: 440, Retries: 0}, 0x11b27373462fcdc6, ""},
-	"meb/r=3/nc=0.2/mc=false/seed=3": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 489, Iterations: 13, Successes: 1, Failures: 11, DirectSolve: false}, K: 4, Rounds: 27, TotalBits: 833024, Messages: 216, Retries: 0}, 0xcd2938b54e2af212, ""},
-	"meb/r=3/nc=0.2/mc=false/seed=4": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 489, Iterations: 11, Successes: 1, Failures: 9, DirectSolve: false}, K: 4, Rounds: 23, TotalBits: 704928, Messages: 184, Retries: 0}, 0x247708bea277dde0, ""},
-	"meb/r=3/nc=0.2/mc=false/seed=5": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 489, Iterations: 49, Successes: 2, Failures: 46, DirectSolve: false}, K: 4, Rounds: 99, TotalBits: 3138144, Messages: 792, Retries: 0}, 0x1a476cd752a75e5c, ""},
-	"meb/r=3/nc=0.2/mc=true/seed=1":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, K: 4, Rounds: 7, TotalBits: 1157280, Messages: 56, Retries: 0}, 0xc27bf5d61af54a82, ""},
-	"meb/r=3/nc=0.2/mc=true/seed=2":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, K: 4, Rounds: 5, TotalBits: 771712, Messages: 40, Retries: 0}, 0x1a476cd752a75e5c, ""},
+	"meb/r=2/nc=0.5/mc=false/seed=1": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 11, Successes: 3, Failures: 7, DirectSolve: false}, K: 4, Rounds: 23, TotalBits: 8976928, Messages: 184, Retries: 0}, 0x6b14f40616399732, ""},
+	"meb/r=2/nc=0.5/mc=false/seed=2": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 3, Successes: 1, Failures: 1, DirectSolve: false}, K: 4, Rounds: 7, TotalBits: 2448672, Messages: 56, Retries: 0}, 0x6b14f40616399732, ""},
+	"meb/r=2/nc=0.5/mc=false/seed=3": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 6, Successes: 2, Failures: 3, DirectSolve: false}, K: 4, Rounds: 13, TotalBits: 4896768, Messages: 104, Retries: 0}, 0x6b14f40616399732, ""},
+	"meb/r=2/nc=0.5/mc=false/seed=4": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 4, Successes: 2, Failures: 1, DirectSolve: false}, K: 4, Rounds: 9, TotalBits: 3264704, Messages: 72, Retries: 0}, 0x6b14f40616399732, ""},
+	"meb/r=2/nc=0.5/mc=false/seed=5": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, K: 4, Rounds: 5, TotalBits: 1632640, Messages: 40, Retries: 0}, 0x6b14f40616399732, ""},
+	"meb/r=2/nc=0.5/mc=true/seed=1":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0x6b14f40616399732, ""},
+	"meb/r=2/nc=0.5/mc=true/seed=2":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0x6b14f40616399732, ""},
+	"meb/r=2/nc=0.5/mc=true/seed=3":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0x6b14f40616399732, ""},
+	"meb/r=2/nc=0.5/mc=true/seed=4":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0x6b14f40616399732, ""},
+	"meb/r=2/nc=0.5/mc=true/seed=5":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0x6b14f40616399732, ""},
+	"meb/r=2/nc=0.2/mc=false/seed=1": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 16, Successes: 1, Failures: 14, DirectSolve: false}, K: 4, Rounds: 33, TotalBits: 5237824, Messages: 264, Retries: 0}, 0x6b14f40616399732, ""},
+	"meb/r=2/nc=0.2/mc=false/seed=2": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 17, Successes: 1, Failures: 15, DirectSolve: false}, K: 4, Rounds: 35, TotalBits: 5565152, Messages: 280, Retries: 0}, 0x6b14f40616399732, ""},
+	"meb/r=2/nc=0.2/mc=false/seed=3": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 15, Successes: 1, Failures: 13, DirectSolve: false}, K: 4, Rounds: 31, TotalBits: 4910496, Messages: 248, Retries: 0}, 0x6b14f40616399732, ""},
+	"meb/r=2/nc=0.2/mc=false/seed=4": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 15, Successes: 2, Failures: 12, DirectSolve: false}, K: 4, Rounds: 31, TotalBits: 4910496, Messages: 248, Retries: 0}, 0x6b14f40616399732, ""},
+	"meb/r=2/nc=0.2/mc=false/seed=5": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 3, Successes: 1, Failures: 1, DirectSolve: false}, K: 4, Rounds: 7, TotalBits: 982560, Messages: 56, Retries: 0}, 0x6b14f40616399732, ""},
+	"meb/r=2/nc=0.2/mc=true/seed=1":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0x6b14f40616399732, ""},
+	"meb/r=2/nc=0.2/mc=true/seed=2":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0x6b14f40616399732, ""},
+	"meb/r=2/nc=0.2/mc=true/seed=3":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0x6b14f40616399732, ""},
+	"meb/r=2/nc=0.2/mc=true/seed=4":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0x6b14f40616399732, ""},
+	"meb/r=2/nc=0.2/mc=true/seed=5":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0x6b14f40616399732, ""},
+	"meb/r=3/nc=0.5/mc=false/seed=1": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1222, Iterations: 4, Successes: 2, Failures: 1, DirectSolve: false}, K: 4, Rounds: 9, TotalBits: 632000, Messages: 72, Retries: 0}, 0x736c80d87ba7e992, ""},
+	"meb/r=3/nc=0.5/mc=false/seed=2": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1222, Iterations: 7, Successes: 1, Failures: 5, DirectSolve: false}, K: 4, Rounds: 15, TotalBits: 1105568, Messages: 120, Retries: 0}, 0x736c80d87ba7e992, ""},
+	"meb/r=3/nc=0.5/mc=false/seed=3": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1222, Iterations: 10, Successes: 2, Failures: 7, DirectSolve: false}, K: 4, Rounds: 21, TotalBits: 1579136, Messages: 168, Retries: 0}, 0x736c80d87ba7e992, ""},
+	"meb/r=3/nc=0.5/mc=false/seed=4": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1222, Iterations: 5, Successes: 1, Failures: 3, DirectSolve: false}, K: 4, Rounds: 11, TotalBits: 789856, Messages: 88, Retries: 0}, 0x736c80d87ba7e992, ""},
+	"meb/r=3/nc=0.5/mc=false/seed=5": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1222, Iterations: 5, Successes: 1, Failures: 3, DirectSolve: false}, K: 4, Rounds: 11, TotalBits: 789856, Messages: 88, Retries: 0}, 0x736c80d87ba7e992, ""},
+	"meb/r=3/nc=0.5/mc=true/seed=1":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 7501, Iterations: 1, Successes: 0, Failures: 0, DirectSolve: false}, K: 4, Rounds: 3, TotalBits: 962144, Messages: 24, Retries: 0}, 0x736c80d87ba7e992, ""},
+	"meb/r=3/nc=0.5/mc=true/seed=2":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 7501, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, K: 4, Rounds: 5, TotalBits: 1923712, Messages: 40, Retries: 0}, 0x736c80d87ba7e992, ""},
+	"meb/r=3/nc=0.5/mc=true/seed=3":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 7501, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, K: 4, Rounds: 7, TotalBits: 2885280, Messages: 56, Retries: 0}, 0x736c80d87ba7e992, ""},
+	"meb/r=3/nc=0.5/mc=true/seed=4":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 7501, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, K: 4, Rounds: 5, TotalBits: 1923712, Messages: 40, Retries: 0}, 0x736c80d87ba7e992, ""},
+	"meb/r=3/nc=0.5/mc=true/seed=5":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 7501, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, K: 4, Rounds: 5, TotalBits: 1923712, Messages: 40, Retries: 0}, 0x736c80d87ba7e992, ""},
+	"meb/r=3/nc=0.2/mc=false/seed=1": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 489, Iterations: 64, Successes: 2, Failures: 61, DirectSolve: false}, K: 4, Rounds: 129, TotalBits: 4098632, Messages: 1032, Retries: 0}, 0x736c80d87ba7e992, ""},
+	"meb/r=3/nc=0.2/mc=false/seed=2": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 489, Iterations: 27, Successes: 1, Failures: 25, DirectSolve: false}, K: 4, Rounds: 55, TotalBits: 1729464, Messages: 440, Retries: 0}, 0x736c80d87ba7e992, ""},
+	"meb/r=3/nc=0.2/mc=false/seed=3": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 489, Iterations: 13, Successes: 1, Failures: 11, DirectSolve: false}, K: 4, Rounds: 27, TotalBits: 833024, Messages: 216, Retries: 0}, 0x736c80d87ba7e992, ""},
+	"meb/r=3/nc=0.2/mc=false/seed=4": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 489, Iterations: 11, Successes: 1, Failures: 9, DirectSolve: false}, K: 4, Rounds: 23, TotalBits: 704928, Messages: 184, Retries: 0}, 0x736c80d87ba7e992, ""},
+	"meb/r=3/nc=0.2/mc=false/seed=5": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 489, Iterations: 49, Successes: 2, Failures: 46, DirectSolve: false}, K: 4, Rounds: 99, TotalBits: 3138144, Messages: 792, Retries: 0}, 0x736c80d87ba7e992, ""},
+	"meb/r=3/nc=0.2/mc=true/seed=1":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, K: 4, Rounds: 7, TotalBits: 1157280, Messages: 56, Retries: 0}, 0x736c80d87ba7e992, ""},
+	"meb/r=3/nc=0.2/mc=true/seed=2":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, K: 4, Rounds: 5, TotalBits: 771712, Messages: 40, Retries: 0}, 0x736c80d87ba7e992, ""},
 	"meb/r=3/nc=0.2/mc=true/seed=3":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 1, Successes: 0, Failures: 1, DirectSolve: false}, K: 4, Rounds: 3, TotalBits: 386144, Messages: 24, Retries: 0}, 0x0, "core: monte-carlo round failed (w(V) > ε·w(S))"},
-	"meb/r=3/nc=0.2/mc=true/seed=4":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, K: 4, Rounds: 5, TotalBits: 771712, Messages: 40, Retries: 0}, 0x11b27373462fcdc6, ""},
-	"meb/r=3/nc=0.2/mc=true/seed=5":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, K: 4, Rounds: 5, TotalBits: 771712, Messages: 40, Retries: 0}, 0x1a476cd752a75e5c, ""},
+	"meb/r=3/nc=0.2/mc=true/seed=4":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, K: 4, Rounds: 5, TotalBits: 771712, Messages: 40, Retries: 0}, 0x736c80d87ba7e992, ""},
+	"meb/r=3/nc=0.2/mc=true/seed=5":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, K: 4, Rounds: 5, TotalBits: 771712, Messages: 40, Retries: 0}, 0x736c80d87ba7e992, ""},
 	"sea/r=2/nc=0.5/mc=false/seed=1": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0x1e36df693681eb55, ""},
 	"sea/r=2/nc=0.5/mc=false/seed=2": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0x1e36df693681eb55, ""},
 	"sea/r=2/nc=0.5/mc=false/seed=3": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0x1e36df693681eb55, ""},

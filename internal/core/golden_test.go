@@ -237,46 +237,46 @@ var coreGolden = map[string]coreGoldenRow{
 	"lp/r=3/nc=0.2/mc=true/seed=3":   {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 1, Successes: 0, Failures: 1, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 0}, 0xf7c73d80664965c3, 0x0, "core: monte-carlo round failed (w(V) > ε·w(S))"},
 	"lp/r=3/nc=0.2/mc=true/seed=4":   {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0x35e6f7ff4d621f7, 0xa7e8ec256a6d04bc, ""},
 	"lp/r=3/nc=0.2/mc=true/seed=5":   {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0xd64bb432331673ab, 0xdf67ce05cae7115e, ""},
-	"meb/r=2/nc=0.5/mc=false/seed=1": {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 5, Successes: 3, Failures: 1, DirectSolve: false}, Eps: 0.00023570226039551585, MaxExponent: 1}, 0x78b7f7951fe0ce8e, 0xf53e9809a711a208, ""},
-	"meb/r=2/nc=0.5/mc=false/seed=2": {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Eps: 0.00023570226039551585, MaxExponent: 1}, 0x5ecdf701c4fd6e2, 0xa5b7ab5295ea3818, ""},
-	"meb/r=2/nc=0.5/mc=false/seed=3": {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 7, Successes: 1, Failures: 5, DirectSolve: false}, Eps: 0.00023570226039551585, MaxExponent: 1}, 0xe6231fa60888090e, 0x3d472ea61ae35dfb, ""},
-	"meb/r=2/nc=0.5/mc=false/seed=4": {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 5, Successes: 2, Failures: 2, DirectSolve: false}, Eps: 0.00023570226039551585, MaxExponent: 1}, 0x6d66878797693988, 0xd55e8b5391af887a, ""},
-	"meb/r=2/nc=0.5/mc=false/seed=5": {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Eps: 0.00023570226039551585, MaxExponent: 1}, 0xce1f1b4d197c33de, 0x3d472ea61ae35dfb, ""},
-	"meb/r=2/nc=0.5/mc=true/seed=1":  {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Eps: 0.00023570226039551585, MaxExponent: 0}, 0xcbf29ce484222325, 0x793c85f0f376dfd9, ""},
-	"meb/r=2/nc=0.5/mc=true/seed=2":  {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Eps: 0.00023570226039551585, MaxExponent: 0}, 0xcbf29ce484222325, 0x793c85f0f376dfd9, ""},
-	"meb/r=2/nc=0.5/mc=true/seed=3":  {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Eps: 0.00023570226039551585, MaxExponent: 0}, 0xcbf29ce484222325, 0x793c85f0f376dfd9, ""},
-	"meb/r=2/nc=0.5/mc=true/seed=4":  {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Eps: 0.00023570226039551585, MaxExponent: 0}, 0xcbf29ce484222325, 0x793c85f0f376dfd9, ""},
-	"meb/r=2/nc=0.5/mc=true/seed=5":  {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Eps: 0.00023570226039551585, MaxExponent: 0}, 0xcbf29ce484222325, 0x793c85f0f376dfd9, ""},
-	"meb/r=2/nc=0.2/mc=false/seed=1": {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 19, Successes: 1, Failures: 17, DirectSolve: false}, Eps: 0.00023570226039551585, MaxExponent: 1}, 0x95840de22cbbed5e, 0x27fe5380af3865d6, ""},
-	"meb/r=2/nc=0.2/mc=false/seed=2": {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 5, Successes: 2, Failures: 2, DirectSolve: false}, Eps: 0.00023570226039551585, MaxExponent: 1}, 0xf828b7e0a482f0cd, 0xeb1011aed0063199, ""},
-	"meb/r=2/nc=0.2/mc=false/seed=3": {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 30, Successes: 0, Failures: 29, DirectSolve: false}, Eps: 0.00023570226039551585, MaxExponent: 0}, 0x36be8dbbb9a546d0, 0xc21c52285f67fda5, ""},
-	"meb/r=2/nc=0.2/mc=false/seed=4": {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 28, Successes: 2, Failures: 25, DirectSolve: false}, Eps: 0.00023570226039551585, MaxExponent: 1}, 0xb8298424fc06574, 0x1f01975c7289276, ""},
-	"meb/r=2/nc=0.2/mc=false/seed=5": {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 36, Successes: 2, Failures: 33, DirectSolve: false}, Eps: 0.00023570226039551585, MaxExponent: 1}, 0x83f605a72046058e, 0x4e6bf26bc76c0cfc, ""},
-	"meb/r=2/nc=0.2/mc=true/seed=1":  {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Eps: 0.00023570226039551585, MaxExponent: 0}, 0xcbf29ce484222325, 0x793c85f0f376dfd9, ""},
-	"meb/r=2/nc=0.2/mc=true/seed=2":  {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Eps: 0.00023570226039551585, MaxExponent: 0}, 0xcbf29ce484222325, 0x793c85f0f376dfd9, ""},
-	"meb/r=2/nc=0.2/mc=true/seed=3":  {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Eps: 0.00023570226039551585, MaxExponent: 0}, 0xcbf29ce484222325, 0x793c85f0f376dfd9, ""},
-	"meb/r=2/nc=0.2/mc=true/seed=4":  {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Eps: 0.00023570226039551585, MaxExponent: 0}, 0xcbf29ce484222325, 0x793c85f0f376dfd9, ""},
-	"meb/r=2/nc=0.2/mc=true/seed=5":  {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Eps: 0.00023570226039551585, MaxExponent: 0}, 0xcbf29ce484222325, 0x793c85f0f376dfd9, ""},
-	"meb/r=3/nc=0.5/mc=false/seed=1": {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1222, Iterations: 21, Successes: 1, Failures: 19, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0xb06b45bd5b7c18ff, 0xbb589a4ddefcb547, ""},
-	"meb/r=3/nc=0.5/mc=false/seed=2": {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1222, Iterations: 7, Successes: 1, Failures: 5, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0xe14510ed044d6a81, 0x247708bea277dde0, ""},
-	"meb/r=3/nc=0.5/mc=false/seed=3": {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1222, Iterations: 5, Successes: 2, Failures: 2, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0x7f18e57308947e8a, 0x9602d09bb80e64b4, ""},
-	"meb/r=3/nc=0.5/mc=false/seed=4": {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1222, Iterations: 4, Successes: 2, Failures: 1, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0xc1ca19ee6d70d6fa, 0x661861b273010d6, ""},
-	"meb/r=3/nc=0.5/mc=false/seed=5": {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1222, Iterations: 17, Successes: 1, Failures: 15, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0x866ab055f07c2b73, 0x268df31e5738dce6, ""},
-	"meb/r=3/nc=0.5/mc=true/seed=1":  {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 7501, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0xfff0bf002044a7fb, 0x7e1f91d6839fdf66, ""},
-	"meb/r=3/nc=0.5/mc=true/seed=2":  {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 7501, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0x35e6f7ff4d621f7, 0x2966f0b2f3ca8dd3, ""},
-	"meb/r=3/nc=0.5/mc=true/seed=3":  {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 7501, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0xd5b630bb85000340, 0xcd2938b54e2af212, ""},
-	"meb/r=3/nc=0.5/mc=true/seed=4":  {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 7501, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0xa3e0425d14299974, 0xd12a6be6377ee1a4, ""},
-	"meb/r=3/nc=0.5/mc=true/seed=5":  {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 7501, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0x2eb5b8339e15ff49, 0xc4acbffd206e758a, ""},
-	"meb/r=3/nc=0.2/mc=false/seed=1": {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 489, Iterations: 50, Successes: 1, Failures: 48, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0x37ce0ba8688e396b, 0xf900877265e12d83, ""},
-	"meb/r=3/nc=0.2/mc=false/seed=2": {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 489, Iterations: 61, Successes: 2, Failures: 58, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0x6bcc4874c2bd5b1c, 0x9a3db669f8e75816, ""},
-	"meb/r=3/nc=0.2/mc=false/seed=3": {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 489, Iterations: 29, Successes: 2, Failures: 26, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0x3750a7f7768a4826, 0x8875c34f2aeb18c, ""},
-	"meb/r=3/nc=0.2/mc=false/seed=4": {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 489, Iterations: 19, Successes: 1, Failures: 17, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0x34f4a544c5180839, 0x661861b273010d6, ""},
-	"meb/r=3/nc=0.2/mc=false/seed=5": {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 489, Iterations: 49, Successes: 2, Failures: 46, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0x2a465c35e73fe95e, 0x78a6e035cb39cf48, ""},
+	"meb/r=2/nc=0.5/mc=false/seed=1": {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 5, Successes: 3, Failures: 1, DirectSolve: false}, Eps: 0.00023570226039551585, MaxExponent: 1}, 0x78b7f7951fe0ce8e, 0x6b14f40616399732, ""},
+	"meb/r=2/nc=0.5/mc=false/seed=2": {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Eps: 0.00023570226039551585, MaxExponent: 1}, 0x5ecdf701c4fd6e2, 0x6b14f40616399732, ""},
+	"meb/r=2/nc=0.5/mc=false/seed=3": {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 7, Successes: 1, Failures: 5, DirectSolve: false}, Eps: 0.00023570226039551585, MaxExponent: 1}, 0xe6231fa60888090e, 0x6b14f40616399732, ""},
+	"meb/r=2/nc=0.5/mc=false/seed=4": {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 5, Successes: 2, Failures: 2, DirectSolve: false}, Eps: 0.00023570226039551585, MaxExponent: 1}, 0x6d66878797693988, 0x6b14f40616399732, ""},
+	"meb/r=2/nc=0.5/mc=false/seed=5": {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Eps: 0.00023570226039551585, MaxExponent: 1}, 0xce1f1b4d197c33de, 0x6b14f40616399732, ""},
+	"meb/r=2/nc=0.5/mc=true/seed=1":  {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Eps: 0.00023570226039551585, MaxExponent: 0}, 0xcbf29ce484222325, 0x6b14f40616399732, ""},
+	"meb/r=2/nc=0.5/mc=true/seed=2":  {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Eps: 0.00023570226039551585, MaxExponent: 0}, 0xcbf29ce484222325, 0x6b14f40616399732, ""},
+	"meb/r=2/nc=0.5/mc=true/seed=3":  {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Eps: 0.00023570226039551585, MaxExponent: 0}, 0xcbf29ce484222325, 0x6b14f40616399732, ""},
+	"meb/r=2/nc=0.5/mc=true/seed=4":  {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Eps: 0.00023570226039551585, MaxExponent: 0}, 0xcbf29ce484222325, 0x6b14f40616399732, ""},
+	"meb/r=2/nc=0.5/mc=true/seed=5":  {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Eps: 0.00023570226039551585, MaxExponent: 0}, 0xcbf29ce484222325, 0x6b14f40616399732, ""},
+	"meb/r=2/nc=0.2/mc=false/seed=1": {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 19, Successes: 1, Failures: 17, DirectSolve: false}, Eps: 0.00023570226039551585, MaxExponent: 1}, 0x95840de22cbbed5e, 0x6b14f40616399732, ""},
+	"meb/r=2/nc=0.2/mc=false/seed=2": {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 5, Successes: 2, Failures: 2, DirectSolve: false}, Eps: 0.00023570226039551585, MaxExponent: 1}, 0xf828b7e0a482f0cd, 0x6b14f40616399732, ""},
+	"meb/r=2/nc=0.2/mc=false/seed=3": {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 30, Successes: 0, Failures: 29, DirectSolve: false}, Eps: 0.00023570226039551585, MaxExponent: 0}, 0x36be8dbbb9a546d0, 0x6b14f40616399732, ""},
+	"meb/r=2/nc=0.2/mc=false/seed=4": {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 28, Successes: 2, Failures: 25, DirectSolve: false}, Eps: 0.00023570226039551585, MaxExponent: 1}, 0xb8298424fc06574, 0x6b14f40616399732, ""},
+	"meb/r=2/nc=0.2/mc=false/seed=5": {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 36, Successes: 2, Failures: 33, DirectSolve: false}, Eps: 0.00023570226039551585, MaxExponent: 1}, 0x83f605a72046058e, 0x6b14f40616399732, ""},
+	"meb/r=2/nc=0.2/mc=true/seed=1":  {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Eps: 0.00023570226039551585, MaxExponent: 0}, 0xcbf29ce484222325, 0x6b14f40616399732, ""},
+	"meb/r=2/nc=0.2/mc=true/seed=2":  {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Eps: 0.00023570226039551585, MaxExponent: 0}, 0xcbf29ce484222325, 0x6b14f40616399732, ""},
+	"meb/r=2/nc=0.2/mc=true/seed=3":  {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Eps: 0.00023570226039551585, MaxExponent: 0}, 0xcbf29ce484222325, 0x6b14f40616399732, ""},
+	"meb/r=2/nc=0.2/mc=true/seed=4":  {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Eps: 0.00023570226039551585, MaxExponent: 0}, 0xcbf29ce484222325, 0x6b14f40616399732, ""},
+	"meb/r=2/nc=0.2/mc=true/seed=5":  {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Eps: 0.00023570226039551585, MaxExponent: 0}, 0xcbf29ce484222325, 0x6b14f40616399732, ""},
+	"meb/r=3/nc=0.5/mc=false/seed=1": {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1222, Iterations: 21, Successes: 1, Failures: 19, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0xb06b45bd5b7c18ff, 0x736c80d87ba7e992, ""},
+	"meb/r=3/nc=0.5/mc=false/seed=2": {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1222, Iterations: 7, Successes: 1, Failures: 5, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0xe14510ed044d6a81, 0x736c80d87ba7e992, ""},
+	"meb/r=3/nc=0.5/mc=false/seed=3": {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1222, Iterations: 5, Successes: 2, Failures: 2, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0x7f18e57308947e8a, 0x736c80d87ba7e992, ""},
+	"meb/r=3/nc=0.5/mc=false/seed=4": {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1222, Iterations: 4, Successes: 2, Failures: 1, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0xc1ca19ee6d70d6fa, 0x736c80d87ba7e992, ""},
+	"meb/r=3/nc=0.5/mc=false/seed=5": {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1222, Iterations: 17, Successes: 1, Failures: 15, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0x866ab055f07c2b73, 0x736c80d87ba7e992, ""},
+	"meb/r=3/nc=0.5/mc=true/seed=1":  {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 7501, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0xfff0bf002044a7fb, 0x736c80d87ba7e992, ""},
+	"meb/r=3/nc=0.5/mc=true/seed=2":  {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 7501, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0x35e6f7ff4d621f7, 0x736c80d87ba7e992, ""},
+	"meb/r=3/nc=0.5/mc=true/seed=3":  {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 7501, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0xd5b630bb85000340, 0x736c80d87ba7e992, ""},
+	"meb/r=3/nc=0.5/mc=true/seed=4":  {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 7501, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0xa3e0425d14299974, 0x736c80d87ba7e992, ""},
+	"meb/r=3/nc=0.5/mc=true/seed=5":  {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 7501, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0x2eb5b8339e15ff49, 0x736c80d87ba7e992, ""},
+	"meb/r=3/nc=0.2/mc=false/seed=1": {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 489, Iterations: 50, Successes: 1, Failures: 48, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0x37ce0ba8688e396b, 0x736c80d87ba7e992, ""},
+	"meb/r=3/nc=0.2/mc=false/seed=2": {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 489, Iterations: 61, Successes: 2, Failures: 58, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0x6bcc4874c2bd5b1c, 0x736c80d87ba7e992, ""},
+	"meb/r=3/nc=0.2/mc=false/seed=3": {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 489, Iterations: 29, Successes: 2, Failures: 26, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0x3750a7f7768a4826, 0x736c80d87ba7e992, ""},
+	"meb/r=3/nc=0.2/mc=false/seed=4": {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 489, Iterations: 19, Successes: 1, Failures: 17, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0x34f4a544c5180839, 0x736c80d87ba7e992, ""},
+	"meb/r=3/nc=0.2/mc=false/seed=5": {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 489, Iterations: 49, Successes: 2, Failures: 46, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0x2a465c35e73fe95e, 0x736c80d87ba7e992, ""},
 	"meb/r=3/nc=0.2/mc=true/seed=1":  {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 1, Successes: 0, Failures: 1, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 0}, 0x4a7423ffa0f6fd07, 0x0, "core: monte-carlo round failed (w(V) > ε·w(S))"},
-	"meb/r=3/nc=0.2/mc=true/seed=2":  {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0xfca11b73e57a34f, 0xc36a55bd4c93fe80, ""},
-	"meb/r=3/nc=0.2/mc=true/seed=3":  {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 4, Successes: 3, Failures: 0, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0xbce4637f6a52b9f3, 0x2f7645a1744049f8, ""},
-	"meb/r=3/nc=0.2/mc=true/seed=4":  {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0x67731ae707144bd, 0xc08c613eac636da4, ""},
-	"meb/r=3/nc=0.2/mc=true/seed=5":  {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0xb70f27d99bea3147, 0xf0f752f0d1b69deb, ""},
+	"meb/r=3/nc=0.2/mc=true/seed=2":  {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0xfca11b73e57a34f, 0x736c80d87ba7e992, ""},
+	"meb/r=3/nc=0.2/mc=true/seed=3":  {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 4, Successes: 3, Failures: 0, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0xbce4637f6a52b9f3, 0x736c80d87ba7e992, ""},
+	"meb/r=3/nc=0.2/mc=true/seed=4":  {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0x67731ae707144bd, 0x736c80d87ba7e992, ""},
+	"meb/r=3/nc=0.2/mc=true/seed=5":  {core.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Eps: 0.001228010499546796, MaxExponent: 1}, 0xb70f27d99bea3147, 0x736c80d87ba7e992, ""},
 	"sea/r=2/nc=0.5/mc=false/seed=1": {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Eps: 0.00014142135623730948, MaxExponent: 0}, 0xcbf29ce484222325, 0xc21ba84ae4ecea09, ""},
 	"sea/r=2/nc=0.5/mc=false/seed=2": {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Eps: 0.00014142135623730948, MaxExponent: 0}, 0xcbf29ce484222325, 0xc21ba84ae4ecea09, ""},
 	"sea/r=2/nc=0.5/mc=false/seed=3": {core.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Eps: 0.00014142135623730948, MaxExponent: 0}, 0xcbf29ce484222325, 0xc21ba84ae4ecea09, ""},

@@ -86,7 +86,7 @@ func runA1(w io.Writer, cfg Config) error {
 	if err != nil {
 		return err
 	}
-	t.row("exact (Welzl/pivot)", fmt.Sprintf("%.6f", exact.Radius()), len(eb.Support), "1.000000")
+	t.row("exact (pivot)", fmt.Sprintf("%.6f", exact.Radius()), len(eb.Support), "1.000000")
 	for _, eps := range []float64{0.1, 0.01} {
 		res, err := meb.Coreset(pts, eps)
 		if err != nil {
@@ -113,8 +113,10 @@ var netConsts = []float64{0.5, 0.75, 1, 1.25, 1.5, 2}
 // bits, MPC max load and stream PeakSpaceBits, and the share of seeds
 // that shipped the input whole (n ≤ 2m+1). It then prints the smallest
 // c at which every cell with a tested iteration reaches 2/3 — the rule
-// that chose core.DefaultNetConst. svm is left out: its sampled Wolfe
-// solve can fail to terminate (ROADMAP item 1).
+// that chose core.DefaultNetConst. svm has no cells yet: its solve
+// terminates since it moved onto lptype.SolvePivot, and its cells (with
+// the d = 5 row) are a change of their own, since a wider grid may
+// choose another c.
 func runNetConsts(w io.Writer, cfg Config, n int) error {
 	seeds := 8
 	if cfg.Quick {

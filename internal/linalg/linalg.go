@@ -1,7 +1,8 @@
 // Package linalg provides the small dense linear-algebra kernels used
-// by the geometric solvers: Gaussian elimination with partial pivoting,
-// linear-system solves, determinants and rank computations, in float64
-// and in exact rational arithmetic (math/big.Rat).
+// by the geometric solvers: one Gaussian elimination with partial
+// pivoting for float64 systems (SolveInPlace, which Solve runs on a
+// copy), and linear solves and determinants in exact rational
+// arithmetic (math/big.Rat).
 //
 // Systems in this repository are tiny (order d, the LP dimension, which
 // is a small constant), so we favour clarity and numerical robustness
@@ -92,168 +93,98 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 }
 
 // Solve solves the square system A·x = b by Gaussian elimination with
-// partial pivoting. A and b are not modified. Returns ErrSingular when
-// the matrix is (numerically) singular.
+// partial pivoting. A and b are not modified: it runs SolveInPlace on
+// copies. Returns ErrSingular when the matrix is (numerically)
+// singular.
 func Solve(a *Matrix, b []float64) ([]float64, error) {
-	n := a.Rows
-	if a.Cols != n || len(b) != n {
+	if a.Cols != a.Rows || len(b) != a.Rows {
 		panic("linalg: Solve requires a square system")
 	}
-	// Augment and eliminate on a working copy.
-	w := a.Clone()
-	x := make([]float64, n)
-	copy(x, b)
-
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
+	x := append([]float64(nil), b...)
+	if err := SolveInPlace(append([]float64(nil), a.Data...), x); err != nil {
+		return nil, err
 	}
-	// Scale rows for pivot comparisons (implicit equilibration).
-	scale := make([]float64, n)
+	return x, nil
+}
+
+// SolveInPlace solves the n×n system stored row-major in a (len n²)
+// with right-hand side x (len n), overwriting x with the solution and a
+// with its elimination; it allocates nothing. Each row, right-hand side
+// included, is first multiplied by the power of two that brings its
+// largest |coefficient| into [½, 1) — exact, so the system means the
+// same — and pivots are then chosen by plain magnitude (partial
+// pivoting on the equilibrated rows). A pivot below 1e-13 reports
+// ErrSingular, as does a non-finite solution.
+func SolveInPlace(a, x []float64) error {
+	n := len(x)
+	if len(a) != n*n {
+		panic("linalg: SolveInPlace requires an n×n matrix")
+	}
 	for r := 0; r < n; r++ {
+		row := a[r*n : (r+1)*n]
 		mx := 0.0
-		for _, v := range w.Row(r) {
+		for _, v := range row {
 			if av := math.Abs(v); av > mx {
 				mx = av
 			}
 		}
 		if mx == 0 {
-			return nil, ErrSingular
+			return ErrSingular
 		}
-		scale[r] = mx
+		f := scaleOf(mx)
+		for c := range row {
+			row[c] *= f
+		}
+		x[r] *= f
 	}
-
 	for col := 0; col < n; col++ {
-		// Find pivot.
-		best, bestV := -1, 0.0
-		for r := col; r < n; r++ {
-			v := math.Abs(w.At(r, col)) / scale[r]
-			if v > bestV {
+		best, bestV := col, math.Abs(a[col*n+col])
+		for r := col + 1; r < n; r++ {
+			if v := math.Abs(a[r*n+col]); v > bestV {
 				best, bestV = r, v
 			}
 		}
-		if best < 0 || bestV < 1e-13 {
-			return nil, ErrSingular
+		if !(bestV >= 1e-13) {
+			return ErrSingular
 		}
 		if best != col {
-			// Swap rows.
-			for c := 0; c < n; c++ {
-				w.Data[col*n+c], w.Data[best*n+c] = w.Data[best*n+c], w.Data[col*n+c]
+			for c := col; c < n; c++ {
+				a[col*n+c], a[best*n+c] = a[best*n+c], a[col*n+c]
 			}
 			x[col], x[best] = x[best], x[col]
-			scale[col], scale[best] = scale[best], scale[col]
 		}
-		piv := w.At(col, col)
+		prow := a[col*n+col : (col+1)*n]
 		for r := col + 1; r < n; r++ {
-			f := w.At(r, col) / piv
+			row := a[r*n+col : (r+1)*n]
+			f := row[0] / prow[0]
 			if f == 0 {
 				continue
 			}
-			for c := col; c < n; c++ {
-				w.Data[r*n+c] -= f * w.Data[col*n+c]
+			for c, v := range prow {
+				row[c] -= f * v
 			}
 			x[r] -= f * x[col]
 		}
 	}
-	// Back substitution.
 	for r := n - 1; r >= 0; r-- {
-		s := x[r]
-		for c := r + 1; c < n; c++ {
-			s -= w.At(r, c) * x[c]
+		s, row := x[r], a[r*n+r:(r+1)*n]
+		for c, v := range row[1:] {
+			s -= v * x[r+1+c]
 		}
-		x[r] = s / w.At(r, r)
-	}
-	for _, v := range x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, ErrSingular
+		x[r] = s / row[0]
+		if math.IsNaN(x[r]) || math.IsInf(x[r], 0) {
+			return ErrSingular
 		}
 	}
-	return x, nil
+	return nil
 }
 
-// Det returns the determinant of the square matrix A via LU
-// elimination. A is not modified.
-func Det(a *Matrix) float64 {
-	n := a.Rows
-	if a.Cols != n {
-		panic("linalg: Det requires a square matrix")
+// scaleOf returns 2^−e for mx = f·2^e with f ∈ [½, 1): read off the
+// exponent bits when mx and the result are normal, else by Frexp.
+func scaleOf(mx float64) float64 {
+	if e := math.Float64bits(mx) >> 52; e > 0 && e < 2045 {
+		return math.Float64frombits((2045 - e) << 52)
 	}
-	w := a.Clone()
-	det := 1.0
-	for col := 0; col < n; col++ {
-		best, bestV := -1, 0.0
-		for r := col; r < n; r++ {
-			if v := math.Abs(w.At(r, col)); v > bestV {
-				best, bestV = r, v
-			}
-		}
-		if best < 0 || bestV == 0 {
-			return 0
-		}
-		if best != col {
-			for c := 0; c < n; c++ {
-				w.Data[col*n+c], w.Data[best*n+c] = w.Data[best*n+c], w.Data[col*n+c]
-			}
-			det = -det
-		}
-		piv := w.At(col, col)
-		det *= piv
-		for r := col + 1; r < n; r++ {
-			f := w.At(r, col) / piv
-			if f == 0 {
-				continue
-			}
-			for c := col; c < n; c++ {
-				w.Data[r*n+c] -= f * w.Data[col*n+c]
-			}
-		}
-	}
-	return det
-}
-
-// Rank estimates the numerical rank of A with relative tolerance tol
-// (e.g. 1e-10), via row-echelon elimination with full column scan.
-func Rank(a *Matrix, tol float64) int {
-	w := a.Clone()
-	rows, cols := w.Rows, w.Cols
-	// Normalize tolerance by the largest entry.
-	mx := 0.0
-	for _, v := range w.Data {
-		if av := math.Abs(v); av > mx {
-			mx = av
-		}
-	}
-	if mx == 0 {
-		return 0
-	}
-	thresh := tol * mx
-	rank := 0
-	for col := 0; col < cols && rank < rows; col++ {
-		best, bestV := -1, thresh
-		for r := rank; r < rows; r++ {
-			if v := math.Abs(w.At(r, col)); v > bestV {
-				best, bestV = r, v
-			}
-		}
-		if best < 0 {
-			continue
-		}
-		if best != rank {
-			for c := 0; c < cols; c++ {
-				w.Data[rank*cols+c], w.Data[best*cols+c] = w.Data[best*cols+c], w.Data[rank*cols+c]
-			}
-		}
-		piv := w.At(rank, col)
-		for r := rank + 1; r < rows; r++ {
-			f := w.At(r, col) / piv
-			if f == 0 {
-				continue
-			}
-			for c := col; c < cols; c++ {
-				w.Data[r*cols+c] -= f * w.Data[rank*cols+c]
-			}
-		}
-		rank++
-	}
-	return rank
+	_, e := math.Frexp(mx)
+	return math.Ldexp(1, -e)
 }

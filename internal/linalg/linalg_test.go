@@ -101,34 +101,18 @@ func TestSolveResidualProperty(t *testing.T) {
 	}
 }
 
-func TestDet(t *testing.T) {
-	a := FromRows([][]float64{
-		{1, 2},
-		{3, 4},
-	})
-	if got := Det(a); !numeric.ApproxEqual(got, -2) {
-		t.Errorf("Det = %v, want -2", got)
-	}
-	s := FromRows([][]float64{
-		{1, 2},
-		{2, 4},
-	})
-	if got := Det(s); got != 0 {
-		t.Errorf("Det of singular = %v, want 0", got)
-	}
-}
-
 // Property: det(A) ≠ 0 iff Solve succeeds (for matrices away from the
-// numerical cliff).
+// numerical cliff), with det(A) exact from RatDet.
 func TestDetSolveConsistency(t *testing.T) {
 	rng := numeric.NewRand(7, 9)
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.IntN(4)
-		a := NewMatrix(n, n)
+		a, r := NewMatrix(n, n), NewRatMatrix(n, n)
 		for i := range a.Data {
 			a.Data[i] = float64(rng.IntN(7) - 3) // small integers: exact dets
+			r.Data[i].SetFloat64(a.Data[i])
 		}
-		d := Det(a)
+		d, _ := RatDet(r).Float64()
 		_, err := Solve(a, make([]float64, n))
 		if math.Abs(d) > 0.5 && err != nil {
 			t.Fatalf("det %v but Solve failed", d)
@@ -136,24 +120,6 @@ func TestDetSolveConsistency(t *testing.T) {
 		if d == 0 && err == nil {
 			t.Fatalf("det 0 but Solve succeeded:\n%v", a)
 		}
-	}
-}
-
-func TestRank(t *testing.T) {
-	a := FromRows([][]float64{
-		{1, 2, 3},
-		{2, 4, 6},
-		{1, 0, 0},
-	})
-	if got := Rank(a, 1e-10); got != 2 {
-		t.Errorf("Rank = %d, want 2", got)
-	}
-	if got := Rank(NewMatrix(3, 3), 1e-10); got != 0 {
-		t.Errorf("Rank of zero = %d, want 0", got)
-	}
-	id := FromRows([][]float64{{1, 0}, {0, 1}})
-	if got := Rank(id, 1e-10); got != 2 {
-		t.Errorf("Rank of identity = %d, want 2", got)
 	}
 }
 
@@ -266,5 +232,14 @@ func TestMatrixAccessors(t *testing.T) {
 	}
 	if m.String() == "" {
 		t.Error("String should render something")
+	}
+}
+
+func TestScaleOf(t *testing.T) {
+	for _, mx := range []float64{1, 0.5, 0.75, 3, 1e300, 1e-300, math.MaxFloat64, math.SmallestNonzeroFloat64, 0x1p1021, 0x1p1022, 0x1.8p1023, 0x1p-1022, 0x1p-1030} {
+		_, e := math.Frexp(mx)
+		if got, want := scaleOf(mx), math.Ldexp(1, -e); got != want {
+			t.Errorf("scaleOf(%g) = %g, want %g", mx, got, want)
+		}
 	}
 }

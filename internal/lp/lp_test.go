@@ -3,6 +3,7 @@ package lp
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"lowdimlp/internal/lptype"
@@ -362,12 +363,31 @@ func TestBruteForceMatchesSeidel(t *testing.T) {
 	}
 }
 
+// pivotDomain lets lptype.SolvePivot pivot over Seidel. The tight set
+// leaves the implicit box out, so it is not a determining set while the
+// box binds; the adapter's basis keeps every constraint pivoted on
+// instead, so each pivot is Seidel on a growing set. f is lexicographic
+// (a vector no float carries), so Value is the size of that set, which
+// every pivot increases.
+type pivotDomain struct{ *Domain }
+
+func (d pivotDomain) SolveSmall(cons []Halfspace) (Basis, error) {
+	b, err := d.Solve(cons)
+	b.Tight = append([]Halfspace(nil), cons...)
+	return b, err
+}
+
+func (pivotDomain) Value(b Basis) float64 { return float64(len(b.Tight)) }
+
+func (d pivotDomain) FirstViolator(b Basis, cons []Halfspace) int {
+	return slices.IndexFunc(cons, func(h Halfspace) bool { return d.Violates(b, h) })
+}
+
 func TestSolvePivotMatchesSeidel(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		p, cons := randomFeasibleLP(3, 200, uint64(400+trial))
 		dom := NewDomain(p, uint64(trial))
-		rng := numeric.NewRand(uint64(trial), 55)
-		pv, err := lptype.SolvePivot[Halfspace, Basis](dom, cons, rng)
+		pv, err := lptype.SolvePivot[Halfspace, Basis](pivotDomain{dom}, cons)
 		if err != nil {
 			t.Fatal(err)
 		}

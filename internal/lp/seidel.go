@@ -136,7 +136,7 @@ func (w *workspace) load(p Problem, m int, fill func(i int, a []float64) float64
 	}
 	top := &w.lv[d]
 	for i, src := range w.perm {
-		top.b[i] = fill(int(src), top.a[i*d:(i+1)*d])
+		top.b[i] = equilibrate(top.a[i*d:(i+1)*d], fill(int(src), top.a[i*d:(i+1)*d]))
 	}
 	// The lexicographic objective: the objective vector, then the
 	// identity rows e_1..e_d that realize "lexicographically smallest
@@ -460,6 +460,29 @@ func (w *workspace) corner(k int) {
 			break
 		}
 	}
+}
+
+// equilibrate scales the row a·x ≤ b, in place, by the power of two
+// that brings its largest |coefficient| (b included) into [½, 1), when
+// that coefficient lies outside [2^−64, 2^64], and returns the scaled b.
+// Multiplying by a power of two is exact (unless a coefficient 2^1022
+// times smaller than the largest becomes subnormal), so the row means
+// the same; rows of ordinary magnitude are left bit for bit alone.
+func equilibrate(a []float64, b float64) float64 {
+	mx := math.Abs(b)
+	for _, v := range a {
+		if av := math.Abs(v); av > mx {
+			mx = av
+		}
+	}
+	if mx == 0 || mx >= 0x1p-64 && mx <= 0x1p64 {
+		return b
+	}
+	_, e := math.Frexp(mx)
+	for i := range a {
+		a[i] = math.Ldexp(a[i], -e)
+	}
+	return math.Ldexp(b, -e)
 }
 
 func rowScale(row []float64) float64 {

@@ -25,7 +25,8 @@ func seidelRef(p Problem, cons []Halfspace, rng *rand.Rand) (Solution, error) {
 	box := p.box()
 	work := make([]subCon, len(cons))
 	for i, h := range cons {
-		work[i] = subCon{a: append([]float64(nil), h.A...), b: h.B}
+		a := append([]float64(nil), h.A...)
+		work[i] = subCon{a: a, b: equilibrateRef(a, h.B)}
 	}
 	if rng != nil {
 		rng.Shuffle(len(work), func(i, j int) { work[i], work[j] = work[j], work[i] })
@@ -40,6 +41,27 @@ func seidelRef(p Problem, cons []Halfspace, rng *rand.Rand) (Solution, error) {
 		}
 	}
 	return Solution{X: x, Value: dotOrZero(p.Objective, x)}, nil
+}
+
+// equilibrateRef is the row equilibration, written out again: a row
+// whose largest |coefficient| (b included) lies outside [2^−64, 2^64]
+// is multiplied by 2^−e, where that coefficient is f·2^e with
+// f ∈ [½, 1).
+func equilibrateRef(a []float64, b float64) float64 {
+	mx := math.Abs(b)
+	for _, v := range a {
+		if math.Abs(v) > mx {
+			mx = math.Abs(v)
+		}
+	}
+	if mx == 0 || (mx >= math.Ldexp(1, -64) && mx <= math.Ldexp(1, 64)) {
+		return b
+	}
+	_, e := math.Frexp(mx)
+	for i := range a {
+		a[i] *= math.Ldexp(1, -e)
+	}
+	return b * math.Ldexp(1, -e)
 }
 
 // objRows builds the lexicographic objective: the objective vector
@@ -203,7 +225,7 @@ const (
 	famDup               // every other row a repeat: exact ties
 	famZero              // zero normals mixed in: the pivotCoord < 0 branch
 	famInfeasible        // a contradictory pair (or a zero row with b < 0)
-	famHuge              // finite rows whose a_i·x_i overflows at the box: residuals ±Inf and NaN
+	famHuge              // finite rows scaled by ~1e300: equilibrated on load, they would overflow at the box
 	famLifted            // sea's lifted annulus LP: two rows per point in R^{q+2}
 	numFamilies
 )
@@ -277,8 +299,9 @@ func refInstance(family, d, m int, seed uint64) (Problem, []Halfspace) {
 			}
 		case famHuge:
 			// A sphere row scaled past 1.8e299: finite, but at a box
-			// corner (|x_j| = 1e9) its products overflow, so the
-			// residual is +Inf, −Inf or NaN. Odd rows stay plain, so
+			// corner (|x_j| = 1e9) its products would overflow to a
+			// residual of ±Inf or NaN; the load's equilibration must
+			// bring it back to unit scale. Odd rows stay plain, so
 			// some optima sit inside the box and some on it.
 			a, f := unit(), 1.0
 			if i%2 == 0 {
@@ -367,8 +390,8 @@ func sameSolve(t testing.TB, p Problem, cons []Halfspace, seed uint64, shuffle b
 
 // TestSeidelMatchesReference is the bit-identity pin of the workspace
 // solver: every family × d = 1…6 × m ∈ {0, 1, d, 50, 700} × 5 shuffle
-// seeds plus one unshuffled run. famHuge is the one that fails if the
-// row test's early exit passes a residual of −Inf.
+// seeds plus one unshuffled run. famHuge is the one that fails if a
+// huge row reaches the eliminations unequilibrated.
 func TestSeidelMatchesReference(t *testing.T) {
 	for family := 0; family < numFamilies; family++ {
 		t.Run(familyNames[family], func(t *testing.T) {
@@ -387,10 +410,10 @@ func TestSeidelMatchesReference(t *testing.T) {
 					}
 				}
 			}
-			// famHuge is feasible (the origin satisfies every row), but
-			// its eliminated rows can overflow, and then the solver
-			// reports ErrInfeasible exactly as the reference does.
-			if family != famHuge && (family == famInfeasible) != (infeasible > 0) {
+			// famHuge is feasible (the origin satisfies every row);
+			// equilibrated rows keep its eliminations finite, so no
+			// instance reports ErrInfeasible.
+			if (family == famInfeasible) != (infeasible > 0) {
 				t.Errorf("%d infeasible instances in family %s", infeasible, familyNames[family])
 			}
 		})

@@ -14,16 +14,19 @@
 //   - Violates: decide whether a constraint violates a basis, i.e.
 //     f(B ∪ {c}) > f(B) — the paper's Tv primitive.
 //
-// Concrete problems (internal/lp, internal/svm, internal/meb) implement
-// Domain for their own constraint and basis types; the meta-algorithm
-// and the three big-data model implementations are generic over it.
+// Concrete problems (internal/lp, internal/svm, internal/meb,
+// internal/sea) implement Domain for their own constraint and basis
+// types; the meta-algorithm and the three big-data model
+// implementations are generic over it. lp and sea compute Tb with
+// Seidel's algorithm. svm and meb, the quadratic kinds, implement Small
+// instead: an exact small solve on at most ν+1 constraints
+// (SmallSolve), which SolvePivot, their only large solve, pivots over.
 package lptype
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand/v2"
 
 	"lowdimlp/internal/kernel"
 )
@@ -38,9 +41,10 @@ var ErrInfeasible = errors.New("lptype: infeasible constraint set")
 // bounding box (internal/lp does) never return it.
 var ErrUnbounded = errors.New("lptype: unbounded objective")
 
-// ErrCycling reports that an iterative solver exceeded its pivot budget
-// without converging, which indicates numerical cycling on degenerate
-// input.
+// ErrCycling reports that an iterative solver stopped making progress:
+// a SolvePivot pivot that did not increase f, or a Seidel answer that
+// fails its own constraints. Either indicates numerical trouble on
+// degenerate input.
 var ErrCycling = errors.New("lptype: solver failed to converge (degenerate input?)")
 
 // Domain provides the geometric primitives of a concrete LP-type
@@ -273,68 +277,4 @@ func BruteForce[C, B any](dom Domain[C, B], s []C) (B, error) {
 		}
 	}
 	return zero, fmt.Errorf("lptype: brute force found no basis of size ≤ %d (ν too small or inconsistent domain?)", nu)
-}
-
-// SolvePivot solves (S, f) by iterative basis improvement ("dual
-// simplex for LP-type problems"): start from the basis of a small
-// prefix, repeatedly find a violating constraint and re-solve on
-// basis ∪ {violator}. Each pivot strictly increases f, so the loop
-// terminates in exact arithmetic; a pivot budget guards against
-// numerical cycling. rng (optional) randomizes the violator scan order,
-// which empirically shortens pivot sequences.
-//
-// This is the generic fallback solver; dedicated solvers (Seidel for
-// LP, Welzl for MEB, active-set for SVM) are preferred and SolvePivot
-// serves as an ablation baseline and differential-testing oracle.
-func SolvePivot[C, B any](dom Domain[C, B], s []C, rng *rand.Rand) (B, error) {
-	var zero B
-	nu := dom.CombinatorialDim()
-	init := min(len(s), nu+1)
-	b, err := dom.Solve(s[:init])
-	if err != nil {
-		return zero, err
-	}
-	if len(s) <= init {
-		return b, nil
-	}
-	offset := 0
-	if rng != nil {
-		offset = rng.IntN(len(s))
-	}
-	// Pivot budget: generous polynomial headroom; real pivot counts are
-	// tiny (see the package tests).
-	budget := 64 * (nu + 1) * (nu + 1) * (bitsLen(len(s)) + 1)
-	for pivots := 0; ; pivots++ {
-		if pivots > budget {
-			return zero, ErrCycling
-		}
-		viol := -1
-		for k := 0; k < len(s); k++ {
-			i := (k + offset) % len(s)
-			if dom.Violates(b, s[i]) {
-				viol = i
-				break
-			}
-		}
-		if viol < 0 {
-			return b, nil
-		}
-		// Scan next time from where we found this violator: cheap
-		// move-to-front flavour.
-		offset = viol
-		cand := append(append([]C{}, dom.Basis(b)...), s[viol])
-		b, err = dom.Solve(cand)
-		if err != nil {
-			return zero, err
-		}
-	}
-}
-
-func bitsLen(n int) int {
-	b := 0
-	for n > 0 {
-		b++
-		n >>= 1
-	}
-	return b
 }

@@ -2,6 +2,8 @@ package lptype
 
 import (
 	"errors"
+	"math"
+	"slices"
 	"testing"
 
 	"lowdimlp/internal/numeric"
@@ -45,6 +47,19 @@ func (maxDomain) Violates(b maxBasis, c float64) bool {
 func (maxDomain) CombinatorialDim() int { return 1 }
 func (maxDomain) VCDim() int            { return 1 }
 
+func (d maxDomain) SolveSmall(cs []float64) (maxBasis, error) { return d.Solve(cs) }
+
+func (d maxDomain) FirstViolator(b maxBasis, cs []float64) int {
+	return slices.IndexFunc(cs, func(c float64) bool { return d.Violates(b, c) })
+}
+
+func (maxDomain) Value(b maxBasis) float64 {
+	if b.empty {
+		return math.Inf(-1)
+	}
+	return b.val
+}
+
 func TestVerify(t *testing.T) {
 	dom := maxDomain{}
 	s := []float64{3, 1, 4, 1, 5}
@@ -86,17 +101,57 @@ func TestSolvePivotMax(t *testing.T) {
 		s[i] = rng.Float64() * 100
 	}
 	s[137] = 1000
-	b, err := SolvePivot[float64, maxBasis](dom, s, rng)
+	b, err := SolvePivot[float64, maxBasis](dom, s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b.val != 1000 {
 		t.Errorf("pivot basis %v, want 1000", b.val)
 	}
-	// nil rng (deterministic scan) works too.
-	b, err = SolvePivot[float64, maxBasis](dom, s, nil)
-	if err != nil || b.val != 1000 {
-		t.Errorf("pivot with nil rng: %v %v", b.val, err)
+	// Sorted input, ascending and descending, and the empty set.
+	slices.Sort(s)
+	if b, err := SolvePivot[float64, maxBasis](dom, s); err != nil || b.val != 1000 {
+		t.Errorf("ascending input: %v %v", b.val, err)
+	}
+	slices.Reverse(s)
+	if b, err := SolvePivot[float64, maxBasis](dom, s); err != nil || b.val != 1000 {
+		t.Errorf("descending input: %v %v", b.val, err)
+	}
+	if b, err := SolvePivot[float64, maxBasis](dom, nil); err != nil || !b.empty {
+		t.Errorf("empty input: %v %v", b, err)
+	}
+}
+
+// flatDomain is maxDomain whose small solve never raises f: the loop
+// must end in ErrCycling instead of pivoting forever.
+type flatDomain struct{ maxDomain }
+
+func (flatDomain) Value(maxBasis) float64 { return 0 }
+
+func TestSolvePivotCycling(t *testing.T) {
+	if _, err := SolvePivot[float64, maxBasis](flatDomain{}, []float64{1, 2, 3}); !errors.Is(err, ErrCycling) {
+		t.Fatalf("err = %v, want ErrCycling", err)
+	}
+}
+
+// TestGramEnumeration pins the order Gram.Solve tries subsets in when
+// the active-set path gives up at once (its first entering constraint,
+// the least margin, is already in the start subset): largest first,
+// then in increasing mask order within a size, stopping at the first
+// certified feasible candidate.
+func TestGramEnumeration(t *testing.T) {
+	var got []uint64
+	// Four unit margins on one vector in R^2: every subset of two is
+	// dependent, every single one has the same point.
+	g := Gram{V: []float64{1, 0, 1, 0, 1, 0, 1, 0}, D: 2, R: []float64{1, 1, 1, 1}, Start: 0b0001,
+		Feasible: func(x []float64, mask uint64) (float64, bool) {
+			got = append(got, mask)
+			return x[0], mask == 0b1000
+		}}
+	mask, x, f := g.Solve()
+	want := []uint64{0b0001, 0b0001, 0b0010, 0b0100, 0b1000}
+	if !slices.Equal(got, want) || mask != 0b1000 || x[0] != 1 || f != 1 {
+		t.Fatalf("tried %b, answer %b %v %v; want %b, 1000 [1 0] 1", got, mask, x, f, want)
 	}
 }
 
@@ -108,10 +163,15 @@ func (d errDomain) Basis(maxBasis) []float64          { return nil }
 func (d errDomain) Violates(maxBasis, float64) bool   { return false }
 func (d errDomain) CombinatorialDim() int             { return 1 }
 func (d errDomain) VCDim() int                        { return 1 }
+func (d errDomain) SolveSmall([]float64) (maxBasis, error) {
+	return maxBasis{}, d.err
+}
+func (d errDomain) Value(maxBasis) float64                { return 0 }
+func (d errDomain) FirstViolator(maxBasis, []float64) int { return -1 }
 
 func TestErrorPropagation(t *testing.T) {
 	dom := errDomain{err: ErrInfeasible}
-	if _, err := SolvePivot[float64, maxBasis](dom, []float64{1, 2}, nil); !errors.Is(err, ErrInfeasible) {
+	if _, err := SolvePivot[float64, maxBasis](dom, []float64{1, 2}); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("pivot: %v", err)
 	}
 	if _, err := BruteForce[float64, maxBasis](dom, []float64{1, 2}); !errors.Is(err, ErrInfeasible) {

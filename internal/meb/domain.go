@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+
+	"lowdimlp/internal/lptype"
 )
 
 // Basis is the LP-type basis for MEB: the minimum enclosing ball of the
@@ -28,12 +30,17 @@ func NewDomain(dim int) *Domain { return &Domain{Dim: dim} }
 // Solve computes the basis of the point subset (Tb). Solve(∅) is the
 // null ball, which every point violates.
 func (d *Domain) Solve(pts []Point) (Basis, error) {
-	b, err := Solve(pts)
-	if err != nil {
-		return Basis{}, err
-	}
-	return Basis{B: b, Support: supportOf(pts, b)}, nil
+	return lptype.SolvePivot[Point, Basis](d, pts)
 }
+
+// SolveSmall is the small solve lptype.SolvePivot pivots over: the
+// minimum enclosing ball of at most d+2 points, with the support that
+// certifies it. The points are sorted into canonical bit order first,
+// so the result depends only on the set.
+func (d *Domain) SolveSmall(pts []Point) (Basis, error) { return solveSmall(pts) }
+
+// Value returns f(b), the squared radius (−1 for the null ball).
+func (d *Domain) Value(b Basis) float64 { return b.B.R2 }
 
 // Basis returns the support points of b.
 func (d *Domain) Basis(b Basis) []Point { return b.Support }
@@ -41,6 +48,19 @@ func (d *Domain) Basis(b Basis) []Point { return b.Support }
 // Violates reports whether p violates b: adding p would grow the ball,
 // which happens exactly when p is outside it (Tv).
 func (d *Domain) Violates(b Basis, p Point) bool { return !b.B.Contains(p) }
+
+// FirstViolator returns the index of the first point of pts outside b,
+// or -1: Violates point by point, with bound() hoisted as the block
+// kernels hoist it.
+func (d *Domain) FirstViolator(b Basis, pts []Point) int {
+	thr := b.B.bound()
+	for i, p := range pts {
+		if !(b.B.Dist2(p) <= thr) {
+			return i
+		}
+	}
+	return -1
+}
 
 // ViolatesRow is the columnar violation test: a wire row *is* a point,
 // so the cast is free and the test bit-identical to Violates.

@@ -1,16 +1,20 @@
 // Package meb implements the minimum enclosing ball problem (§4.3 of
 // Assadi–Karpov–Zhang, PODS 2019 — the LP-type problem underlying core
-// vector machines): Welzl's randomized algorithm for small point sets,
-// Gärtner-style pivoting for large ones, and the lptype.Domain adapter
-// exposing the Tb/Tv primitives of Proposition 4.3.
+// vector machines) and the lptype.Domain adapter exposing the Tb/Tv
+// primitives of Proposition 4.3. The package supplies only the exact
+// small solve — the ball of at most d+2 points, chosen among the
+// circumballs of their subsets — and lptype.SolvePivot pivots over it
+// for inputs of any size (DESIGN.md §15, "The quadratic kinds").
 package meb
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
-	"lowdimlp/internal/linalg"
+	"lowdimlp/internal/lptype"
 	"lowdimlp/internal/numeric"
 )
 
@@ -59,19 +63,15 @@ func (b Ball) Dist2(p Point) float64 {
 	return s
 }
 
-// Contains reports whether p lies in b up to the package tolerance.
-func (b Ball) Contains(p Point) bool {
-	if b.IsEmpty() {
-		return false
-	}
-	return b.Dist2(p) <= b.bound()
-}
+// Contains reports whether p lies in b up to the package tolerance
+// (never for the null ball, whose Dist2 is +Inf).
+func (b Ball) Contains(p Point) bool { return b.Dist2(p) <= b.bound() }
 
 const containsTol = 1e-9
 
 // bound is the largest squared distance from the center that Contains
 // accepts, R2 + containsTol·(R2+1). Contains, the block kernels and
-// the pivoting loop's stop rule all test against it, so an answer
+// the small solve's feasibility test all test against it, so an answer
 // Solve returns passes its own violation test.
 func (b Ball) bound() float64 { return b.R2 + containsTol*(b.R2+1) }
 
@@ -81,190 +81,93 @@ func (b Ball) String() string {
 
 // Circumball returns the smallest ball with all the given points on its
 // boundary. The points must be affinely independent (|pts| ≤ d+1);
-// otherwise ErrDegenerate is returned. Standard construction: write the
-// center as p_0 + Σ λ_j (p_j − p_0) and solve the Gram system.
+// otherwise ErrDegenerate is returned.
 func Circumball(pts []Point) (Ball, error) {
-	switch len(pts) {
-	case 0:
+	if len(pts) == 0 {
 		return EmptyBall, nil
-	case 1:
-		return Ball{Center: append([]float64(nil), pts[0]...), R2: 0}, nil
 	}
-	k := len(pts) - 1
-	d := len(pts[0])
-	if k > d {
+	g, mask := gram(pts), uint64(1)<<len(pts)-1
+	c, ok := g.Candidate(mask)
+	if !ok {
 		return Ball{}, ErrDegenerate
 	}
-	diffs := make([][]float64, k)
-	for j := 0; j < k; j++ {
-		diffs[j] = make([]float64, d)
-		for i := 0; i < d; i++ {
-			diffs[j][i] = pts[j+1][i] - pts[0][i]
-		}
-	}
-	g := linalg.NewMatrix(k, k)
-	rhs := make([]float64, k)
-	for a := 0; a < k; a++ {
-		for b := 0; b < k; b++ {
-			g.Set(a, b, numeric.Dot(diffs[a], diffs[b]))
-		}
-		rhs[a] = 0.5 * numeric.Dot(diffs[a], diffs[a])
-	}
-	lambda, err := linalg.Solve(g, rhs)
-	if err != nil {
-		return Ball{}, ErrDegenerate
-	}
-	center := append([]float64(nil), pts[0]...)
-	for j := 0; j < k; j++ {
-		for i := 0; i < d; i++ {
-			center[i] += lambda[j] * diffs[j][i]
-		}
-	}
-	b := Ball{Center: center}
-	b.R2 = b.Dist2(pts[0])
-	return b, nil
+	return Ball{Center: c, R2: radius2(pts, c, mask)}, nil
 }
 
-// SolveSmall computes the minimum enclosing ball of a small point set
-// by Welzl's move-to-front recursion. Intended for |pts| up to a few
-// hundred; Solve handles arbitrary sizes via pivoting.
-func SolveSmall(pts []Point) (Ball, error) {
-	work := append([]Point(nil), pts...)
-	return welzl(work, nil)
-}
-
-// welzl computes mb(P, R): the smallest ball containing P with R on its
-// boundary. It mutates the order of p (move-to-front).
-func welzl(p []Point, r []Point) (Ball, error) {
-	if len(p) == 0 || len(r) > 0 && len(r) == len(r[0])+1 {
-		return circumballSafe(r)
-	}
-	q := p[len(p)-1]
-	b, err := welzl(p[:len(p)-1], r)
-	if err != nil {
-		return Ball{}, err
-	}
-	if b.Contains(q) {
-		return b, nil
-	}
-	b, err = welzl(p[:len(p)-1], append(r, q))
-	if err != nil {
-		return Ball{}, err
-	}
-	// Move-to-front: q was important, keep it near the end so parent
-	// calls test it early.
-	return b, nil
-}
-
-// circumballSafe tolerates affinely dependent boundary sets (which
-// arise transiently in Welzl's recursion on degenerate inputs) by
-// dropping points until the system is regular. The resulting ball still
-// has the remaining points on its boundary and contains the dropped
-// ones.
-func circumballSafe(r []Point) (Ball, error) {
-	b, err := Circumball(r)
-	if err == nil {
-		return b, nil
-	}
-	for drop := 0; drop < len(r); drop++ {
-		sub := make([]Point, 0, len(r)-1)
-		sub = append(sub, r[:drop]...)
-		sub = append(sub, r[drop+1:]...)
-		b, err := Circumball(sub)
-		if err == nil && b.Contains(r[drop]) {
-			return b, nil
-		}
-	}
-	return Ball{}, ErrDegenerate
-}
-
-// Solve computes the minimum enclosing ball of pts. The fast path is
-// Gärtner-style pivoting: start from the ball of a small prefix and
-// repeatedly merge the farthest outside point into the current support
-// set — expected near-linear time for fixed d. Degenerate inputs (many
-// co-spherical points) can defeat the pivoting heuristic, in which case
-// Solve falls back to the full Welzl recursion. This is the Tb
-// primitive of Proposition 4.3.
+// Solve computes the minimum enclosing ball of pts: the Tb primitive of
+// Proposition 4.3, by the pivot loop over Domain.SolveSmall.
 func Solve(pts []Point) (Ball, error) {
 	if len(pts) == 0 {
 		return EmptyBall, nil
 	}
-	if b, ok := pivotSolve(pts); ok {
-		return b, nil
-	}
-	// Fallback: full Welzl on a deterministic shuffle (Welzl's expected
-	// linear time needs random insertion order).
-	work := append([]Point(nil), pts...)
-	rng := numeric.NewRand(0x6d6562, uint64(len(pts)))
-	rng.Shuffle(len(work), func(i, j int) { work[i], work[j] = work[j], work[i] })
-	return welzl(work, nil)
+	b, err := NewDomain(len(pts[0])).Solve(pts)
+	return b.B, err
 }
 
-// pivotSolve runs the pivoting loop; ok=false means the heuristic gave
-// up (degeneracy) and the caller should fall back.
-func pivotSolve(pts []Point) (Ball, bool) {
-	d := len(pts[0])
-	init := min(len(pts), d+2)
-	b, err := SolveSmall(pts[:init])
-	if err != nil {
-		return Ball{}, false
+// gram states the circumballs of pts' subsets as an lptype.Gram: with
+// a_j = p_j − p_0, the centre p_0 + Σ μ_j a_j with Σ μ_j = 1 is
+// equidistant from the subset's points when ⟨a_i, Σ μ_j a_j⟩ = |a_i|²/2.
+func gram(pts []Point) lptype.Gram {
+	m, d := len(pts), len(pts[0])
+	a := make([]float64, m*d+m) // the a_j, then the |a_j|²/2
+	for j, p := range pts {
+		for i, x := range p {
+			a[j*d+i] = x - pts[0][i]
+		}
+		a[m*d+j] = 0.5 * numeric.Dot(a[j*d:(j+1)*d], a[j*d:(j+1)*d])
 	}
-	support := supportOf(pts[:init], b)
-	stall := 0
-	for pivots := 0; pivots <= 16*(d+2)*bits(len(pts))+64; pivots++ {
-		far, far2 := -1, b.bound()
-		for i, p := range pts {
-			if d2 := b.Dist2(p); d2 > far2 {
-				far, far2 = i, d2
+	return lptype.Gram{V: a[:m*d], D: d, O: pts[0], R: a[m*d:], Affine: true}
+}
+
+// radius2 is the largest squared distance from c to a point of mask.
+func radius2(pts []Point, c []float64, mask uint64) float64 {
+	b, r2 := Ball{Center: c}, 0.0
+	for i := mask; i != 0; i &= i - 1 {
+		r2 = max(r2, b.Dist2(pts[bits.TrailingZeros64(i)]))
+	}
+	return r2
+}
+
+// solveSmall is Domain.SolveSmall. A subset of at most d+1 affinely
+// independent points proposes its circumball, certified when its
+// centre lies in the subset's hull: the weights μ ≥ 0 (the KKT
+// multipliers). The answer is the first certified candidate that
+// contains every point, and failing that the least that does
+// (lptype.Gram gives the order; its path starts from the points before
+// the last one, the previous basis when SolvePivot calls). The ball is
+// recomputed from its support alone, so its bits do not depend on
+// which other points came with it.
+func solveSmall(pts []Point) (Basis, error) {
+	m := len(pts)
+	if m == 0 {
+		return Basis{B: EmptyBall}, nil
+	}
+	ps := append([]Point(nil), pts...)
+	order := func(p, q Point) int { return numeric.CompareBits(p, q) }
+	slices.SortFunc(ps, order)
+	v, _ := slices.BinarySearchFunc(ps, pts[m-1], order)
+	g := gram(ps)
+	g.Start = (uint64(1)<<m - 1) &^ (1 << v)
+	g.Feasible = func(c []float64, mask uint64) (float64, bool) {
+		b := Ball{Center: c, R2: radius2(ps, c, mask)}
+		for _, p := range ps {
+			if !b.Contains(p) {
+				return 0, false
 			}
 		}
-		if far < 0 {
-			return b, true
-		}
-		cand := append(append([]Point{}, support...), pts[far])
-		nb, err := SolveSmall(cand)
-		if err != nil {
-			return Ball{}, false
-		}
-		if nb.R2 <= b.R2*(1+1e-13) {
-			// No radius growth: the capped support set failed to
-			// determine the ball (co-spherical degeneracy).
-			stall++
-			if stall > 2 {
-				return Ball{}, false
-			}
-		} else {
-			stall = 0
-		}
-		if nb.R2 > b.R2 {
-			b = nb
-		}
-		support = supportOf(cand, b)
+		return b.R2, true
 	}
-	return Ball{}, false
-}
-
-// supportOf returns the points of pts on the boundary of b (capped at
-// d+1 points, preferring the farthest).
-func supportOf(pts []Point, b Ball) []Point {
-	var out []Point
-	for _, p := range pts {
-		d2 := b.Dist2(p)
-		if math.Abs(d2-b.R2) <= 256*containsTol*(b.R2+1) {
-			out = append(out, p)
-		}
+	mask, c, r2 := g.Solve()
+	if mask == 0 {
+		return Basis{}, ErrDegenerate
 	}
-	if len(b.Center) > 0 && len(out) > len(b.Center)+1 {
-		out = out[:len(b.Center)+1]
+	support := make([]Point, 0, bits.OnesCount64(mask))
+	for i := mask; i != 0; i &= i - 1 {
+		support = append(support, ps[bits.TrailingZeros64(i)])
 	}
-	return out
-}
-
-func bits(n int) int {
-	b := 0
-	for n > 0 {
-		b++
-		n >>= 1
+	if mask&1 != 0 { // c was solved relative to the support's own first point
+		return Basis{B: Ball{Center: slices.Clone(c), R2: r2}, Support: support}, nil
 	}
-	return b
+	b, err := Circumball(support)
+	return Basis{B: b, Support: support}, err
 }

@@ -118,17 +118,22 @@ func TestEmptyBallSemantics(t *testing.T) {
 }
 
 func TestSolveSmallKnown(t *testing.T) {
-	// Square corners: ball centered at the middle.
+	// Square corners: ball centered at the middle, determined by a
+	// diagonal pair or by three corners.
 	pts := []Point{pt(0, 0), pt(0, 2), pt(2, 0), pt(2, 2)}
-	b, err := SolveSmall(pts)
+	bs, err := NewDomain(2).SolveSmall(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	b := bs.B
 	if !numeric.ApproxEqual(b.Center[0], 1) || !numeric.ApproxEqual(b.Center[1], 1) {
 		t.Fatalf("center = %v", b.Center)
 	}
 	if !numeric.ApproxEqual(b.R2, 2) {
 		t.Fatalf("R2 = %v, want 2", b.R2)
+	}
+	if n := len(bs.Support); n < 2 || n > 3 {
+		t.Fatalf("support %v", bs.Support)
 	}
 }
 
@@ -164,8 +169,8 @@ func TestSolveContainment(t *testing.T) {
 }
 
 func TestSolveCoSpherical(t *testing.T) {
-	// Adversarial degeneracy: many points exactly on a sphere. The
-	// pivot heuristic stalls and the Welzl fallback must take over.
+	// Adversarial degeneracy: many points exactly on a sphere, so many
+	// subsets of a small solve certify nearly the same ball.
 	rng := numeric.NewRand(5, 5)
 	var pts []Point
 	for i := 0; i < 200; i++ {
@@ -273,19 +278,21 @@ func TestGenericBruteForceMatchesSolve(t *testing.T) {
 	}
 }
 
+// TestSolvePivotGenericMatchesSolve checks the pivot loop against the
+// recursive Welzl oracle (welzlRef).
 func TestSolvePivotGenericMatchesSolve(t *testing.T) {
 	dom := NewDomain(3)
 	pts := gaussCloud(3, 400, 37)
-	pv, err := lptype.SolvePivot[Point, Basis](dom, pts, numeric.NewRand(1, 2))
+	pv, err := lptype.SolvePivot[Point, Basis](dom, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := Solve(pts)
+	ref, err := welzlRef(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !numeric.ApproxEqualTol(pv.B.R2, direct.R2, 1e-7) {
-		t.Fatalf("generic pivot %v vs direct %v", pv.B.R2, direct.R2)
+	if !numeric.ApproxEqualTol(pv.B.R2, ref.R2, 1e-7) {
+		t.Fatalf("pivot loop %v vs Welzl %v", pv.B.R2, ref.R2)
 	}
 }
 

@@ -139,24 +139,24 @@ var mpcGolden = map[string]goldenRow{
 	"lp/r=3/nc=0.2/seed=3":  {Stats{RunStats: core.RunStats{N: 12000, R: 3, NetSize: 413, Iterations: 30, Successes: 1, Failures: 28, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 151, MaxLoadBits: 79296, TotalBits: 3846534}, 0xc37cd3da37265602},
 	"lp/r=3/nc=0.2/seed=4":  {Stats{RunStats: core.RunStats{N: 12000, R: 3, NetSize: 413, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 11, MaxLoadBits: 78720, TotalBits: 276058}, 0xc9f870dbb942209e},
 	"lp/r=3/nc=0.2/seed=5":  {Stats{RunStats: core.RunStats{N: 12000, R: 3, NetSize: 413, Iterations: 8, Successes: 1, Failures: 6, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 41, MaxLoadBits: 79296, TotalBits: 1042216}, 0xc9f870dbb942209e},
-	"meb/r=2/nc=0/seed=1":   {Stats{RunStats: core.RunStats{N: 600000, R: 2, NetSize: 87143, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Machines: 775, Delta: 0.5, FanOut: 775, Rounds: 11, MaxLoadBits: 11141760, TotalBits: 23125900}, 0xc5c1834d0a29dceb},
-	"meb/r=2/nc=0/seed=2":   {Stats{RunStats: core.RunStats{N: 600000, R: 2, NetSize: 87143, Iterations: 5, Successes: 2, Failures: 2, DirectSolve: false}, Machines: 775, Delta: 0.5, FanOut: 775, Rounds: 26, MaxLoadBits: 11141888, TotalBits: 57592350}, 0xe996027415b244d8},
-	"meb/r=2/nc=0/seed=3":   {Stats{RunStats: core.RunStats{N: 600000, R: 2, NetSize: 87143, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, Machines: 775, Delta: 0.5, FanOut: 775, Rounds: 16, MaxLoadBits: 11139456, TotalBits: 34608914}, 0xe996027415b244d8},
-	"meb/r=2/nc=0/seed=4":   {Stats{RunStats: core.RunStats{N: 600000, R: 2, NetSize: 87143, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Machines: 775, Delta: 0.5, FanOut: 775, Rounds: 11, MaxLoadBits: 11139328, TotalBits: 23121164}, 0x3870985ed1ca1656},
-	"meb/r=2/nc=0/seed=5":   {Stats{RunStats: core.RunStats{N: 600000, R: 2, NetSize: 87143, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Machines: 775, Delta: 0.5, FanOut: 775, Rounds: 11, MaxLoadBits: 11141504, TotalBits: 23125132}, 0xe996027415b244d8},
-	"meb/r=2/nc=0.2/seed=1": {Stats{RunStats: core.RunStats{N: 12000, R: 2, NetSize: 1972, Iterations: 12, Successes: 2, Failures: 9, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 61, MaxLoadBits: 250880, TotalBits: 3609820}, 0xe5be85b0566da026},
-	"meb/r=2/nc=0.2/seed=2": {Stats{RunStats: core.RunStats{N: 12000, R: 2, NetSize: 1972, Iterations: 27, Successes: 2, Failures: 24, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 136, MaxLoadBits: 251136, TotalBits: 8097663}, 0xe5be85b0566da026},
-	"meb/r=2/nc=0.2/seed=3": {Stats{RunStats: core.RunStats{N: 12000, R: 2, NetSize: 1972, Iterations: 6, Successes: 2, Failures: 3, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 31, MaxLoadBits: 250752, TotalBits: 1814990}, 0xe5be85b0566da026},
-	"meb/r=2/nc=0.2/seed=4": {Stats{RunStats: core.RunStats{N: 12000, R: 2, NetSize: 1972, Iterations: 19, Successes: 2, Failures: 16, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 96, MaxLoadBits: 250880, TotalBits: 5698327}, 0xe5be85b0566da026},
-	"meb/r=2/nc=0.2/seed=5": {Stats{RunStats: core.RunStats{N: 12000, R: 2, NetSize: 1972, Iterations: 6, Successes: 1, Failures: 4, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 31, MaxLoadBits: 250880, TotalBits: 1815630}, 0xe5be85b0566da026},
-	"meb/r=3/nc=0/seed=1":   {Stats{RunStats: core.RunStats{N: 60000, R: 3, NetSize: 4405, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Machines: 245, Delta: 0.5, FanOut: 245, Rounds: 11, MaxLoadBits: 561536, TotalBits: 1388776}, 0xc80caa09a8fdb26},
-	"meb/r=3/nc=0/seed=2":   {Stats{RunStats: core.RunStats{N: 60000, R: 3, NetSize: 4405, Iterations: 5, Successes: 2, Failures: 2, DirectSolve: false}, Machines: 245, Delta: 0.5, FanOut: 245, Rounds: 26, MaxLoadBits: 562944, TotalBits: 3405124}, 0x954b5038c8de156a},
-	"meb/r=3/nc=0/seed=3":   {Stats{RunStats: core.RunStats{N: 60000, R: 3, NetSize: 4405, Iterations: 4, Successes: 3, Failures: 0, DirectSolve: false}, Machines: 245, Delta: 0.5, FanOut: 245, Rounds: 21, MaxLoadBits: 561536, TotalBits: 2729808}, 0x954b5038c8de156a},
-	"meb/r=3/nc=0/seed=4":   {Stats{RunStats: core.RunStats{N: 60000, R: 3, NetSize: 4405, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, Machines: 245, Delta: 0.5, FanOut: 245, Rounds: 16, MaxLoadBits: 560768, TotalBits: 2057436}, 0x80ed0629315c2434},
-	"meb/r=3/nc=0/seed=5":   {Stats{RunStats: core.RunStats{N: 60000, R: 3, NetSize: 4405, Iterations: 4, Successes: 3, Failures: 0, DirectSolve: false}, Machines: 245, Delta: 0.5, FanOut: 245, Rounds: 21, MaxLoadBits: 562560, TotalBits: 2731344}, 0xc80caa09a8fdb26},
-	"meb/r=3/nc=0.2/seed=1": {Stats{RunStats: core.RunStats{N: 12000, R: 3, NetSize: 413, Iterations: 18, Successes: 2, Failures: 15, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 91, MaxLoadBits: 52864, TotalBits: 1844202}, 0x650f0aef1e26edbb},
-	"meb/r=3/nc=0.2/seed=2": {Stats{RunStats: core.RunStats{N: 12000, R: 3, NetSize: 413, Iterations: 11, Successes: 2, Failures: 8, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 56, MaxLoadBits: 52736, TotalBits: 1136303}, 0x5da1a09dbc060b5b},
-	"meb/r=3/nc=0.2/seed=3": {Stats{RunStats: core.RunStats{N: 12000, R: 3, NetSize: 413, Iterations: 28, Successes: 1, Failures: 26, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 141, MaxLoadBits: 52864, TotalBits: 2857260}, 0x2e270519b4b71e16},
-	"meb/r=3/nc=0.2/seed=4": {Stats{RunStats: core.RunStats{N: 12000, R: 3, NetSize: 413, Iterations: 38, Successes: 2, Failures: 35, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 191, MaxLoadBits: 52736, TotalBits: 3869038}, 0xbf456d5fa585a200},
-	"meb/r=3/nc=0.2/seed=5": {Stats{RunStats: core.RunStats{N: 12000, R: 3, NetSize: 413, Iterations: 26, Successes: 2, Failures: 23, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 131, MaxLoadBits: 52864, TotalBits: 2652498}, 0x39cdce6a5a7b4ebf},
+	"meb/r=2/nc=0/seed=1":   {Stats{RunStats: core.RunStats{N: 600000, R: 2, NetSize: 87143, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Machines: 775, Delta: 0.5, FanOut: 775, Rounds: 11, MaxLoadBits: 11141760, TotalBits: 23125900}, 0x8a002bdc52f6eab9},
+	"meb/r=2/nc=0/seed=2":   {Stats{RunStats: core.RunStats{N: 600000, R: 2, NetSize: 87143, Iterations: 5, Successes: 2, Failures: 2, DirectSolve: false}, Machines: 775, Delta: 0.5, FanOut: 775, Rounds: 26, MaxLoadBits: 11141888, TotalBits: 57592350}, 0x8a002bdc52f6eab9},
+	"meb/r=2/nc=0/seed=3":   {Stats{RunStats: core.RunStats{N: 600000, R: 2, NetSize: 87143, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, Machines: 775, Delta: 0.5, FanOut: 775, Rounds: 16, MaxLoadBits: 11139456, TotalBits: 34608914}, 0x8a002bdc52f6eab9},
+	"meb/r=2/nc=0/seed=4":   {Stats{RunStats: core.RunStats{N: 600000, R: 2, NetSize: 87143, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Machines: 775, Delta: 0.5, FanOut: 775, Rounds: 11, MaxLoadBits: 11139328, TotalBits: 23121164}, 0x8a002bdc52f6eab9},
+	"meb/r=2/nc=0/seed=5":   {Stats{RunStats: core.RunStats{N: 600000, R: 2, NetSize: 87143, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Machines: 775, Delta: 0.5, FanOut: 775, Rounds: 11, MaxLoadBits: 11141504, TotalBits: 23125132}, 0x8a002bdc52f6eab9},
+	"meb/r=2/nc=0.2/seed=1": {Stats{RunStats: core.RunStats{N: 12000, R: 2, NetSize: 1972, Iterations: 12, Successes: 2, Failures: 9, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 61, MaxLoadBits: 250880, TotalBits: 3609820}, 0x7eb96e71f2995f97},
+	"meb/r=2/nc=0.2/seed=2": {Stats{RunStats: core.RunStats{N: 12000, R: 2, NetSize: 1972, Iterations: 27, Successes: 2, Failures: 24, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 136, MaxLoadBits: 251136, TotalBits: 8097663}, 0x7eb96e71f2995f97},
+	"meb/r=2/nc=0.2/seed=3": {Stats{RunStats: core.RunStats{N: 12000, R: 2, NetSize: 1972, Iterations: 6, Successes: 2, Failures: 3, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 31, MaxLoadBits: 250752, TotalBits: 1814990}, 0x7eb96e71f2995f97},
+	"meb/r=2/nc=0.2/seed=4": {Stats{RunStats: core.RunStats{N: 12000, R: 2, NetSize: 1972, Iterations: 19, Successes: 2, Failures: 16, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 96, MaxLoadBits: 250880, TotalBits: 5698327}, 0x7eb96e71f2995f97},
+	"meb/r=2/nc=0.2/seed=5": {Stats{RunStats: core.RunStats{N: 12000, R: 2, NetSize: 1972, Iterations: 6, Successes: 1, Failures: 4, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 31, MaxLoadBits: 250880, TotalBits: 1815630}, 0x7eb96e71f2995f97},
+	"meb/r=3/nc=0/seed=1":   {Stats{RunStats: core.RunStats{N: 60000, R: 3, NetSize: 4405, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Machines: 245, Delta: 0.5, FanOut: 245, Rounds: 11, MaxLoadBits: 561536, TotalBits: 1388776}, 0x3ce7fb4224020870},
+	"meb/r=3/nc=0/seed=2":   {Stats{RunStats: core.RunStats{N: 60000, R: 3, NetSize: 4405, Iterations: 5, Successes: 2, Failures: 2, DirectSolve: false}, Machines: 245, Delta: 0.5, FanOut: 245, Rounds: 26, MaxLoadBits: 562944, TotalBits: 3405124}, 0x3ce7fb4224020870},
+	"meb/r=3/nc=0/seed=3":   {Stats{RunStats: core.RunStats{N: 60000, R: 3, NetSize: 4405, Iterations: 4, Successes: 3, Failures: 0, DirectSolve: false}, Machines: 245, Delta: 0.5, FanOut: 245, Rounds: 21, MaxLoadBits: 561536, TotalBits: 2729808}, 0x3ce7fb4224020870},
+	"meb/r=3/nc=0/seed=4":   {Stats{RunStats: core.RunStats{N: 60000, R: 3, NetSize: 4405, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, Machines: 245, Delta: 0.5, FanOut: 245, Rounds: 16, MaxLoadBits: 560768, TotalBits: 2057436}, 0x3ce7fb4224020870},
+	"meb/r=3/nc=0/seed=5":   {Stats{RunStats: core.RunStats{N: 60000, R: 3, NetSize: 4405, Iterations: 4, Successes: 3, Failures: 0, DirectSolve: false}, Machines: 245, Delta: 0.5, FanOut: 245, Rounds: 21, MaxLoadBits: 562560, TotalBits: 2731344}, 0x3ce7fb4224020870},
+	"meb/r=3/nc=0.2/seed=1": {Stats{RunStats: core.RunStats{N: 12000, R: 3, NetSize: 413, Iterations: 18, Successes: 2, Failures: 15, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 91, MaxLoadBits: 52864, TotalBits: 1844202}, 0x9d439f2efa7c8e9c},
+	"meb/r=3/nc=0.2/seed=2": {Stats{RunStats: core.RunStats{N: 12000, R: 3, NetSize: 413, Iterations: 11, Successes: 2, Failures: 8, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 56, MaxLoadBits: 52736, TotalBits: 1136303}, 0x9d439f2efa7c8e9c},
+	"meb/r=3/nc=0.2/seed=3": {Stats{RunStats: core.RunStats{N: 12000, R: 3, NetSize: 413, Iterations: 28, Successes: 1, Failures: 26, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 141, MaxLoadBits: 52864, TotalBits: 2857260}, 0x9d439f2efa7c8e9c},
+	"meb/r=3/nc=0.2/seed=4": {Stats{RunStats: core.RunStats{N: 12000, R: 3, NetSize: 413, Iterations: 38, Successes: 2, Failures: 35, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 191, MaxLoadBits: 52736, TotalBits: 3869038}, 0x9d439f2efa7c8e9c},
+	"meb/r=3/nc=0.2/seed=5": {Stats{RunStats: core.RunStats{N: 12000, R: 3, NetSize: 413, Iterations: 26, Successes: 2, Failures: 23, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 131, MaxLoadBits: 52864, TotalBits: 2652498}, 0x9d439f2efa7c8e9c},
 }

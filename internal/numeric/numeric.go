@@ -10,6 +10,7 @@
 package numeric
 
 import (
+	"cmp"
 	"math"
 	"math/rand/v2"
 )
@@ -115,4 +116,17 @@ func Dot(a, b []float64) float64 {
 		s += x * b[i]
 	}
 	return s
+}
+
+// CompareBits orders vectors lexicographically by the bit patterns of
+// their entries (math.Float64bits), shorter first on a common prefix:
+// a total order on the values themselves, which the small solves use to
+// make their answers a function of a set rather than of its order.
+func CompareBits(a, b []float64) int {
+	for i := range min(len(a), len(b)) {
+		if c := cmp.Compare(math.Float64bits(a[i]), math.Float64bits(b[i])); c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(len(a), len(b))
 }

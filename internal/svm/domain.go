@@ -4,6 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"slices"
+
+	"lowdimlp/internal/lptype"
 )
 
 // Basis is the LP-type basis for hard-margin SVM: the optimal normal
@@ -25,12 +28,17 @@ func NewDomain(dim int) *Domain { return &Domain{Dim: dim} }
 
 // Solve computes the basis of the example subset (Tb).
 func (d *Domain) Solve(examples []Example) (Basis, error) {
-	sol, err := Solve(d.Dim, examples)
-	if err != nil {
-		return Basis{}, err
-	}
-	return Basis{Sol: sol, Support: supportOf(examples, sol.U)}, nil
+	return lptype.SolvePivot[Example, Basis](d, examples)
 }
+
+// SolveSmall is the small solve lptype.SolvePivot pivots over: the
+// optimum of at most d+2 examples, with the support vectors that
+// certify it. The examples are sorted into canonical bit order first,
+// so the result depends only on the set.
+func (d *Domain) SolveSmall(examples []Example) (Basis, error) { return solveSmall(d.Dim, examples) }
+
+// Value returns f(b) = ‖u‖².
+func (d *Domain) Value(b Basis) float64 { return b.Sol.Norm2 }
 
 // Basis returns the support vectors of b.
 func (d *Domain) Basis(b Basis) []Example { return b.Support }
@@ -39,6 +47,12 @@ func (d *Domain) Basis(b Basis) []Example { return b.Support }
 // which happens exactly when b's hyperplane misses the unit functional
 // margin on e (Tv).
 func (d *Domain) Violates(b Basis, e Example) bool { return !e.Satisfied(b.Sol.U) }
+
+// FirstViolator returns the index of the first example of exs that
+// violates b, or -1: Violates example by example.
+func (d *Domain) FirstViolator(b Basis, exs []Example) int {
+	return slices.IndexFunc(exs, func(e Example) bool { return !e.Satisfied(b.Sol.U) })
+}
 
 // ViolatesRow is the columnar violation test over the wire row
 // x_1…x_d y — allocation-free and bit-identical to Violates over the
@@ -68,21 +82,6 @@ func (d *Domain) CombinatorialDim() int { return d.Dim + 1 }
 // u_i = 2 off it), so λ = d exactly. The solvers are Las Vegas — the
 // smaller λ shrinks every net and never touches correctness.
 func (d *Domain) VCDim() int { return d.Dim }
-
-// supportOf returns the examples tight at u (margin ≈ 1), capped at
-// d+1 entries.
-func supportOf(examples []Example, u []float64) []Example {
-	var out []Example
-	for _, e := range examples {
-		if math.Abs(e.Margin(u)) <= 256*marginTol(e, u) {
-			out = append(out, e)
-		}
-	}
-	if len(out) > len(u)+1 {
-		out = out[:len(u)+1]
-	}
-	return out
-}
 
 // ErrShortBuffer reports a truncated encoding.
 var ErrShortBuffer = errors.New("svm: short buffer")

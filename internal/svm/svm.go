@@ -9,20 +9,23 @@
 //
 // # Algorithm
 //
-// Writing z_j := y_j·x_j, problem (6) is dual to the polytope-distance
-// problem: if p* is the minimum-norm point of conv{z_j} then
-// u* = p*/‖p*‖² (and (6) is infeasible iff p* = 0, i.e. the origin lies
-// in the hull). We compute p* with Wolfe's minimum-norm-point algorithm
-// (Wolfe 1976), which terminates finitely and is the standard robust
-// method for this problem.
+// Problem (6) is LP-type, so the package supplies only the exact small
+// solve — the optimum of at most d+2 examples, chosen among the
+// equality solutions of their subsets by the KKT conditions — and
+// lptype.SolvePivot pivots over it for inputs of any size (DESIGN.md
+// §15, "The quadratic kinds"). (6) is infeasible exactly when no
+// candidate of some small solve satisfies its examples.
 package svm
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
-	"lowdimlp/internal/linalg"
+	"lowdimlp/internal/lptype"
 	"lowdimlp/internal/numeric"
 )
 
@@ -70,218 +73,59 @@ type Solution struct {
 	Norm2 float64   // ‖U‖² — the LP-type objective value f
 }
 
-// separableFloor: if the min-norm point of conv{y_i x_i} is closer to
-// the origin than this (relative to the data scale), we declare the
-// input non-separable (margin below ~1e-7 of scale).
-const separableFloor = 1e-7
-
 // Solve computes the hard-margin SVM for the given examples in R^dim.
 // Solve(dim, nil) returns u = 0 (f(∅) = 0, which every example
 // violates). Returns ErrNotSeparable on non-separable input.
 func Solve(dim int, examples []Example) (Solution, error) {
-	if len(examples) == 0 {
-		return Solution{U: make([]float64, dim)}, nil
-	}
-	zs := make([][]float64, len(examples))
-	scale := 0.0
-	for i, e := range examples {
-		z := make([]float64, dim)
-		for j := range z {
-			z[j] = e.Y * e.X[j]
-		}
-		zs[i] = z
-		if n := numeric.Norm2(z); n > scale {
-			scale = n
-		}
-	}
-	p, err := minNormPoint(zs)
-	if err != nil {
-		return Solution{}, err
-	}
-	n2 := numeric.Dot(p, p)
-	if n2 <= (separableFloor*scale)*(separableFloor*scale) || n2 == 0 {
-		return Solution{}, ErrNotSeparable
-	}
-	u := make([]float64, dim)
-	for i := range u {
-		u[i] = p[i] / n2
-	}
-	return Solution{U: u, Norm2: numeric.Dot(u, u)}, nil
+	b, err := NewDomain(dim).Solve(examples)
+	return b.Sol, err
 }
 
-// minNormPoint runs Wolfe's algorithm for the minimum-norm point of
-// conv(zs). It returns a point x ∈ conv(zs) with
-// ⟨x, z⟩ ≥ ‖x‖² − ε for all z ∈ zs (the optimality certificate).
-func minNormPoint(zs [][]float64) ([]float64, error) {
-	// Corral S (indices into zs) and its convex weights.
-	start := 0
-	best := math.Inf(1)
-	for i, z := range zs {
-		if n := numeric.Dot(z, z); n < best {
-			start, best = i, n
-		}
+// solveSmall is Domain.SolveSmall. With z_j = y_j·x_j, a subset S of at
+// most d examples with linearly independent z_j proposes the u of least
+// norm with ⟨u, z_j⟩ = 1 on S: u = Σ α_j z_j for the Gram system
+// G·α = 1, certified when α ≥ 0 (the KKT multipliers). The answer is
+// the first certified candidate every example satisfies, and failing
+// that the feasible candidate of least norm (lptype.Gram gives the
+// order; its path starts from the examples before the last one, the
+// previous basis when SolvePivot calls). No feasible candidate means
+// the examples are not separable. u depends only on its support.
+func solveSmall(d int, examples []Example) (Basis, error) {
+	m := len(examples)
+	if m == 0 {
+		return Basis{Sol: Solution{U: make([]float64, d)}}, nil
 	}
-	corral := []int{start}
-	weights := []float64{1}
-	x := append([]float64(nil), zs[start]...)
-
-	dataScale := 1.0
-	for _, z := range zs {
-		if n := numeric.Dot(z, z); n > dataScale {
-			dataScale = n
+	es := append([]Example(nil), examples...)
+	order := func(e, f Example) int {
+		if c := numeric.CompareBits(e.X, f.X); c != 0 {
+			return c
 		}
+		return cmp.Compare(math.Float64bits(e.Y), math.Float64bits(f.Y))
 	}
-	tol := 1e-12 * dataScale
-
-	// Wolfe's major/minor loops terminate finitely in exact
-	// arithmetic. In floats they can stall in a deterministic
-	// no-progress loop, which the budget caps: the entering vertex is
-	// appended with weight 0, affineMinNorm declares the bordered Gram
-	// system singular, smallestWeight drops that same vertex, x does
-	// not move, and the next major step picks the vertex again.
-	budget := 64*len(zs) + 1024
-	for iter := 0; iter < budget; iter++ {
-		// Major step: most violating vertex.
-		xx := numeric.Dot(x, x)
-		jBest, vBest := -1, xx-tol
-		for j, z := range zs {
-			if v := numeric.Dot(x, z); v < vBest {
-				jBest, vBest = j, v
-			}
+	slices.SortFunc(es, order)
+	v, _ := slices.BinarySearchFunc(es, examples[m-1], order)
+	z := make([]float64, m*d+m) // the z_j, then the right-hand sides 1
+	for j, e := range es {
+		for i, x := range e.X {
+			z[j*d+i] = e.Y * x
 		}
-		if jBest < 0 {
-			return x, nil // optimality certificate holds
-		}
-		if !contains(corral, jBest) {
-			corral = append(corral, jBest)
-			weights = append(weights, 0)
-		}
-		// Minor loop: restore x to the relative interior of the
-		// affine min-norm point of the corral.
-		for {
-			a, err := affineMinNorm(zs, corral)
-			if err != nil {
-				// Affinely dependent corral: drop the member with the
-				// smallest weight and retry.
-				drop := smallestWeight(weights)
-				corral = removeAt(corral, drop)
-				weights = removeAt(weights, drop)
-				if len(corral) == 0 {
-					return nil, errors.New("svm: wolfe corral collapsed")
-				}
-				continue
-			}
-			if allNonneg(a, 1e-11) {
-				weights = a
-				x = combine(zs, corral, weights)
-				break
-			}
-			// Move from weights toward a until the first coefficient
-			// hits zero; drop all zeroed members.
-			theta := 1.0
-			for i := range a {
-				if a[i] < 0 {
-					t := weights[i] / (weights[i] - a[i])
-					if t < theta {
-						theta = t
-					}
+		z[m*d+j] = 1
+	}
+	mask, u, n2 := lptype.Gram{V: z[:m*d], D: d, R: z[m*d:], Start: (uint64(1)<<m - 1) &^ (1 << v),
+		Feasible: func(u []float64, _ uint64) (float64, bool) {
+			for _, e := range es {
+				if !e.Satisfied(u) {
+					return 0, false
 				}
 			}
-			kept := corral[:0]
-			keptW := weights[:0]
-			for i := range a {
-				w := (1-theta)*weights[i] + theta*a[i]
-				if w > 1e-12 {
-					kept = append(kept, corral[i])
-					keptW = append(keptW, w)
-				}
-			}
-			corral = kept
-			weights = normalize(keptW)
-			if len(corral) == 0 {
-				return nil, errors.New("svm: wolfe corral collapsed")
-			}
-		}
+			return numeric.Dot(u, u), true
+		}}.Solve()
+	if mask == 0 {
+		return Basis{}, ErrNotSeparable
 	}
-	// Budget exhausted: x is still a valid convex-hull point with a
-	// slightly weaker certificate; return it rather than failing, the
-	// callers re-verify feasibility.
-	return x, nil
-}
-
-// affineMinNorm returns the affine coefficients a (Σa = 1) minimizing
-// ‖Σ a_i z_{c_i}‖², by solving the bordered Gram KKT system.
-func affineMinNorm(zs [][]float64, corral []int) ([]float64, error) {
-	k := len(corral)
-	m := linalg.NewMatrix(k+1, k+1)
-	rhs := make([]float64, k+1)
-	rhs[0] = 1
-	for i := 0; i < k; i++ {
-		m.Set(0, i+1, 1)
-		m.Set(i+1, 0, 1)
-		for j := 0; j < k; j++ {
-			m.Set(i+1, j+1, numeric.Dot(zs[corral[i]], zs[corral[j]]))
-		}
+	support := make([]Example, 0, bits.OnesCount64(mask))
+	for a := mask; a != 0; a &= a - 1 {
+		support = append(support, es[bits.TrailingZeros64(a)])
 	}
-	sol, err := linalg.Solve(m, rhs)
-	if err != nil {
-		return nil, err
-	}
-	return sol[1:], nil
-}
-
-func combine(zs [][]float64, corral []int, w []float64) []float64 {
-	x := make([]float64, len(zs[corral[0]]))
-	for i, c := range corral {
-		for j := range x {
-			x[j] += w[i] * zs[c][j]
-		}
-	}
-	return x
-}
-
-func contains(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func allNonneg(a []float64, tol float64) bool {
-	for _, v := range a {
-		if v < -tol {
-			return false
-		}
-	}
-	return true
-}
-
-func smallestWeight(w []float64) int {
-	best, bi := math.Inf(1), 0
-	for i, v := range w {
-		if v < best {
-			best, bi = v, i
-		}
-	}
-	return bi
-}
-
-func removeAt[T any](s []T, i int) []T {
-	return append(s[:i:i], s[i+1:]...)
-}
-
-func normalize(w []float64) []float64 {
-	var sum float64
-	for _, v := range w {
-		sum += v
-	}
-	if sum <= 0 {
-		return w
-	}
-	for i := range w {
-		w[i] /= sum
-	}
-	return w
+	return Basis{Sol: Solution{U: slices.Clone(u), Norm2: n2}, Support: support}, nil
 }
