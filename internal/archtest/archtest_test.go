@@ -404,6 +404,19 @@ var guards = []guard{
 		},
 	},
 	{
+		// A basis leaves the engine only through SolveSourceBasis, which
+		// copies its rows out of the solve's input there, once; without
+		// that call every warm-start entry keeps its whole input alive.
+		step: "ownership", name: "one basis-row copy, in engine.SolveSourceBasis", design: "§11",
+		in:    []string{"..."},
+		match: selCall(0, "Own"),
+		want:  1, home: "internal/engine/source.go",
+		seeds: []seed{
+			{path: "internal/server/seed.go", bites: true, src: "package server\nfunc f(b lp.Basis) any { return b.Own() }\n"},
+			{path: "internal/server/seed2.go", bites: false, src: "package server\nvar own = lp.Basis.Own\n"},
+		},
+	},
+	{
 		step: "ingest", name: "instance data is checked only in internal/engine", design: "§7",
 		in:    []string{"internal/server/...", "cmd/...", "lowdimlp.go"},
 		match: selCall(1, "IsNaN", "IsInf"),

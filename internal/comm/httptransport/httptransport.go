@@ -304,12 +304,13 @@ func (r *run) Close() error {
 }
 
 // bufPool recycles the per-exchange scratch buffers — the encoded
-// request frame and the reply body. The coordinator protocol performs
-// thousands of step exchanges per solve and the frames are small, so
-// without pooling the encode and the body read dominate the client's
-// steady-state allocation profile (TestExchangeAllocations pins the
-// pooled cost). Buffers grow to a solve's working frame size once and
-// are reused for its lifetime.
+// request frame, and the body of a reply whose length the worker did
+// not declare (an error, or a worker that sends no Content-Length).
+// The coordinator protocol performs thousands of step exchanges per
+// solve and the frames are small, so without pooling the encode and
+// the body read dominate the client's steady-state allocation profile
+// (TestExchangeAllocations pins the pooled cost). Buffers grow to a
+// solve's working frame size once and are reused for its lifetime.
 var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // readAll reads r to EOF into bp's backing array, growing it as needed.
@@ -372,9 +373,28 @@ func (f *Fleet) exchangeTimeout(i int, frame comm.Frame, timeout time.Duration) 
 	}
 	bufPool.Put(reqBuf)
 	defer resp.Body.Close()
+	const maxBody = comm.MaxFramePayload + 64
+	if resp.StatusCode == http.StatusOK && resp.ContentLength >= 0 {
+		// A reply of declared length (the worker sets it on every step
+		// reply) is read into one buffer of exactly that size, and the
+		// decoded payload keeps aliasing it: no growth chain, no detach
+		// copy, whatever the pool holds.
+		if resp.ContentLength > maxBody {
+			return fail(fmt.Errorf("%w: reply of %d bytes exceeds the %d-byte frame limit",
+				comm.ErrProtocol, resp.ContentLength, maxBody))
+		}
+		body := make([]byte, resp.ContentLength)
+		if _, err := io.ReadFull(resp.Body, body); err != nil {
+			return fail(err)
+		}
+		if rep, err = decodeReply(body); err != nil {
+			return fail(err)
+		}
+		return rep, nil
+	}
 	bodyBuf := bufPool.Get().(*[]byte)
 	defer bufPool.Put(bodyBuf)
-	body, err := readAll(io.LimitReader(resp.Body, comm.MaxFramePayload+64), bodyBuf)
+	body, err := readAll(io.LimitReader(resp.Body, maxBody), bodyBuf)
 	if err != nil {
 		return fail(err)
 	}
@@ -386,16 +406,22 @@ func (f *Fleet) exchangeTimeout(i int, frame comm.Frame, timeout time.Duration) 
 		return fail(fmt.Errorf("worker %s: %w", f.urls[i],
 			&comm.RemoteError{Status: resp.StatusCode, Msg: msg}))
 	}
-	rep, err = comm.DecodeFrameStrict(body)
-	if err != nil {
+	if rep, err = decodeReply(body); err != nil {
 		return fail(err)
-	}
-	if rep.Type != comm.FrameReply {
-		return fail(fmt.Errorf("%w: reply frame type %d", comm.ErrProtocol, rep.Type))
 	}
 	// The decoded payload aliases the pooled body buffer; detach it with
 	// one exact-size copy — RoundTrip's callers retain the payload well
 	// past this exchange.
 	rep.Payload = append([]byte(nil), rep.Payload...)
 	return rep, nil
+}
+
+// decodeReply decodes a 200 reply body into its reply frame; the
+// payload aliases body.
+func decodeReply(body []byte) (comm.Frame, error) {
+	rep, err := comm.DecodeFrameStrict(body)
+	if err == nil && rep.Type != comm.FrameReply {
+		err = fmt.Errorf("%w: reply frame type %d", comm.ErrProtocol, rep.Type)
+	}
+	return rep, err
 }

@@ -5,6 +5,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"testing"
 
 	"lowdimlp/internal/comm"
@@ -14,8 +16,11 @@ import (
 // and replies with a FrameReply echoing session, seq, and a payload
 // derived from the request payload (each byte incremented) — enough
 // to prove the reply the client hands back came from *this* exchange's
-// bytes, not a recycled buffer.
-func echoWorker(t testing.TB) *httptest.Server {
+// bytes, not a recycled buffer. With sized, it declares the reply's
+// Content-Length as lpserved's worker does; without, a reply over 2 KB
+// goes out chunked, of unknown length, and the client takes its pooled
+// bounded read.
+func echoWorker(t testing.TB, sized bool) *httptest.Server {
 	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		body, err := io.ReadAll(r.Body)
 		if err != nil {
@@ -31,10 +36,29 @@ func echoWorker(t testing.TB) *httptest.Server {
 		for i, b := range f.Payload {
 			out[i] = b + 1
 		}
-		w.Write(comm.EncodeFrame(comm.Frame{
+		enc := comm.EncodeFrame(comm.Frame{
 			Type: comm.FrameReply, Session: f.Session, Seq: f.Seq, Payload: out,
-		}))
+		})
+		if sized {
+			w.Header().Set("Content-Length", strconv.Itoa(len(enc)))
+		}
+		w.Write(enc)
 	}))
+}
+
+// bothReads runs a test once against each of echoWorker's reply forms.
+func bothReads(t *testing.T, test func(t *testing.T, ts *httptest.Server)) {
+	for _, sized := range []bool{false, true} {
+		name := "unknown-length"
+		if sized {
+			name = "sized"
+		}
+		t.Run(name, func(t *testing.T) {
+			ts := echoWorker(t, sized)
+			defer ts.Close()
+			test(t, ts)
+		})
+	}
 }
 
 // TestExchangePayloadDetached pins the pooling contract: a reply
@@ -42,8 +66,10 @@ func echoWorker(t testing.TB) *httptest.Server {
 // returned a payload aliasing the pooled body buffer, the next
 // exchange through the same pool would scribble over it.
 func TestExchangePayloadDetached(t *testing.T) {
-	ts := echoWorker(t)
-	defer ts.Close()
+	bothReads(t, testExchangePayloadDetached)
+}
+
+func testExchangePayloadDetached(t *testing.T, ts *httptest.Server) {
 	f := &Fleet{urls: []string{ts.URL}, rows: []int{0}}
 
 	payload := bytes.Repeat([]byte{7}, 1024)
@@ -94,14 +120,18 @@ func TestReadAllReuse(t *testing.T) {
 }
 
 // TestExchangeAllocations is the allocation-regression guard on the
-// worker step exchange: with the frame-encode and body-read buffers
-// pooled, an exchange's allocation count is the HTTP client machinery
-// plus exactly one payload detach copy — measured at ~108 on the CI
-// toolchain. The bound leaves a few allocs of headroom; unpooling a
-// buffer or regrowing the detach copy pushes past it.
+// worker step exchange: with the frame-encode buffer pooled, an
+// exchange's allocation count is the HTTP client machinery plus
+// exactly one payload buffer — the detach copy out of the pooled body
+// buffer for a reply of unknown length, the exact-size body for a sized
+// one — measured at ~108 on the CI toolchain. The bound leaves a few
+// allocs of headroom; unpooling a buffer or regrowing the payload
+// pushes past it.
 func TestExchangeAllocations(t *testing.T) {
-	ts := echoWorker(t)
-	defer ts.Close()
+	bothReads(t, testExchangeAllocations)
+}
+
+func testExchangeAllocations(t *testing.T, ts *httptest.Server) {
 	f := &Fleet{urls: []string{ts.URL}, rows: []int{0}}
 	payload := bytes.Repeat([]byte{3}, 8192)
 	seq := uint64(0)
@@ -120,4 +150,49 @@ func TestExchangeAllocations(t *testing.T) {
 		t.Fatalf("step exchange: %.1f allocs (want ≤ %d) — scratch buffers no longer pooled?", allocs, maxAllocs)
 	}
 	t.Logf("step exchange: %.1f allocs for %d-byte payloads", allocs, len(payload))
+}
+
+// TestExchangeAfterGCAllocatesItsReply: a step reply of declared length
+// is read into one buffer of its size, which the decoded payload keeps,
+// so an exchange allocates about its reply even when a GC has just
+// emptied the buffer pool — the frontend's case once its live heap is
+// small and GCs are frequent. A body read that regrows a pooled buffer
+// by doubling from 4 KB and then detaches the payload costs about three
+// times the reply.
+func TestExchangeAfterGCAllocatesItsReply(t *testing.T) {
+	const payloadBytes = 640 << 10 // a ship-all reply of a 60 000-row fleet lp, per site
+	reply := comm.EncodeFrame(comm.Frame{Type: comm.FrameReply, Session: 1, Seq: 1,
+		Payload: bytes.Repeat([]byte{5}, payloadBytes)})
+	// A worker that answers every step with the one pre-encoded reply,
+	// so the server side allocates no reply of its own.
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Length", strconv.Itoa(len(reply)))
+		w.Write(reply)
+	}))
+	defer ts.Close()
+	f := &Fleet{urls: []string{ts.URL}, rows: []int{0}}
+	frame := comm.Frame{Type: comm.FrameRoundA, Session: 1, Seq: 1, Payload: []byte{1}}
+	if _, err := f.exchange(0, frame); err != nil { // dials the connection
+		t.Fatal(err)
+	}
+	runtime.GC() // a pooled buffer survives one GC in the victim cache
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := f.exchange(0, frame)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Payload) != payloadBytes {
+		t.Fatalf("payload of %d bytes, want %d", len(rep.Payload), payloadBytes)
+	}
+	got, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(reply))*5/4
+	if got > limit {
+		t.Fatalf("one %d-byte exchange after a GC allocated %d bytes (%.2f×; want ≤ 1.25×)",
+			len(reply), got, float64(got)/float64(len(reply)))
+	}
+	t.Logf("one %d-byte exchange after a GC: %d bytes allocated (%.2f×)",
+		len(reply), got, float64(got)/float64(len(reply)))
 }

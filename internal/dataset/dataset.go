@@ -63,6 +63,11 @@ type Cursor interface {
 // ErrWidth reports a row whose length does not match the source width.
 var ErrWidth = errors.New("dataset: row width mismatch")
 
+// ErrRowCount reports a source whose cursor yields a different number
+// of rows than its Rows declares (a file truncated or grown after it
+// was opened, say): a solve over it would run on a different problem.
+var ErrRowCount = errors.New("dataset: cursor row count differs from the source's")
+
 // Store is the in-memory columnar arena: rows of a fixed width stored
 // back to back in one flat []float64. Appends may grow the arena;
 // views and cursors taken before an append remain valid only because
@@ -241,7 +246,8 @@ type RandomAccess interface {
 
 // Materialize returns a random-access view of src, reading the whole
 // source into a fresh Store unless it is already memory-backed (in
-// which case nothing is copied).
+// which case nothing is copied). A copied source whose cursor yields
+// other than Rows() rows is an ErrRowCount.
 func Materialize(src Source) (View, error) {
 	if ra, ok := src.(RandomAccess); ok {
 		return ra.View(), nil
@@ -264,7 +270,7 @@ func Materialize(src Source) (View, error) {
 		}
 	}
 	if st.Rows() != src.Rows() {
-		return View{}, fmt.Errorf("dataset: source declared %d rows, cursor yielded %d", src.Rows(), st.Rows())
+		return View{}, fmt.Errorf("%w: source declared %d rows, cursor yielded %d", ErrRowCount, src.Rows(), st.Rows())
 	}
 	return st.View(), nil
 }

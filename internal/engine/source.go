@@ -23,6 +23,12 @@ import (
 // basis, not the solution, because the basis is what a later solve
 // can cheaply re-verify against a source. The basis is nil on error
 // and for backends that do not surface one.
+//
+// The returned basis owns its rows: its support or tight set is copied
+// out of the source (and out of any arena a backend decoded into)
+// before it leaves, so keeping it keeps O(ν) constraints alive, never
+// the input it was solved from. Inside the solve nothing is copied;
+// the backends decode constraints that alias the source's rows.
 func (s *Spec[P, C, B]) SolveSourceBasis(backend string, dim int, objective []float64, src dataset.Source, opt Options) (Solution, Stats, any, error) {
 	var stats Stats
 	if err := opt.Check(); err != nil {
@@ -48,8 +54,9 @@ func (s *Spec[P, C, B]) SolveSourceBasis(backend string, dim int, objective []fl
 	switch backend {
 	case BackendRAM:
 		// The in-memory reference solver over the materialized source
-		// (zero-copy for memory-backed sources). The raw seed goes to
-		// the domain.
+		// (zero-copy for memory-backed sources, so the items alias the
+		// store until the basis is copied out below). The raw seed goes
+		// to the domain.
 		view, merr := dataset.Materialize(src)
 		if merr != nil {
 			return Solution{}, stats, nil, merr
@@ -102,8 +109,17 @@ func (s *Spec[P, C, B]) SolveSourceBasis(backend string, dim int, objective []fl
 	if err != nil {
 		return Solution{}, stats, nil, err
 	}
+	if o, ok := any(b).(owner[B]); ok {
+		b = o.Own()
+	}
 	return s.Render(dim, b), stats, b, nil
 }
+
+// owner is the method every kind's basis type implements: Own returns
+// the basis with its constraint rows copied into an allocation of its
+// own (lp.Basis.Own and its siblings). It lives on the basis rather
+// than the domain, so no wrapper around a domain can hide it.
+type owner[B any] interface{ Own() B }
 
 // VerifyBasisSource attempts a warm start from a previously computed
 // basis of the SAME instance rows: one verification pass over the

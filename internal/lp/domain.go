@@ -21,6 +21,16 @@ type Basis struct {
 	Tight []Halfspace
 }
 
+// Own returns b with its tight constraints copied into one allocation
+// of their own. A constraint decoded from a wire row aliases that row,
+// so a basis kept past its solve (a warm-start cache entry) would
+// otherwise keep the whole input it was solved from alive. The copy is
+// exact.
+func (b Basis) Own() Basis {
+	b.Tight = numeric.CloneRows(b.Tight, func(h *Halfspace) *[]float64 { return &h.A })
+	return b
+}
+
 // Domain adapts a linear program to the lptype.Domain interface,
 // providing the Tb (basis computation) and Tv (violation test)
 // primitives of Proposition 4.1. It is safe for concurrent use: Solve

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"sync"
 
 	"lowdimlp/internal/lptype"
@@ -50,8 +51,8 @@ func SeidelRows(p Problem, m int, fill func(i int, a []float64) float64, rng *ra
 	if len(p.Objective) != p.Dim {
 		return Solution{}, fmt.Errorf("lp: objective has %d coefficients, want %d", len(p.Objective), p.Dim)
 	}
-	w := workspaces.Get().(*workspace)
-	defer workspaces.Put(w)
+	w := getWorkspace()
+	defer putWorkspace(w)
 	w.load(p, m, fill, rng)
 	if err := w.solve(p.Dim, m); err != nil {
 		return Solution{}, err
@@ -97,7 +98,53 @@ type level struct {
 	x     []float64 // this level's current optimum
 }
 
-var workspaces = sync.Pool{New: func() any { return new(workspace) }}
+// Workspaces are reused between solves. A sync.Pool alone is emptied
+// by every second garbage collection, and a server whose live heap is
+// small collects after nearly every request: each large solve would
+// then re-grow its workspace (4.8 MB for 60 000 constraints at d = 3),
+// and that garbage would bring on the next collection. So up to one
+// workspace per CPU — at most GOMAXPROCS solves run at once — waits in
+// idleWorkspaces, which collections leave alone, as long as it holds at
+// most maxIdleValues numbers; the rest go to the pool as before. What
+// stays resident is bounded however large a solve once was.
+var (
+	workspaces     = sync.Pool{New: func() any { return new(workspace) }}
+	idleWorkspaces = make(chan *workspace, runtime.GOMAXPROCS(0))
+)
+
+// maxIdleValues bounds the workspaces idleWorkspaces keeps: 2^20
+// float64s, 8 MB.
+const maxIdleValues = 1 << 20
+
+func getWorkspace() *workspace {
+	select {
+	case w := <-idleWorkspaces:
+		return w
+	default:
+		return workspaces.Get().(*workspace)
+	}
+}
+
+func putWorkspace(w *workspace) {
+	if w.values() <= maxIdleValues {
+		select {
+		case idleWorkspaces <- w:
+			return
+		default:
+		}
+	}
+	workspaces.Put(w)
+}
+
+// values is the workspace's capacity in numbers, counting each int32
+// of perm as half a float64.
+func (w *workspace) values() int {
+	n := cap(w.perm) / 2
+	for _, l := range w.lv[:cap(w.lv)] {
+		n += cap(l.a) + cap(l.b) + cap(l.obj) + cap(l.scale) + cap(l.sub) + cap(l.x)
+	}
+	return n
+}
 
 // grow returns buf resliced to n entries, reallocating only when its
 // capacity is too small. The contents are unspecified.

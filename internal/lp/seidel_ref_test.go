@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -512,6 +513,26 @@ func TestSeidelAllocations(t *testing.T) {
 		if allocs > maxAllocs {
 			t.Errorf("lp.Domain.Solve d=5 m=%d: %.1f allocs (want ≤ %d) — sub-problems allocated per violation again?", m, allocs, maxAllocs)
 		}
+	}
+}
+
+// TestSeidelWorkspaceSurvivesGC: a solve right after two collections,
+// which empty a sync.Pool, still finds its workspace (idleWorkspaces),
+// so it makes the warm solve's few allocations instead of re-growing
+// ≈ 40 buffers. lpserved's frontend collects about once a request.
+func TestSeidelWorkspaceSurvivesGC(t *testing.T) {
+	const maxAllocs = 10
+	p, cons := refInstance(famSphere, 3, 5000, 1)
+	dom := NewDomain(p, 1)
+	allocs := testing.AllocsPerRun(10, func() {
+		runtime.GC()
+		runtime.GC()
+		if _, err := dom.Solve(cons); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > maxAllocs {
+		t.Fatalf("lp.Domain.Solve after two GCs: %.1f allocs (want ≤ %d) — workspace re-grown?", allocs, maxAllocs)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"lowdimlp/internal/lptype"
+	"lowdimlp/internal/numeric"
 )
 
 // Basis is the LP-type basis for MEB: the minimum enclosing ball of the
@@ -14,6 +15,15 @@ import (
 type Basis struct {
 	B       Ball
 	Support []Point
+}
+
+// Own returns b with its support points copied into one allocation of
+// their own. A point decoded from a wire row is that row, so a basis
+// kept past its solve (a warm-start cache entry) would otherwise keep
+// the whole input it was solved from alive. The copy is exact.
+func (b Basis) Own() Basis {
+	b.Support = numeric.CloneRows(b.Support, func(p *Point) *[]float64 { return (*[]float64)(p) })
+	return b
 }
 
 // Domain adapts minimum enclosing ball to the lptype.Domain interface

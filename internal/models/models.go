@@ -70,14 +70,14 @@ var LP = &engine.Spec[lp.Problem, lp.Halfspace, lp.Basis]{
 			Family: "sphere",
 			Doc:    "sphere-tangent random constraints, Gaussian objective",
 			Make: func(p engine.GenParams) engine.Instance {
-				return lpInstance(workload.SphereLP(p.D, p.N, p.Seed))
+				return lpInstance(workload.SphereLPRows(p.D, p.N, p.Seed))
 			},
 		},
 		{
 			Family: "box",
 			Doc:    "rotated box facets plus redundant supporting halfspaces",
 			Make: func(p engine.GenParams) engine.Instance {
-				return lpInstance(workload.BoxLP(p.D, p.N, p.Seed))
+				return lpInstance(workload.BoxLPRows(p.D, p.N, p.Seed))
 			},
 		},
 		{
@@ -96,15 +96,14 @@ var LP = &engine.Spec[lp.Problem, lp.Halfspace, lp.Basis]{
 				}
 				// D is coefficients+error-bound; samples come in pairs, so
 				// N counts constraints and the generator gets ⌈N/2⌉ samples.
-				prob, cons, _ := workload.ChebyshevRegression(p.D-2, (p.N+1)/2, noise, p.Seed)
-				return lpInstance(prob, cons)
+				obj, rows, _ := workload.ChebyshevRows(p.D-2, (p.N+1)/2, noise, p.Seed)
+				return lpInstance(obj, rows)
 			},
 		},
 	},
 }
 
-// lpRow appends one halfspace's wire row a_1…a_d b to dst — the
-// single definition shared by the Spec codec and the generators.
+// lpRow appends one halfspace's wire row a_1…a_d b to dst.
 func lpRow(_ int, dst []float64, h lp.Halfspace) []float64 {
 	return append(append(dst, h.A...), h.B)
 }
@@ -114,13 +113,10 @@ func svmRow(_ int, dst []float64, e svm.Example) []float64 {
 	return append(append(dst, e.X...), e.Y)
 }
 
-func lpInstance(prob lp.Problem, cons []lp.Halfspace) engine.Instance {
-	inst := engine.Instance{Dim: prob.Dim, Objective: prob.Objective}
-	inst.Rows = make([][]float64, len(cons))
-	for i, c := range cons {
-		inst.Rows[i] = lpRow(prob.Dim, make([]float64, 0, prob.Dim+1), c)
-	}
-	return inst
+// lpInstance is a generated LP's instance: the generators' wire rows
+// a_1…a_d b are the instance's rows as they are.
+func lpInstance(obj []float64, rows [][]float64) engine.Instance {
+	return engine.Instance{Dim: len(obj), Objective: obj, Rows: rows}
 }
 
 // SVM is the hard-margin support-vector-machine kind (§4.2).
@@ -171,12 +167,8 @@ var SVM = &engine.Spec[int, svm.Example, svm.Basis]{
 				if margin == 0 {
 					margin = 0.5
 				}
-				exs, _ := workload.SeparableSVM(p.D, p.N, margin, p.Seed)
-				inst := engine.Instance{Dim: p.D, Rows: make([][]float64, len(exs))}
-				for i, e := range exs {
-					inst.Rows[i] = svmRow(p.D, make([]float64, 0, p.D+1), e)
-				}
-				return inst
+				rows, _ := workload.SeparableSVMRows(p.D, p.N, margin, p.Seed)
+				return engine.Instance{Dim: p.D, Rows: rows}
 			},
 		},
 	},
@@ -233,11 +225,6 @@ var MEB = &engine.Spec[int, meb.Point, meb.Basis]{
 
 func mebFamily(kind workload.MEBKind) func(engine.GenParams) engine.Instance {
 	return func(p engine.GenParams) engine.Instance {
-		pts := workload.MEBCloud(kind, p.D, p.N, p.Seed)
-		inst := engine.Instance{Dim: p.D, Rows: make([][]float64, len(pts))}
-		for i, pt := range pts {
-			inst.Rows[i] = pt
-		}
-		return inst
+		return engine.Instance{Dim: p.D, Rows: workload.MEBCloudRows(kind, p.D, p.N, p.Seed)}
 	}
 }

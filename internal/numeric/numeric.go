@@ -96,6 +96,69 @@ func NewRand(seed1, seed2 uint64) *rand.Rand {
 	return rand.New(rand.NewPCG(seed1, seed2))
 }
 
+// RowRand is one PCG generator re-seeded for every row a generator
+// draws. Generators seed row i on its own (so a single row can be
+// regenerated without the rest), and a rand.Rand keeps no state beyond
+// its source, so after Seed(s1, s2) the stream equals NewRand(s1, s2)'s
+// without two allocations per row.
+type RowRand struct {
+	pcg rand.PCG
+	rng *rand.Rand
+}
+
+// NewRowRand returns a RowRand; call Seed before drawing.
+func NewRowRand() *RowRand {
+	r := &RowRand{}
+	r.rng = rand.New(&r.pcg)
+	return r
+}
+
+// Seed re-seeds the generator and returns it, now drawing the stream
+// NewRand(seed1, seed2) would.
+func (r *RowRand) Seed(seed1, seed2 uint64) *rand.Rand {
+	r.pcg.Seed(seed1, seed2)
+	return r.rng
+}
+
+// Rows returns n zeroed rows of width numbers, back to back in one
+// backing array: two allocations for any n.
+func Rows(n, width int) [][]float64 {
+	flat := make([]float64, n*width)
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = flat[i*width : (i+1)*width : (i+1)*width]
+	}
+	return rows
+}
+
+// CloneRows returns a copy of items whose float rows — the field row
+// points at — are copied back to back into one new array, so the copy
+// aliases none of the memory the items' rows did. A nil row stays nil;
+// a nil or empty items stays nil or empty. The copy is exact.
+func CloneRows[T any](items []T, row func(*T) *[]float64) []T {
+	if len(items) == 0 {
+		if items == nil {
+			return nil
+		}
+		return []T{}
+	}
+	out := make([]T, len(items))
+	copy(out, items)
+	total := 0
+	for i := range out {
+		total += len(*row(&out[i]))
+	}
+	flat := make([]float64, 0, total)
+	for i := range out {
+		if r := row(&out[i]); *r != nil {
+			lo := len(flat)
+			flat = append(flat, *r...)
+			*r = flat[lo:len(flat):len(flat)]
+		}
+	}
+	return out
+}
+
 // Norm2 returns the Euclidean norm of v.
 func Norm2(v []float64) float64 {
 	var s float64

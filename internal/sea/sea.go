@@ -82,6 +82,15 @@ type Basis struct {
 	Support []Point
 }
 
+// Own returns b with its support points copied into one allocation of
+// their own. A point decoded from a wire row is that row, so a basis
+// kept past its solve (a warm-start cache entry) would otherwise keep
+// the whole input it was solved from alive. The copy is exact.
+func (b Basis) Own() Basis {
+	b.Support = numeric.CloneRows(b.Support, func(p *Point) *[]float64 { return (*[]float64)(p) })
+	return b
+}
+
 // IsEmpty reports whether b is the basis of the empty point set.
 func (b Basis) IsEmpty() bool { return b.X == nil }
 

@@ -1,6 +1,8 @@
 package sea
 
 import (
+	"math/rand/v2"
+
 	"lowdimlp/internal/comm"
 	"lowdimlp/internal/engine"
 	"lowdimlp/internal/lptype"
@@ -43,8 +45,9 @@ var Spec = &engine.Spec[int, Point, Basis]{
 			Family: "ring",
 			Doc:    "points in a planted spherical shell (noise = relative thickness, default 0.1)",
 			Make: func(p engine.GenParams) engine.Instance {
-				return pointInstance(p.D, p.N, func(i int) Point {
-					return RingAt(p.D, p.Seed, thickness(p.Noise), i)
+				th := thickness(p.Noise)
+				return pointInstance(p.D, p.N, func(pt []float64, rr *numeric.RowRand, i int) {
+					ringPoint(pt, th, rr.Seed(ringSeeds(p.Seed, i)))
 				})
 			},
 		},
@@ -52,8 +55,8 @@ var Spec = &engine.Spec[int, Point, Basis]{
 			Family: "gaussian",
 			Doc:    "standard Gaussian cloud",
 			Make: func(p engine.GenParams) engine.Instance {
-				return pointInstance(p.D, p.N, func(i int) Point {
-					return GaussianAt(p.D, p.Seed, i)
+				return pointInstance(p.D, p.N, func(pt []float64, rr *numeric.RowRand, i int) {
+					gaussianPoint(pt, rr.Seed(gaussianSeeds(p.Seed, i)))
 				})
 			},
 		},
@@ -67,10 +70,13 @@ func thickness(noise float64) float64 {
 	return noise
 }
 
-func pointInstance(d, n int, at func(i int) Point) engine.Instance {
-	rows := make([][]float64, n)
-	for i := range rows {
-		rows[i] = at(i)
+// pointInstance fills n points in R^d, back to back in one array, with
+// one generator re-seeded per point: fill(pt, rr, i) writes point i.
+func pointInstance(d, n int, fill func(pt []float64, rr *numeric.RowRand, i int)) engine.Instance {
+	rows := numeric.Rows(n, d)
+	rr := numeric.NewRowRand()
+	for i, row := range rows {
+		fill(row, rr, i)
 	}
 	return engine.Instance{Dim: d, Rows: rows}
 }
@@ -80,8 +86,16 @@ func pointInstance(d, n int, at func(i int) Point) engine.Instance {
 // [R₀(1−thickness), R₀] (R₀ = 5) around the all-ones center, so the
 // optimal annulus is planted and non-trivial.
 func RingAt(d int, seed uint64, thickness float64, i int) Point {
-	rng := numeric.NewRand(seed^0x5ea71, uint64(i)+1)
 	p := make(Point, d)
+	ringPoint(p, thickness, numeric.NewRand(ringSeeds(seed, i)))
+	return p
+}
+
+// ringSeeds are the generator seeds of ring point i.
+func ringSeeds(seed uint64, i int) (uint64, uint64) { return seed ^ 0x5ea71, uint64(i) + 1 }
+
+// ringPoint fills p with one ring point drawn from rng.
+func ringPoint(p []float64, thickness float64, rng *rand.Rand) {
 	for j := range p {
 		p[j] = rng.NormFloat64()
 	}
@@ -95,15 +109,21 @@ func RingAt(d int, seed uint64, thickness float64, i int) Point {
 	for j := range p {
 		p[j] = 1 + p[j]/nrm*rad
 	}
-	return p
 }
 
 // GaussianAt regenerates point i of the gaussian family.
 func GaussianAt(d int, seed uint64, i int) Point {
-	rng := numeric.NewRand(seed^0x5ea99, uint64(i)+1)
 	p := make(Point, d)
+	gaussianPoint(p, numeric.NewRand(gaussianSeeds(seed, i)))
+	return p
+}
+
+// gaussianSeeds are the generator seeds of gaussian point i.
+func gaussianSeeds(seed uint64, i int) (uint64, uint64) { return seed ^ 0x5ea99, uint64(i) + 1 }
+
+// gaussianPoint fills p with one standard Gaussian point drawn from rng.
+func gaussianPoint(p []float64, rng *rand.Rand) {
 	for j := range p {
 		p[j] = rng.NormFloat64()
 	}
-	return p
 }

@@ -109,6 +109,12 @@ func (c *Cache) Put(key string, result *SolveResult, stats *StatsPayload) {
 // and a result eviction never takes the far cheaper basis with it.
 // All methods are nil-safe — a nil *BasisCache is a disabled cache —
 // and a nil basis is never stored.
+//
+// An entry owns its rows: engine.SolveSourceBasis, the one road by
+// which a basis reaches putBasis, copies the support or tight set out
+// of the solve's input, so an entry holds O(ν) constraints (a few
+// hundred bytes at d = 3) and never the request's store or a backend's
+// arena. TestCachedBasisSharesNoRowsWithItsRequest pins that.
 type BasisCache = lru[any]
 
 // NewBasisCache returns a basis LRU holding up to cap bases; cap ≤ 0

@@ -76,7 +76,9 @@ func newKindStore(m engine.Model, dim int) *dataset.Store {
 // the resource stats of the model that ran, and the raw final basis
 // (for the warm-start cache; nil on error). There is deliberately no
 // per-kind code here: the registry entry carries everything, and the
-// solve scans the columnar arena directly.
+// solve scans the columnar arena directly. The basis owns its rows
+// (SolveSourceBasis copies them out), so caching it does not keep
+// r.data alive.
 func runSolve(r *SolveRequest) (*SolveResult, *StatsPayload, any, error) {
 	m, err := r.model()
 	if err != nil {

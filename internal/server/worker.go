@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -330,7 +331,10 @@ func (w *Worker) handleStep(rw http.ResponseWriter, r *http.Request) {
 	}
 	send := func(enc []byte) {
 		w.metrics.BytesOut.Add(int64(len(enc)))
+		// The declared length lets the transport read the reply into
+		// one buffer of its size (httptransport.exchangeTimeout).
 		rw.Header().Set("Content-Type", "application/octet-stream")
+		rw.Header().Set("Content-Length", strconv.Itoa(len(enc)))
 		rw.Write(enc)
 	}
 	reply := func(session uint64, payload []byte) { send(encode(session, payload)) }

@@ -18,6 +18,11 @@ import (
 //
 // Its results are pinned bit-identical to the typed per-item reference
 // loop the package tests keep (ref_test.go).
+//
+// The returned basis may alias the source's rows (the direct path
+// decodes a memory-backed source in place) or the solver's net arena:
+// a caller that keeps it past the source, or wants the source freed,
+// copies its rows first, as engine.SolveSourceBasis does.
 func SolveDataset[C, B any](ra lptype.RowAccess[C, B], src dataset.Source, opt Options) (B, Stats, error) {
 	dom := ra.Domain()
 	n := src.Rows()

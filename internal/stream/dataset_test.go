@@ -72,17 +72,29 @@ func TestSolveDatasetMatchesSlice(t *testing.T) {
 		t.Fatalf("stats drift: %+v vs %+v", wantStats, gotStats)
 	}
 	// Batch size must not change anything (it only affects cursor
-	// mechanics, never arithmetic or RNG order): SolveDataset's run
-	// again, over a 7-row buffer.
-	p := core.NewParams(n, dom.CombinatorialDim(), dom.VCDim(), opt.Core)
-	s := newScanner(mebAccess(d), st, p, opt)
-	s.batch = s.batch[:7]
-	got2, _, err := core.Run(p, s, dom.Solve)
+	// mechanics, never arithmetic or RNG order): a sampled run, and
+	// the same run again over a 7-row buffer. (The run above is on the
+	// direct path, which reads the store in place and has no batches.)
+	const bigN = 20000
+	big := cloud(bigN, d, 42)
+	opt = Options{Core: core.Options{R: 2, Seed: 7, NetConst: 0.1}}
+	want2, wantStats2, err := SolveDataset(mebAccess(d), big, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got2.B.R2 != want.B.R2 {
-		t.Fatalf("batch=7 radius² %v, want %v", got2.B.R2, want.B.R2)
+	p := core.NewParams(bigN, dom.CombinatorialDim(), dom.VCDim(), opt.Core)
+	if p.Direct {
+		t.Fatalf("n=%d is on the direct path: the batch check needs a sampled run", bigN)
+	}
+	s := newScanner(mebAccess(d), big, p, opt)
+	s.batch = s.batch[:7]
+	got2, rs, err := core.Run(p, s, dom.Solve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got2.B.R2 != want2.B.R2 || rs != wantStats2.RunStats || s.stats.ItemsScanned != wantStats2.ItemsScanned {
+		t.Fatalf("batch=7: radius² %v, %+v, %d scanned; want %v, %+v, %d",
+			got2.B.R2, rs, s.stats.ItemsScanned, want2.B.R2, wantStats2.RunStats, wantStats2.ItemsScanned)
 	}
 }
 
@@ -108,6 +120,18 @@ func TestEmptyPassIsErrEmptyStream(t *testing.T) {
 		Options{Core: core.Options{R: 3, NetConst: 0.5}})
 	if !errors.Is(err, ErrEmptyStream) || stats.Passes != 1 || stats.DirectSolve {
 		t.Fatalf("error %v, %+v; want ErrEmptyStream after one sampled pass", err, stats)
+	}
+}
+
+// TestDirectShortSourceIsErrRowCount: on the direct path (n ≤ 2m+1) a
+// source whose pass yields fewer rows than it declares is an error,
+// dataset.ErrRowCount, not a solve of the rows it did yield.
+func TestDirectShortSourceIsErrRowCount(t *testing.T) {
+	const d = 2
+	_, stats, err := SolveDataset(mebAccess(d), hollowSource{rows: 40, width: d},
+		Options{Core: core.Options{R: 2, NetConst: 0.5}})
+	if !errors.Is(err, dataset.ErrRowCount) || stats.NetSize != 40 { // m = n: the direct path
+		t.Fatalf("error %v, %+v; want ErrRowCount on the direct path", err, stats)
 	}
 }
 

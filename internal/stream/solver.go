@@ -45,7 +45,10 @@ type scanner[C, B any] struct {
 	p        core.Params
 	rng      *rand.Rand
 
-	// The one cursor every pass rewinds, and its batch buffer.
+	// The source, the one cursor every pass rewinds, and its batch
+	// buffer (the direct path opens neither: it reads the source
+	// through dataset.Materialize).
+	src   dataset.Source
 	cur   dataset.Cursor
 	batch []dataset.Row
 
@@ -64,9 +67,6 @@ type scanner[C, B any] struct {
 	// iteration failed (weights unchanged), wSucc if it succeeded.
 	nextTotal float64
 	seen      int // rows of the current pass 0 so far: its running total
-	// Direct-solve state (n ≤ 2m+1).
-	items []C
-	arena []float64
 	// Fused-pass state; pending is nil in pass 0. wSucc sums the
 	// weights the next pass will see if this iteration succeeds: the
 	// pending basis's violators one exponent up.
@@ -86,11 +86,11 @@ type scanner[C, B any] struct {
 // newScanner builds the substrate for a source of n ≥ 1 rows, with the
 // run's parameters.
 func newScanner[C, B any](ra lptype.RowAccess[C, B], src dataset.Source, p core.Params, opt Options) *scanner[C, B] {
-	s := &scanner[C, B]{ra: ra, opt: opt, n: src.Rows(), width: src.Width(), p: p,
-		cur: src.NewCursor(), batch: make([]dataset.Row, dataset.DefaultBatchRows)}
+	s := &scanner[C, B]{ra: ra, opt: opt, n: src.Rows(), width: src.Width(), p: p, src: src}
 	if p.Direct {
 		return s
 	}
+	s.cur, s.batch = src.NewCursor(), make([]dataset.Row, dataset.DefaultBatchRows)
 	s.rng = numeric.NewRand(opt.Core.Seed, 0x57124)
 	s.net = sampling.NewKnownTotal(p.M, s.width, s.rng)
 	s.viol = sampling.NewRowReservoir(p.M, s.width, s.rng)
@@ -174,15 +174,25 @@ func (s *scanner[C, B]) Sample(success bool, net []C) error {
 	return nil
 }
 
-// All is the direct pass: every row, copied and decoded.
+// All is the direct pass: every row, decoded where it lies.
+// dataset.Materialize reads a memory-backed source in place and copies
+// a file-backed one into a fresh store (a short one is an error), so
+// the items alias rows that outlive the solve, and the returned basis
+// may too: engine.SolveSourceBasis copies its rows out before the
+// basis leaves the engine. The pass is counted as one scan of n rows.
 func (s *scanner[C, B]) All() ([]C, error) {
-	s.items = make([]C, 0, s.n)
-	if err := s.scan(); err != nil {
+	view, err := dataset.Materialize(s.src)
+	if err != nil {
 		return nil, err
 	}
+	items := make([]C, view.Rows())
+	for i := range items {
+		items[i] = s.ra.Item(view.Row(i))
+	}
+	s.stats.ItemsScanned += int64(len(items))
 	s.stats.Passes++
 	s.stats.trackSpace(s.opt, s.n, 0)
-	return s.items, nil
+	return items, nil
 }
 
 // scan is one pass's read: the cursor rewound, then every batch, in
@@ -203,10 +213,10 @@ func (s *scanner[C, B]) scan() error {
 
 // rowBlock feeds one scanned batch to the armed pass. The rows are
 // borrowed views, valid only for the call; anything kept (sampled
-// slots, the block's last row, direct-solve items) is copied. The
-// fused pass takes its violation decisions from whole-block
-// ViolatesBlock calls — the domain's kernels, or RowAccess's counted
-// per-row loop for kernel-less domains — and then performs the Kahan
+// slots, the block's last row) is copied. The fused pass takes its
+// violation decisions from whole-block ViolatesBlock calls — the
+// domain's kernels, or RowAccess's counted per-row loop for
+// kernel-less domains — and then performs the Kahan
 // accumulations, the violators' reservoir offers and the sample-point
 // compares row by row in source order, so neither the batch boundaries
 // nor the kernel class can change the RNG stream, the basis or the
@@ -217,16 +227,6 @@ func (s *scanner[C, B]) rowBlock(rows []dataset.Row) {
 	}
 	s.stats.ItemsScanned += int64(len(rows))
 	switch {
-	case s.p.Direct:
-		for _, row := range rows {
-			w := len(row)
-			if cap(s.arena)-len(s.arena) < w {
-				s.arena = make([]float64, 0, max(s.n*w/4+w, 1024))
-			}
-			lo := len(s.arena)
-			s.arena = append(s.arena, row...)
-			s.items = append(s.items, s.ra.Item(s.arena[lo:lo+w:lo+w]))
-		}
 	case s.pending == nil:
 		for _, row := range rows {
 			s.seen++

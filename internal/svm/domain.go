@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"lowdimlp/internal/lptype"
+	"lowdimlp/internal/numeric"
 )
 
 // Basis is the LP-type basis for hard-margin SVM: the optimal normal
@@ -15,6 +16,15 @@ import (
 type Basis struct {
 	Sol     Solution
 	Support []Example
+}
+
+// Own returns b with its support vectors copied into one allocation of
+// their own. An example decoded from a wire row aliases that row, so a
+// basis kept past its solve (a warm-start cache entry) would otherwise
+// keep the whole input it was solved from alive. The copy is exact.
+func (b Basis) Own() Basis {
+	b.Support = numeric.CloneRows(b.Support, func(e *Example) *[]float64 { return &e.X })
+	return b
 }
 
 // Domain adapts the hard-margin SVM to the lptype.Domain interface
