@@ -244,6 +244,34 @@ func pivotCall(body *ast.BlockStmt) bool {
 	return ok && expr(callee(c.Fun)) == "lptype.SolvePivot"
 }
 
+// decodesInLoop reports whether body reads float64s from bytes in a
+// loop: a math.Float64frombits call inside a for or range statement.
+func decodesInLoop(body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.ForStmt:
+			found = found || callsIn(n.Body, "math.Float64frombits")
+		case *ast.RangeStmt:
+			found = found || callsIn(n.Body, "math.Float64frombits")
+		}
+		return !found
+	})
+	return found
+}
+
+// callsIn reports whether body calls the function rendered as fn.
+func callsIn(body *ast.BlockStmt, fn string) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if c, ok := n.(*ast.CallExpr); ok && expr(c.Fun) == fn {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
 func oneOf(s string, set ...string) bool {
 	for _, x := range set {
 		if s == x {
@@ -677,6 +705,55 @@ var guards = []guard{
 			{path: "internal/lpstat/seed.go", bites: true, src: "package lpstat\nfunc f() { _ = m.Sum(\"lpserved_jobs_shed_total\") }\n"},
 			{path: "internal/lpstat/seed2.go", bites: false, src: "package lpstat\nconst rule = \"frontend-basis-cache-cold\"\n"},
 			{path: "internal/server/seed4.go", bites: false, src: "package server\nconst state = \"queued\"\n"},
+		},
+	},
+	{
+		// A constraint crosses the wire as its row, through
+		// comm.RowCodec: no kind declares an item codec of its own, the
+		// engine Spec has no ItemCodec field, and the one function that
+		// decodes wire rows (float64s read in a loop) is in comm. Basis
+		// codecs stay per kind; dataset files have their own reader.
+		step: "wire", name: "one constraint codec", design: "§9",
+		in: []string{"cmd/...", "internal/...", "lowdimlp.go"}, out: []string{"internal/dataset/..."},
+		match: func(n ast.Node) (string, bool) {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				if oneOf(n.Name.Name, "HalfspaceCodec", "ExampleCodec", "PointCodec") {
+					return "type " + n.Name.Name, true
+				}
+				if st, ok := n.Type.(*ast.StructType); ok && n.Name.Name == "Spec" {
+					for _, f := range st.Fields.List {
+						for _, id := range f.Names {
+							if id.Name == "ItemCodec" {
+								return "Spec field ItemCodec", true
+							}
+						}
+					}
+				}
+			case *ast.FuncDecl:
+				fn := n.Name.Name
+				if n.Recv != nil {
+					fn = expr(n.Recv.List[0].Type) + "." + fn
+				}
+				if n.Body != nil && !strings.Contains(fn, "BasisCodec.") {
+					return "row decoder " + fn, decodesInLoop(n.Body)
+				}
+			}
+			return "", false
+		},
+		want: 1, home: "internal/comm",
+		seeds: []seed{
+			{path: "internal/meb/seed.go", bites: true, src: "package meb\ntype PointCodec struct{ Dim int }\n"},
+			{path: "internal/engine/seed.go", bites: true,
+				src: "package engine\ntype Spec[P, C, B any] struct {\n\tItemCodec func(dim int) comm.Codec[C]\n}\n"},
+			{path: "internal/svm/seed.go", bites: true,
+				src: "package svm\nfunc (c exampleCodec) Decode(src []byte) (Example, int, error) {\n\tx := make([]float64, c.Dim)\n\tfor i := range x {\n\t\tx[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))\n\t}\n\treturn Example{X: x}, 8 * c.Dim, nil\n}\n"},
+			{path: "internal/coordinator/seed.go", bites: true,
+				src: "package coordinator\nfunc decodeReply(rep []byte, arena []float64) {\n\tfor i := range arena {\n\t\tarena[i] = math.Float64frombits(binary.LittleEndian.Uint64(rep[8*i:]))\n\t}\n}\n"},
+			{path: "internal/lp/seed.go", bites: false,
+				src: "package lp\ntype BasisCodec struct{ Dim int }\nfunc (c BasisCodec) Decode(src []byte) (Basis, int, error) {\n\tx := make([]float64, c.Dim)\n\tfor i := range x {\n\t\tx[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))\n\t}\n\treturn Basis{Sol: Solution{X: x}}, 8 * c.Dim, nil\n}\n"},
+			{path: "internal/dataset/seed.go", bites: false,
+				src: "package dataset\nfunc fill(dst []float64, raw []byte) {\n\tfor j := range dst {\n\t\tdst[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*j:]))\n\t}\n}\n"},
 		},
 	},
 	{

@@ -1,6 +1,8 @@
-// Package comm provides the Codec interface shared by the coordinator
-// (internal/coordinator) and MPC (internal/mpc) substrates, and the
-// coordinator's message framing and communication Meter.
+// Package comm provides the codecs shared by the coordinator
+// (internal/coordinator) and MPC (internal/mpc) substrates — the one
+// constraint codec, RowCodec, and the Codec interface the per-kind
+// basis codecs implement — and the coordinator's message framing and
+// communication Meter.
 //
 // The quantities the paper bounds — total communication in the
 // coordinator model, per-machine load in MPC — are combinatorial
@@ -17,9 +19,9 @@ import (
 	"sync"
 )
 
-// Codec serializes values of type T for transport. The lp, svm and meb
-// packages provide implementations for their constraint and basis
-// types (structurally — they do not import this package).
+// Codec serializes values of type T for transport. Constraints use
+// RowCodec; each kind package (lp, svm, meb, sea) implements it for
+// its basis type (structurally — they do not import this package).
 type Codec[T any] interface {
 	// Append serializes v onto dst and returns the extended slice.
 	Append(dst []byte, v T) []byte

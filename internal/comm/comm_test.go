@@ -117,8 +117,12 @@ func TestBufferErrors(t *testing.T) {
 }
 
 func TestBufferCodecValue(t *testing.T) {
-	// Halfspace codec through the generic Buffer value path.
-	var c Codec[lp.Halfspace] = lp.HalfspaceCodec{Dim: 2}
+	// The halfspace row codec through the generic Buffer value path.
+	var c Codec[lp.Halfspace] = RowCodec[lp.Halfspace]{
+		Width: 3,
+		Item:  func(row []float64) lp.Halfspace { return lp.Halfspace{A: row[:2], B: row[2]} },
+		Row:   func(dst []float64, h lp.Halfspace) []float64 { return append(append(dst, h.A...), h.B) },
+	}
 	b := NewBuffer()
 	h := lp.Halfspace{A: []float64{1, -2}, B: 3}
 	PutValue(b, c, h)

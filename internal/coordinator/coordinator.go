@@ -115,12 +115,12 @@ const (
 // dropped, file-backed scan cursors released).
 func Solve[C, B any](
 	dom lptype.Domain[C, B], sites []*lptype.SiteWeights[C, B],
-	ccodec comm.Codec[C], bcodec comm.Codec[B],
+	ccodec comm.RowCodec[C], bcodec comm.Codec[B],
 	opt Options,
 ) (B, Stats, error) {
 	tr := &localTransport[C, B]{sites: make([]*protoSite[C, B], len(sites))}
 	for i, w := range sites {
-		tr.sites[i] = newProtoSite(w, ccodec, bcodec)
+		tr.sites[i] = newProtoSite(w, bcodec)
 	}
 	defer func() {
 		for _, s := range tr.sites {
@@ -136,9 +136,11 @@ func Solve[C, B any](
 // flies, so the reported Stats are the exact on-the-wire protocol
 // bytes; for equal inputs, seeds and options the driver produces
 // bit-identical bases, solutions and meter totals on every transport.
+// Constraints cross as their rows: ccodec decodes each round-B and
+// ship-all reply into one arena per site.
 func SolveTransport[C, B any](
 	dom lptype.Domain[C, B], tr comm.Transport,
-	ccodec comm.Codec[C], bcodec comm.Codec[B],
+	ccodec comm.RowCodec[C], bcodec comm.Codec[B],
 	opt Options,
 ) (B, Stats, error) {
 	var zero B
@@ -197,7 +199,7 @@ func SolveTransport[C, B any](
 // and a failing round is metered the same on every transport.
 type star[C, B any] struct {
 	tr     comm.Transport
-	ccodec comm.Codec[C]
+	ccodec comm.RowCodec[C]
 	bcodec comm.Codec[B]
 	meter  *comm.Meter
 	trace  *obs.Trace
@@ -299,14 +301,8 @@ func (s *star[C, B]) roundB(i, round int, success bool, picked []C) error {
 		sp.EndBytes(int64(req.Len()))
 		return nil
 	}
-	buf := comm.FromBytes(rep)
-	for t := range picked {
-		if picked[t], err = comm.Value(buf, s.ccodec); err != nil {
-			return protocolError(sp, i, comm.FrameRoundB, "sampled item %d: %v", t, err)
-		}
-	}
-	if buf.Remaining() != 0 {
-		return protocolError(sp, i, comm.FrameRoundB, "%d trailing bytes in round B reply", buf.Remaining())
+	if _, err := s.ccodec.DecodeRows(picked, rep); err != nil {
+		return protocolError(sp, i, comm.FrameRoundB, "round B reply: %v", err)
 	}
 	s.meter.Charge(8 * len(rep))
 	sp.EndBytes(int64(req.Len() + len(rep)))
@@ -340,18 +336,11 @@ func (s *star[C, B]) shipAll(i int, items []C) error {
 		sp.EndErr(err, comm.ErrorClass(err))
 		return err
 	}
-	buf := comm.FromBytes(rep)
-	var bits int64
-	for j := range items {
-		if items[j], err = comm.Value(buf, s.ccodec); err != nil {
-			s.meter.ChargeN(j, bits)
-			return protocolError(sp, i, comm.FrameShipAll, "ship-all item %d: %v", j, err)
-		}
-		bits += int64(s.ccodec.Bits(items[j]))
-	}
-	s.meter.ChargeN(len(items), bits)
-	if buf.Remaining() != 0 {
-		return protocolError(sp, i, comm.FrameShipAll, "%d trailing bytes in ship-all reply", buf.Remaining())
+	n, err := s.ccodec.DecodeRows(items, rep)
+	var c C
+	s.meter.ChargeN(n, int64(n)*int64(s.ccodec.Bits(c)))
+	if err != nil {
+		return protocolError(sp, i, comm.FrameShipAll, "ship-all reply: %v", err)
 	}
 	sp.EndBytes(int64(len(rep)))
 	return nil

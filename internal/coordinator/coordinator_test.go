@@ -43,43 +43,38 @@ func partition[C any](items []C, k int) [][]C {
 	return parts
 }
 
-func lpCodecs(d int) (comm.Codec[lp.Halfspace], comm.Codec[lp.Basis]) {
-	return lp.HalfspaceCodec{Dim: d}, lp.BasisCodec{Dim: d}
+// lpCodecs are lp's codecs, the row codec spelled out as the engine
+// registers it: Spec.ItemCodec is out of this package's reach (import
+// cycle).
+func lpCodecs(d int) (comm.RowCodec[lp.Halfspace], comm.Codec[lp.Basis]) {
+	return comm.RowCodec[lp.Halfspace]{
+		Width: d + 1,
+		Item:  func(row []float64) lp.Halfspace { return lp.Halfspace{A: row[:d], B: row[d]} },
+		Row:   func(dst []float64, h lp.Halfspace) []float64 { return append(append(dst, h.A...), h.B) },
+	}, lp.BasisCodec{Dim: d}
+}
+
+// svmCodecs are svm's codecs, spelled out like lpCodecs.
+func svmCodecs(d int) (comm.RowCodec[svm.Example], comm.Codec[svm.Basis]) {
+	return comm.RowCodec[svm.Example]{
+		Width: d + 1,
+		Item:  func(row []float64) svm.Example { return svm.Example{X: row[:d], Y: row[d]} },
+		Row:   func(dst []float64, e svm.Example) []float64 { return append(append(dst, e.X...), e.Y) },
+	}, svm.BasisCodec{Dim: d}
 }
 
 // solveTyped is the tests' typed entry point, built the way the
 // engine builds its own: every part is encoded into its own columnar
-// store (explicit, possibly empty or skewed partitions stay explicit)
-// and the protocol runs over the views. The two kinds these tests use
-// share the layout "coordinates, then one scalar".
-func solveTyped[C, B any](dom lptype.Domain[C, B], parts [][]C, cc comm.Codec[C], bc comm.Codec[B], opt Options) (B, Stats, error) {
-	d := dom.CombinatorialDim() - 1 // ν = d+1 for lp and svm
-	encode := func(dst []float64, c C) []float64 {
-		switch v := any(c).(type) {
-		case lp.Halfspace:
-			return append(append(dst, v.A...), v.B)
-		case svm.Example:
-			return append(append(dst, v.X...), v.Y)
-		}
-		panic("solveTyped: unknown constraint type")
-	}
-	decode := func(row []float64) C {
-		var c C
-		switch any(c).(type) {
-		case lp.Halfspace:
-			return any(lp.Halfspace{A: row[:d], B: row[d]}).(C)
-		case svm.Example:
-			return any(svm.Example{X: row[:d], Y: row[d]}).(C)
-		}
-		panic("solveTyped: unknown constraint type")
-	}
-	ra := lptype.NewRowAccess(dom, decode)
+// store through the row codec (explicit, possibly empty or skewed
+// partitions stay explicit) and the protocol runs over the views.
+func solveTyped[C, B any](dom lptype.Domain[C, B], parts [][]C, cc comm.RowCodec[C], bc comm.Codec[B], opt Options) (B, Stats, error) {
+	ra := lptype.NewRowAccess(dom, cc.Item)
 	sites := make([]*lptype.SiteWeights[C, B], len(parts))
 	var row []float64
 	for i, part := range parts {
-		st := dataset.NewStore(d + 1)
+		st := dataset.NewStore(cc.Width)
 		for _, c := range part {
-			row = encode(row[:0], c)
+			row = cc.Row(row[:0], c)
 			st.AppendRow(row)
 		}
 		sites[i] = lptype.NewSiteWeights(ra, st)
@@ -239,8 +234,8 @@ func TestCoordinatorK2SVM(t *testing.T) {
 		exs = append(exs, svm.Example{X: x, Y: y})
 	}
 	dom := svm.NewDomain(d)
-	got, stats, err := solveTyped(dom, partition(exs, 2),
-		svm.ExampleCodec{Dim: d}, svm.BasisCodec{Dim: d},
+	cc, bc := svmCodecs(d)
+	got, stats, err := solveTyped(dom, partition(exs, 2), cc, bc,
 		Options{Core: core.Options{R: 2, Seed: 6, NetConst: 0.5}})
 	if err != nil {
 		t.Fatalf("%v (%v)", err, stats)
@@ -280,4 +275,41 @@ func TestCoordinatorControlTrafficGrowsWithK(t *testing.T) {
 	if perRound[1] < 40 || perRound[1] > 70 {
 		t.Errorf("k=32: %.1f messages/round, want ≈ 64", perRound[1])
 	}
+}
+
+// TestShipAllDecodesOneArenaPerSite: the coordinator decodes a site's
+// ship-all reply into one arena and slices the constraints from it, and
+// an in-memory site appends its rows in place, so a ship-all solve
+// allocates per site, not per row. An lp ship-all of 60 000 rows at
+// d = 3 over 4 loopback sites stays under 1 000 allocations; decoding
+// each constraint into its own allocation costs 60 000.
+func TestShipAllDecodesOneArenaPerSite(t *testing.T) {
+	const d, n, k = 3, 60000, 4
+	p, cons := sphereLP(d, n, 47)
+	dom := lp.NewDomain(p, 7)
+	cc, bc := lpCodecs(d)
+	st := dataset.NewStore(cc.Width)
+	var row []float64
+	for _, c := range cons {
+		row = cc.Row(row[:0], c)
+		st.AppendRow(row)
+	}
+	sites, err := lptype.ShardSiteWeights(lptype.NewRowAccess(dom, cc.Item), st, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Core: core.Options{R: 2, Seed: 3}}
+	var stats Stats
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, stats, err = Solve(dom, sites, cc, bc, opt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !stats.DirectSolve || stats.N != n {
+		t.Fatalf("want a ship-all solve of %d rows, got %v (direct %v)", n, stats, stats.DirectSolve)
+	}
+	if allocs > 1000 {
+		t.Fatalf("ship-all solve of %d rows allocates %.0f times, want ≤ 1000", n, allocs)
+	}
+	t.Logf("%.0f allocations per ship-all solve", allocs)
 }

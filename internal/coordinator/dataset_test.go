@@ -8,6 +8,7 @@ import (
 	"lowdimlp/internal/dataset"
 	"lowdimlp/internal/lptype"
 	"lowdimlp/internal/meb"
+	"lowdimlp/internal/models"
 	"lowdimlp/internal/numeric"
 )
 
@@ -53,7 +54,7 @@ func TestSolveDatasetMatchesSlice(t *testing.T) {
 	}
 	opt := coordinator.Options{Core: core.Options{R: 2, Seed: 13, NetConst: 0.2}}
 	want, wantStats, err := coordinator.Solve(
-		ra.Domain(), perPart, meb.PointCodec{Dim: d}, meb.BasisCodec{Dim: d}, opt)
+		ra.Domain(), perPart, models.MEB.ItemCodec(d), meb.BasisCodec{Dim: d}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestSolveDatasetMatchesSlice(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, gotStats, err := coordinator.Solve(
-		ra.Domain(), strided, meb.PointCodec{Dim: d}, meb.BasisCodec{Dim: d}, opt)
+		ra.Domain(), strided, models.MEB.ItemCodec(d), meb.BasisCodec{Dim: d}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"lowdimlp/internal/lp"
 	"lowdimlp/internal/lptype"
 	"lowdimlp/internal/meb"
+	"lowdimlp/internal/models"
 	"lowdimlp/internal/numeric"
 	"lowdimlp/internal/sea"
 )
@@ -71,10 +72,10 @@ func coordGoldenStore(kind string, r int) *dataset.Store {
 }
 
 func coordGoldenSolve[C, B any](
-	ra lptype.RowAccess[C, B], st *dataset.Store, cc comm.Codec[C], bc comm.Codec[B],
+	ra lptype.RowAccess[C, B], st *dataset.Store, cc comm.RowCodec[C], bc comm.Codec[B],
 	wrap func(comm.Transport) comm.Transport, opt coordinator.Options,
 ) (coordGoldenRow, error) {
-	tr, closeSites := coordinator.Loopback(ra, st.View().Shard(coordGoldenK), cc, bc)
+	tr, closeSites := coordinator.Loopback(ra, st.View().Shard(coordGoldenK), bc)
 	defer closeSites()
 	if wrap != nil {
 		tr = wrap(tr)
@@ -104,15 +105,15 @@ func coordGoldenRun(kind string, r int, wrap func(comm.Transport) comm.Transport
 		p := lp.NewProblem([]float64{obj.NormFloat64(), obj.NormFloat64()})
 		ra := lptype.NewRowAccess[lp.Halfspace, lp.Basis](lp.NewDomain(p, 7),
 			func(row []float64) lp.Halfspace { return lp.Halfspace{A: row[:d], B: row[d]} })
-		return coordGoldenSolve(ra, st, lp.HalfspaceCodec{Dim: d}, lp.BasisCodec{Dim: d}, wrap, opt)
+		return coordGoldenSolve(ra, st, models.LP.ItemCodec(d), lp.BasisCodec{Dim: d}, wrap, opt)
 	case "meb":
 		ra := lptype.NewRowAccess[meb.Point, meb.Basis](meb.NewDomain(d),
 			func(row []float64) meb.Point { return meb.Point(row) })
-		return coordGoldenSolve(ra, st, meb.PointCodec{Dim: d}, meb.BasisCodec{Dim: d}, wrap, opt)
+		return coordGoldenSolve(ra, st, models.MEB.ItemCodec(d), meb.BasisCodec{Dim: d}, wrap, opt)
 	case "sea":
 		ra := lptype.NewRowAccess[sea.Point, sea.Basis](sea.NewDomain(d, 5),
 			func(row []float64) sea.Point { return sea.Point(row) })
-		return coordGoldenSolve(ra, st, sea.PointCodec{Dim: d}, sea.BasisCodec{Dim: d}, wrap, opt)
+		return coordGoldenSolve(ra, st, sea.Spec.ItemCodec(d), sea.BasisCodec{Dim: d}, wrap, opt)
 	}
 	panic("coordGoldenRun: unknown kind")
 }

@@ -2,7 +2,9 @@ package coordinator_test
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -81,12 +83,19 @@ type sitesFault struct {
 	fail map[int]bool
 	typ  comm.FrameType
 	nth  int
+	// cut, when positive, delivers the nth reply cut to its first cut
+	// bytes instead of failing the exchange.
+	cut  int
 	seen []int
 }
 
 func (f *sitesFault) RoundTrip(site int, typ comm.FrameType, payload []byte) ([]byte, error) {
 	if f.fail[site] && typ == f.typ {
 		if f.seen[site]++; f.seen[site] == f.nth {
+			if f.cut > 0 {
+				rep, err := f.Transport.RoundTrip(site, typ, payload)
+				return rep[:min(f.cut, len(rep))], err
+			}
 			return nil, &comm.TransportError{Site: site, Type: typ, Err: errInjected}
 		}
 	}
@@ -120,7 +129,8 @@ func TestTwoSitesFailInOneRoundA(t *testing.T) {
 
 // TestShipAllFailureMetersEverySite: when one site fails the ship-all
 // round, every other site's reply is still decoded and charged, one
-// message per constraint, like rounds A and B.
+// message per constraint, like rounds A and B. A reply cut inside row j
+// fails at item j, and its j rows before the cut are charged too.
 func TestShipAllFailureMetersEverySite(t *testing.T) {
 	const key = "lp/r=2/nc=0.5/mc=true/seed=1"
 	opt := coordinator.Options{Core: core.Options{R: 2, Seed: 1, NetConst: 0.5, MonteCarlo: true}}
@@ -138,6 +148,17 @@ func TestShipAllFailureMetersEverySite(t *testing.T) {
 	msgs := clean.Messages - coordGoldenN/coordGoldenK
 	if s := got.stats; s.Rounds != 1 || s.Messages != msgs || s.TotalBits != clean.TotalBits/clean.Messages*msgs {
 		t.Errorf("failed ship-all metered rounds=%d bits=%d messages=%d, want rounds=1 bits=%d messages=%d",
+			s.Rounds, s.TotalBits, s.Messages, clean.TotalBits/clean.Messages*msgs, msgs)
+	}
+
+	const j, rowBytes = 100, 8 * 3 // an lp row at d = 2
+	got, err = coordGoldenRun("lp", 2, faultWrap(&sitesFault{fail: map[int]bool{1: true}, typ: comm.FrameShipAll, nth: 1, cut: j*rowBytes + 5}), opt)
+	if !errors.As(err, &terr) || !errors.Is(err, comm.ErrProtocol) || terr.Site != 1 || !strings.Contains(err.Error(), fmt.Sprintf("item %d:", j)) {
+		t.Fatalf("error %v, want a protocol error of site 1 at item %d", err, j)
+	}
+	msgs = clean.Messages - coordGoldenN/coordGoldenK + j
+	if s := got.stats; s.Rounds != 1 || s.Messages != msgs || s.TotalBits != clean.TotalBits/clean.Messages*msgs {
+		t.Errorf("cut ship-all metered rounds=%d bits=%d messages=%d, want rounds=1 bits=%d messages=%d",
 			s.Rounds, s.TotalBits, s.Messages, clean.TotalBits/clean.Messages*msgs, msgs)
 	}
 }

@@ -56,22 +56,21 @@ type SiteHost interface {
 func NewSourceSiteHost[C, B any](
 	access func(seed uint64) lptype.RowAccess[C, B],
 	src dataset.Source,
-	ccodec comm.Codec[C], bcodec comm.Codec[B],
+	bcodec comm.Codec[B],
 ) SiteHost {
-	return &sourceSiteHost[C, B]{access: access, src: src, ccodec: ccodec, bcodec: bcodec}
+	return &sourceSiteHost[C, B]{access: access, src: src, bcodec: bcodec}
 }
 
 type sourceSiteHost[C, B any] struct {
 	access func(seed uint64) lptype.RowAccess[C, B]
 	src    dataset.Source
-	ccodec comm.Codec[C]
 	bcodec comm.Codec[B]
 }
 
 func (h *sourceSiteHost[C, B]) Rows() int { return h.src.Rows() }
 
 func (h *sourceSiteHost[C, B]) NewSession(seed uint64, site int, mult float64) Site {
-	s := newProtoSite(lptype.NewSiteWeights(h.access(seed), h.src), h.ccodec, h.bcodec)
+	s := newProtoSite(lptype.NewSiteWeights(h.access(seed), h.src), h.bcodec)
 	s.begin(seed, site, mult)
 	return s
 }
@@ -80,10 +79,11 @@ func (h *sourceSiteHost[C, B]) NewSession(seed uint64, site int, mult float64) S
 // its weight state (lptype.SiteWeights — the site keeps one exponent
 // per row, not the list of successful bases), private randomness, and
 // the pending basis delivered by the last round A. It answers in-process
-// loopback frames and frames that arrived at a worker alike.
+// loopback frames and frames that arrived at a worker alike. Its
+// replies carry constraints as their source rows (comm.RowCodec's wire
+// form), so a site never decodes a constraint to ship it.
 type protoSite[C, B any] struct {
 	w       *lptype.SiteWeights[C, B]
-	ccodec  comm.Codec[C]
 	bcodec  comm.Codec[B]
 	rng     *rand.Rand
 	pending *B
@@ -96,8 +96,8 @@ type protoSite[C, B any] struct {
 	reply []byte
 }
 
-func newProtoSite[C, B any](w *lptype.SiteWeights[C, B], ccodec comm.Codec[C], bcodec comm.Codec[B]) *protoSite[C, B] {
-	return &protoSite[C, B]{w: w, ccodec: ccodec, bcodec: bcodec}
+func newProtoSite[C, B any](w *lptype.SiteWeights[C, B], bcodec comm.Codec[B]) *protoSite[C, B] {
+	return &protoSite[C, B]{w: w, bcodec: bcodec}
 }
 
 // begin installs the run parameters. The RNG derivation (seed ^
@@ -212,9 +212,9 @@ func (s *protoSite[C, B]) roundB(payload []byte) ([]byte, error) {
 	}
 	rep := s.reply[:0]
 	for t := 0; t < alloc; t++ {
-		rep = s.ccodec.Append(rep, s.w.Item(s.w.Draw(s.rng)))
+		rep = comm.AppendRow(rep, s.w.Row(s.w.Draw(s.rng)))
 		if t == 0 {
-			// Items of one kind and dimension encode to one size. The
+			// Rows of one kind and dimension encode to one size. The
 			// clamp keeps a forged allocation from sizing the buffer.
 			rep = slices.Grow(rep, min(alloc-1, s.w.Size())*len(rep))
 		}
@@ -231,9 +231,9 @@ func (s *protoSite[C, B]) shipAll(payload []byte) ([]byte, error) {
 	}
 	rep := s.reply[:0]
 	for i, n := 0, s.w.Size(); i < n; i++ {
-		rep = s.ccodec.Append(rep, s.w.Item(i))
+		rep = comm.AppendRow(rep, s.w.Row(i))
 		if i == 0 {
-			// Size the reply from the first item once, instead of
+			// Size the reply from the first row once, instead of
 			// growing it by a quarter at a time (five times its size in
 			// garbage for a large shard).
 			rep = slices.Grow(rep, (n-1)*len(rep))

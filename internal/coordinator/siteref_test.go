@@ -156,13 +156,13 @@ func (r *recordingTransport) RoundTrip(site int, typ comm.FrameType, payload []b
 // each reply must be byte-equal.
 func transcriptCase[C, B any](
 	t *testing.T, what string, ra lptype.RowAccess[C, B], st *dataset.Store, k int,
-	cc comm.Codec[C], bc comm.Codec[B], opt Options,
+	cc comm.RowCodec[C], bc comm.Codec[B], opt Options,
 ) Stats {
 	t.Helper()
 	shards := st.View().Shard(k)
 	sites := make([]*protoSite[C, B], k)
 	for i, v := range shards {
-		sites[i] = newProtoSite(lptype.NewSiteWeights(ra, v), cc, bc)
+		sites[i] = newProtoSite(lptype.NewSiteWeights(ra, v), bc)
 	}
 	tr := &recordingTransport{Transport: &localTransport[C, B]{sites: sites}, log: make([][]exchange, k)}
 	_, stats, err := SolveTransport(ra.Domain(), tr, cc, bc, opt)
@@ -238,7 +238,8 @@ func TestSiteTranscriptMatchesReference(t *testing.T) {
 					run = func(what string, opt Options) Stats {
 						ra := lptype.NewRowAccess[meb.Point, meb.Basis](meb.NewDomain(d),
 							func(row []float64) meb.Point { return meb.Point(row) })
-						return transcriptCase(t, what, ra, st, k, meb.PointCodec{Dim: d}, meb.BasisCodec{Dim: d}, opt)
+						cc, bc := mebCodecs(d)
+						return transcriptCase(t, what, ra, st, k, cc, bc, opt)
 					}
 				}
 				for seed := uint64(1); seed <= 5; seed++ {
@@ -257,6 +258,15 @@ func TestSiteTranscriptMatchesReference(t *testing.T) {
 		t.Fatalf("matrix too tame: most successes in a run %d (want ≥ 3), failed iterations %d, ship-all runs %d",
 			maxSuccesses, failures, direct)
 	}
+}
+
+// mebCodecs are meb's codecs, spelled out like lpCodecs.
+func mebCodecs(d int) (comm.RowCodec[meb.Point], comm.Codec[meb.Basis]) {
+	return comm.RowCodec[meb.Point]{
+		Width: d,
+		Item:  func(row []float64) meb.Point { return meb.Point(row) },
+		Row:   func(dst []float64, p meb.Point) []float64 { return append(dst, p...) },
+	}, meb.BasisCodec{Dim: d}
 }
 
 // siteFixture returns two identical meb sites over one shard, begun
@@ -287,7 +297,7 @@ func siteFixture(t *testing.T) (a, b *protoSite[meb.Point, meb.Basis], basis [2]
 		basis[i] = req.Bytes()
 	}
 	mk := func() *protoSite[meb.Point, meb.Basis] {
-		s := newProtoSite(lptype.NewSiteWeights(ra, st.View()), meb.PointCodec{Dim: d}, bc)
+		s := newProtoSite(lptype.NewSiteWeights(ra, st.View()), bc)
 		if _, err := s.Step(comm.FrameBegin, comm.AppendBeginPayload(nil, 5, 0, math.Sqrt(n))); err != nil {
 			t.Fatal(err)
 		}

@@ -13,6 +13,7 @@ import (
 	"lowdimlp/internal/lp"
 	"lowdimlp/internal/lptype"
 	"lowdimlp/internal/meb"
+	"lowdimlp/internal/models"
 	"lowdimlp/internal/numeric"
 	"lowdimlp/internal/sea"
 )
@@ -110,7 +111,7 @@ func coreGoldenRun(kind string, r int, opt core.Options) coreGoldenRow {
 	case "lp":
 		p, cons := goldenSphereLP(d, coreGoldenN, 900+uint64(r))
 		return goldenSolve[lp.Halfspace, lp.Basis](lp.NewDomain(p, 7), cons,
-			lp.HalfspaceCodec{Dim: d}, lp.BasisCodec{Dim: d}, opt)
+			models.LP.ItemCodec(d), lp.BasisCodec{Dim: d}, opt)
 	case "meb":
 		raw := goldenGaussian(coreGoldenN, 700+uint64(r))
 		pts := make([]meb.Point, len(raw))
@@ -118,7 +119,7 @@ func coreGoldenRun(kind string, r int, opt core.Options) coreGoldenRow {
 			pts[i] = p
 		}
 		return goldenSolve[meb.Point, meb.Basis](meb.NewDomain(d), pts,
-			meb.PointCodec{Dim: d}, meb.BasisCodec{Dim: d}, opt)
+			models.MEB.ItemCodec(d), meb.BasisCodec{Dim: d}, opt)
 	case "sea":
 		raw := goldenGaussian(coreGoldenN, 500+uint64(r))
 		pts := make([]sea.Point, len(raw))
@@ -126,7 +127,7 @@ func coreGoldenRun(kind string, r int, opt core.Options) coreGoldenRow {
 			pts[i] = p
 		}
 		return goldenSolve[sea.Point, sea.Basis](sea.NewDomain(d, 5), pts,
-			sea.PointCodec{Dim: d}, sea.BasisCodec{Dim: d}, opt)
+			sea.Spec.ItemCodec(d), sea.BasisCodec{Dim: d}, opt)
 	}
 	panic("coreGoldenRun: unknown kind")
 }

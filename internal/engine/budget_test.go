@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"lowdimlp/internal/comm"
 	"lowdimlp/internal/coordinator"
 	"lowdimlp/internal/core"
 	"lowdimlp/internal/dataset"
@@ -36,7 +37,15 @@ func (d *kthDomain) Violates(b float64, c float64) bool { return c > b }
 func (d *kthDomain) CombinatorialDim() int              { return 1 }
 func (d *kthDomain) VCDim() int                         { return 1 }
 
-// float64Codec is the stub's item and basis codec: 8 bytes each.
+// float64Rows is the stub's item codec: a constraint is a row of one
+// number.
+var float64Rows = comm.RowCodec[float64]{
+	Width: 1,
+	Item:  func(row []float64) float64 { return row[0] },
+	Row:   func(dst []float64, c float64) []float64 { return append(dst, c) },
+}
+
+// float64Codec is the stub's basis codec: 8 bytes.
 type float64Codec struct{}
 
 func (float64Codec) Append(dst []byte, v float64) []byte {
@@ -79,11 +88,11 @@ func TestIterationBudgetSameOnEveryBackend(t *testing.T) {
 			if err != nil {
 				return 0, err
 			}
-			b, _, err := coordinator.Solve[float64, float64](dom, sw, float64Codec{}, float64Codec{}, coordinator.Options{Core: co})
+			b, _, err := coordinator.Solve[float64, float64](dom, sw, float64Rows, float64Codec{}, coordinator.Options{Core: co})
 			return b, err
 		},
 		"mpc": func(dom *kthDomain, co core.Options) (float64, error) {
-			b, _, err := mpc.SolveSource(access(dom), st, float64Codec{}, float64Codec{}, mpc.Options{Core: co, Delta: 0.5})
+			b, _, err := mpc.SolveSource(access(dom), st, float64Rows, float64Codec{}, mpc.Options{Core: co, Delta: 0.5})
 			return b, err
 		},
 	}

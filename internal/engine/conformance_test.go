@@ -5,11 +5,16 @@
 package engine_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"math/rand/v2"
+	"strings"
 	"testing"
 
+	"lowdimlp/internal/comm"
 	"lowdimlp/internal/engine"
 	_ "lowdimlp/internal/models" // populates the registry
 )
@@ -19,7 +24,9 @@ import (
 // interface.
 type roundTripper interface {
 	RowRoundTrip(dim int, row []float64) []float64
-	CodecRoundTrip(dim int, row []float64) ([]float64, error)
+	ItemWire(dim int, rows [][]float64) []byte
+	DecodeItems(dim int, payload []byte, k int) ([][]float64, int, error)
+	DecodeItem(dim int, payload []byte) ([]float64, int, error)
 	BasisRoundTrip(inst engine.Instance, opt engine.Options) (engine.Solution, engine.Solution, error)
 }
 
@@ -59,12 +66,18 @@ func TestRegistryHasAllKinds(t *testing.T) {
 }
 
 // TestRowAndCodecRoundTrips checks, for every kind, that a flat row
-// survives row⇄item conversion and the item wire codec bit for bit.
+// survives row⇄item conversion and the item wire codec bit for bit,
+// and that a constraint's wire form is its row: at every width the item
+// codec writes each row's float64s little-endian in row order — the
+// bytes a worker built before the one row codec sends — decodes k rows
+// at once exactly as one by one, reports the row a cut payload ends in,
+// and refuses trailing bytes.
 func TestRowAndCodecRoundTrips(t *testing.T) {
 	for _, m := range engine.Models() {
 		m := m
 		t.Run(m.Kind(), func(t *testing.T) {
 			t.Parallel()
+			rt := m.(roundTripper)
 			inst := conformanceInstance(t, m, 50, 7)
 			if w := m.RowWidth(inst.Dim); len(inst.Rows[0]) != w {
 				t.Fatalf("generated row width %d, RowWidth says %d", len(inst.Rows[0]), w)
@@ -73,25 +86,87 @@ func TestRowAndCodecRoundTrips(t *testing.T) {
 				if err := m.CheckRow(inst.Dim, row); err != nil {
 					t.Fatalf("generated row %d rejected: %v", i, err)
 				}
-				back := m.(roundTripper).RowRoundTrip(inst.Dim, row)
-				assertRowsEqual(t, "row roundtrip", row, back)
-				coded, err := m.(roundTripper).CodecRoundTrip(inst.Dim, row)
+				back := rt.RowRoundTrip(inst.Dim, row)
+				assertBitsEqual(t, "row roundtrip", row, back)
+				coded, n, err := rt.DecodeItem(inst.Dim, rt.ItemWire(inst.Dim, [][]float64{row}))
 				if err != nil {
 					t.Fatalf("codec roundtrip row %d: %v", i, err)
 				}
-				assertRowsEqual(t, "codec roundtrip", row, coded)
+				if n != 8*len(row) {
+					t.Fatalf("codec roundtrip row %d: consumed %d bytes of %d", i, n, 8*len(row))
+				}
+				assertBitsEqual(t, "codec roundtrip", row, coded)
+			}
+			for _, d := range []int{1, 2, 3, 5, 16} {
+				checkRowWire(t, rt, d, wireRows(m.RowWidth(d), 9, uint64(d)))
 			}
 		})
 	}
 }
 
-func assertRowsEqual(t *testing.T, what string, a, b []float64) {
+// wireRows returns k rows of width w: Gaussian numbers with a negative
+// zero, a subnormal and the extremes of float64 among them, so the bit
+// comparisons see every exponent class.
+func wireRows(w, k int, seed uint64) [][]float64 {
+	rng := rand.New(rand.NewPCG(seed, 0x3173))
+	special := []float64{math.Copysign(0, -1), 5e-324, math.MaxFloat64, -math.SmallestNonzeroFloat64, math.Inf(-1)}
+	rows := make([][]float64, k)
+	for j := range rows {
+		rows[j] = make([]float64, w)
+		for i := range rows[j] {
+			rows[j][i] = rng.NormFloat64()
+		}
+		rows[j][j%w] = special[j%len(special)]
+	}
+	return rows
+}
+
+// checkRowWire pins the item codec at dimension d to the row layout.
+func checkRowWire(t *testing.T, rt roundTripper, d int, rows [][]float64) {
+	t.Helper()
+	w := len(rows[0])
+	var want []byte
+	for _, row := range rows {
+		for _, v := range row {
+			want = binary.LittleEndian.AppendUint64(want, math.Float64bits(v))
+		}
+	}
+	wire := rt.ItemWire(d, rows)
+	if !bytes.Equal(wire, want) {
+		t.Fatalf("d=%d: item codec bytes are not the rows' little-endian float64s", d)
+	}
+	batch, n, err := rt.DecodeItems(d, wire, len(rows))
+	if err != nil || n != len(rows) {
+		t.Fatalf("d=%d: decoding %d rows at once: %d rows, %v", d, len(rows), n, err)
+	}
+	for j, row := range rows {
+		one, used, err := rt.DecodeItem(d, wire[j*8*w:])
+		if err != nil || used != 8*w {
+			t.Fatalf("d=%d: decoding row %d alone: %d bytes, %v", d, j, used, err)
+		}
+		assertBitsEqual(t, fmt.Sprintf("d=%d row %d at once", d, j), row, batch[j])
+		assertBitsEqual(t, fmt.Sprintf("d=%d row %d alone", d, j), row, one)
+	}
+	for j := range rows {
+		_, n, err := rt.DecodeItems(d, wire[:j*8*w+5], len(rows))
+		if n != j || !errors.Is(err, comm.ErrShortRow) || !strings.Contains(err.Error(), fmt.Sprintf("item %d:", j)) {
+			t.Fatalf("d=%d: payload cut inside row %d: decoded %d rows, error %v", d, j, n, err)
+		}
+	}
+	if _, n, err := rt.DecodeItems(d, append(wire, 0), len(rows)); err == nil || n != len(rows) {
+		t.Fatalf("d=%d: a trailing byte: decoded %d rows, error %v", d, n, err)
+	}
+}
+
+// assertBitsEqual compares two rows bit for bit (negative zero is not
+// zero here).
+func assertBitsEqual(t *testing.T, what string, a, b []float64) {
 	t.Helper()
 	if len(a) != len(b) {
 		t.Fatalf("%s: width %d → %d", what, len(a), len(b))
 	}
 	for i := range a {
-		if a[i] != b[i] {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 			t.Fatalf("%s: %v → %v", what, a, b)
 		}
 	}

@@ -75,9 +75,10 @@ type Options struct {
 	// rejected with ErrNetConst. A c so large that n ≤ 2m+1 ships the
 	// whole input instead of sampling.
 	NetConst float64 `json:"net_const,omitempty"`
-	// K is the number of coordinator sites used when the engine
-	// partitions a flat instance itself (0 = 4). The typed coordinator
-	// entry points take explicit partitions and ignore it.
+	// K is the number of coordinator sites (0 = 4). A flat instance or
+	// single-file dataset is dealt to the sites round-robin (row i on
+	// site i mod K); a sharded dataset whose shard count is K maps one
+	// shard onto each site instead.
 	K int `json:"k,omitempty"`
 	// Parallel is for sharded streaming scans only: the stream backend
 	// reads a sharded source on one decode goroutine per shard. The row

@@ -11,19 +11,37 @@ func (s *Spec[P, C, B]) RowRoundTrip(dim int, row []float64) []float64 {
 	return s.Row(dim, nil, s.Item(dim, row))
 }
 
-// CodecRoundTrip encodes the row's constraint through the item codec
-// and back, returning the re-flattened row.
-func (s *Spec[P, C, B]) CodecRoundTrip(dim int, row []float64) ([]float64, error) {
+// ItemWire encodes rows through the item codec, one Append per row's
+// constraint.
+func (s *Spec[P, C, B]) ItemWire(dim int, rows [][]float64) []byte {
 	c := s.ItemCodec(dim)
-	enc := c.Append(nil, s.Item(dim, row))
-	item, n, err := c.Decode(enc)
+	var wire []byte
+	for _, row := range rows {
+		wire = c.Append(wire, s.Item(dim, row))
+	}
+	return wire
+}
+
+// DecodeItems decodes k constraints from payload at once (DecodeRows)
+// and re-flattens the n it decoded.
+func (s *Spec[P, C, B]) DecodeItems(dim int, payload []byte, k int) ([][]float64, int, error) {
+	items := make([]C, k)
+	n, err := s.ItemCodec(dim).DecodeRows(items, payload)
+	rows := make([][]float64, n)
+	for j := range rows {
+		rows[j] = s.Row(dim, nil, items[j])
+	}
+	return rows, n, err
+}
+
+// DecodeItem decodes one constraint from the front of payload (Decode)
+// and re-flattens it, with the number of bytes consumed.
+func (s *Spec[P, C, B]) DecodeItem(dim int, payload []byte) ([]float64, int, error) {
+	item, n, err := s.ItemCodec(dim).Decode(payload)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	if n != len(enc) {
-		return nil, fmt.Errorf("%s: item codec consumed %d of %d bytes", s.Name, n, len(enc))
-	}
-	return s.Row(dim, nil, item), nil
+	return s.Row(dim, nil, item), n, nil
 }
 
 // BasisRoundTrip solves inst with the ram reference, pushes the basis

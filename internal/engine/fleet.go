@@ -38,7 +38,7 @@ func (s *Spec[P, C, B]) NewSiteHost(dim int, objective []float64, src dataset.So
 	// dispatchers, so worker-local arithmetic is the in-process
 	// arithmetic.
 	access := func(seed uint64) lptype.RowAccess[C, B] { return specAccess(s, p, seed^s.SeedMix) }
-	return coordinator.NewSourceSiteHost(access, src, s.ItemCodec(dim), s.BasisCodec(dim)), nil
+	return coordinator.NewSourceSiteHost(access, src, s.BasisCodec(dim)), nil
 }
 
 // SolveTransport runs the coordinator backend over an explicit

@@ -9,6 +9,7 @@ import (
 	"lowdimlp/internal/dataset"
 	"lowdimlp/internal/lp"
 	"lowdimlp/internal/lptype"
+	"lowdimlp/internal/models"
 	"lowdimlp/internal/mpc"
 	"lowdimlp/internal/stream"
 	"lowdimlp/internal/workload"
@@ -44,7 +45,7 @@ func TestIterationsAreNetsSolved(t *testing.T) {
 	for _, c := range cons {
 		st.AppendRow(append(append([]float64(nil), c.A...), c.B))
 	}
-	cc, bc := lp.HalfspaceCodec{Dim: d}, lp.BasisCodec{Dim: d}
+	cc, bc := models.LP.ItemCodec(d), lp.BasisCodec{Dim: d}
 	access := func(dom *solveCounter) lptype.RowAccess[lp.Halfspace, lp.Basis] {
 		return lptype.NewRowAccess[lp.Halfspace, lp.Basis](dom,
 			func(row []float64) lp.Halfspace { return lp.Halfspace{A: row[:d], B: row[d]} })

@@ -50,12 +50,12 @@ type Generator struct {
 
 // Spec describes one LP-type problem kind to the engine: how to build
 // its domain (P is the kind's problem type — lp.Problem for LP, the
-// ambient dimension for the others), how to encode its constraints
-// (C) and bases (B) for wire transport and resource accounting, how
-// to translate flat rows to constraints and back, how to render a
-// basis for humans and HTTP clients, and which synthetic families it
-// can generate. Registering a Spec makes the kind available to every
-// backend and every consumer at once.
+// ambient dimension for the others), how to encode its bases (B) for
+// wire transport and resource accounting, how to translate flat rows
+// to constraints (C) and back — a constraint's row is also its wire
+// form — how to render a basis for humans and HTTP clients, and which
+// synthetic families it can generate. Registering a Spec makes the
+// kind available to every backend and every consumer at once.
 type Spec[P, C, B any] struct {
 	// Name is the wire kind ("lp", "svm", "meb", "sea").
 	Name string
@@ -78,9 +78,9 @@ type Spec[P, C, B any] struct {
 	Problem func(inst Instance) (P, error)
 	// NewDomain builds the LP-type domain (the paper's Tb/Tv pair).
 	NewDomain func(p P, seed uint64) lptype.Domain[C, B]
-	// ItemCodec and BasisCodec serialize constraints and bases for the
-	// communication-metered backends.
-	ItemCodec  func(dim int) comm.Codec[C]
+	// BasisCodec serializes bases for the communication-metered
+	// backends. A constraint needs no codec of its own: it crosses as
+	// its row (ItemCodec).
 	BasisCodec func(dim int) comm.Codec[B]
 
 	// Width is the numbers-per-row of a flat instance at dimension d.
@@ -154,6 +154,17 @@ type Model interface {
 	// NewSiteHost returns the worker-side protocol host over one shard
 	// of an instance of this kind (lpserved -worker).
 	NewSiteHost(dim int, objective []float64, src dataset.Source) (coordinator.SiteHost, error)
+}
+
+// ItemCodec returns the constraint codec at dimension dim: a
+// constraint crosses the wire as its Width(dim) numbers, viewed
+// through Item and Row.
+func (s *Spec[P, C, B]) ItemCodec(dim int) comm.RowCodec[C] {
+	return comm.RowCodec[C]{
+		Width: s.Width(dim),
+		Item:  func(row []float64) C { return s.Item(dim, row) },
+		Row:   func(dst []float64, c C) []float64 { return s.Row(dim, dst, c) },
+	}
 }
 
 func (s *Spec[P, C, B]) Kind() string         { return s.Name }

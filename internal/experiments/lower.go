@@ -51,7 +51,7 @@ func runE8(w io.Writer, cfg Config) error {
 			lptype.NewSiteWeights(ra, rows.View().Slice(0, half)),
 			lptype.NewSiteWeights(ra, rows.View().Slice(half, len(cons))),
 		}
-		hc := lp.HalfspaceCodec{Dim: 2}
+		hc := models.LP.ItemCodec(2)
 		bc := lp.BasisCodec{Dim: 2}
 		cb, cst, err := coordinator.Solve(ra.Domain(), sites, hc, bc, coordinator.Options{
 			Core: core.Options{R: c.R, Seed: cfg.Seed},

@@ -30,7 +30,7 @@ func runE1(w io.Writer, cfg Config) error {
 	}
 	t := newTable(w, "n", "d", "r", "passes", "bound 2(νr)+1", "net m", "m/n^{1/r}", "space(kb)", "input(kb)")
 	for _, d := range ds {
-		hc := lp.HalfspaceCodec{Dim: d}
+		hc := models.LP.ItemCodec(d)
 		bc := lp.BasisCodec{Dim: d}
 		for _, n := range ns {
 			for _, r := range rs {
@@ -70,7 +70,7 @@ func runE2(w io.Writer, cfg Config) error {
 		ns, ks, rs = []int{30_000}, []int{2, 8}, []int{2, 3}
 	}
 	d := 3
-	hc := lp.HalfspaceCodec{Dim: d}
+	hc := models.LP.ItemCodec(d)
 	bc := lp.BasisCodec{Dim: d}
 	t := newTable(w, "n", "k", "r", "rounds", "bits(kb)", "ship-all(kb)", "saving×")
 	for _, n := range ns {
@@ -112,7 +112,7 @@ func runE3(w io.Writer, cfg Config) error {
 		ns, deltas = []int{30_000}, []float64{0.5, 0.3}
 	}
 	d := 3
-	hc := lp.HalfspaceCodec{Dim: d}
+	hc := models.LP.ItemCodec(d)
 	bc := lp.BasisCodec{Dim: d}
 	t := newTable(w, "n", "δ", "machines", "rounds", "load(kb)", "load/n^δ(b)", "input(kb)")
 	for _, n := range ns {
@@ -200,7 +200,7 @@ func runE5(w io.Writer, cfg Config) error {
 		ns, rs = []int{30_000}, []int{2, 3}
 	}
 	d := 3
-	ec := svm.ExampleCodec{Dim: d}
+	ec := models.SVM.ItemCodec(d)
 	bc := svm.BasisCodec{Dim: d}
 	t := newTable(w, "n", "r", "stream passes", "coord rounds", "coord bits(kb)", "‖u‖² ok?")
 	for _, n := range ns {
@@ -248,7 +248,7 @@ func runE6(w io.Writer, cfg Config) error {
 		ns = []int{30_000}
 	}
 	d := 3
-	pc := meb.PointCodec{Dim: d}
+	pc := models.MEB.ItemCodec(d)
 	bc := meb.BasisCodec{Dim: d}
 	t := newTable(w, "n", "cloud", "r", "stream passes", "coord rounds", "mpc rounds", "mpc load(kb)", "radius ok?")
 	for _, n := range ns {

@@ -9,39 +9,6 @@ import (
 // ErrShortBuffer reports a truncated encoding.
 var ErrShortBuffer = errors.New("lp: short buffer")
 
-// HalfspaceCodec serializes halfspaces of a fixed dimension. It
-// implements the comm.Codec interface (structurally) and is used by
-// the coordinator and MPC substrates to account communication in bits:
-// a d-dimensional constraint costs 64·(d+1) bits, matching the paper's
-// bit(S) = O(d·log n) accounting with 64-bit words.
-type HalfspaceCodec struct{ Dim int }
-
-// Append serializes h onto dst.
-func (c HalfspaceCodec) Append(dst []byte, h Halfspace) []byte {
-	for _, a := range h.A {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(a))
-	}
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(h.B))
-}
-
-// Decode parses one halfspace from src, returning it and the number of
-// bytes consumed.
-func (c HalfspaceCodec) Decode(src []byte) (Halfspace, int, error) {
-	need := 8 * (c.Dim + 1)
-	if len(src) < need {
-		return Halfspace{}, 0, ErrShortBuffer
-	}
-	a := make([]float64, c.Dim)
-	for i := range a {
-		a[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
-	}
-	b := math.Float64frombits(binary.LittleEndian.Uint64(src[8*c.Dim:]))
-	return Halfspace{A: a, B: b}, need, nil
-}
-
-// Bits returns the encoded size of a halfspace in bits.
-func (c HalfspaceCodec) Bits(Halfspace) int { return 64 * (c.Dim + 1) }
-
 // BasisCodec serializes a Basis as its solution point (the only part a
 // remote party needs to run violation tests) plus the objective value.
 type BasisCodec struct{ Dim int }

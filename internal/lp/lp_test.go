@@ -403,30 +403,6 @@ func TestSolvePivotMatchesSeidel(t *testing.T) {
 
 // --- Codec roundtrips --------------------------------------------------
 
-func TestHalfspaceCodecRoundtrip(t *testing.T) {
-	c := HalfspaceCodec{Dim: 3}
-	h := hs(2.5, 1, -2, 0.125)
-	buf := c.Append(nil, h)
-	if got, want := len(buf)*8, c.Bits(h); got != want {
-		t.Errorf("encoded bits %d, want %d", got, want)
-	}
-	h2, n, err := c.Decode(buf)
-	if err != nil || n != len(buf) {
-		t.Fatalf("decode: %v, n=%d", err, n)
-	}
-	if h2.B != h.B || len(h2.A) != 3 {
-		t.Fatalf("roundtrip mismatch: %v vs %v", h2, h)
-	}
-	for i := range h.A {
-		if h2.A[i] != h.A[i] {
-			t.Fatalf("roundtrip mismatch at %d", i)
-		}
-	}
-	if _, _, err := c.Decode(buf[:5]); !errors.Is(err, ErrShortBuffer) {
-		t.Error("expected ErrShortBuffer")
-	}
-}
-
 func TestBasisCodecRoundtrip(t *testing.T) {
 	c := BasisCodec{Dim: 2}
 	b := Basis{Sol: Solution{X: []float64{1.5, -2.25}, Value: 7}}

@@ -121,6 +121,11 @@ func (s *SiteWeights[C, B]) Size() int { return s.st.Size() }
 // Item returns local constraint i, decoded (Store.Item's contract).
 func (s *SiteWeights[C, B]) Item(i int) C { return s.st.Item(i) }
 
+// Row returns local row i, undecoded: in place when the source is in
+// memory, else read into one buffer the site reuses, so the row is
+// valid until the next Row call. A site encodes its replies from it.
+func (s *SiteWeights[C, B]) Row(i int) []float64 { return s.st.row(i) }
+
 // Reset starts a run with weight multiplier mult: every weight is 1
 // again and nothing is tested. Buffers are kept for reuse.
 func (s *SiteWeights[C, B]) Reset(mult float64) {

@@ -2,6 +2,7 @@ package lptype
 
 import (
 	"fmt"
+	"slices"
 
 	"lowdimlp/internal/dataset"
 	"lowdimlp/internal/numeric"
@@ -130,6 +131,8 @@ type sourceStore[C, B any] struct {
 	cur   dataset.Cursor
 	batch []dataset.Row
 	blk   blockScratch
+	// rowBuf backs row's file-backed reads.
+	rowBuf []float64
 }
 
 func (s *sourceStore[C, B]) Size() int { return s.src.Rows() }
@@ -173,22 +176,35 @@ func (s *sourceStore[C, B]) Weights(bases []B, mult float64, w []float64) {
 	})
 }
 
-// Item decodes row i. Sampling touches O(net size) rows per iteration,
-// so the per-call read and copy of the file-backed case are cold-path
-// costs; a failed read panics for the reason a failed scan does.
+// Item decodes row i. A file-backed row is copied into an allocation
+// of its own, because the constraint aliases it. Sampling touches
+// O(net size) rows per iteration, so the per-call read and copy of the
+// file-backed case are cold-path costs.
 func (s *sourceStore[C, B]) Item(i int) C {
 	if s.mem {
 		return s.ra.Item(s.view.Row(i))
+	}
+	return s.ra.Item(slices.Clone(s.row(i)))
+}
+
+// row returns row i: in place for memory-backed sources, read into one
+// reused buffer — valid until the next call — for file-backed ones. A
+// failed read panics for the reason a failed scan does.
+func (s *sourceStore[C, B]) row(i int) []float64 {
+	if s.mem {
+		return s.view.Row(i)
 	}
 	rr, ok := s.src.(dataset.RowReaderAt)
 	if !ok {
 		panic(fmt.Sprintf("lptype: source %T has no random row access", s.src))
 	}
-	row := make([]float64, s.src.Width())
-	if err := rr.ReadRowAt(i, row); err != nil {
+	if s.rowBuf == nil {
+		s.rowBuf = make([]float64, s.src.Width())
+	}
+	if err := rr.ReadRowAt(i, s.rowBuf); err != nil {
 		panic(fmt.Sprintf("lptype: shard row read: %v", err))
 	}
-	return s.ra.Item(row)
+	return s.rowBuf
 }
 
 // CloseStore releases the scan cursor a store holds (file-backed

@@ -99,34 +99,6 @@ func (d *Domain) VCDim() int { return d.Dim + 1 }
 // ErrShortBuffer reports a truncated encoding.
 var ErrShortBuffer = errors.New("meb: short buffer")
 
-// PointCodec serializes points of a fixed dimension (64·d bits each)
-// for communication accounting in the coordinator and MPC substrates.
-type PointCodec struct{ Dim int }
-
-// Append serializes p onto dst.
-func (c PointCodec) Append(dst []byte, p Point) []byte {
-	for _, v := range p {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-	}
-	return dst
-}
-
-// Decode parses one point from src.
-func (c PointCodec) Decode(src []byte) (Point, int, error) {
-	need := 8 * c.Dim
-	if len(src) < need {
-		return nil, 0, ErrShortBuffer
-	}
-	p := make(Point, c.Dim)
-	for i := range p {
-		p[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
-	}
-	return p, need, nil
-}
-
-// Bits returns the encoded size of a point in bits.
-func (c PointCodec) Bits(Point) int { return 64 * c.Dim }
-
 // BasisCodec serializes a basis as center + squared radius, the only
 // state a remote party needs for violation tests.
 type BasisCodec struct{ Dim int }

@@ -296,24 +296,6 @@ func TestSolvePivotGenericMatchesSolve(t *testing.T) {
 	}
 }
 
-func TestPointCodecRoundtrip(t *testing.T) {
-	c := PointCodec{Dim: 3}
-	p := pt(1, -2.5, 0.125)
-	buf := c.Append(nil, p)
-	p2, n, err := c.Decode(buf)
-	if err != nil || n != len(buf) {
-		t.Fatal(err)
-	}
-	for i := range p {
-		if p2[i] != p[i] {
-			t.Fatal("roundtrip mismatch")
-		}
-	}
-	if _, _, err := c.Decode(buf[:5]); err == nil {
-		t.Error("expected short-buffer error")
-	}
-}
-
 func TestBasisCodecRoundtrip(t *testing.T) {
 	c := BasisCodec{Dim: 2}
 	b := Basis{B: Ball{Center: []float64{1, 2}, R2: 9}}

@@ -49,7 +49,6 @@ var LP = &engine.Spec[lp.Problem, lp.Halfspace, lp.Basis]{
 	NewDomain: func(p lp.Problem, seed uint64) lptype.Domain[lp.Halfspace, lp.Basis] {
 		return lp.NewDomain(p, seed)
 	},
-	ItemCodec:  func(d int) comm.Codec[lp.Halfspace] { return lp.HalfspaceCodec{Dim: d} },
 	BasisCodec: func(d int) comm.Codec[lp.Basis] { return lp.BasisCodec{Dim: d} },
 
 	Width: func(d int) int { return d + 1 },
@@ -130,7 +129,6 @@ var SVM = &engine.Spec[int, svm.Example, svm.Basis]{
 	NewDomain: func(d int, _ uint64) lptype.Domain[svm.Example, svm.Basis] {
 		return svm.NewDomain(d)
 	},
-	ItemCodec:  func(d int) comm.Codec[svm.Example] { return svm.ExampleCodec{Dim: d} },
 	BasisCodec: func(d int) comm.Codec[svm.Basis] { return svm.BasisCodec{Dim: d} },
 
 	Width: func(d int) int { return d + 1 },
@@ -185,7 +183,6 @@ var MEB = &engine.Spec[int, meb.Point, meb.Basis]{
 	NewDomain: func(d int, _ uint64) lptype.Domain[meb.Point, meb.Basis] {
 		return meb.NewDomain(d)
 	},
-	ItemCodec:  func(d int) comm.Codec[meb.Point] { return meb.PointCodec{Dim: d} },
 	BasisCodec: func(d int) comm.Codec[meb.Basis] { return meb.BasisCodec{Dim: d} },
 
 	Width: func(d int) int { return d },

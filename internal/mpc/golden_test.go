@@ -65,7 +65,7 @@ func goldenRun(t *testing.T, kind string, r int, seed uint64, netConst float64) 
 			pts[i] = meb.Point{rng.NormFloat64(), rng.NormFloat64()}
 		}
 		dom := meb.NewDomain(d)
-		cc, bc := meb.PointCodec{Dim: d}, meb.BasisCodec{Dim: d}
+		cc, bc := mebCodecs(d)
 		b, stats, err := solveTyped(dom, pts, cc, bc, opt)
 		if err != nil {
 			t.Fatalf("%s r=%d seed=%d nc=%v: %v", kind, r, seed, netConst, err)

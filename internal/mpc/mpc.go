@@ -169,7 +169,7 @@ func (m *machine[C, B]) subCnt() int { return m.cnt }
 // bit-identical across layouts.
 func SolveSource[C, B any](
 	ra lptype.RowAccess[C, B], src dataset.Source,
-	ccodec comm.Codec[C], bcodec comm.Codec[B],
+	ccodec comm.RowCodec[C], bcodec comm.Codec[B],
 	opt Options,
 ) (B, Stats, error) {
 	var zero B
@@ -241,7 +241,7 @@ type tree[C, B any] struct {
 	machines   []*machine[C, B]
 	nw         *net
 	fan, depth int
-	ccodec     comm.Codec[C]
+	ccodec     comm.RowCodec[C]
 	bcodec     comm.Codec[B]
 	mult       float64
 	alloc      []int // per-iteration scratch: local sample counts

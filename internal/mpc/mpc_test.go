@@ -35,39 +35,37 @@ func sphereLP(d, n int, seed uint64) (lp.Problem, []lp.Halfspace) {
 	return lp.NewProblem(obj), cons
 }
 
-func lpCodecs(d int) (comm.Codec[lp.Halfspace], comm.Codec[lp.Basis]) {
-	return lp.HalfspaceCodec{Dim: d}, lp.BasisCodec{Dim: d}
+// lpCodecs and mebCodecs are the kinds' codecs, the row codec spelled
+// out as the engine registers it: Spec.ItemCodec is out of this
+// package's reach (import cycle).
+func lpCodecs(d int) (comm.RowCodec[lp.Halfspace], comm.Codec[lp.Basis]) {
+	return comm.RowCodec[lp.Halfspace]{
+		Width: d + 1,
+		Item:  func(row []float64) lp.Halfspace { return lp.Halfspace{A: row[:d], B: row[d]} },
+		Row:   func(dst []float64, h lp.Halfspace) []float64 { return append(append(dst, h.A...), h.B) },
+	}, lp.BasisCodec{Dim: d}
+}
+
+func mebCodecs(d int) (comm.RowCodec[meb.Point], comm.Codec[meb.Basis]) {
+	return comm.RowCodec[meb.Point]{
+		Width: d,
+		Item:  func(row []float64) meb.Point { return meb.Point(row) },
+		Row:   func(dst []float64, p meb.Point) []float64 { return append(dst, p...) },
+	}, meb.BasisCodec{Dim: d}
 }
 
 // solveTyped is the tests' typed entry point, built the way the
 // engine builds its own: the items are encoded into one columnar
-// store, which SolveSource distributes round-robin.
-func solveTyped[C, B any](dom lptype.Domain[C, B], items []C, cc comm.Codec[C], bc comm.Codec[B], opt Options) (B, Stats, error) {
-	d := dom.CombinatorialDim() - 1 // ν = d+1 for lp and meb
-	var encode func(dst []float64, c C) []float64
-	var decode func(row []float64) C
-	width := d
-	switch any(*new(C)).(type) {
-	case lp.Halfspace:
-		width = d + 1
-		encode = func(dst []float64, c C) []float64 {
-			h := any(c).(lp.Halfspace)
-			return append(append(dst, h.A...), h.B)
-		}
-		decode = func(row []float64) C { return any(lp.Halfspace{A: row[:d], B: row[d]}).(C) }
-	case meb.Point:
-		encode = func(dst []float64, c C) []float64 { return append(dst, any(c).(meb.Point)...) }
-		decode = func(row []float64) C { return any(meb.Point(row)).(C) }
-	default:
-		panic("solveTyped: unknown constraint type")
-	}
-	st := dataset.NewStore(width)
+// store through the row codec, which SolveSource distributes
+// round-robin.
+func solveTyped[C, B any](dom lptype.Domain[C, B], items []C, cc comm.RowCodec[C], bc comm.Codec[B], opt Options) (B, Stats, error) {
+	st := dataset.NewStore(cc.Width)
 	var row []float64
 	for _, c := range items {
-		row = encode(row[:0], c)
+		row = cc.Row(row[:0], c)
 		st.AppendRow(row)
 	}
-	return SolveSource(lptype.NewRowAccess(dom, decode), st, cc, bc, opt)
+	return SolveSource(lptype.NewRowAccess(dom, cc.Item), st, cc, bc, opt)
 }
 
 func TestTreeTopology(t *testing.T) {
@@ -249,8 +247,8 @@ func TestMPCMEB(t *testing.T) {
 		pts = append(pts, p)
 	}
 	dom := meb.NewDomain(2)
-	got, stats, err := solveTyped(dom, pts,
-		meb.PointCodec{Dim: 2}, meb.BasisCodec{Dim: 2},
+	cc, bc := mebCodecs(2)
+	got, stats, err := solveTyped(dom, pts, cc, bc,
 		Options{Core: core.Options{Seed: 6, NetConst: 0.5}, Delta: 0.5})
 	if err != nil {
 		t.Fatalf("%v (%v)", err, stats)

@@ -175,27 +175,6 @@ func TestEmptyAndSingleton(t *testing.T) {
 	}
 }
 
-func TestPointCodecRoundTrip(t *testing.T) {
-	c := PointCodec{Dim: 3}
-	p := Point{1.5, -2.25, math.Pi}
-	enc := c.Append(nil, p)
-	if len(enc)*8 != c.Bits(p) {
-		t.Fatalf("encoded %d bits, Bits says %d", len(enc)*8, c.Bits(p))
-	}
-	dec, n, err := c.Decode(enc)
-	if err != nil || n != len(enc) {
-		t.Fatalf("decode: %v (n=%d)", err, n)
-	}
-	for i := range p {
-		if dec[i] != p[i] {
-			t.Fatalf("roundtrip %v → %v", p, dec)
-		}
-	}
-	if _, _, err := c.Decode(enc[:5]); err == nil {
-		t.Fatal("short buffer must error")
-	}
-}
-
 func TestBasisCodecRoundTrip(t *testing.T) {
 	c := BasisCodec{Dim: 2}
 	dom := NewDomain(2, 9)

@@ -23,7 +23,6 @@ var Spec = &engine.Spec[int, Point, Basis]{
 	NewDomain: func(d int, seed uint64) lptype.Domain[Point, Basis] {
 		return NewDomain(d, seed)
 	},
-	ItemCodec:  func(d int) comm.Codec[Point] { return PointCodec{Dim: d} },
 	BasisCodec: func(d int) comm.Codec[Basis] { return BasisCodec{Dim: d} },
 
 	Width: func(d int) int { return d },

@@ -11,6 +11,7 @@ import (
 	"lowdimlp/internal/lp"
 	"lowdimlp/internal/lptype"
 	"lowdimlp/internal/meb"
+	"lowdimlp/internal/models"
 	"lowdimlp/internal/numeric"
 	"lowdimlp/internal/sea"
 	"lowdimlp/internal/stream"
@@ -68,15 +69,15 @@ func streamGoldenRun(kind string, r int, opt core.Options) streamGoldenRow {
 		}
 		return streamGoldenSolve[lp.Halfspace, lp.Basis](lp.NewDomain(lp.NewProblem(obj), 7),
 			func(row []float64) lp.Halfspace { return lp.Halfspace{A: row[:d], B: row[d]} }, st,
-			lp.HalfspaceCodec{Dim: d}, lp.BasisCodec{Dim: d}, opt)
+			models.LP.ItemCodec(d), lp.BasisCodec{Dim: d}, opt)
 	case "meb":
 		return streamGoldenSolve[meb.Point, meb.Basis](meb.NewDomain(d),
 			func(row []float64) meb.Point { return meb.Point(row) }, streamGoldenGaussian(700+uint64(r)),
-			meb.PointCodec{Dim: d}, meb.BasisCodec{Dim: d}, opt)
+			models.MEB.ItemCodec(d), meb.BasisCodec{Dim: d}, opt)
 	case "sea":
 		return streamGoldenSolve[sea.Point, sea.Basis](sea.NewDomain(d, 5),
 			func(row []float64) sea.Point { return sea.Point(row) }, streamGoldenGaussian(500+uint64(r)),
-			sea.PointCodec{Dim: d}, sea.BasisCodec{Dim: d}, opt)
+			sea.Spec.ItemCodec(d), sea.BasisCodec{Dim: d}, opt)
 	}
 	panic("streamGoldenRun: unknown kind")
 }

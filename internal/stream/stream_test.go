@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"lowdimlp/internal/comm"
 	"lowdimlp/internal/core"
 	"lowdimlp/internal/dataset"
 	"lowdimlp/internal/lp"
@@ -155,7 +156,7 @@ func TestStreamingInfeasible(t *testing.T) {
 func TestStreamingSpaceAccounting(t *testing.T) {
 	p, cons := sphereLP(3, 40000, 31)
 	dom := lp.NewDomain(p, 13)
-	hc := lp.HalfspaceCodec{Dim: 3}
+	hc := comm.RowCodec[lp.Halfspace]{Width: 3 + 1} // Bits needs no views
 	bc := lp.BasisCodec{Dim: 3}
 	_, stats, err := solveLP(3, dom, cons, Options{
 		Core:         core.Options{R: 3, Seed: 2, NetConst: 0.5},

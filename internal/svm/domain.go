@@ -96,34 +96,6 @@ func (d *Domain) VCDim() int { return d.Dim }
 // ErrShortBuffer reports a truncated encoding.
 var ErrShortBuffer = errors.New("svm: short buffer")
 
-// ExampleCodec serializes labeled examples (64·(d+1) bits each).
-type ExampleCodec struct{ Dim int }
-
-// Append serializes e onto dst.
-func (c ExampleCodec) Append(dst []byte, e Example) []byte {
-	for _, v := range e.X {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-	}
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(e.Y))
-}
-
-// Decode parses one example from src.
-func (c ExampleCodec) Decode(src []byte) (Example, int, error) {
-	need := 8 * (c.Dim + 1)
-	if len(src) < need {
-		return Example{}, 0, ErrShortBuffer
-	}
-	x := make([]float64, c.Dim)
-	for i := range x {
-		x[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
-	}
-	y := math.Float64frombits(binary.LittleEndian.Uint64(src[8*c.Dim:]))
-	return Example{X: x, Y: y}, need, nil
-}
-
-// Bits returns the encoded size of an example in bits.
-func (c ExampleCodec) Bits(Example) int { return 64 * (c.Dim + 1) }
-
 // BasisCodec serializes a basis as the normal vector u plus ‖u‖².
 type BasisCodec struct{ Dim int }
 

@@ -312,19 +312,9 @@ func TestSolveDuplicateExamples(t *testing.T) {
 }
 
 func TestCodecRoundtrips(t *testing.T) {
-	ec := ExampleCodec{Dim: 2}
-	e := ex(-1, 1.5, -2)
-	buf := ec.Append(nil, e)
-	e2, n, err := ec.Decode(buf)
-	if err != nil || n != len(buf) || e2.Y != -1 || e2.X[0] != 1.5 {
-		t.Fatalf("example roundtrip: %v %v", e2, err)
-	}
-	if _, _, err := ec.Decode(buf[:3]); err == nil {
-		t.Error("expected short-buffer error")
-	}
 	bc := BasisCodec{Dim: 2}
 	b := Basis{Sol: Solution{U: []float64{1, 2}, Norm2: 5}}
-	buf = bc.Append(nil, b)
+	buf := bc.Append(nil, b)
 	b2, _, err := bc.Decode(buf)
 	if err != nil || b2.Sol.Norm2 != 5 || b2.Sol.U[1] != 2 {
 		t.Fatalf("basis roundtrip: %v %v", b2, err)

@@ -50,41 +50,16 @@ import (
 	"lowdimlp/internal/svm"
 )
 
-// Options configure the model solvers.
-type Options struct {
-	// R is the paper's trade-off parameter r ≥ 1: O(d·r) passes/rounds
-	// at n^{1/r} space/communication. Zero means 2.
-	R int
-	// Delta is the MPC load exponent δ ∈ (0, 1); zero means 0.5.
-	Delta float64
-	// Seed drives all randomness (equal seeds reproduce runs exactly).
-	Seed uint64
-	// MonteCarlo selects the Remark 3.6 variant (fails fast instead of
-	// retrying failed iterations).
-	MonteCarlo bool
-	// NetConst is the ε-net constant c in m = c·λ/ε (0 = the library
-	// default, DESIGN.md §5). A negative, NaN or infinite value is
-	// rejected; a c so large that n ≤ 2m+1 ships the whole input.
-	NetConst float64
-	// Parallel is for sharded streaming scans only: the stream backend
-	// reads a sharded dataset (SolveDatasetFile over an LDSETM manifest)
-	// on one decode goroutine per shard. The row order, and so the
-	// answer, is identical either way; only wall-clock time changes.
-	// Ignored by the other backends, and on a single-CPU host.
-	Parallel bool
-	// K is the number of coordinator sites (0 = 4). SolveInstance deals
-	// the rows to the sites round-robin (row i on site i mod K); a
-	// sharded dataset file maps one shard onto each site instead.
-	K int
-}
-
-func (o Options) engine() engine.Options {
-	return engine.Options{
-		R: o.R, Delta: o.Delta, Seed: o.Seed,
-		MonteCarlo: o.MonteCarlo, NetConst: o.NetConst,
-		K: o.K, Parallel: o.Parallel,
-	}
-}
+// Options configure the model solvers. It is the engine's options
+// type, the one lpserved reads from the wire too: R is the paper's
+// trade-off r ≥ 1 (O(d·r) passes/rounds at n^{1/r} space/communication;
+// 0 means 2), Delta the MPC load exponent δ (0 means 0.5), Seed drives
+// all randomness, MonteCarlo selects Remark 3.6's fail-fast variant,
+// NetConst is the ε-net constant (0 means the default; negative, NaN or
+// infinite is an error), K is the number of coordinator sites (0 means
+// 4), Parallel scans a sharded dataset on one goroutine per shard in
+// the stream backend, and a non-nil Trace records the solve's spans.
+type Options = engine.Options
 
 // Typed solve errors, the same on every backend: test for them with
 // errors.Is.
@@ -142,7 +117,7 @@ func SolveInstance(kind, backend string, inst Instance, opt Options) (Solution, 
 	if !ok {
 		return Solution{}, SolveStats{}, fmt.Errorf("unknown kind %q (want one of %v)", kind, Kinds())
 	}
-	return m.SolveInstance(backend, inst, opt.engine())
+	return m.SolveInstance(backend, inst, opt)
 }
 
 // WriteDatasetFile writes an instance of any registered kind as a
@@ -183,7 +158,7 @@ func ConvertDatasetLayout(inPath, outPath string, shards int) error {
 // objective; instances larger than memory are fine. Results are
 // bit-identical to SolveInstance over the same rows.
 func SolveDatasetFile(path, backend string, opt Options) (Solution, SolveStats, error) {
-	return engine.SolveDatasetFile(path, backend, opt.engine())
+	return engine.SolveDatasetFile(path, backend, opt)
 }
 
 // IsDatasetFile reports whether the file at path begins with either
@@ -200,5 +175,5 @@ func IsDatasetFile(path string) bool { return engine.IsDatasetFile(path) }
 // metered communication bits — is bit-identical to the in-process
 // coordinator over the matching sharded dataset.
 func SolveFleet(workers []string, opt Options) (string, Solution, SolveStats, error) {
-	return engine.SolveFleet(workers, opt.engine())
+	return engine.SolveFleet(workers, opt)
 }

@@ -196,11 +196,11 @@ func TestPublicFuncStream(t *testing.T) {
 }
 
 func TestOptionsDefaults(t *testing.T) {
-	co := Options{}.engine().Core()
+	co := Options{}.Core()
 	if co.R != 2 || co.NetConst != 0 {
 		t.Fatalf("defaults: %+v", co)
 	}
-	co = Options{R: 5, NetConst: 2}.engine().Core()
+	co = Options{R: 5, NetConst: 2}.Core()
 	if co.R != 5 || co.NetConst != 2 {
 		t.Fatalf("overrides: %+v", co)
 	}
