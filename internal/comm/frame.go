@@ -45,12 +45,18 @@ type Frame struct {
 
 // AppendFrame serializes f onto dst.
 func AppendFrame(dst []byte, f Frame) []byte {
+	return append(AppendFrameHeader(dst, f), f.Payload...)
+}
+
+// AppendFrameHeader serializes everything of f that precedes its
+// payload bytes onto dst, so a writer can send the header and then the
+// payload from where it lies, without copying it into one buffer.
+func AppendFrameHeader(dst []byte, f Frame) []byte {
 	dst = append(dst, frameMagic[:]...)
 	dst = append(dst, byte(f.Type))
 	dst = binary.AppendUvarint(dst, f.Session)
 	dst = binary.AppendUvarint(dst, f.Seq)
-	dst = binary.AppendUvarint(dst, uint64(len(f.Payload)))
-	return append(dst, f.Payload...)
+	return binary.AppendUvarint(dst, uint64(len(f.Payload)))
 }
 
 // EncodeFrame returns the wire form of f.

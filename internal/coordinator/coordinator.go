@@ -118,7 +118,7 @@ func Solve[C, B any](
 	ccodec comm.RowCodec[C], bcodec comm.Codec[B],
 	opt Options,
 ) (B, Stats, error) {
-	tr := &localTransport[C, B]{sites: make([]*protoSite[C, B], len(sites))}
+	tr := newLocalTransport(make([]*protoSite[C, B], len(sites)))
 	for i, w := range sites {
 		tr.sites[i] = newProtoSite(w, bcodec)
 	}

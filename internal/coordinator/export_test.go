@@ -13,7 +13,7 @@ func Loopback[C, B any](ra lptype.RowAccess[C, B], views []dataset.View, bc comm
 	for i, v := range views {
 		sites[i] = newProtoSite(lptype.NewSiteWeights(ra, v), bc)
 	}
-	return &localTransport[C, B]{sites: sites}, func() {
+	return newLocalTransport(sites), func() {
 		for _, s := range sites {
 			s.Close()
 		}

@@ -1,6 +1,7 @@
 package coordinator
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
 	"slices"
@@ -20,14 +21,17 @@ import (
 // implementation of "what a site does".
 
 // Site is one protocol participant, driven by frames. Step handles
-// one request payload and returns the reply payload; both are exactly
+// one request payload and appends the reply payload; both are exactly
 // the bytes the coordinator meters. A Site belongs to one solve and
 // is not safe for concurrent Steps.
 type Site interface {
-	// Step handles one protocol frame. The reply is the site's own
-	// buffer: it is valid until the next Step or Close. A frame that
-	// fails leaves the site's state as it was.
-	Step(typ comm.FrameType, payload []byte) ([]byte, error)
+	// Step handles one protocol frame and appends its reply to dst,
+	// returning the extended buffer. The site keeps no reference to
+	// dst, so the caller owns every reply buffer and may reuse it for
+	// any later reply, of this site or another (a worker keeps a few
+	// between sessions). A frame that fails leaves the site's state as
+	// it was.
+	Step(dst []byte, typ comm.FrameType, payload []byte) ([]byte, error)
 	// StateBytes returns the size of the per-row weight state the
 	// site holds (lptype.SiteWeights.StateBytes).
 	StateBytes() int
@@ -92,8 +96,6 @@ type protoSite[C, B any] struct {
 	// or forged success flag cannot bump the weights twice.
 	awaitB bool
 	begun  bool
-	// reply backs every reply payload, reused from Step to Step.
-	reply []byte
 }
 
 func newProtoSite[C, B any](w *lptype.SiteWeights[C, B], bcodec comm.Codec[B]) *protoSite[C, B] {
@@ -112,27 +114,25 @@ func (s *protoSite[C, B]) begin(seed uint64, site int, mult float64) {
 }
 
 // Step dispatches one protocol frame.
-func (s *protoSite[C, B]) Step(typ comm.FrameType, payload []byte) ([]byte, error) {
+func (s *protoSite[C, B]) Step(dst []byte, typ comm.FrameType, payload []byte) ([]byte, error) {
 	if typ == comm.FrameBegin {
 		seed, site, mult, err := comm.DecodeBeginPayload(payload)
 		if err != nil {
 			return nil, err
 		}
 		s.begin(seed, site, mult)
-		b := comm.NewBuffer()
-		b.PutUvarint(uint64(s.w.Size()))
-		return b.Bytes(), nil
+		return binary.AppendUvarint(dst, uint64(s.w.Size())), nil
 	}
 	if !s.begun {
 		return nil, fmt.Errorf("%w: frame type %d before begin", comm.ErrProtocol, typ)
 	}
 	switch typ {
 	case comm.FrameRoundA:
-		return s.roundA(payload)
+		return s.roundA(dst, payload)
 	case comm.FrameRoundB:
-		return s.roundB(payload)
+		return s.roundB(dst, payload)
 	case comm.FrameShipAll:
-		return s.shipAll(payload)
+		return s.shipAll(dst, payload)
 	default:
 		return nil, fmt.Errorf("%w: unexpected frame type %d", comm.ErrProtocol, typ)
 	}
@@ -143,7 +143,7 @@ func (s *protoSite[C, B]) Step(typ comm.FrameType, payload []byte) ([]byte, erro
 // one violation pass, none for the bootstrap round without a basis —
 // and reply with the local total weight, the pending basis's local
 // violator weight, and the violator count.
-func (s *protoSite[C, B]) roundA(payload []byte) ([]byte, error) {
+func (s *protoSite[C, B]) roundA(dst, payload []byte) ([]byte, error) {
 	req := comm.FromBytes(payload)
 	has, err := req.Bool()
 	if err != nil {
@@ -162,12 +162,11 @@ func (s *protoSite[C, B]) roundA(payload []byte) ([]byte, error) {
 	}
 	s.pending, s.awaitB = pending, true
 	wTot, wViol, count := s.w.Test(pending)
-	rep := comm.FromBytes(s.reply[:0])
+	rep := comm.FromBytes(dst)
 	rep.PutFloat(wTot)
 	rep.PutFloat(wViol)
 	rep.PutInt(count)
-	s.reply = rep.Bytes()
-	return s.reply, nil
+	return rep.Bytes(), nil
 }
 
 // roundB handles "flag + allocation out, sampled constraints back":
@@ -178,7 +177,7 @@ func (s *protoSite[C, B]) roundA(payload []byte) ([]byte, error) {
 // coordinator charges nothing — exactly the in-process accounting).
 // Rounds alternate A → B: a round B with no round A since the last
 // one, or a success flag with no basis tested, is a protocol error.
-func (s *protoSite[C, B]) roundB(payload []byte) ([]byte, error) {
+func (s *protoSite[C, B]) roundB(dst, payload []byte) ([]byte, error) {
 	req := comm.FromBytes(payload)
 	success, err := req.Bool()
 	if err != nil {
@@ -207,58 +206,57 @@ func (s *protoSite[C, B]) roundB(payload []byte) ([]byte, error) {
 	if success {
 		s.w.Commit()
 	}
-	if alloc == 0 {
-		return nil, nil
-	}
-	rep := s.reply[:0]
+	rep := dst
 	for t := 0; t < alloc; t++ {
 		rep = comm.AppendRow(rep, s.w.Row(s.w.Draw(s.rng)))
 		if t == 0 {
 			// Rows of one kind and dimension encode to one size. The
 			// clamp keeps a forged allocation from sizing the buffer.
-			rep = slices.Grow(rep, min(alloc-1, s.w.Size())*len(rep))
+			rep = slices.Grow(rep, min(alloc-1, s.w.Size())*(len(rep)-len(dst)))
 		}
 	}
-	s.reply = rep
 	return rep, nil
 }
 
 // shipAll replies with every local constraint in storage order — the
 // degenerate protocol for small inputs (n ≤ 2m+1).
-func (s *protoSite[C, B]) shipAll(payload []byte) ([]byte, error) {
+func (s *protoSite[C, B]) shipAll(dst, payload []byte) ([]byte, error) {
 	if len(payload) != 0 {
 		return nil, fmt.Errorf("%w: %d unexpected bytes in ship-all request", comm.ErrProtocol, len(payload))
 	}
-	rep := s.reply[:0]
+	rep := dst
 	for i, n := 0, s.w.Size(); i < n; i++ {
 		rep = comm.AppendRow(rep, s.w.Row(i))
 		if i == 0 {
 			// Size the reply from the first row once, instead of
 			// growing it by a quarter at a time (five times its size in
 			// garbage for a large shard).
-			rep = slices.Grow(rep, (n-1)*len(rep))
+			rep = slices.Grow(rep, (n-1)*(len(rep)-len(dst)))
 		}
 	}
-	s.reply = rep
 	return rep, nil
 }
 
 func (s *protoSite[C, B]) StateBytes() int { return s.w.StateBytes() }
 
-// Close drops the site's weight state and reply buffer and releases
-// its scan cursor.
+// Close drops the site's weight state and releases its scan cursor.
 func (s *protoSite[C, B]) Close() error {
 	s.w.Close()
-	s.reply = nil
 	return nil
 }
 
 // localTransport is the in-process Transport: frames are handed to
 // site objects in the same address space. It is the historical
 // simulation, expressed on the substrate boundary the networked
-// implementation shares.
+// implementation shares. Each site's replies reuse one buffer, valid
+// until the site's next RoundTrip.
 type localTransport[C, B any] struct {
-	sites []*protoSite[C, B]
+	sites   []*protoSite[C, B]
+	replies [][]byte
+}
+
+func newLocalTransport[C, B any](sites []*protoSite[C, B]) *localTransport[C, B] {
+	return &localTransport[C, B]{sites: sites, replies: make([][]byte, len(sites))}
 }
 
 func (t *localTransport[C, B]) Sites() int { return len(t.sites) }
@@ -267,7 +265,7 @@ func (t *localTransport[C, B]) SiteRows(i int) int { return t.sites[i].w.Size() 
 
 func (t *localTransport[C, B]) Begin(seed uint64, mult float64) error {
 	return comm.EachSite(len(t.sites), func(i int) error {
-		if _, err := t.sites[i].Step(comm.FrameBegin, comm.AppendBeginPayload(nil, seed, i, mult)); err != nil {
+		if _, err := t.sites[i].Step(nil, comm.FrameBegin, comm.AppendBeginPayload(nil, seed, i, mult)); err != nil {
 			return &comm.TransportError{Site: i, Type: comm.FrameBegin, Err: err}
 		}
 		return nil
@@ -275,10 +273,11 @@ func (t *localTransport[C, B]) Begin(seed uint64, mult float64) error {
 }
 
 func (t *localTransport[C, B]) RoundTrip(site int, typ comm.FrameType, payload []byte) ([]byte, error) {
-	rep, err := t.sites[site].Step(typ, payload)
+	rep, err := t.sites[site].Step(t.replies[site][:0], typ, payload)
 	if err != nil {
 		return nil, &comm.TransportError{Site: site, Type: typ, Err: err}
 	}
+	t.replies[site] = rep
 	return rep, nil
 }
 

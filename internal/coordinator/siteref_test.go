@@ -164,7 +164,7 @@ func transcriptCase[C, B any](
 	for i, v := range shards {
 		sites[i] = newProtoSite(lptype.NewSiteWeights(ra, v), bc)
 	}
-	tr := &recordingTransport{Transport: &localTransport[C, B]{sites: sites}, log: make([][]exchange, k)}
+	tr := &recordingTransport{Transport: newLocalTransport(sites), log: make([][]exchange, k)}
 	_, stats, err := SolveTransport(ra.Domain(), tr, cc, bc, opt)
 	if err != nil {
 		t.Fatalf("%s: %v (%v)", what, err, stats)
@@ -298,7 +298,7 @@ func siteFixture(t *testing.T) (a, b *protoSite[meb.Point, meb.Basis], basis [2]
 	}
 	mk := func() *protoSite[meb.Point, meb.Basis] {
 		s := newProtoSite(lptype.NewSiteWeights(ra, st.View()), bc)
-		if _, err := s.Step(comm.FrameBegin, comm.AppendBeginPayload(nil, 5, 0, math.Sqrt(n))); err != nil {
+		if _, err := s.Step(nil, comm.FrameBegin, comm.AppendBeginPayload(nil, 5, 0, math.Sqrt(n))); err != nil {
 			t.Fatal(err)
 		}
 		return s
@@ -348,7 +348,7 @@ func TestSiteRoundAlternation(t *testing.T) {
 		{"round B after an empty-allocation round B", comm.FrameRoundB, roundBReq(true, 0), true},
 	}
 	for _, st := range steps {
-		got, err := victim.Step(st.typ, st.req)
+		got, err := victim.Step(nil, st.typ, st.req)
 		if st.hostile {
 			if !errors.Is(err, comm.ErrProtocol) {
 				t.Fatalf("%s: error %v, want comm.ErrProtocol", st.name, err)
@@ -358,7 +358,7 @@ func TestSiteRoundAlternation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", st.name, err)
 		}
-		want, err := twin.Step(st.typ, st.req)
+		want, err := twin.Step(nil, st.typ, st.req)
 		if err != nil {
 			t.Fatalf("%s (twin): %v", st.name, err)
 		}
@@ -375,8 +375,10 @@ func TestSiteRoundAlternation(t *testing.T) {
 // reply cost nothing.
 func TestSiteFailedIterationAllocations(t *testing.T) {
 	site, _, basis := siteFixture(t)
+	var reply []byte
 	step := func(typ comm.FrameType, req []byte) {
-		if _, err := site.Step(typ, req); err != nil {
+		var err error
+		if reply, err = site.Step(reply[:0], typ, req); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -2,9 +2,9 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 
 	"lowdimlp/internal/dataset"
 	"lowdimlp/internal/engine"
@@ -39,74 +39,166 @@ func decodeBinaryChunk(r io.Reader, m engine.Model, kind string, dim int) (*data
 	return st, nil
 }
 
-// decodeRowsJSON streams a JSON array-of-rows straight into a columnar
-// store: one reusable []float64 is decoded per row (json.Decoder
-// reuses its backing array) and copied into the arena, so ingesting n
-// rows allocates O(1) slice headers instead of n — no [][]float64 is
-// ever materialized. Each row passes CheckRow before it is committed;
-// maxRows bounds the total.
-func decodeRowsJSON(raw []byte, m engine.Model, dim int, st *dataset.Store, maxRows int) error {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	tok, err := dec.Token()
-	if err != nil {
-		return fmt.Errorf("bad rows JSON: %w", err)
+// Inline rows and JSON chunks are read by one strict reader of the one
+// shape they take: a JSON array of arrays of numbers. It makes one pass
+// over the bytes, checks every number token against the JSON number
+// grammar and converts it with strconv.ParseFloat, the call
+// encoding/json makes, so each value has the bits encoding/json would
+// give it. Anything else — null, strings, booleans, objects, deeper
+// nesting — is refused with the row it is in. (encoding/json decodes a
+// null element by leaving it as it was, which in a reused row is the
+// previous row's value.)
+
+// scanRowsJSON reads the rows array that starts at b[i] and returns
+// the offset just past it and its row count. With row nil it checks
+// the grammar only; otherwise it converts each row and hands it to row
+// (the slice is reused for the next row), and an error row returns is
+// the scan's, prefixed with the row's index.
+func scanRowsJSON(b []byte, i int, row func([]float64) error) (end, rows int, err error) {
+	if i >= len(b) || b[i] != '[' {
+		return 0, 0, fmt.Errorf("rows must be an array of arrays of numbers, got %s", found(b, i))
 	}
-	if d, ok := tok.(json.Delim); !ok || d != '[' {
-		return fmt.Errorf("rows must be an array, got %v", tok)
+	var vals []float64
+	i = skipSpace(b, i+1)
+	if i < len(b) && b[i] == ']' {
+		return i + 1, 0, nil
 	}
-	row := make([]float64, 0, st.Width())
-	i := 0
-	for dec.More() {
-		row = row[:0]
-		if err := dec.Decode(&row); err != nil {
-			return fmt.Errorf("row %d: bad JSON: %w", i, err)
+	for {
+		if i >= len(b) || b[i] != '[' {
+			return 0, rows, fmt.Errorf("row %d: want an array of numbers, got %s", rows, found(b, i))
 		}
+		i = skipSpace(b, i+1)
+		vals = vals[:0]
+		if i < len(b) && b[i] == ']' {
+			i++
+		} else {
+			for k := 0; ; k++ {
+				j := numberEnd(b, i)
+				if j < 0 {
+					return 0, rows, fmt.Errorf("row %d: element %d: want a number, got %s", rows, k, found(b, i))
+				}
+				if row != nil {
+					v, err := strconv.ParseFloat(string(b[i:j]), 64)
+					if err != nil {
+						return 0, rows, fmt.Errorf("row %d: element %d: number %s out of range", rows, k, b[i:j])
+					}
+					vals = append(vals, v)
+				}
+				i = skipSpace(b, j)
+				if i < len(b) && b[i] == ',' {
+					i = skipSpace(b, i+1)
+					continue
+				}
+				if i < len(b) && b[i] == ']' {
+					i++
+					break
+				}
+				return 0, rows, fmt.Errorf("row %d: after element %d: want ',' or ']', got %s", rows, k, found(b, i))
+			}
+		}
+		if row != nil {
+			if err := row(vals); err != nil {
+				return 0, rows, fmt.Errorf("row %d: %w", rows, err)
+			}
+		}
+		rows++
+		i = skipSpace(b, i)
+		if i < len(b) && b[i] == ',' {
+			i = skipSpace(b, i+1)
+			continue
+		}
+		if i < len(b) && b[i] == ']' {
+			return i + 1, rows, nil
+		}
+		return 0, rows, fmt.Errorf("after row %d: want ',' or ']', got %s", rows-1, found(b, i))
+	}
+}
+
+// decodeRowsJSON reads the rows array raw (surrounding whitespace
+// allowed) into st: each row is checked with m.CheckRow before it is
+// appended, and st may grow to maxRows rows. Growing st by the row
+// count first (the grammar check counts them) makes the decode
+// allocate a constant number of times.
+func decodeRowsJSON(raw []byte, m engine.Model, dim int, st *dataset.Store, maxRows int) error {
+	end, _, err := scanRowsJSON(raw, skipSpace(raw, 0), func(row []float64) error {
 		if err := m.CheckRow(dim, row); err != nil {
-			return fmt.Errorf("row %d: %w", i, err)
+			return err
 		}
 		if st.Rows() >= maxRows {
 			return fmt.Errorf("instance exceeds %d rows", maxRows)
 		}
 		st.AppendRow(row)
-		i++
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	if _, err := dec.Token(); err != nil { // closing ']'
-		return fmt.Errorf("bad rows JSON: %w", err)
+	if end = skipSpace(raw, end); end != len(raw) {
+		return fmt.Errorf("after the rows array: unexpected %s", found(raw, end))
 	}
 	return nil
 }
 
-// countJSONRows counts the top-level elements of a JSON array of
-// arrays without decoding it — a byte scan, so job status can report
-// the instance size from submission while materialization waits for a
-// worker. Malformed input yields a best-effort count; the real decode
-// rejects it later.
-func countJSONRows(raw []byte) int {
-	depth, count := 0, 0
-	inStr, esc := false, false
-	for _, b := range raw {
-		if inStr {
-			switch {
-			case esc:
-				esc = false
-			case b == '\\':
-				esc = true
-			case b == '"':
-				inStr = false
-			}
-			continue
-		}
-		switch b {
-		case '"':
-			inStr = true
-		case '[':
-			depth++
-			if depth == 2 {
-				count++
-			}
-		case ']':
-			depth--
-		}
+// numberEnd returns the end of the JSON number token
+// -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)? at b[i:], or -1 when
+// none starts there. What follows the token is the caller's to check.
+func numberEnd(b []byte, i int) int {
+	if i < len(b) && b[i] == '-' {
+		i++
 	}
-	return count
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		i = digitsEnd(b, i+1)
+	default:
+		return -1
+	}
+	if i < len(b) && b[i] == '.' {
+		j := digitsEnd(b, i+1)
+		if j == i+1 {
+			return -1
+		}
+		i = j
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		j := digitsEnd(b, i)
+		if j == i {
+			return -1
+		}
+		i = j
+	}
+	return i
+}
+
+func digitsEnd(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// skipSpace returns the offset of the first byte at or after i that is
+// not JSON whitespace.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// found names what a reader met at b[i], for its error.
+func found(b []byte, i int) string {
+	switch {
+	case i >= len(b):
+		return "the end of the input"
+	case bytes.HasPrefix(b[i:], []byte("null")):
+		return "null"
+	default:
+		return fmt.Sprintf("%q", b[i])
+	}
 }

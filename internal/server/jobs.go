@@ -201,9 +201,10 @@ func (m *Manager) Submit(req *SolveRequest) (*Job, error) {
 	// Retry-After estimate.
 	n := len(req.Rows)
 	if req.rawRows != nil {
-		// Undecoded inline rows: count without decoding, so queued and
-		// failed jobs still report the submitted instance size.
-		n = countJSONRows(req.rawRows)
+		// Unconverted inline rows: counted when their grammar was
+		// checked, so queued and failed jobs still report the submitted
+		// instance size.
+		n = req.rawN
 	}
 	if req.data != nil {
 		n = req.data.Rows()

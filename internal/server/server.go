@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -223,7 +222,7 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*SolveRe
 	}
 	req := &SolveRequest{}
 	if len(raw) > 0 {
-		if err := json.Unmarshal(raw, req); err != nil {
+		if err := req.UnmarshalJSON(raw); err != nil {
 			return nil, "", fmt.Errorf("bad JSON: %w", err)
 		}
 	}
@@ -493,16 +492,9 @@ func (s *Server) handleInstanceList(w http.ResponseWriter, r *http.Request) {
 }
 
 // instanceAppendBody is one chunk of rows (the client-side shape; the
-// handler decodes the rows array straight into a columnar store).
+// handler reads the rows array straight into a columnar store).
 type instanceAppendBody struct {
 	Rows [][]float64 `json:"rows"`
-}
-
-// instanceAppendWire is the server-side parse target: the rows array
-// stays raw so it can be streamed into the columnar chunk without
-// materializing a [][]float64.
-type instanceAppendWire struct {
-	Rows json.RawMessage `json:"rows"`
 }
 
 func (s *Server) handleInstanceAppend(w http.ResponseWriter, r *http.Request) {
@@ -530,15 +522,21 @@ func (s *Server) handleInstanceAppend(w http.ResponseWriter, r *http.Request) {
 		}
 		s.metrics.BinaryAppends.Add(1)
 	} else {
-		var body instanceAppendWire
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)).Decode(&body); err != nil {
-			err = fmt.Errorf("bad JSON: %w", err)
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+		if err != nil {
+			err = fmt.Errorf("reading body: %w", err)
 			writeError(w, decodeErrorStatus(err), err)
 			return
 		}
+		rows, n, err := decodeRowsBody(body, &struct{}{})
+		if err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %w", err))
+			return
+		}
 		chunk = newKindStore(m, dim)
-		if raw := bytes.TrimSpace(body.Rows); len(raw) > 0 && !bytes.Equal(raw, []byte("null")) {
-			if err := decodeRowsJSON(raw, m, dim, chunk, MaxInstanceRows); err != nil {
+		if rows != nil {
+			chunk.Grow(min(n, MaxInstanceRows))
+			if err := decodeRowsJSON(rows, m, dim, chunk, MaxInstanceRows); err != nil {
 				writeError(w, http.StatusBadRequest, err)
 				return
 			}

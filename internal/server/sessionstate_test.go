@@ -209,3 +209,56 @@ func TestWorkerSessionStateBoundedAndReleased(t *testing.T) {
 		t.Fatalf("after End the heap still holds %d bytes over the baseline", left)
 	}
 }
+
+// discardWriter is a ResponseWriter that counts the body and keeps
+// none of it, so a test can measure what a handler itself allocates.
+type discardWriter struct {
+	h    http.Header
+	code int
+	n    int
+}
+
+func (d *discardWriter) Header() http.Header { return d.h }
+
+func (d *discardWriter) WriteHeader(code int) { d.code = code }
+
+func (d *discardWriter) Write(p []byte) (int, error) {
+	d.n += len(p)
+	return len(p), nil
+}
+
+// TestShipAllStepAllocations: once the worker has served a few solves,
+// a ship-all step on a 20 000-row shard (a 480 KB reply) allocates no
+// buffer of the reply's size — neither a reply buffer that dies with
+// its session nor a frame that copies it.
+func TestShipAllStepAllocations(t *testing.T) {
+	const n, budget = 20000, 64 << 10
+	w, _ := newMebWorker(t, n, WorkerConfig{})
+	shipAll := func() (allocated uint64) {
+		id := beginSession(t, w, math.Sqrt(n))
+		req := httptest.NewRequest("POST", httptransport.StepPath,
+			bytes.NewReader(comm.EncodeFrame(comm.Frame{Type: comm.FrameShipAll, Session: id, Seq: 2})))
+		rw := &discardWriter{h: http.Header{}}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		w.Handler().ServeHTTP(rw, req)
+		runtime.ReadMemStats(&after)
+		if rw.code != 0 && rw.code != http.StatusOK || rw.n < 3*8*n {
+			t.Fatalf("ship-all: HTTP %d, %d bytes", rw.code, rw.n)
+		}
+		if code, _ := stepWorker(t, w, comm.Frame{Type: comm.FrameEnd, Session: id, Seq: 3}); code != http.StatusOK {
+			t.Fatalf("end: HTTP %d", code)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for range 3 {
+		shipAll()
+	}
+	for i := range 4 {
+		got := shipAll()
+		t.Logf("steady-state ship-all step %d: %d bytes allocated", i, got)
+		if got > budget {
+			t.Fatalf("steady-state ship-all step %d allocated %d bytes, want < %d", i, got, budget)
+		}
+	}
+}

@@ -115,12 +115,14 @@ type SolveRequest struct {
 	// cache entry.
 	Trace bool `json:"trace,omitempty"`
 
-	// rawRows holds the undecoded JSON of an inline rows array. The
-	// HTTP handlers deliberately do not decode it: materialization of
+	// rawRows holds the JSON of an inline rows array, its grammar
+	// checked and its rows counted (rawN) but no number converted. The
+	// HTTP handlers deliberately do not convert it: materialization of
 	// inline bodies happens on the worker pool (materialize), so a
 	// flood of large uploads is bounded by Workers, not by however
 	// many handler goroutines are in flight.
-	rawRows json.RawMessage
+	rawRows []byte
+	rawN    int
 	// data is the materialized columnar instance: set by the worker
 	// (from rawRows, Rows or Generate) or at decode time for
 	// chunk-uploaded instances (InstanceStore.Take). It is always an
@@ -150,42 +152,172 @@ func (r *SolveRequest) ns() string {
 	return ""
 }
 
-// UnmarshalJSON decodes the request envelope but leaves the rows array
-// raw (see rawRows). Client-side marshalling is untouched: Rows
-// marshals normally.
+// UnmarshalJSON decodes the request envelope through decodeRowsBody,
+// as the handlers do: the rows array is checked, counted and kept raw
+// (see rawRows). Client-side marshalling is untouched: Rows marshals
+// normally.
 func (r *SolveRequest) UnmarshalJSON(b []byte) error {
 	type envelope SolveRequest // method-free alias: no recursion
-	aux := struct {
-		*envelope
-		Rows json.RawMessage `json:"rows"` // shadows envelope.Rows
-	}{envelope: (*envelope)(r)}
-	if err := json.Unmarshal(b, &aux); err != nil {
+	raw, n, err := decodeRowsBody(b, (*envelope)(r))
+	if err != nil {
 		return err
 	}
-	raw := bytes.TrimSpace(aux.Rows)
-	if len(raw) == 0 || bytes.Equal(raw, []byte("null")) || emptyJSONArray(raw) {
-		raw = nil // absent and empty mean the same: no inline rows
-	}
-	r.rawRows = raw
+	r.rawRows, r.rawN = raw, n
 	return nil
 }
 
-// emptyJSONArray reports whether raw is "[]" up to interior
-// whitespace, so "rows": [ ] behaves exactly like "rows": [].
-func emptyJSONArray(raw []byte) bool {
-	if len(raw) == 0 || raw[0] != '[' {
-		return false
+// decodeRowsBody decodes a JSON body whose "rows" member is an array of
+// arrays of numbers. The rows member is cut out, so encoding/json never
+// reads it: its grammar is checked in one pass (scanRowsJSON, without
+// converting a number), and the rest of the body is decoded into v by
+// json.Unmarshal. Members match "rows" the way encoding/json matches
+// keys to a field: with escapes decoded, exactly or case-folded, the
+// last one winning. It returns the rows array's bytes (nil when it is
+// absent, null or empty) and its row count.
+func decodeRowsBody(body []byte, v any) (rows []byte, n int, err error) {
+	i := skipSpace(body, 0)
+	if i == len(body) || body[i] != '{' {
+		// Not an object: encoding/json decides (null decodes to
+		// nothing; anything else is an error).
+		return nil, 0, json.Unmarshal(body, v)
 	}
-	for _, b := range raw[1:] {
-		switch b {
-		case ' ', '\t', '\n', '\r':
-		case ']':
-			return true
+	rest := []byte{'{'}
+	i = skipSpace(body, i+1)
+	more := i == len(body) || body[i] != '}'
+	if !more {
+		i++ // {}
+	}
+	for more {
+		start := i
+		keyEnd, err := stringEnd(body, i)
+		if err != nil {
+			return nil, 0, err
+		}
+		isRows, err := rowsKey(body[start:keyEnd])
+		if err != nil {
+			return nil, 0, err
+		}
+		i = skipSpace(body, keyEnd)
+		if i == len(body) || body[i] != ':' {
+			return nil, 0, syntaxError(body, i, "':' after an object key")
+		}
+		i = skipSpace(body, i+1)
+		var end int
+		switch {
+		case !isRows:
+			if end, err = valueEnd(body, i); err != nil {
+				return nil, 0, err
+			}
+			if len(rest) > 1 {
+				rest = append(rest, ',')
+			}
+			rest = append(rest, body[start:end]...)
+		case bytes.HasPrefix(body[i:], []byte("null")):
+			end, rows, n = i+4, nil, 0
 		default:
-			return false
+			if end, n, err = scanRowsJSON(body, i, nil); err != nil {
+				return nil, 0, err
+			}
+			rows = body[i:end]
+			if n == 0 {
+				rows = nil // absent and empty mean the same: no inline rows
+			}
+		}
+		i = skipSpace(body, end)
+		if i == len(body) || body[i] != ',' && body[i] != '}' {
+			return nil, 0, syntaxError(body, i, "',' or '}' after an object member")
+		}
+		more = body[i] == ','
+		i = skipSpace(body, i+1)
+	}
+	if i = skipSpace(body, i); i != len(body) {
+		return nil, 0, syntaxError(body, i, "nothing after the top-level object")
+	}
+	if err := json.Unmarshal(append(rest, '}'), v); err != nil {
+		return nil, 0, err
+	}
+	return rows, n, nil
+}
+
+// rowsKey reports whether the quoted object key names the rows member.
+func rowsKey(quoted []byte) (bool, error) {
+	key := quoted[1 : len(quoted)-1]
+	if bytes.IndexByte(key, '\\') < 0 {
+		return bytes.EqualFold(key, []byte("rows")), nil
+	}
+	var s string
+	if err := json.Unmarshal(quoted, &s); err != nil {
+		return false, err
+	}
+	return strings.EqualFold(s, "rows"), nil
+}
+
+// stringEnd returns the offset just past the JSON string that starts
+// at b[i], skipping escaped characters. encoding/json checks the
+// string itself.
+func stringEnd(b []byte, i int) (int, error) {
+	if i >= len(b) || b[i] != '"' {
+		return 0, syntaxError(b, i, "a string")
+	}
+	for i++; i < len(b); i++ {
+		switch b[i] {
+		case '\\':
+			i++
+		case '"':
+			return i + 1, nil
 		}
 	}
-	return false
+	return 0, syntaxError(b, len(b), "the end of a string")
+}
+
+// valueEnd returns the offset just past the JSON value that starts at
+// b[i]: a string, an object or array (brackets matched, strings
+// skipped) or a run of literal or number bytes. It checks only what it
+// needs to find the end; encoding/json decodes the value and checks
+// all of it.
+func valueEnd(b []byte, i int) (int, error) {
+	if i >= len(b) {
+		return 0, syntaxError(b, i, "a value")
+	}
+	switch b[i] {
+	case '"':
+		return stringEnd(b, i)
+	case '{', '[':
+		depth := 0
+		for i < len(b) {
+			switch b[i] {
+			case '"':
+				end, err := stringEnd(b, i)
+				if err != nil {
+					return 0, err
+				}
+				i = end
+				continue
+			case '{', '[':
+				depth++
+			case '}', ']':
+				if depth--; depth == 0 {
+					return i + 1, nil
+				}
+			}
+			i++
+		}
+		return 0, syntaxError(b, i, "the end of an object or array")
+	}
+	j := i
+	for j < len(b) && (b[j] == '-' || b[j] == '+' || b[j] == '.' ||
+		'0' <= b[j] && b[j] <= '9' || 'a' <= b[j] && b[j] <= 'z' || 'A' <= b[j] && b[j] <= 'Z') {
+		j++
+	}
+	if j == i {
+		return 0, syntaxError(b, i, "a value")
+	}
+	return j, nil
+}
+
+// syntaxError reports that b[i] is not what a JSON object needs there.
+func syntaxError(b []byte, i int, want string) error {
+	return fmt.Errorf("offset %d: want %s, got %s", i, want, found(b, i))
 }
 
 // model returns the registry entry for the request's kind. It is only

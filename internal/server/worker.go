@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -53,6 +54,14 @@ type Worker struct {
 	sessions map[uint64]*workerSession
 	draining bool // refuse new Begins; existing sessions still step
 
+	// replies holds reply buffers between steps. A ship-all reply on a
+	// 20 000-row shard is 640 KB; a buffer that died with its session
+	// would make one such garbage per solve, and with it about one
+	// collection. At most one buffer per CPU (steps are CPU-bound, so
+	// about that many are in flight) of at most maxIdleReplyBytes
+	// waits here; a larger reply's buffer is left to the collector.
+	replies chan []byte
+
 	sweepOnce sync.Once
 	sweepStop chan struct{}
 	sweepDone chan struct{}
@@ -72,13 +81,15 @@ type WorkerConfig struct {
 }
 
 // A worker holds at most maxSessions open protocol sessions, reclaims
-// those idle past sessionTTL, and reads request frames of at most
+// those idle past sessionTTL, reads request frames of at most
 // maxFrameBytes (coordinator requests are a basis or two varints,
-// never large).
+// never large) and keeps reply buffers of at most maxIdleReplyBytes
+// between steps.
 const (
-	maxSessions   = 64
-	sessionTTL    = 5 * time.Minute
-	maxFrameBytes = 4 << 20
+	maxSessions       = 64
+	sessionTTL        = 5 * time.Minute
+	maxFrameBytes     = 4 << 20
+	maxIdleReplyBytes = 8 << 20
 )
 
 func (c WorkerConfig) withDefaults() WorkerConfig {
@@ -147,6 +158,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		host:      host,
 		mux:       http.NewServeMux(),
 		sessions:  make(map[uint64]*workerSession),
+		replies:   make(chan []byte, runtime.GOMAXPROCS(0)),
 		sweepStop: make(chan struct{}),
 		sweepDone: make(chan struct{}),
 	}
@@ -326,18 +338,19 @@ func (w *Worker) handleStep(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.metrics.Steps.Add(1)
-	encode := func(session uint64, payload []byte) []byte {
-		return comm.EncodeFrame(comm.Frame{Type: comm.FrameReply, Session: session, Seq: f.Seq, Payload: payload})
-	}
-	send := func(enc []byte) {
-		w.metrics.BytesOut.Add(int64(len(enc)))
+	reply := func(session uint64, payload []byte) {
+		// The header and the payload go out as they lie: no copy of
+		// the payload into one frame buffer.
+		hdr := comm.AppendFrameHeader(nil, comm.Frame{Type: comm.FrameReply, Session: session, Seq: f.Seq, Payload: payload})
+		n := len(hdr) + len(payload)
+		w.metrics.BytesOut.Add(int64(n))
 		// The declared length lets the transport read the reply into
 		// one buffer of its size (httptransport.exchangeTimeout).
 		rw.Header().Set("Content-Type", "application/octet-stream")
-		rw.Header().Set("Content-Length", strconv.Itoa(len(enc)))
-		rw.Write(enc)
+		rw.Header().Set("Content-Length", strconv.Itoa(n))
+		rw.Write(hdr)
+		rw.Write(payload)
 	}
-	reply := func(session uint64, payload []byte) { send(encode(session, payload)) }
 	switch f.Type {
 	case comm.FrameInfo:
 		reply(0, comm.AppendSiteInfo(nil, w.siteInfo()))
@@ -416,21 +429,43 @@ func (w *Worker) handleStep(rw http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.touched.Store(time.Now().UnixNano())
-		payload, err := s.site.Step(f.Type, f.Payload)
-		// The payload is the site's reply buffer, valid until its next
-		// step: copy it into the frame before letting one in.
-		var enc []byte
-		if err == nil {
-			enc = encode(f.Session, payload)
-		}
+		// The reply buffer is this handler's alone (the site keeps no
+		// reference to it), so it is written out after the session
+		// unlocks and then goes back for the next step of any session.
+		buf := w.replyBuffer()
+		payload, err := s.site.Step(buf, f.Type, f.Payload)
 		s.state.Store(int64(s.site.StateBytes()))
 		s.mu.Unlock()
 		if err != nil {
+			w.putReplyBuffer(buf)
 			w.metrics.StepErrors.Add(1)
 			writeError(rw, http.StatusUnprocessableEntity, err)
 			return
 		}
-		send(enc)
+		reply(f.Session, payload)
+		w.putReplyBuffer(payload)
+	}
+}
+
+// replyBuffer returns an empty reply buffer, an idle one if there is.
+func (w *Worker) replyBuffer() []byte {
+	select {
+	case b := <-w.replies:
+		return b
+	default:
+		return nil
+	}
+}
+
+// putReplyBuffer keeps b for a later step if it is not too large and
+// the free list has room.
+func (w *Worker) putReplyBuffer(b []byte) {
+	if cap(b) == 0 || cap(b) > maxIdleReplyBytes {
+		return
+	}
+	select {
+	case w.replies <- b[:0]:
+	default:
 	}
 }
 
