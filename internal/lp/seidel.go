@@ -47,8 +47,6 @@ func Seidel(p Problem, cons []Halfspace, rng *rand.Rand) (Solution, error) {
 // its right-hand side. It is how callers whose constraints are derived
 // from other data (the lifted halfspaces of package sea) avoid
 // materializing Halfspaces that the solver would only copy again.
-// fill is called once per constraint, in index order i = 0…m−1, so a
-// caller's data is read front to back; it must depend on i alone.
 func SeidelRows(p Problem, m int, fill func(i int, a []float64) float64, rng *rand.Rand) (Solution, error) {
 	if len(p.Objective) != p.Dim {
 		return Solution{}, fmt.Errorf("lp: objective has %d coefficients, want %d", len(p.Objective), p.Dim)
@@ -87,7 +85,6 @@ type workspace struct {
 	box  float64
 	lv   []level
 	perm []int32 // shuffled load order of the top level
-	pos  []int32 // inverse of perm: constraint i lands in row pos[i]
 }
 
 // level is the subproblem in k variables: constraints a·x ≤ b stored
@@ -140,9 +137,9 @@ func putWorkspace(w *workspace) {
 }
 
 // values is the workspace's capacity in numbers, counting each int32
-// of perm and pos as half a float64.
+// of perm as half a float64.
 func (w *workspace) values() int {
-	n := (cap(w.perm) + cap(w.pos)) / 2
+	n := cap(w.perm) / 2
 	for _, l := range w.lv[:cap(w.lv)] {
 		n += cap(l.a) + cap(l.b) + cap(l.obj) + cap(l.scale) + cap(l.sub) + cap(l.x)
 	}
@@ -160,11 +157,7 @@ func grow[T any](buf []T, n int) []T {
 
 // load sizes the workspace for p and m constraints and fills the top
 // level: constraint perm[i] lands in row i, where perm is the identity
-// shuffled exactly as the constraint slice itself used to be. The rows
-// are filled in constraint order, each written to its shuffled row
-// pos[i] (DESIGN.md §15): the caller's data is read front to back
-// instead of gathered in random order, and since fill is pure every
-// row holds the same bits as a fill in row order would give it.
+// shuffled exactly as the constraint slice itself used to be.
 func (w *workspace) load(p Problem, m int, fill func(i int, a []float64) float64, rng *rand.Rand) {
 	d := p.Dim
 	w.d, w.box = d, p.box()
@@ -188,14 +181,9 @@ func (w *workspace) load(p Problem, m int, fill func(i int, a []float64) float64
 	if rng != nil {
 		rng.Shuffle(m, func(i, j int) { w.perm[i], w.perm[j] = w.perm[j], w.perm[i] })
 	}
-	w.pos = grow(w.pos, m)
-	for i, src := range w.perm {
-		w.pos[src] = int32(i)
-	}
 	top := &w.lv[d]
-	for src, i := range w.pos {
-		a := top.a[int(i)*d : int(i+1)*d]
-		top.b[i] = equilibrate(a, fill(src, a))
+	for i, src := range w.perm {
+		top.b[i] = equilibrate(top.a[i*d:(i+1)*d], fill(int(src), top.a[i*d:(i+1)*d]))
 	}
 	// The lexicographic objective: the objective vector, then the
 	// identity rows e_1..e_d that realize "lexicographically smallest

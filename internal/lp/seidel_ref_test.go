@@ -421,30 +421,6 @@ func TestSeidelMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSeidelRowsFillsInOrder pins SeidelRows' load order: fill is
-// called once per constraint, in index order, whatever the shuffle.
-// (TestSeidelMatchesReference pins that the rows still land where the
-// shuffle puts them.)
-func TestSeidelRowsFillsInOrder(t *testing.T) {
-	p, cons := refInstance(famSphere, 3, 500, 9)
-	var calls []int
-	if _, err := SeidelRows(p, len(cons), func(i int, a []float64) float64 {
-		calls = append(calls, i)
-		copy(a, cons[i].A)
-		return cons[i].B
-	}, rand.New(rand.NewPCG(4, 5))); err != nil {
-		t.Fatal(err)
-	}
-	if len(calls) != len(cons) {
-		t.Fatalf("fill called %d times for %d constraints", len(calls), len(cons))
-	}
-	for k, i := range calls {
-		if i != k {
-			t.Fatalf("call %d filled constraint %d, want %d: fill runs in index order", k, i, k)
-		}
-	}
-}
-
 // TestSeidelZeroNormalBranch pins the precondition famZero relies on to
 // reach the numerically-zero-normal branch: a zero row with b inside
 // zeroTol registers as violated (so the branch is entered, at the top

@@ -115,11 +115,15 @@ func scanRowsJSON(b []byte, i int, row func([]float64) error) (end, rows int, er
 }
 
 // decodeRowsJSON reads the rows array raw (surrounding whitespace
-// allowed) into st: each row is checked with m.CheckRow before it is
-// appended, and st may grow to maxRows rows. Growing st by the row
-// count first (the grammar check counts them) makes the decode
-// allocate a constant number of times.
-func decodeRowsJSON(raw []byte, m engine.Model, dim int, st *dataset.Store, maxRows int) error {
+// allowed), in which the grammar check counted n rows, into st: each
+// row is checked with m.CheckRow before it is appended, and st may
+// grow to maxRows rows. st is grown once up front, which makes the
+// decode allocate a constant number of times — but n is only a count
+// of brackets, so the growth is also bounded by the rows raw can hold
+// that CheckRow accepts: a row of w numbers takes at least 2w+1 bytes,
+// and a body of empty rows reserves at most about four times its size.
+func decodeRowsJSON(raw []byte, n int, m engine.Model, dim int, st *dataset.Store, maxRows int) error {
+	st.Grow(min(n, maxRows, len(raw)/(2*st.Width()+1)))
 	end, _, err := scanRowsJSON(raw, skipSpace(raw, 0), func(row []float64) error {
 		if err := m.CheckRow(dim, row); err != nil {
 			return err

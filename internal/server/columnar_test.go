@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"io"
 	"math"
 	"math/rand/v2"
 	"net/http"
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -72,6 +74,23 @@ func TestEmptyRowsWhitespace(t *testing.T) {
 	}
 	if req.rawRows == nil {
 		t.Error("non-empty rows array dropped")
+	}
+}
+
+// TestUnmarshalJSONCopiesRows: a json.Unmarshaler must not keep the
+// bytes it is given (json.Decoder reuses its buffer), so the raw rows
+// of a decoded SolveRequest survive the body being overwritten.
+func TestUnmarshalJSONCopiesRows(t *testing.T) {
+	body := []byte(`{"kind":"meb","dim":2,"rows":[[1,2],[3,4]]}`)
+	var req SolveRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		t.Fatal(err)
+	}
+	for i := range body {
+		body[i] = ' '
+	}
+	if string(req.rawRows) != `[[1,2],[3,4]]` || req.rawN != 2 {
+		t.Errorf("after the body was overwritten: rows %q (%d); want [[1,2],[3,4]] (2)", req.rawRows, req.rawN)
 	}
 }
 
@@ -187,6 +206,46 @@ func TestRowsJSONRefusesNull(t *testing.T) {
 	}
 }
 
+// TestShortRowsReserveLittle: the grammar check counts rows before any
+// is checked against the kind, so a body of a million empty rows — 3
+// bytes each, a row of 17 numbers at lp dim 16 — must not reserve
+// store space by that count. Both JSON roads refuse it at row 0 (an
+// inline body's job fails, 422; an append is a 400) having allocated a
+// small multiple of the body, not rows × width × 8 bytes.
+func TestShortRowsReserveLittle(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, CacheSize: -1})
+	rows := append(append([]byte("["), bytes.Repeat([]byte("[],"), 1_000_000-1)...), "[]]"...)
+	objective := `[` + strings.Repeat(`1,`, MaxDim-1) + `1]`
+	for _, road := range []struct {
+		name, url, prefix string
+		status            int
+	}{
+		{"inline", ts.URL + "/v1/solve", `{"kind":"lp","model":"ram","dim":16,"objective":` + objective + `,"rows":`, http.StatusUnprocessableEntity},
+		{"append", ts.URL + "/v1/instances/" + createInstance(t, ts.URL, "lp", MaxDim) + "/rows", `{"rows":`, http.StatusBadRequest},
+	} {
+		body := append(append([]byte(road.prefix), rows...), '}')
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		resp, err := http.Post(road.url, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		runtime.ReadMemStats(&after)
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: %d-byte body, HTTP %d, %.1f MB allocated (%.1f× the body)",
+			road.name, len(body), resp.StatusCode, float64(alloc)/1e6, float64(alloc)/float64(len(body)))
+		if resp.StatusCode != road.status || !strings.Contains(string(raw), "row 0: ") {
+			t.Errorf("%s: HTTP %d %s; want %d naming row 0", road.name, resp.StatusCode, raw, road.status)
+		}
+		if alloc > 12*uint64(len(body)) {
+			t.Errorf("%s: a %d-byte body of empty rows allocated %d bytes; want at most 12× the body", road.name, len(body), alloc)
+		}
+	}
+}
+
 // lpRowsJSON renders n lp rows of width 4 as encoding/json does.
 func lpRowsJSON(t *testing.T, n int) []byte {
 	t.Helper()
@@ -203,7 +262,7 @@ func lpRowsJSON(t *testing.T, n int) []byte {
 }
 
 // TestRowsJSONAllocations: an inline body's road from its bytes to a
-// materialized store — the envelope decode, then the rows conversion
+// materialized store — the handler's envelope decode, then the rows conversion
 // into a store grown to the counted rows — allocates a constant number
 // of times, not a few per row or per doubling of the arena.
 func TestRowsJSONAllocations(t *testing.T) {
@@ -211,7 +270,7 @@ func TestRowsJSONAllocations(t *testing.T) {
 		body := []byte(`{"kind":"lp","model":"ram","dim":3,"objective":[1,1,1],"rows":` + string(lpRowsJSON(t, n)) + `}`)
 		return testing.AllocsPerRun(5, func() {
 			var req SolveRequest
-			if err := req.UnmarshalJSON(body); err != nil {
+			if err := req.decodeBody(body); err != nil {
 				t.Fatal(err)
 			}
 			if err := req.Validate(); err != nil {

@@ -222,7 +222,7 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*SolveRe
 	}
 	req := &SolveRequest{}
 	if len(raw) > 0 {
-		if err := req.UnmarshalJSON(raw); err != nil {
+		if err := req.decodeBody(raw); err != nil {
 			return nil, "", fmt.Errorf("bad JSON: %w", err)
 		}
 	}
@@ -535,8 +535,7 @@ func (s *Server) handleInstanceAppend(w http.ResponseWriter, r *http.Request) {
 		}
 		chunk = newKindStore(m, dim)
 		if rows != nil {
-			chunk.Grow(min(n, MaxInstanceRows))
-			if err := decodeRowsJSON(rows, m, dim, chunk, MaxInstanceRows); err != nil {
+			if err := decodeRowsJSON(rows, n, m, dim, chunk, MaxInstanceRows); err != nil {
 				writeError(w, http.StatusBadRequest, err)
 				return
 			}

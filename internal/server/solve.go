@@ -40,8 +40,7 @@ func materialize(r *SolveRequest) error {
 		r.Generate = nil
 	case r.rawRows != nil:
 		st := newKindStore(m, r.Dim)
-		st.Grow(min(r.rawN, MaxInstanceRows))
-		if err := decodeRowsJSON(r.rawRows, m, r.Dim, st, MaxInstanceRows); err != nil {
+		if err := decodeRowsJSON(r.rawRows, r.rawN, m, r.Dim, st, MaxInstanceRows); err != nil {
 			return err
 		}
 		r.data = st

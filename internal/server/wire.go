@@ -152,13 +152,24 @@ func (r *SolveRequest) ns() string {
 	return ""
 }
 
-// UnmarshalJSON decodes the request envelope through decodeRowsBody,
-// as the handlers do: the rows array is checked, counted and kept raw
-// (see rawRows). Client-side marshalling is untouched: Rows marshals
-// normally.
+// UnmarshalJSON decodes the request envelope as the handlers do
+// (decodeBody), then copies the rows bytes out of b, which the caller
+// may reuse once it returns. Client-side marshalling is untouched: Rows
+// marshals normally.
 func (r *SolveRequest) UnmarshalJSON(b []byte) error {
+	if err := r.decodeBody(b); err != nil {
+		return err
+	}
+	r.rawRows = bytes.Clone(r.rawRows)
+	return nil
+}
+
+// decodeBody decodes a request body through decodeRowsBody: the rows
+// array is checked, counted and kept raw (see rawRows) as a slice of
+// body, so the caller hands body over and must not reuse it.
+func (r *SolveRequest) decodeBody(body []byte) error {
 	type envelope SolveRequest // method-free alias: no recursion
-	raw, n, err := decodeRowsBody(b, (*envelope)(r))
+	raw, n, err := decodeRowsBody(body, (*envelope)(r))
 	if err != nil {
 		return err
 	}
