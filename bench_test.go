@@ -1,4 +1,4 @@
-// Root benchmark harness: one benchmark per experiment of DESIGN.md §3
+// Root benchmark harness: one benchmark per experiment of DESIGN.md §1
 // (each drives the corresponding table of cmd/lpbench in quick mode),
 // plus micro-benchmarks for the individual solvers. Regenerate the
 // paper-shaped tables with

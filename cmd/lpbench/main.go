@@ -1,4 +1,4 @@
-// Command lpbench runs the reproduction experiment suite (DESIGN.md §3,
+// Command lpbench runs the reproduction experiment suite (DESIGN.md §1,
 // results recorded in EXPERIMENTS.md) and prints the paper-shaped
 // tables.
 //

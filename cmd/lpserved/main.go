@@ -16,7 +16,7 @@
 // cache 256 bases and the /v1/traces ring 128 traces; chunk uploads
 // idle for 10 minutes and worker protocol sessions idle for 5 are
 // reclaimed, and a registered worker silent for 15 s is marked down.
-// These are constants, not flags (DESIGN.md §11).
+// These are constants, not flags (DESIGN.md §3).
 //
 // Endpoints (see internal/server for the wire format):
 //
@@ -53,7 +53,7 @@
 // repeat solve (or a tuning-knob overlay of one) re-verifies the
 // cached basis in one scan and warm-starts instead of re-solving. A
 // full queue answers 503 with a Retry-After estimate. See DESIGN.md
-// §11.
+// §3.
 //
 // Chunk appends may be binary: POST the LDSET1 form of a batch (what
 // `lpsolve -convert` writes) with Content-Type application/octet-stream
@@ -74,7 +74,7 @@
 // or a front-end lpserved started with -workers, which then serves
 // requests carrying "fleet": true by running the two-round protocol
 // across the worker processes. Same seed, same answer, same metered
-// bits as the in-process coordinator (see DESIGN.md §9).
+// bits as the in-process coordinator (see DESIGN.md §8).
 //
 // The solver pool size flag is -pool (it was -workers before worker
 // fleets existed).
@@ -96,7 +96,7 @@
 // -grace, and only then closes its listener. GET /v1/fleet (and the
 // lpserved_fleet_* metric families) expose membership, epoch and
 // retry counts; `lpstat doctor` names workers that went down or are
-// draining. See DESIGN.md §14.
+// draining. See DESIGN.md §9.
 //
 // # Multi-tenant gateway
 //

@@ -190,7 +190,7 @@ func post(url, contentType string, body []byte) (*http.Response, []byte, error) 
 // binary chunk over HTTP, and a request built in process, submitted to
 // a job manager. Warm starts are on, and their key leaves out the
 // backend: a server that answered one backend would answer the others
-// with that backend's bits (DESIGN.md §11), so callers build these
+// with that backend's bits (DESIGN.md §3), so callers build these
 // roads once per backend.
 func serverRoads(t *testing.T) []road {
 	srv := server.New(server.Config{Workers: 2, CacheSize: -1})

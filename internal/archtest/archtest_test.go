@@ -337,14 +337,14 @@ var algorithm1Files = []string{"cmd/...", "internal/...", "deploy/...", "e2e/...
 
 var guards = []guard{
 	{
-		step: "violates", name: "no per-item Violates in the drivers", design: "§16",
+		step: "violates", name: "no per-item Violates in the drivers", design: "§5",
 		in:    []string{"internal/stream/...", "internal/coordinator/...", "internal/mpc/...", "internal/engine/...", "internal/server/..."},
 		match: selCall(0, "Violates"),
 		seeds: []seed{{path: "internal/coordinator/seed.go", bites: true,
 			src: "package coordinator\nfunc f() bool { return dom.Violates(b, c) }\n"}},
 	},
 	{
-		step: "entry-point", name: "no typed Solve declarations", design: "§16",
+		step: "entry-point", name: "no typed Solve declarations", design: "§4",
 		in: []string{".", "internal/engine/...", "internal/stream/..."},
 		match: func(n ast.Node) (string, bool) {
 			d, ok := n.(*ast.FuncDecl)
@@ -362,7 +362,7 @@ var guards = []guard{
 		},
 	},
 	{
-		step: "entry-point", name: "no typed engine dispatchers or stream.Solve", design: "§16",
+		step: "entry-point", name: "no typed engine dispatchers or stream.Solve", design: "§4",
 		in: []string{"..."},
 		match: func(n ast.Node) (string, bool) {
 			s, ok := n.(*ast.SelectorExpr)
@@ -379,12 +379,12 @@ var guards = []guard{
 		},
 	},
 	{
-		step: "entry-point", name: "no examples directory", design: "§16",
+		step: "entry-point", name: "no examples directory", design: "§4",
 		absent: "examples",
 		seeds:  []seed{{path: "examples/quickstart/main.go", bites: true, src: "package main\nfunc main() {}\n"}},
 	},
 	{
-		step: "input-type", name: "no typed stream, slice stream or typed reservoir", design: "§16",
+		step: "input-type", name: "no typed stream, slice stream or typed reservoir", design: "§4",
 		in: []string{"..."}, out: []string{"benchmark/..."},
 		match: func(n ast.Node) (string, bool) {
 			switch n := n.(type) {
@@ -404,7 +404,7 @@ var guards = []guard{
 		},
 	},
 	{
-		step: "site-weights", name: "no Store.Scan or Store.Weights outside lptype", design: "§17",
+		step: "site-weights", name: "no Store.Scan or Store.Weights outside lptype", design: "§5",
 		in: []string{"cmd/...", "internal/...", "deploy/...", "lowdimlp.go"}, out: []string{"internal/lptype/..."},
 		match: func(n ast.Node) (string, bool) {
 			if s, ok := selCall(1, "Scan")(n); ok {
@@ -419,7 +419,7 @@ var guards = []guard{
 		},
 	},
 	{
-		step: "run-solve", name: "exactly one runSolve call in the server", design: "§11",
+		step: "run-solve", name: "exactly one runSolve call in the server", design: "§3",
 		in: []string{"internal/server/..."},
 		match: func(n ast.Node) (string, bool) {
 			c, ok := n.(*ast.CallExpr)
@@ -435,7 +435,7 @@ var guards = []guard{
 		// A basis leaves the engine only through SolveSourceBasis, which
 		// copies its rows out of the solve's input there, once; without
 		// that call every warm-start entry keeps its whole input alive.
-		step: "ownership", name: "one basis-row copy, in engine.SolveSourceBasis", design: "§11",
+		step: "ownership", name: "one basis-row copy, in engine.SolveSourceBasis", design: "§3",
 		in:    []string{"..."},
 		match: selCall(0, "Own"),
 		want:  1, home: "internal/engine/source.go",
@@ -445,7 +445,7 @@ var guards = []guard{
 		},
 	},
 	{
-		step: "ingest", name: "instance data is checked only in internal/engine", design: "§7",
+		step: "ingest", name: "instance data is checked only in internal/engine", design: "§2",
 		in:    []string{"internal/server/...", "cmd/...", "lowdimlp.go"},
 		match: selCall(1, "IsNaN", "IsInf"),
 		seeds: []seed{
@@ -486,7 +486,7 @@ var guards = []guard{
 		seeds: []seed{{path: "internal/stream/seed.go", bites: true, src: "package stream\nvar eps = 1 / (10 * float64(nu) * mult) * 2\n"}},
 	},
 	{
-		step: "parameters", name: "one net-constant default, core.DefaultNetConst", design: "§5",
+		step: "parameters", name: "one net-constant default, core.DefaultNetConst", design: "§1",
 		in: algorithm1Files,
 		match: func(n ast.Node) (string, bool) {
 			switch n := n.(type) {
@@ -513,7 +513,7 @@ var guards = []guard{
 		},
 	},
 	{
-		step: "parameters", name: "one ship-all rule, Direct: n ≤ 2m+1", design: "§5",
+		step: "parameters", name: "one ship-all rule, Direct: n ≤ 2m+1", design: "§1",
 		in: algorithm1Files,
 		match: func(n ast.Node) (string, bool) {
 			kv, ok := n.(*ast.KeyValueExpr)
@@ -532,7 +532,7 @@ var guards = []guard{
 		},
 	},
 	{
-		step: "parameters", name: "no net-constant fallback", design: "§5",
+		step: "parameters", name: "no net-constant fallback", design: "§1",
 		in: []string{"internal/engine/...", "internal/epsnet/...", "internal/experiments/...", "internal/server/..."},
 		match: func(n ast.Node) (string, bool) {
 			var lhs []string
@@ -573,7 +573,7 @@ var guards = []guard{
 		},
 	},
 	{
-		step: "parameters", name: "no opt-in knob for coordinator site fan-out", design: "§1",
+		step: "parameters", name: "no opt-in knob for coordinator site fan-out", design: "§9",
 		in: algorithm1Files,
 		match: func(n ast.Node) (string, bool) {
 			switch n := n.(type) {
@@ -601,7 +601,7 @@ var guards = []guard{
 		// loop that calls one per iteration addresses the sites one after
 		// another. lpmark's timedTransport forwards calls, so benchmark/
 		// is exempt.
-		step: "rounds", name: "no serial round loop", design: "§4",
+		step: "rounds", name: "no serial round loop", design: "§8",
 		in: []string{"..."}, out: []string{"benchmark/..."},
 		match: func(n ast.Node) (string, bool) {
 			var body *ast.BlockStmt
@@ -654,7 +654,7 @@ var guards = []guard{
 		},
 	},
 	{
-		step: "stats", name: "Algorithm 1's counts declared only in core.RunStats", design: "§4",
+		step: "stats", name: "Algorithm 1's counts declared only in core.RunStats", design: "§1",
 		in: []string{"..."}, out: []string{"internal/core/...", "benchmark/..."},
 		match: func(n ast.Node) (string, bool) {
 			var ids []*ast.Ident
@@ -677,7 +677,7 @@ var guards = []guard{
 		},
 	},
 	{
-		step: "spill", name: "no spill path, cache tier or max-latency gauge", design: "§11",
+		step: "spill", name: "no spill path, cache tier or max-latency gauge", design: "§3",
 		in: []string{"..."}, out: []string{"benchmark/..."},
 		match: named("CacheTier", "EnableTier", "SpillRows", "EnableSpill", "ReopenShardWriter", "cache-tier", "spill-rows", "solve_seconds_max"),
 		seeds: []seed{
@@ -687,7 +687,7 @@ var guards = []guard{
 		},
 	},
 	{
-		step: "knobs", name: "no admission shedding or fixed-tuning flags", design: "§11",
+		step: "knobs", name: "no admission shedding or fixed-tuning flags", design: "§3",
 		in: []string{"..."}, out: []string{"benchmark/..."},
 		// Flag names that are also everyday words ("queue", and
 		// "basis-cache" inside the doctor's frontend-basis-cache-cold
@@ -713,7 +713,7 @@ var guards = []guard{
 		// engine Spec has no ItemCodec field, and the one function that
 		// decodes wire rows (float64s read in a loop) is in comm. Basis
 		// codecs stay per kind; dataset files have their own reader.
-		step: "wire", name: "one constraint codec", design: "§9",
+		step: "wire", name: "one constraint codec", design: "§8",
 		in: []string{"cmd/...", "internal/...", "lowdimlp.go"}, out: []string{"internal/dataset/..."},
 		match: func(n ast.Node) (string, bool) {
 			switch n := n.(type) {
@@ -761,7 +761,7 @@ var guards = []guard{
 		// their one large solve. A second iterative basis solver shows
 		// as a Domain.Solve that does more than call it, a recursion
 		// (Welzl's) or a Gram-system solve of its own (Wolfe's corral).
-		step: "basis-solver", name: "one basis loop for svm and meb", design: "§15",
+		step: "basis-solver", name: "one basis loop for svm and meb", design: "§7",
 		in: []string{"internal/svm/...", "internal/meb/..."},
 		match: func(n ast.Node) (string, bool) {
 			switch n := n.(type) {
@@ -800,7 +800,7 @@ var guards = []guard{
 		},
 	},
 	{
-		step: "spill", name: "11 lpserved flags", design: "§11",
+		step: "spill", name: "11 lpserved flags", design: "§3",
 		in: []string{"cmd/lpserved"},
 		match: func(n ast.Node) (string, bool) {
 			c, ok := n.(*ast.CallExpr)

@@ -14,7 +14,7 @@
 //   - a solve that loses a worker mid-protocol reports the failure
 //     (ReportFailure) and retries against the survivors — the
 //     two-round protocol makes retry-from-round-start nearly free
-//     (see engine.SolveFleetElastic and DESIGN.md §14),
+//     (see engine.SolveFleetElastic and DESIGN.md §9),
 //   - draining workers (POST /v1/worker/drain, or SIGTERM) announce
 //     departure first, so scale-down never loses a solve.
 //

@@ -62,7 +62,7 @@ func validFrameType(t FrameType) bool { return t >= FrameInfo && t <= FrameReply
 // run: Begin opens the per-site protocol sessions, RoundTrip carries
 // one request/reply exchange, Close releases the sessions. The
 // coordinator addresses a round's sites at once (EachSite, DESIGN.md
-// §4), so RoundTrip must be safe to call concurrently for distinct
+// §8), so RoundTrip must be safe to call concurrently for distinct
 // sites; it is never called concurrently for the same site.
 type Transport interface {
 	// Sites returns the number of sites (the paper's k).
@@ -86,7 +86,7 @@ type Transport interface {
 
 // EachSite calls f(i) for every site i < k with all k calls in flight
 // together — a round of the coordinator model addresses its sites at
-// once (DESIGN.md §4) — and returns when every call has. The error is
+// once (DESIGN.md §8) — and returns when every call has. The error is
 // the lowest failing site's, so a round in which several sites fail
 // reports the same site however the calls interleave. f must be safe
 // to call concurrently for distinct i.

@@ -23,7 +23,7 @@
 // round A tests only the pending basis, a successful round B bumps the
 // exponents of that basis's violators, and samples are drawn from an
 // alias table rebuilt only after such a bump. The values are bit for
-// bit those a recompute from the stored bases yields (DESIGN.md §17),
+// bit those a recompute from the stored bases yields (DESIGN.md §5),
 // so transcripts and metered bits are those of the recomputing
 // protocol. One iteration of Algorithm 1 costs two rounds:
 //

@@ -76,7 +76,7 @@ var ErrRoundFailed = errors.New("core: monte-carlo round failed (w(V) > ε·w(S)
 // that does not set Options.NetConst: the smallest c of lpbench A1(e)'s
 // grid (n = 100 000, 8 seeds) at which every sampled cell — lp, meb and
 // sea × stream, coordinator and MPC × r ∈ {2, 3} — succeeds in at least
-// 2/3 of its iterations, the rate Claim 3.2 assumes (DESIGN.md §5).
+// 2/3 of its iterations, the rate Claim 3.2 assumes (DESIGN.md §1).
 const DefaultNetConst = 1.25
 
 // Options configure the meta-algorithm.

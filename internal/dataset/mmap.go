@@ -4,7 +4,7 @@
 // little-endian float64 arena (8-byte aligned, thanks to the header
 // padding), so on a little-endian host the mapped bytes *are* a Store
 // arena — cursors and views over a hot instance are zero-copy and the
-// page cache is the only buffer. See DESIGN.md §8 for the lifecycle:
+// page cache is the only buffer. See DESIGN.md §2 for the lifecycle:
 // Open validates exactly like OpenFile, Close unmaps (after which
 // every view and cursor taken from the Mapped is invalid), and callers
 // that cannot mmap (non-unix builds, big-endian hosts) fall back to

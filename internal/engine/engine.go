@@ -14,7 +14,7 @@
 // anywhere outside this package.
 //
 // Adding a problem kind therefore costs one Spec plus one Register
-// call (see internal/sea for a complete example and DESIGN.md §6 for
+// call (see internal/sea for a complete example and DESIGN.md §4 for
 // the recipe); the backend dispatch switch in SolveSourceBasis — which
 // every entry point reaches, typed input through the boundary
 // conversion in dispatch.go — is the only one in the codebase.

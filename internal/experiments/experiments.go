@@ -1,5 +1,5 @@
 // Package experiments is the reproduction harness: one experiment per
-// claim of the paper (see DESIGN.md §3 for the index). Each experiment
+// claim of the paper (see DESIGN.md §1 for the index). Each experiment
 // sweeps parameters, runs the relevant algorithms, and prints a table;
 // cmd/lpbench drives them from the command line and the root
 // bench_test.go exposes each as a benchmark target. EXPERIMENTS.md

@@ -1,5 +1,5 @@
 // Package kernel holds the process-wide counters of the block
-// violation kernels (DESIGN.md §12): the dimension-specialized inner
+// violation kernels (DESIGN.md §5): the dimension-specialized inner
 // loops every backend's scans dispatch to through
 // lptype.BlockViolator.
 //

@@ -7,7 +7,7 @@ import (
 	"lowdimlp/internal/numeric"
 )
 
-// Block violation kernels (lptype.BlockViolator; DESIGN.md §12). Each
+// Block violation kernels (lptype.BlockViolator; DESIGN.md §5). Each
 // kernel evaluates one cursor block of wire rows a_1…a_d b against a
 // basis point in a single call: the per-row reference is
 // ViolatesRow — !Satisfied, i.e. !(Dot(A, x) − B ≤ Eps·scale) with

@@ -10,13 +10,22 @@
 // # Bounding box
 //
 // LP-type theory requires f(A) to be defined for every subset A,
-// including the empty set. Following standard practice we intersect the
-// feasible region with an axis-aligned box [-Box, +Box]^d; f(∅) is the
+// including the empty set. Following standard practice the solvers
+// start from an axis-aligned box [-Box, +Box]^d; f(∅) is the
 // lexicographically smallest box corner optimal for the objective. The
 // box is a regularization at a scale (default 1e9) far above any
-// workload in this repository, so it never binds at a true optimum;
-// solutions touching the box indicate an unbounded input and can be
-// detected with Basis.AtBox.
+// workload in this repository; solutions touching it indicate an
+// unbounded input and can be detected with Basis.AtBox.
+//
+// The box is enforced only partly. Each level of the recursion puts
+// its remaining coordinates on the box, but a coordinate that a
+// violation eliminates is lifted back from the violated row with no
+// bound, so where the box binds an answer can leave it (objective
+// (1, ½, ½) with the one row −x₁−x₂−x₃ ≤ 0 gives x = (−2·10⁹, 10⁹,
+// 10⁹)) or, with the box as explicit rows, stop at a feasible vertex
+// that is not optimal. Seidel, its test oracle and RatSeidel share the
+// fault; TestSeidelKeepsItsBox pins it, skipped until the box is a
+// set of rows that every level sees.
 package lp
 
 import (

@@ -44,9 +44,12 @@ func (h RatHalfspace) Satisfied(x []*big.Rat) bool {
 	return lhs.Cmp(h.B) <= 0
 }
 
-// RatSeidel solves min lex(objective, x) subject to cons and the box
-// |x_i| ≤ box, exactly. Returns lptype.ErrInfeasible on empty regions.
-// rng shuffles the processing order (nil = input order).
+// RatSeidel solves min lex(objective, x) subject to cons, from the
+// corner of the box |x_i| ≤ box, exactly. Like Seidel it bounds only
+// the coordinates no violation eliminated, so where the box binds it
+// returns Seidel's answer, not the boxed optimum (the package comment,
+// "Bounding box"). Returns lptype.ErrInfeasible on empty regions. rng
+// shuffles the processing order (nil = input order).
 func RatSeidel(objective []*big.Rat, cons []RatHalfspace, box *big.Rat, rng *rand.Rand) ([]*big.Rat, error) {
 	d := len(objective)
 	rows := make([][]*big.Rat, 0, d+1)

@@ -14,11 +14,11 @@ import (
 // against zero when a constraint's normal vector has vanished.
 func zeroTol(b float64) float64 { return 1e-9 * (math.Abs(b) + 1) }
 
-// Seidel solves the boxed LP min_{x ∈ box, A·x ≤ b} lex(Objective, x)
-// by Seidel's randomized incremental algorithm, generalized to a
-// vector-valued (lexicographic) objective so that the optimum point is
-// always unique — the property the paper's LP-type formulation of
-// linear programming requires (§4.1).
+// Seidel solves the LP min_{A·x ≤ b} lex(Objective, x) from the corner
+// of the box [-Box, Box]^d by Seidel's randomized incremental
+// algorithm, generalized to a vector-valued (lexicographic) objective
+// so that the optimum point is always unique — the property the
+// paper's LP-type formulation of linear programming requires (§4.1).
 //
 // The constraints are processed in random order (driven by rng; pass
 // nil for an unshuffled deterministic run). When the current optimum
@@ -27,9 +27,14 @@ func zeroTol(b float64) float64 { return 1e-9 * (math.Abs(b) + 1) }
 // substitution and recurses on the processed prefix. Expected running
 // time is O(d! · m) for m constraints — linear in m for constant d.
 //
-// Returns lptype.ErrInfeasible when the constraint set (intersected
-// with the box) is empty, and an error naming the row when a
-// constraint does not have exactly p.Dim coefficients.
+// The box bounds only the coordinates no violation eliminated: a
+// substituted coordinate is lifted from its row without a bound, so
+// where the box binds the answer may leave it, or miss the boxed
+// optimum (the package comment, "Bounding box").
+//
+// Returns lptype.ErrInfeasible when the constraint set is empty, and
+// an error naming the row when a constraint does not have exactly
+// p.Dim coefficients.
 func Seidel(p Problem, cons []Halfspace, rng *rand.Rand) (Solution, error) {
 	for i, h := range cons {
 		if len(h.A) != p.Dim {
@@ -76,7 +81,7 @@ func dotOrZero(c, x []float64) float64 {
 }
 
 // workspace holds every buffer one Seidel solve needs, one level per
-// number of remaining variables k = d…0 (DESIGN.md §15). Level d is the
+// number of remaining variables k = d…0 (DESIGN.md §7). Level d is the
 // loaded problem; each violation at level k overwrites the first i rows
 // of level k−1 with the eliminated prefix, so a solve allocates nothing
 // once the workspace has grown to the problem's size.

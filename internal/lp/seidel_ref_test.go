@@ -17,7 +17,7 @@ import (
 // --- the reference: the recursive slice-of-slices Seidel ---------------
 //
 // seidelRef is the solver as it stood before the flat workspace
-// (DESIGN.md §15), kept verbatim as the differential oracle: it
+// (DESIGN.md §7), kept verbatim as the differential oracle: it
 // allocates a fresh sub-problem at every violation, which makes every
 // intermediate value easy to see and impossible to alias. The workspace
 // solver must reproduce its X and Value bit for bit.

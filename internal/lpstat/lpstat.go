@@ -91,7 +91,7 @@ type FrontendStatus struct {
 	FleetSolves    int64
 	TracesCaptured int64
 	// Serving-tier counters (coalescing and warm starts; DESIGN.md
-	// §11).
+	// §3).
 	Coalesced    int64
 	WarmHits     int64
 	WarmMisses   int64
@@ -103,7 +103,7 @@ type FrontendStatus struct {
 	// the total rows evaluated through block scans.
 	KernelBlocks map[string]int64
 	KernelRows   int64
-	// Multi-tenant gateway counters (DESIGN.md §13). HasTenants is the
+	// Multi-tenant gateway counters (DESIGN.md §11). HasTenants is the
 	// lpserved_tenant_requests_total family being present at all — the
 	// gateway zero-fills one sample per configured tenant, so the maps
 	// list every tenant even before it sends traffic.

@@ -16,7 +16,7 @@ import (
 // builds a basis from a prefix of random rows and exposes the per-row
 // reference (ViolatesRow, the oracle) next to the block kernel
 // (ViolatesBlock, the device under test). The contract being pinned is
-// DESIGN.md §12's: the block decision for rows[i] is bit-for-bit the
+// DESIGN.md §5's: the block decision for rows[i] is bit-for-bit the
 // per-row decision, for every dimension. d = 1…6 covers both the
 // unrolled loops (d = 2–4) and the width-generic one (d = 1, 5, 6).
 

@@ -98,7 +98,7 @@ type RowViolator[B any] interface {
 // decision for rows[i] must be bit-for-bit ViolatesRow(b, rows[i]) —
 // implementations unroll and hoist, but never reorder a row's
 // floating-point operations relative to the per-row reference (see
-// DESIGN.md §12 for why that preserves every conformance pin). All
+// DESIGN.md §5 for why that preserves every conformance pin). All
 // four concrete domains implement it for d = 2, 3, 4 plus a generic
 // width loop.
 type BlockViolator[B any] interface {

@@ -11,7 +11,7 @@ import (
 
 // Small is a Domain whose large solve is SolvePivot: the quadratic
 // kinds (svm, meb) supply only the exact optimum of a few constraints
-// (DESIGN.md §15, "The quadratic kinds").
+// (DESIGN.md §7, "The quadratic kinds").
 type Small[C, B any] interface {
 	Domain[C, B]
 	// SolveSmall returns the basis of at most ν+1 constraints, with

@@ -4,7 +4,7 @@ import (
 	"lowdimlp/internal/kernel"
 )
 
-// Block violation kernels (lptype.BlockViolator; DESIGN.md §12). A
+// Block violation kernels (lptype.BlockViolator; DESIGN.md §5). A
 // wire row is a point, and the per-row reference is
 // ViolatesRow — !Contains, i.e. !(Dist2(p) ≤ bound()) with the squared
 // distance accumulated coordinate by coordinate in index order. The

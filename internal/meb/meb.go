@@ -4,7 +4,7 @@
 // primitives of Proposition 4.3. The package supplies only the exact
 // small solve — the ball of at most d+2 points, chosen among the
 // circumballs of their subsets — and lptype.SolvePivot pivots over it
-// for inputs of any size (DESIGN.md §15, "The quadratic kinds").
+// for inputs of any size (DESIGN.md §7, "The quadratic kinds").
 package meb
 
 import (

@@ -7,7 +7,7 @@ import (
 	"lowdimlp/internal/numeric"
 )
 
-// Block violation kernels (lptype.BlockViolator; DESIGN.md §12). The
+// Block violation kernels (lptype.BlockViolator; DESIGN.md §5). The
 // per-row reference is ViolatesRow — liftEval followed by the
 // two-sided slab test: with q² = Dot(p, p) and dot = Σ 2·p_i·x_i
 // (both accumulated in index order), lift = q² − dot must lie within

@@ -55,7 +55,7 @@ type Config struct {
 
 // Fixed tuning of the frontend. None of these changes an answer or a
 // metered cost, and every deployment ran these values when they were
-// flags (DESIGN.md §11).
+// flags (DESIGN.md §3).
 const (
 	// queuePerWorker sizes the job queue: a submission finding
 	// queuePerWorker × Workers jobs already queued is refused with 503.
@@ -208,6 +208,37 @@ func decodeErrorStatus(err error) int {
 	}
 }
 
+// readBody reads a request body of at most limit bytes (past it, the
+// *http.MaxBytesError of http.MaxBytesReader) into a buffer sized by
+// the declared Content-Length: it starts at min(Content-Length, 1 MiB)
+// and doubles up to the declared length as bytes arrive. So a body
+// costs less than three times its size (io.ReadAll's growth from 512 B
+// cost about five times it), and a length that is declared but never
+// sent costs at most 1 MiB.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, limit)
+	// One byte past the declared length leaves room to read the end.
+	want := r.ContentLength + 1
+	buf := make([]byte, 0, max(512, min(want, 1<<20)))
+	for {
+		if len(buf) == cap(buf) {
+			n := 2 * cap(buf)
+			if int64(len(buf)) < want && want < int64(n) {
+				n = int(want)
+			}
+			buf = append(make([]byte, 0, n), buf...)
+		}
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
+
 // decodeRequest parses the JSON body (optional when ?generate= is
 // given), overlays the debug/load-testing query parameters, validates,
 // resolves chunk-uploaded instances and materializes generators, so
@@ -215,8 +246,7 @@ func decodeErrorStatus(err error) int {
 // the chunk-uploaded instance that was consumed, if any, so a failed
 // submission can restore it.
 func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*SolveRequest, string, error) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	raw, err := io.ReadAll(body)
+	raw, err := readBody(w, r, s.cfg.MaxBodyBytes)
 	if err != nil {
 		return nil, "", fmt.Errorf("reading body: %w", err)
 	}
@@ -522,7 +552,7 @@ func (s *Server) handleInstanceAppend(w http.ResponseWriter, r *http.Request) {
 		}
 		s.metrics.BinaryAppends.Add(1)
 	} else {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+		body, err := readBody(w, r, s.cfg.MaxBodyBytes)
 		if err != nil {
 			err = fmt.Errorf("reading body: %w", err)
 			writeError(w, decodeErrorStatus(err), err)

@@ -7,7 +7,7 @@ import (
 	"lowdimlp/internal/numeric"
 )
 
-// Block violation kernels (lptype.BlockViolator; DESIGN.md §12). The
+// Block violation kernels (lptype.BlockViolator; DESIGN.md §5). The
 // per-row reference over the wire row x_1…x_d y is
 // ViolatesRow — !Satisfied, i.e. !(y·Dot(u, x) − 1 ≥ −64·Eps·scale)
 // with scale = 1 + Σ|x_i·u_i|. The unrolled loops repeat that exact

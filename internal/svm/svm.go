@@ -13,7 +13,7 @@
 // solve — the optimum of at most d+2 examples, chosen among the
 // equality solutions of their subsets by the KKT conditions — and
 // lptype.SolvePivot pivots over it for inputs of any size (DESIGN.md
-// §15, "The quadratic kinds"). (6) is infeasible exactly when no
+// §7, "The quadratic kinds"). (6) is infeasible exactly when no
 // candidate of some small solve satisfies its examples.
 package svm
 
