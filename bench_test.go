@@ -50,15 +50,31 @@ func BenchmarkF2HardInstance(b *testing.B)  { benchExperiment(b, "F2") }
 
 // --- solver micro-benchmarks --------------------------------------------
 
-// BenchmarkSeidelLP and BenchmarkSEASolve are the basis solves behind
+// BenchmarkLPSolve and BenchmarkSEASolve are the basis solves behind
 // lpmark's basis-heavy workload (the d=5 sphere and d=3 ring cells are
 // its net sizes); d=3 n=60000 is the ship-all solve of fleet-net's and
-// serve-open's fleet lp. Reproduce their micro-cost with
+// serve-open's fleet lp. Both are lptype.SolvePivot over Seidel, and
+// BenchmarkSeidelLP times Seidel alone on LPSolve's instances: the
+// pivot's sample solve is Seidel over about (d+1)·√n of those rows.
+// Reproduce their micro-cost with
 //
-//	go test -run '^$' -bench 'Seidel|SEASolve' -cpu 1
+//	go test -run '^$' -bench 'LPSolve|Seidel|SEASolve' -cpu 1
+func BenchmarkLPSolve(b *testing.B) {
+	forSeidelLP(func(d, n int, p lp.Problem, cons []lp.Halfspace) {
+		b.Run(benchName("d", d, "n", n), func(b *testing.B) {
+			dom := lp.NewDomain(p, 1)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := dom.Solve(cons); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	})
+}
+
 func BenchmarkSeidelLP(b *testing.B) {
-	run := func(d, n int) {
-		p, cons := workload.SphereLP(d, n, 1)
+	forSeidelLP(func(d, n int, p lp.Problem, cons []lp.Halfspace) {
 		b.Run(benchName("d", d, "n", n), func(b *testing.B) {
 			rng := numeric.NewRand(1, 1)
 			b.ReportAllocs()
@@ -68,15 +84,21 @@ func BenchmarkSeidelLP(b *testing.B) {
 				}
 			}
 		})
-	}
+	})
+}
+
+// forSeidelLP calls run on each sphere LP instance of the lp micro rows.
+func forSeidelLP(run func(d, n int, p lp.Problem, cons []lp.Halfspace)) {
+	sizes := [][2]int{{5, 3_000}, {5, 6_000}, {3, 60_000}}
 	for _, d := range []int{2, 4, 6} {
 		for _, n := range []int{1_000, 10_000} {
-			run(d, n)
+			sizes = append(sizes, [2]int{d, n})
 		}
 	}
-	run(5, 3_000)
-	run(5, 6_000)
-	run(3, 60_000)
+	for _, dn := range sizes {
+		p, cons := workload.SphereLP(dn[0], dn[1], 1)
+		run(dn[0], dn[1], p, cons)
+	}
 }
 
 func BenchmarkSEASolve(b *testing.B) {

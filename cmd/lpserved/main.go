@@ -149,6 +149,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"strings"
 	"syscall"
 	"time"
@@ -158,6 +159,15 @@ import (
 	"lowdimlp/internal/gateway"
 	"lowdimlp/internal/server"
 )
+
+// gcPercent is the frontend's GOGC unless the environment sets one. Its
+// live heap is a few MB, so at the default 100 it collects every
+// request or two. Seidel's workspace free list used to keep up to 16 MB
+// of 60 000-row workspaces alive, which raised the heap goal as a side
+// effect; with lp's large solve a pivot loop over a sample, the goal is
+// set here instead (DESIGN.md §3). A worker runs no basis solve and
+// keeps Go's default.
+const gcPercent = 300
 
 func main() {
 	var (
@@ -178,6 +188,9 @@ func main() {
 	if *workerData != "" {
 		runWorker(*workerData, *addr, *register, *advertise, *grace, *pprofOn)
 		return
+	}
+	if os.Getenv("GOGC") == "" {
+		debug.SetGCPercent(gcPercent)
 	}
 
 	var gw *gateway.Gateway

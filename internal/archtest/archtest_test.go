@@ -757,20 +757,43 @@ var guards = []guard{
 		},
 	},
 	{
-		// svm and meb supply only a small solve; lptype.SolvePivot is
-		// their one large solve. A second iterative basis solver shows
-		// as a Domain.Solve that does more than call it, a recursion
-		// (Welzl's) or a Gram-system solve of its own (Wolfe's corral).
-		step: "basis-solver", name: "one basis loop for svm and meb", design: "§7",
+		// Every kind supplies only a small solve; lptype.SolvePivot is
+		// its one large solve. A second large solver shows as a
+		// Domain.Solve that does more than call it, such as Seidel over
+		// every row.
+		step: "basis-solver", name: "one basis loop for all four kinds", design: "§7",
+		in: []string{"internal/svm/...", "internal/meb/...", "internal/lp/...", "internal/sea/..."},
+		match: func(n ast.Node) (string, bool) {
+			f, ok := n.(*ast.FuncDecl)
+			if !ok || f.Body == nil || f.Recv == nil || f.Name.Name != "Solve" || !strings.Contains(expr(f.Recv.List[0].Type), "Domain") {
+				return "", false
+			}
+			return "Domain.Solve is not one lptype.SolvePivot call", !pivotCall(f.Body)
+		},
+		seeds: []seed{
+			{path: "internal/lp/seed.go", bites: true,
+				src: "package lp\nfunc (d *Domain) Solve(cons []Halfspace) (Basis, error) {\n\trng := numeric.NewRand(d.Seed, d.calls.Add(1))\n\tsol, err := Seidel(d.Prob, cons, rng)\n\treturn Basis{Sol: sol, Tight: tightSet(cons, sol.X)}, err\n}\n"},
+			{path: "internal/sea/seed.go", bites: true,
+				src: "package sea\nfunc (d *Domain) Solve(pts []Point) (Basis, error) {\n\treturn d.call().SolveSmall(pts)\n}\n"},
+			{path: "internal/meb/seed.go", bites: true,
+				src: "package meb\nfunc (d *Domain) Solve(pts []Point) (Basis, error) {\n\tb, ok := pivotSolve(pts)\n\tif !ok {\n\t\tb, _ = welzl(pts, nil)\n\t}\n\treturn Basis{B: b}, nil\n}\n"},
+			{path: "internal/lp/seed2.go", bites: false,
+				src: "package lp\nfunc (d *Domain) Solve(cons []Halfspace) (Basis, error) {\n\treturn lptype.SolvePivot[Halfspace, Basis](d.call(), cons)\n}\n"},
+			{path: "internal/svm/seed2.go", bites: false,
+				src: "package svm\nfunc (d *Domain) Solve(examples []Example) (Basis, error) {\n\treturn lptype.SolvePivot[Example, Basis](d, examples)\n}\n"},
+		},
+	},
+	{
+		// svm's and meb's small solve is lptype.Gram. A second
+		// quadratic solver shows as a recursion (Welzl's) or a
+		// Gram-system solve of its own (Wolfe's corral).
+		step: "basis-solver", name: "svm and meb solve small sets in lptype.Gram", design: "§7",
 		in: []string{"internal/svm/...", "internal/meb/..."},
 		match: func(n ast.Node) (string, bool) {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
 				if n.Body == nil {
 					return "", false
-				}
-				if n.Recv != nil && n.Name.Name == "Solve" && strings.Contains(expr(n.Recv.List[0].Type), "Domain") && !pivotCall(n.Body) {
-					return "Domain.Solve is not one lptype.SolvePivot call", true
 				}
 				self := false
 				ast.Inspect(n.Body, func(m ast.Node) bool {
@@ -787,14 +810,10 @@ var guards = []guard{
 			return "", false
 		},
 		seeds: []seed{
-			{path: "internal/meb/seed.go", bites: true,
-				src: "package meb\nfunc (d *Domain) Solve(pts []Point) (Basis, error) {\n\tb, ok := pivotSolve(pts)\n\tif !ok {\n\t\tb, _ = welzl(pts, nil)\n\t}\n\treturn Basis{B: b}, nil\n}\n"},
 			{path: "internal/meb/seed2.go", bites: true,
 				src: "package meb\nfunc welzl(p, r []Point) (Ball, error) {\n\tb, err := welzl(p[:len(p)-1], r)\n\treturn b, err\n}\n"},
 			{path: "internal/svm/seed.go", bites: true,
 				src: "package svm\nfunc affineMinNorm(zs [][]float64, corral []int) ([]float64, error) {\n\tsol, err := linalg.Solve(m, rhs)\n\treturn sol[1:], err\n}\n"},
-			{path: "internal/svm/seed2.go", bites: false,
-				src: "package svm\nfunc (d *Domain) Solve(examples []Example) (Basis, error) {\n\treturn lptype.SolvePivot[Example, Basis](d, examples)\n}\n"},
 			{path: "internal/meb/seed3.go", bites: false,
 				src: "package meb\nfunc Solve(pts []Point) (Ball, error) {\n\tb, err := NewDomain(len(pts[0])).Solve(pts)\n\treturn b.B, linalg.SolveInPlace(a, x)\n}\n"},
 		},

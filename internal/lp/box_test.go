@@ -46,29 +46,25 @@ func ratValue(t *testing.T, p Problem, cons []Halfspace) float64 {
 }
 
 // TestSeidelKeepsItsBox: Seidel's answer is the optimum over its box.
-// Today it is not. A level's corner puts each remaining coordinate on
-// the box, but a coordinate that a violation eliminates is lifted back
-// from the row it was solved from with no bound at all, so the answer
-// can leave the box (the first case). Explicit box rows do not cure it
-// (the second case): a level's subproblem holds only the rows before
-// the violated one, so the box rows after it are missing there too,
-// and the recursion settles on a vertex that is feasible but not
-// optimal. RatSeidel, in exact arithmetic, returns the same answers,
-// so the fault is the algorithm's, not rounding's. The oracle is the
+// A level's corner puts each remaining coordinate on the box, and a
+// coordinate that a violation eliminates keeps its box as two rows in
+// front of the next level's prefix, so every level sees the whole box.
+// Without those rows the answer left the box (the first case: every
+// solver returned x = (−2·10⁹, 10⁹, 10⁹), value −10⁹), and explicit
+// box rows in the input did not cure it (the second case: a level's
+// subproblem holds only the rows before the violated one, and the
+// recursion settled on a feasible vertex of value −4.0097·10⁹ in input
+// order and in 617 of 2 000 shuffles). RatSeidel, in exact arithmetic,
+// shares the box rows, so it answers the same. The oracle is the
 // test-only simplex given the box as explicit rows.
 func TestSeidelKeepsItsBox(t *testing.T) {
-	t.Skip("ROADMAP item 13(a): Seidel drops the box bound of each coordinate a recursion eliminates")
-
-	// d = 3, objective (1, ½, ½), the one row −x₁−x₂−x₃ ≤ 0. Every
-	// solver returns x = (−2·10⁹, 10⁹, 10⁹), value −10⁹; the boxed
-	// optimum is −5·10⁸.
+	// d = 3, objective (1, ½, ½), the one row −x₁−x₂−x₃ ≤ 0: the
+	// boxed optimum is −5·10⁸.
 	minimal := NewProblem([]float64{1, 0.5, 0.5})
 	minimalRows := []Halfspace{hs(0, -1, -1, -1)}
 
 	// d = 6: the 12 box rows, then 4 rows tangent to the unit sphere.
-	// The boxed optimum is −4.0186·10⁹ (vertex enumeration agrees);
-	// Seidel, seidelRef and RatSeidel in input order return a feasible
-	// vertex of value −4.0097·10⁹, and so do 617 of 2 000 shuffles.
+	// The boxed optimum is −4.0186·10⁹ (vertex enumeration agrees).
 	sixD, sphere := randomFeasibleLP(6, 4, 320)
 	sixDRows := append(boxRows(6, DefaultBox), sphere...)
 

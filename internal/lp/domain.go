@@ -2,8 +2,11 @@ package lp
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
 	"sync/atomic"
 
+	"lowdimlp/internal/lptype"
 	"lowdimlp/internal/numeric"
 )
 
@@ -48,15 +51,81 @@ func NewDomain(p Problem, seed uint64) *Domain {
 	return &Domain{Prob: p, Seed: seed}
 }
 
-// Solve computes the basis of the constraint subset (Tb). The empty
-// subset yields the objective-optimal box corner (f(∅)).
+// Solve computes the basis of the constraint subset (Tb) by
+// lptype.SolvePivot over Seidel. The empty subset yields the
+// objective-optimal box corner (f(∅)).
 func (d *Domain) Solve(cons []Halfspace) (Basis, error) {
-	rng := numeric.NewRand(d.Seed, d.calls.Add(1))
-	sol, err := Seidel(d.Prob, cons, rng)
+	return lptype.SolvePivot[Halfspace, Basis](d.call(), cons)
+}
+
+// solveCall is one Solve call of d: its small solves draw their
+// shuffles from one private stream, in the order the loop makes them.
+type solveCall struct {
+	*Domain
+	rng *rand.Rand
+}
+
+func (d *Domain) call() solveCall {
+	return solveCall{d, numeric.NewRand(d.Seed, d.calls.Add(1))}
+}
+
+// SolveSmall is Seidel on cons, any number of them, with the tight set
+// as the basis's determining set.
+func (c solveCall) SolveSmall(cons []Halfspace) (Basis, error) {
+	sol, err := Seidel(c.Prob, cons, c.rng)
 	if err != nil {
 		return Basis{}, err
 	}
 	return Basis{Sol: sol, Tight: tightSet(cons, sol.X)}, nil
+}
+
+// MaxSmall reports that Seidel takes any number of constraints.
+func (d *Domain) MaxSmall() int { return math.MaxInt }
+
+// Less orders bases by f, the lexicographic (Objective·x, x), beyond
+// rounding (LexLess).
+func (d *Domain) Less(a, b Basis) bool {
+	w := 0.0
+	for _, c := range d.Prob.Objective {
+		w += math.Abs(c)
+	}
+	return LexLess(a.Sol.Value, b.Sol.Value, w, a.Sol.X, b.Sol.X)
+}
+
+// lexTol is LexLess's rounding band, relative to the largest
+// coordinate: a hundredth of seidelTol, and a hundred times the 1e-14
+// by which Seidel solves of one LP were seen to differ.
+const lexTol = 1e-12
+
+// LexLess reports whether (fb, b) exceeds (fa, a) lexicographically by
+// more than rounding, where f is an objective value with |f| ≤ w·max|x|
+// and a and b are the points. A Seidel point is accurate relative to
+// its largest coordinate, not coordinate by coordinate: every row test
+// sums that coordinate's term. So with S = 1 + max(|a_i|, |b_i|), the
+// first component that differs by more than lexTol·S (lexTol·(1+w·S)
+// for f) decides, and points equal within that are not ordered.
+func LexLess(fa, fb, w float64, a, b []float64) bool {
+	s := 1.0
+	for i := range a {
+		s = max(s, 1+math.Abs(a[i]), 1+math.Abs(b[i]))
+	}
+	if d := fb - fa; math.Abs(d) > lexTol*(1+w*s) {
+		return d > 0
+	}
+	for i := range a {
+		if d := b[i] - a[i]; math.Abs(d) > lexTol*s {
+			return d > 0
+		}
+	}
+	return false
+}
+
+// FirstViolator returns the index of the first constraint of cons that
+// b's point violates by Seidel's own row test, or -1. A row of the
+// wrong length counts as violated, so that the small solve reports it.
+func (d *Domain) FirstViolator(b Basis, cons []Halfspace) int {
+	x := b.Sol.X
+	return slices.IndexFunc(cons, func(h Halfspace) bool { return len(h.A) != len(x) || RowViolates(h.A, h.B, x) })
 }
 
 // Basis returns the tight constraints of b.

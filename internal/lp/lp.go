@@ -4,8 +4,9 @@
 // tie-breaking (the paper's requirement that f map every subset to the
 // lexicographically smallest optimum), and the lptype.Domain adapter
 // that exposes the basis-computation (Tb) and violation-test (Tv)
-// primitives of Proposition 4.1 to the meta-algorithm. The dense
-// two-phase simplex that Seidel is tested against lives in the tests.
+// primitives of Proposition 4.1 to the meta-algorithm. Tb is
+// lptype.SolvePivot with Seidel as its small solve. The dense two-phase
+// simplex that Seidel is tested against lives in the tests.
 //
 // # Bounding box
 //
@@ -17,15 +18,12 @@
 // workload in this repository; solutions touching it indicate an
 // unbounded input and can be detected with Basis.AtBox.
 //
-// The box is enforced only partly. Each level of the recursion puts
-// its remaining coordinates on the box, but a coordinate that a
-// violation eliminates is lifted back from the violated row with no
-// bound, so where the box binds an answer can leave it (objective
-// (1, ½, ½) with the one row −x₁−x₂−x₃ ≤ 0 gives x = (−2·10⁹, 10⁹,
-// 10⁹)) or, with the box as explicit rows, stop at a feasible vertex
-// that is not optimal. Seidel, its test oracle and RatSeidel share the
-// fault; TestSeidelKeepsItsBox pins it, skipped until the box is a
-// set of rows that every level sees.
+// The box holds at every level of the recursion. Each level puts its
+// remaining coordinates on the box, and a coordinate that a violation
+// eliminates keeps its box as two rows in front of the next level's
+// rows, so every answer is the optimum over the box. The box is never
+// a row of the input or of a basis: a basis's tight set determines its
+// optimum together with the implicit box.
 package lp
 
 import (

@@ -44,12 +44,12 @@ func (h RatHalfspace) Satisfied(x []*big.Rat) bool {
 	return lhs.Cmp(h.B) <= 0
 }
 
-// RatSeidel solves min lex(objective, x) subject to cons, from the
-// corner of the box |x_i| ≤ box, exactly. Like Seidel it bounds only
-// the coordinates no violation eliminated, so where the box binds it
-// returns Seidel's answer, not the boxed optimum (the package comment,
-// "Bounding box"). Returns lptype.ErrInfeasible on empty regions. rng
-// shuffles the processing order (nil = input order).
+// RatSeidel solves min lex(objective, x) subject to cons and the box
+// |x_i| ≤ box, exactly: like Seidel it starts from the box's corner
+// and gives each level the box rows of the coordinate it eliminates, in
+// the same order (the package comment, "Bounding box"). Returns
+// lptype.ErrInfeasible on empty regions. rng shuffles the processing
+// order (nil = input order).
 func RatSeidel(objective []*big.Rat, cons []RatHalfspace, box *big.Rat, rng *rand.Rand) ([]*big.Rat, error) {
 	d := len(objective)
 	rows := make([][]*big.Rat, 0, d+1)
@@ -132,7 +132,18 @@ func ratSeidelRec(rows [][]*big.Rat, cons []ratCon, box *big.Rat) ([]*big.Rat, e
 		}
 		sb := new(big.Rat).Mul(h.b, inv)
 
-		subCons := make([]ratCon, 0, i)
+		// The box of x_k, |sb + Σ_{j≠k} sub_j·x_j| ≤ box, as two rows in
+		// front of the eliminated prefix.
+		up, dn := make([]*big.Rat, 0, d-1), make([]*big.Rat, 0, d-1)
+		for j := 0; j < d; j++ {
+			if j != k {
+				up, dn = append(up, sub[j]), append(dn, new(big.Rat).Neg(sub[j]))
+			}
+		}
+		subCons := make([]ratCon, 0, i+2)
+		subCons = append(subCons,
+			ratCon{a: up, b: new(big.Rat).Sub(box, sb)},
+			ratCon{a: dn, b: new(big.Rat).Add(box, sb)})
 		var t big.Rat
 		for _, g := range cons[:i] {
 			na := make([]*big.Rat, 0, d-1)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"runtime"
 	"sync"
 
 	"lowdimlp/internal/lptype"
@@ -27,10 +26,9 @@ func zeroTol(b float64) float64 { return 1e-9 * (math.Abs(b) + 1) }
 // substitution and recurses on the processed prefix. Expected running
 // time is O(d! · m) for m constraints — linear in m for constant d.
 //
-// The box bounds only the coordinates no violation eliminated: a
-// substituted coordinate is lifted from its row without a bound, so
-// where the box binds the answer may leave it, or miss the boxed
-// optimum (the package comment, "Bounding box").
+// The box bounds every coordinate: one that a violation eliminates
+// keeps its box as two rows of the subproblem (the package comment,
+// "Bounding box").
 //
 // Returns lptype.ErrInfeasible when the constraint set is empty, and
 // an error naming the row when a constraint does not have exactly
@@ -56,8 +54,8 @@ func SeidelRows(p Problem, m int, fill func(i int, a []float64) float64, rng *ra
 	if len(p.Objective) != p.Dim {
 		return Solution{}, fmt.Errorf("lp: objective has %d coefficients, want %d", len(p.Objective), p.Dim)
 	}
-	w := getWorkspace()
-	defer putWorkspace(w)
+	w := workspaces.Get().(*workspace)
+	defer workspaces.Put(w)
 	w.load(p, m, fill, rng)
 	if err := w.solve(p.Dim, m); err != nil {
 		return Solution{}, err
@@ -98,58 +96,16 @@ type workspace struct {
 type level struct {
 	a, b  []float64
 	obj   []float64
+	mag   []float64 // the largest |term| each row's coefficients were summed from
 	scale []float64 // rowScale of each objective row
 	sub   []float64 // substitution coefficients of the pivot in flight
 	x     []float64 // this level's current optimum
 }
 
-// Workspaces are reused between solves. A sync.Pool alone is emptied
-// by every second garbage collection, and a server whose live heap is
-// small collects after nearly every request: each large solve would
-// then re-grow its workspace (4.8 MB for 60 000 constraints at d = 3),
-// and that garbage would bring on the next collection. So up to one
-// workspace per CPU — at most GOMAXPROCS solves run at once — waits in
-// idleWorkspaces, which collections leave alone, as long as it holds at
-// most maxIdleValues numbers; the rest go to the pool as before. What
-// stays resident is bounded however large a solve once was.
-var (
-	workspaces     = sync.Pool{New: func() any { return new(workspace) }}
-	idleWorkspaces = make(chan *workspace, runtime.GOMAXPROCS(0))
-)
-
-// maxIdleValues bounds the workspaces idleWorkspaces keeps: 2^20
-// float64s, 8 MB.
-const maxIdleValues = 1 << 20
-
-func getWorkspace() *workspace {
-	select {
-	case w := <-idleWorkspaces:
-		return w
-	default:
-		return workspaces.Get().(*workspace)
-	}
-}
-
-func putWorkspace(w *workspace) {
-	if w.values() <= maxIdleValues {
-		select {
-		case idleWorkspaces <- w:
-			return
-		default:
-		}
-	}
-	workspaces.Put(w)
-}
-
-// values is the workspace's capacity in numbers, counting each int32
-// of perm as half a float64.
-func (w *workspace) values() int {
-	n := cap(w.perm) / 2
-	for _, l := range w.lv[:cap(w.lv)] {
-		n += cap(l.a) + cap(l.b) + cap(l.obj) + cap(l.scale) + cap(l.sub) + cap(l.x)
-	}
-	return n
-}
+// workspaces recycles workspaces between solves. The largest solve is
+// a pivot's sample, about (d+1)·√n rows, so a workspace that a
+// collection drops is cheap to grow again.
+var workspaces = sync.Pool{New: func() any { return new(workspace) }}
 
 // grow returns buf resliced to n entries, reallocating only when its
 // capacity is too small. The contents are unspecified.
@@ -171,9 +127,13 @@ func (w *workspace) load(p Problem, m int, fill func(i int, a []float64) float64
 	}
 	w.lv = w.lv[:d+1]
 	for k := range w.lv {
-		l := &w.lv[k]
-		l.a = grow(l.a, m*k)
-		l.b = grow(l.b, m)
+		// Each level below the top holds at most one row more than
+		// the level above it: two box rows in front of a prefix that
+		// leaves out at least the violated row.
+		l, rows := &w.lv[k], m+d-k
+		l.a = grow(l.a, rows*k)
+		l.b = grow(l.b, rows)
+		l.mag = grow(l.mag, rows)
 		l.obj = grow(l.obj, (d+1)*k)
 		l.scale = grow(l.scale, d+1)
 		l.sub = grow(l.sub, k)
@@ -188,7 +148,9 @@ func (w *workspace) load(p Problem, m int, fill func(i int, a []float64) float64
 	}
 	top := &w.lv[d]
 	for i, src := range w.perm {
-		top.b[i] = equilibrate(top.a[i*d:(i+1)*d], fill(int(src), top.a[i*d:(i+1)*d]))
+		row := top.a[i*d : (i+1)*d]
+		top.b[i] = equilibrate(row, fill(int(src), row))
+		top.mag[i] = rowMax(row)
 	}
 	// The lexicographic objective: the objective vector, then the
 	// identity rows e_1..e_d that realize "lexicographically smallest
@@ -240,6 +202,34 @@ func settled(v float64) bool { return v <= 0 && v >= -math.MaxFloat64 }
 // violates is the full row test; NaN counts as violated.
 func violates(a []float64, b float64, x []float64) bool {
 	return !(slack(a, b, x) <= seidelTol)
+}
+
+// RowViolates is the test a Seidel solve puts the row a·x ≤ b to at x,
+// as load equilibrates it: a violation that would move x, or one that
+// ends the solve in ErrInfeasible. A zero normal with b within zeroTol
+// is survived, so it violates nothing.
+func RowViolates(a []float64, b float64, x []float64) bool {
+	v := -b
+	for i, ai := range a {
+		v += ai * x[i]
+	}
+	if settled(v) {
+		return false
+	}
+	e := equilibration(a, b)
+	b = math.Ldexp(b, -e)
+	v, scale, zero := -b, math.Abs(b)+1, true
+	for i, ai := range a {
+		ai = math.Ldexp(ai, -e)
+		t := ai * x[i]
+		v += t
+		scale += math.Abs(t)
+		zero = zero && !(math.Abs(ai) > 0)
+	}
+	if v/scale <= seidelTol {
+		return false
+	}
+	return !zero || b < -zeroTol(b)
 }
 
 // firstViolated returns the first of level rows from…n−1 (k wide, in a
@@ -427,7 +417,7 @@ func (w *workspace) solve(k, n int) error {
 		// Current optimum violates h; the new optimum lies on ∂h.
 		h, hb := cur.a[i*k:(i+1)*k], cur.b[i]
 		p := pivotCoord(h)
-		if p < 0 {
+		if p < 0 || math.Abs(h[p]) <= zeroRel*cur.mag[i] {
 			// Numerically zero normal: constraint is 0 ≤ b.
 			if hb < -zeroTol(hb) {
 				return lptype.ErrInfeasible
@@ -443,9 +433,14 @@ func (w *workspace) solve(k, n int) error {
 		sb := hb / h[p]
 
 		if k == 1 {
-			// Level 0 fused in: its rows would be "0 ≤ b_g − a_g·sb",
-			// so check each as it is computed and store nothing. The
-			// one coordinate lifts to sb.
+			// Level 0 fused in: its rows would be the box's "0 ≤ box ∓ sb",
+			// then "0 ≤ b_g − a_g·sb", so check each as it is computed
+			// and store nothing. The one coordinate lifts to sb.
+			for _, r := range [2]float64{w.box - sb, w.box + sb} {
+				if r < -zeroTol(r) {
+					return lptype.ErrInfeasible
+				}
+			}
 			for g, b := range cur.b[:i] {
 				if r := b - cur.a[g]*sb; r < -zeroTol(r) {
 					return lptype.ErrInfeasible
@@ -454,11 +449,24 @@ func (w *workspace) solve(k, n int) error {
 			x[0] = sb
 			continue
 		}
-		// Transform the processed prefix and the objective rows into
-		// the (k-1)-dimensional subspace (drop coordinate p).
-		eliminateRows(below.a, cur.a, sub, k, p, i, below.b, cur.b, sb)
+		// Level k−1 gets the box of x_p as two rows in front,
+		// ±(sb + Σ_{j≠p} sub_j·x_j) ≤ box, then the processed prefix;
+		// the objective rows follow it into the (k-1)-dimensional
+		// subspace (drop coordinate p).
+		up, dn := below.a[:k-1], below.a[k-1:2*(k-1)]
+		copy(up[:p], sub[:p])
+		copy(up[p:], sub[p+1:])
+		for j, v := range up {
+			dn[j] = -v
+		}
+		below.b[0], below.b[1] = w.box-sb, w.box+sb
+		below.mag[0], below.mag[1] = 1, 1
+		eliminateRows(below.a[2*(k-1):], cur.a, sub, k, p, i, below.b[2:], cur.b, sb)
+		for g, m := range cur.mag[:i] {
+			below.mag[g+2] = m + math.Abs(cur.a[g*k+p])
+		}
 		eliminateRows(below.obj, cur.obj, sub, k, p, w.d+1, nil, nil, 0)
-		if err := w.solve(k-1, i); err != nil {
+		if err := w.solve(k-1, i+2); err != nil {
 			return err
 		}
 		// Lift the sub-optimum back to k coordinates.
@@ -477,6 +485,21 @@ func (w *workspace) solve(k, n int) error {
 
 // seidelTol is the scaled-violation threshold inside the recursion.
 const seidelTol = 1e-10
+
+// zeroRel is the pivot floor: a row whose largest |coefficient| is at
+// most zeroRel times the largest term it was summed from is a zero
+// normal, the rounding left by eliminating a row that depends on the
+// rows above it.
+const zeroRel = 0x1p-40
+
+// rowMax returns max_i |a_i|.
+func rowMax(a []float64) float64 {
+	m := 0.0
+	for _, v := range a {
+		m = max(m, math.Abs(v))
+	}
+	return m
+}
 
 // pivotCoord returns the index of the largest-magnitude coefficient
 // (the first one on ties), or -1 if the vector is numerically zero.
@@ -514,13 +537,26 @@ func (w *workspace) corner(k int) {
 	}
 }
 
-// equilibrate scales the row a·x ≤ b, in place, by the power of two
-// that brings its largest |coefficient| (b included) into [½, 1), when
-// that coefficient lies outside [2^−64, 2^64], and returns the scaled b.
-// Multiplying by a power of two is exact (unless a coefficient 2^1022
-// times smaller than the largest becomes subnormal), so the row means
-// the same; rows of ordinary magnitude are left bit for bit alone.
+// equilibrate scales the row a·x ≤ b, in place, by 2^−equilibration(a,
+// b) and returns the scaled b.
 func equilibrate(a []float64, b float64) float64 {
+	e := equilibration(a, b)
+	if e == 0 {
+		return b
+	}
+	for i := range a {
+		a[i] = math.Ldexp(a[i], -e)
+	}
+	return math.Ldexp(b, -e)
+}
+
+// equilibration returns the e for which 2^−e brings the row's largest
+// |coefficient| (b included) into [½, 1), when that coefficient lies
+// outside [2^−64, 2^64], and 0 otherwise. Multiplying by a power of two
+// is exact (unless a coefficient 2^1022 times smaller than the largest
+// becomes subnormal), so the row means the same; rows of ordinary
+// magnitude are left bit for bit alone.
+func equilibration(a []float64, b float64) int {
 	mx := math.Abs(b)
 	for _, v := range a {
 		if av := math.Abs(v); av > mx {
@@ -528,13 +564,10 @@ func equilibrate(a []float64, b float64) float64 {
 		}
 	}
 	if mx == 0 || mx >= 0x1p-64 && mx <= 0x1p64 {
-		return b
+		return 0
 	}
 	_, e := math.Frexp(mx)
-	for i := range a {
-		a[i] = math.Ldexp(a[i], -e)
-	}
-	return math.Ldexp(b, -e)
+	return e
 }
 
 func rowScale(row []float64) float64 {

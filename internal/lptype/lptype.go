@@ -17,10 +17,10 @@
 // Concrete problems (internal/lp, internal/svm, internal/meb,
 // internal/sea) implement Domain for their own constraint and basis
 // types; the meta-algorithm and the three big-data model
-// implementations are generic over it. lp and sea compute Tb with
-// Seidel's algorithm. svm and meb, the quadratic kinds, implement Small
-// instead: an exact small solve on at most ν+1 constraints
-// (SmallSolve), which SolvePivot, their only large solve, pivots over.
+// implementations are generic over it. Every kind computes Tb with
+// SolvePivot, which pivots over the kind's small solve (Small): Seidel's
+// algorithm for lp and sea, an exact solve of at most ν+1 constraints
+// (Gram) for svm and meb, the quadratic kinds.
 package lptype
 
 import (
@@ -42,9 +42,9 @@ var ErrInfeasible = errors.New("lptype: infeasible constraint set")
 var ErrUnbounded = errors.New("lptype: unbounded objective")
 
 // ErrCycling reports that an iterative solver stopped making progress:
-// a SolvePivot pivot that did not increase f, or a Seidel answer that
-// fails its own constraints. Either indicates numerical trouble on
-// degenerate input.
+// a SolvePivot pivot that lowered f, more than n pivots that left it
+// equal within rounding, or a Seidel answer that fails its own
+// constraints. Each indicates numerical trouble on degenerate input.
 var ErrCycling = errors.New("lptype: solver failed to converge (degenerate input?)")
 
 // Domain provides the geometric primitives of a concrete LP-type

@@ -53,11 +53,17 @@ func (d maxDomain) FirstViolator(b maxBasis, cs []float64) int {
 	return slices.IndexFunc(cs, func(c float64) bool { return d.Violates(b, c) })
 }
 
-func (maxDomain) Value(b maxBasis) float64 {
-	if b.empty {
-		return math.Inf(-1)
+// MaxSmall is ν+1: the loop pivots over its sample.
+func (maxDomain) MaxSmall() int { return 2 }
+
+func (maxDomain) Less(a, b maxBasis) bool {
+	f := func(b maxBasis) float64 {
+		if b.empty {
+			return math.Inf(-1)
+		}
+		return b.val
 	}
-	return b.val
+	return f(a) < f(b)
 }
 
 func TestVerify(t *testing.T) {
@@ -122,15 +128,106 @@ func TestSolvePivotMax(t *testing.T) {
 	}
 }
 
-// flatDomain is maxDomain whose small solve never raises f: the loop
-// must end in ErrCycling instead of pivoting forever.
-type flatDomain struct{ maxDomain }
+// wholeDomain is maxDomain with a small solve that takes any number
+// of constraints, counting the size of each call.
+type wholeDomain struct {
+	maxDomain
+	sizes *[]int
+}
 
-func (flatDomain) Value(maxBasis) float64 { return 0 }
+func (wholeDomain) MaxSmall() int { return math.MaxInt }
+
+func (d wholeDomain) SolveSmall(cs []float64) (maxBasis, error) {
+	*d.sizes = append(*d.sizes, len(cs))
+	return d.Solve(cs)
+}
+
+// TestSolvePivotStart pins where the loop starts: a small solve that
+// takes the whole sample (ν·⌈√n⌉ rows, or all of s when that is at
+// least half of it) solves it in one call, and one that takes ν+1
+// rows starts from ∅ and pivots over the sample.
+func TestSolvePivotStart(t *testing.T) {
+	s := make([]float64, 500)
+	for i := range s {
+		s[i] = float64(i % 97)
+	}
+	for _, c := range []struct {
+		n     int
+		whole bool
+		first int
+	}{
+		{500, true, 23}, {3, true, 3}, {500, false, 0}, {3, false, 0}, {2, false, 2},
+	} {
+		var sizes []int
+		var dom Small[float64, maxBasis] = countingMax{maxDomain{}, &sizes}
+		if c.whole {
+			dom = wholeDomain{maxDomain{}, &sizes}
+		}
+		b, err := SolvePivot(dom, s[:c.n])
+		if err != nil || b.val != float64(min(c.n, 97)-1) {
+			t.Fatalf("n=%d whole=%v: basis %v, err %v", c.n, c.whole, b.val, err)
+		}
+		if sizes[0] != c.first {
+			t.Errorf("n=%d whole=%v: first small solve of %d rows, want %d", c.n, c.whole, sizes[0], c.first)
+		}
+	}
+}
+
+// countingMax is maxDomain counting the size of each small solve.
+type countingMax struct {
+	maxDomain
+	sizes *[]int
+}
+
+func (d countingMax) SolveSmall(cs []float64) (maxBasis, error) {
+	*d.sizes = append(*d.sizes, len(cs))
+	return d.Solve(cs)
+}
+
+// fallingDomain is maxDomain with f reversed: every pivot lowers it,
+// so the loop must end in ErrCycling instead of pivoting on.
+type fallingDomain struct{ maxDomain }
+
+func (fallingDomain) Less(a, b maxBasis) bool { return maxDomain{}.Less(b, a) }
+
+// stuckDomain's small solve leaves out the violator it is given: f
+// stays where it was and the violator stays violated, so the loop
+// counts it satisfied and keeps its basis.
+type stuckDomain struct{ maxDomain }
+
+func (d stuckDomain) SolveSmall(cs []float64) (maxBasis, error) {
+	return d.Solve(cs[:max(len(cs)-1, 0)])
+}
+
+// swapDomain is LP-type in nothing: each row is violated by every basis
+// but its own, and the small solve answers with the violator alone, at
+// the same f. Every pivot satisfies its violator and undoes the last,
+// so the loop must stop after n such pivots.
+type swapDomain struct{ maxDomain }
+
+func (swapDomain) Less(maxBasis, maxBasis) bool { return false }
+
+func (swapDomain) SolveSmall(cs []float64) (maxBasis, error) {
+	if len(cs) == 0 {
+		return maxBasis{empty: true}, nil
+	}
+	return maxBasis{val: cs[len(cs)-1]}, nil
+}
+
+func (swapDomain) FirstViolator(b maxBasis, cs []float64) int {
+	return slices.IndexFunc(cs, func(c float64) bool { return b.empty || c != b.val })
+}
 
 func TestSolvePivotCycling(t *testing.T) {
-	if _, err := SolvePivot[float64, maxBasis](flatDomain{}, []float64{1, 2, 3}); !errors.Is(err, ErrCycling) {
-		t.Fatalf("err = %v, want ErrCycling", err)
+	s := []float64{1, 2, 3}
+	if _, err := SolvePivot[float64, maxBasis](fallingDomain{}, s); !errors.Is(err, ErrCycling) {
+		t.Errorf("falling f: err = %v, want ErrCycling", err)
+	}
+	if b, err := SolvePivot[float64, maxBasis](stuckDomain{}, s); err != nil || !b.empty {
+		t.Errorf("stuck small solve: basis %v, err %v; want the basis of ∅", b, err)
+	}
+	if _, err := SolvePivot[float64, maxBasis](swapDomain{}, s); !errors.Is(err, ErrCycling) {
+		t.Errorf("swapping bases: err = %v, want ErrCycling", err)
 	}
 }
 
@@ -166,7 +263,8 @@ func (d errDomain) VCDim() int                        { return 1 }
 func (d errDomain) SolveSmall([]float64) (maxBasis, error) {
 	return maxBasis{}, d.err
 }
-func (d errDomain) Value(maxBasis) float64                { return 0 }
+func (d errDomain) MaxSmall() int                         { return 2 }
+func (d errDomain) Less(maxBasis, maxBasis) bool          { return false }
 func (d errDomain) FirstViolator(maxBasis, []float64) int { return -1 }
 
 func TestErrorPropagation(t *testing.T) {

@@ -9,45 +9,57 @@ import (
 	"lowdimlp/internal/numeric"
 )
 
-// Small is a Domain whose large solve is SolvePivot: the quadratic
-// kinds (svm, meb) supply only the exact optimum of a few constraints
-// (DESIGN.md §7, "The quadratic kinds").
+// Small is a Domain whose large solve is SolvePivot: it supplies only
+// the optimum of a few constraints (DESIGN.md §7, "One pivot loop").
 type Small[C, B any] interface {
 	Domain[C, B]
-	// SolveSmall returns the basis of at most ν+1 constraints, with
-	// Basis(b) the support that determines it, violated by none of cs.
+	// SolveSmall returns the basis of at most MaxSmall() constraints,
+	// with Basis(b) a set that determines it, violated by none of cs.
 	// SolvePivot passes Basis(b), then the violator: an order the small
 	// solve may start from, but not depend on (up to tied supports).
 	SolveSmall(cs []C) (B, error)
-	// Value returns f(b), the objective every pivot must increase.
-	Value(b B) float64
+	// MaxSmall returns the most constraints one SolveSmall call takes:
+	// ν+1 for an exact small solve, any number for a full solver.
+	MaxSmall() int
+	// Less reports f(a) < f(b), the order every pivot must climb.
+	Less(a, b B) bool
 	// FirstViolator returns the index of the first constraint of cs
-	// that violates b, or -1: Violates over a run, decision for
-	// decision, in one call.
+	// that violates b by the small solve's own row test, or -1.
 	FirstViolator(b B, cs []C) int
 }
 
 // SolvePivot solves (S, f) by pivoting over dom's small solve
 // (Matoušek–Sharir–Welzl; Gärtner's move-to-front variant). The loop
-// first solves a sample of about ν·√n rows, drawn with a seed fixed
-// from n, from the basis of ∅, and starts from its basis, so the scan
-// meets few violators whatever the input order. It scans in storage
-// order, continuing cyclically from the last violator, and stops after
-// n clean rows in a row. A violator v replaces b with the small solve
-// of Basis(b) ∪ {v}; past violators sit in a move-to-front list that is
-// tested before the scan resumes. Each pivot must strictly increase f —
-// so the loop ends, f taking finitely many values on subsets of S — and
-// one that does not ends the solve in ErrCycling.
+// starts from the basis of a sample of about ν·√n rows, drawn with a
+// seed fixed from n (all of s when that is at least half of it), so
+// the scan meets few violators whatever the input order. A small solve
+// that takes the whole sample solves it in one call; otherwise the loop
+// pivots over the sample from the basis of ∅. It then scans s in
+// storage order, continuing cyclically from the last violator, and
+// stops after n clean rows in a row. A violator v replaces b with the
+// small solve of Basis(b) ∪ {v} when that raises f; past violators sit
+// in a move-to-front list that is tested before the scan resumes. f
+// takes finitely many values on subsets of S, so the loop ends. A small
+// solve that lowers f ends the solve in ErrCycling. One that leaves f
+// equal within rounding (the same vertex reached through other rows,
+// or a move below f's resolution at box scale) replaces b if it
+// satisfies v, at most n times before ErrCycling; otherwise v counts
+// as satisfied, since the small solve given v found nothing to change.
 func SolvePivot[C, B any](dom Small[C, B], s []C) (B, error) {
-	n := len(s)
-	b, err := dom.SolveSmall(nil)
-	if k := dom.CombinatorialDim() * int(math.Ceil(math.Sqrt(float64(n)))); err == nil && 2*k < n {
+	n, start := len(s), s
+	if k := dom.CombinatorialDim() * int(math.Ceil(math.Sqrt(float64(n)))); 2*k < n {
 		rng := numeric.NewRand(0x7069766f74, uint64(n))
-		sample := make([]C, k)
-		for i := range sample {
-			sample[i] = s[rng.IntN(n)]
+		start = make([]C, k)
+		for i := range start {
+			start[i] = s[rng.IntN(n)]
 		}
-		b, err = pivot(dom, sample, b)
+	}
+	var b B
+	var err error
+	if len(start) <= dom.MaxSmall() {
+		b, err = dom.SolveSmall(start)
+	} else if b, err = dom.SolveSmall(nil); err == nil && len(start) < n {
+		b, err = pivot(dom, start, b)
 	}
 	if err != nil {
 		return b, err
@@ -61,6 +73,31 @@ func pivot[C, B any](dom Small[C, B], s []C, b B) (B, error) {
 	n := len(s)
 	cand := make([]C, 0, dom.CombinatorialDim()+1)
 	var mtf []int // indices of past violators, most recent first
+	level := 0    // pivots that left f equal within rounding
+	// step pivots b on s[v] by SolvePivot's rules and reports whether b
+	// moved.
+	step := func(v int) (bool, error) {
+		nb, err := dom.SolveSmall(append(append(cand[:0], dom.Basis(b)...), s[v]))
+		switch {
+		case err != nil:
+			return false, err
+		case dom.Less(nb, b):
+			return false, ErrCycling
+		case !dom.Less(b, nb):
+			if dom.FirstViolator(nb, s[v:v+1]) == 0 {
+				return false, nil
+			}
+			if level++; level > n {
+				return false, ErrCycling
+			}
+		}
+		if at := slices.Index(mtf, v); at >= 0 {
+			mtf = slices.Delete(mtf, at, at+1)
+		}
+		mtf = slices.Insert(mtf, 0, v)
+		b = nb
+		return true, nil
+	}
 	for i, clean := 0, 0; clean < n; {
 		end := min(n, i+n-clean)
 		j := dom.FirstViolator(b, s[i:end])
@@ -68,24 +105,21 @@ func pivot[C, B any](dom Small[C, B], s []C, b B) (B, error) {
 			clean, i = clean+end-i, end%n
 			continue
 		}
+		moved, err := step(i + j)
+		if err != nil {
+			return zero, err
+		}
+		if !moved {
+			clean, i = clean+j+1, (i+j+1)%n
+			continue
+		}
 		i, clean = i+j, 0
-		for v := i; v >= 0; {
-			nb, err := dom.SolveSmall(append(append(cand[:0], dom.Basis(b)...), s[v]))
-			if err != nil {
-				return zero, err
-			}
-			if !(dom.Value(nb) > dom.Value(b)) {
-				return zero, ErrCycling
-			}
-			if at := slices.Index(mtf, v); at >= 0 {
-				mtf = slices.Delete(mtf, at, at+1)
-			}
-			mtf = slices.Insert(mtf, 0, v)
-			b, v = nb, -1
-			for _, k := range mtf[1:] {
-				if dom.Violates(b, s[k]) {
-					v = k
-					break
+		for at := 1; at < len(mtf); at++ {
+			if k := mtf[at]; dom.FirstViolator(b, s[k:k+1]) == 0 {
+				if moved, err = step(k); err != nil {
+					return zero, err
+				} else if moved {
+					at = 0
 				}
 			}
 		}

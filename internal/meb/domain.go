@@ -49,8 +49,11 @@ func (d *Domain) Solve(pts []Point) (Basis, error) {
 // so the result depends only on the set.
 func (d *Domain) SolveSmall(pts []Point) (Basis, error) { return solveSmall(pts) }
 
-// Value returns f(b), the squared radius (−1 for the null ball).
-func (d *Domain) Value(b Basis) float64 { return b.B.R2 }
+// MaxSmall returns ν+1 = d+2, the most points SolveSmall takes.
+func (d *Domain) MaxSmall() int { return d.Dim + 2 }
+
+// Less orders bases by f, the squared radius (−1 for the null ball).
+func (d *Domain) Less(a, b Basis) bool { return a.B.R2 < b.B.R2 }
 
 // Basis returns the support points of b.
 func (d *Domain) Basis(b Basis) []Point { return b.Support }

@@ -21,8 +21,9 @@
 //
 // # Exactness and degeneracy
 //
-// The solver is the repository's exact Seidel LP solver on the lifted
-// program, with the standard bounding box. Violation tests are done in
+// The solver is lptype.SolvePivot over the repository's Seidel LP
+// solver on the lifted program, with the standard bounding box held at
+// every level. Violation tests are done in
 // lifted coordinates (|p|² − 2⟨p, c⟩ vs u and v), which is free of the
 // catastrophic cancellation that recovering R² = u + |c|² would cost
 // when an under-determined subset (fewer than d+2 points in general
@@ -34,6 +35,8 @@ package sea
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
+	"slices"
 	"sync/atomic"
 
 	"lowdimlp/internal/lp"
@@ -268,29 +271,75 @@ func liftedRow(d int, p Point, inner bool, a []float64) float64 {
 	return -q2
 }
 
-// Solve computes the basis of the point subset (Tb) by solving the
-// lifted LP exactly with Seidel's algorithm. Constraint 2i is the outer
-// and 2i+1 the inner halfspace of point i, written straight into the
-// solver's workspace.
+// Solve computes the basis of the point subset (Tb) by
+// lptype.SolvePivot over the exact solve of the lifted LP.
 func (d *Domain) Solve(pts []Point) (Basis, error) {
+	return lptype.SolvePivot[Point, Basis](d.call(), pts)
+}
+
+// solveCall is one Solve call of d: its small solves draw their
+// shuffles from one private stream, in the order the loop makes them.
+type solveCall struct {
+	*Domain
+	rng *rand.Rand
+}
+
+func (d *Domain) call() solveCall {
+	return solveCall{d, numeric.NewRand(d.Seed, d.calls.Add(1))}
+}
+
+// SolveSmall solves the lifted LP of pts, any number of them, with
+// Seidel's algorithm. Constraint 2i is the outer and 2i+1 the inner
+// halfspace of point i, written straight into the solver's workspace.
+func (c solveCall) SolveSmall(pts []Point) (Basis, error) {
 	if len(pts) == 0 {
 		return Basis{}, nil // the null annulus, violated by every point
 	}
 	for i, p := range pts {
-		if len(p) != d.Dim {
-			return Basis{}, fmt.Errorf("sea: point %d has %d coordinates, want %d", i, len(p), d.Dim)
+		if len(p) != c.Dim {
+			return Basis{}, fmt.Errorf("sea: point %d has %d coordinates, want %d", i, len(p), c.Dim)
 		}
 	}
-	rng := numeric.NewRand(d.Seed, d.calls.Add(1))
-	sol, err := lp.SeidelRows(liftedProblem(d.Dim), 2*len(pts), func(i int, a []float64) float64 {
-		return liftedRow(d.Dim, pts[i/2], i%2 == 1, a)
-	}, rng)
+	sol, err := lp.SeidelRows(liftedProblem(c.Dim), 2*len(pts), func(i int, a []float64) float64 {
+		return liftedRow(c.Dim, pts[i/2], i%2 == 1, a)
+	}, c.rng)
 	if err != nil {
 		return Basis{}, err
 	}
 	b := Basis{X: sol.X}
-	b.Support = supportOf(pts, b, d.Dim+3)
+	b.Support = supportOf(pts, b)
 	return b, nil
+}
+
+// MaxSmall reports that Seidel takes any number of points.
+func (d *Domain) MaxSmall() int { return math.MaxInt }
+
+// Less orders bases by f, the lexicographic (u − v, x) of the lifted
+// LP, beyond rounding (lp.LexLess); the null annulus comes first.
+func (d *Domain) Less(a, b Basis) bool {
+	if a.IsEmpty() || b.IsEmpty() {
+		return a.IsEmpty() && !b.IsEmpty()
+	}
+	k := d.Dim
+	return lp.LexLess(a.X[k]-a.X[k+1], b.X[k]-b.X[k+1], 2, a.X, b.X)
+}
+
+// FirstViolator returns the index of the first point of pts whose
+// outer or inner lifted row b's solution violates by Seidel's own row
+// test, or -1. A point of the wrong length counts as violating, so that
+// the small solve reports it.
+func (d *Domain) FirstViolator(b Basis, pts []Point) int {
+	if b.IsEmpty() {
+		if len(pts) == 0 {
+			return -1
+		}
+		return 0
+	}
+	a := make([]float64, d.Dim+2)
+	return slices.IndexFunc(pts, func(p Point) bool {
+		return len(p) != d.Dim || lp.RowViolates(a, liftedRow(d.Dim, p, false, a), b.X) ||
+			lp.RowViolates(a, liftedRow(d.Dim, p, true, a), b.X)
+	})
 }
 
 // Basis returns the support points of b.
@@ -354,18 +403,14 @@ func (d *Domain) CombinatorialDim() int { return d.Dim + 3 }
 func (d *Domain) VCDim() int { return d.Dim + 2 }
 
 // supportOf returns the points whose inner or outer constraint is
-// tight at b (capped at max points).
-func supportOf(pts []Point, b Basis, max int) []Point {
+// tight at b: all of them, so that they determine b.
+func supportOf(pts []Point, b Basis) []Point {
 	var out []Point
 	for _, p := range pts {
 		lift, u, v, slack := liftEval(b.X, p)
-		tight := math.Abs(lift-u) <= 64*(slack+numeric.Eps*math.Abs(u)) ||
-			math.Abs(lift-v) <= 64*(slack+numeric.Eps*math.Abs(v))
-		if tight {
+		if math.Abs(lift-u) <= 64*(slack+numeric.Eps*math.Abs(u)) ||
+			math.Abs(lift-v) <= 64*(slack+numeric.Eps*math.Abs(v)) {
 			out = append(out, p)
-			if len(out) == max {
-				break
-			}
 		}
 	}
 	return out

@@ -112,48 +112,6 @@ func TestAgainstBruteForce(t *testing.T) {
 	}
 }
 
-// pivotDomain lets lptype.SolvePivot pivot over Seidel. The support
-// leaves the lifted LP's implicit box out, so it is not a determining
-// set while the box binds; the adapter's basis keeps every point
-// pivoted on instead, so each pivot is Seidel on a growing set. The
-// lifted f is lexicographic, so Value is the size of that set, which
-// every pivot increases.
-type pivotDomain struct{ *Domain }
-
-func (d pivotDomain) SolveSmall(pts []Point) (Basis, error) {
-	b, err := d.Solve(pts)
-	b.Support = append([]Point(nil), pts...)
-	return b, err
-}
-
-func (pivotDomain) Value(b Basis) float64 { return float64(len(b.Support)) }
-
-func (d pivotDomain) FirstViolator(b Basis, pts []Point) int {
-	return slices.IndexFunc(pts, func(p Point) bool { return d.Violates(b, p) })
-}
-
-// TestAgainstPivot cross-checks against the generic basis-improvement
-// solver on a larger instance.
-func TestAgainstPivot(t *testing.T) {
-	dom := NewDomain(3, 5)
-	pts := make([]Point, 400)
-	for i := range pts {
-		pts[i] = RingAt(3, 99, 0.2, i)
-	}
-	got, err := dom.Solve(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := lptype.SolvePivot[Point, Basis](pivotDomain{dom}, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, w := got.Annulus(), want.Annulus()
-	if math.Abs((g.R2-g.InR2)-(w.R2-w.InR2)) > 1e-6*(1+w.R2) {
-		t.Fatalf("objective %v (direct) vs %v (pivot)", g.R2-g.InR2, w.R2-w.InR2)
-	}
-}
-
 func TestEmptyAndSingleton(t *testing.T) {
 	dom := NewDomain(2, 1)
 	b, err := dom.Solve(nil)
@@ -365,7 +323,7 @@ func TestSolveMatchesLiftedHalfspaces(t *testing.T) {
 		call := uint64(0)
 		for _, n := range []int{300, 1, 2, dim + 3, 40} {
 			pts := ringPoints(dim, n, uint64(10*dim+n))
-			got, err := dom.Solve(pts)
+			got, err := dom.call().SolveSmall(pts)
 			call++
 			want, werr := solveViaHalfspaces(dim, pts, 5, call)
 			if err != nil || werr != nil {
@@ -385,47 +343,52 @@ func TestSolveRejectsWrongPointLength(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "point 2") {
 			t.Errorf("point of %d coordinates in R^2: err = %v, want one naming point 2", len(bad), err)
 		}
+		// Past the pivot loop's sample: the point reaches a small solve.
+		if _, err := dom.Solve(append(ringPoints(2, 500, 1), bad)); err == nil {
+			t.Errorf("point of %d coordinates in R^2 after 500 good ones accepted", len(bad))
+		}
 	}
 }
 
 // TestSeidelAllocations is the sea half of the pin in internal/lp: the
-// allocations of a basis solve (warm: 8 — rng, lifted problem, X,
-// support set) do not grow with the number of points. See the lp test
-// for why the bound leaves room for one workspace build.
+// allocations of a small solve over every point (warm: 8 — rng, lifted
+// problem, X, support set) do not grow with the number of points. See
+// the lp test for why the bound leaves room for one workspace build.
 func TestSeidelAllocations(t *testing.T) {
 	const maxAllocs = 44
 	for _, n := range []int{250, 2500} { // m = 2n lifted rows: 500 and 5000
 		pts := ringPoints(3, n, 1)
 		dom := NewDomain(3, 1)
-		if _, err := dom.Solve(pts); err != nil { // warm the pool
+		if _, err := dom.call().SolveSmall(pts); err != nil { // warm the pool
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := dom.Solve(pts); err != nil {
+			if _, err := dom.call().SolveSmall(pts); err != nil {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("sea.Domain.Solve d=3 n=%d: %.1f allocs", n, allocs)
+		t.Logf("sea small solve d=3 n=%d: %.1f allocs", n, allocs)
 		if allocs > maxAllocs {
-			t.Errorf("sea.Domain.Solve d=3 n=%d: %.1f allocs (want ≤ %d) — lifted halfspaces materialized again?", n, allocs, maxAllocs)
+			t.Errorf("sea small solve d=3 n=%d: %.1f allocs (want ≤ %d) — lifted halfspaces materialized again?", n, allocs, maxAllocs)
 		}
 	}
 }
 
 // TestConcurrentSolves shares one Domain between goroutines, as
-// coordinator sites do; each result must be the oracle's for one of the
-// shuffle streams the call counter hands out.
+// coordinator sites do; each result must be one that a Domain of the
+// same seed returns, called as often one at a time: every call gets a
+// shuffle stream and workspaces of its own.
 func TestConcurrentSolves(t *testing.T) {
 	const goroutines, rounds = 8, 5
 	pts := ringPoints(3, 200, 9)
-	dom := NewDomain(3, 21)
+	dom, seq := NewDomain(3, 21), NewDomain(3, 21)
 	var want [][]float64
-	for call := uint64(1); call <= goroutines*rounds; call++ {
-		sol, err := solveViaHalfspaces(3, pts, 21, call)
+	for range goroutines * rounds {
+		b, err := seq.Solve(pts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, sol.X)
+		want = append(want, b.X)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -439,7 +402,7 @@ func TestConcurrentSolves(t *testing.T) {
 					return
 				}
 				if !slices.ContainsFunc(want, func(x []float64) bool { return sameBits(x, b.X) }) {
-					t.Error("concurrent Solve returned a basis no shuffle stream of the oracle produces")
+					t.Error("concurrent Solve returned a basis no call of the same seed returns")
 					return
 				}
 			}

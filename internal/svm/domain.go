@@ -47,8 +47,11 @@ func (d *Domain) Solve(examples []Example) (Basis, error) {
 // so the result depends only on the set.
 func (d *Domain) SolveSmall(examples []Example) (Basis, error) { return solveSmall(d.Dim, examples) }
 
-// Value returns f(b) = ‖u‖².
-func (d *Domain) Value(b Basis) float64 { return b.Sol.Norm2 }
+// MaxSmall returns ν+1 = d+2, the most examples SolveSmall takes.
+func (d *Domain) MaxSmall() int { return d.Dim + 2 }
+
+// Less orders bases by f = ‖u‖².
+func (d *Domain) Less(a, b Basis) bool { return a.Sol.Norm2 < b.Sol.Norm2 }
 
 // Basis returns the support vectors of b.
 func (d *Domain) Basis(b Basis) []Example { return b.Support }
