@@ -362,6 +362,26 @@ func TestBruteForceMatchesSeidel(t *testing.T) {
 	}
 }
 
+// TestSolvePivotMatchesSeidel: Domain.Solve, the pivot loop over
+// Seidel, reaches the value of one Seidel run over every constraint.
+func TestSolvePivotMatchesSeidel(t *testing.T) {
+	for trial := 0; trial < 15; trial++ {
+		p, cons := randomFeasibleLP(3, 200, uint64(400+trial))
+		dom := NewDomain(p, uint64(trial))
+		pv, err := dom.Solve(cons)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sd, err := Seidel(p, cons, numeric.NewRand(uint64(trial), 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !numeric.ApproxEqualTol(pv.Sol.Value, sd.Value, 1e-6) {
+			t.Fatalf("trial %d: pivot %v vs seidel %v", trial, pv.Sol.Value, sd.Value)
+		}
+	}
+}
+
 // --- Codec roundtrips --------------------------------------------------
 
 func TestBasisCodecRoundtrip(t *testing.T) {

@@ -112,6 +112,28 @@ func TestAgainstBruteForce(t *testing.T) {
 	}
 }
 
+// TestAgainstPivot cross-checks Solve, the pivot loop, against one
+// Seidel run of the lifted LP over every point of a larger instance.
+func TestAgainstPivot(t *testing.T) {
+	dom := NewDomain(3, 5)
+	pts := make([]Point, 400)
+	for i := range pts {
+		pts[i] = RingAt(3, 99, 0.2, i)
+	}
+	got, err := dom.call().SolveSmall(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := dom.Solve(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, w := got.Annulus(), want.Annulus()
+	if math.Abs((g.R2-g.InR2)-(w.R2-w.InR2)) > 1e-6*(1+w.R2) {
+		t.Fatalf("objective %v (direct) vs %v (pivot)", g.R2-g.InR2, w.R2-w.InR2)
+	}
+}
+
 func TestEmptyAndSingleton(t *testing.T) {
 	dom := NewDomain(2, 1)
 	b, err := dom.Solve(nil)
