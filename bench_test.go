@@ -53,10 +53,11 @@ func BenchmarkF2HardInstance(b *testing.B)  { benchExperiment(b, "F2") }
 // BenchmarkLPSolve and BenchmarkSEASolve are the basis solves behind
 // lpmark's basis-heavy workload (the d=5 sphere and d=3 ring cells are
 // its net sizes); d=3 n=60000 is the ship-all solve of fleet-net's and
-// serve-open's fleet lp. Both are lptype.SolvePivot over Seidel, and
-// BenchmarkSeidelLP times Seidel alone on LPSolve's instances: the
-// pivot's sample solve is Seidel over about (d+1)·√n of those rows.
-// Reproduce their micro-cost with
+// serve-open's fleet lp. Both are lptype.SolvePivot over Seidel: the
+// loop solves its ν·⌈√n⌉-row sample by SolvePivot again, so no Seidel
+// call takes more than (2ν+1)² rows. BenchmarkSeidelLP times one
+// Seidel run over every row of LPSolve's instances, the solve that the
+// pivot loop replaced. Reproduce their micro-cost with
 //
 //	go test -run '^$' -bench 'LPSolve|Seidel|SEASolve' -cpu 1
 func BenchmarkLPSolve(b *testing.B) {

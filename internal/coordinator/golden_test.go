@@ -224,43 +224,45 @@ func TestCoordinatorGolden(t *testing.T) {
 // field moved. Re-recorded when lp and sea came to solve by
 // lptype.SolvePivot over a Seidel that keeps its box: the basis hash
 // of 36 lp and 38 sea rows moved in its last bits, and no Stats field.
+// Re-recorded when SolvePivot came to solve its sample by itself: the
+// basis hash of 29 lp and 37 sea rows moved, and no Stats field.
 var coordGolden = map[string]coordGoldenRow{
-	"lp/r=2/nc=0.5/mc=false/seed=1":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 3, Successes: 0, Failures: 2, DirectSolve: false}, K: 4, Rounds: 7, TotalBits: 3670560, Messages: 56, Retries: 0}, 0x201baa31e34c5738, ""},
-	"lp/r=2/nc=0.5/mc=false/seed=2":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, K: 4, Rounds: 5, TotalBits: 2447232, Messages: 40, Retries: 0}, 0xbebab374d5fe9f5d, ""},
-	"lp/r=2/nc=0.5/mc=false/seed=3":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, K: 4, Rounds: 7, TotalBits: 3670560, Messages: 56, Retries: 0}, 0x201baa31e34c5738, ""},
-	"lp/r=2/nc=0.5/mc=false/seed=4":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 1, Successes: 0, Failures: 0, DirectSolve: false}, K: 4, Rounds: 3, TotalBits: 1223904, Messages: 24, Retries: 0}, 0xef3492b9b53473a5, ""},
-	"lp/r=2/nc=0.5/mc=false/seed=5":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, K: 4, Rounds: 5, TotalBits: 2447232, Messages: 40, Retries: 0}, 0x1d0b7c8dc1094445, ""},
-	"lp/r=2/nc=0.5/mc=true/seed=1":   {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 3840000, Messages: 20000, Retries: 0}, 0x2b78904998e342a1, ""},
-	"lp/r=2/nc=0.5/mc=true/seed=2":   {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 3840000, Messages: 20000, Retries: 0}, 0x2b78904998e342a1, ""},
-	"lp/r=2/nc=0.5/mc=true/seed=3":   {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 3840000, Messages: 20000, Retries: 0}, 0x2b78904998e342a1, ""},
-	"lp/r=2/nc=0.5/mc=true/seed=4":   {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 3840000, Messages: 20000, Retries: 0}, 0x2b78904998e342a1, ""},
-	"lp/r=2/nc=0.5/mc=true/seed=5":   {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 3840000, Messages: 20000, Retries: 0}, 0x2b78904998e342a1, ""},
+	"lp/r=2/nc=0.5/mc=false/seed=1":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 3, Successes: 0, Failures: 2, DirectSolve: false}, K: 4, Rounds: 7, TotalBits: 3670560, Messages: 56, Retries: 0}, 0xef3492b9b53473a5, ""},
+	"lp/r=2/nc=0.5/mc=false/seed=2":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, K: 4, Rounds: 5, TotalBits: 2447232, Messages: 40, Retries: 0}, 0x108338ed5db3e4d8, ""},
+	"lp/r=2/nc=0.5/mc=false/seed=3":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, K: 4, Rounds: 7, TotalBits: 3670560, Messages: 56, Retries: 0}, 0xef3492b9b53473a5, ""},
+	"lp/r=2/nc=0.5/mc=false/seed=4":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 1, Successes: 0, Failures: 0, DirectSolve: false}, K: 4, Rounds: 3, TotalBits: 1223904, Messages: 24, Retries: 0}, 0x201baa31e34c5738, ""},
+	"lp/r=2/nc=0.5/mc=false/seed=5":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, K: 4, Rounds: 5, TotalBits: 2447232, Messages: 40, Retries: 0}, 0x201baa31e34c5738, ""},
+	"lp/r=2/nc=0.5/mc=true/seed=1":   {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 3840000, Messages: 20000, Retries: 0}, 0x73b43665122e5c2c, ""},
+	"lp/r=2/nc=0.5/mc=true/seed=2":   {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 3840000, Messages: 20000, Retries: 0}, 0x73b43665122e5c2c, ""},
+	"lp/r=2/nc=0.5/mc=true/seed=3":   {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 3840000, Messages: 20000, Retries: 0}, 0x73b43665122e5c2c, ""},
+	"lp/r=2/nc=0.5/mc=true/seed=4":   {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 3840000, Messages: 20000, Retries: 0}, 0x73b43665122e5c2c, ""},
+	"lp/r=2/nc=0.5/mc=true/seed=5":   {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 3840000, Messages: 20000, Retries: 0}, 0x73b43665122e5c2c, ""},
 	"lp/r=2/nc=0.2/mc=false/seed=1":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 6, Successes: 0, Failures: 5, DirectSolve: false}, K: 4, Rounds: 13, TotalBits: 2942208, Messages: 104, Retries: 0}, 0xef3492b9b53473a5, ""},
-	"lp/r=2/nc=0.2/mc=false/seed=2":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 5, Successes: 1, Failures: 3, DirectSolve: false}, K: 4, Rounds: 11, TotalBits: 2451936, Messages: 88, Retries: 0}, 0xc86c55d8cc4ae89d, ""},
-	"lp/r=2/nc=0.2/mc=false/seed=3":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 6, Successes: 2, Failures: 3, DirectSolve: false}, K: 4, Rounds: 13, TotalBits: 2942208, Messages: 104, Retries: 0}, 0xb204a459282b9c71, ""},
-	"lp/r=2/nc=0.2/mc=false/seed=4":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 2, Successes: 0, Failures: 1, DirectSolve: false}, K: 4, Rounds: 5, TotalBits: 981120, Messages: 40, Retries: 0}, 0xef3492b9b53473a5, ""},
-	"lp/r=2/nc=0.2/mc=false/seed=5":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, K: 4, Rounds: 5, TotalBits: 981120, Messages: 40, Retries: 0}, 0x1b1c0bf43ddde5e2, ""},
-	"lp/r=2/nc=0.2/mc=true/seed=1":   {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 3840000, Messages: 20000, Retries: 0}, 0x2b78904998e342a1, ""},
-	"lp/r=2/nc=0.2/mc=true/seed=2":   {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 3840000, Messages: 20000, Retries: 0}, 0x2b78904998e342a1, ""},
-	"lp/r=2/nc=0.2/mc=true/seed=3":   {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 3840000, Messages: 20000, Retries: 0}, 0x2b78904998e342a1, ""},
-	"lp/r=2/nc=0.2/mc=true/seed=4":   {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 3840000, Messages: 20000, Retries: 0}, 0x2b78904998e342a1, ""},
-	"lp/r=2/nc=0.2/mc=true/seed=5":   {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 3840000, Messages: 20000, Retries: 0}, 0x2b78904998e342a1, ""},
+	"lp/r=2/nc=0.2/mc=false/seed=2":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 5, Successes: 1, Failures: 3, DirectSolve: false}, K: 4, Rounds: 11, TotalBits: 2451936, Messages: 88, Retries: 0}, 0x108338ed5db3e4d8, ""},
+	"lp/r=2/nc=0.2/mc=false/seed=3":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 6, Successes: 2, Failures: 3, DirectSolve: false}, K: 4, Rounds: 13, TotalBits: 2942208, Messages: 104, Retries: 0}, 0xef3492b9b53473a5, ""},
+	"lp/r=2/nc=0.2/mc=false/seed=4":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 2, Successes: 0, Failures: 1, DirectSolve: false}, K: 4, Rounds: 5, TotalBits: 981120, Messages: 40, Retries: 0}, 0x201baa31e34c5738, ""},
+	"lp/r=2/nc=0.2/mc=false/seed=5":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, K: 4, Rounds: 5, TotalBits: 981120, Messages: 40, Retries: 0}, 0x623c50e4f6f53d7b, ""},
+	"lp/r=2/nc=0.2/mc=true/seed=1":   {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 3840000, Messages: 20000, Retries: 0}, 0x73b43665122e5c2c, ""},
+	"lp/r=2/nc=0.2/mc=true/seed=2":   {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 3840000, Messages: 20000, Retries: 0}, 0x73b43665122e5c2c, ""},
+	"lp/r=2/nc=0.2/mc=true/seed=3":   {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 3840000, Messages: 20000, Retries: 0}, 0x73b43665122e5c2c, ""},
+	"lp/r=2/nc=0.2/mc=true/seed=4":   {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 3840000, Messages: 20000, Retries: 0}, 0x73b43665122e5c2c, ""},
+	"lp/r=2/nc=0.2/mc=true/seed=5":   {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 3840000, Messages: 20000, Retries: 0}, 0x73b43665122e5c2c, ""},
 	"lp/r=3/nc=0.5/mc=false/seed=1":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1222, Iterations: 5, Successes: 2, Failures: 2, DirectSolve: false}, K: 4, Rounds: 11, TotalBits: 1180896, Messages: 88, Retries: 0}, 0x91a51c57bdbbab1b, ""},
 	"lp/r=3/nc=0.5/mc=false/seed=2":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1222, Iterations: 8, Successes: 2, Failures: 5, DirectSolve: false}, K: 4, Rounds: 17, TotalBits: 1889088, Messages: 136, Retries: 0}, 0x6332e08fd1d88072, ""},
 	"lp/r=3/nc=0.5/mc=false/seed=3":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1222, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, K: 4, Rounds: 7, TotalBits: 708768, Messages: 56, Retries: 0}, 0xa7a0ccc37dd80ed2, ""},
 	"lp/r=3/nc=0.5/mc=false/seed=4":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1222, Iterations: 4, Successes: 1, Failures: 2, DirectSolve: false}, K: 4, Rounds: 9, TotalBits: 944832, Messages: 72, Retries: 0}, 0x6332e08fd1d88072, ""},
-	"lp/r=3/nc=0.5/mc=false/seed=5":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1222, Iterations: 6, Successes: 1, Failures: 4, DirectSolve: false}, K: 4, Rounds: 13, TotalBits: 1416960, Messages: 104, Retries: 0}, 0xb360c26285543cdc, ""},
-	"lp/r=3/nc=0.5/mc=true/seed=1":   {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 7501, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, K: 4, Rounds: 7, TotalBits: 4325472, Messages: 56, Retries: 0}, 0xbe1b460b79b16f13, ""},
-	"lp/r=3/nc=0.5/mc=true/seed=2":   {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 7501, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, K: 4, Rounds: 7, TotalBits: 4325472, Messages: 56, Retries: 0}, 0xf0a3ab9a84712c1c, ""},
-	"lp/r=3/nc=0.5/mc=true/seed=3":   {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 7501, Iterations: 1, Successes: 0, Failures: 0, DirectSolve: false}, K: 4, Rounds: 3, TotalBits: 1442208, Messages: 24, Retries: 0}, 0xc201efb4906c52b9, ""},
-	"lp/r=3/nc=0.5/mc=true/seed=4":   {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 7501, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, K: 4, Rounds: 5, TotalBits: 2883840, Messages: 40, Retries: 0}, 0x6332e08fd1d88072, ""},
+	"lp/r=3/nc=0.5/mc=false/seed=5":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1222, Iterations: 6, Successes: 1, Failures: 4, DirectSolve: false}, K: 4, Rounds: 13, TotalBits: 1416960, Messages: 104, Retries: 0}, 0x7689b718f1688aa9, ""},
+	"lp/r=3/nc=0.5/mc=true/seed=1":   {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 7501, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, K: 4, Rounds: 7, TotalBits: 4325472, Messages: 56, Retries: 0}, 0xfc5f3e2ceee31de, ""},
+	"lp/r=3/nc=0.5/mc=true/seed=2":   {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 7501, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, K: 4, Rounds: 7, TotalBits: 4325472, Messages: 56, Retries: 0}, 0x7689b718f1688aa9, ""},
+	"lp/r=3/nc=0.5/mc=true/seed=3":   {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 7501, Iterations: 1, Successes: 0, Failures: 0, DirectSolve: false}, K: 4, Rounds: 3, TotalBits: 1442208, Messages: 24, Retries: 0}, 0xf0a3ab9a84712c1c, ""},
+	"lp/r=3/nc=0.5/mc=true/seed=4":   {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 7501, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, K: 4, Rounds: 5, TotalBits: 2883840, Messages: 40, Retries: 0}, 0x91a51c57bdbbab1b, ""},
 	"lp/r=3/nc=0.5/mc=true/seed=5":   {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 7501, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, K: 4, Rounds: 5, TotalBits: 2883840, Messages: 40, Retries: 0}, 0xbe1b460b79b16f13, ""},
-	"lp/r=3/nc=0.2/mc=false/seed=1":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 489, Iterations: 7, Successes: 2, Failures: 4, DirectSolve: false}, K: 4, Rounds: 15, TotalBits: 667872, Messages: 120, Retries: 0}, 0x81ccb004d66758a4, ""},
-	"lp/r=3/nc=0.2/mc=false/seed=2":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 489, Iterations: 15, Successes: 2, Failures: 12, DirectSolve: false}, K: 4, Rounds: 31, TotalBits: 1430496, Messages: 248, Retries: 0}, 0xc201efb4906c52b9, ""},
+	"lp/r=3/nc=0.2/mc=false/seed=1":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 489, Iterations: 7, Successes: 2, Failures: 4, DirectSolve: false}, K: 4, Rounds: 15, TotalBits: 667872, Messages: 120, Retries: 0}, 0xd6b3e902c7d796a5, ""},
+	"lp/r=3/nc=0.2/mc=false/seed=2":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 489, Iterations: 15, Successes: 2, Failures: 12, DirectSolve: false}, K: 4, Rounds: 31, TotalBits: 1430496, Messages: 248, Retries: 0}, 0xf0a3ab9a84712c1c, ""},
 	"lp/r=3/nc=0.2/mc=false/seed=3":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 489, Iterations: 10, Successes: 2, Failures: 7, DirectSolve: false}, K: 4, Rounds: 21, TotalBits: 953856, Messages: 168, Retries: 0}, 0xc201efb4906c52b9, ""},
-	"lp/r=3/nc=0.2/mc=false/seed=4":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 489, Iterations: 14, Successes: 1, Failures: 12, DirectSolve: false}, K: 4, Rounds: 29, TotalBits: 1335168, Messages: 232, Retries: 0}, 0x91a51c57bdbbab1b, ""},
-	"lp/r=3/nc=0.2/mc=false/seed=5":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 489, Iterations: 15, Successes: 1, Failures: 13, DirectSolve: false}, K: 4, Rounds: 31, TotalBits: 1430496, Messages: 248, Retries: 0}, 0xec13a0b68ec496c1, ""},
-	"lp/r=3/nc=0.2/mc=true/seed=1":   {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, K: 4, Rounds: 7, TotalBits: 1733472, Messages: 56, Retries: 0}, 0x91a51c57bdbbab1b, ""},
+	"lp/r=3/nc=0.2/mc=false/seed=4":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 489, Iterations: 14, Successes: 1, Failures: 12, DirectSolve: false}, K: 4, Rounds: 29, TotalBits: 1335168, Messages: 232, Retries: 0}, 0x6332e08fd1d88072, ""},
+	"lp/r=3/nc=0.2/mc=false/seed=5":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 489, Iterations: 15, Successes: 1, Failures: 13, DirectSolve: false}, K: 4, Rounds: 31, TotalBits: 1430496, Messages: 248, Retries: 0}, 0xb360c26285543cdc, ""},
+	"lp/r=3/nc=0.2/mc=true/seed=1":   {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, K: 4, Rounds: 7, TotalBits: 1733472, Messages: 56, Retries: 0}, 0x6332e08fd1d88072, ""},
 	"lp/r=3/nc=0.2/mc=true/seed=2":   {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, K: 4, Rounds: 5, TotalBits: 1155840, Messages: 40, Retries: 0}, 0x6332e08fd1d88072, ""},
 	"lp/r=3/nc=0.2/mc=true/seed=3":   {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, K: 4, Rounds: 7, TotalBits: 1733472, Messages: 56, Retries: 0}, 0x6332e08fd1d88072, ""},
 	"lp/r=3/nc=0.2/mc=true/seed=4":   {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 1, Successes: 0, Failures: 1, DirectSolve: false}, K: 4, Rounds: 3, TotalBits: 578208, Messages: 24, Retries: 0}, 0x0, "core: monte-carlo round failed (w(V) > ε·w(S))"},
@@ -305,45 +307,45 @@ var coordGolden = map[string]coordGoldenRow{
 	"meb/r=3/nc=0.2/mc=true/seed=3":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 1, Successes: 0, Failures: 1, DirectSolve: false}, K: 4, Rounds: 3, TotalBits: 386144, Messages: 24, Retries: 0}, 0x0, "core: monte-carlo round failed (w(V) > ε·w(S))"},
 	"meb/r=3/nc=0.2/mc=true/seed=4":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, K: 4, Rounds: 5, TotalBits: 771712, Messages: 40, Retries: 0}, 0x736c80d87ba7e992, ""},
 	"meb/r=3/nc=0.2/mc=true/seed=5":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, K: 4, Rounds: 5, TotalBits: 771712, Messages: 40, Retries: 0}, 0x736c80d87ba7e992, ""},
-	"sea/r=2/nc=0.5/mc=false/seed=1": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0xffd93f285fccb58e, ""},
-	"sea/r=2/nc=0.5/mc=false/seed=2": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0xffd93f285fccb58e, ""},
-	"sea/r=2/nc=0.5/mc=false/seed=3": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0xffd93f285fccb58e, ""},
-	"sea/r=2/nc=0.5/mc=false/seed=4": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0xffd93f285fccb58e, ""},
-	"sea/r=2/nc=0.5/mc=false/seed=5": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0xffd93f285fccb58e, ""},
-	"sea/r=2/nc=0.5/mc=true/seed=1":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0xffd93f285fccb58e, ""},
-	"sea/r=2/nc=0.5/mc=true/seed=2":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0xffd93f285fccb58e, ""},
-	"sea/r=2/nc=0.5/mc=true/seed=3":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0xffd93f285fccb58e, ""},
-	"sea/r=2/nc=0.5/mc=true/seed=4":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0xffd93f285fccb58e, ""},
-	"sea/r=2/nc=0.5/mc=true/seed=5":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0xffd93f285fccb58e, ""},
-	"sea/r=2/nc=0.2/mc=false/seed=1": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 5657, Iterations: 47, Successes: 2, Failures: 44, DirectSolve: false}, K: 4, Rounds: 95, TotalBits: 34112800, Messages: 760, Retries: 0}, 0x93678a9c9d6e8ff9, ""},
-	"sea/r=2/nc=0.2/mc=false/seed=2": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 5657, Iterations: 22, Successes: 4, Failures: 17, DirectSolve: false}, K: 4, Rounds: 45, TotalBits: 15968000, Messages: 360, Retries: 0}, 0xb94586bfc2d27374, ""},
-	"sea/r=2/nc=0.2/mc=false/seed=3": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 5657, Iterations: 67, Successes: 4, Failures: 62, DirectSolve: false}, K: 4, Rounds: 135, TotalBits: 48628640, Messages: 1080, Retries: 0}, 0xae02a2485e4656d1, ""},
-	"sea/r=2/nc=0.2/mc=false/seed=4": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 5657, Iterations: 34, Successes: 3, Failures: 30, DirectSolve: false}, K: 4, Rounds: 69, TotalBits: 24677504, Messages: 552, Retries: 0}, 0x72c5974320a5ece9, ""},
-	"sea/r=2/nc=0.2/mc=false/seed=5": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 5657, Iterations: 20, Successes: 1, Failures: 18, DirectSolve: false}, K: 4, Rounds: 41, TotalBits: 14516416, Messages: 328, Retries: 0}, 0x9be54f7a21510451, ""},
-	"sea/r=2/nc=0.2/mc=true/seed=1":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0xffd93f285fccb58e, ""},
-	"sea/r=2/nc=0.2/mc=true/seed=2":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0xffd93f285fccb58e, ""},
-	"sea/r=2/nc=0.2/mc=true/seed=3":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0xffd93f285fccb58e, ""},
-	"sea/r=2/nc=0.2/mc=true/seed=4":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0xffd93f285fccb58e, ""},
-	"sea/r=2/nc=0.2/mc=true/seed=5":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0xffd93f285fccb58e, ""},
-	"sea/r=3/nc=0.5/mc=false/seed=1": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 2715, Iterations: 10, Successes: 4, Failures: 5, DirectSolve: false}, K: 4, Rounds: 21, TotalBits: 3492736, Messages: 168, Retries: 0}, 0x75e3e005c2863b92, ""},
-	"sea/r=3/nc=0.5/mc=false/seed=2": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 2715, Iterations: 14, Successes: 4, Failures: 9, DirectSolve: false}, K: 4, Rounds: 29, TotalBits: 4889600, Messages: 232, Retries: 0}, 0x66002e5f7e8a4616, ""},
-	"sea/r=3/nc=0.5/mc=false/seed=3": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 2715, Iterations: 15, Successes: 3, Failures: 11, DirectSolve: false}, K: 4, Rounds: 31, TotalBits: 5238816, Messages: 248, Retries: 0}, 0xb0db783e15e5126b, ""},
-	"sea/r=3/nc=0.5/mc=false/seed=4": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 2715, Iterations: 7, Successes: 2, Failures: 4, DirectSolve: false}, K: 4, Rounds: 15, TotalBits: 2445088, Messages: 120, Retries: 0}, 0x22df039a6e859e76, ""},
-	"sea/r=3/nc=0.5/mc=false/seed=5": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 2715, Iterations: 8, Successes: 2, Failures: 5, DirectSolve: false}, K: 4, Rounds: 17, TotalBits: 2794304, Messages: 136, Retries: 0}, 0xe9897d02bc2be472, ""},
-	"sea/r=3/nc=0.5/mc=true/seed=1":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0xc2ff8c2e2cff6823, ""},
-	"sea/r=3/nc=0.5/mc=true/seed=2":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0xc2ff8c2e2cff6823, ""},
-	"sea/r=3/nc=0.5/mc=true/seed=3":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0xc2ff8c2e2cff6823, ""},
-	"sea/r=3/nc=0.5/mc=true/seed=4":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0xc2ff8c2e2cff6823, ""},
-	"sea/r=3/nc=0.5/mc=true/seed=5":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0xc2ff8c2e2cff6823, ""},
+	"sea/r=2/nc=0.5/mc=false/seed=1": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0x93678a9c9d6e8ff9, ""},
+	"sea/r=2/nc=0.5/mc=false/seed=2": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0x93678a9c9d6e8ff9, ""},
+	"sea/r=2/nc=0.5/mc=false/seed=3": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0x93678a9c9d6e8ff9, ""},
+	"sea/r=2/nc=0.5/mc=false/seed=4": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0x93678a9c9d6e8ff9, ""},
+	"sea/r=2/nc=0.5/mc=false/seed=5": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0x93678a9c9d6e8ff9, ""},
+	"sea/r=2/nc=0.5/mc=true/seed=1":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0x93678a9c9d6e8ff9, ""},
+	"sea/r=2/nc=0.5/mc=true/seed=2":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0x93678a9c9d6e8ff9, ""},
+	"sea/r=2/nc=0.5/mc=true/seed=3":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0x93678a9c9d6e8ff9, ""},
+	"sea/r=2/nc=0.5/mc=true/seed=4":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0x93678a9c9d6e8ff9, ""},
+	"sea/r=2/nc=0.5/mc=true/seed=5":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0x93678a9c9d6e8ff9, ""},
+	"sea/r=2/nc=0.2/mc=false/seed=1": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 5657, Iterations: 47, Successes: 2, Failures: 44, DirectSolve: false}, K: 4, Rounds: 95, TotalBits: 34112800, Messages: 760, Retries: 0}, 0x1cd5ea244cb40e99, ""},
+	"sea/r=2/nc=0.2/mc=false/seed=2": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 5657, Iterations: 22, Successes: 4, Failures: 17, DirectSolve: false}, K: 4, Rounds: 45, TotalBits: 15968000, Messages: 360, Retries: 0}, 0xd232acc1ef8833dd, ""},
+	"sea/r=2/nc=0.2/mc=false/seed=3": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 5657, Iterations: 67, Successes: 4, Failures: 62, DirectSolve: false}, K: 4, Rounds: 135, TotalBits: 48628640, Messages: 1080, Retries: 0}, 0xa94b9021f165268a, ""},
+	"sea/r=2/nc=0.2/mc=false/seed=4": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 5657, Iterations: 34, Successes: 3, Failures: 30, DirectSolve: false}, K: 4, Rounds: 69, TotalBits: 24677504, Messages: 552, Retries: 0}, 0xc5f1ed53f7010542, ""},
+	"sea/r=2/nc=0.2/mc=false/seed=5": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 5657, Iterations: 20, Successes: 1, Failures: 18, DirectSolve: false}, K: 4, Rounds: 41, TotalBits: 14516416, Messages: 328, Retries: 0}, 0x10bc0d03325ea682, ""},
+	"sea/r=2/nc=0.2/mc=true/seed=1":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0x93678a9c9d6e8ff9, ""},
+	"sea/r=2/nc=0.2/mc=true/seed=2":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0x93678a9c9d6e8ff9, ""},
+	"sea/r=2/nc=0.2/mc=true/seed=3":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0x93678a9c9d6e8ff9, ""},
+	"sea/r=2/nc=0.2/mc=true/seed=4":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0x93678a9c9d6e8ff9, ""},
+	"sea/r=2/nc=0.2/mc=true/seed=5":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0x93678a9c9d6e8ff9, ""},
+	"sea/r=3/nc=0.5/mc=false/seed=1": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 2715, Iterations: 10, Successes: 4, Failures: 5, DirectSolve: false}, K: 4, Rounds: 21, TotalBits: 3492736, Messages: 168, Retries: 0}, 0x3fa24c33d382764f, ""},
+	"sea/r=3/nc=0.5/mc=false/seed=2": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 2715, Iterations: 14, Successes: 4, Failures: 9, DirectSolve: false}, K: 4, Rounds: 29, TotalBits: 4889600, Messages: 232, Retries: 0}, 0xdc14b58531707143, ""},
+	"sea/r=3/nc=0.5/mc=false/seed=3": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 2715, Iterations: 15, Successes: 3, Failures: 11, DirectSolve: false}, K: 4, Rounds: 31, TotalBits: 5238816, Messages: 248, Retries: 0}, 0xdc14b58531707143, ""},
+	"sea/r=3/nc=0.5/mc=false/seed=4": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 2715, Iterations: 7, Successes: 2, Failures: 4, DirectSolve: false}, K: 4, Rounds: 15, TotalBits: 2445088, Messages: 120, Retries: 0}, 0x33e770a0acb3a516, ""},
+	"sea/r=3/nc=0.5/mc=false/seed=5": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 2715, Iterations: 8, Successes: 2, Failures: 5, DirectSolve: false}, K: 4, Rounds: 17, TotalBits: 2794304, Messages: 136, Retries: 0}, 0xdc6256599fce7269, ""},
+	"sea/r=3/nc=0.5/mc=true/seed=1":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0xefb9b92a301ae3a2, ""},
+	"sea/r=3/nc=0.5/mc=true/seed=2":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0xefb9b92a301ae3a2, ""},
+	"sea/r=3/nc=0.5/mc=true/seed=3":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0xefb9b92a301ae3a2, ""},
+	"sea/r=3/nc=0.5/mc=true/seed=4":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0xefb9b92a301ae3a2, ""},
+	"sea/r=3/nc=0.5/mc=true/seed=5":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, K: 4, Rounds: 1, TotalBits: 2560000, Messages: 20000, Retries: 0}, 0xefb9b92a301ae3a2, ""},
 	"sea/r=3/nc=0.2/mc=false/seed=1": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1086, Iterations: 30, Successes: 3, Failures: 26, DirectSolve: false}, K: 4, Rounds: 61, TotalBits: 4221696, Messages: 488, Retries: 0}, 0xc2ff8c2e2cff6823, ""},
-	"sea/r=3/nc=0.2/mc=false/seed=2": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1086, Iterations: 68, Successes: 4, Failures: 63, DirectSolve: false}, K: 4, Rounds: 137, TotalBits: 9568448, Messages: 1096, Retries: 0}, 0x5407d0496274c83a, ""},
-	"sea/r=3/nc=0.2/mc=false/seed=3": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1086, Iterations: 73, Successes: 3, Failures: 69, DirectSolve: false}, K: 4, Rounds: 147, TotalBits: 10271976, Messages: 1176, Retries: 0}, 0x4d0d217c5cbca213, ""},
-	"sea/r=3/nc=0.2/mc=false/seed=4": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1086, Iterations: 17, Successes: 2, Failures: 14, DirectSolve: false}, K: 4, Rounds: 35, TotalBits: 2392544, Messages: 280, Retries: 0}, 0x2621515b4826dc0c, ""},
-	"sea/r=3/nc=0.2/mc=false/seed=5": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1086, Iterations: 79, Successes: 3, Failures: 75, DirectSolve: false}, K: 4, Rounds: 159, TotalBits: 11116192, Messages: 1272, Retries: 0}, 0xc2ff8c2e2cff6823, ""},
-	"sea/r=3/nc=0.2/mc=true/seed=1":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 6977, Iterations: 4, Successes: 3, Failures: 0, DirectSolve: false}, K: 4, Rounds: 9, TotalBits: 3579584, Messages: 72, Retries: 0}, 0xe20563d7f65165e4, ""},
+	"sea/r=3/nc=0.2/mc=false/seed=2": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1086, Iterations: 68, Successes: 4, Failures: 63, DirectSolve: false}, K: 4, Rounds: 137, TotalBits: 9568448, Messages: 1096, Retries: 0}, 0xc2ff8c2e2cff6823, ""},
+	"sea/r=3/nc=0.2/mc=false/seed=3": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1086, Iterations: 73, Successes: 3, Failures: 69, DirectSolve: false}, K: 4, Rounds: 147, TotalBits: 10271976, Messages: 1176, Retries: 0}, 0xb76d919c7715256e, ""},
+	"sea/r=3/nc=0.2/mc=false/seed=4": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1086, Iterations: 17, Successes: 2, Failures: 14, DirectSolve: false}, K: 4, Rounds: 35, TotalBits: 2392544, Messages: 280, Retries: 0}, 0xc2ff8c2e2cff6823, ""},
+	"sea/r=3/nc=0.2/mc=false/seed=5": {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1086, Iterations: 79, Successes: 3, Failures: 75, DirectSolve: false}, K: 4, Rounds: 159, TotalBits: 11116192, Messages: 1272, Retries: 0}, 0x54cd2dae6292a27f, ""},
+	"sea/r=3/nc=0.2/mc=true/seed=1":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 6977, Iterations: 4, Successes: 3, Failures: 0, DirectSolve: false}, K: 4, Rounds: 9, TotalBits: 3579584, Messages: 72, Retries: 0}, 0xc2ff8c2e2cff6823, ""},
 	"sea/r=3/nc=0.2/mc=true/seed=2":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 6977, Iterations: 1, Successes: 0, Failures: 1, DirectSolve: false}, K: 4, Rounds: 3, TotalBits: 895328, Messages: 24, Retries: 0}, 0x0, "core: monte-carlo round failed (w(V) > ε·w(S))"},
-	"sea/r=3/nc=0.2/mc=true/seed=3":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 6977, Iterations: 4, Successes: 3, Failures: 0, DirectSolve: false}, K: 4, Rounds: 9, TotalBits: 3579584, Messages: 72, Retries: 0}, 0x8b69e1c198197b96, ""},
-	"sea/r=3/nc=0.2/mc=true/seed=4":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 6977, Iterations: 5, Successes: 4, Failures: 0, DirectSolve: false}, K: 4, Rounds: 11, TotalBits: 4474336, Messages: 88, Retries: 0}, 0x725b45b6b1c3ac7, ""},
+	"sea/r=3/nc=0.2/mc=true/seed=3":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 6977, Iterations: 4, Successes: 3, Failures: 0, DirectSolve: false}, K: 4, Rounds: 9, TotalBits: 3579584, Messages: 72, Retries: 0}, 0x44f59c42963910e3, ""},
+	"sea/r=3/nc=0.2/mc=true/seed=4":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 6977, Iterations: 5, Successes: 4, Failures: 0, DirectSolve: false}, K: 4, Rounds: 11, TotalBits: 4474336, Messages: 88, Retries: 0}, 0x44f59c42963910e3, ""},
 	"sea/r=3/nc=0.2/mc=true/seed=5":  {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 6977, Iterations: 1, Successes: 0, Failures: 1, DirectSolve: false}, K: 4, Rounds: 3, TotalBits: 895328, Messages: 24, Retries: 0}, 0x0, "core: monte-carlo round failed (w(V) > ε·w(S))"},
 	"fault/site=1/roundA=3":          {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 2, Successes: 0, Failures: 1, DirectSolve: false}, K: 4, Rounds: 5, TotalBits: 980984, Messages: 39, Retries: 0}, 0x0, "comm: site 1: frame type 3: injected site failure"},
 	"fault/site=1/roundB=2":          {coordinator.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 1, Successes: 0, Failures: 1, DirectSolve: false}, K: 4, Rounds: 4, TotalBits: 852288, Messages: 31, Retries: 0}, 0x0, "comm: site 1: frame type 4: injected site failure"},

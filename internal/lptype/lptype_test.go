@@ -142,12 +142,14 @@ func (d wholeDomain) SolveSmall(cs []float64) (maxBasis, error) {
 	return d.Solve(cs)
 }
 
-// TestSolvePivotStart pins where the loop starts: a small solve that
-// takes the whole sample (ν·⌈√n⌉ rows, or all of s when that is at
-// least half of it) solves it in one call, and one that takes ν+1
-// rows starts from ∅ and pivots over the sample.
+// TestSolvePivotStart pins where the loop starts: SolvePivot solves a
+// sample of ν·⌈√n⌉ rows by itself, level below level, until the sample
+// would be at least half of the set (at ν = 1: 500 → 23 → 5 rows, and
+// 60 000 → 245 → 16 → 4). There a small solve that takes the whole set
+// solves it in one call, and one that takes ν+1 rows starts from ∅.
+// No small solve takes more than (2ν+1)² rows.
 func TestSolvePivotStart(t *testing.T) {
-	s := make([]float64, 500)
+	s := make([]float64, 60_000)
 	for i := range s {
 		s[i] = float64(i % 97)
 	}
@@ -156,7 +158,8 @@ func TestSolvePivotStart(t *testing.T) {
 		whole bool
 		first int
 	}{
-		{500, true, 23}, {3, true, 3}, {500, false, 0}, {3, false, 0}, {2, false, 2},
+		{500, true, 5}, {60_000, true, 4}, {3, true, 3},
+		{500, false, 0}, {3, false, 0}, {2, false, 2},
 	} {
 		var sizes []int
 		var dom Small[float64, maxBasis] = countingMax{maxDomain{}, &sizes}
@@ -169,6 +172,9 @@ func TestSolvePivotStart(t *testing.T) {
 		}
 		if sizes[0] != c.first {
 			t.Errorf("n=%d whole=%v: first small solve of %d rows, want %d", c.n, c.whole, sizes[0], c.first)
+		}
+		if most := slices.Max(sizes); most > 9 {
+			t.Errorf("n=%d whole=%v: a small solve of %d rows, more than (2ν+1)² = 9", c.n, c.whole, most)
 		}
 	}
 }

@@ -30,36 +30,39 @@ type Small[C, B any] interface {
 
 // SolvePivot solves (S, f) by pivoting over dom's small solve
 // (Matoušek–Sharir–Welzl; Gärtner's move-to-front variant). The loop
-// starts from the basis of a sample of about ν·√n rows, drawn with a
-// seed fixed from n (all of s when that is at least half of it), so
-// the scan meets few violators whatever the input order. A small solve
-// that takes the whole sample solves it in one call; otherwise the loop
-// pivots over the sample from the basis of ∅. It then scans s in
-// storage order, continuing cyclically from the last violator, and
-// stops after n clean rows in a row. A violator v replaces b with the
-// small solve of Basis(b) ∪ {v} when that raises f; past violators sit
-// in a move-to-front list that is tested before the scan resumes. f
-// takes finitely many values on subsets of S, so the loop ends. A small
-// solve that lowers f ends the solve in ErrCycling. One that leaves f
-// equal within rounding (the same vertex reached through other rows,
-// or a move below f's resolution at box scale) replaces b if it
-// satisfies v, at most n times before ErrCycling; otherwise v counts
-// as satisfied, since the small solve given v found nothing to change.
+// starts from the basis of a sample of ν·⌈√n⌉ rows, drawn with a seed
+// fixed from n, so the scan meets few violators whatever the input
+// order. That basis is SolvePivot's own answer on the sample
+// (Clarkson's recursion), so the levels shrink until the sample would
+// be at least half of the set, fewer than (2ν+1)² rows. There the start
+// is the small solve of the whole set when it takes that many, and the
+// basis of ∅ otherwise. The loop then scans s in storage order,
+// continuing cyclically from the last violator, and stops after n clean
+// rows in a row. A violator v replaces b with the small solve of
+// Basis(b) ∪ {v} when that raises f; past violators sit in a
+// move-to-front list that is tested before the scan resumes. f takes
+// finitely many values on subsets of S, so the loop ends. A small solve
+// that lowers f ends the solve in ErrCycling. One that leaves f equal
+// within rounding (the same vertex reached through other rows, or a
+// move below f's resolution at box scale) replaces b if it satisfies v,
+// at most n times before ErrCycling; otherwise v counts as satisfied,
+// since the small solve given v found nothing to change.
 func SolvePivot[C, B any](dom Small[C, B], s []C) (B, error) {
-	n, start := len(s), s
-	if k := dom.CombinatorialDim() * int(math.Ceil(math.Sqrt(float64(n)))); 2*k < n {
-		rng := numeric.NewRand(0x7069766f74, uint64(n))
-		start = make([]C, k)
-		for i := range start {
-			start[i] = s[rng.IntN(n)]
-		}
-	}
+	n := len(s)
 	var b B
 	var err error
-	if len(start) <= dom.MaxSmall() {
-		b, err = dom.SolveSmall(start)
-	} else if b, err = dom.SolveSmall(nil); err == nil && len(start) < n {
-		b, err = pivot(dom, start, b)
+	switch k := dom.CombinatorialDim() * int(math.Ceil(math.Sqrt(float64(n)))); {
+	case 2*k < n:
+		rng := numeric.NewRand(0x7069766f74, uint64(n))
+		sample := make([]C, k)
+		for i := range sample {
+			sample[i] = s[rng.IntN(n)]
+		}
+		b, err = SolvePivot(dom, sample)
+	case n <= dom.MaxSmall():
+		b, err = dom.SolveSmall(s)
+	default:
+		b, err = dom.SolveSmall(nil)
 	}
 	if err != nil {
 		return b, err

@@ -120,27 +120,29 @@ func TestMPCGolden(t *testing.T) {
 // one lower, and no other field moved. Re-recorded when lp came to
 // solve by lptype.SolvePivot over a Seidel that keeps its box: the
 // basis hash of 18 rows moved in its last bits, and no Stats field.
+// Re-recorded when SolvePivot came to solve its sample by itself: the
+// basis hash of 12 rows moved, and no Stats field.
 var mpcGolden = map[string]goldenRow{
-	"lp/r=2/nc=0/seed=1":    {Stats{RunStats: core.RunStats{N: 600000, R: 2, NetSize: 87143, Iterations: 2, Successes: 0, Failures: 1, DirectSolve: false}, Machines: 775, Delta: 0.5, FanOut: 775, Rounds: 11, MaxLoadBits: 16712640, TotalBits: 34267020}, 0x16d037840ef2b848},
+	"lp/r=2/nc=0/seed=1":    {Stats{RunStats: core.RunStats{N: 600000, R: 2, NetSize: 87143, Iterations: 2, Successes: 0, Failures: 1, DirectSolve: false}, Machines: 775, Delta: 0.5, FanOut: 775, Rounds: 11, MaxLoadBits: 16712640, TotalBits: 34267020}, 0xe7b3d824d8749fca},
 	"lp/r=2/nc=0/seed=2":    {Stats{RunStats: core.RunStats{N: 600000, R: 2, NetSize: 87143, Iterations: 1, Successes: 0, Failures: 0, DirectSolve: false}, Machines: 775, Delta: 0.5, FanOut: 775, Rounds: 6, MaxLoadBits: 16710720, TotalBits: 17206854}, 0xbf3434138290de37},
 	"lp/r=2/nc=0/seed=3":    {Stats{RunStats: core.RunStats{N: 600000, R: 2, NetSize: 87143, Iterations: 1, Successes: 0, Failures: 0, DirectSolve: false}, Machines: 775, Delta: 0.5, FanOut: 775, Rounds: 6, MaxLoadBits: 16709184, TotalBits: 17205318}, 0xca5f5b5af534323a},
-	"lp/r=2/nc=0/seed=4":    {Stats{RunStats: core.RunStats{N: 600000, R: 2, NetSize: 87143, Iterations: 1, Successes: 0, Failures: 0, DirectSolve: false}, Machines: 775, Delta: 0.5, FanOut: 775, Rounds: 6, MaxLoadBits: 16708992, TotalBits: 17205126}, 0x63dce2fbb58871e8},
-	"lp/r=2/nc=0/seed=5":    {Stats{RunStats: core.RunStats{N: 600000, R: 2, NetSize: 87143, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Machines: 775, Delta: 0.5, FanOut: 775, Rounds: 11, MaxLoadBits: 16712256, TotalBits: 34265868}, 0xd461cdda1d99f138},
-	"lp/r=2/nc=0.2/seed=1":  {Stats{RunStats: core.RunStats{N: 12000, R: 2, NetSize: 1972, Iterations: 8, Successes: 2, Failures: 5, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 41, MaxLoadBits: 376320, TotalBits: 3414952}, 0x7f1561a56480c040},
-	"lp/r=2/nc=0.2/seed=2":  {Stats{RunStats: core.RunStats{N: 12000, R: 2, NetSize: 1972, Iterations: 4, Successes: 2, Failures: 1, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 21, MaxLoadBits: 375936, TotalBits: 1718708}, 0x21ceacdc83bbc22c},
+	"lp/r=2/nc=0/seed=4":    {Stats{RunStats: core.RunStats{N: 600000, R: 2, NetSize: 87143, Iterations: 1, Successes: 0, Failures: 0, DirectSolve: false}, Machines: 775, Delta: 0.5, FanOut: 775, Rounds: 6, MaxLoadBits: 16708992, TotalBits: 17205126}, 0x8de5db449a95be1c},
+	"lp/r=2/nc=0/seed=5":    {Stats{RunStats: core.RunStats{N: 600000, R: 2, NetSize: 87143, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Machines: 775, Delta: 0.5, FanOut: 775, Rounds: 11, MaxLoadBits: 16712256, TotalBits: 34265868}, 0xb816b238705e8499},
+	"lp/r=2/nc=0.2/seed=1":  {Stats{RunStats: core.RunStats{N: 12000, R: 2, NetSize: 1972, Iterations: 8, Successes: 2, Failures: 5, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 41, MaxLoadBits: 376320, TotalBits: 3414952}, 0xa7944498a318f49c},
+	"lp/r=2/nc=0.2/seed=2":  {Stats{RunStats: core.RunStats{N: 12000, R: 2, NetSize: 1972, Iterations: 4, Successes: 2, Failures: 1, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 21, MaxLoadBits: 375936, TotalBits: 1718708}, 0x7348fdda2df357a3},
 	"lp/r=2/nc=0.2/seed=3":  {Stats{RunStats: core.RunStats{N: 12000, R: 2, NetSize: 1972, Iterations: 5, Successes: 0, Failures: 4, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 26, MaxLoadBits: 375744, TotalBits: 2140129}, 0xc9b9d2287e53b0e4},
-	"lp/r=2/nc=0.2/seed=4":  {Stats{RunStats: core.RunStats{N: 12000, R: 2, NetSize: 1972, Iterations: 8, Successes: 2, Failures: 5, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 41, MaxLoadBits: 376320, TotalBits: 3410728}, 0xb51873e11c6f0e8},
-	"lp/r=2/nc=0.2/seed=5":  {Stats{RunStats: core.RunStats{N: 12000, R: 2, NetSize: 1972, Iterations: 27, Successes: 2, Failures: 24, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 136, MaxLoadBits: 377280, TotalBits: 11470527}, 0xc25b1618242529bc},
+	"lp/r=2/nc=0.2/seed=4":  {Stats{RunStats: core.RunStats{N: 12000, R: 2, NetSize: 1972, Iterations: 8, Successes: 2, Failures: 5, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 41, MaxLoadBits: 376320, TotalBits: 3410728}, 0xae0f755b80e4146c},
+	"lp/r=2/nc=0.2/seed=5":  {Stats{RunStats: core.RunStats{N: 12000, R: 2, NetSize: 1972, Iterations: 27, Successes: 2, Failures: 24, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 136, MaxLoadBits: 377280, TotalBits: 11470527}, 0xae0f755b80e4146c},
 	"lp/r=3/nc=0/seed=1":    {Stats{RunStats: core.RunStats{N: 60000, R: 3, NetSize: 4405, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Machines: 245, Delta: 0.5, FanOut: 245, Rounds: 11, MaxLoadBits: 843264, TotalBits: 1951528}, 0xc259a968946c8f1f},
 	"lp/r=3/nc=0/seed=2":    {Stats{RunStats: core.RunStats{N: 60000, R: 3, NetSize: 4405, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, Machines: 245, Delta: 0.5, FanOut: 245, Rounds: 16, MaxLoadBits: 843648, TotalBits: 2903964}, 0xa406bef7e9583f58},
 	"lp/r=3/nc=0/seed=3":    {Stats{RunStats: core.RunStats{N: 60000, R: 3, NetSize: 4405, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, Machines: 245, Delta: 0.5, FanOut: 245, Rounds: 16, MaxLoadBits: 843264, TotalBits: 2902812}, 0xe72ae62048121a99},
 	"lp/r=3/nc=0/seed=4":    {Stats{RunStats: core.RunStats{N: 60000, R: 3, NetSize: 4405, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Machines: 245, Delta: 0.5, FanOut: 245, Rounds: 11, MaxLoadBits: 841152, TotalBits: 1948264}, 0xa406bef7e9583f58},
-	"lp/r=3/nc=0/seed=5":    {Stats{RunStats: core.RunStats{N: 60000, R: 3, NetSize: 4405, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Machines: 245, Delta: 0.5, FanOut: 245, Rounds: 11, MaxLoadBits: 843840, TotalBits: 1952488}, 0xf187a6773cf158bb},
-	"lp/r=3/nc=0.2/seed=1":  {Stats{RunStats: core.RunStats{N: 12000, R: 3, NetSize: 413, Iterations: 5, Successes: 1, Failures: 3, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 26, MaxLoadBits: 79296, TotalBits: 659617}, 0xc9f870dbb942209e},
-	"lp/r=3/nc=0.2/seed=2":  {Stats{RunStats: core.RunStats{N: 12000, R: 3, NetSize: 413, Iterations: 7, Successes: 1, Failures: 5, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 36, MaxLoadBits: 79104, TotalBits: 915131}, 0xee343f3d07ae4b8a},
-	"lp/r=3/nc=0.2/seed=3":  {Stats{RunStats: core.RunStats{N: 12000, R: 3, NetSize: 413, Iterations: 30, Successes: 1, Failures: 28, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 151, MaxLoadBits: 79296, TotalBits: 3846534}, 0x54c6e4373c98fbe2},
+	"lp/r=3/nc=0/seed=5":    {Stats{RunStats: core.RunStats{N: 60000, R: 3, NetSize: 4405, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Machines: 245, Delta: 0.5, FanOut: 245, Rounds: 11, MaxLoadBits: 843840, TotalBits: 1952488}, 0xfa0ce6086c69a207},
+	"lp/r=3/nc=0.2/seed=1":  {Stats{RunStats: core.RunStats{N: 12000, R: 3, NetSize: 413, Iterations: 5, Successes: 1, Failures: 3, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 26, MaxLoadBits: 79296, TotalBits: 659617}, 0x54c6e4373c98fbe2},
+	"lp/r=3/nc=0.2/seed=2":  {Stats{RunStats: core.RunStats{N: 12000, R: 3, NetSize: 413, Iterations: 7, Successes: 1, Failures: 5, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 36, MaxLoadBits: 79104, TotalBits: 915131}, 0x1e028ea438ac8098},
+	"lp/r=3/nc=0.2/seed=3":  {Stats{RunStats: core.RunStats{N: 12000, R: 3, NetSize: 413, Iterations: 30, Successes: 1, Failures: 28, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 151, MaxLoadBits: 79296, TotalBits: 3846534}, 0xc9f870dbb942209e},
 	"lp/r=3/nc=0.2/seed=4":  {Stats{RunStats: core.RunStats{N: 12000, R: 3, NetSize: 413, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 11, MaxLoadBits: 78720, TotalBits: 276058}, 0xc9f870dbb942209e},
-	"lp/r=3/nc=0.2/seed=5":  {Stats{RunStats: core.RunStats{N: 12000, R: 3, NetSize: 413, Iterations: 8, Successes: 1, Failures: 6, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 41, MaxLoadBits: 79296, TotalBits: 1042216}, 0x1e028ea438ac8098},
+	"lp/r=3/nc=0.2/seed=5":  {Stats{RunStats: core.RunStats{N: 12000, R: 3, NetSize: 413, Iterations: 8, Successes: 1, Failures: 6, DirectSolve: false}, Machines: 110, Delta: 0.5, FanOut: 110, Rounds: 41, MaxLoadBits: 79296, TotalBits: 1042216}, 0xee343f3d07ae4b8a},
 	"meb/r=2/nc=0/seed=1":   {Stats{RunStats: core.RunStats{N: 600000, R: 2, NetSize: 87143, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Machines: 775, Delta: 0.5, FanOut: 775, Rounds: 11, MaxLoadBits: 11141760, TotalBits: 23125900}, 0x8a002bdc52f6eab9},
 	"meb/r=2/nc=0/seed=2":   {Stats{RunStats: core.RunStats{N: 600000, R: 2, NetSize: 87143, Iterations: 5, Successes: 2, Failures: 2, DirectSolve: false}, Machines: 775, Delta: 0.5, FanOut: 775, Rounds: 26, MaxLoadBits: 11141888, TotalBits: 57592350}, 0x8a002bdc52f6eab9},
 	"meb/r=2/nc=0/seed=3":   {Stats{RunStats: core.RunStats{N: 600000, R: 2, NetSize: 87143, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, Machines: 775, Delta: 0.5, FanOut: 775, Rounds: 16, MaxLoadBits: 11139456, TotalBits: 34608914}, 0x8a002bdc52f6eab9},

@@ -117,14 +117,15 @@ func TestPivotMatchesSeidelRef(t *testing.T) {
 	t.Logf("largest relative difference %.2g", worst)
 }
 
-// counting counts the small solves of one lptype.SolvePivot run.
+// counting records the size of each small solve of one
+// lptype.SolvePivot run.
 type counting struct {
 	solveCall
-	calls *int
+	sizes *[]int
 }
 
 func (c counting) SolveSmall(pts []Point) (Basis, error) {
-	*c.calls++
+	*c.sizes = append(*c.sizes, len(pts))
 	return c.solveCall.SolveSmall(pts)
 }
 
@@ -171,8 +172,9 @@ func FuzzSolveMatchesBruteForce(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, d, n, shape uint8) {
 		dim, m := 1+int(d%3), 1+int(n%200)
 		pts := integerCloud(seed, dim, m, shape)
-		dom, calls := NewDomain(dim, seed), 0
-		b, err := lptype.SolvePivot[Point, Basis](counting{dom.call(), &calls}, pts)
+		var sizes []int
+		dom := NewDomain(dim, seed)
+		b, err := lptype.SolvePivot[Point, Basis](counting{dom.call(), &sizes}, pts)
 		if err != nil {
 			t.Fatalf("d=%d n=%d shape %d: %v (ErrCycling: %v)", dim, m, shape%5, err, errors.Is(err, lptype.ErrCycling))
 		}
@@ -188,8 +190,21 @@ func FuzzSolveMatchesBruteForce(f *testing.F) {
 				t.Fatalf("point %d %v violates the answer %v", i, pts[i], b.X)
 			}
 		}
-		if bound := pivotBound(dim+3, m); calls > bound {
-			t.Fatalf("%d small solves, bound %d", calls, bound)
+		if bound := pivotBound(dim+3, m); len(sizes) > bound {
+			t.Fatalf("%d small solves, bound %d", len(sizes), bound)
 		}
 	})
+}
+
+// TestSolvePivotSmallSolvesStaySmall: the pivot loop solves its sample
+// by SolvePivot itself, so no Seidel call of Domain.Solve takes more
+// than (2ν+1)² points on sea/ring at lpmark's d = 3, n = 2 000.
+func TestSolvePivotSmallSolvesStaySmall(t *testing.T) {
+	var sizes []int
+	if _, err := lptype.SolvePivot[Point, Basis](counting{NewDomain(3, 1).call(), &sizes}, ringPoints(3, 2_000, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if nu, most := 3+3, slices.Max(sizes); most > (2*nu+1)*(2*nu+1) {
+		t.Errorf("a Seidel call on %d points, more than (2ν+1)² = %d", most, (2*nu+1)*(2*nu+1))
+	}
 }

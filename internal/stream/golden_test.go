@@ -160,23 +160,25 @@ func TestStreamGolden(t *testing.T) {
 // Recorded before the stream became one of core.Run's substrates.
 // Re-recorded when lp and sea came to solve by lptype.SolvePivot over a
 // Seidel that keeps its box: the basis hash of 41 lp and 38 sea rows
-// moved in its last bits, and no Stats field.
+// moved in its last bits, and no Stats field. Re-recorded when
+// SolvePivot came to solve its sample by itself: the basis hash of 19 lp
+// and 22 sea rows moved, and no Stats field.
 var streamGolden = map[string]streamGoldenRow{
-	"lp/r=2/nc=0.5/mc=false/seed=1":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Passes: 3, ItemsScanned: 60000, StoredBases: 1, PeakSpaceBits: 2444160}, 0xc834740eed1c8b9a, ""},
-	"lp/r=2/nc=0.5/mc=false/seed=2":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Passes: 3, ItemsScanned: 60000, StoredBases: 1, PeakSpaceBits: 2444160}, 0x6182bdf322ad8198, ""},
-	"lp/r=2/nc=0.5/mc=false/seed=3":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 1, Successes: 0, Failures: 0, DirectSolve: false}, Passes: 2, ItemsScanned: 40000, StoredBases: 0, PeakSpaceBits: 2443968}, 0xa7e91fa1147ef7fa, ""},
-	"lp/r=2/nc=0.5/mc=false/seed=4":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, Passes: 4, ItemsScanned: 80000, StoredBases: 2, PeakSpaceBits: 2444352}, 0x64c5f296f7eed982, ""},
+	"lp/r=2/nc=0.5/mc=false/seed=1":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Passes: 3, ItemsScanned: 60000, StoredBases: 1, PeakSpaceBits: 2444160}, 0x6c42e216c9a01856, ""},
+	"lp/r=2/nc=0.5/mc=false/seed=2":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Passes: 3, ItemsScanned: 60000, StoredBases: 1, PeakSpaceBits: 2444160}, 0x4f15e5aeaac3fe0b, ""},
+	"lp/r=2/nc=0.5/mc=false/seed=3":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 1, Successes: 0, Failures: 0, DirectSolve: false}, Passes: 2, ItemsScanned: 40000, StoredBases: 0, PeakSpaceBits: 2443968}, 0xa8163351c8b1066d, ""},
+	"lp/r=2/nc=0.5/mc=false/seed=4":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, Passes: 4, ItemsScanned: 80000, StoredBases: 2, PeakSpaceBits: 2444352}, 0xee6e1d6449374b1d, ""},
 	"lp/r=2/nc=0.5/mc=false/seed=5":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 1, Successes: 0, Failures: 0, DirectSolve: false}, Passes: 2, ItemsScanned: 40000, StoredBases: 0, PeakSpaceBits: 2443968}, 0xd33bdcaeb78ea20e, ""},
 	"lp/r=2/nc=0.5/mc=true/seed=1":   {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Passes: 1, ItemsScanned: 20000, StoredBases: 0, PeakSpaceBits: 3840000}, 0xce4645eb3fcaeacf, ""},
 	"lp/r=2/nc=0.5/mc=true/seed=2":   {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Passes: 1, ItemsScanned: 20000, StoredBases: 0, PeakSpaceBits: 3840000}, 0xce4645eb3fcaeacf, ""},
 	"lp/r=2/nc=0.5/mc=true/seed=3":   {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Passes: 1, ItemsScanned: 20000, StoredBases: 0, PeakSpaceBits: 3840000}, 0xce4645eb3fcaeacf, ""},
 	"lp/r=2/nc=0.5/mc=true/seed=4":   {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Passes: 1, ItemsScanned: 20000, StoredBases: 0, PeakSpaceBits: 3840000}, 0xce4645eb3fcaeacf, ""},
 	"lp/r=2/nc=0.5/mc=true/seed=5":   {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Passes: 1, ItemsScanned: 20000, StoredBases: 0, PeakSpaceBits: 3840000}, 0xce4645eb3fcaeacf, ""},
-	"lp/r=2/nc=0.2/mc=false/seed=1":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 10, Successes: 2, Failures: 7, DirectSolve: false}, Passes: 11, ItemsScanned: 220000, StoredBases: 2, PeakSpaceBits: 978240}, 0x3e2d7468a393b83, ""},
-	"lp/r=2/nc=0.2/mc=false/seed=2":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 3, Successes: 1, Failures: 1, DirectSolve: false}, Passes: 4, ItemsScanned: 80000, StoredBases: 1, PeakSpaceBits: 978048}, 0x18ffee6f88f55959, ""},
-	"lp/r=2/nc=0.2/mc=false/seed=3":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 9, Successes: 2, Failures: 6, DirectSolve: false}, Passes: 10, ItemsScanned: 200000, StoredBases: 2, PeakSpaceBits: 978240}, 0xf634e8d8934ccc31, ""},
-	"lp/r=2/nc=0.2/mc=false/seed=4":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 22, Successes: 1, Failures: 20, DirectSolve: false}, Passes: 23, ItemsScanned: 460000, StoredBases: 1, PeakSpaceBits: 978048}, 0x1f85f220af251291, ""},
-	"lp/r=2/nc=0.2/mc=false/seed=5":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 7, Successes: 1, Failures: 5, DirectSolve: false}, Passes: 8, ItemsScanned: 160000, StoredBases: 1, PeakSpaceBits: 978048}, 0x7ed54614953a6036, ""},
+	"lp/r=2/nc=0.2/mc=false/seed=1":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 10, Successes: 2, Failures: 7, DirectSolve: false}, Passes: 11, ItemsScanned: 220000, StoredBases: 2, PeakSpaceBits: 978240}, 0xee6e1d6449374b1d, ""},
+	"lp/r=2/nc=0.2/mc=false/seed=2":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 3, Successes: 1, Failures: 1, DirectSolve: false}, Passes: 4, ItemsScanned: 80000, StoredBases: 1, PeakSpaceBits: 978048}, 0xd33bdcaeb78ea20e, ""},
+	"lp/r=2/nc=0.2/mc=false/seed=3":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 9, Successes: 2, Failures: 6, DirectSolve: false}, Passes: 10, ItemsScanned: 200000, StoredBases: 2, PeakSpaceBits: 978240}, 0xd33bdcaeb78ea20e, ""},
+	"lp/r=2/nc=0.2/mc=false/seed=4":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 22, Successes: 1, Failures: 20, DirectSolve: false}, Passes: 23, ItemsScanned: 460000, StoredBases: 1, PeakSpaceBits: 978048}, 0x6c42e216c9a01856, ""},
+	"lp/r=2/nc=0.2/mc=false/seed=5":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 2546, Iterations: 7, Successes: 1, Failures: 5, DirectSolve: false}, Passes: 8, ItemsScanned: 160000, StoredBases: 1, PeakSpaceBits: 978048}, 0xa8aac49eaca7d842, ""},
 	"lp/r=2/nc=0.2/mc=true/seed=1":   {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Passes: 1, ItemsScanned: 20000, StoredBases: 0, PeakSpaceBits: 3840000}, 0xce4645eb3fcaeacf, ""},
 	"lp/r=2/nc=0.2/mc=true/seed=2":   {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Passes: 1, ItemsScanned: 20000, StoredBases: 0, PeakSpaceBits: 3840000}, 0xce4645eb3fcaeacf, ""},
 	"lp/r=2/nc=0.2/mc=true/seed=3":   {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Passes: 1, ItemsScanned: 20000, StoredBases: 0, PeakSpaceBits: 3840000}, 0xce4645eb3fcaeacf, ""},
@@ -184,24 +186,24 @@ var streamGolden = map[string]streamGoldenRow{
 	"lp/r=2/nc=0.2/mc=true/seed=5":   {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Passes: 1, ItemsScanned: 20000, StoredBases: 0, PeakSpaceBits: 3840000}, 0xce4645eb3fcaeacf, ""},
 	"lp/r=3/nc=0.5/mc=false/seed=1":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1222, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Passes: 3, ItemsScanned: 60000, StoredBases: 1, PeakSpaceBits: 469632}, 0xcf75500e021d8f25, ""},
 	"lp/r=3/nc=0.5/mc=false/seed=2":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1222, Iterations: 3, Successes: 1, Failures: 1, DirectSolve: false}, Passes: 4, ItemsScanned: 80000, StoredBases: 1, PeakSpaceBits: 469632}, 0xdaaa4726fc4180dc, ""},
-	"lp/r=3/nc=0.5/mc=false/seed=3":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1222, Iterations: 4, Successes: 2, Failures: 1, DirectSolve: false}, Passes: 5, ItemsScanned: 100000, StoredBases: 2, PeakSpaceBits: 469824}, 0x827003d670f1c49d, ""},
-	"lp/r=3/nc=0.5/mc=false/seed=4":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1222, Iterations: 3, Successes: 1, Failures: 1, DirectSolve: false}, Passes: 4, ItemsScanned: 80000, StoredBases: 1, PeakSpaceBits: 469632}, 0xc6c7dcc0f88be62a, ""},
+	"lp/r=3/nc=0.5/mc=false/seed=3":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1222, Iterations: 4, Successes: 2, Failures: 1, DirectSolve: false}, Passes: 5, ItemsScanned: 100000, StoredBases: 2, PeakSpaceBits: 469824}, 0xcaa246afacef6447, ""},
+	"lp/r=3/nc=0.5/mc=false/seed=4":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1222, Iterations: 3, Successes: 1, Failures: 1, DirectSolve: false}, Passes: 4, ItemsScanned: 80000, StoredBases: 1, PeakSpaceBits: 469632}, 0xdaaa4726fc4180dc, ""},
 	"lp/r=3/nc=0.5/mc=false/seed=5":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1222, Iterations: 3, Successes: 1, Failures: 1, DirectSolve: false}, Passes: 4, ItemsScanned: 80000, StoredBases: 1, PeakSpaceBits: 469632}, 0xcf75500e021d8f25, ""},
 	"lp/r=3/nc=0.5/mc=true/seed=1":   {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 7501, Iterations: 1, Successes: 0, Failures: 0, DirectSolve: false}, Passes: 2, ItemsScanned: 40000, StoredBases: 0, PeakSpaceBits: 2880576}, 0x8f9e64d4dab8d957, ""},
-	"lp/r=3/nc=0.5/mc=true/seed=2":   {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 7501, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, Passes: 4, ItemsScanned: 80000, StoredBases: 2, PeakSpaceBits: 2880960}, 0xcf75500e021d8f25, ""},
+	"lp/r=3/nc=0.5/mc=true/seed=2":   {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 7501, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, Passes: 4, ItemsScanned: 80000, StoredBases: 2, PeakSpaceBits: 2880960}, 0x9e7523a07702a7a3, ""},
 	"lp/r=3/nc=0.5/mc=true/seed=3":   {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 7501, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Passes: 3, ItemsScanned: 60000, StoredBases: 1, PeakSpaceBits: 2880768}, 0xcf75500e021d8f25, ""},
-	"lp/r=3/nc=0.5/mc=true/seed=4":   {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 7501, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Passes: 3, ItemsScanned: 60000, StoredBases: 1, PeakSpaceBits: 2880768}, 0xb0b398a52508fbd4, ""},
+	"lp/r=3/nc=0.5/mc=true/seed=4":   {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 7501, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Passes: 3, ItemsScanned: 60000, StoredBases: 1, PeakSpaceBits: 2880768}, 0xe725ec15e52d511e, ""},
 	"lp/r=3/nc=0.5/mc=true/seed=5":   {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 7501, Iterations: 1, Successes: 0, Failures: 0, DirectSolve: false}, Passes: 2, ItemsScanned: 40000, StoredBases: 0, PeakSpaceBits: 2880576}, 0xdaaa4726fc4180dc, ""},
-	"lp/r=3/nc=0.2/mc=false/seed=1":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 489, Iterations: 7, Successes: 2, Failures: 4, DirectSolve: false}, Passes: 8, ItemsScanned: 160000, StoredBases: 2, PeakSpaceBits: 188352}, 0xc6c7dcc0f88be62a, ""},
-	"lp/r=3/nc=0.2/mc=false/seed=2":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 489, Iterations: 5, Successes: 1, Failures: 3, DirectSolve: false}, Passes: 6, ItemsScanned: 120000, StoredBases: 1, PeakSpaceBits: 188160}, 0xc6c7dcc0f88be62a, ""},
+	"lp/r=3/nc=0.2/mc=false/seed=1":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 489, Iterations: 7, Successes: 2, Failures: 4, DirectSolve: false}, Passes: 8, ItemsScanned: 160000, StoredBases: 2, PeakSpaceBits: 188352}, 0xdaaa4726fc4180dc, ""},
+	"lp/r=3/nc=0.2/mc=false/seed=2":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 489, Iterations: 5, Successes: 1, Failures: 3, DirectSolve: false}, Passes: 6, ItemsScanned: 120000, StoredBases: 1, PeakSpaceBits: 188160}, 0xdaaa4726fc4180dc, ""},
 	"lp/r=3/nc=0.2/mc=false/seed=3":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 489, Iterations: 16, Successes: 1, Failures: 14, DirectSolve: false}, Passes: 17, ItemsScanned: 340000, StoredBases: 1, PeakSpaceBits: 188160}, 0xcf75500e021d8f25, ""},
-	"lp/r=3/nc=0.2/mc=false/seed=4":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 489, Iterations: 4, Successes: 1, Failures: 2, DirectSolve: false}, Passes: 5, ItemsScanned: 100000, StoredBases: 1, PeakSpaceBits: 188160}, 0xe0aefcfff5d76567, ""},
+	"lp/r=3/nc=0.2/mc=false/seed=4":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 489, Iterations: 4, Successes: 1, Failures: 2, DirectSolve: false}, Passes: 5, ItemsScanned: 100000, StoredBases: 1, PeakSpaceBits: 188160}, 0xbe81132c3d9cf681, ""},
 	"lp/r=3/nc=0.2/mc=false/seed=5":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 489, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Passes: 3, ItemsScanned: 60000, StoredBases: 1, PeakSpaceBits: 188160}, 0x8f9e64d4dab8d957, ""},
-	"lp/r=3/nc=0.2/mc=true/seed=1":   {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Passes: 3, ItemsScanned: 60000, StoredBases: 1, PeakSpaceBits: 1152768}, 0x8f9e64d4dab8d957, ""},
-	"lp/r=3/nc=0.2/mc=true/seed=2":   {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Passes: 3, ItemsScanned: 60000, StoredBases: 1, PeakSpaceBits: 1152768}, 0x8f9e64d4dab8d957, ""},
+	"lp/r=3/nc=0.2/mc=true/seed=1":   {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Passes: 3, ItemsScanned: 60000, StoredBases: 1, PeakSpaceBits: 1152768}, 0xcf75500e021d8f25, ""},
+	"lp/r=3/nc=0.2/mc=true/seed=2":   {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Passes: 3, ItemsScanned: 60000, StoredBases: 1, PeakSpaceBits: 1152768}, 0xcf75500e021d8f25, ""},
 	"lp/r=3/nc=0.2/mc=true/seed=3":   {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 2, Successes: 1, Failures: 0, DirectSolve: false}, Passes: 3, ItemsScanned: 60000, StoredBases: 1, PeakSpaceBits: 1152768}, 0x1637a313448a6b70, ""},
 	"lp/r=3/nc=0.2/mc=true/seed=4":   {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, Passes: 4, ItemsScanned: 80000, StoredBases: 2, PeakSpaceBits: 1152960}, 0x25d440be7c6c4ec5, ""},
-	"lp/r=3/nc=0.2/mc=true/seed=5":   {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, Passes: 4, ItemsScanned: 80000, StoredBases: 2, PeakSpaceBits: 1152960}, 0xcaa246afacef6447, ""},
+	"lp/r=3/nc=0.2/mc=true/seed=5":   {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 3001, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, Passes: 4, ItemsScanned: 80000, StoredBases: 2, PeakSpaceBits: 1152960}, 0x827003d670f1c49d, ""},
 	"meb/r=2/nc=0.5/mc=false/seed=1": {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, Passes: 4, ItemsScanned: 80000, StoredBases: 2, PeakSpaceBits: 1629696}, 0x6b14f40616399732, ""},
 	"meb/r=2/nc=0.5/mc=false/seed=2": {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, Passes: 4, ItemsScanned: 80000, StoredBases: 2, PeakSpaceBits: 1629696}, 0x6b14f40616399732, ""},
 	"meb/r=2/nc=0.5/mc=false/seed=3": {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 6364, Iterations: 6, Successes: 2, Failures: 3, DirectSolve: false}, Passes: 7, ItemsScanned: 140000, StoredBases: 2, PeakSpaceBits: 1629696}, 0x6b14f40616399732, ""},
@@ -252,36 +254,36 @@ var streamGolden = map[string]streamGoldenRow{
 	"sea/r=2/nc=0.5/mc=true/seed=3":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Passes: 1, ItemsScanned: 20000, StoredBases: 0, PeakSpaceBits: 2560000}, 0x76270b67485ae392, ""},
 	"sea/r=2/nc=0.5/mc=true/seed=4":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Passes: 1, ItemsScanned: 20000, StoredBases: 0, PeakSpaceBits: 2560000}, 0x76270b67485ae392, ""},
 	"sea/r=2/nc=0.5/mc=true/seed=5":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Passes: 1, ItemsScanned: 20000, StoredBases: 0, PeakSpaceBits: 2560000}, 0x76270b67485ae392, ""},
-	"sea/r=2/nc=0.2/mc=false/seed=1": {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 5657, Iterations: 24, Successes: 3, Failures: 20, DirectSolve: false}, Passes: 25, ItemsScanned: 500000, StoredBases: 3, PeakSpaceBits: 1449088}, 0xb80e48c06e3319d, ""},
-	"sea/r=2/nc=0.2/mc=false/seed=2": {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 5657, Iterations: 81, Successes: 0, Failures: 80, DirectSolve: false}, Passes: 82, ItemsScanned: 1640000, StoredBases: 0, PeakSpaceBits: 1448320}, 0x60365b5234b0160e, ""},
-	"sea/r=2/nc=0.2/mc=false/seed=3": {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 5657, Iterations: 6, Successes: 2, Failures: 3, DirectSolve: false}, Passes: 7, ItemsScanned: 140000, StoredBases: 2, PeakSpaceBits: 1448832}, 0x4c449d0399cd3730, ""},
-	"sea/r=2/nc=0.2/mc=false/seed=4": {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 5657, Iterations: 107, Successes: 2, Failures: 104, DirectSolve: false}, Passes: 108, ItemsScanned: 2160000, StoredBases: 2, PeakSpaceBits: 1448832}, 0x9ea5f24e5966e788, ""},
-	"sea/r=2/nc=0.2/mc=false/seed=5": {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 5657, Iterations: 75, Successes: 4, Failures: 70, DirectSolve: false}, Passes: 76, ItemsScanned: 1520000, StoredBases: 4, PeakSpaceBits: 1449344}, 0xd889c4bd07be7027, ""},
+	"sea/r=2/nc=0.2/mc=false/seed=1": {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 5657, Iterations: 24, Successes: 3, Failures: 20, DirectSolve: false}, Passes: 25, ItemsScanned: 500000, StoredBases: 3, PeakSpaceBits: 1449088}, 0xb22024fbe789e971, ""},
+	"sea/r=2/nc=0.2/mc=false/seed=2": {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 5657, Iterations: 81, Successes: 0, Failures: 80, DirectSolve: false}, Passes: 82, ItemsScanned: 1640000, StoredBases: 0, PeakSpaceBits: 1448320}, 0xdd4f12c086dfb2b5, ""},
+	"sea/r=2/nc=0.2/mc=false/seed=3": {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 5657, Iterations: 6, Successes: 2, Failures: 3, DirectSolve: false}, Passes: 7, ItemsScanned: 140000, StoredBases: 2, PeakSpaceBits: 1448832}, 0xbb25e20402414c89, ""},
+	"sea/r=2/nc=0.2/mc=false/seed=4": {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 5657, Iterations: 107, Successes: 2, Failures: 104, DirectSolve: false}, Passes: 108, ItemsScanned: 2160000, StoredBases: 2, PeakSpaceBits: 1448832}, 0x87ed32793bc2824e, ""},
+	"sea/r=2/nc=0.2/mc=false/seed=5": {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 5657, Iterations: 75, Successes: 4, Failures: 70, DirectSolve: false}, Passes: 76, ItemsScanned: 1520000, StoredBases: 4, PeakSpaceBits: 1449344}, 0x3dff146c78cac9ea, ""},
 	"sea/r=2/nc=0.2/mc=true/seed=1":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Passes: 1, ItemsScanned: 20000, StoredBases: 0, PeakSpaceBits: 2560000}, 0x76270b67485ae392, ""},
 	"sea/r=2/nc=0.2/mc=true/seed=2":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Passes: 1, ItemsScanned: 20000, StoredBases: 0, PeakSpaceBits: 2560000}, 0x76270b67485ae392, ""},
 	"sea/r=2/nc=0.2/mc=true/seed=3":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Passes: 1, ItemsScanned: 20000, StoredBases: 0, PeakSpaceBits: 2560000}, 0x76270b67485ae392, ""},
 	"sea/r=2/nc=0.2/mc=true/seed=4":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Passes: 1, ItemsScanned: 20000, StoredBases: 0, PeakSpaceBits: 2560000}, 0x76270b67485ae392, ""},
 	"sea/r=2/nc=0.2/mc=true/seed=5":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Passes: 1, ItemsScanned: 20000, StoredBases: 0, PeakSpaceBits: 2560000}, 0x76270b67485ae392, ""},
-	"sea/r=3/nc=0.5/mc=false/seed=1": {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 2715, Iterations: 12, Successes: 3, Failures: 8, DirectSolve: false}, Passes: 13, ItemsScanned: 260000, StoredBases: 3, PeakSpaceBits: 695936}, 0x16d955c7222f2e37, ""},
-	"sea/r=3/nc=0.5/mc=false/seed=2": {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 2715, Iterations: 17, Successes: 3, Failures: 13, DirectSolve: false}, Passes: 18, ItemsScanned: 360000, StoredBases: 3, PeakSpaceBits: 695936}, 0x884917497d6d6636, ""},
-	"sea/r=3/nc=0.5/mc=false/seed=3": {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 2715, Iterations: 14, Successes: 3, Failures: 10, DirectSolve: false}, Passes: 15, ItemsScanned: 300000, StoredBases: 3, PeakSpaceBits: 695936}, 0x8d5740c01eacb75a, ""},
-	"sea/r=3/nc=0.5/mc=false/seed=4": {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 2715, Iterations: 9, Successes: 2, Failures: 6, DirectSolve: false}, Passes: 10, ItemsScanned: 200000, StoredBases: 2, PeakSpaceBits: 695680}, 0x10b923d7bda2a03f, ""},
-	"sea/r=3/nc=0.5/mc=false/seed=5": {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 2715, Iterations: 15, Successes: 2, Failures: 12, DirectSolve: false}, Passes: 16, ItemsScanned: 320000, StoredBases: 2, PeakSpaceBits: 695680}, 0x6606c8360ac6ba64, ""},
-	"sea/r=3/nc=0.5/mc=true/seed=1":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Passes: 1, ItemsScanned: 20000, StoredBases: 0, PeakSpaceBits: 2560000}, 0xc2ff8c2e2cff6823, ""},
-	"sea/r=3/nc=0.5/mc=true/seed=2":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Passes: 1, ItemsScanned: 20000, StoredBases: 0, PeakSpaceBits: 2560000}, 0xc2ff8c2e2cff6823, ""},
-	"sea/r=3/nc=0.5/mc=true/seed=3":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Passes: 1, ItemsScanned: 20000, StoredBases: 0, PeakSpaceBits: 2560000}, 0xc2ff8c2e2cff6823, ""},
-	"sea/r=3/nc=0.5/mc=true/seed=4":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Passes: 1, ItemsScanned: 20000, StoredBases: 0, PeakSpaceBits: 2560000}, 0xc2ff8c2e2cff6823, ""},
-	"sea/r=3/nc=0.5/mc=true/seed=5":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Passes: 1, ItemsScanned: 20000, StoredBases: 0, PeakSpaceBits: 2560000}, 0xc2ff8c2e2cff6823, ""},
-	"sea/r=3/nc=0.2/mc=false/seed=1": {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1086, Iterations: 134, Successes: 4, Failures: 129, DirectSolve: false}, Passes: 135, ItemsScanned: 2700000, StoredBases: 4, PeakSpaceBits: 279168}, 0xd37394610b5dc84f, ""},
-	"sea/r=3/nc=0.2/mc=false/seed=2": {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1086, Iterations: 122, Successes: 4, Failures: 117, DirectSolve: false}, Passes: 123, ItemsScanned: 2460000, StoredBases: 4, PeakSpaceBits: 279168}, 0xeca73471e39f5f60, ""},
-	"sea/r=3/nc=0.2/mc=false/seed=3": {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1086, Iterations: 46, Successes: 4, Failures: 41, DirectSolve: false}, Passes: 47, ItemsScanned: 940000, StoredBases: 4, PeakSpaceBits: 279168}, 0x8d5740c01eacb75a, ""},
+	"sea/r=3/nc=0.5/mc=false/seed=1": {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 2715, Iterations: 12, Successes: 3, Failures: 8, DirectSolve: false}, Passes: 13, ItemsScanned: 260000, StoredBases: 3, PeakSpaceBits: 695936}, 0x74690e47dbf5e7f5, ""},
+	"sea/r=3/nc=0.5/mc=false/seed=2": {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 2715, Iterations: 17, Successes: 3, Failures: 13, DirectSolve: false}, Passes: 18, ItemsScanned: 360000, StoredBases: 3, PeakSpaceBits: 695936}, 0x2e1ae92848a56c54, ""},
+	"sea/r=3/nc=0.5/mc=false/seed=3": {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 2715, Iterations: 14, Successes: 3, Failures: 10, DirectSolve: false}, Passes: 15, ItemsScanned: 300000, StoredBases: 3, PeakSpaceBits: 695936}, 0xedf23c8e28a6d4a8, ""},
+	"sea/r=3/nc=0.5/mc=false/seed=4": {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 2715, Iterations: 9, Successes: 2, Failures: 6, DirectSolve: false}, Passes: 10, ItemsScanned: 200000, StoredBases: 2, PeakSpaceBits: 695680}, 0x16d955c7222f2e37, ""},
+	"sea/r=3/nc=0.5/mc=false/seed=5": {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 2715, Iterations: 15, Successes: 2, Failures: 12, DirectSolve: false}, Passes: 16, ItemsScanned: 320000, StoredBases: 2, PeakSpaceBits: 695680}, 0xedf23c8e28a6d4a8, ""},
+	"sea/r=3/nc=0.5/mc=true/seed=1":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Passes: 1, ItemsScanned: 20000, StoredBases: 0, PeakSpaceBits: 2560000}, 0xd37394610b5dc84f, ""},
+	"sea/r=3/nc=0.5/mc=true/seed=2":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Passes: 1, ItemsScanned: 20000, StoredBases: 0, PeakSpaceBits: 2560000}, 0xd37394610b5dc84f, ""},
+	"sea/r=3/nc=0.5/mc=true/seed=3":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Passes: 1, ItemsScanned: 20000, StoredBases: 0, PeakSpaceBits: 2560000}, 0xd37394610b5dc84f, ""},
+	"sea/r=3/nc=0.5/mc=true/seed=4":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Passes: 1, ItemsScanned: 20000, StoredBases: 0, PeakSpaceBits: 2560000}, 0xd37394610b5dc84f, ""},
+	"sea/r=3/nc=0.5/mc=true/seed=5":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Passes: 1, ItemsScanned: 20000, StoredBases: 0, PeakSpaceBits: 2560000}, 0xd37394610b5dc84f, ""},
+	"sea/r=3/nc=0.2/mc=false/seed=1": {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1086, Iterations: 134, Successes: 4, Failures: 129, DirectSolve: false}, Passes: 135, ItemsScanned: 2700000, StoredBases: 4, PeakSpaceBits: 279168}, 0x86208e08344b693a, ""},
+	"sea/r=3/nc=0.2/mc=false/seed=2": {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1086, Iterations: 122, Successes: 4, Failures: 117, DirectSolve: false}, Passes: 123, ItemsScanned: 2460000, StoredBases: 4, PeakSpaceBits: 279168}, 0x3fa24c33d382764f, ""},
+	"sea/r=3/nc=0.2/mc=false/seed=3": {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1086, Iterations: 46, Successes: 4, Failures: 41, DirectSolve: false}, Passes: 47, ItemsScanned: 940000, StoredBases: 4, PeakSpaceBits: 279168}, 0x6606c8360ac6ba64, ""},
 	"sea/r=3/nc=0.2/mc=false/seed=4": {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1086, Iterations: 138, Successes: 3, Failures: 134, DirectSolve: false}, Passes: 139, ItemsScanned: 2780000, StoredBases: 3, PeakSpaceBits: 278912}, 0x54cd2dae6292a27f, ""},
-	"sea/r=3/nc=0.2/mc=false/seed=5": {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1086, Iterations: 51, Successes: 3, Failures: 47, DirectSolve: false}, Passes: 52, ItemsScanned: 1040000, StoredBases: 3, PeakSpaceBits: 278912}, 0x42d65c86407303c0, ""},
-	"sea/r=3/nc=0.2/mc=true/seed=1":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 6977, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, Passes: 4, ItemsScanned: 80000, StoredBases: 2, PeakSpaceBits: 1786752}, 0x44f59c42963910e3, ""},
+	"sea/r=3/nc=0.2/mc=false/seed=5": {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 1086, Iterations: 51, Successes: 3, Failures: 47, DirectSolve: false}, Passes: 52, ItemsScanned: 1040000, StoredBases: 3, PeakSpaceBits: 278912}, 0x884917497d6d6636, ""},
+	"sea/r=3/nc=0.2/mc=true/seed=1":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 6977, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, Passes: 4, ItemsScanned: 80000, StoredBases: 2, PeakSpaceBits: 1786752}, 0x725b45b6b1c3ac7, ""},
 	"sea/r=3/nc=0.2/mc=true/seed=2":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 6977, Iterations: 2, Successes: 1, Failures: 1, DirectSolve: false}, Passes: 3, ItemsScanned: 60000, StoredBases: 1, PeakSpaceBits: 1786496}, 0x0, "core: monte-carlo round failed (w(V) > ε·w(S))"},
 	"sea/r=3/nc=0.2/mc=true/seed=3":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 6977, Iterations: 1, Successes: 0, Failures: 1, DirectSolve: false}, Passes: 2, ItemsScanned: 40000, StoredBases: 0, PeakSpaceBits: 1786240}, 0x0, "core: monte-carlo round failed (w(V) > ε·w(S))"},
-	"sea/r=3/nc=0.2/mc=true/seed=4":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 6977, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, Passes: 4, ItemsScanned: 80000, StoredBases: 2, PeakSpaceBits: 1786752}, 0x6606c8360ac6ba64, ""},
-	"sea/r=3/nc=0.2/mc=true/seed=5":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 6977, Iterations: 4, Successes: 3, Failures: 0, DirectSolve: false}, Passes: 5, ItemsScanned: 100000, StoredBases: 3, PeakSpaceBits: 1787008}, 0x4d0d217c5cbca213, ""},
+	"sea/r=3/nc=0.2/mc=true/seed=4":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 6977, Iterations: 3, Successes: 2, Failures: 0, DirectSolve: false}, Passes: 4, ItemsScanned: 80000, StoredBases: 2, PeakSpaceBits: 1786752}, 0xefb9b92a301ae3a2, ""},
+	"sea/r=3/nc=0.2/mc=true/seed=5":  {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 6977, Iterations: 4, Successes: 3, Failures: 0, DirectSolve: false}, Passes: 5, ItemsScanned: 100000, StoredBases: 3, PeakSpaceBits: 1787008}, 0xe20563d7f65165e4, ""},
 	"lp/r=2/theory/seed=1":           {stream.Stats{RunStats: core.RunStats{N: 20000, R: 2, NetSize: 20000, Iterations: 0, Successes: 0, Failures: 0, DirectSolve: true}, Passes: 1, ItemsScanned: 20000, StoredBases: 0, PeakSpaceBits: 3840000}, 0xce4645eb3fcaeacf, ""},
 	"meb/r=3/nc=0.2/budget=3/seed=1": {stream.Stats{RunStats: core.RunStats{N: 20000, R: 3, NetSize: 489, Iterations: 3, Successes: 0, Failures: 3, DirectSolve: false}, Passes: 4, ItemsScanned: 80000, StoredBases: 0, PeakSpaceBits: 125312}, 0x0, "core: iteration budget exhausted"},
 }
